@@ -63,7 +63,6 @@ from .spectrum import (
     lyapunov_gap,
     solve_alpha,
 )
-from .transfer import power_iterate
 
 EXIT_OK = 0
 EXIT_NONCONVERGED = 1
@@ -204,7 +203,8 @@ class Manifest:
                         encoding="utf-8")
 
 
-def _load_inputs(args, command: str, need_affine: bool = False):
+def _load_inputs(args, command: str, need_affine: bool = False,
+                 need_grid: bool = True):
     overrides = {
         "seed": args.seed,
         "out": args.out,
@@ -216,6 +216,11 @@ def _load_inputs(args, command: str, need_affine: bool = False):
         ensemble = load_ensemble(cfg.ensemble_path)
         if need_affine and not isinstance(ensemble, AffineEnsemble):
             raise ConfigError("this command needs an affine ensemble (translations)")
+        if need_grid and ensemble.dimension > 3:
+            raise ConfigError(
+                f"unsupported dimension {ensemble.dimension}: {command} solves on "
+                "direction grids, which cover d in {1, 2, 3}"
+            )
     except (EnsembleError, ConfigError):
         # the manifest contract holds even when the ensemble cannot load
         man = Manifest(command, cfg, sha="unavailable")
@@ -229,7 +234,7 @@ def _linear_part(ensemble) -> LinearEnsemble:
 
 
 def cmd_validate(args) -> int:
-    cfg, ensemble = _load_inputs(args, "validate")
+    cfg, ensemble = _load_inputs(args, "validate", need_grid=False)
     man = Manifest("validate", cfg, ensemble_hash(ensemble))
     status = "failed"
     code = EXIT_OK
@@ -269,11 +274,11 @@ def cmd_validate(args) -> int:
         out.write_text(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n",
                        encoding="utf-8")
         man.add_output(out, "verdicts and witnesses for the standing hypotheses")
-        for name, verdict in (
-            ("proximality", report.proximality_verdict),
-            ("irreducibility", report.irreducibility_verdict),
-            ("nonarithmetic", report.nonarithmetic_verdict),
-        ):
+        verdicts = [("proximality", report.proximality_verdict),
+                    ("irreducibility", report.irreducibility_verdict)]
+        if lin.dimension == 1:
+            verdicts.append(("nonarithmetic", report.nonarithmetic_verdict))
+        for name, verdict in verdicts:
             if verdict == "inconclusive":
                 man.warn(f"{name}: inconclusive (no witness found)")
             if verdict == "fail" and name == "nonarithmetic":
@@ -298,8 +303,8 @@ def cmd_spectrum(args) -> int:
             grid = build_grid(lin.dimension, cfg.grid_resolution, PROJECTIVE)
         ks = KSolver(lin, grid)
         curve = compute_curve(
-            lin, cfg.s_values(), grid=grid, solve_root=True,
-            seed=cfg.seed, mc_check=True,
+            lin, cfg.s_values(), solve_root=True,
+            seed=cfg.seed, mc_check=True, solver=ks,
         )
         man.time("curve", t0)
         nonconverged = any(not p.converged for p in curve.points)
@@ -431,7 +436,7 @@ def cmd_tails(args) -> int:
             dirs = np.column_stack([np.cos(ang), np.sin(ang)])
             if d == 3:
                 dirs = build_grid(3, n_dirs, "sphere").nodes
-        sp_star = power_iterate(transpose(lin), alpha, ks.grid, tol=ks.tol)
+        sp_star = ks.star.point(alpha)
         tail_tables = {}
         mellins = {}
         for u in dirs:
@@ -608,9 +613,12 @@ def cmd_cramer(args) -> int:
         n_dirs = int(cfg.options.get("directions", 16 if d > 1 else 2))
         if d == 1:
             dirs = np.array([[1.0], [-1.0]])[:n_dirs]
-        else:
+        elif d == 2:
             ang = np.linspace(0, np.pi, n_dirs, endpoint=False)
             dirs = np.column_stack([np.cos(ang), np.sin(ang)])
+        else:
+            # a d=3 grid needs at least 4 nodes
+            dirs = build_grid(d, max(n_dirs, 4), PROJECTIVE).nodes[:n_dirs]
         rows_out = []
         t0 = time.perf_counter()
         for j, u in enumerate(dirs):
@@ -650,7 +658,7 @@ def cmd_dualwalk(args) -> int:
         _require_contracting(lin, ks)
         alpha = solve_alpha(lin, solver=ks)
         L_alpha = lyapunov(lin, alpha, "finite_diff", solver=ks)[0]
-        sp_star = power_iterate(transpose(lin), alpha, ks.grid, tol=ks.tol)
+        sp_star = ks.star.point(alpha)
         # ladder positivity is guaranteed on the charged attractor side: start
         # there when the transposed semigroup preserves a cone
         cone_star, ev_star = classify_cone_case(transpose(lin), seed=cfg.seed)

@@ -8,13 +8,18 @@ d = 2 and inverse-distance over the 3 nearest nodes for d = 3; both are
 exact at nodes.  The eigenfunctions this package interpolates are Holder
 continuous, so low-order interpolation suffices; it is the dominant but
 controlled discretization error source.
+
+A d = 3 grid carries a KD-tree over its nodes, and over their antipodes too
+when projective; a stencil lists each node once, nearest first, with equal
+distances broken towards the lower node index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "DirectionGrid",
@@ -39,23 +44,19 @@ class DirectionGrid:
     """Node set on S^{d-1} (mode "sphere") or P^{d-1} (mode "projective").
 
     quadrature_weights approximate the rotation-invariant measure and sum
-    to 1; neighbors holds per-node nearest-neighbor indices.
+    to 1; tree is the d = 3 nearest-node index (None for d < 3), whose
+    point p is node p mod N.
     """
 
     dimension: int
     mode: str
     nodes: np.ndarray            # (N, d), unit rows
     quadrature_weights: np.ndarray  # (N,), positive, sums to 1
-    neighbors: np.ndarray        # (N, k) nearest-neighbor indices
+    tree: cKDTree | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
-
-    # d=2 grids are uniform in angle; cached here for the fast interp path
-    @property
-    def angles(self) -> np.ndarray:
-        return np.arctan2(self.nodes[:, 1], self.nodes[:, 0])
 
     @property
     def angle_span(self) -> float:
@@ -118,12 +119,10 @@ def build_grid(d: int, resolution: int, mode: str = PROJECTIVE) -> DirectionGrid
         if mode == SPHERE:
             nodes = np.array([[1.0], [-1.0]])
             weights = np.array([0.5, 0.5])
-            neighbors = np.array([[1], [0]])
         else:
             nodes = np.array([[1.0]])
             weights = np.array([1.0])
-            neighbors = np.array([[0]])
-        return DirectionGrid(d, mode, nodes, weights, neighbors)
+        return DirectionGrid(d, mode, nodes, weights)
     if d == 2:
         n = int(resolution)
         if n < 2:
@@ -132,8 +131,7 @@ def build_grid(d: int, resolution: int, mode: str = PROJECTIVE) -> DirectionGrid
         theta = span * np.arange(n) / n
         nodes = np.column_stack([np.cos(theta), np.sin(theta)])
         weights = np.full(n, 1.0 / n)
-        neighbors = np.column_stack([(np.arange(n) - 1) % n, (np.arange(n) + 1) % n])
-        return DirectionGrid(d, mode, nodes, weights, neighbors)
+        return DirectionGrid(d, mode, nodes, weights)
     if d == 3:
         n = int(resolution)
         if n < 4:
@@ -149,17 +147,9 @@ def build_grid(d: int, resolution: int, mode: str = PROJECTIVE) -> DirectionGrid
         nodes = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
         nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
         weights = np.full(n, 1.0 / n)
-        neighbors = _knn_index(nodes, mode, k_neighbors=6)
-        return DirectionGrid(d, mode, nodes, weights, neighbors)
+        tree = cKDTree(np.vstack([nodes, -nodes]) if mode == PROJECTIVE else nodes)
+        return DirectionGrid(d, mode, nodes, weights, tree)
     raise ValueError(f"unsupported dimension {d}; grid path covers d in {{1,2,3}}")
-
-
-def _knn_index(nodes: np.ndarray, mode: str, k_neighbors: int) -> np.ndarray:
-    dots = nodes @ nodes.T
-    if mode == PROJECTIVE:
-        dots = np.abs(dots)
-    np.fill_diagonal(dots, -np.inf)
-    return np.argsort(-dots, axis=1)[:, :k_neighbors]
 
 
 def act(g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -238,20 +228,24 @@ def interp_stencil(grid: DirectionGrid, xs: np.ndarray) -> tuple[np.ndarray, np.
         idx = np.column_stack([j, (j + 1) % n])
         w = np.column_stack([1.0 - t, t])
         return idx, w
-    # d >= 3: inverse-distance weights over the 3 nearest nodes
-    dots = xs @ grid.nodes.T
-    if grid.mode == PROJECTIVE:
-        dots = np.abs(dots)
-    dist2 = np.maximum(0.0, 2.0 - 2.0 * np.clip(dots, -1.0, 1.0))
-    k = min(3, n)
-    idx = np.argpartition(dist2, kth=k - 1, axis=1)[:, :k]
-    rows = np.arange(xs.shape[0])[:, None]
-    dist = np.sqrt(dist2[rows, idx])
-    exact = dist < 1e-12
-    inv = 1.0 / np.maximum(dist, 1e-30)
-    w = np.where(exact.any(axis=1, keepdims=True), exact.astype(float), inv)
-    w = w / w.sum(axis=1, keepdims=True)
-    return idx, w
+    # d = 3: inverse-distance weights over the 3 nearest nodes.  A projective
+    # tree holds node x and -x, at distances d <= sqrt(2) <= sqrt(4 - d^2)
+    # from the query; with at least 4 nodes both copies can only be among
+    # the 3 nearest points when 3 nodes are orthogonal to the query, so the
+    # stencil's nodes are distinct.  The 4th point exposes a tie at the 3rd
+    # place, and the tree orders equal distances arbitrarily: ties are
+    # ordered by node index.
+    k = 3
+    dist, hit = grid.tree.query(xs, k=k + 1)
+    node = hit % n
+    if (dist[:, 1:] == dist[:, :-1]).any():
+        order = np.lexsort((node, dist), axis=1)
+        node = np.take_along_axis(node, order, axis=1)
+        dist = np.take_along_axis(dist, order, axis=1)
+    idx, dist = node[:, :k], dist[:, :k]
+    w = 1.0 / np.maximum(dist, 1e-30)
+    w[dist[:, 0] < 1e-12] = np.eye(k)[0]  # a node hit is the nearest node
+    return idx, w / w.sum(axis=1, keepdims=True)
 
 
 def interpolate(f: GridFunction, x: np.ndarray) -> float | np.ndarray:

@@ -4,8 +4,16 @@ k(s) is the dominant eigenvalue of the s-weighted transfer operator,
 equivalently lim (E|S_n|^s)^{1/n} for the product S_n of n i.i.d. atoms;
 log k is convex, k(0) = 1, and the tail index alpha is the positive root
 of k(alpha) = 1.  The Lyapunov exponent of the s-tilted path measure is
-k'(s)/k(s) and is computed by three independent routes (finite differences
-of log k, tilted Monte Carlo, grid quadrature) that must agree.
+k'(s)/k(s) and is computed by three routes (finite differences of log k,
+tilted Monte Carlo, grid quadrature) that must agree.  Only tilted Monte
+Carlo is independent of the grid eigen-problem: the quadrature route is the
+discrete Hellmann-Feynman derivative nu^s(P'^s e^s)/k(s) of the same
+discretized k, so on the grid it matches finite differences to their
+truncation error and says nothing about the discretization error.
+
+One KSolver holds every solve of an (ensemble, grid) pair and of its
+transpose, each warm-started from the nearest solved exponent; solve_alpha
+runs Newton on log k with that k'(s), safeguarded by a verified bracket.
 
 Tilted sampling realizes the s-tilted path measure through its Markov-chain
 disintegration (the one-step kernel of transfer.qs_kernel) rather than by
@@ -18,15 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ensemble import LinearEnsemble, transpose
 from .rng import stream as _rng
 from .projective import PROJECTIVE, DirectionGrid, build_grid, interp_stencil
 from .transfer import (
     SpectralPoint,
+    TransferOperator,
     k_closed_form_1d,
     k_prime_closed_form_1d,
+    pairing_p,
     power_iterate,
     tilted_probs,
 )
@@ -46,9 +55,6 @@ __all__ = [
 ]
 
 DEFAULT_RESOLUTION = 512
-
-
-
 
 
 @dataclass
@@ -83,7 +89,14 @@ class SpectralCurve:
 
 
 class KSolver:
-    """k(s) evaluations with caching; closed form in d=1, grid elsewhere."""
+    """Every k(s) evaluation and eigen-solve of one ensemble on one grid.
+
+    k is in closed form in d=1 and from the grid elsewhere.  The solver owns
+    the operator family of the ensemble (``op``) and, through ``star``, the
+    solver of the transposed ensemble on the same grid; both are built on
+    first use.  Solved points are cached by s, and a new s starts from the
+    cached point nearest to it.
+    """
 
     def __init__(
         self,
@@ -99,7 +112,23 @@ class KSolver:
             self.grid = grid or build_grid(1, 1, PROJECTIVE)
         else:
             self.grid = grid or build_grid(e.dimension, DEFAULT_RESOLUTION, PROJECTIVE)
+        self._op: TransferOperator | None = None
+        self._star: KSolver | None = None
         self._points: dict[float, SpectralPoint] = {}
+
+    @property
+    def op(self) -> TransferOperator:
+        if self._op is None:
+            self._op = TransferOperator(self.ensemble, self.grid)
+        return self._op
+
+    @property
+    def star(self) -> "KSolver":
+        """The solver of the transposed ensemble on the same grid."""
+        if self._star is None:
+            self._star = KSolver(transpose(self.ensemble), self.grid,
+                                 tol=self.tol, max_iter=self.max_iter)
+        return self._star
 
     def k(self, s: float) -> float:
         if s < 0:
@@ -108,15 +137,26 @@ class KSolver:
             return k_closed_form_1d(self.ensemble, s)
         return self.point(s).k
 
+    def k_prime(self, s: float) -> float:
+        """k'(s) = nu^s(P'^s e^s) (nu^s(e^s) = 1); closed form in d=1."""
+        if self.ensemble.dimension == 1:
+            return k_prime_closed_form_1d(self.ensemble, s)
+        sp = self.point(s)
+        return float(sp.nu.masses @ (self.op.derivative(s) @ sp.e.values))
+
     def point(self, s: float, compute_p: bool = False) -> SpectralPoint:
         key = float(s)
         sp = self._points.get(key)
-        if sp is None or (compute_p and sp.p is None):
+        if sp is None:
+            nearest = min(self._points, key=lambda t: abs(t - key), default=None)
             sp = power_iterate(
                 self.ensemble, key, self.grid,
-                tol=self.tol, max_iter=self.max_iter, compute_p=compute_p,
+                tol=self.tol, max_iter=self.max_iter, compute_p=False,
+                op=self.op, start=self._points.get(nearest),
             )
             self._points[key] = sp
+        if compute_p and sp.p is None:
+            sp.p = pairing_p(sp, self.star.point(key))
         return sp
 
 
@@ -183,12 +223,15 @@ def solve_alpha(
     s_cap: float = 64.0,
     solver: KSolver | None = None,
 ) -> float:
-    """Positive root of k(alpha) = 1 by bracketed root finding.
+    """Positive root of k(alpha) = 1 by safeguarded Newton on log k.
 
     The user bracket is verified (k(lo) < 1 < k(hi)) and expanded
     geometrically when it fails, up to s_cap.  No sign change within the cap
     raises: that happens exactly when every product keeps spectral radius
-    <= 1 or the walk is not contracting at s = 0.
+    <= 1 or the walk is not contracting at s = 0.  Newton starts at hi, where
+    the convexity of log k makes its steps fall monotonically to the root;
+    a step that leaves the bracket, which shrinks with every evaluation, is
+    replaced by bisection.
     """
     ks = solver or KSolver(e, grid)
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -208,7 +251,20 @@ def solve_alpha(
             "a root needs a contracting walk (Lyapunov exponent < 0 at s=0) "
             "and some atom product with spectral radius > 1"
         )
-    alpha = brentq(lambda s: ks.k(s) - 1.0, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    alpha = hi
+    for _ in range(100):
+        k_alpha = ks.k(alpha)
+        if k_alpha == 1.0:
+            break
+        if k_alpha < 1.0:
+            lo = alpha
+        else:
+            hi = alpha
+        step = np.log(k_alpha) * k_alpha / ks.k_prime(alpha)
+        nxt = alpha - step if lo < alpha - step < hi else 0.5 * (lo + hi)
+        if abs(nxt - alpha) <= 1e-13 + 4e-16 * alpha:
+            break
+        alpha = nxt
     if abs(ks.k(alpha) - 1.0) > tol:
         raise ValueError(
             f"root refinement stalled: |k(alpha)-1| = {abs(ks.k(alpha)-1.0):.3e} > {tol}"
@@ -273,8 +329,9 @@ def lyapunov(
 ) -> tuple[float, float | None]:
     """Lyapunov exponent of the s-tilted walk, equal to k'(s)/k(s).
 
-    finite_diff: Richardson-extrapolated central differences of log k
-    (analytic Mellin-sum derivative in d=1, where it is exact).
+    finite_diff: Richardson-extrapolated central differences of log k, or
+    one-sided differences at s = 0 (analytic Mellin-sum derivative in d=1,
+    where it is exact).
     tilted_mc: long-run average of log|g x| along the tilted chain, stderr
     from independent chains; burn-in is 10% of the path, at least 100 steps.
     quadrature: node sum of pi^s(x) q^s(x, g) log|g x| on the grid.
@@ -295,6 +352,9 @@ def lyapunov(
 
         c1 = central(hh)
         c2 = central(hh / 2)
+        if s == 0.0:
+            # one-sided differences: the leading error is O(h), not O(h^2)
+            return float(2.0 * c2 - c1), None
         return float((4.0 * c2 - c1) / 3.0), None
     if method == "quadrature":
         if d == 1:
@@ -510,9 +570,7 @@ def backward_direction(
     if sp is None:
         sp = solver.point(s)
     if sp_star is None:
-        sp_star = power_iterate(
-            transpose(e), s, solver.grid, tol=solver.tol, compute_p=False
-        )
+        sp_star = solver.star.point(s)
     rng = _rng(seed, 404)
     d = e.dimension
     probes = _random_unit(rng, n_probes, d)
@@ -565,11 +623,13 @@ def compute_curve(
     solve_root: bool = True,
     seed: int = 0,
     mc_check: bool = False,
+    solver: KSolver | None = None,
 ) -> SpectralCurve:
     """Solve the eigen-problem along an s-grid and attach alpha, k'(alpha)
     and the Lyapunov table (finite_diff and quadrature routes; tilted_mc
-    when mc_check is set)."""
-    ks = KSolver(e, grid, tol=tol)
+    when mc_check is set).  A given solver replaces (grid, tol) and keeps
+    every point solved here for its later callers."""
+    ks = solver or KSolver(e, grid, tol=tol)
     s_values = np.asarray(sorted(float(s) for s in s_values))
     points = [ks.point(s, compute_p=True) for s in s_values]
     curve = SpectralCurve(s_values=s_values, points=points)

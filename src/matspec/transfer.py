@@ -5,12 +5,17 @@ For a finite-support measure mu on GL(d) and s >= 0, the weighted operator
     (P^s f)(x) = sum_i w_i |g_i x|^s f(g_i . x)
 
 acts on functions over the direction grid; interpolation closes the action
-on grid values.  The adjoint uses the *same* interpolation stencil, so grid
-duality <P^s f, sigma> = <f, (P^s)* sigma> holds exactly up to float
-summation order.  Alternating power iteration on the pair produces the
-dominant eigenvalue k(s), the positive eigenfunction e^s and the
-eigenmeasure nu^s, normalized so that nu^s has mass 1 and nu^s(e^s) = 1.
-That normalization pins the rank-one projector nu^s (x) e^s uniquely.
+on grid values.  A TransferOperator computes the s-independent part once per
+(ensemble, grid): per atom, the interpolation stencil S_i of g_i.x and
+log|g_i x|.  Any P^s = sum_i w_i diag(|g_i x|^s) S_i (complex s for the
+oscillatory diagnostic) and its derivative in s are then one sparse CSR
+matrix; the adjoint is exactly its transpose, so grid duality
+<P^s f, sigma> = <f, (P^s)* sigma> holds by construction.  Alternating power
+iteration on the pair, started cold or from the eigen-pair of a nearby s,
+produces the dominant eigenvalue k(s), the positive eigenfunction e^s and
+the eigenmeasure nu^s, normalized so that nu^s has mass 1 and
+nu^s(e^s) = 1.  That normalization pins the rank-one projector
+nu^s (x) e^s uniquely.
 
 The one-step tilted Markov kernel
 
@@ -26,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .ensemble import LinearEnsemble, transpose
 from .projective import (
@@ -45,6 +51,7 @@ __all__ = [
     "apply_ps",
     "apply_ps_adjoint",
     "power_iterate",
+    "pairing_p",
     "k_closed_form_1d",
     "k_prime_closed_form_1d",
     "cross_check_es",
@@ -75,7 +82,6 @@ class SpectralPoint:
     residual_nu: float
     mode: str
     converged: bool = True
-    warning: str = ""
 
     @property
     def pi(self) -> np.ndarray:
@@ -85,67 +91,55 @@ class SpectralPoint:
 
 
 class TransferOperator:
-    """P^s frozen against one (ensemble, grid, s): precomputed stencils.
+    """The s-independent part of P^s on one (ensemble, grid).
 
-    apply/apply_adjoint are exact transposes of each other on the grid.
+    Row j of every assembled matrix holds the stencil entries of atom 0 at
+    g_0 . x_j, then those of atom 1, and so on; duplicate columns are summed
+    by the sparse products.
     """
 
-    def __init__(self, e: LinearEnsemble, grid: DirectionGrid, s: float):
-        if s < 0:
-            raise ValueError("negative exponents are not supported")
+    def __init__(self, e: LinearEnsemble, grid: DirectionGrid):
         self.ensemble = e
         self.grid = grid
-        self.s = float(s)
-        self._idx = []
-        self._w = []          # stencil weights, rows sum to 1
-        self._lognorm = []    # log|g_i x_j| per node
-        for g in e.matrices:
-            images, lognorms = act_many(g, grid.nodes)
-            idx, w = interp_stencil(grid, images)
-            self._idx.append(idx)
-            self._w.append(w)
-            self._lognorm.append(lognorms)
+        idx, weights, lognorms = [], [], []
+        for g, wi in zip(e.matrices, e.weights):
+            images, ln = act_many(g, grid.nodes)
+            i, w = interp_stencil(grid, images)
+            idx.append(i)
+            weights.append(wi * w)
+            lognorms.append(np.repeat(ln[:, None], w.shape[1], axis=1))
+        row_len = e.n_atoms * idx[0].shape[1]
+        self._indices = np.concatenate(idx, axis=1).ravel()
+        self._indptr = np.arange(0, grid.n_nodes * row_len + 1, row_len)
+        self._weights = np.concatenate(weights, axis=1).ravel()
+        self._lognorms = np.concatenate(lognorms, axis=1).ravel()
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(values)
-        for wi, idx, w, ln in zip(
-            self.ensemble.weights, self._idx, self._w, self._lognorm
-        ):
-            interp = np.sum(values[idx] * w, axis=1)
-            out = out + wi * np.exp(self.s * ln) * interp
-        return out
+    def _csr(self, data: np.ndarray) -> sparse.csr_matrix:
+        n = self.grid.n_nodes
+        return sparse.csr_matrix((data, self._indices, self._indptr), shape=(n, n))
 
-    def apply_adjoint(self, masses: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(masses)
-        for wi, idx, w, ln in zip(
-            self.ensemble.weights, self._idx, self._w, self._lognorm
-        ):
-            contrib = (wi * np.exp(self.s * ln) * masses)[:, None] * w
-            np.add.at(out, idx, contrib)
-        return out
+    def matrix(self, s: complex) -> sparse.csr_matrix:
+        """P^s as an (N, N) CSR matrix; .T is its exact adjoint.  A complex
+        s = sigma + it gives the oscillatory operator P^{sigma+it}."""
+        if np.real(s) < 0:
+            raise ValueError("negative exponents are not supported")
+        return self._csr(self._weights * np.exp(s * self._lognorms))
 
-    def apply_oscillatory(self, values: np.ndarray, t: float) -> np.ndarray:
-        """P^{s+it} on complex grid values (diagnostic use only)."""
-        out = np.zeros_like(values, dtype=complex)
-        for wi, idx, w, ln in zip(
-            self.ensemble.weights, self._idx, self._w, self._lognorm
-        ):
-            interp = np.sum(values[idx] * w, axis=1)
-            out = out + wi * np.exp((self.s + 1j * t) * ln) * interp
-        return out
+    def derivative(self, s: float) -> sparse.csr_matrix:
+        """dP^s/ds = sum_i w_i diag(log|g_i x| |g_i x|^s) S_i."""
+        return self._csr(self._weights * self._lognorms * np.exp(s * self._lognorms))
 
 
 def apply_ps(e: LinearEnsemble, s: float, f: GridFunction) -> GridFunction:
     """(P^s f)(x_node) = sum_i w_i |g_i x|^s interp(f, g_i.x)."""
-    op = TransferOperator(e, f.grid, s)
-    return GridFunction(f.grid, op.apply(f.values))
+    return GridFunction(f.grid, TransferOperator(e, f.grid).matrix(s) @ f.values)
 
 
 def apply_ps_adjoint(e: LinearEnsemble, s: float, sigma: GridMeasure) -> GridMeasure:
     """Adjoint push: deposits w_i |g_i x|^s * mass onto the interpolation
     stencil of g_i.x, so that grid duality with apply_ps is exact."""
-    op = TransferOperator(e, sigma.grid, s)
-    return GridMeasure(sigma.grid, op.apply_adjoint(sigma.masses))
+    P = TransferOperator(e, sigma.grid).matrix(s)
+    return GridMeasure(sigma.grid, P.T @ sigma.masses)
 
 
 def k_closed_form_1d(e: LinearEnsemble, s: float) -> float:
@@ -173,30 +167,40 @@ def power_iterate(
     tol: float = 1e-10,
     max_iter: int = 20000,
     compute_p: bool = True,
-    warn_not_ip: bool = False,
+    op: TransferOperator | None = None,
+    start: SpectralPoint | None = None,
 ) -> SpectralPoint:
     """Alternating normalized power iteration for (k(s), e^s, nu^s).
 
     k is the Rayleigh quotient <P^s e, nu>/<e, nu>; iteration stops when the
-    eigenfunction and eigenmeasure residuals both fall below tol.  Without
-    irreducibility + proximality the limit pair need not be unique; the
-    result is still returned, flagged via ``warning`` when requested.
+    eigenfunction and eigenmeasure residuals both fall below tol, and
+    ``converged`` records whether they did within max_iter.  op is the
+    operator family of (e, grid), built here when not given; start is a
+    solved point of the same family whose (e, nu) seed the iteration in place
+    of (1, quadrature weights).  Without irreducibility + proximality the
+    limit pair need not be unique.
     p(s) = integral of |<x,y>|^s d nu^s(x) d *nu^s(y) is quadrature against
     the transposed-ensemble eigenmeasure (skipped when compute_p=False).
     """
     if s < 0:
         raise ValueError("negative exponents are not supported")
-    op = TransferOperator(e, grid, s)
-    n = grid.n_nodes
-    f = np.ones(n)
-    sigma = grid.quadrature_weights.copy()
+    if op is None:
+        op = TransferOperator(e, grid)
+    P = op.matrix(s)
+    PT = P.T
+    if start is None:
+        f = np.ones(grid.n_nodes)
+        sigma = grid.quadrature_weights.copy()
+    else:
+        f = start.e.values.copy()
+        sigma = start.nu.masses.copy()
     k_est = 1.0
     res_e = res_nu = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        f_new = op.apply(f)
-        sig_new = op.apply_adjoint(sigma)
-        k_est = float(np.sum(f_new * sigma) / np.sum(f * sigma))
+        f_new = P @ f
+        sig_new = PT @ sigma
+        k_est = float((f_new @ sigma) / (f @ sigma))
         res_e = float(np.max(np.abs(f_new - k_est * f)) / np.max(np.abs(f)))
         res_nu = float(
             np.sum(np.abs(sig_new - k_est * sigma)) / (abs(k_est) * sigma.sum())
@@ -222,21 +226,16 @@ def power_iterate(
         residual_nu=res_nu,
         mode=grid.mode,
         converged=converged,
-        warning="" if converged else f"not converged after {it} iterations",
     )
-    if warn_not_ip and not point.warning:
-        point.warning = (
-            "irreducibility/proximality not verified: eigen-pair may be non-unique"
-        )
     if compute_p:
         star = power_iterate(
             transpose(e), s, grid, tol=tol, max_iter=max_iter, compute_p=False
         )
-        point.p = _pairing_p(point, star)
+        point.p = pairing_p(point, star)
     return point
 
 
-def _pairing_p(sp: SpectralPoint, sp_star: SpectralPoint) -> float:
+def pairing_p(sp: SpectralPoint, sp_star: SpectralPoint) -> float:
     """p(s) = sum_{x,y} |<x,y>|^s nu^s(x) *nu^s(y) on the grid."""
     dots = np.abs(sp.nu.grid.nodes @ sp_star.nu.grid.nodes.T)
     if sp.s == 0.0:
@@ -253,7 +252,7 @@ def cross_check_es(sp: SpectralPoint, sp_star: SpectralPoint) -> float:
     """
     if sp.s != sp_star.s:
         raise ValueError("both spectral points must share the same exponent s")
-    p = sp.p if sp.p is not None else _pairing_p(sp, sp_star)
+    p = sp.p if sp.p is not None else pairing_p(sp, sp_star)
     dots = np.abs(sp.e.grid.nodes @ sp_star.nu.grid.nodes.T)
     kernel = np.ones_like(dots) if sp.s == 0.0 else dots**sp.s
     rhs = kernel @ sp_star.nu.masses
@@ -355,14 +354,14 @@ def sphere_extremal_measures(
     plus_mask = d_plus < d_minus
     if not plus_mask.any() or plus_mask.all():
         raise ValueError("attractor cone does not separate the grid")
-    op = TransferOperator(e, grid, s)
+    PT = TransferOperator(e, grid).matrix(s).T
     sigma = np.where(plus_mask, grid.quadrature_weights, 0.0)
     sigma /= sigma.sum()
     k_est = 1.0
     res = np.inf
     iters = 0
     for iters in range(1, max_iter + 1):
-        sig_new = op.apply_adjoint(sigma)
+        sig_new = PT @ sigma
         sig_new[~plus_mask] = 0.0
         k_est = sig_new.sum() / sigma.sum()
         res = np.sum(np.abs(sig_new - k_est * sigma)) / (k_est * sigma.sum())
@@ -371,8 +370,7 @@ def sphere_extremal_measures(
             break
     nu_plus = sigma
     amap = _antipode_map(grid)
-    nu_minus = np.zeros_like(nu_plus)
-    np.add.at(nu_minus, amap, nu_plus)
+    nu_minus = np.bincount(amap, weights=nu_plus, minlength=grid.n_nodes)
 
     # transposed-ensemble cone data for the e_+ transform
     e_star = transpose(e)
@@ -380,11 +378,11 @@ def sphere_extremal_measures(
     d_plus_s = _min_chord(grid.nodes, star_attr)
     d_minus_s = _min_chord(grid.nodes, -star_attr)
     star_mask = d_plus_s < d_minus_s
-    op_star = TransferOperator(e_star, grid, s)
+    PT_star = TransferOperator(e_star, grid).matrix(s).T
     tau = np.where(star_mask, grid.quadrature_weights, 0.0)
     tau /= tau.sum()
     for _ in range(max_iter):
-        tau_new = op_star.apply_adjoint(tau)
+        tau_new = PT_star @ tau
         tau_new[~star_mask] = 0.0
         res = np.sum(np.abs(tau_new - (tau_new.sum() / tau.sum()) * tau)) / tau_new.sum()
         tau = tau_new / tau_new.sum()
@@ -398,8 +396,7 @@ def sphere_extremal_measures(
     dots = grid.nodes @ grid.nodes.T
     plus_kernel = np.maximum(dots, 0.0) ** s if s > 0 else (dots > 0).astype(float)
     e_plus_vals = (plus_kernel @ tau) / p_s
-    tau_minus = np.zeros_like(tau)
-    np.add.at(tau_minus, amap, tau)
+    tau_minus = np.bincount(amap, weights=tau, minlength=grid.n_nodes)
     e_minus_vals = (plus_kernel @ tau_minus) / p_s
 
     pi_plus = nu_plus * np.maximum(e_plus_vals, 0.0)
@@ -461,13 +458,14 @@ def complex_radius_ratio(
     ensembles with the standing hypotheses); no complex eigen-pair is
     extracted, only the growth-rate ratio.
     """
-    sp = power_iterate(e, s, grid, compute_p=False)
-    op = TransferOperator(e, grid, s)
+    op = TransferOperator(e, grid)
+    sp = power_iterate(e, s, grid, compute_p=False, op=op)
+    Pz = op.matrix(s + 1j * t)
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
     growths = []
     for it in range(n_iter):
-        out = op.apply_oscillatory(f, t)
+        out = Pz @ f
         norm = np.abs(out).max()
         if norm < 1e-300:
             return 0.0

@@ -257,8 +257,8 @@ def test_criterion_7_property_suites(ip512, big_bank):
     check("cocycle-additivity", coc_ok)
     # eigen-residual and normalization contracts
     sp = solver.point(alpha)
-    op = TransferOperator(e, sp.e.grid, alpha)
-    resid = np.max(np.abs(op.apply(sp.e.values) - sp.k * sp.e.values))
+    P = TransferOperator(e, sp.e.grid).matrix(alpha)
+    resid = np.max(np.abs(P @ sp.e.values - sp.k * sp.e.values))
     check("eigen-residual", resid <= 10 * solver.tol * sp.e.values.max())
     check("nu-e-normalization", abs(sp.nu.pair(sp.e) - 1.0) < 1e-8)
     # case-I tail symmetry

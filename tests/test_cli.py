@@ -4,12 +4,26 @@ from pathlib import Path
 import numpy as np
 
 from matspec.cli import EXIT_HYPOTHESIS, EXIT_INVALID, EXIT_OK, main
-from matspec.ensemble import save_ensemble
+from matspec.ensemble import LinearEnsemble, save_ensemble
 from matspec.ensembles import (
     expanding_1d_deterministic,
     kesten_1d,
     kesten_affine_1d,
 )
+
+
+def affine_3d():
+    """Contracting d=3 affine ensemble: c R diag(2, 1, 1/2) R^T for three
+    rotations R, with alpha of about 2.7."""
+    from scipy.spatial.transform import Rotation
+
+    from matspec.ensemble import AffineEnsemble
+
+    rots = Rotation.from_rotvec([[0.0, 0.0, 0.0], [1.1, 0.4, -0.3],
+                                 [-0.5, 1.3, 0.7]]).as_matrix()
+    mats = 0.59 * rots @ np.diag([2.0, 1.0, 0.5]) @ np.transpose(rots, (0, 2, 1))
+    shifts = np.array([[1.0, 0.3, -0.2], [-0.5, 0.8, 0.1], [0.2, -0.4, 0.9]])
+    return AffineEnsemble(3, mats, shifts, np.full(3, 1.0 / 3.0))
 
 
 def write_config(tmp_path: Path, ensemble, name="ens.json", **extra) -> Path:
@@ -59,6 +73,29 @@ class TestValidateCommand:
         (tmp_path / "cfg.json").write_text(json.dumps({
             "ensemble": "e.json", "out": str(tmp_path / "o")}))
         assert main(["validate", "--config", str(tmp_path / "cfg.json")]) == EXIT_INVALID
+
+    def test_nonarithmetic_verdict_only_in_d1(self, tmp_path, capsys):
+        from matspec.ensembles import ip_2d
+
+        cfg = write_config(tmp_path, ip_2d())
+        assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert not any("nonarithmetic" in w for w in manifest["warnings"])
+        lattice = LinearEnsemble(1, np.array([[[2.0]], [[0.5]]]), np.array([0.5, 0.5]))
+        cfg = write_config(tmp_path, lattice)
+        assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert "nonarithmetic: fail (log-lattice ensemble)" in manifest["warnings"]
+
+    def test_unsupported_dimension_exits_two(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        e4 = LinearEnsemble(4, 0.5 * rng.standard_normal((2, 4, 4)),
+                            np.array([0.5, 0.5]))
+        cfg = write_config(tmp_path, e4)
+        assert main(["spectrum", "--config", str(cfg)]) == EXIT_INVALID
+        assert "unsupported dimension 4" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "invalid-input"
 
     def test_manifest_written_on_failure(self, tmp_path):
         # spectrum on an s-grid violating the declared bound fails at parse,
@@ -178,6 +215,19 @@ class TestCramerDualwalkCommands:
         assert body[0].split(",") == ["direction", "t", "method", "estimate",
                                       "stderr", "hits", "flag"]
         assert len(body) == 1 + 2 * 3  # tilted + naive rows per t
+
+    def test_cramer_d3(self, tmp_path):
+        cfg = write_config(
+            tmp_path, affine_3d(), grid_resolution=64,
+            mc={"samples": 1000, "steps": 100, "paths": 200},
+            options={"t_grid": {"min": 10, "max": 100, "count": 2},
+                     "directions": 2},
+        )
+        assert main(["cramer", "--config", str(cfg)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        body = (tmp_path / "out" / "cramer_table.csv").read_text().splitlines()
+        assert len(body) == 1 + 2 * 2 * 2  # directions x (tilted + naive) x t
 
     def test_dualwalk_kesten(self, tmp_path):
         cfg = write_config(

@@ -170,6 +170,58 @@ class TestInterpolation:
             assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
 
+def brute_force_stencil(grid, xs):
+    """Reference d=3 stencil from every node distance: the 3 nearest nodes
+    by (chordal distance, node index), inverse-distance weighted, exact at
+    nodes."""
+    dist = np.linalg.norm(xs[:, None, :] - grid.nodes[None, :, :], axis=2)
+    if grid.mode == "projective":
+        dist = np.minimum(
+            dist, np.linalg.norm(xs[:, None, :] + grid.nodes[None, :, :], axis=2))
+    index = np.broadcast_to(np.arange(grid.n_nodes), dist.shape)
+    idx = np.lexsort((index, dist), axis=1)[:, :3]
+    d3 = np.take_along_axis(dist, idx, axis=1)
+    exact = d3 < 1e-12
+    w = np.where(exact.any(axis=1, keepdims=True), exact.astype(float),
+                 1.0 / np.maximum(d3, 1e-30))
+    return idx, w / w.sum(axis=1, keepdims=True)
+
+
+class TestKdTreeStencil:
+    # 5 projective nodes: the 4th candidate is often a far copy
+    @pytest.mark.parametrize("mode,n", [("projective", 257), ("sphere", 257),
+                                        ("projective", 5)])
+    def test_matches_brute_force(self, mode, n):
+        g = build_grid(3, n, mode)
+        rng = np.random.default_rng(8)
+        xs = rng.standard_normal((5000, 3))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        xs = np.vstack([xs, g.nodes, -g.nodes])
+        idx, w = interp_stencil(g, xs)
+        ref_idx, ref_w = brute_force_stencil(g, xs)
+        assert np.all(np.sort(idx, axis=1)[:, 1:] != np.sort(idx, axis=1)[:, :-1])
+        mine, ref = np.argsort(idx, axis=1), np.argsort(ref_idx, axis=1)
+        assert np.array_equal(np.take_along_axis(idx, mine, axis=1),
+                              np.take_along_axis(ref_idx, ref, axis=1))
+        assert np.max(np.abs(np.take_along_axis(w, mine, axis=1)
+                             - np.take_along_axis(ref_w, ref, axis=1))) < 1e-10
+
+    def test_node_hits_and_ties(self):
+        # on a 4-node projective grid a query orthogonal to a node is as far
+        # from it as from its antipode: the node still appears once
+        g = build_grid(3, 4, "projective")
+        xs = np.vstack([g.nodes, np.cross(g.nodes[0], g.nodes[1])])
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        idx, w = interp_stencil(g, xs)
+        assert np.array_equal(idx[:4, 0], np.arange(4))
+        assert np.array_equal(w[:4], np.tile([1.0, 0.0, 0.0], (4, 1)))
+        assert all(len(set(row)) == 3 for row in idx)
+        # a query equidistant from two nodes lists the lower index first
+        mid = g.nodes[2] + g.nodes[3]
+        idx, _ = interp_stencil(g, mid / np.linalg.norm(mid))
+        assert list(idx[0, :2]) == [2, 3]
+
+
 class TestQuadrature:
     def test_circle_harmonic_convergence_rate(self):
         # quadrature of smooth harmonics converges ~ O(R^-2) or better

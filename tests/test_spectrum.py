@@ -60,11 +60,34 @@ class TestSolveAlpha:
         alpha = solve_alpha(kesten, bracket=(0.01, 0.02))
         assert abs(alpha - 1.0) < 1e-10
 
+    def test_newton_matches_bisection(self, ip):
+        ks = KSolver(ip, build_grid(2, 128, "projective"))
+        alpha = solve_alpha(ip, solver=ks)
+        lo, hi = 0.1, 2.0
+        while hi - lo > 1e-13:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if ks.k(mid) < 1.0 else (lo, mid)
+        assert abs(alpha - 0.5 * (lo + hi)) < 1e-10
+
 
 class TestLyapunov:
     def test_kesten_L0_closed_form(self, kesten):
         L, _ = lyapunov(kesten, 0.0, "finite_diff")
         assert abs(L - L0_KESTEN) < 1e-12
+
+    def test_similarity_L0_one_sided(self, similarity):
+        # k(s) = 0.4 2^s + 0.6 3^-s on every grid, so L(0) is exact
+        ks = KSolver(similarity, build_grid(2, 512, "projective"))
+        L, _ = lyapunov(similarity, 0.0, "finite_diff", solver=ks)
+        assert abs(L - (0.4 * np.log(2.0) - 0.6 * np.log(3.0))) < 1e-6
+
+    def test_k_prime_is_quadrature_route(self, ip, ip_solver):
+        for s in (0.5, 1.5):
+            Lq, _ = lyapunov(ip, s, "quadrature", solver=ip_solver)
+            Lfd, _ = lyapunov(ip, s, "finite_diff", solver=ip_solver)
+            L_hf = ip_solver.k_prime(s) / ip_solver.k(s)
+            assert abs(L_hf - Lq) < 1e-9
+            assert abs(L_hf - Lfd) < 1e-8
 
     def test_kesten_L_at_alpha(self, kesten):
         L, _ = lyapunov(kesten, 1.0, "finite_diff")

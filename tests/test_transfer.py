@@ -62,9 +62,9 @@ class TestApply:
         rng = np.random.default_rng(1)
         f = rng.standard_normal(128)
         sigma = rng.random(128)
-        op = TransferOperator(ip, grid128, 0.8)
-        lhs = np.sum(op.apply(f) * sigma)
-        rhs = np.sum(f * op.apply_adjoint(sigma))
+        P = TransferOperator(ip, grid128).matrix(0.8)
+        lhs = np.sum((P @ f) * sigma)
+        rhs = np.sum(f * (P.T @ sigma))
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
@@ -96,8 +96,8 @@ class TestPowerIterate:
 
     def test_residual_contract(self, ip, ip_solver, ip_alpha):
         sp = ip_solver.point(ip_alpha)
-        op = TransferOperator(ip, sp.e.grid, ip_alpha)
-        resid = np.max(np.abs(op.apply(sp.e.values) - sp.k * sp.e.values))
+        P = TransferOperator(ip, sp.e.grid).matrix(ip_alpha)
+        resid = np.max(np.abs(P @ sp.e.values - sp.k * sp.e.values))
         assert resid <= 10 * ip_solver.tol * np.max(sp.e.values)
 
     def test_log_convexity_discrete(self, ip, ip_solver):
@@ -129,6 +129,17 @@ class TestPowerIterate:
         # refinement differences must shrink (factor ~4 for linear interp)
         assert abs(k_fine - k_mid) < abs(k_mid - k_coarse)
         assert abs(k_fine - k_mid) < 1e-4
+
+    def test_warm_start_matches_cold(self, ip, grid128):
+        op = TransferOperator(ip, grid128)
+        near = power_iterate(ip, 1.0, grid128, tol=1e-11, compute_p=False, op=op)
+        cold = power_iterate(ip, 1.05, grid128, tol=1e-11, compute_p=False)
+        warm = power_iterate(ip, 1.05, grid128, tol=1e-11, compute_p=False,
+                             op=op, start=near)
+        assert warm.converged and cold.converged
+        assert abs(warm.k - cold.k) < 1e-10
+        assert np.max(np.abs(warm.e.values - cold.e.values)) < 1e-8
+        assert warm.iterations < cold.iterations
 
     def test_negative_exponent_rejected(self, similarity, grid128):
         with pytest.raises(ValueError, match="negative"):
