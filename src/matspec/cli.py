@@ -36,7 +36,7 @@ from .ensemble import (
     transpose,
     validate_linear,
 )
-from .projective import PROJECTIVE, build_grid, export_grid_csv
+from .projective import PROJECTIVE, SPHERE, build_grid, export_grid_csv
 from .recursion import (
     TailReport,
     classify_tail_case,
@@ -402,6 +402,20 @@ def _require_contracting(lin: LinearEnsemble, ks: KSolver) -> float:
     return L0
 
 
+def _probe_directions(d: int, n: int, mode: str) -> np.ndarray:
+    """n unit probe directions, spread over the sphere (mode SPHERE) or over
+    one half of it (mode PROJECTIVE): +-1 in d=1, equal angles in d=2, the
+    first n nodes of a Fibonacci grid in d=3."""
+    if d == 1:
+        return np.array([[1.0], [-1.0]])[:n]
+    if d == 2:
+        span = 2 * np.pi if mode == SPHERE else np.pi
+        ang = np.linspace(0, span, n, endpoint=False)
+        return np.column_stack([np.cos(ang), np.sin(ang)])
+    # a d=3 grid needs at least 4 nodes
+    return build_grid(d, max(n, 4), mode).nodes[:n]
+
+
 def cmd_tails(args) -> int:
     cfg, ensemble = _load_inputs(args, "tails", need_affine=True)
     man = Manifest("tails", cfg, ensemble_hash(ensemble))
@@ -428,14 +442,8 @@ def cmd_tails(args) -> int:
         a_hat, ci = hill_estimator(bank, "norm", hill_k)
         stab = hill_stability(bank, "norm")
         d = lin.dimension
-        if d == 1:
-            dirs = np.array([[1.0], [-1.0]])
-        else:
-            n_dirs = int(cfg.options.get("directions", 8))
-            ang = np.linspace(0, 2 * np.pi, n_dirs, endpoint=False)
-            dirs = np.column_stack([np.cos(ang), np.sin(ang)])
-            if d == 3:
-                dirs = build_grid(3, n_dirs, "sphere").nodes
+        n_dirs = 2 if d == 1 else int(cfg.options.get("directions", 8))
+        dirs = _probe_directions(d, n_dirs, SPHERE)
         sp_star = ks.star.point(alpha)
         tail_tables = {}
         mellins = {}
@@ -611,14 +619,7 @@ def cmd_cramer(args) -> int:
         t_grid = np.geomspace(tg_spec["min"], tg_spec["max"], int(tg_spec["count"]))
         d = lin.dimension
         n_dirs = int(cfg.options.get("directions", 16 if d > 1 else 2))
-        if d == 1:
-            dirs = np.array([[1.0], [-1.0]])[:n_dirs]
-        elif d == 2:
-            ang = np.linspace(0, np.pi, n_dirs, endpoint=False)
-            dirs = np.column_stack([np.cos(ang), np.sin(ang)])
-        else:
-            # a d=3 grid needs at least 4 nodes
-            dirs = build_grid(d, max(n_dirs, 4), PROJECTIVE).nodes[:n_dirs]
+        dirs = _probe_directions(d, n_dirs, PROJECTIVE)
         rows_out = []
         t0 = time.perf_counter()
         for j, u in enumerate(dirs):

@@ -24,6 +24,7 @@ __all__ = [
     "diag_only_2d",
     "positive_2d",
     "positive_affine_2d",
+    "affine_3d",
 ]
 
 
@@ -175,3 +176,21 @@ def positive_affine_2d(mixed_signs: bool = False) -> AffineEnsemble:
         trans = np.array([[1.0, 0.5], [0.7, 0.6]])
     return AffineEnsemble(2, lin.matrices.copy(), trans, lin.weights.copy(),
                           label="positive-affine-2d")
+
+
+def affine_3d() -> AffineEnsemble:
+    """Contracting d=3 affine ensemble: 0.59 R diag(2, 1, 1/2) R^T for three
+    rotations R (rotation vectors below), equal weights, generic
+    translations; alpha is about 2.7."""
+    from scipy.spatial.transform import Rotation
+
+    rots = Rotation.from_rotvec([[0.0, 0.0, 0.0], [1.1, 0.4, -0.3],
+                                 [-0.5, 1.3, 0.7]]).as_matrix()
+    mats = 0.59 * rots @ np.diag([2.0, 1.0, 0.5]) @ np.transpose(rots, (0, 2, 1))
+    return AffineEnsemble(
+        3,
+        mats,
+        np.array([[1.0, 0.3, -0.2], [-0.5, 0.8, 0.1], [0.2, -0.4, 0.9]]),
+        np.full(3, 1.0 / 3.0),
+        label="affine-3d",
+    )

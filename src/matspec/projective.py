@@ -233,16 +233,14 @@ def interp_stencil(grid: DirectionGrid, xs: np.ndarray) -> tuple[np.ndarray, np.
     # from the query; with at least 4 nodes both copies can only be among
     # the 3 nearest points when 3 nodes are orthogonal to the query, so the
     # stencil's nodes are distinct.  The 4th point exposes a tie at the 3rd
-    # place, and the tree orders equal distances arbitrarily: ties are
-    # ordered by node index.
+    # place, and the tree orders equal distances arbitrarily: re-sorting by
+    # (distance, node index) orders ties by node index.
     k = 3
     dist, hit = grid.tree.query(xs, k=k + 1)
     node = hit % n
-    if (dist[:, 1:] == dist[:, :-1]).any():
-        order = np.lexsort((node, dist), axis=1)
-        node = np.take_along_axis(node, order, axis=1)
-        dist = np.take_along_axis(dist, order, axis=1)
-    idx, dist = node[:, :k], dist[:, :k]
+    order = np.lexsort((node, dist), axis=1)
+    idx = np.take_along_axis(node, order, axis=1)[:, :k]
+    dist = np.take_along_axis(dist, order, axis=1)[:, :k]
     w = 1.0 / np.maximum(dist, 1e-30)
     w[dist[:, 0] < 1e-12] = np.eye(k)[0]  # a node hit is the nearest node
     return idx, w / w.sum(axis=1, keepdims=True)

@@ -334,7 +334,10 @@ def lyapunov(
     where it is exact).
     tilted_mc: long-run average of log|g x| along the tilted chain, stderr
     from independent chains; burn-in is 10% of the path, at least 100 steps.
-    quadrature: node sum of pi^s(x) q^s(x, g) log|g x| on the grid.
+    quadrature: the pi^s-average of the tilted kernel's mean log|g x|.  On
+    the grid that average is nu^s(P'^s e^s)/k(s) up to the eigen-solve
+    tolerance, and it is computed as KSolver.k_prime(s)/k(s) (the closed
+    forms in d=1).
     """
     if s < 0:
         raise ValueError("negative exponents are not supported")
@@ -357,16 +360,8 @@ def lyapunov(
             return float(2.0 * c2 - c1), None
         return float((4.0 * c2 - c1) / 3.0), None
     if method == "quadrature":
-        if d == 1:
-            a = np.abs(e.matrices[:, 0, 0])
-            q = e.weights * a**s / k_closed_form_1d(e, s)
-            q = q / q.sum()
-            return float(np.sum(q * np.log(a))), None
-        if sp is None:
-            sp = (solver or KSolver(e, grid)).point(s)
-        probs, _, _, lognorms = tilted_probs(e, sp, sp.e.grid.nodes)
-        per_node = np.sum(probs * lognorms, axis=1)
-        return float(np.sum(sp.pi * per_node)), None
+        ks = solver or KSolver(e, grid)
+        return ks.k_prime(s) / ks.k(s), None
     if method == "tilted_mc":
         rng = _rng(seed, 101)
         burn = max(100, n_steps // 10)
@@ -639,7 +634,7 @@ def compute_curve(
         table["tilted_mc_se"] = []
     for s, sp in zip(s_values, points):
         table["finite_diff"].append(lyapunov(e, s, "finite_diff", solver=ks)[0])
-        table["quadrature"].append(lyapunov(e, s, "quadrature", sp=sp, solver=ks)[0])
+        table["quadrature"].append(lyapunov(e, s, "quadrature", solver=ks)[0])
         if mc_check:
             L, se = lyapunov(e, s, "tilted_mc", sp=sp, solver=ks, seed=seed)
             table["tilted_mc"].append(L)
@@ -648,10 +643,7 @@ def compute_curve(
     if solve_root:
         try:
             curve.alpha = solve_alpha(e, solver=ks)
-            curve.k_prime_alpha = (
-                lyapunov(e, curve.alpha, "finite_diff", solver=ks)[0]
-                * ks.k(curve.alpha)
-            )
+            curve.k_prime_alpha = ks.k_prime(curve.alpha)
         except ValueError:
             curve.alpha = None
     return curve

@@ -6,24 +6,11 @@ import numpy as np
 from matspec.cli import EXIT_HYPOTHESIS, EXIT_INVALID, EXIT_OK, main
 from matspec.ensemble import LinearEnsemble, save_ensemble
 from matspec.ensembles import (
+    affine_3d,
     expanding_1d_deterministic,
     kesten_1d,
     kesten_affine_1d,
 )
-
-
-def affine_3d():
-    """Contracting d=3 affine ensemble: c R diag(2, 1, 1/2) R^T for three
-    rotations R, with alpha of about 2.7."""
-    from scipy.spatial.transform import Rotation
-
-    from matspec.ensemble import AffineEnsemble
-
-    rots = Rotation.from_rotvec([[0.0, 0.0, 0.0], [1.1, 0.4, -0.3],
-                                 [-0.5, 1.3, 0.7]]).as_matrix()
-    mats = 0.59 * rots @ np.diag([2.0, 1.0, 0.5]) @ np.transpose(rots, (0, 2, 1))
-    shifts = np.array([[1.0, 0.3, -0.2], [-0.5, 0.8, 0.1], [0.2, -0.4, 0.9]])
-    return AffineEnsemble(3, mats, shifts, np.full(3, 1.0 / 3.0))
 
 
 def write_config(tmp_path: Path, ensemble, name="ens.json", **extra) -> Path:
@@ -174,6 +161,19 @@ class TestTailsCommand:
         }
         assert first == second
         assert "bank.csv" in first
+
+    def test_d3_fewer_directions_than_grid_minimum(self, tmp_path):
+        # a d=3 grid needs 4 nodes; 2 probe directions must still run
+        cfg = write_config(
+            tmp_path, affine_3d(), grid_resolution=64,
+            mc={"samples": 2000, "steps": 600, "paths": 200},
+            options={"directions": 2},
+        )
+        assert main(["tails", "--config", str(cfg)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        rows = (tmp_path / "out" / "tail_tables.csv").read_text().splitlines()[1:]
+        assert len({r.rsplit(",", 3)[0] for r in rows}) == 2
 
 
 class TestRenewalCommand:

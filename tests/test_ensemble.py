@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from matspec.ensemble import (
     validate_linear,
 )
 from matspec.ensembles import (
+    affine_3d,
     diag_only_2d,
     kesten_1d,
     positive_2d,
@@ -157,6 +159,15 @@ def test_affine_common_fixed_point_rejected():
             1, np.array([[[2.0]], [[1 / 3]]]), np.array([[0.0], [0.0]]),
             np.array([0.4, 0.6]),
         )
+
+
+def test_affine_3d_is_the_benchmark_ensemble():
+    # the benchmark freezes its d=3 ensemble as a file; it must stay this one
+    path = Path(__file__).parents[1] / "bench" / "ensembles" / "affine_3d.json"
+    bench, ref = load_ensemble(path), affine_3d()
+    assert np.array_equal(bench.matrices, ref.matrices)
+    assert np.array_equal(bench.translations, ref.translations)
+    assert np.array_equal(bench.weights, ref.weights)
 
 
 def test_ensemble_file_roundtrip(tmp_path, kesten_affine):

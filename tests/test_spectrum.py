@@ -15,6 +15,7 @@ from matspec.spectrum import (
     run_tilted_chain,
     solve_alpha,
 )
+from matspec.transfer import tilted_probs
 
 L0_KESTEN = 0.4 * np.log(2.0) - 0.6 * np.log(3.0)
 KP1_KESTEN = 0.4 * 2.0 * np.log(2.0) - 0.2 * np.log(3.0)
@@ -81,13 +82,17 @@ class TestLyapunov:
         L, _ = lyapunov(similarity, 0.0, "finite_diff", solver=ks)
         assert abs(L - (0.4 * np.log(2.0) - 0.6 * np.log(3.0))) < 1e-6
 
-    def test_k_prime_is_quadrature_route(self, ip, ip_solver):
+    def test_quadrature_is_tilted_kernel_average(self, ip, ip_solver):
+        # the quadrature route is the pi^s-average over nodes of the tilted
+        # kernel's mean log|g x|, which the solver evaluates as nu^s(P'^s e^s)/k
         for s in (0.5, 1.5):
+            sp = ip_solver.point(s)
+            probs, _, _, lognorms = tilted_probs(ip, sp, sp.e.grid.nodes)
+            node_average = float(sp.pi @ np.sum(probs * lognorms, axis=1))
             Lq, _ = lyapunov(ip, s, "quadrature", solver=ip_solver)
             Lfd, _ = lyapunov(ip, s, "finite_diff", solver=ip_solver)
-            L_hf = ip_solver.k_prime(s) / ip_solver.k(s)
-            assert abs(L_hf - Lq) < 1e-9
-            assert abs(L_hf - Lfd) < 1e-8
+            assert abs(node_average - Lq) < 1e-9
+            assert abs(Lq - Lfd) < 1e-8
 
     def test_kesten_L_at_alpha(self, kesten):
         L, _ = lyapunov(kesten, 1.0, "finite_diff")
