@@ -266,23 +266,20 @@ def tilted_probs(
 
     Returns (probs (M, m), normalizer (M,), images (M, m, d),
     lognorms (M, m)); probs rows are normalized, and normalizer / k(s) ~ 1
-    up to discretization.
+    up to discretization.  e^s is interpolated at xs and at all m images in
+    one stencil call.
     """
     xs = np.atleast_2d(xs)
     m = e.n_atoms
-    M = xs.shape[0]
-    images = np.empty((M, m, xs.shape[1]))
+    M, d = xs.shape
+    images = np.empty((M, m, d))
     lognorms = np.empty((M, m))
-    raw = np.empty((M, m))
-    idx0, w0 = interp_stencil(sp.e.grid, xs)
-    e_here = np.sum(sp.e.values[idx0] * w0, axis=1)
     for i in range(m):
-        y, ln = act_many(e.matrices[i], xs)
-        idx, w = interp_stencil(sp.e.grid, y)
-        e_img = np.sum(sp.e.values[idx] * w, axis=1)
-        images[:, i] = y
-        lognorms[:, i] = ln
-        raw[:, i] = e.weights[i] * np.exp(sp.s * ln) * e_img / e_here
+        images[:, i], lognorms[:, i] = act_many(e.matrices[i], xs)
+    idx, w = interp_stencil(sp.e.grid, np.concatenate([xs, images.reshape(M * m, d)]))
+    e_vals = np.sum(sp.e.values[idx] * w, axis=1)
+    e_here, e_img = e_vals[:M], e_vals[M:].reshape(M, m)
+    raw = e.weights * np.exp(sp.s * lognorms) * e_img / e_here[:, None]
     normalizer = raw.sum(axis=1)
     return raw / normalizer[:, None], normalizer, images, lognorms
 
