@@ -78,9 +78,6 @@ class GridFunction:
             raise ValueError("non-finite values in GridFunction")
         self.values = v
 
-    def integrate(self) -> float:
-        return float(np.real(np.sum(self.values * self.grid.quadrature_weights)))
-
 
 @dataclass
 class GridMeasure:

@@ -23,10 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import AffineEnsemble, LinearEnsemble, transpose
-from .projective import interp_stencil
 from .rng import stream as _rng
-from .spectrum import _tilted_step
-from .transfer import SpectralPoint, tilted_probs
+from .transfer import SpectralPoint, TiltedChain
 
 __all__ = [
     "RenewalReport",
@@ -218,11 +216,7 @@ def cramer_constant(
         raise ValueError(f"unknown method {method!r}")
     if sp is None:
         raise ValueError("tilted method needs the spectral point at alpha")
-    idx0, w0 = interp_stencil(sp.e.grid, u[None, :])
-    e_at_u = float(np.sum(sp.e.values[idx0] * w0))
-    x = np.tile(u, (n_paths, 1))
-    logmag = np.zeros(n_paths)
-    lognorm_acc = np.zeros(n_paths)  # sum of log one-step kernel normalizers
+    chain = TiltedChain(e, sp, np.tile(u, (n_paths, 1)))
     # per threshold: accumulated weight sums at first crossing
     weight_sum = np.zeros(len(log_ts))
     weight_sq = np.zeros(len(log_ts))
@@ -232,26 +226,21 @@ def cramer_constant(
     active = np.ones(n_paths, dtype=bool)
     while active.any() and steps < max_steps:
         sel = np.flatnonzero(active)
-        _, x_new, ln, norm_step = _tilted_step(e, sp, x[sel], rng)
-        x[sel] = x_new
-        logmag[sel] += ln
+        chain.step(rng, sel)
+        logmag = chain.logmag[sel]
         # the simulated kernel normalizes by the grid normalizer (= k(alpha)
-        # up to discretization); folding the actual normalizers into the
-        # likelihood ratio keeps the estimator exactly unbiased for the
+        # up to discretization); the likelihood ratio folds in the actual
+        # normalizers, which keeps the estimator exactly unbiased for the
         # chain that was simulated
-        lognorm_acc[sel] += np.log(norm_step)
-        idx1, w1 = interp_stencil(sp.e.grid, x_new)
-        e_here = np.sum(sp.e.values[idx1] * w1, axis=1)
-        logw = (np.log(e_at_u) - np.log(e_here) - alpha * logmag[sel]
-                + lognorm_acc[sel])
+        logw = chain.log_lr(sel)
         for j, lt in enumerate(log_ts):
-            newly = (logmag[sel] > lt) & (~crossed[sel, j])
+            newly = (logmag > lt) & (~crossed[sel, j])
             if newly.any():
                 wvals = np.exp(logw[newly])
                 weight_sum[j] += wvals.sum()
                 weight_sq[j] += (wvals**2).sum()
                 crossed[sel[newly], j] = True
-        active[sel] = logmag[sel] <= top
+        active[sel] = logmag <= top
         steps += 1
     rows = []
     for j, (lt, t) in enumerate(zip(log_ts, t_arr)):
@@ -293,11 +282,8 @@ def tilted_potential_profile(
     u = np.asarray(u, dtype=float)
     u = u / np.linalg.norm(u)
     rng = _rng(seed, 770)
-    idx0, w0 = interp_stencil(sp.e.grid, u[None, :])
-    e_at_u = float(np.sum(sp.e.values[idx0] * w0))
-    x = np.tile(u, (n_paths, 1))
-    logmag = np.zeros(n_paths)
-    lognorm_acc = np.zeros(n_paths)
+    chain = TiltedChain(e, sp, np.tile(u, (n_paths, 1)))
+    e_at_u = float(chain.e_x[0])
     acc = np.zeros((len(test_functions), n_paths))
     windows = [(f.log_lo - np.log(t), f.log_hi - np.log(t)) for f in test_functions]
     top = max(hi for _, hi in windows)
@@ -305,20 +291,15 @@ def tilted_potential_profile(
     steps = 0
     while active.any() and steps < max_steps:
         sel = np.flatnonzero(active)
-        _, x_new, ln, norm_step = _tilted_step(e, sp, x[sel], rng)
-        x[sel] = x_new
-        logmag[sel] += ln
-        lognorm_acc[sel] += np.log(norm_step)
-        idx1, w1 = interp_stencil(sp.e.grid, x_new)
-        e_here = np.sum(sp.e.values[idx1] * w1, axis=1)
-        logw = (np.log(e_at_u) - np.log(e_here) - alpha * logmag[sel]
-                + lognorm_acc[sel])
+        chain.step(rng, sel)
+        logmag = chain.logmag[sel]
+        logw = chain.log_lr(sel)
         for j, (f, (lo, hi)) in enumerate(zip(test_functions, windows)):
-            inside = (logmag[sel] >= lo) & (logmag[sel] < hi)
+            inside = (logmag >= lo) & (logmag < hi)
             if inside.any():
-                sel_in = inside & f.direction_mask(x_new)
+                sel_in = inside & f.direction_mask(chain.x[sel])
                 acc[j, sel[sel_in]] += np.exp(logw[sel_in])
-        active[sel] = logmag[sel] <= top + 5.0
+        active[sel] = logmag <= top + 5.0
         steps += 1
     report = RenewalReport(regime="contracting-tilted")
     for j, f in enumerate(test_functions):
@@ -395,8 +376,8 @@ def dual_walk_simulate(
         u /= np.linalg.norm(u, axis=1, keepdims=True)
     else:
         u = np.tile(np.asarray(u0, dtype=float) / np.linalg.norm(u0), (n_starts, 1))
+    chain = TiltedChain(lin_star, sp_star_alpha, u)
     p = np.full(n_starts, float(p0))
-    logS = np.zeros(n_starts)
     log_record = np.zeros(n_starts)  # record of log(p^{-1} p_n |S'_n u|), start 0
     has_record = np.zeros(n_starts, dtype=bool)
     first_tau = np.full(n_starts, -1, dtype=int)
@@ -408,25 +389,18 @@ def dual_walk_simulate(
     eps_sums: list[np.ndarray] = []
     burn = max(50, n_steps // 10)
     for step in range(1, n_steps + 1):
-        probs, _, images, lognorms = tilted_probs(lin_star, sp_star_alpha, u)
-        cdf = np.cumsum(probs, axis=1)
-        draw = rng.random((n_starts, 1))
-        choice = np.minimum((draw > cdf).sum(axis=1), lin_star.n_atoms - 1)
-        rows = np.arange(n_starts)
-        b = ae.translations[choice]
-        bu = np.sum(b * u, axis=1)
-        ln = lognorms[rows, choice]
+        u = chain.x.copy()
+        choice, ln = chain.step(rng)
+        bu = np.sum(ae.translations[choice] * u, axis=1)
         p_new = (p + bu) / np.exp(ln)
         exact_zero = p_new == 0.0
         if exact_zero.any():
             zero_hits += int(exact_zero.sum())
             p_new = np.where(exact_zero, np.finfo(float).tiny, p_new)
-        u = images[rows, choice]
-        logS += ln
         p = p_new
         ratio = p / p0
         positive = ratio > 0
-        logv = np.where(positive, np.log(np.abs(ratio)) + logS, -np.inf)
+        logv = np.where(positive, np.log(np.abs(ratio)) + chain.logmag, -np.inf)
         # strict increase with a 1e-9 nat margin: absorbs the measure-zero
         # boundary v_n == record (e.g. the B = 0 walk where v_n is exactly 1)
         # without touching genuine ladder heights, which are O(L(alpha))

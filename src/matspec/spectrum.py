@@ -16,7 +16,7 @@ transpose, each warm-started from the nearest solved exponent; solve_alpha
 runs Newton on log k with that k'(s), safeguarded by a verified bracket.
 
 Tilted sampling realizes the s-tilted path measure through its Markov-chain
-disintegration (the one-step kernel of transfer.qs_kernel) rather than by
+disintegration (the paths of transfer.TiltedChain) rather than by
 importance weights on the untilted law, whose weights degenerate
 exponentially in the path length.
 """
@@ -32,17 +32,16 @@ from .rng import stream as _rng
 from .projective import PROJECTIVE, DirectionGrid, build_grid, interp_stencil
 from .transfer import (
     SpectralPoint,
+    TiltedChain,
     TransferOperator,
     k_closed_form_1d,
     k_prime_closed_form_1d,
     pairing_p,
     power_iterate,
-    tilted_probs,
 )
 
 __all__ = [
     "SpectralCurve",
-    "TiltedChainState",
     "KSolver",
     "k_mc_oracle",
     "solve_alpha",
@@ -50,21 +49,10 @@ __all__ = [
     "lyapunov_gap",
     "contraction_rate",
     "backward_direction",
-    "run_tilted_chain",
     "compute_curve",
 ]
 
 DEFAULT_RESOLUTION = 512
-
-
-@dataclass
-class TiltedChainState:
-    """State of one tilted-chain realization: direction, accumulated log
-    norm of the running product applied to the start direction, step count."""
-
-    x: np.ndarray
-    V: float
-    n: int
 
 
 @dataclass
@@ -272,47 +260,12 @@ def solve_alpha(
     return float(alpha)
 
 
-def _tilted_step(
-    e: LinearEnsemble,
-    sp: SpectralPoint,
-    xs: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One vectorized step of the tilted chain.
-
-    Returns (chosen atom index (M,), new directions (M, d),
-    chosen-step lognorms (M,), kernel normalizers (M,))."""
-    probs, normalizer, images, lognorms = tilted_probs(e, sp, xs)
-    cdf = np.cumsum(probs, axis=1)
-    u = rng.random((xs.shape[0], 1))
-    choice = np.minimum((u > cdf).sum(axis=1), e.n_atoms - 1)
-    rows = np.arange(xs.shape[0])
-    return choice, images[rows, choice], lognorms[rows, choice], normalizer
-
-
 def _sample_pi_nodes(
     sp: SpectralPoint, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw start directions from the stationary law pi^s (node masses)."""
     idx = rng.choice(sp.e.grid.n_nodes, size=size, p=sp.pi)
     return sp.e.grid.nodes[idx]
-
-
-def run_tilted_chain(
-    e: LinearEnsemble,
-    sp: SpectralPoint,
-    x0: np.ndarray,
-    n_steps: int,
-    seed: int,
-) -> TiltedChainState:
-    """Single tilted-chain trajectory; V accumulates log|g_k S_{k-1} x|."""
-    rng = _rng(seed)
-    x = np.atleast_2d(np.asarray(x0, dtype=float))
-    V = 0.0
-    for _ in range(n_steps):
-        _, x, ln, _ = _tilted_step(e, sp, x, rng)
-        V += float(ln[0])
-    return TiltedChainState(x=x[0], V=V, n=n_steps)
 
 
 def lyapunov(
@@ -374,10 +327,10 @@ def lyapunov(
             return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_chains))
         if sp is None:
             sp = (solver or KSolver(e, grid)).point(s)
-        x = _sample_pi_nodes(sp, n_chains, rng)
+        chain = TiltedChain(e, sp, _sample_pi_nodes(sp, n_chains, rng))
         sums = np.zeros(n_chains)
         for step in range(n_steps):
-            _, x, ln, _ = _tilted_step(e, sp, x, rng)
+            _, ln = chain.step(rng)
             if step >= burn:
                 sums += ln
         means = sums / (n_steps - burn)
@@ -415,7 +368,7 @@ def _pair_contraction_logs(
     """
     d = e.dimension
     wedge_ops = _wedge_operators(e)
-    x = x0.copy()
+    chain = TiltedChain(e, sp, x0)
     v_dir = v.copy()
     w_dir = w.copy()
     v_log = np.zeros(len(v))
@@ -431,7 +384,7 @@ def _pair_contraction_logs(
         wedge_dir = cr / nrm[:, None]
     sin0 = wedge_log.copy()  # v, w are unit: log sin = wedge log
     for _ in range(n):
-        choice, x, _, _ = _tilted_step(e, sp, x, rng)
+        choice, _ = chain.step(rng)
         g = e.matrices[choice]
         gv = np.einsum("nij,nj->ni", g, v_dir)
         gw = np.einsum("nij,nj->ni", g, w_dir)
@@ -570,10 +523,10 @@ def backward_direction(
     d = e.dimension
     probes = _random_unit(rng, n_probes, d)
     grid_nodes = sp_star.e.grid
-    x = _sample_pi_nodes(sp, n_repeats, rng)
+    chain = TiltedChain(e, sp, _sample_pi_nodes(sp, n_repeats, rng))
     mats = np.broadcast_to(np.eye(d), (n_repeats, d, d)).copy()
     for _ in range(n):
-        choice, x, _, _ = _tilted_step(e, sp, x, rng)
+        choice, _ = chain.step(rng)
         mats = np.matmul(e.matrices[choice], mats)
         fro = np.linalg.norm(mats, axis=(1, 2))
         mats /= fro[:, None, None]

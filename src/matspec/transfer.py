@@ -19,11 +19,12 @@ nu^s (x) e^s uniquely.
 
 The one-step tilted Markov kernel
 
-    q^s(x, g_i) ~ w_i |g_i x|^s e^s(g_i.x) / e^s(x)
+    q^s(x, g_i) = w_i |g_i x|^s e^s(g_i.x) / (e^s(x) c(x)),
 
-is the sampling device used by every rare-event and Lyapunov routine
-downstream; its exact normalizer equals k(s) up to discretization and is
-always returned as a diagnostic.
+with c(x) its exact normalizer (k(s) up to discretization), is the sampling
+device of every rare-event and Lyapunov routine downstream; TiltedChain
+runs it on many paths at once and keeps the likelihood ratio of each path
+against the untilted walk.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .projective import (
     act_many,
     build_grid,
     interp_stencil,
+    interpolate,
 )
 
 __all__ = [
@@ -55,8 +57,8 @@ __all__ = [
     "k_closed_form_1d",
     "k_prime_closed_form_1d",
     "cross_check_es",
-    "qs_kernel",
     "tilted_probs",
+    "TiltedChain",
     "sphere_extremal_measures",
     "ExtremalPair",
     "complex_radius_ratio",
@@ -260,41 +262,69 @@ def cross_check_es(sp: SpectralPoint, sp_star: SpectralPoint) -> float:
 
 
 def tilted_probs(
-    e: LinearEnsemble, sp: SpectralPoint, xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized one-step tilted kernel at unit rows xs (M, d).
+    e: LinearEnsemble, sp: SpectralPoint, xs: np.ndarray, e_xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized one-step tilted kernel at unit rows xs (M, d), where
+    e_xs (M,) holds e^s at xs.
 
     Returns (probs (M, m), normalizer (M,), images (M, m, d),
-    lognorms (M, m)); probs rows are normalized, and normalizer / k(s) ~ 1
-    up to discretization.  e^s is interpolated at xs and at all m images in
-    one stencil call.
+    lognorms (M, m), e^s at the images (M, m)); probs rows are normalized,
+    and normalizer / k(s) ~ 1 up to discretization.  e^s is interpolated at
+    all m images in one stencil call.
     """
-    xs = np.atleast_2d(xs)
     m = e.n_atoms
     M, d = xs.shape
     images = np.empty((M, m, d))
     lognorms = np.empty((M, m))
     for i in range(m):
         images[:, i], lognorms[:, i] = act_many(e.matrices[i], xs)
-    idx, w = interp_stencil(sp.e.grid, np.concatenate([xs, images.reshape(M * m, d)]))
-    e_vals = np.sum(sp.e.values[idx] * w, axis=1)
-    e_here, e_img = e_vals[:M], e_vals[M:].reshape(M, m)
-    raw = e.weights * np.exp(sp.s * lognorms) * e_img / e_here[:, None]
+    e_img = interpolate(sp.e, images.reshape(M * m, d)).reshape(M, m)
+    raw = e.weights * np.exp(sp.s * lognorms) * e_img / e_xs[:, None]
     normalizer = raw.sum(axis=1)
-    return raw / normalizer[:, None], normalizer, images, lognorms
+    return raw / normalizer[:, None], normalizer, images, lognorms, e_img
 
 
-def qs_kernel(
-    e: LinearEnsemble, sp: SpectralPoint, x: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Discrete tilted distribution over atoms at direction x.
+class TiltedChain:
+    """M paths of the s-tilted chain, each carrying its state.
 
-    Returns (probabilities, normalizer); the normalizer equals k(s) up to
-    discretization error.  At s = 0 the tilt vanishes and the probabilities
-    are the atom weights.
+    Started at the unit rows x0 (M, d), a path holds its direction x, e^s at
+    x (e_x), logmag = log|S_n x0| and lognorm, the sum of the log one-step
+    normalizers of the kernel it was drawn from.  Each step draws one
+    uniform per path and inverts the cumulative kernel row; e^s at the new
+    direction is the image value the kernel already interpolated.
     """
-    probs, normalizer, _, _ = tilted_probs(e, sp, np.asarray(x, dtype=float))
-    return probs[0], float(normalizer[0])
+
+    def __init__(self, e: LinearEnsemble, sp: SpectralPoint, x0: np.ndarray):
+        self.ensemble = e
+        self.sp = sp
+        self.x = np.array(x0, dtype=float, ndmin=2)
+        self.e_x = interpolate(sp.e, self.x)
+        self._log_e_x0 = np.log(self.e_x)
+        self.logmag = np.zeros(len(self.x))
+        self.lognorm = np.zeros(len(self.x))
+
+    def step(self, rng: np.random.Generator,
+             rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Advance the selected paths one step; returns (atom, log|g x|)."""
+        probs, normalizer, images, lognorms, e_img = tilted_probs(
+            self.ensemble, self.sp, self.x[rows], self.e_x[rows])
+        n = len(normalizer)
+        u = rng.random((n, 1))
+        atom = np.minimum((u > np.cumsum(probs, axis=1)).sum(axis=1),
+                          self.ensemble.n_atoms - 1)
+        at = np.arange(n), atom
+        self.x[rows] = images[at]
+        self.e_x[rows] = e_img[at]
+        self.logmag[rows] += lognorms[at]
+        self.lognorm[rows] += np.log(normalizer)
+        return atom, lognorms[at]
+
+    def log_lr(self, rows=slice(None)) -> np.ndarray:
+        """log e^s(x0) - log e^s(x_n) - s log|S_n x0| + sum of log
+        normalizers: the exact log likelihood ratio of the untilted path
+        against the simulated chain."""
+        return (self._log_e_x0[rows] - np.log(self.e_x[rows])
+                - self.sp.s * self.logmag[rows] + self.lognorm[rows])
 
 
 @dataclass

@@ -2,12 +2,14 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from matspec.cli import EXIT_HYPOTHESIS, EXIT_INVALID, EXIT_OK, main
 from matspec.ensemble import LinearEnsemble, save_ensemble
 from matspec.ensembles import (
     affine_3d,
     expanding_1d_deterministic,
+    ip_affine_2d,
     kesten_1d,
     kesten_affine_1d,
 )
@@ -257,3 +259,33 @@ class TestD2Spectrum:
         blk = (out / "spectral_point_scalars.csv").read_text().splitlines()
         assert blk[0].startswith("s,k,p,residual_e,residual_nu")
         assert len(blk) == 4  # header + 3 exponents
+
+
+# Every command in d = 1, 2, 3, less the pairs a test above already runs to
+# exit 0: all of d = 1, validate and spectrum in d = 2 (TestValidateCommand,
+# TestD2Spectrum), and tails and cramer in d = 3.
+MATRIX_INPUTS = {
+    2: (ip_affine_2d, {"grid_resolution": 64}),
+    3: (affine_3d, {"grid_resolution": 32}),
+}
+MATRIX = [
+    ("validate", 3), ("spectrum", 3), ("tails", 2), ("renewal", 2),
+    ("renewal", 3), ("cramer", 2), ("dualwalk", 2), ("dualwalk", 3),
+]
+
+
+@pytest.mark.parametrize("command,d", MATRIX, ids=[f"{c}-d{d}" for c, d in MATRIX])
+def test_command_matrix(tmp_path, command, d):
+    # tails needs steps >= 1000: the ip_affine_2d bank converges in about
+    # 650 backward steps and exits 1 when it has not
+    ensemble, grid = MATRIX_INPUTS[d]
+    cfg = write_config(
+        tmp_path, ensemble(), **grid,
+        s_grid={"min": 0.0, "max": 1.0, "count": 2},
+        mc={"samples": 2000, "steps": 1000 if command == "tails" else 100,
+            "paths": 200},
+        options={"directions": 1, "t_grid": {"min": 10, "max": 100, "count": 2}},
+    )
+    assert main([command, "--config", str(cfg)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "ok"

@@ -12,10 +12,9 @@ from matspec.spectrum import (
     k_mc_oracle,
     lyapunov,
     lyapunov_gap,
-    run_tilted_chain,
     solve_alpha,
 )
-from matspec.transfer import tilted_probs
+from matspec.transfer import TiltedChain, tilted_probs
 
 L0_KESTEN = 0.4 * np.log(2.0) - 0.6 * np.log(3.0)
 KP1_KESTEN = 0.4 * 2.0 * np.log(2.0) - 0.2 * np.log(3.0)
@@ -87,7 +86,8 @@ class TestLyapunov:
         # kernel's mean log|g x|, which the solver evaluates as nu^s(P'^s e^s)/k
         for s in (0.5, 1.5):
             sp = ip_solver.point(s)
-            probs, _, _, lognorms = tilted_probs(ip, sp, sp.e.grid.nodes)
+            probs, _, _, lognorms, _ = tilted_probs(ip, sp, sp.e.grid.nodes,
+                                                    sp.e.values)
             node_average = float(sp.pi @ np.sum(probs * lognorms, axis=1))
             Lq, _ = lyapunov(ip, s, "quadrature", solver=ip_solver)
             Lfd, _ = lyapunov(ip, s, "finite_diff", solver=ip_solver)
@@ -144,11 +144,15 @@ class TestLyapunov:
 class TestPathDiagnostics:
     def test_incremental_lognorm_matches_direct(self, ip, ip_solver, ip_alpha):
         sp = ip_solver.point(ip_alpha)
-        state = run_tilted_chain(ip, sp, ip.matrices[0][:, 0] /
-                                 np.linalg.norm(ip.matrices[0][:, 0]),
-                                 n_steps=50, seed=21)
-        assert np.isfinite(state.V)
-        assert state.n == 50
+        x0 = ip.matrices[0][:, 0] / np.linalg.norm(ip.matrices[0][:, 0])
+        chain = TiltedChain(ip, sp, x0)
+        rng = np.random.default_rng(21)
+        atoms = [int(chain.step(rng)[0][0]) for _ in range(50)]
+        direct = x0
+        for a in atoms:
+            direct = ip.matrices[a] @ direct
+        assert np.isfinite(chain.logmag[0])
+        assert abs(chain.logmag[0] - np.log(np.linalg.norm(direct))) < 1e-12
 
     def test_cocycle_renormalization_exactness(self, ip):
         # accumulated log|S_n x| equals the directly computed log norm

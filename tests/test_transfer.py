@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from matspec.ensemble import LinearEnsemble, classify_cone_case, transpose
-from matspec.ensembles import positive_2d, rotation, rotations_2d
+from matspec.ensembles import affine_3d, ip_2d, positive_2d, rotation, rotations_2d
 from matspec.projective import GridFunction, GridMeasure, build_grid, interpolate
+from matspec.spectrum import KSolver, solve_alpha
 from matspec.transfer import (
+    TiltedChain,
     TransferOperator,
     apply_ps,
     apply_ps_adjoint,
@@ -12,8 +14,8 @@ from matspec.transfer import (
     cross_check_es,
     k_closed_form_1d,
     power_iterate,
-    qs_kernel,
     sphere_extremal_measures,
+    tilted_probs,
 )
 
 
@@ -172,15 +174,22 @@ class TestCrossCheck:
         assert res[256] < 2e-3
 
 
+def kernel_at(e, sp, x):
+    """The tilted kernel (probabilities, normalizer) at one direction x."""
+    xs = np.atleast_2d(x)
+    probs, norm, _, _, _ = tilted_probs(e, sp, xs, interpolate(sp.e, xs))
+    return probs[0], norm[0]
+
+
 class TestTiltedKernel:
     def test_s0_gives_weights(self, ip, grid128):
         sp = power_iterate(ip, 0.0, grid128, compute_p=False)
-        probs, _ = qs_kernel(ip, sp, grid128.nodes[3])
+        probs, _ = kernel_at(ip, sp, grid128.nodes[3])
         assert np.allclose(probs, ip.weights, atol=1e-10)
 
     def test_similarity_tilt(self, similarity, grid128):
         sp = power_iterate(similarity, 1.0, grid128, compute_p=False)
-        probs, norm = qs_kernel(similarity, sp, grid128.nodes[10])
+        probs, norm = kernel_at(similarity, sp, grid128.nodes[10])
         expected = np.array([0.4 * 2.0, 0.6 / 3.0]) / similarity_k(1.0)
         assert np.allclose(probs, expected, atol=1e-8)
         assert abs(norm - similarity_k(1.0)) < 1e-8
@@ -191,8 +200,60 @@ class TestTiltedKernel:
         for _ in range(16):
             x = rng.standard_normal(2)
             x /= np.linalg.norm(x)
-            _, norm = qs_kernel(ip, sp, x)
+            _, norm = kernel_at(ip, sp, x)
             assert abs(norm / sp.k - 1.0) < 10 * 1e-3  # interpolation budget
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["ip_2d", "affine_3d"])
+def chain_case(request):
+    """(ensemble, spectral point at alpha) in d = 2 and d = 3."""
+    if request.param == 2:
+        e, grid = ip_2d(), build_grid(2, 128, "projective")
+    else:
+        e, grid = affine_3d().linear_part, build_grid(3, 64, "projective")
+    ks = KSolver(e, grid)
+    return e, ks.point(solve_alpha(e, solver=ks))
+
+
+class TestTiltedChain:
+    def test_log_lr_is_direct_likelihood_ratio(self, chain_case):
+        # sum log w_i - sum log q_k over the chosen atoms is the likelihood
+        # ratio of the untilted walk against the simulated chain
+        e, sp = chain_case
+        rng = np.random.default_rng(5)
+        x0 = rng.standard_normal((40, e.dimension))
+        chain = TiltedChain(e, sp, x0 / np.linalg.norm(x0, axis=1, keepdims=True))
+        direct = np.zeros(40)
+        for _ in range(30):
+            probs = tilted_probs(e, sp, chain.x, chain.e_x)[0]
+            atom, _ = chain.step(rng)
+            direct += np.log(e.weights[atom]) - np.log(probs[np.arange(40), atom])
+        assert np.max(np.abs(chain.log_lr() - direct)) < 1e-12
+
+    def test_carried_e_is_interpolated_e(self, chain_case):
+        e, sp = chain_case
+        rng = np.random.default_rng(6)
+        chain = TiltedChain(e, sp, np.tile(np.eye(e.dimension)[0], (25, 1)))
+        for _ in range(20):
+            chain.step(rng)
+            assert np.all(chain.e_x == interpolate(sp.e, chain.x))
+
+    def test_row_step_leaves_other_rows(self, chain_case):
+        e, sp = chain_case
+        rng = np.random.default_rng(7)
+        chain = TiltedChain(e, sp, np.tile(np.eye(e.dimension)[0], (10, 1)))
+        chain.step(rng)
+        rows = np.array([1, 4, 8])
+        others = np.setdiff1d(np.arange(10), rows)
+        before = [a.copy() for a in (chain.x, chain.e_x, chain.logmag, chain.lognorm)]
+        lr_before = chain.log_lr()
+        for _ in range(5):
+            chain.step(rng, rows)
+        after = (chain.x, chain.e_x, chain.logmag, chain.lognorm)
+        for b, a in zip(before, after):
+            assert np.array_equal(b[others], a[others])
+            assert not np.array_equal(b[rows], a[rows])
+        assert np.array_equal(chain.log_lr(others), lr_before[others])
 
 
 class TestExtremalMeasures:
