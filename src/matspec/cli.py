@@ -487,6 +487,8 @@ def cmd_tails(args) -> int:
             "n_steps": bank.n_steps,
             "n_samples": bank.n_samples,
             "truncation_diag": bank.truncation_diag,
+            "row_steps": bank.row_steps,
+            "last_step": bank.last_step,
             "remainder_bound": bank.remainder_bound,
             "under_converged": bank.under_converged,
         }, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import stream as _rng
+from .rng import draw_atoms, stream as _rng
 
 from .ensemble import AffineEnsemble, ensemble_hash
 from .projective import interp_stencil
@@ -37,18 +37,20 @@ __all__ = [
     "classify_tail_case",
 ]
 
-
-
+_RETIRE = 1e-18  # a backward row stops once every product entry is below this
 
 
 @dataclass
 class TailSampleBank:
     """Independent stationary draws of R with truncation diagnostics.
 
-    truncation_diag is the worst observed |last backward term| / |R|;
-    remainder_bound is |S_n| max|B| / (1 - decay) with the decay rate
-    estimated from the sampled products.  A bank whose diagnostic exceeds
-    the configured cutoff is flagged under-converged rather than rejected.
+    Each row stops on its own, so the diagnostics are per row:
+    truncation_diag is the worst |last backward term| / |R|; remainder_bound
+    is max|S| max|B| / (1 - decay), with |S| a row's product norm when it
+    stopped and log decay the median over rows of log|S| / steps.  A bank
+    whose diagnostic exceeds the configured cutoff is flagged under-converged
+    rather than rejected.  row_steps counts the row-steps multiplied;
+    last_step is the step at which the last row stopped.
     """
 
     ensemble_label: str
@@ -59,6 +61,8 @@ class TailSampleBank:
     truncation_diag: float
     remainder_bound: float
     under_converged: bool
+    row_steps: int = 0
+    last_step: int = 0
 
     @property
     def n_samples(self) -> int:
@@ -91,52 +95,64 @@ class TailReport:
 
 def _sample_chunk(
     ae: AffineEnsemble, n_steps: int, size: int, seed: int, chunk_idx: int
-) -> tuple[np.ndarray, float, float, float]:
-    """One independent chunk of backward draws.
+) -> tuple[np.ndarray, float, float, float, int, int]:
+    """One independent chunk of backward draws; one kernel for every d.
 
-    Returns (samples (size, d), worst last-term ratio, worst product norm,
-    median per-step log decay)."""
+    Rows last: product entry (i, j) is prod[i*d + j], a vector over the live
+    rows.  Rows whose product entries are all below _RETIRE stop, and are
+    written out and dropped once they are 1/8 of the live rows; all stop at
+    n_steps.  The index is drawn full-size every step, so a row's atoms
+    never depend on when the other rows stop.
+
+    Returns (samples (size, d), worst last-term ratio, worst product norm at
+    a stop, median over rows of log|prod| / steps, row-steps, last stop)."""
     d = ae.dimension
     rng = _rng(seed, chunk_idx)
-    if d == 1:
-        a = ae.matrices[:, 0, 0]
-        b = ae.translations[:, 0]
-        r = np.zeros(size)
-        prod = np.ones(size)
-        last_term = np.zeros(size)
-        steps_done = n_steps
-        for k in range(n_steps):
-            idx = rng.choice(ae.n_atoms, size=size, p=ae.weights)
-            last_term = prod * b[idx]
-            r += last_term
-            prod = prod * a[idx]
-            if np.max(np.abs(prod)) < 1e-12:
-                steps_done = k + 1
-                break
-        prod_norm = np.abs(prod)
-        res = r[:, None]
-        last_norms = np.abs(last_term)
-    else:
-        r = np.zeros((size, d))
-        prod = np.broadcast_to(np.eye(d), (size, d, d)).copy()
-        last_term = np.zeros((size, d))
-        steps_done = n_steps
-        for k in range(n_steps):
-            idx = rng.choice(ae.n_atoms, size=size, p=ae.weights)
-            last_term = np.einsum("nij,nj->ni", prod, ae.translations[idx])
-            r += last_term
-            prod = np.matmul(prod, ae.matrices[idx])
-            if np.max(np.abs(prod)) < 1e-12:
-                steps_done = k + 1
-                break
-        prod_norm = np.linalg.norm(prod, axis=(1, 2))
-        res = r
-        last_norms = np.linalg.norm(last_term, axis=1)
-    median_log = float(np.median(np.log(np.maximum(prod_norm, 1e-300))))
-    norms = np.linalg.norm(res, axis=1)
-    nz = norms > 0
-    worst_ratio = float((last_norms[nz] / norms[nz]).max()) if nz.any() else 0.0
-    return res, worst_ratio, float(prod_norm.max()), median_log / steps_done
+    a = ae.matrices.reshape(ae.n_atoms, d * d).T.copy()  # a[l*d + j] = A_lj
+    b = ae.translations.T.copy()
+    rows = np.arange(size)
+    prod = np.eye(d).reshape(d * d, 1).repeat(size, axis=1)
+    r = np.zeros((d, size))
+    new, last, tmp = np.empty_like(prod), np.empty_like(r), np.empty(size)
+    out = np.empty((size, d))
+    ratio, prod_norm, rate = np.zeros(size), np.empty(size), np.empty(size)
+    row_steps = 0
+    for k in range(1, n_steps + 1):
+        n = rows.size
+        idx = draw_atoms(rng, ae.weights, size, rows if n < size else None)
+        ak, bk = a.take(idx, axis=1), b.take(idx, axis=1)
+        for i in range(d):
+            p_i = prod[i * d : (i + 1) * d]
+            np.multiply(p_i[0], bk[0], out=last[i])
+            for j in range(d):
+                np.multiply(p_i[0], ak[j], out=new[i * d + j])
+            for l in range(1, d):
+                last[i] += np.multiply(p_i[l], bk[l], out=tmp)
+                for j in range(d):
+                    new[i * d + j] += np.multiply(p_i[l], ak[l * d + j], out=tmp)
+        r += last
+        prod, new = new, prod
+        row_steps += n
+        top = np.abs(prod[0], out=tmp)
+        for e in range(1, d * d):
+            np.maximum(top, np.abs(prod[e]), out=top)
+        done = (top < _RETIRE) | (k == n_steps)
+        if k < n_steps and 8 * np.count_nonzero(done) < n:
+            continue
+        gone = rows[done]
+        out[gone] = r[:, done].T
+        r_norm = np.linalg.norm(r[:, done], axis=0)
+        nz = r_norm > 0
+        ratio[gone[nz]] = np.linalg.norm(last[:, done], axis=0)[nz] / r_norm[nz]
+        prod_norm[gone] = np.linalg.norm(prod[:, done], axis=0)
+        rate[gone] = np.log(np.maximum(prod_norm[gone], 1e-300)) / k
+        keep = ~done
+        rows, prod, r = rows[keep], prod[:, keep], r[:, keep]
+        if rows.size == 0:
+            break
+        new, last, tmp = np.empty_like(prod), np.empty_like(r), np.empty(rows.size)
+    return (out, float(ratio.max()), float(prod_norm.max()),
+            float(np.median(rate)), row_steps, k)
 
 
 def sample_stationary(
@@ -151,62 +167,45 @@ def sample_stationary(
 ) -> TailSampleBank:
     """Backward-iterate the recursion to produce n_samples stationary draws.
 
-    Iteration stops at n_steps or once every running product norm is below
-    1e-12.  Pass lyapunov_negative=True when the contraction hypothesis was
-    verified upstream; None leaves a runtime check: a sampled product whose
-    median norm fails to decay aborts the run.  Chunks carry independent
-    streams and are merged in index order, so n_workers never changes the
-    result.
+    Each row stops at n_steps or once every entry of its running product is
+    below 1e-18, far below the 1e-12 a stop shared by all rows needs: a
+    product stopped at e can still climb past t e later (for the d=1
+    reference, where E A = 1, with probability up to 1/t).  Pass
+    lyapunov_negative=True when the contraction hypothesis was verified
+    upstream; None leaves a runtime check: a sampled product whose median
+    norm fails to decay aborts the run.  Chunks carry independent streams
+    and are merged in index order, so n_workers never changes the result.
     """
-    d = ae.dimension
-    out = np.empty((n_samples, d))
-    sizes = []
-    done = 0
-    while done < n_samples:
-        sizes.append(min(chunk, n_samples - done))
-        done += sizes[-1]
-    if n_workers > 1 and len(sizes) > 1:
+    sizes = [min(chunk, n_samples - i) for i in range(0, n_samples, chunk)]
+    jobs = [(ae, n_steps, size, seed, i) for i, size in enumerate(sizes)]
+    if n_workers > 1 and len(jobs) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(
-                pool.map(
-                    lambda args: _sample_chunk(ae, n_steps, args[1], seed, args[0]),
-                    enumerate(sizes),
-                )
-            )
+            results = list(pool.map(lambda job: _sample_chunk(*job), jobs))
     else:
-        results = [
-            _sample_chunk(ae, n_steps, size, seed, i) for i, size in enumerate(sizes)
-        ]
-    worst_last_ratio = 0.0
-    worst_prod = 0.0
-    decay_logs: list[float] = []
-    pos = 0
-    max_b = float(np.linalg.norm(ae.translations, axis=1).max())
-    for res, ratio, prod_max, decay_log in results:
-        out[pos : pos + res.shape[0]] = res
-        pos += res.shape[0]
-        worst_last_ratio = max(worst_last_ratio, ratio)
-        worst_prod = max(worst_prod, prod_max)
-        decay_logs.append(decay_log)
+        results = [_sample_chunk(*job) for job in jobs]
+    parts, ratios, prod_max, decay_logs, row_steps, last_steps = zip(*results)
     if lyapunov_negative is None and max(decay_logs) >= 0.0:
         raise RuntimeError(
             "backward partial sums are not converging: "
             "Lyapunov exponent >= 0 suspected"
         )
     decay = float(np.exp(np.mean(decay_logs)))
-    remainder = worst_prod * max_b / max(1.0 - decay, 1e-12) if decay < 1 else np.inf
-    samples = out[:, 0] if d == 1 else out
+    max_b = float(np.linalg.norm(ae.translations, axis=1).max())
+    remainder = max(prod_max) * max_b / max(1.0 - decay, 1e-12) if decay < 1 else np.inf
+    samples = np.concatenate(parts)
     return TailSampleBank(
         ensemble_label=ae.label,
         ensemble_sha=ensemble_hash(ae),
-        samples=samples,
+        samples=samples[:, 0] if ae.dimension == 1 else samples,
         n_steps=n_steps,
         seed=seed,
-        truncation_diag=worst_last_ratio,
+        truncation_diag=max(ratios),
         remainder_bound=float(remainder),
-        under_converged=bool(worst_last_ratio > trunc_cutoff),
+        under_converged=bool(max(ratios) > trunc_cutoff),
+        row_steps=sum(row_steps),
+        last_step=max(last_steps),
     )
 
 
@@ -516,7 +515,7 @@ def classify_tail_case(
     dirs: list[np.ndarray] = []
     norm_cut: list[np.ndarray] = []
     for k in range(n_steps):
-        idx = rng.choice(ae.n_atoms, size=n_paths, p=ae.weights)
+        idx = draw_atoms(rng, ae.weights, n_paths)
         x = np.einsum("nij,nj->ni", ae.matrices[idx], x) + ae.translations[idx]
         if k >= n_steps // 2:
             nx = np.linalg.norm(x, axis=1)

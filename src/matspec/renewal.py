@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import AffineEnsemble, LinearEnsemble, transpose
-from .rng import stream as _rng
+from .rng import draw_atoms, stream as _rng
 from .transfer import SpectralPoint, TiltedChain
 
 __all__ = [
@@ -114,7 +114,7 @@ def potential_profile_expanding(
                 sel = inside & f.direction_mask(dirs)
                 idxs = np.flatnonzero(active)[sel]
                 counts[j, idxs] += 1.0
-        idx = rng.choice(e.n_atoms, size=int(active.sum()), p=e.weights)
+        idx = draw_atoms(rng, e.weights, int(active.sum()))
         g = e.matrices[idx]
         y = np.einsum("nij,nj->ni", g, dirs)
         norms = np.linalg.norm(y, axis=1)
@@ -187,7 +187,7 @@ def cramer_constant(
         steps = 0
         while active.any() and steps < max_steps:
             sel = np.flatnonzero(active)
-            idx = rng.choice(e.n_atoms, size=sel.size, p=e.weights)
+            idx = draw_atoms(rng, e.weights, sel.size)
             g = e.matrices[idx]
             y = np.einsum("nij,nj->ni", g, x[sel])
             norms = np.linalg.norm(y, axis=1)

@@ -10,8 +10,20 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream"]
+__all__ = ["stream", "draw_atoms"]
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, *path])
+
+
+def draw_atoms(rng: np.random.Generator, weights, size, rows=None) -> np.ndarray:
+    """Atom indices by inverse CDF, bit for bit rng.choice(len(weights), size,
+    p=weights); rows keeps those entries of the full-size draw."""
+    cdf = np.cumsum(weights, dtype=float)
+    cdf /= cdf[-1]
+    u = rng.random(size) if rows is None else rng.random(size)[rows]
+    if cdf.size > 8:
+        return cdf.searchsorted(u, side="right")
+    # the count of cdf values <= u, as searchsorted(side="right"); faster for few atoms
+    return sum((u >= c for c in cdf[1:-1]), (u >= cdf[0]).astype(np.intp))

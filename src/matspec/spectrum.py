@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import LinearEnsemble, transpose
-from .rng import stream as _rng
+from .rng import draw_atoms, stream as _rng
 from .projective import PROJECTIVE, DirectionGrid, build_grid, interp_stencil
 from .transfer import (
     SpectralPoint,
@@ -177,13 +177,13 @@ def k_mc_oracle(
         rng = _rng(seed, chunk_idx)
         if d == 1:
             a = np.abs(e.matrices[:, 0, 0])
-            idx = rng.choice(e.n_atoms, size=(size, n), p=e.weights)
+            idx = draw_atoms(rng, e.weights, (size, n))
             lognorm = np.log(a)[idx].sum(axis=1)
         else:
             mats = np.broadcast_to(np.eye(d), (size, d, d)).copy()
             logs = np.zeros(size)
             for _ in range(n):
-                idx = rng.choice(e.n_atoms, size=size, p=e.weights)
+                idx = draw_atoms(rng, e.weights, size)
                 mats = np.matmul(e.matrices[idx], mats)
                 fro = np.linalg.norm(mats, axis=(1, 2))
                 mats /= fro[:, None, None]
@@ -264,7 +264,7 @@ def _sample_pi_nodes(
     sp: SpectralPoint, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw start directions from the stationary law pi^s (node masses)."""
-    idx = rng.choice(sp.e.grid.n_nodes, size=size, p=sp.pi)
+    idx = draw_atoms(rng, sp.pi, size)
     return sp.e.grid.nodes[idx]
 
 
@@ -322,7 +322,7 @@ def lyapunov(
             a = np.abs(e.matrices[:, 0, 0])
             q = e.weights * a**s / k_closed_form_1d(e, s)
             q = q / q.sum()
-            draws = rng.choice(len(a), size=(n_chains, n_steps), p=q)
+            draws = draw_atoms(rng, q, (n_chains, n_steps))
             vals = np.log(a)[draws].mean(axis=1)
             return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_chains))
         if sp is None:

@@ -148,6 +148,9 @@ class TestTailsCommand:
         lo, hi = report["alpha_hill_ci"]
         assert lo <= 1.0 <= hi
         assert report["case_label"] == "II''"
+        meta = json.loads((tmp_path / "out" / "bank_meta.json").read_text())
+        assert 0 < meta["row_steps"] <= meta["n_samples"] * meta["last_step"]
+        assert meta["last_step"] <= 300  # mc.steps
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg = write_config(tmp_path, kesten_affine_1d())

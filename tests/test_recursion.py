@@ -3,7 +3,9 @@ import pytest
 
 from matspec.ensemble import AffineEnsemble
 from matspec.ensembles import (
+    affine_3d,
     ip_affine_2d,
+    kesten_affine_1d,
     kesten_symmetric_affine_1d,
     positive_affine_2d,
 )
@@ -17,7 +19,21 @@ from matspec.recursion import (
     moment_check,
     sample_stationary,
 )
+from matspec.rng import stream
 from matspec.transfer import k_closed_form_1d
+
+
+def untruncated_sum(ae, n_steps, n, seed):
+    """The backward sums of chunk 0's atoms, every row run to n_steps."""
+    rng = stream(seed, 0)
+    d = ae.dimension
+    prod = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+    r = np.zeros((n, d))
+    for _ in range(n_steps):
+        idx = rng.choice(ae.n_atoms, size=n, p=ae.weights)
+        r += np.einsum("nij,nj->ni", prod, ae.translations[idx])
+        prod = prod @ ae.matrices[idx]
+    return r
 
 
 def pareto_bank(n, alpha=1.0, seed=0):
@@ -57,6 +73,35 @@ class TestSampling:
         b1 = sample_stationary(kesten_affine, 300, 200_000, seed=5, n_workers=1)
         b4 = sample_stationary(kesten_affine, 300, 200_000, seed=5, n_workers=4)
         assert np.array_equal(b1.samples, b4.samples)
+
+    @pytest.mark.parametrize("make, n_steps", [
+        (kesten_affine_1d, 400), (ip_affine_2d, 1000), (affine_3d, 1000)])
+    def test_retired_rows_match_untruncated_sum(self, make, n_steps):
+        ae = make()
+        bank = sample_stationary(ae, n_steps, 2000, seed=3)
+        ref = untruncated_sum(ae, n_steps, 2000, seed=3)
+        got = bank.samples.reshape(2000, -1)
+        rel = np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert rel.max() <= 1e-12
+        assert bank.row_steps < 2000 * bank.last_step  # rows did retire early
+
+    def test_d2_bank_reproducible_for_any_worker_count(self):
+        ae = ip_affine_2d()
+        b1 = sample_stationary(ae, 1000, 2000, seed=8, chunk=500)
+        again = sample_stationary(ae, 1000, 2000, seed=8, chunk=500)
+        b4 = sample_stationary(ae, 1000, 2000, seed=8, chunk=500, n_workers=4)
+        assert np.array_equal(b1.samples, again.samples)
+        assert np.array_equal(b1.samples, b4.samples)
+        assert (b1.truncation_diag, b1.row_steps, b1.last_step) == (
+            b4.truncation_diag, b4.row_steps, b4.last_step)
+
+    def test_growing_rows_run_to_n_steps(self):
+        ae = AffineEnsemble(1, np.array([[[2.0]], [[1.5]]]),
+                            np.array([[1.0], [2.0]]), np.array([0.5, 0.5]))
+        bank = sample_stationary(ae, 200, 100, seed=1, lyapunov_negative=True)
+        assert bank.last_step == 200
+        assert bank.row_steps == 100 * 200
+        assert np.array_equal(bank.samples, untruncated_sum(ae, 200, 100, 1)[:, 0])
 
     def test_expanding_recursion_aborts(self):
         ae = AffineEnsemble(1, np.array([[[2.0]], [[1.5]]]),
