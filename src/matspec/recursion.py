@@ -119,7 +119,7 @@ def _sample_chunk(
     row_steps = 0
     for k in range(1, n_steps + 1):
         n = rows.size
-        idx = draw_atoms(rng, ae.weights, size, rows if n < size else None)
+        idx = draw_atoms(rng, ae.weights, size)[rows]
         ak, bk = a.take(idx, axis=1), b.take(idx, axis=1)
         for i in range(d):
             p_i = prod[i * d : (i + 1) * d]
@@ -176,6 +176,8 @@ def sample_stationary(
     norm fails to decay aborts the run.  Chunks carry independent streams
     and are merged in index order, so n_workers never changes the result.
     """
+    if n_steps < 1 or n_samples < 1:
+        raise ValueError("n_steps and n_samples must be positive")
     sizes = [min(chunk, n_samples - i) for i in range(0, n_samples, chunk)]
     jobs = [(ae, n_steps, size, seed, i) for i, size in enumerate(sizes)]
     if n_workers > 1 and len(jobs) > 1:

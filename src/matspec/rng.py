@@ -17,12 +17,12 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, *path])
 
 
-def draw_atoms(rng: np.random.Generator, weights, size, rows=None) -> np.ndarray:
+def draw_atoms(rng: np.random.Generator, weights, size) -> np.ndarray:
     """Atom indices by inverse CDF, bit for bit rng.choice(len(weights), size,
-    p=weights); rows keeps those entries of the full-size draw."""
+    p=weights) without its validation of p on every call."""
     cdf = np.cumsum(weights, dtype=float)
     cdf /= cdf[-1]
-    u = rng.random(size) if rows is None else rng.random(size)[rows]
+    u = rng.random(size)
     if cdf.size > 8:
         return cdf.searchsorted(u, side="right")
     # the count of cdf values <= u, as searchsorted(side="right"); faster for few atoms

@@ -103,6 +103,11 @@ class TestSampling:
         assert bank.row_steps == 100 * 200
         assert np.array_equal(bank.samples, untruncated_sum(ae, 200, 100, 1)[:, 0])
 
+    @pytest.mark.parametrize("n_steps, n_samples", [(0, 10), (10, 0)])
+    def test_empty_bank_rejected(self, kesten_affine, n_steps, n_samples):
+        with pytest.raises(ValueError, match="positive"):
+            sample_stationary(kesten_affine, n_steps, n_samples, seed=1)
+
     def test_expanding_recursion_aborts(self):
         ae = AffineEnsemble(1, np.array([[[2.0]], [[1.5]]]),
                             np.array([[1.0], [2.0]]), np.array([0.5, 0.5]))

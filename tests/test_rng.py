@@ -21,9 +21,3 @@ def test_draw_atoms_is_choice(weights, size):
                           r2.choice(len(w), size=size, p=w))
     assert r1.random() == r2.random()  # the same uniforms were consumed
 
-
-def test_draw_atoms_rows_are_entries_of_the_full_draw():
-    w = np.array([0.2, 0.3, 0.5])
-    rows = np.array([0, 5, 17, 9_999])
-    full = draw_atoms(stream(5), w, 10_000)
-    assert np.array_equal(draw_atoms(stream(5), w, 10_000, rows), full[rows])
