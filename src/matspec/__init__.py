@@ -14,4 +14,4 @@ from .ensemble import (  # noqa: F401
     validate_linear,
 )
 from .projective import DirectionGrid, GridFunction, GridMeasure, build_grid  # noqa: F401
-from .transfer import SpectralPoint, power_iterate  # noqa: F401
+from .transfer import KSolver, SpectralPoint  # noqa: F401

@@ -138,7 +138,6 @@ class RunConfig:
             raw=merged,
         )
         for name, val in (
-            ("grid_resolution", cfg.grid_resolution),
             ("mc.paths", cfg.mc_paths),
             ("mc.steps", cfg.mc_steps),
             ("mc.samples", cfg.mc_samples),
@@ -205,6 +204,8 @@ class Manifest:
 
 def _load_inputs(args, command: str, need_affine: bool = False,
                  need_grid: bool = True):
+    """(config, ensemble, the run's solver or None when need_grid is off);
+    input errors found past the config parse still write a manifest."""
     overrides = {
         "seed": args.seed,
         "out": args.out,
@@ -221,20 +222,37 @@ def _load_inputs(args, command: str, need_affine: bool = False,
                 f"unsupported dimension {ensemble.dimension}: {command} solves on "
                 "direction grids, which cover d in {1, 2, 3}"
             )
+        rho_eps = cfg.options.get("rho_eps", 0.25)
+        if not isinstance(rho_eps, (int, float)) or not 0.0 < rho_eps <= 1.0:
+            raise ConfigError(f"options.rho_eps must lie in (0, 1], got {rho_eps!r}")
+        ks = _solver(cfg, _linear_part(ensemble)) if need_grid else None
     except (EnsembleError, ConfigError):
         # the manifest contract holds even when the ensemble cannot load
         man = Manifest(command, cfg, sha="unavailable")
         man.finish("invalid-input")
         raise
-    return cfg, ensemble
+    return cfg, ensemble, ks
 
 
 def _linear_part(ensemble) -> LinearEnsemble:
     return ensemble.linear_part if isinstance(ensemble, AffineEnsemble) else ensemble
 
 
+def _solver(cfg: RunConfig, lin: LinearEnsemble) -> KSolver:
+    """The one solver of a run: lin on the projective grid of
+    cfg.grid_resolution nodes (the single node in d=1).  A resolution below
+    the grid's minimum is invalid input."""
+    if lin.dimension == 1:
+        return KSolver(lin)
+    try:
+        grid = build_grid(lin.dimension, cfg.grid_resolution, PROJECTIVE)
+    except ValueError as exc:
+        raise ConfigError(f"grid_resolution: {exc}") from exc
+    return KSolver(lin, grid)
+
+
 def cmd_validate(args) -> int:
-    cfg, ensemble = _load_inputs(args, "validate", need_grid=False)
+    cfg, ensemble, _ = _load_inputs(args, "validate", need_grid=False)
     man = Manifest("validate", cfg, ensemble_hash(ensemble))
     status = "failed"
     code = EXIT_OK
@@ -292,16 +310,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    cfg, ensemble = _load_inputs(args, "spectrum")
-    lin = _linear_part(ensemble)
+    cfg, ensemble, ks = _load_inputs(args, "spectrum")
+    lin = ks.ensemble
     man = Manifest("spectrum", cfg, ensemble_hash(ensemble))
     status = "failed"
     try:
         t0 = time.perf_counter()
-        grid = None
-        if lin.dimension > 1:
-            grid = build_grid(lin.dimension, cfg.grid_resolution, PROJECTIVE)
-        ks = KSolver(lin, grid)
         curve = compute_curve(
             lin, cfg.s_values(), solve_root=True,
             seed=cfg.seed, mc_check=True, solver=ks,
@@ -325,17 +339,17 @@ def cmd_spectrum(args) -> int:
         t0 = time.perf_counter()
         gap_col, rho_col = [], []
         eps = cfg.options.get("rho_eps", 0.25)
-        for s, sp in zip(curve.s_values, curve.points):
+        for s in curve.s_values:
             if lin.dimension == 1:
                 gap_col.append(float("nan"))
                 rho_col.append(float("nan"))
                 continue
-            g, _ = lyapunov_gap(lin, s, seed=cfg.seed, sp=sp,
+            g, _ = lyapunov_gap(lin, s, seed=cfg.seed, solver=ks,
                                 n_pairs=8, n_paths=32)
             gap_col.append(g)
             rho_col.append(
                 contraction_rate(lin, s, eps=min(eps, max(s, 1e-6)) if s > 0 else eps,
-                                 seed=cfg.seed, sp=sp, n_pairs=16, n_paths=32)
+                                 seed=cfg.seed, solver=ks, n_pairs=16, n_paths=32)
             )
         man.time("diagnostics", t0)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -417,14 +431,11 @@ def _probe_directions(d: int, n: int, mode: str) -> np.ndarray:
 
 
 def cmd_tails(args) -> int:
-    cfg, ensemble = _load_inputs(args, "tails", need_affine=True)
+    cfg, ensemble, ks = _load_inputs(args, "tails", need_affine=True)
     man = Manifest("tails", cfg, ensemble_hash(ensemble))
     status = "failed"
     try:
-        lin = ensemble.linear_part
-        grid = None if lin.dimension == 1 else build_grid(
-            lin.dimension, cfg.grid_resolution, PROJECTIVE)
-        ks = KSolver(lin, grid)
+        lin = ks.ensemble
         L0 = _require_contracting(lin, ks)
         t0 = time.perf_counter()
         alpha = solve_alpha(lin, solver=ks)
@@ -534,28 +545,22 @@ def cmd_tails(args) -> int:
 
 
 def cmd_renewal(args) -> int:
-    cfg, ensemble = _load_inputs(args, "renewal")
-    lin = _linear_part(ensemble)
+    cfg, ensemble, ks = _load_inputs(args, "renewal")
+    lin = ks.ensemble
     man = Manifest("renewal", cfg, ensemble_hash(ensemble))
     status = "failed"
     try:
-        grid = None if lin.dimension == 1 else build_grid(
-            lin.dimension, cfg.grid_resolution, PROJECTIVE)
-        ks = KSolver(lin, grid)
         L0 = lyapunov(lin, 0.0, "finite_diff", solver=ks)[0]
         if L0 == 0:
             raise HypothesisError("critical walk (L = 0): renewal limits diverge")
         width = float(cfg.options.get("annulus_width", np.log(2.0)))
-        n_windows = int(cfg.options.get("n_windows", 3))
+        fns = [AnnulusFunction(f"annulus{j}", j * width, (j + 1) * width)
+               for j in range(int(cfg.options.get("n_windows", 3)))]
         arith = False
         if lin.dimension == 1:
             arith = check_nonarithmetic_1d(lin)[0] == "fail"
         t0 = time.perf_counter()
         if L0 > 0:
-            fns = [
-                AnnulusFunction(f"annulus{j}", j * width, (j + 1) * width)
-                for j in range(n_windows)
-            ]
             nu0 = ks.point(0.0).nu if lin.dimension > 1 else None
             rep = potential_profile_expanding(
                 lin, fns, L=L0, n_paths=cfg.mc_paths, seed=cfg.seed,
@@ -567,10 +572,6 @@ def cmd_renewal(args) -> int:
             alpha = solve_alpha(lin, solver=ks)
             sp = ks.point(alpha)
             L_alpha = lyapunov(lin, alpha, "finite_diff", solver=ks)[0]
-            fns = [
-                AnnulusFunction(f"annulus{j}", j * width, (j + 1) * width)
-                for j in range(n_windows)
-            ]
             t_small = float(cfg.options.get("t_start", 1e-4))
             nu_a = sp.nu if lin.dimension > 1 else None
             rep = tilted_potential_profile(
@@ -606,14 +607,11 @@ def _default_direction(lin: LinearEnsemble) -> np.ndarray:
 
 
 def cmd_cramer(args) -> int:
-    cfg, ensemble = _load_inputs(args, "cramer")
-    lin = _linear_part(ensemble)
+    cfg, ensemble, ks = _load_inputs(args, "cramer")
+    lin = ks.ensemble
     man = Manifest("cramer", cfg, ensemble_hash(ensemble))
     status = "failed"
     try:
-        grid = None if lin.dimension == 1 else build_grid(
-            lin.dimension, cfg.grid_resolution, PROJECTIVE)
-        ks = KSolver(lin, grid)
         _require_contracting(lin, ks)
         alpha = solve_alpha(lin, solver=ks)
         sp = ks.point(alpha)
@@ -650,14 +648,11 @@ def cmd_cramer(args) -> int:
 
 
 def cmd_dualwalk(args) -> int:
-    cfg, ensemble = _load_inputs(args, "dualwalk", need_affine=True)
+    cfg, ensemble, ks = _load_inputs(args, "dualwalk", need_affine=True)
     man = Manifest("dualwalk", cfg, ensemble_hash(ensemble))
     status = "failed"
     try:
-        lin = ensemble.linear_part
-        grid = None if lin.dimension == 1 else build_grid(
-            lin.dimension, cfg.grid_resolution, PROJECTIVE)
-        ks = KSolver(lin, grid)
+        lin = ks.ensemble
         _require_contracting(lin, ks)
         alpha = solve_alpha(lin, solver=ks)
         L_alpha = lyapunov(lin, alpha, "finite_diff", solver=ks)[0]

@@ -330,7 +330,6 @@ class DualWalkRecord:
     every recorded epoch (a construction invariant, asserted not assumed).
     """
 
-    start_p: float
     n_starts: int
     n_steps: int
     first_tau: np.ndarray
@@ -436,7 +435,6 @@ def dual_walk_simulate(
     else:
         mean_gap = height_rate = height_se = float("nan")
     return DualWalkRecord(
-        start_p=float(p0),
         n_starts=n_starts,
         n_steps=n_steps,
         first_tau=first_tau,

@@ -11,9 +11,11 @@ discrete Hellmann-Feynman derivative nu^s(P'^s e^s)/k(s) of the same
 discretized k, so on the grid it matches finite differences to their
 truncation error and says nothing about the discretization error.
 
-One KSolver holds every solve of an (ensemble, grid) pair and of its
-transpose, each warm-started from the nearest solved exponent; solve_alpha
-runs Newton on log k with that k'(s), safeguarded by a verified bracket.
+Every routine here takes its eigen-objects from one transfer.KSolver (the
+``solver`` argument, or a fresh one on ``grid``), which holds every solve of
+an (ensemble, grid) pair and of its transpose, each warm-started from the
+nearest solved exponent; solve_alpha runs Newton on log k with that k'(s),
+safeguarded by a verified bracket.
 
 Tilted sampling realizes the s-tilted path measure through its Markov-chain
 disintegration (the paths of transfer.TiltedChain) rather than by
@@ -27,17 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import LinearEnsemble, transpose
+from .ensemble import LinearEnsemble
 from .rng import draw_atoms, stream as _rng
-from .projective import PROJECTIVE, DirectionGrid, build_grid, interp_stencil
+from .projective import DirectionGrid, interp_stencil
 from .transfer import (
+    KSolver,
     SpectralPoint,
     TiltedChain,
-    TransferOperator,
     k_closed_form_1d,
     k_prime_closed_form_1d,
-    pairing_p,
-    power_iterate,
 )
 
 __all__ = [
@@ -51,8 +51,6 @@ __all__ = [
     "backward_direction",
     "compute_curve",
 ]
-
-DEFAULT_RESOLUTION = 512
 
 
 @dataclass
@@ -70,82 +68,6 @@ class SpectralCurve:
         if np.any(np.diff(s) <= 0):
             raise ValueError("s values must be strictly increasing")
         self.s_values = s
-
-    @property
-    def k_values(self) -> np.ndarray:
-        return np.array([p.k for p in self.points])
-
-
-class KSolver:
-    """Every k(s) evaluation and eigen-solve of one ensemble on one grid.
-
-    k is in closed form in d=1 and from the grid elsewhere.  The solver owns
-    the operator family of the ensemble (``op``) and, through ``star``, the
-    solver of the transposed ensemble on the same grid; both are built on
-    first use.  Solved points are cached by s, and a new s starts from the
-    cached point nearest to it.
-    """
-
-    def __init__(
-        self,
-        e: LinearEnsemble,
-        grid: DirectionGrid | None = None,
-        tol: float = 1e-11,
-        max_iter: int = 20000,
-    ):
-        self.ensemble = e
-        self.tol = tol
-        self.max_iter = max_iter
-        if e.dimension == 1:
-            self.grid = grid or build_grid(1, 1, PROJECTIVE)
-        else:
-            self.grid = grid or build_grid(e.dimension, DEFAULT_RESOLUTION, PROJECTIVE)
-        self._op: TransferOperator | None = None
-        self._star: KSolver | None = None
-        self._points: dict[float, SpectralPoint] = {}
-
-    @property
-    def op(self) -> TransferOperator:
-        if self._op is None:
-            self._op = TransferOperator(self.ensemble, self.grid)
-        return self._op
-
-    @property
-    def star(self) -> "KSolver":
-        """The solver of the transposed ensemble on the same grid."""
-        if self._star is None:
-            self._star = KSolver(transpose(self.ensemble), self.grid,
-                                 tol=self.tol, max_iter=self.max_iter)
-        return self._star
-
-    def k(self, s: float) -> float:
-        if s < 0:
-            raise ValueError("negative exponents are not supported")
-        if self.ensemble.dimension == 1:
-            return k_closed_form_1d(self.ensemble, s)
-        return self.point(s).k
-
-    def k_prime(self, s: float) -> float:
-        """k'(s) = nu^s(P'^s e^s) (nu^s(e^s) = 1); closed form in d=1."""
-        if self.ensemble.dimension == 1:
-            return k_prime_closed_form_1d(self.ensemble, s)
-        sp = self.point(s)
-        return float(sp.nu.masses @ (self.op.derivative(s) @ sp.e.values))
-
-    def point(self, s: float, compute_p: bool = False) -> SpectralPoint:
-        key = float(s)
-        sp = self._points.get(key)
-        if sp is None:
-            nearest = min(self._points, key=lambda t: abs(t - key), default=None)
-            sp = power_iterate(
-                self.ensemble, key, self.grid,
-                tol=self.tol, max_iter=self.max_iter, compute_p=False,
-                op=self.op, start=self._points.get(nearest),
-            )
-            self._points[key] = sp
-        if compute_p and sp.p is None:
-            sp.p = pairing_p(sp, self.star.point(key))
-        return sp
 
 
 def k_mc_oracle(
@@ -273,7 +195,6 @@ def lyapunov(
     s: float,
     method: str = "finite_diff",
     grid: DirectionGrid | None = None,
-    sp: SpectralPoint | None = None,
     solver: KSolver | None = None,
     h: float = 1e-3,
     n_chains: int = 64,
@@ -295,10 +216,10 @@ def lyapunov(
     if s < 0:
         raise ValueError("negative exponents are not supported")
     d = e.dimension
+    ks = solver or KSolver(e, grid)
     if method == "finite_diff":
         if d == 1:
             return k_prime_closed_form_1d(e, s) / k_closed_form_1d(e, s), None
-        ks = solver or KSolver(e, grid)
         hh = min(h, s / 2) if s > 0 else h
 
         def central(step: float) -> float:
@@ -313,7 +234,6 @@ def lyapunov(
             return float(2.0 * c2 - c1), None
         return float((4.0 * c2 - c1) / 3.0), None
     if method == "quadrature":
-        ks = solver or KSolver(e, grid)
         return ks.k_prime(s) / ks.k(s), None
     if method == "tilted_mc":
         rng = _rng(seed, 101)
@@ -325,8 +245,7 @@ def lyapunov(
             draws = draw_atoms(rng, q, (n_chains, n_steps))
             vals = np.log(a)[draws].mean(axis=1)
             return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_chains))
-        if sp is None:
-            sp = (solver or KSolver(e, grid)).point(s)
+        sp = ks.point(s)
         chain = TiltedChain(e, sp, _sample_pi_nodes(sp, n_chains, rng))
         sums = np.zeros(n_chains)
         for step in range(n_steps):
@@ -418,7 +337,7 @@ def lyapunov_gap(
     n_paths: int = 64,
     seed: int = 0,
     grid: DirectionGrid | None = None,
-    sp: SpectralPoint | None = None,
+    solver: KSolver | None = None,
 ) -> tuple[float, float]:
     """Estimated difference of the two leading Lyapunov exponents: the
     per-step tilted-mean log contraction of direction pairs, maximized over
@@ -427,8 +346,7 @@ def lyapunov_gap(
     """
     if e.dimension < 2:
         raise ValueError("the pair-contraction gap needs d >= 2")
-    if sp is None:
-        sp = KSolver(e, grid).point(s)
+    sp = (solver or KSolver(e, grid)).point(s)
     rng = _rng(seed, 202)
     best = -np.inf
     best_se = np.nan
@@ -453,7 +371,7 @@ def contraction_rate(
     n_pairs: int = 64,
     n_paths: int = 128,
     grid: DirectionGrid | None = None,
-    sp: SpectralPoint | None = None,
+    solver: KSolver | None = None,
 ) -> float:
     """n-th root of sup over probe pairs of the tilted mean of
     (distance ratio)^eps; below 1 in the Doeblin-Fortet regime.
@@ -468,8 +386,7 @@ def contraction_rate(
         raise ValueError("eps must lie in (0, min(1, s)] (Holder range)")
     if e.dimension < 2:
         raise ValueError("contraction diagnostics need d >= 2")
-    if sp is None:
-        sp = KSolver(e, grid).point(s)
+    sp = (solver or KSolver(e, grid)).point(s)
     rng = _rng(seed, 303)
 
     def run_pairs(k_pairs: int, paths: int, pre: list | None = None):
@@ -501,8 +418,7 @@ def backward_direction(
     n_probes: int = 32,
     n_repeats: int = 200,
     grid: DirectionGrid | None = None,
-    sp: SpectralPoint | None = None,
-    sp_star: SpectralPoint | None = None,
+    solver: KSolver | None = None,
 ) -> dict:
     """Dominant backward direction of a long tilted product.
 
@@ -514,11 +430,9 @@ def backward_direction(
     """
     if e.dimension < 2:
         raise ValueError("the backward direction needs d >= 2")
-    solver = KSolver(e, grid)
-    if sp is None:
-        sp = solver.point(s)
-    if sp_star is None:
-        sp_star = solver.star.point(s)
+    ks = solver or KSolver(e, grid)
+    sp = ks.point(s)
+    sp_star = ks.star.point(s)
     rng = _rng(seed, 404)
     d = e.dimension
     probes = _random_unit(rng, n_probes, d)
@@ -567,7 +481,6 @@ def compute_curve(
     e: LinearEnsemble,
     s_values: np.ndarray,
     grid: DirectionGrid | None = None,
-    tol: float = 1e-11,
     solve_root: bool = True,
     seed: int = 0,
     mc_check: bool = False,
@@ -575,9 +488,9 @@ def compute_curve(
 ) -> SpectralCurve:
     """Solve the eigen-problem along an s-grid and attach alpha, k'(alpha)
     and the Lyapunov table (finite_diff and quadrature routes; tilted_mc
-    when mc_check is set).  A given solver replaces (grid, tol) and keeps
-    every point solved here for its later callers."""
-    ks = solver or KSolver(e, grid, tol=tol)
+    when mc_check is set).  A given solver replaces grid and keeps every
+    point solved here for its later callers."""
+    ks = solver or KSolver(e, grid)
     s_values = np.asarray(sorted(float(s) for s in s_values))
     points = [ks.point(s, compute_p=True) for s in s_values]
     curve = SpectralCurve(s_values=s_values, points=points)
@@ -585,11 +498,11 @@ def compute_curve(
     if mc_check:
         table["tilted_mc"] = []
         table["tilted_mc_se"] = []
-    for s, sp in zip(s_values, points):
+    for s in s_values:
         table["finite_diff"].append(lyapunov(e, s, "finite_diff", solver=ks)[0])
         table["quadrature"].append(lyapunov(e, s, "quadrature", solver=ks)[0])
         if mc_check:
-            L, se = lyapunov(e, s, "tilted_mc", sp=sp, solver=ks, seed=seed)
+            L, se = lyapunov(e, s, "tilted_mc", solver=ks, seed=seed)
             table["tilted_mc"].append(L)
             table["tilted_mc_se"].append(se if se is not None else np.nan)
     curve.lyapunov_table = table

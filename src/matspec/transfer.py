@@ -17,6 +17,11 @@ the eigenmeasure nu^s, normalized so that nu^s has mass 1 and
 nu^s(e^s) = 1.  That normalization pins the rank-one projector
 nu^s (x) e^s uniquely.
 
+One KSolver per (ensemble, grid) owns that operator family, the solver of
+the transposed ensemble on the same grid, and every solved point of both:
+it is the only place that builds a TransferOperator or runs power
+iteration, and p(s) pairs its eigenmeasure with the transposed one.
+
 The one-step tilted Markov kernel
 
     q^s(x, g_i) = w_i |g_i x|^s e^s(g_i.x) / (e^s(x) c(x)),
@@ -50,8 +55,7 @@ from .projective import (
 __all__ = [
     "SpectralPoint",
     "TransferOperator",
-    "apply_ps",
-    "apply_ps_adjoint",
+    "KSolver",
     "power_iterate",
     "pairing_p",
     "k_closed_form_1d",
@@ -63,6 +67,8 @@ __all__ = [
     "ExtremalPair",
     "complex_radius_ratio",
 ]
+
+DEFAULT_RESOLUTION = 512
 
 
 @dataclass
@@ -132,16 +138,75 @@ class TransferOperator:
         return self._csr(self._weights * self._lognorms * np.exp(s * self._lognorms))
 
 
-def apply_ps(e: LinearEnsemble, s: float, f: GridFunction) -> GridFunction:
-    """(P^s f)(x_node) = sum_i w_i |g_i x|^s interp(f, g_i.x)."""
-    return GridFunction(f.grid, TransferOperator(e, f.grid).matrix(s) @ f.values)
+class KSolver:
+    """Every k(s) evaluation and eigen-solve of one ensemble on one grid.
 
+    k is in closed form in d=1 and from the grid elsewhere.  The solver owns
+    the operator family of the ensemble (``op``) and, through ``star``, the
+    solver of the transposed ensemble on the same grid; both are built on
+    first use.  Solved points are cached by s, and a new s starts from the
+    cached point nearest to it.
+    """
 
-def apply_ps_adjoint(e: LinearEnsemble, s: float, sigma: GridMeasure) -> GridMeasure:
-    """Adjoint push: deposits w_i |g_i x|^s * mass onto the interpolation
-    stencil of g_i.x, so that grid duality with apply_ps is exact."""
-    P = TransferOperator(e, sigma.grid).matrix(s)
-    return GridMeasure(sigma.grid, P.T @ sigma.masses)
+    def __init__(
+        self,
+        e: LinearEnsemble,
+        grid: DirectionGrid | None = None,
+        tol: float = 1e-11,
+        max_iter: int = 20000,
+    ):
+        self.ensemble = e
+        self.tol = tol
+        self.max_iter = max_iter
+        if e.dimension == 1:
+            self.grid = grid or build_grid(1, 1, PROJECTIVE)
+        else:
+            self.grid = grid or build_grid(e.dimension, DEFAULT_RESOLUTION, PROJECTIVE)
+        self._op: TransferOperator | None = None
+        self._star: KSolver | None = None
+        self._points: dict[float, SpectralPoint] = {}
+
+    @property
+    def op(self) -> TransferOperator:
+        if self._op is None:
+            self._op = TransferOperator(self.ensemble, self.grid)
+        return self._op
+
+    @property
+    def star(self) -> "KSolver":
+        """The solver of the transposed ensemble on the same grid."""
+        if self._star is None:
+            self._star = KSolver(transpose(self.ensemble), self.grid,
+                                 tol=self.tol, max_iter=self.max_iter)
+        return self._star
+
+    def k(self, s: float) -> float:
+        if s < 0:
+            raise ValueError("negative exponents are not supported")
+        if self.ensemble.dimension == 1:
+            return k_closed_form_1d(self.ensemble, s)
+        return self.point(s).k
+
+    def k_prime(self, s: float) -> float:
+        """k'(s) = nu^s(P'^s e^s) (nu^s(e^s) = 1); closed form in d=1."""
+        if self.ensemble.dimension == 1:
+            return k_prime_closed_form_1d(self.ensemble, s)
+        sp = self.point(s)
+        return float(sp.nu.masses @ (self.op.derivative(s) @ sp.e.values))
+
+    def point(self, s: float, compute_p: bool = False) -> SpectralPoint:
+        """The solved eigen-problem at s; with compute_p, also p(s) against
+        the transposed ensemble's eigenmeasure at s."""
+        key = float(s)
+        sp = self._points.get(key)
+        if sp is None:
+            nearest = min(self._points, key=lambda t: abs(t - key), default=None)
+            sp = power_iterate(self.op, key, self.tol, self.max_iter,
+                               start=self._points.get(nearest))
+            self._points[key] = sp
+        if compute_p and sp.p is None:
+            sp.p = pairing_p(sp, self.star.point(key))
+        return sp
 
 
 def k_closed_form_1d(e: LinearEnsemble, s: float) -> float:
@@ -163,31 +228,24 @@ def k_prime_closed_form_1d(e: LinearEnsemble, s: float) -> float:
 
 
 def power_iterate(
-    e: LinearEnsemble,
+    op: TransferOperator,
     s: float,
-    grid: DirectionGrid,
-    tol: float = 1e-10,
-    max_iter: int = 20000,
-    compute_p: bool = True,
-    op: TransferOperator | None = None,
+    tol: float,
+    max_iter: int,
     start: SpectralPoint | None = None,
 ) -> SpectralPoint:
-    """Alternating normalized power iteration for (k(s), e^s, nu^s).
+    """Alternating normalized power iteration for (k(s), e^s, nu^s) of the
+    operator family op; KSolver.point is its one caller in the package.
 
     k is the Rayleigh quotient <P^s e, nu>/<e, nu>; iteration stops when the
     eigenfunction and eigenmeasure residuals both fall below tol, and
-    ``converged`` records whether they did within max_iter.  op is the
-    operator family of (e, grid), built here when not given; start is a
+    ``converged`` records whether they did within max_iter.  start is a
     solved point of the same family whose (e, nu) seed the iteration in place
     of (1, quadrature weights).  Without irreducibility + proximality the
-    limit pair need not be unique.
-    p(s) = integral of |<x,y>|^s d nu^s(x) d *nu^s(y) is quadrature against
-    the transposed-ensemble eigenmeasure (skipped when compute_p=False).
+    limit pair need not be unique.  p is left unset: it needs the transposed
+    ensemble's eigenmeasure (KSolver.point with compute_p).
     """
-    if s < 0:
-        raise ValueError("negative exponents are not supported")
-    if op is None:
-        op = TransferOperator(e, grid)
+    grid = op.grid
     P = op.matrix(s)
     PT = P.T
     if start is None:
@@ -217,7 +275,7 @@ def power_iterate(
     # normalize: nu total mass 1 (already), nu(e) = 1
     sigma = sigma / sigma.sum()
     f = f / np.sum(f * sigma)
-    point = SpectralPoint(
+    return SpectralPoint(
         s=float(s),
         k=k_est,
         e=GridFunction(grid, f),
@@ -229,12 +287,6 @@ def power_iterate(
         mode=grid.mode,
         converged=converged,
     )
-    if compute_p:
-        star = power_iterate(
-            transpose(e), s, grid, tol=tol, max_iter=max_iter, compute_p=False
-        )
-        point.p = pairing_p(point, star)
-    return point
 
 
 def pairing_p(sp: SpectralPoint, sp_star: SpectralPoint) -> float:
@@ -375,50 +427,23 @@ def sphere_extremal_measures(
     attractor_points = np.atleast_2d(attractor_points)
     if attractor_points.size == 0:
         raise ValueError("attractor cone not identified: no points supplied")
-    # nodes closer to the attractor than to its antipodal image
-    d_plus = _min_chord(grid.nodes, attractor_points)
-    d_minus = _min_chord(grid.nodes, -attractor_points)
-    plus_mask = d_plus < d_minus
+    plus_mask = _attractor_side(grid.nodes, attractor_points)
     if not plus_mask.any() or plus_mask.all():
         raise ValueError("attractor cone does not separate the grid")
-    PT = TransferOperator(e, grid).matrix(s).T
-    sigma = np.where(plus_mask, grid.quadrature_weights, 0.0)
-    sigma /= sigma.sum()
-    k_est = 1.0
-    res = np.inf
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        sig_new = PT @ sigma
-        sig_new[~plus_mask] = 0.0
-        k_est = sig_new.sum() / sigma.sum()
-        res = np.sum(np.abs(sig_new - k_est * sigma)) / (k_est * sigma.sum())
-        sigma = sig_new / sig_new.sum()
-        if res < tol:
-            break
-    nu_plus = sigma
+    ks = KSolver(e, grid, tol, max_iter)
+    nu_plus, k_est, _, iters = _cone_eigenmeasure(ks.op, s, plus_mask, tol, max_iter)
     amap = _antipode_map(grid)
     nu_minus = np.bincount(amap, weights=nu_plus, minlength=grid.n_nodes)
 
     # transposed-ensemble cone data for the e_+ transform
-    e_star = transpose(e)
-    star_attr = _cone_attractor(e_star, attractor_points, seed=0)
-    d_plus_s = _min_chord(grid.nodes, star_attr)
-    d_minus_s = _min_chord(grid.nodes, -star_attr)
-    star_mask = d_plus_s < d_minus_s
-    PT_star = TransferOperator(e_star, grid).matrix(s).T
-    tau = np.where(star_mask, grid.quadrature_weights, 0.0)
-    tau /= tau.sum()
-    for _ in range(max_iter):
-        tau_new = PT_star @ tau
-        tau_new[~star_mask] = 0.0
-        res = np.sum(np.abs(tau_new - (tau_new.sum() / tau.sum()) * tau)) / tau_new.sum()
-        tau = tau_new / tau_new.sum()
-        if res < tol:
-            break
+    star_attr = _cone_attractor(ks.star.ensemble, attractor_points, seed=0)
+    star_mask = _attractor_side(grid.nodes, star_attr)
+    # the restricted points report this residual (e_+ is built from tau)
+    # next to the iteration count of nu_+
+    tau, _, res, _ = _cone_eigenmeasure(ks.star.op, s, star_mask, tol, max_iter)
     # p(s) from the projective eigen-problem (pairing normalization)
     proj_grid = build_grid(grid.dimension, grid.n_nodes // 2 or 1, PROJECTIVE)
-    sp_proj = power_iterate(e, s, proj_grid, tol=tol, compute_p=True)
-    p_s = sp_proj.p if sp_proj.p else 1.0
+    p_s = KSolver(e, proj_grid, tol=tol).point(s, compute_p=True).p or 1.0
 
     dots = grid.nodes @ grid.nodes.T
     plus_kernel = np.maximum(dots, 0.0) ** s if s > 0 else (dots > 0).astype(float)
@@ -451,9 +476,37 @@ def sphere_extremal_measures(
     )
 
 
+def _cone_eigenmeasure(
+    op: TransferOperator, s: float, mask: np.ndarray, tol: float, max_iter: int
+) -> tuple[np.ndarray, float, float, int]:
+    """Adjoint power iteration of P^s with the mass off mask zeroed after
+    every push: (eigenmeasure, eigenvalue, l1 residual, iterations)."""
+    PT = op.matrix(s).T
+    sigma = np.where(mask, op.grid.quadrature_weights, 0.0)
+    sigma /= sigma.sum()
+    k_est = 1.0
+    res = np.inf
+    iters = 0
+    for iters in range(1, max_iter + 1):
+        sig_new = PT @ sigma
+        sig_new[~mask] = 0.0
+        mass = sig_new.sum()
+        k_est = mass / sigma.sum()
+        res = np.sum(np.abs(sig_new - k_est * sigma)) / mass
+        sigma = sig_new / mass
+        if res < tol:
+            break
+    return sigma, k_est, res, iters
+
+
 def _min_chord(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
     dots = nodes @ points.T
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots.max(axis=1)))
+
+
+def _attractor_side(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Mask of the nodes closer to the points than to their antipodes."""
+    return _min_chord(nodes, points) < _min_chord(nodes, -points)
 
 
 def _cone_attractor(e: LinearEnsemble, hint: np.ndarray, seed: int) -> np.ndarray:
@@ -485,9 +538,8 @@ def complex_radius_ratio(
     ensembles with the standing hypotheses); no complex eigen-pair is
     extracted, only the growth-rate ratio.
     """
-    op = TransferOperator(e, grid)
-    sp = power_iterate(e, s, grid, compute_p=False, op=op)
-    Pz = op.matrix(s + 1j * t)
+    ks = KSolver(e, grid, tol=1e-10)
+    Pz = ks.op.matrix(s + 1j * t)
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
     growths = []
@@ -499,4 +551,4 @@ def complex_radius_ratio(
         growths.append(np.log(norm))
         f = out / norm
     tail = growths[n_iter // 2:]
-    return float(np.exp(np.mean(tail)) / sp.k)
+    return float(np.exp(np.mean(tail)) / ks.k(s))

@@ -38,7 +38,7 @@ from matspec.spectrum import (
     lyapunov_gap,
     solve_alpha,
 )
-from matspec.transfer import TransferOperator, power_iterate
+from matspec.transfer import TransferOperator
 
 L0_KESTEN = 0.4 * np.log(2.0) - 0.6 * np.log(3.0)
 KP1_KESTEN = 0.4 * 2.0 * np.log(2.0) - 0.2 * np.log(3.0)
@@ -89,7 +89,7 @@ def test_criterion_2_similarity_grid_matches_mellin():
     worst_k = 0.0
     worst_e = 0.0
     for s in (0.0, 0.5, 1.0, 1.5, 2.0):
-        sp = power_iterate(e, s, grid, tol=1e-11, compute_p=False)
+        sp = KSolver(e, grid, tol=1e-11).point(s)
         exact = 0.4 * 2.0**s + 0.6 * (1.0 / 3.0) ** s
         worst_k = max(worst_k, abs(sp.k - exact) / exact)
         span = (sp.e.values.max() - sp.e.values.min()) / sp.e.values.mean()
@@ -123,7 +123,7 @@ def test_criterion_3_ip_oracle_and_lyapunov(ip512):
         and abs(Lq - Lmc) <= pair_budget + 3 * se_mc
     )
     gap, gap_se = lyapunov_gap(e, alpha, n=40, n_pairs=24, n_paths=64,
-                               seed=779, sp=solver.point(alpha))
+                               seed=779, solver=solver)
     gap_ok = gap + 3 * gap_se < 0
     elapsed = time.perf_counter() - t0
     time_ok = elapsed < 300.0
@@ -225,12 +225,11 @@ def test_criterion_7_property_suites(ip512, big_bank):
 
     # k(0) = 1 for every shipped ensemble
     grid1 = build_grid(1, 1, "projective")
-    check("k0-kesten", power_iterate(kesten_1d(), 0.0, grid1,
-                                     compute_p=False).k == 1.0)
+    check("k0-kesten", KSolver(kesten_1d(), grid1, tol=1e-10).point(0.0).k == 1.0)
     check("k0-ip", solver.k(0.0) == 1.0)
     grid128 = build_grid(2, 128, "projective")
-    check("k0-similarity", power_iterate(similarity_2d(), 0.0, grid128,
-                                         compute_p=False).k == 1.0)
+    check("k0-similarity",
+          KSolver(similarity_2d(), grid128, tol=1e-10).point(0.0).k == 1.0)
     # discrete log-convexity of k
     s_vals = np.linspace(0.1, 2.0, 14)
     logk = np.log([solver.k(s) for s in s_vals])
@@ -238,8 +237,7 @@ def test_criterion_7_property_suites(ip512, big_bank):
     # k(mu) = k(mu*)
     for s in (0.5, alpha):
         k1 = solver.k(s)
-        k2 = power_iterate(transpose(e), s, solver.grid, tol=solver.tol,
-                           compute_p=False).k
+        k2 = KSolver(transpose(e), solver.grid, tol=solver.tol).point(s).k
         check(f"transpose-k-{s:.2f}", abs(k1 - k2) <= 2e-8)
     # cocycle additivity at 1e-10 on random triples
     rng = np.random.default_rng(5)
@@ -270,7 +268,7 @@ def test_criterion_7_property_suites(ip512, big_bank):
     check("case-I-symmetry",
           abs(plus["plateau"] - minus["plateau"]) <= widths)
     # dual-walk ladder sign preservation (exact)
-    sp_star1 = power_iterate(transpose(kesten_1d()), 1.0, grid1)
+    sp_star1 = KSolver(transpose(kesten_1d()), grid1, tol=1e-10).point(1.0)
     rec = dual_walk_simulate(kesten_affine_1d(), sp_star1, KP1_KESTEN,
                              p0=1.0, u0=np.array([1.0]), n_starts=512,
                              n_steps=200, seed=31)
@@ -287,7 +285,7 @@ def test_criterion_7_property_suites(ip512, big_bank):
 
 def test_criterion_8_dual_walk_identity():
     grid1 = build_grid(1, 1, "projective")
-    sp_star = power_iterate(transpose(kesten_1d()), 1.0, grid1)
+    sp_star = KSolver(transpose(kesten_1d()), grid1, tol=1e-10).point(1.0)
     rec = dual_walk_simulate(kesten_affine_1d(), sp_star, KP1_KESTEN,
                              p0=1.0, u0=np.array([1.0]), n_starts=10_000,
                              n_steps=300, seed=555)

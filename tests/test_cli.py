@@ -9,6 +9,7 @@ from matspec.ensemble import LinearEnsemble, save_ensemble
 from matspec.ensembles import (
     affine_3d,
     expanding_1d_deterministic,
+    ip_2d,
     ip_affine_2d,
     kesten_1d,
     kesten_affine_1d,
@@ -64,8 +65,6 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(tmp_path / "cfg.json")]) == EXIT_INVALID
 
     def test_nonarithmetic_verdict_only_in_d1(self, tmp_path, capsys):
-        from matspec.ensembles import ip_2d
-
         cfg = write_config(tmp_path, ip_2d())
         assert main(["validate", "--config", str(cfg)]) == EXIT_OK
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -92,6 +91,24 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, kesten_1d(),
                            s_grid={"min": 0.0, "max": 70.0, "count": 3})
         assert main(["spectrum", "--config", str(cfg)]) == EXIT_INVALID
+
+
+BAD_OPTIONS = [
+    ("spectrum", ip_2d, {"grid_resolution": 1}, "resolution must be >= 2 for d = 2"),
+    ("cramer", affine_3d, {"grid_resolution": 3}, "resolution must be >= 4 for d = 3"),
+    ("spectrum", ip_2d, {"options": {"rho_eps": 0}}, "rho_eps must lie in (0, 1]"),
+]
+
+
+@pytest.mark.parametrize("command,ensemble,extra,message", BAD_OPTIONS,
+                         ids=["resolution-d2", "resolution-d3", "rho_eps"])
+def test_bad_numeric_option_is_invalid_input(tmp_path, capsys, command,
+                                             ensemble, extra, message):
+    cfg = write_config(tmp_path, ensemble(), **extra)
+    assert main([command, "--config", str(cfg)]) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "invalid-input"
 
 
 class TestSpectrumCommand:
@@ -248,8 +265,6 @@ class TestCramerDualwalkCommands:
 
 class TestD2Spectrum:
     def test_ip_spectrum_outputs(self, tmp_path):
-        from matspec.ensembles import ip_2d
-
         cfg = write_config(tmp_path, ip_2d(),
                            s_grid={"min": 0.0, "max": 1.5, "count": 3},
                            grid_resolution=96,

@@ -273,15 +273,14 @@ class TestCaseIProfile:
         from matspec.ensembles import ip_flip_2d
         from matspec.projective import build_grid
         from matspec.recursion import directional_profile
-        from matspec.transfer import power_iterate
+        from matspec.transfer import KSolver
 
         lin = ip_flip_2d()
         ae = AffineEnsemble(2, lin.matrices.copy(),
                             np.array([[1.0, 0.3], [-0.5, 0.8]]),
                             lin.weights.copy())
         grid = build_grid(2, 256, "projective")
-        sp_star = power_iterate(transpose(lin), ip_alpha, grid, tol=1e-10,
-                                compute_p=False)
+        sp_star = KSolver(transpose(lin), grid, tol=1e-10).point(ip_alpha)
         bank = sample_stationary(ae, 1000, 600_000, seed=321, n_workers=2)
         ths = np.linspace(0, 2 * np.pi, 16, endpoint=False)
         dirs = np.column_stack([np.cos(ths), np.sin(ths)])

@@ -16,7 +16,7 @@ from matspec.renewal import (
     tilted_potential_profile,
 )
 from matspec.spectrum import lyapunov
-from matspec.transfer import power_iterate, transpose
+from matspec.transfer import KSolver, transpose
 
 L_ALPHA_KESTEN = 0.4 * 2.0 * np.log(2.0) - 0.2 * np.log(3.0)
 
@@ -24,13 +24,14 @@ L_ALPHA_KESTEN = 0.4 * 2.0 * np.log(2.0) - 0.2 * np.log(3.0)
 @pytest.fixture(scope="module")
 def sp_kesten_alpha():
     grid = build_grid(1, 1, "projective")
-    return power_iterate(kesten_affine_1d().linear_part, 1.0, grid)
+    return KSolver(kesten_affine_1d().linear_part, grid, tol=1e-10).point(1.0)
 
 
 @pytest.fixture(scope="module")
 def sp_star_kesten_alpha():
     grid = build_grid(1, 1, "projective")
-    return power_iterate(transpose(kesten_affine_1d().linear_part), 1.0, grid)
+    return KSolver(transpose(kesten_affine_1d().linear_part), grid,
+                   tol=1e-10).point(1.0)
 
 
 class TestExpandingProfile:
@@ -170,7 +171,7 @@ class TestDualWalk:
 
         ae = ip_affine_2d()
         star = transpose(ae.linear_part)
-        sp_star = power_iterate(star, ip_alpha, ip_solver.grid, tol=1e-10)
+        sp_star = KSolver(star, ip_solver.grid, tol=1e-10).point(ip_alpha)
         L_a = lyapunov(ae.linear_part, ip_alpha, "finite_diff",
                        solver=ip_solver)[0]
         # ladder finiteness is guaranteed on the charged attractor side of

@@ -14,7 +14,8 @@ from matspec.spectrum import (
     lyapunov_gap,
     solve_alpha,
 )
-from matspec.transfer import TiltedChain, tilted_probs
+from matspec import transfer
+from matspec.transfer import TiltedChain, TransferOperator, tilted_probs
 
 L0_KESTEN = 0.4 * np.log(2.0) - 0.6 * np.log(3.0)
 KP1_KESTEN = 0.4 * 2.0 * np.log(2.0) - 0.2 * np.log(3.0)
@@ -182,8 +183,7 @@ class TestPathDiagnostics:
         assert abs(gap - (-2.0 * np.log(2.0))) < 0.1
 
     def test_gap_ip_negative(self, ip, ip_solver, ip_alpha):
-        gap, se = lyapunov_gap(ip, ip_alpha, n=40, seed=4,
-                               sp=ip_solver.point(ip_alpha))
+        gap, se = lyapunov_gap(ip, ip_alpha, n=40, seed=4, solver=ip_solver)
         assert gap + 3 * se < 0
 
     def test_gap_needs_d2(self, kesten):
@@ -197,13 +197,12 @@ class TestPathDiagnostics:
 
     def test_contraction_ip_below_one(self, ip, ip_solver, ip_alpha):
         rho = contraction_rate(ip, ip_alpha, eps=0.3, n=25, seed=6,
-                               n_pairs=16, n_paths=32,
-                               sp=ip_solver.point(ip_alpha))
+                               n_pairs=16, n_paths=32, solver=ip_solver)
         assert rho < 0.97
 
     def test_contraction_eps_range_enforced(self, ip, ip_solver):
         with pytest.raises(ValueError, match="Holder"):
-            contraction_rate(ip, 0.5, eps=0.9, sp=ip_solver.point(0.5))
+            contraction_rate(ip, 0.5, eps=0.9, solver=ip_solver)
 
 
 class TestBackwardDirection:
@@ -221,10 +220,40 @@ class TestBackwardDirection:
 
     def test_ip_law_and_residual(self, ip, ip_solver, ip_alpha):
         bd = backward_direction(ip, ip_alpha, n=200, seed=6, n_repeats=400,
-                                sp=ip_solver.point(ip_alpha))
+                                solver=ip_solver)
         assert bd["max_probe_residual"] < 1e-3
         assert bd["law_tv_distance"] < 0.2
         assert not bd["flag_no_contraction"]
+
+
+def test_warm_solver_hides_no_solve(ip, monkeypatch):
+    # every diagnostic given a solver takes its points (and the transposed
+    # ones) from it: no operator is built and nothing is solved again
+    ks = KSolver(ip, build_grid(2, 128, "projective"))
+    s = 1.0
+    ks.point(s)
+    ks.star.point(s)
+    calls = []
+    build = TransferOperator.__init__
+    solve = transfer.power_iterate
+
+    def counting_build(self, *args):
+        calls.append("build")
+        build(self, *args)
+
+    def counting_solve(*args, **kwargs):
+        calls.append("solve")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(TransferOperator, "__init__", counting_build)
+    monkeypatch.setattr(transfer, "power_iterate", counting_solve)
+    lyapunov_gap(ip, s, n=5, n_pairs=2, n_paths=4, seed=1, solver=ks)
+    contraction_rate(ip, s, eps=0.5, n=5, n_pairs=2, n_paths=4, seed=2, solver=ks)
+    backward_direction(ip, s, n=10, seed=3, n_probes=4, n_repeats=8, solver=ks)
+    assert calls == []
+    # the counters do count: a fresh solver builds and solves
+    KSolver(ip, ks.grid).point(s)
+    assert calls == ["build", "solve"]
 
 
 class TestCurve:
@@ -268,7 +297,7 @@ class TestD3Diagnostics:
 
     def test_contraction_eps_to_zero_limit(self, ip, ip_solver, ip_alpha):
         rho = contraction_rate(ip, ip_alpha, eps=1e-9, n=10, n_pairs=4,
-                               n_paths=8, seed=4, sp=ip_solver.point(ip_alpha))
+                               n_paths=8, seed=4, solver=ip_solver)
         assert abs(rho - 1.0) < 1e-6
 
 

@@ -4,12 +4,11 @@ import pytest
 from matspec.ensemble import LinearEnsemble, classify_cone_case, transpose
 from matspec.ensembles import affine_3d, ip_2d, positive_2d, rotation, rotations_2d
 from matspec.projective import GridFunction, GridMeasure, build_grid, interpolate
-from matspec.spectrum import KSolver, solve_alpha
+from matspec.spectrum import solve_alpha
 from matspec.transfer import (
+    KSolver,
     TiltedChain,
     TransferOperator,
-    apply_ps,
-    apply_ps_adjoint,
     complex_radius_ratio,
     cross_check_es,
     k_closed_form_1d,
@@ -31,34 +30,35 @@ def similarity_k(s):
 class TestApply:
     def test_s0_constant_preserved(self, similarity, grid128):
         f = GridFunction(grid128, np.ones(128))
-        out = apply_ps(similarity, 0.0, f)
-        assert np.allclose(out.values, 1.0, atol=1e-12)
+        out = TransferOperator(similarity, grid128).matrix(0.0) @ f.values
+        assert np.allclose(out, 1.0, atol=1e-12)
 
     def test_similarity_constant_value(self, similarity, grid128):
         # |g_i x| = r_i for every x, so P^s 1 = sum w_i r_i^s exactly
         f = GridFunction(grid128, np.ones(128))
         for s in (0.5, 1.0, 2.0):
-            out = apply_ps(similarity, s, f)
-            assert np.allclose(out.values, similarity_k(s), rtol=1e-12)
+            out = TransferOperator(similarity, grid128).matrix(s) @ f.values
+            assert np.allclose(out, similarity_k(s), rtol=1e-12)
 
     def test_kesten_closed_form_mellin(self, kesten):
         grid = build_grid(1, 1, "projective")
         f = GridFunction(grid, np.ones(1))
-        out = apply_ps(kesten, 1.0, f)
-        assert abs(out.values[0] - 1.0) < 1e-14  # 0.4*2 + 0.6/3 = 1
+        out = TransferOperator(kesten, grid).matrix(1.0) @ f.values
+        assert abs(out[0] - 1.0) < 1e-14  # 0.4*2 + 0.6/3 = 1
 
     def test_adjoint_mass_preserved_by_isometries(self, grid128):
         e = rotations_2d()
         sigma = GridMeasure(grid128, grid128.quadrature_weights.copy())
-        out = apply_ps_adjoint(e, 0.0, sigma)
-        assert abs(out.total - 1.0) < 1e-12
+        out = TransferOperator(e, grid128).matrix(0.0).T @ sigma.masses
+        assert abs(out.sum() - 1.0) < 1e-12
 
     def test_identity_atom_preserves_measure(self, grid128):
         e = LinearEnsemble(2, np.array([np.eye(2)]), np.array([1.0]))
         rng = np.random.default_rng(0)
         masses = rng.random(128)
-        out = apply_ps_adjoint(e, 0.7, GridMeasure(grid128, masses))
-        assert np.allclose(out.masses, masses, atol=1e-12)
+        sigma = GridMeasure(grid128, masses)
+        out = TransferOperator(e, grid128).matrix(0.7).T @ sigma.masses
+        assert np.allclose(out, masses, atol=1e-12)
 
     def test_duality_random_f_sigma(self, ip, grid128):
         rng = np.random.default_rng(1)
@@ -73,18 +73,18 @@ class TestApply:
 class TestPowerIterate:
     def test_k0_is_one_exactly(self, kesten, similarity, ip, grid128):
         grid1 = build_grid(1, 1, "projective")
-        assert power_iterate(kesten, 0.0, grid1, compute_p=False).k == 1.0
-        assert power_iterate(similarity, 0.0, grid128, compute_p=False).k == 1.0
-        assert power_iterate(ip, 0.0, grid128, compute_p=False).k == 1.0
+        assert KSolver(kesten, grid1, tol=1e-10).point(0.0).k == 1.0
+        assert KSolver(similarity, grid128, tol=1e-10).point(0.0).k == 1.0
+        assert KSolver(ip, grid128, tol=1e-10).point(0.0).k == 1.0
 
     def test_similarity_eigenfunction_constant(self, similarity, grid128):
-        sp = power_iterate(similarity, 1.0, grid128)
+        sp = KSolver(similarity, grid128, tol=1e-10).point(1.0)
         assert abs(sp.k - 1.0) < 1e-10  # k(1) = 0.4*2 + 0.6/3 = 1
         assert sp.e.values.max() - sp.e.values.min() < 1e-6
 
     def test_kesten_half_exponent(self, kesten):
         grid1 = build_grid(1, 1, "projective")
-        sp = power_iterate(kesten, 0.5, grid1)
+        sp = KSolver(kesten, grid1, tol=1e-10).point(0.5)
         exact = 0.4 * np.sqrt(2.0) + 0.6 / np.sqrt(3.0)
         assert abs(sp.k - exact) < 1e-12
         assert abs(exact - 0.9121) < 1e-4  # 0.4*sqrt(2) + 0.6/sqrt(3)
@@ -110,9 +110,8 @@ class TestPowerIterate:
 
     def test_transpose_same_k(self, ip, grid128):
         for s in (0.4, 1.0, 1.6):
-            k1 = power_iterate(ip, s, grid128, tol=1e-11, compute_p=False).k
-            k2 = power_iterate(transpose(ip), s, grid128, tol=1e-11,
-                               compute_p=False).k
+            k1 = KSolver(ip, grid128, tol=1e-11).point(s).k
+            k2 = KSolver(transpose(ip), grid128, tol=1e-11).point(s).k
             assert abs(k1 - k2) < 2e-8
 
     def test_transpose_same_k_closed_form_1d(self, kesten):
@@ -122,22 +121,18 @@ class TestPowerIterate:
             )
 
     def test_grid_refinement_budget(self, ip):
-        k_coarse = power_iterate(ip, 1.0, build_grid(2, 128, "projective"),
-                                 compute_p=False).k
-        k_mid = power_iterate(ip, 1.0, build_grid(2, 256, "projective"),
-                              compute_p=False).k
-        k_fine = power_iterate(ip, 1.0, build_grid(2, 512, "projective"),
-                               compute_p=False).k
+        k_coarse = KSolver(ip, build_grid(2, 128, "projective"), tol=1e-10).point(1.0).k
+        k_mid = KSolver(ip, build_grid(2, 256, "projective"), tol=1e-10).point(1.0).k
+        k_fine = KSolver(ip, build_grid(2, 512, "projective"), tol=1e-10).point(1.0).k
         # refinement differences must shrink (factor ~4 for linear interp)
         assert abs(k_fine - k_mid) < abs(k_mid - k_coarse)
         assert abs(k_fine - k_mid) < 1e-4
 
     def test_warm_start_matches_cold(self, ip, grid128):
         op = TransferOperator(ip, grid128)
-        near = power_iterate(ip, 1.0, grid128, tol=1e-11, compute_p=False, op=op)
-        cold = power_iterate(ip, 1.05, grid128, tol=1e-11, compute_p=False)
-        warm = power_iterate(ip, 1.05, grid128, tol=1e-11, compute_p=False,
-                             op=op, start=near)
+        near = power_iterate(op, 1.0, 1e-11, 20000)
+        cold = power_iterate(op, 1.05, 1e-11, 20000)
+        warm = power_iterate(op, 1.05, 1e-11, 20000, start=near)
         assert warm.converged and cold.converged
         assert abs(warm.k - cold.k) < 1e-10
         assert np.max(np.abs(warm.e.values - cold.e.values)) < 1e-8
@@ -145,30 +140,29 @@ class TestPowerIterate:
 
     def test_negative_exponent_rejected(self, similarity, grid128):
         with pytest.raises(ValueError, match="negative"):
-            power_iterate(similarity, -0.5, grid128)
+            KSolver(similarity, grid128, tol=1e-10).point(-0.5)
 
 
 class TestCrossCheck:
     def test_s0_both_sides_one(self, ip, grid128):
-        sp = power_iterate(ip, 0.0, grid128)
-        sp_star = power_iterate(transpose(ip), 0.0, grid128, compute_p=False)
+        sp = KSolver(ip, grid128, tol=1e-10).point(0.0, compute_p=True)
+        sp_star = KSolver(transpose(ip), grid128, tol=1e-10).point(0.0)
         # p(0) = 1 and e^0 = 1: residual is pure quadrature error
         assert abs(sp.p - 1.0) < 1e-10
         assert cross_check_es(sp, sp_star) < 1e-8
 
     def test_similarity_by_symmetry(self, similarity):
         grid = build_grid(2, 512, "projective")
-        sp = power_iterate(similarity, 1.0, grid)
-        sp_star = power_iterate(transpose(similarity), 1.0, grid, compute_p=False)
+        sp = KSolver(similarity, grid, tol=1e-10).point(1.0)
+        sp_star = KSolver(transpose(similarity), grid, tol=1e-10).point(1.0)
         assert cross_check_es(sp, sp_star) < 1e-3
 
     def test_ip_two_resolution_consistency(self, ip, ip_alpha):
         res = {}
         for n in (256, 512):
             grid = build_grid(2, n, "projective")
-            sp = power_iterate(ip, ip_alpha, grid, tol=1e-11)
-            sp_star = power_iterate(transpose(ip), ip_alpha, grid, tol=1e-11,
-                                    compute_p=False)
+            sp = KSolver(ip, grid, tol=1e-11).point(ip_alpha)
+            sp_star = KSolver(transpose(ip), grid, tol=1e-11).point(ip_alpha)
             res[n] = cross_check_es(sp, sp_star)
         assert res[512] < res[256]
         assert res[256] < 2e-3
@@ -183,12 +177,12 @@ def kernel_at(e, sp, x):
 
 class TestTiltedKernel:
     def test_s0_gives_weights(self, ip, grid128):
-        sp = power_iterate(ip, 0.0, grid128, compute_p=False)
+        sp = KSolver(ip, grid128, tol=1e-10).point(0.0)
         probs, _ = kernel_at(ip, sp, grid128.nodes[3])
         assert np.allclose(probs, ip.weights, atol=1e-10)
 
     def test_similarity_tilt(self, similarity, grid128):
-        sp = power_iterate(similarity, 1.0, grid128, compute_p=False)
+        sp = KSolver(similarity, grid128, tol=1e-10).point(1.0)
         probs, norm = kernel_at(similarity, sp, grid128.nodes[10])
         expected = np.array([0.4 * 2.0, 0.6 / 3.0]) / similarity_k(1.0)
         assert np.allclose(probs, expected, atol=1e-8)
@@ -278,7 +272,7 @@ class TestExtremalMeasures:
         s = 0.8
         grid = build_grid(2, 256, "sphere")
         pair = sphere_extremal_measures(e, s, grid, pts)
-        proj = power_iterate(e, s, build_grid(2, 128, "projective"))
+        proj = KSolver(e, build_grid(2, 128, "projective"), tol=1e-10).point(s)
         lifted = np.array([interpolate(proj.e, x) for x in grid.nodes])
         total = pair.e_plus.values + pair.e_minus.values
         # e_+ + e_- reproduces the projective eigenfunction up to the
@@ -317,14 +311,14 @@ class TestOtherDimensions:
         )
         grid = build_grid(3, 600, "projective")
         for s in (0.0, 1.0):
-            sp = power_iterate(e, s, grid, tol=1e-9, compute_p=False)
+            sp = KSolver(e, grid, tol=1e-9).point(s)
             exact = 0.4 * 2.0**s + 0.6 / 3.0**s
             assert abs(sp.k - exact) < 1e-8
             assert sp.e.values.std() < 1e-6
 
     def test_d1_sphere_mode(self, kesten):
         grid = build_grid(1, 2, "sphere")
-        sp = power_iterate(kesten, 0.5, grid, compute_p=False)
+        sp = KSolver(kesten, grid, tol=1e-10).point(0.5)
         exact = 0.4 * np.sqrt(2.0) + 0.6 / np.sqrt(3.0)
         assert abs(sp.k - exact) < 1e-10
         # positive scalars never mix the two poles; masses stay symmetric
@@ -334,7 +328,7 @@ class TestOtherDimensions:
         e = LinearEnsemble(1, np.array([[[-2.0]], [[1 / 3]]]),
                            np.array([0.4, 0.6]))
         grid = build_grid(1, 2, "sphere")
-        sp = power_iterate(e, 1.0, grid, compute_p=False)
+        sp = KSolver(e, grid, tol=1e-10).point(1.0)
         assert abs(sp.k - 1.0) < 1e-12  # |a| enters, not the sign
 
 
@@ -346,7 +340,6 @@ def test_extremal_points_match_projective_k():
     # a 256-node sphere grid has the same angular spacing as a 128-node
     # projective grid, so the cone-restricted eigenvalue matches it closely
     pair = sphere_extremal_measures(e, s, build_grid(2, 256, "sphere"), pts)
-    proj = power_iterate(e, s, build_grid(2, 128, "projective"),
-                         compute_p=False)
+    proj = KSolver(e, build_grid(2, 128, "projective"), tol=1e-10).point(s)
     assert pair.point_plus.mode == "sphere-cone-restricted"
     assert abs(pair.point_plus.k - proj.k) < 1e-8
