@@ -112,39 +112,44 @@ class RunConfig:
         if not ens.is_absolute():
             ens = p.parent / ens
         sg = merged.get("s_grid", {"min": 0.0, "max": 2.0, "count": 9})
-        s_grid = (float(sg["min"]), float(sg["max"]), int(sg["count"]))
-        s_max_bound = float(merged.get("s_max_bound", 64.0))
-        if s_grid[1] > s_max_bound:
-            raise ConfigError(
-                f"s_grid max {s_grid[1]} exceeds the declared bound {s_max_bound}"
-            )
-        if s_grid[0] < 0:
-            raise ConfigError("negative exponents are not supported")
-        if s_grid[2] < 2:
-            raise ConfigError("s_grid count must be >= 2")
         mc = merged.get("mc", {})
-        cfg = cls(
+        return cls(
             ensemble_path=ens,
             seed=int(merged["seed"]),
             out_dir=Path(merged.get("out", "matspec-out")),
             threads=max(1, int(merged.get("threads", 1))),
             grid_resolution=int(merged.get("grid_resolution", 512)),
-            s_grid=s_grid,
-            s_max_bound=s_max_bound,
+            s_grid=(float(sg["min"]), float(sg["max"]), int(sg["count"])),
+            s_max_bound=float(merged.get("s_max_bound", 64.0)),
             mc_paths=int(mc.get("paths", 100_000)),
             mc_steps=int(mc.get("steps", 400)),
             mc_samples=int(mc.get("samples", 1_000_000)),
             options=dict(merged.get("options", {})),
             raw=merged,
         )
+
+    def check(self) -> None:
+        """Reject values no command can run with; load parses without it,
+        so that a rejected config still knows its output directory."""
+        lo, hi, count = self.s_grid
+        if hi > self.s_max_bound:
+            raise ConfigError(
+                f"s_grid max {hi} exceeds the declared bound {self.s_max_bound}"
+            )
+        if lo < 0:
+            raise ConfigError("negative exponents are not supported")
+        if count < 2:
+            raise ConfigError("s_grid count must be >= 2")
         for name, val in (
-            ("mc.paths", cfg.mc_paths),
-            ("mc.steps", cfg.mc_steps),
-            ("mc.samples", cfg.mc_samples),
+            ("mc.paths", self.mc_paths),
+            ("mc.steps", self.mc_steps),
+            ("mc.samples", self.mc_samples),
         ):
             if val <= 0:
                 raise ConfigError(f"{name} must be positive")
-        return cfg
+        rho_eps = self.options.get("rho_eps", 0.25)
+        if not isinstance(rho_eps, (int, float)) or not 0.0 < rho_eps <= 1.0:
+            raise ConfigError(f"options.rho_eps must lie in (0, 1], got {rho_eps!r}")
 
     def s_values(self) -> np.ndarray:
         lo, hi, count = self.s_grid
@@ -205,7 +210,7 @@ class Manifest:
 def _load_inputs(args, command: str, need_affine: bool = False,
                  need_grid: bool = True):
     """(config, ensemble, the run's solver or None when need_grid is off);
-    input errors found past the config parse still write a manifest."""
+    input errors found once the config parses still write a manifest."""
     overrides = {
         "seed": args.seed,
         "out": args.out,
@@ -214,6 +219,7 @@ def _load_inputs(args, command: str, need_affine: bool = False,
     }
     cfg = RunConfig.load(args.config, overrides)
     try:
+        cfg.check()
         ensemble = load_ensemble(cfg.ensemble_path)
         if need_affine and not isinstance(ensemble, AffineEnsemble):
             raise ConfigError("this command needs an affine ensemble (translations)")
@@ -222,12 +228,10 @@ def _load_inputs(args, command: str, need_affine: bool = False,
                 f"unsupported dimension {ensemble.dimension}: {command} solves on "
                 "direction grids, which cover d in {1, 2, 3}"
             )
-        rho_eps = cfg.options.get("rho_eps", 0.25)
-        if not isinstance(rho_eps, (int, float)) or not 0.0 < rho_eps <= 1.0:
-            raise ConfigError(f"options.rho_eps must lie in (0, 1], got {rho_eps!r}")
         ks = _solver(cfg, _linear_part(ensemble)) if need_grid else None
     except (EnsembleError, ConfigError):
-        # the manifest contract holds even when the ensemble cannot load
+        # the manifest contract holds even when the config values or the
+        # ensemble are invalid
         man = Manifest(command, cfg, sha="unavailable")
         man.finish("invalid-input")
         raise

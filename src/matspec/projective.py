@@ -216,14 +216,22 @@ def interp_stencil(grid: DirectionGrid, xs: np.ndarray) -> tuple[np.ndarray, np.
             idx = (xs[:, 0] < 0).astype(np.intp)[:, None]
         return idx, np.ones_like(idx, dtype=float)
     if d == 2:
+        # theta % span without the slow float fmod: arctan2 lies in
+        # [-pi, pi], so pi itself wraps to +0 on the projective half circle
+        # and every other angle wraps only when negative
         span = grid.angle_span
-        theta = np.arctan2(xs[:, 1], xs[:, 0]) % span
-        step = span / n
-        pos = theta / step
-        j = np.floor(pos).astype(np.intp) % n
-        t = pos - np.floor(pos)
-        idx = np.column_stack([j, (j + 1) % n])
-        w = np.column_stack([1.0 - t, t])
+        theta = np.arctan2(xs[:, 1], xs[:, 0])
+        theta[theta >= span] = 0.0
+        pos = np.where(theta < 0, theta + span, theta)
+        pos /= span / n
+        fl = np.floor(pos)
+        idx = np.empty((len(pos), 2), dtype=np.intp)
+        idx[:, 0] = fl
+        idx[:, 1] = idx[:, 0] + 1
+        idx[idx >= n] -= n  # pos lies in [0, n]: node n is node 0
+        w = np.empty((len(pos), 2))
+        np.subtract(pos, fl, out=w[:, 1])
+        np.subtract(1.0, w[:, 1], out=w[:, 0])
         return idx, w
     # d = 3: inverse-distance weights over the 3 nearest nodes.  A projective
     # tree holds node x and -x, at distances d <= sqrt(2) <= sqrt(4 - d^2)
@@ -240,7 +248,8 @@ def interp_stencil(grid: DirectionGrid, xs: np.ndarray) -> tuple[np.ndarray, np.
     dist = np.take_along_axis(dist, order, axis=1)[:, :k]
     w = 1.0 / np.maximum(dist, 1e-30)
     w[dist[:, 0] < 1e-12] = np.eye(k)[0]  # a node hit is the nearest node
-    return idx, w / w.sum(axis=1, keepdims=True)
+    # numpy sums a row this short in order; the column adds are that sum
+    return idx, w / (w[:, 0] + w[:, 1] + w[:, 2])[:, None]
 
 
 def interpolate(f: GridFunction, x: np.ndarray) -> float | np.ndarray:
@@ -248,7 +257,10 @@ def interpolate(f: GridFunction, x: np.ndarray) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     idx, w = interp_stencil(f.grid, x)
-    out = np.sum(f.values[idx] * w, axis=1)
+    terms = f.values.take(idx) * w
+    out = terms[:, 0]
+    for j in range(1, idx.shape[1]):  # numpy's in-order sum of a short row
+        out = out + terms[:, j]
     return out[0] if single else out
 
 

@@ -179,27 +179,42 @@ def cramer_constant(
     t_arr = np.exp(log_ts)
     rng = _rng(seed, 660)
     if method == "naive":
+        # the live paths, in their original order, are compacted as they
+        # retire; x holds one row per coordinate and a step applies the drawn
+        # atoms entry by entry (entries row i*d + j holds every atom's g_ij)
         d = e.dimension
-        x = np.tile(u, (n_paths, 1))
+        entries = e.matrices.reshape(e.n_atoms, d * d).T.copy()
+        x = np.repeat(u[:, None], n_paths, axis=1)
         logmag = np.zeros(n_paths)
         running_max = np.zeros(n_paths)
-        active = np.ones(n_paths, dtype=bool)
+        live = np.arange(n_paths)
+        peak = np.zeros(n_paths)  # running max of each path at its retirement
         steps = 0
-        while active.any() and steps < max_steps:
-            sel = np.flatnonzero(active)
-            idx = draw_atoms(rng, e.weights, sel.size)
-            g = e.matrices[idx]
-            y = np.einsum("nij,nj->ni", g, x[sel])
-            norms = np.linalg.norm(y, axis=1)
-            x[sel] = y / norms[:, None]
-            logmag[sel] += np.log(norms)
-            running_max[sel] = np.maximum(running_max[sel], logmag[sel])
-            done = logmag[sel] < running_max[sel] - drop_nats
-            active[sel[done]] = False
+        while live.size and steps < max_steps:
+            g = entries.take(draw_atoms(rng, e.weights, live.size), axis=1)
+            y = np.empty_like(x)
+            for i in range(d):
+                y[i] = g[i * d] * x[0]
+                for j in range(1, d):
+                    y[i] += g[i * d + j] * x[j]
+            sq = y[0] * y[0]
+            for i in range(1, d):
+                sq += y[i] * y[i]
+            norms = np.sqrt(sq)
+            x = y / norms
+            logmag += np.log(norms)
+            np.maximum(running_max, logmag, out=running_max)
+            done = logmag < running_max - drop_nats
+            if done.any():
+                peak[live[done]] = running_max[done]
+                keep = ~done
+                x, logmag = x[:, keep], logmag[keep]
+                running_max, live = running_max[keep], live[keep]
             steps += 1
+        peak[live] = running_max
         rows = []
         for lt, t in zip(log_ts, t_arr):
-            hits = int((running_max > lt).sum())
+            hits = int((peak > lt).sum())
             p_hat = hits / n_paths
             se = np.sqrt(max(p_hat * (1 - p_hat), 0.0) / n_paths)
             rows.append(
@@ -217,10 +232,11 @@ def cramer_constant(
     if sp is None:
         raise ValueError("tilted method needs the spectral point at alpha")
     chain = TiltedChain(e, sp, np.tile(u, (n_paths, 1)))
-    # per threshold: accumulated weight sums at first crossing
+    # per threshold: accumulated weight sums at first crossing.  A path has
+    # crossed exactly the thresholds below its first uncrossed one, nxt.
     weight_sum = np.zeros(len(log_ts))
     weight_sq = np.zeros(len(log_ts))
-    crossed = np.zeros((n_paths, len(log_ts)), dtype=bool)
+    nxt = np.zeros(n_paths, dtype=np.intp)
     steps = 0
     top = log_ts[-1]
     active = np.ones(n_paths, dtype=bool)
@@ -228,23 +244,26 @@ def cramer_constant(
         sel = np.flatnonzero(active)
         chain.step(rng, sel)
         logmag = chain.logmag[sel]
-        # the simulated kernel normalizes by the grid normalizer (= k(alpha)
-        # up to discretization); the likelihood ratio folds in the actual
-        # normalizers, which keeps the estimator exactly unbiased for the
-        # chain that was simulated
-        logw = chain.log_lr(sel)
-        for j, lt in enumerate(log_ts):
-            newly = (logmag > lt) & (~crossed[sel, j])
-            if newly.any():
-                wvals = np.exp(logw[newly])
-                weight_sum[j] += wvals.sum()
-                weight_sq[j] += (wvals**2).sum()
-                crossed[sel[newly], j] = True
+        reach = np.searchsorted(log_ts, logmag)  # thresholds below logmag
+        new = reach > nxt[sel]
+        if new.any():
+            crossing = sel[new]
+            lo, hi = nxt[crossing], reach[new]
+            # the simulated kernel normalizes by the grid normalizer
+            # (= k(alpha) up to discretization); the likelihood ratio folds
+            # in the actual normalizers, which keeps the estimator exactly
+            # unbiased for the chain that was simulated
+            wvals = np.exp(chain.log_lr(crossing))
+            for j in range(lo.min(), hi.max()):  # one step may cross several
+                wj = wvals[(lo <= j) & (hi > j)]
+                weight_sum[j] += wj.sum()
+                weight_sq[j] += (wj**2).sum()
+            nxt[crossing] = hi
         active[sel] = logmag <= top
         steps += 1
     rows = []
     for j, (lt, t) in enumerate(zip(log_ts, t_arr)):
-        n_cross = int(crossed[:, j].sum())
+        n_cross = int((nxt > j).sum())
         p_hat = weight_sum[j] / n_paths
         var = max(weight_sq[j] / n_paths - p_hat**2, 0.0)
         se = np.sqrt(var / n_paths)
@@ -376,6 +395,7 @@ def dual_walk_simulate(
     else:
         u = np.tile(np.asarray(u0, dtype=float) / np.linalg.norm(u0), (n_starts, 1))
     chain = TiltedChain(lin_star, sp_star_alpha, u)
+    b_cols = ae.translations.T.copy()  # row j: every atom's B_j
     p = np.full(n_starts, float(p0))
     log_record = np.zeros(n_starts)  # record of log(p^{-1} p_n |S'_n u|), start 0
     has_record = np.zeros(n_starts, dtype=bool)
@@ -385,12 +405,20 @@ def dual_walk_simulate(
     gap_sum = np.zeros(n_starts)
     sign_ok = True
     zero_hits = 0
-    eps_sums: list[np.ndarray] = []
+    # |p|^eps after burn-in: per-start totals and the sums of n_batches
+    # equal blocks of steps (a remainder of fewer than nb steps is left out)
     burn = max(50, n_steps // 10)
+    nb = max(2, n_batches)
+    block_len = max(n_steps - burn, 0) // nb
+    eps_total = np.zeros(n_starts)
+    block_sums = np.zeros(nb)
     for step in range(1, n_steps + 1):
         u = chain.x.copy()
         choice, ln = chain.step(rng)
-        bu = np.sum(ae.translations[choice] * u, axis=1)
+        # <B, u>, adding the d terms in order as numpy's short-axis sum does
+        bu = b_cols[0].take(choice) * u[:, 0]
+        for j in range(1, d):
+            bu += b_cols[j].take(choice) * u[:, j]
         p_new = (p + bu) / np.exp(ln)
         exact_zero = p_new == 0.0
         if exact_zero.any():
@@ -419,13 +447,17 @@ def dual_walk_simulate(
             log_record[is_record] = logv[is_record]
             has_record[is_record] = True
         if step > burn:
-            eps_sums.append(np.abs(p) ** eps)
-    eps_arr = np.array(eps_sums)  # (steps_after_burn, n_starts)
-    eps_moment = float(eps_arr.mean())
-    nb = max(2, n_batches)
-    cut = (eps_arr.shape[0] // nb) * nb
-    batches = eps_arr[:cut].reshape(nb, -1).mean(axis=1)
-    eps_cv = float(batches.std(ddof=1) / batches.mean()) if batches.mean() > 0 else np.inf
+            eps_p = np.abs(p) ** eps
+            eps_total += eps_p
+            if step <= burn + nb * block_len:
+                block_sums[(step - burn - 1) // block_len] += eps_p.sum()
+    n_after = n_steps - burn
+    eps_moment = float(eps_total.sum() / (n_after * n_starts)) if n_after > 0 else np.nan
+    eps_cv = np.inf  # also when the blocks are empty
+    if block_len:
+        batches = block_sums / (block_len * n_starts)
+        if batches.mean() > 0:
+            eps_cv = float(batches.std(ddof=1) / batches.mean())
     with_epochs = n_epochs > 0
     if with_epochs.any():
         mean_gap = float((gap_sum[with_epochs] / n_epochs[with_epochs]).mean())

@@ -29,7 +29,9 @@ The one-step tilted Markov kernel
 with c(x) its exact normalizer (k(s) up to discretization), is the sampling
 device of every rare-event and Lyapunov routine downstream; TiltedChain
 runs it on many paths at once and keeps the likelihood ratio of each path
-against the untilted walk.
+against the untilted walk.  A tilted step forms every atom's image of every
+path in one matrix product and interpolates e^s at all of them in one
+stencil call.
 """
 
 from __future__ import annotations
@@ -321,19 +323,41 @@ def tilted_probs(
 
     Returns (probs (M, m), normalizer (M,), images (M, m, d),
     lognorms (M, m), e^s at the images (M, m)); probs rows are normalized,
-    and normalizer / k(s) ~ 1 up to discretization.  e^s is interpolated at
-    all m images in one stencil call.
+    and normalizer / k(s) ~ 1 up to discretization.  Every atom's image
+    comes from one product and e^s at all m images from one stencil call.
     """
     m = e.n_atoms
     M, d = xs.shape
-    images = np.empty((M, m, d))
-    lognorms = np.empty((M, m))
-    for i in range(m):
-        images[:, i], lognorms[:, i] = act_many(e.matrices[i], xs)
+    # column block i of [g_0^T ... g_{m-1}^T] maps xs to xs @ g_i^T
+    gx = (xs @ e.matrices.transpose(2, 0, 1).reshape(d, m * d)).reshape(M, m, d)
+    norms = np.sqrt(_sum_last(gx * gx))
+    if np.any(norms < 1e-300):
+        raise FloatingPointError("`|gx|` underflow: numerically degenerate atom")
+    images = gx
+    images /= norms[:, :, None]
+    lognorms = np.log(norms)
     e_img = interpolate(sp.e, images.reshape(M * m, d)).reshape(M, m)
-    raw = e.weights * np.exp(sp.s * lognorms) * e_img / e_xs[:, None]
-    normalizer = raw.sum(axis=1)
-    return raw / normalizer[:, None], normalizer, images, lognorms, e_img
+    # w_i e^{s log|g_i x|} e^s(g_i.x) / e^s(x), one operation at a time in place
+    probs = np.multiply(lognorms, sp.s)
+    np.exp(probs, out=probs)
+    probs *= e.weights
+    probs *= e_img
+    probs /= e_xs[:, None]
+    normalizer = _sum_last(probs)
+    probs /= normalizer[:, None]
+    return probs, normalizer, images, lognorms, e_img
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1), bit for bit.  numpy adds fewer than 8 terms in order
+    (pairwise beyond that), and adding the slices in that order avoids its
+    slow short-axis reduction."""
+    if a.shape[-1] >= 8:
+        return a.sum(axis=-1)
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
 
 
 class TiltedChain:
@@ -358,18 +382,26 @@ class TiltedChain:
     def step(self, rng: np.random.Generator,
              rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Advance the selected paths one step; returns (atom, log|g x|)."""
+        # take gathers index rows far faster than fancy indexing does
+        x = self.x[rows] if isinstance(rows, slice) else self.x.take(rows, axis=0)
         probs, normalizer, images, lognorms, e_img = tilted_probs(
-            self.ensemble, self.sp, self.x[rows], self.e_x[rows])
-        n = len(normalizer)
-        u = rng.random((n, 1))
-        atom = np.minimum((u > np.cumsum(probs, axis=1)).sum(axis=1),
-                          self.ensemble.n_atoms - 1)
-        at = np.arange(n), atom
-        self.x[rows] = images[at]
-        self.e_x[rows] = e_img[at]
-        self.logmag[rows] += lognorms[at]
+            self.ensemble, self.sp, x, self.e_x[rows])
+        n, m = lognorms.shape
+        u = rng.random(n)
+        # the atom is the count of running sums below u; the sums rise, so
+        # counting the first m - 1 caps it at the last atom
+        atom = np.zeros(n, dtype=np.intp)
+        cdf = np.zeros(n)
+        for j in range(m - 1):
+            cdf += probs[:, j]
+            atom += u > cdf
+        drawn = np.arange(n) * m + atom  # each row's atom, (row, atom) flattened
+        ln = lognorms.take(drawn)
+        self.x[rows] = images.reshape(n * m, -1).take(drawn, axis=0)
+        self.e_x[rows] = e_img.take(drawn)
+        self.logmag[rows] += ln
         self.lognorm[rows] += np.log(normalizer)
-        return atom, lognorms[at]
+        return atom, ln
 
     def log_lr(self, rows=slice(None)) -> np.ndarray:
         """log e^s(x0) - log e^s(x_n) - s log|S_n x0| + sum of log
@@ -431,16 +463,16 @@ def sphere_extremal_measures(
     if not plus_mask.any() or plus_mask.all():
         raise ValueError("attractor cone does not separate the grid")
     ks = KSolver(e, grid, tol, max_iter)
-    nu_plus, k_est, _, iters = _cone_eigenmeasure(ks.op, s, plus_mask, tol, max_iter)
+    nu_plus, k_est, res_nu, iters = _cone_eigenmeasure(ks.op, s, plus_mask, tol,
+                                                       max_iter)
     amap = _antipode_map(grid)
     nu_minus = np.bincount(amap, weights=nu_plus, minlength=grid.n_nodes)
 
     # transposed-ensemble cone data for the e_+ transform
     star_attr = _cone_attractor(ks.star.ensemble, attractor_points, seed=0)
     star_mask = _attractor_side(grid.nodes, star_attr)
-    # the restricted points report this residual (e_+ is built from tau)
-    # next to the iteration count of nu_+
-    tau, _, res, _ = _cone_eigenmeasure(ks.star.op, s, star_mask, tol, max_iter)
+    # e_+ is built from tau, so tau's residual is the one of e_+
+    tau, _, res_e, _ = _cone_eigenmeasure(ks.star.op, s, star_mask, tol, max_iter)
     # p(s) from the projective eigen-problem (pairing normalization)
     proj_grid = build_grid(grid.dimension, grid.n_nodes // 2 or 1, PROJECTIVE)
     p_s = KSolver(e, proj_grid, tol=tol).point(s, compute_p=True).p or 1.0
@@ -460,8 +492,8 @@ def sphere_extremal_measures(
             s=float(s), k=float(k_est),
             e=GridFunction(grid, np.maximum(e_vals, 0.0)),
             nu=GridMeasure(grid, nu_masses), p=p_s,
-            iterations=iters, residual_e=float(res), residual_nu=float(res),
-            mode=mode, converged=bool(res < tol),
+            iterations=iters, residual_e=float(res_e), residual_nu=float(res_nu),
+            mode=mode, converged=bool(res_e < tol and res_nu < tol),
         )
 
     return ExtremalPair(

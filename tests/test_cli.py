@@ -86,11 +86,21 @@ class TestValidateCommand:
         assert manifest["status"] == "invalid-input"
 
     def test_manifest_written_on_failure(self, tmp_path):
-        # spectrum on an s-grid violating the declared bound fails at parse,
-        # before any manifest exists; a failing solve still writes one
-        cfg = write_config(tmp_path, kesten_1d(),
-                           s_grid={"min": 0.0, "max": 70.0, "count": 3})
-        assert main(["spectrum", "--config", str(cfg)]) == EXIT_INVALID
+        # config values no command can run with are invalid input, and the
+        # run still leaves a manifest that says so
+        bad_values = [
+            {"s_grid": {"min": 0.0, "max": 70.0, "count": 3}},
+            {"s_grid": {"min": -0.5, "max": 1.0, "count": 3}},
+            {"s_grid": {"min": 0.0, "max": 1.0, "count": 1}},
+            {"mc": {"paths": 0, "steps": 300, "samples": 50_000}},
+        ]
+        for extra in bad_values:
+            cfg = write_config(tmp_path, kesten_1d(), **extra)
+            manifest_path = tmp_path / "out" / "manifest.json"
+            manifest_path.unlink(missing_ok=True)
+            assert main(["spectrum", "--config", str(cfg)]) == EXIT_INVALID
+            manifest = json.loads(manifest_path.read_text())
+            assert manifest["status"] == "invalid-input", extra
 
 
 BAD_OPTIONS = [

@@ -170,6 +170,35 @@ class TestInterpolation:
             assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
 
+def modulo_stencil_2d(grid, xs):
+    """Reference d=2 stencil: the angle reduced with theta % span."""
+    span, n = grid.angle_span, grid.n_nodes
+    pos = (np.arctan2(xs[:, 1], xs[:, 0]) % span) / (span / n)
+    j = np.floor(pos).astype(np.intp) % n
+    t = pos - np.floor(pos)
+    return np.column_stack([j, (j + 1) % n]), np.column_stack([1.0 - t, t])
+
+
+# pi and -pi, signed zeros, and angles a hair off pi and off 0
+EDGE_ROWS_2D = [[-1.0, 0.0], [-1.0, -0.0], [1.0, -0.0], [1.0, 0.0],
+                [-1.0, 1e-17], [-1.0, -1e-17], [1.0, -1e-17], [0.0, -1.0]]
+
+
+# 25 nodes: pi / (pi / 25) != 25, so the angle pi does not land on node 25
+@pytest.mark.parametrize("mode", ["projective", "sphere"])
+@pytest.mark.parametrize("n", [2, 7, 25, 512])
+def test_d2_stencil_equals_modulo_reference(mode, n):
+    g = build_grid(2, n, mode)
+    rng = np.random.default_rng(n)
+    xs = rng.standard_normal((4000, 2))
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    xs = np.vstack([xs, EDGE_ROWS_2D, g.nodes, -g.nodes])
+    idx, w = interp_stencil(g, xs)
+    ref_idx, ref_w = modulo_stencil_2d(g, xs)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(w, ref_w)
+
+
 def brute_force_stencil(grid, xs):
     """Reference d=3 stencil from every node distance: the 3 nearest nodes
     by (chordal distance, node index), inverse-distance weighted, exact at

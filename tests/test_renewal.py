@@ -3,8 +3,10 @@ import pytest
 
 from matspec.ensemble import AffineEnsemble
 from matspec.ensembles import (
+    affine_3d,
     expanding_1d_arithmetic,
     expanding_1d_deterministic,
+    ip_2d,
     kesten_affine_1d,
 )
 from matspec.projective import build_grid
@@ -15,8 +17,9 @@ from matspec.renewal import (
     potential_profile_expanding,
     tilted_potential_profile,
 )
-from matspec.spectrum import lyapunov
-from matspec.transfer import KSolver, transpose
+from matspec.rng import draw_atoms, stream
+from matspec.spectrum import lyapunov, solve_alpha
+from matspec.transfer import KSolver, TiltedChain, transpose
 
 L_ALPHA_KESTEN = 0.4 * 2.0 * np.log(2.0) - 0.2 * np.log(3.0)
 
@@ -115,6 +118,94 @@ class TestCramer:
                             seed=8, method="tilted")
 
 
+def crossing_matrix_cramer(e, alpha, u, t_grid, n_paths, seed, method, sp=None,
+                           max_steps=4000, drop_nats=60.0, min_hits=25):
+    """Reference cramer_constant: the naive walk applies gathered atoms with
+    einsum to the active rows in place, the tilted walk tests every threshold
+    on every path and step against an (n_paths, T) crossing matrix.  Also
+    returns the most thresholds one tilted path crossed in one step."""
+    u = np.asarray(u, dtype=float) / np.linalg.norm(u)
+    log_ts = np.log(np.asarray(sorted(t_grid)))
+    t_arr = np.exp(log_ts)
+    rng = stream(seed, 660)
+    active = np.ones(n_paths, dtype=bool)
+    steps = 0
+    rows = []
+    if method == "naive":
+        x = np.tile(u, (n_paths, 1))
+        logmag = np.zeros(n_paths)
+        running_max = np.zeros(n_paths)
+        while active.any() and steps < max_steps:
+            sel = np.flatnonzero(active)
+            g = e.matrices[draw_atoms(rng, e.weights, sel.size)]
+            y = np.einsum("nij,nj->ni", g, x[sel])
+            norms = np.linalg.norm(y, axis=1)
+            x[sel] = y / norms[:, None]
+            logmag[sel] += np.log(norms)
+            running_max[sel] = np.maximum(running_max[sel], logmag[sel])
+            active[sel[logmag[sel] < running_max[sel] - drop_nats]] = False
+            steps += 1
+        for lt, t in zip(log_ts, t_arr):
+            hits = int((running_max > lt).sum())
+            p_hat = hits / n_paths
+            se = np.sqrt(max(p_hat * (1 - p_hat), 0.0) / n_paths)
+            rows.append({"t": float(t), "estimate": float(t**alpha * p_hat),
+                         "stderr": float(t**alpha * se), "hits": hits,
+                         "flag": "starved" if hits < min_hits else ""})
+        return rows, 0
+    chain = TiltedChain(e, sp, np.tile(u, (n_paths, 1)))
+    weight_sum = np.zeros(len(log_ts))
+    weight_sq = np.zeros(len(log_ts))
+    crossed = np.zeros((n_paths, len(log_ts)), dtype=bool)
+    most = 0
+    while active.any() and steps < max_steps:
+        sel = np.flatnonzero(active)
+        chain.step(rng, sel)
+        logmag = chain.logmag[sel]
+        logw = chain.log_lr(sel)
+        per_path = np.zeros(sel.size, dtype=int)
+        for j, lt in enumerate(log_ts):
+            newly = (logmag > lt) & (~crossed[sel, j])
+            if newly.any():
+                wvals = np.exp(logw[newly])
+                weight_sum[j] += wvals.sum()
+                weight_sq[j] += (wvals**2).sum()
+                crossed[sel[newly], j] = True
+                per_path += newly
+        most = max(most, int(per_path.max()))
+        active[sel] = logmag <= log_ts[-1]
+        steps += 1
+    for j, t in enumerate(t_arr):
+        n_cross = int(crossed[:, j].sum())
+        p_hat = weight_sum[j] / n_paths
+        se = np.sqrt(max(weight_sq[j] / n_paths - p_hat**2, 0.0) / n_paths)
+        rows.append({"t": float(t), "estimate": float(t**alpha * p_hat),
+                     "stderr": float(t**alpha * se), "hits": n_cross,
+                     "flag": "" if n_cross == n_paths else "incomplete-crossings"})
+    return rows, most
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cramer_rows_equal_crossing_matrix_reference(d):
+    # thresholds 0.1 nats apart: one tilted step crosses several at once
+    if d == 2:
+        e, grid = ip_2d(), build_grid(2, 128, "projective")
+    else:
+        e, grid = affine_3d().linear_part, build_grid(3, 64, "projective")
+    ks = KSolver(e, grid)
+    alpha = solve_alpha(e, solver=ks)
+    t_grid = np.exp(np.arange(1, 41) * 0.1)
+    u = np.eye(d)[0] + 0.3
+    args = (e, alpha, u, t_grid, 600, 17)
+    want, most = crossing_matrix_cramer(*args, "tilted", sp=ks.point(alpha))
+    assert most >= 2
+    assert cramer_constant(*args, method="tilted", sp=ks.point(alpha)) == want
+    if d == 2:
+        # in d=3 the entry-wise atom product and einsum may sum in other orders
+        want, _ = crossing_matrix_cramer(*args, "naive")
+        assert cramer_constant(*args, method="naive") == want
+
+
 class TestTiltedPotential:
     def test_unreachable_window_is_zero(self, sp_kesten_alpha):
         lin = kesten_affine_1d().linear_part
@@ -159,6 +250,16 @@ class TestDualWalk:
         assert rec.sign_preserved
         assert abs(rec.height_rate - rec.gamma_tau) <= 0.15 * rec.gamma_tau
         assert rec.eps_moment_cv <= 0.3
+
+    @pytest.mark.parametrize("n_steps", [40, 55])
+    def test_eps_moment_edges(self, sp_star_kesten_alpha, n_steps):
+        # burn-in is 50 steps: none after it leaves no moment, and fewer
+        # than n_batches after it leave the batches empty
+        rec = dual_walk_simulate(kesten_affine_1d(), sp_star_kesten_alpha,
+                                 L_ALPHA_KESTEN, u0=np.array([1.0]),
+                                 n_starts=64, n_steps=n_steps, seed=13)
+        assert np.isnan(rec.eps_moment) == (n_steps == 40)
+        assert rec.eps_moment_cv == np.inf
 
     def test_zero_p0_rejected(self, sp_star_kesten_alpha):
         with pytest.raises(ValueError, match="nonzero"):

@@ -3,7 +3,13 @@ import pytest
 
 from matspec.ensemble import LinearEnsemble, classify_cone_case, transpose
 from matspec.ensembles import affine_3d, ip_2d, positive_2d, rotation, rotations_2d
-from matspec.projective import GridFunction, GridMeasure, build_grid, interpolate
+from matspec.projective import (
+    GridFunction,
+    GridMeasure,
+    act_many,
+    build_grid,
+    interpolate,
+)
 from matspec.spectrum import solve_alpha
 from matspec.transfer import (
     KSolver,
@@ -198,6 +204,42 @@ class TestTiltedKernel:
             assert abs(norm / sp.k - 1.0) < 10 * 1e-3  # interpolation budget
 
 
+def atomwise_tilted_probs(e, sp, xs, e_xs):
+    """Reference kernel: each atom's images from its own act_many."""
+    M, d = xs.shape
+    images = np.empty((M, e.n_atoms, d))
+    lognorms = np.empty((M, e.n_atoms))
+    for i, g in enumerate(e.matrices):
+        images[:, i], lognorms[:, i] = act_many(g, xs)
+    e_img = interpolate(sp.e, images.reshape(-1, d)).reshape(M, e.n_atoms)
+    raw = e.weights * np.exp(sp.s * lognorms) * e_img / e_xs[:, None]
+    normalizer = raw.sum(axis=1)
+    return raw / normalizer[:, None], normalizer, images, lognorms, e_img
+
+
+@pytest.mark.parametrize("case", ["ip_2d", "sphere", "odd_n", "affine_3d",
+                                  "nine_atoms"])
+def test_tilted_probs_equals_atomwise_reference(case):
+    e = affine_3d().linear_part if case == "affine_3d" else ip_2d()
+    if case == "nine_atoms":  # numpy sums 8 or more terms pairwise
+        rng = np.random.default_rng(3)
+        e = LinearEnsemble(2, 0.8 * rng.standard_normal((9, 2, 2)),
+                           np.full(9, 1.0 / 9.0))
+    grid = {"ip_2d": build_grid(2, 512, "projective"),
+            "sphere": build_grid(2, 256, "sphere"),
+            "odd_n": build_grid(2, 101, "projective"),
+            "affine_3d": build_grid(3, 128, "projective"),
+            "nine_atoms": build_grid(2, 64, "projective")}[case]
+    sp = KSolver(e, grid).point(0.9)
+    rng = np.random.default_rng(11)
+    xs = rng.standard_normal((3000, e.dimension))
+    xs = np.vstack([xs / np.linalg.norm(xs, axis=1, keepdims=True), grid.nodes])
+    e_xs = interpolate(sp.e, xs)
+    fused = tilted_probs(e, sp, xs, e_xs)
+    for got, want in zip(fused, atomwise_tilted_probs(e, sp, xs, e_xs)):
+        assert np.array_equal(got, want)
+
+
 @pytest.fixture(scope="module", params=[2, 3], ids=["ip_2d", "affine_3d"])
 def chain_case(request):
     """(ensemble, spectral point at alpha) in d = 2 and d = 3."""
@@ -279,6 +321,18 @@ class TestExtremalMeasures:
         # normalization of nu(e)=1 on each grid; compare shapes
         ratio = total / lifted
         assert ratio.std() / ratio.mean() < 0.02
+
+    def test_restricted_points_report_both_residuals(self):
+        # nu_+ and tau, the transposed cone measure behind e_+, are separate
+        # iterations: each side reports both residuals, converged needs both
+        e = positive_2d()
+        _, ev = classify_cone_case(e, seed=0)
+        pair = sphere_extremal_measures(e, 0.5, build_grid(2, 256, "sphere"),
+                                        np.array(ev["attractor_points"]))
+        for point in (pair.point_plus, pair.point_minus):
+            assert point.residual_nu == pytest.approx(8.07e-11, rel=1e-2)
+            assert point.residual_e == pytest.approx(7.03e-11, rel=1e-2)
+            assert point.converged
 
     def test_missing_attractor_rejected(self):
         grid = build_grid(2, 64, "sphere")
