@@ -70,6 +70,10 @@ EXIT_INVALID = 2
 EXIT_HYPOTHESIS = 3
 
 
+# cramer's default thresholds
+T_GRID = {"min": 10.0, "max": 10000.0, "count": 13}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -150,6 +154,19 @@ class RunConfig:
         rho_eps = self.options.get("rho_eps", 0.25)
         if not isinstance(rho_eps, (int, float)) or not 0.0 < rho_eps <= 1.0:
             raise ConfigError(f"options.rho_eps must lie in (0, 1], got {rho_eps!r}")
+        try:
+            p0 = float(self.options.get("p0", 1.0))
+            tg = self.options.get("t_grid", T_GRID)
+            t_lo, t_hi, t_count = float(tg["min"]), float(tg["max"]), int(tg["count"])
+            n_windows = int(self.options.get("n_windows", 3))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed option value: {exc!r}") from exc
+        if p0 == 0.0:
+            raise ConfigError("options.p0 must be nonzero")
+        if not (t_lo > 0 and t_hi > 0 and t_count >= 1):
+            raise ConfigError("options.t_grid needs min, max > 0 and count >= 1")
+        if n_windows < 1:
+            raise ConfigError("options.n_windows must be >= 1")
 
     def s_values(self) -> np.ndarray:
         lo, hi, count = self.s_grid
@@ -273,7 +290,6 @@ def cmd_validate(args) -> int:
             report.evidence["irreducibility"] = ev
             v, ev = classify_cone_case(lin, seed=cfg.seed)
             report.cone_case = v
-            ev.pop("attractor_points", None)
             report.evidence["cone"] = ev
         else:
             v, ev = check_proximality(lin)
@@ -394,12 +410,14 @@ def cmd_spectrum(args) -> int:
         blk_path = cfg.out_dir / "spectral_point_scalars.csv"
         write_csv(
             blk_path,
-            ["s", "k", "p", "residual_e", "residual_nu", "iterations", "mode"],
-            [[sp.s, sp.k, sp.p if sp.p is not None else float("nan"),
-              sp.residual_e, sp.residual_nu, sp.iterations, sp.mode]
-             for sp in curve.points],
+            ["s", "k", "p", "residual_e", "residual_nu", "iterations", "mode",
+             "residual_p"],
+            [[sp.s, sp.k, sp.p, sp.residual_e, sp.residual_nu, sp.iterations,
+              sp.mode, sp.residual_p] for sp in curve.points],
         )
-        man.add_output(blk_path, "scalar block per solved exponent")
+        man.add_output(blk_path, "scalar block per solved exponent; residual_p "
+                                 "is max|p e^s - K *nu^s| / max e^s, the grid "
+                                 "error of the pairing identity behind p(s)")
         if lin.dimension > 1:
             grid_path = cfg.out_dir / "grid.csv"
             export_grid_csv(ks.grid, grid_path)
@@ -619,7 +637,7 @@ def cmd_cramer(args) -> int:
         _require_contracting(lin, ks)
         alpha = solve_alpha(lin, solver=ks)
         sp = ks.point(alpha)
-        tg_spec = cfg.options.get("t_grid", {"min": 10.0, "max": 10000.0, "count": 13})
+        tg_spec = cfg.options.get("t_grid", T_GRID)
         t_grid = np.geomspace(tg_spec["min"], tg_spec["max"], int(tg_spec["count"]))
         d = lin.dimension
         n_dirs = int(cfg.options.get("directions", 16 if d > 1 else 2))

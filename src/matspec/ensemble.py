@@ -23,7 +23,6 @@ __all__ = [
     "ValidationReport",
     "EnsembleError",
     "operator_norm",
-    "gamma",
     "validate_linear",
     "transpose",
     "check_proximality",
@@ -47,12 +46,6 @@ class EnsembleError(ValueError):
 def operator_norm(g: np.ndarray) -> float:
     """Euclidean operator norm (largest singular value)."""
     return float(np.linalg.svd(g, compute_uv=False)[0])
-
-
-def gamma(g: np.ndarray) -> float:
-    """max(|g|, |g^-1|) in operator norm; >= 1 for every invertible g."""
-    sv = np.linalg.svd(g, compute_uv=False)
-    return float(max(sv[0], 1.0 / sv[-1]))
 
 
 @dataclass(frozen=True)
@@ -95,9 +88,6 @@ class LinearEnsemble:
     @property
     def n_atoms(self) -> int:
         return self.matrices.shape[0]
-
-    def atom_gammas(self) -> np.ndarray:
-        return np.array([gamma(g) for g in self.matrices])
 
 
 @dataclass(frozen=True)
@@ -175,9 +165,6 @@ class ValidationReport:
     cone_case: str = "unknown"
     nonarithmetic_verdict: str = "inconclusive"  # meaningful for d=1 only
     evidence: dict = field(default_factory=dict)
-
-    def structural_pass(self) -> bool:
-        return bool(self.evidence.get("structural", False))
 
 
 def validate_linear(e: LinearEnsemble) -> ValidationReport:
@@ -344,7 +331,6 @@ def classify_cone_case(
             return "II", {
                 "note": "positive scalars preserve the half-line",
                 "attractor_center": [1.0],
-                "attractor_points": [[1.0]],
             }
         return "I", {"note": "sign changes force a symmetric attractor"}
     rng = np.random.default_rng(seed)
@@ -383,10 +369,8 @@ def classify_cone_case(
         aligned = pooled * np.where(pooled @ ref >= 0, 1.0, -1.0)[:, None]
         center = aligned.mean(axis=0)
         center /= max(np.linalg.norm(center), 1e-300)
-        aligned = pooled * np.where(pooled @ center >= 0, 1.0, -1.0)[:, None]
         return "II", {
             "min_trajectory_separation": float(separations.min()),
-            "attractor_points": aligned.tolist(),
             "attractor_center": center.tolist(),
         }
     touching = separations <= margins
@@ -395,7 +379,6 @@ def classify_cone_case(
             "touching_trajectories": int(touching.sum()),
             "n_trajectories": int(n_trajectories),
             "max_separation": float(separations.max()),
-            "attractor_points": tails.reshape(-1, d).tolist(),
         }
     return "unknown", {
         "min_trajectory_separation": float(separations.min()),

@@ -1,9 +1,9 @@
-"""Discretized unit sphere / projective space, group action and cocycles.
+"""Discretized unit sphere / projective space, group action, interpolation.
 
 Grids for d in {1, 2, 3}; Monte Carlo code elsewhere works in any d.  A
 projective grid stores one representative per antipodal pair, and every
 operation that takes unit vectors accepts arbitrary representatives (the
-mode-aware distance folds signs).  Interpolation is linear in angle for
+projective stencils fold signs).  Interpolation is linear in angle for
 d = 2 and inverse-distance over the 3 nearest nodes for d = 3; both are
 exact at nodes.  The eigenfunctions this package interpolates are Holder
 continuous, so low-order interpolation suffices; it is the dominant but
@@ -26,13 +26,9 @@ __all__ = [
     "GridFunction",
     "GridMeasure",
     "build_grid",
-    "act",
     "act_many",
-    "distance",
     "interpolate",
     "interp_stencil",
-    "contact_cocycle",
-    "wedge_norm",
 ]
 
 SPHERE = "sphere"
@@ -65,7 +61,7 @@ class DirectionGrid:
 
 @dataclass
 class GridFunction:
-    """One value per grid node (complex allowed for oscillatory diagnostics)."""
+    """One value per grid node."""
 
     grid: DirectionGrid
     values: np.ndarray
@@ -100,7 +96,7 @@ class GridMeasure:
 
     def pair(self, f: GridFunction | np.ndarray) -> float:
         vals = f.values if isinstance(f, GridFunction) else np.asarray(f)
-        return float(np.real(np.sum(vals * self.masses)))
+        return float(np.sum(vals * self.masses))
 
 
 def build_grid(d: int, resolution: int, mode: str = PROJECTIVE) -> DirectionGrid:
@@ -149,54 +145,14 @@ def build_grid(d: int, resolution: int, mode: str = PROJECTIVE) -> DirectionGrid
     raise ValueError(f"unsupported dimension {d}; grid path covers d in {{1,2,3}}")
 
 
-def act(g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Projective action y = gx/|gx| with the norm cocycle log|gx|."""
-    gx = g @ x
-    norm = float(np.linalg.norm(gx))
-    if norm < 1e-300:
-        raise FloatingPointError("`|gx|` underflow: numerically degenerate atom")
-    return gx / norm, float(np.log(norm))
-
-
 def act_many(g: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized act: xs has shape (M, d); returns (M, d) images, (M,) lognorms."""
+    """Projective action y = gx/|gx| of g on the rows of xs (M, d), with the
+    norm cocycle: returns (M, d) images and (M,) log|gx|."""
     gx = xs @ g.T
     norms = np.linalg.norm(gx, axis=1)
     if np.any(norms < 1e-300):
         raise FloatingPointError("`|gx|` underflow: numerically degenerate atom")
     return gx / norms[:, None], np.log(norms)
-
-
-def distance(x: np.ndarray, y: np.ndarray, mode: str) -> float:
-    """Chordal distance |x-y| on the sphere; min(|x-y|, |x+y|) projectively."""
-    d_minus = float(np.linalg.norm(x - y))
-    if mode == SPHERE:
-        return d_minus
-    return min(d_minus, float(np.linalg.norm(x + y)))
-
-
-def wedge_norm(u: np.ndarray, v: np.ndarray) -> float:
-    """|u ^ v| = sqrt(|u|^2 |v|^2 - <u,v>^2), the area of the parallelogram."""
-    g = float(u @ u) * float(v @ v) - float(u @ v) ** 2
-    return float(np.sqrt(max(g, 0.0)))
-
-
-def contact_cocycle(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """log|g(x^y)| - 2 log|gx| for a contact element (x, x^y).
-
-    Requires |x| = 1 and |x^y| = 1 (normalize y so the wedge has unit norm).
-    Orthogonal g gives 0; g = c*Id gives 0 (both norms scale away).
-    """
-    if abs(np.linalg.norm(x) - 1.0) > 1e-9:
-        raise ValueError("x must be a unit vector")
-    w = wedge_norm(x, y)
-    if w < 1e-12:
-        raise ValueError("degenerate contact element: |x^y| ~ 0")
-    if abs(w - 1.0) > 1e-9:
-        raise ValueError("normalize the pair so that |x^y| = 1")
-    gx = g @ x
-    gy = g @ y
-    return float(np.log(wedge_norm(gx, gy)) - 2.0 * np.log(np.linalg.norm(gx)))
 
 
 def interp_stencil(grid: DirectionGrid, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -352,19 +352,14 @@ def directional_profile(
     sp_star_alpha: SpectralPoint,
     directions: np.ndarray,
     alpha: float,
-    e_values: np.ndarray | None = None,
     min_exceedances: int = 100,
 ) -> dict:
     """Ratios C_hat(u) / *e^alpha(u) across directions and their coefficient
     of variation; direction-independent in the no-invariant-cone case.
-
-    e_values overrides the denominator (pass cone-restricted eigenfunction
-    values when an invariant cone splits the sphere objects).
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    if e_values is None:
-        idx, w = interp_stencil(sp_star_alpha.e.grid, directions)
-        e_values = np.sum(sp_star_alpha.e.values[idx] * w, axis=1)
+    idx, w = interp_stencil(sp_star_alpha.e.grid, directions)
+    e_values = np.sum(sp_star_alpha.e.values[idx] * w, axis=1)
     ratios = []
     constants = {}
     for u, ev in zip(directions, e_values):

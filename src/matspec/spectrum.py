@@ -12,7 +12,8 @@ discretized k, so on the grid it matches finite differences to their
 truncation error and says nothing about the discretization error.
 
 Every routine here takes its eigen-objects from one transfer.KSolver (the
-``solver`` argument, or a fresh one on ``grid``), which holds every solve of
+``solver`` argument, or a fresh one on the default grid; solve_alpha also
+takes a ``grid`` for it), which holds every solve of
 an (ensemble, grid) pair and of its transpose, each warm-started from the
 nearest solved exponent; solve_alpha runs Newton on log k with that k'(s),
 safeguarded by a verified bracket.
@@ -31,7 +32,7 @@ import numpy as np
 
 from .ensemble import LinearEnsemble
 from .rng import draw_atoms, stream as _rng
-from .projective import DirectionGrid, interp_stencil
+from .projective import DirectionGrid
 from .transfer import (
     KSolver,
     SpectralPoint,
@@ -48,7 +49,6 @@ __all__ = [
     "lyapunov",
     "lyapunov_gap",
     "contraction_rate",
-    "backward_direction",
     "compute_curve",
 ]
 
@@ -194,7 +194,6 @@ def lyapunov(
     e: LinearEnsemble,
     s: float,
     method: str = "finite_diff",
-    grid: DirectionGrid | None = None,
     solver: KSolver | None = None,
     h: float = 1e-3,
     n_chains: int = 64,
@@ -216,7 +215,7 @@ def lyapunov(
     if s < 0:
         raise ValueError("negative exponents are not supported")
     d = e.dimension
-    ks = solver or KSolver(e, grid)
+    ks = solver or KSolver(e)
     if method == "finite_diff":
         if d == 1:
             return k_prime_closed_form_1d(e, s) / k_closed_form_1d(e, s), None
@@ -336,7 +335,6 @@ def lyapunov_gap(
     n_pairs: int = 24,
     n_paths: int = 64,
     seed: int = 0,
-    grid: DirectionGrid | None = None,
     solver: KSolver | None = None,
 ) -> tuple[float, float]:
     """Estimated difference of the two leading Lyapunov exponents: the
@@ -346,7 +344,7 @@ def lyapunov_gap(
     """
     if e.dimension < 2:
         raise ValueError("the pair-contraction gap needs d >= 2")
-    sp = (solver or KSolver(e, grid)).point(s)
+    sp = (solver or KSolver(e)).point(s)
     rng = _rng(seed, 202)
     best = -np.inf
     best_se = np.nan
@@ -370,7 +368,6 @@ def contraction_rate(
     seed: int = 0,
     n_pairs: int = 64,
     n_paths: int = 128,
-    grid: DirectionGrid | None = None,
     solver: KSolver | None = None,
 ) -> float:
     """n-th root of sup over probe pairs of the tilted mean of
@@ -386,7 +383,7 @@ def contraction_rate(
         raise ValueError("eps must lie in (0, min(1, s)] (Holder range)")
     if e.dimension < 2:
         raise ValueError("contraction diagnostics need d >= 2")
-    sp = (solver or KSolver(e, grid)).point(s)
+    sp = (solver or KSolver(e)).point(s)
     rng = _rng(seed, 303)
 
     def run_pairs(k_pairs: int, paths: int, pre: list | None = None):
@@ -410,77 +407,9 @@ def contraction_rate(
     return float(sup_ratio ** (1.0 / n))
 
 
-def backward_direction(
-    e: LinearEnsemble,
-    s: float,
-    n: int = 200,
-    seed: int = 0,
-    n_probes: int = 32,
-    n_repeats: int = 200,
-    grid: DirectionGrid | None = None,
-    solver: KSolver | None = None,
-) -> dict:
-    """Dominant backward direction of a long tilted product.
-
-    For each repeat, the top left-singular direction z of S_n is extracted
-    and |S_n x|/|S_n| is compared with |<z, x>| over probe directions; the
-    empirical law of z across repeats is compared with the stationary law
-    of the transposed chain by a nearest-node histogram distance (TV).
-    Flags the run when the product shows no contraction (isometries).
-    """
-    if e.dimension < 2:
-        raise ValueError("the backward direction needs d >= 2")
-    ks = solver or KSolver(e, grid)
-    sp = ks.point(s)
-    sp_star = ks.star.point(s)
-    rng = _rng(seed, 404)
-    d = e.dimension
-    probes = _random_unit(rng, n_probes, d)
-    grid_nodes = sp_star.e.grid
-    chain = TiltedChain(e, sp, _sample_pi_nodes(sp, n_repeats, rng))
-    mats = np.broadcast_to(np.eye(d), (n_repeats, d, d)).copy()
-    for _ in range(n):
-        choice, _ = chain.step(rng)
-        mats = np.matmul(e.matrices[choice], mats)
-        fro = np.linalg.norm(mats, axis=(1, 2))
-        mats /= fro[:, None, None]
-    # |S_n x| ~ sigma_1 |<v_1, x>|: the backward direction is the top right
-    # singular vector of S_n (equivalently the dominant direction of S_n^*)
-    _, sv, vt = np.linalg.svd(mats)
-    z = vt[:, 0, :]
-    ratio_gap = sv[:, 1] / sv[:, 0]
-    degenerate = int(np.sum(ratio_gap > 0.9))
-    # probe verification on normalized products (scale cancels)
-    norms_x = np.linalg.norm(np.einsum("nij,pj->npi", mats, probes), axis=2)
-    pred = np.abs(z @ probes.T)
-    resid = np.abs(norms_x / sv[:, :1] - pred)
-    max_residual = float(resid.max())
-    # nearest-node histogram of z versus the transposed stationary law,
-    # aggregated into coarse sectors so the TV distance is meaningful at
-    # moderate repeat counts
-    idx, _ = interp_stencil(grid_nodes, z)
-    z_hits = np.zeros(grid_nodes.n_nodes)
-    np.add.at(z_hits, idx[:, 0], 1.0)
-    emp = z_hits / z_hits.sum()
-    target = sp_star.pi
-    n_sectors = min(16, grid_nodes.n_nodes)
-    sector = (np.arange(grid_nodes.n_nodes) * n_sectors) // grid_nodes.n_nodes
-    emp_sec = np.bincount(sector, weights=emp, minlength=n_sectors)
-    tgt_sec = np.bincount(sector, weights=target, minlength=n_sectors)
-    tv = 0.5 * float(np.abs(emp_sec - tgt_sec).sum())
-    return {
-        "z_star": z[0],
-        "max_probe_residual": max_residual,
-        "law_tv_distance": tv,
-        "degenerate_paths": degenerate,
-        "flag_no_contraction": degenerate > n_repeats // 2,
-    }
-
-
 def compute_curve(
     e: LinearEnsemble,
     s_values: np.ndarray,
-    grid: DirectionGrid | None = None,
     solve_root: bool = True,
     seed: int = 0,
     mc_check: bool = False,
@@ -488,9 +417,9 @@ def compute_curve(
 ) -> SpectralCurve:
     """Solve the eigen-problem along an s-grid and attach alpha, k'(alpha)
     and the Lyapunov table (finite_diff and quadrature routes; tilted_mc
-    when mc_check is set).  A given solver replaces grid and keeps every
-    point solved here for its later callers."""
-    ks = solver or KSolver(e, grid)
+    when mc_check is set).  A given solver keeps every point solved here for
+    its later callers."""
+    ks = solver or KSolver(e)
     s_values = np.asarray(sorted(float(s) for s in s_values))
     points = [ks.point(s, compute_p=True) for s in s_values]
     curve = SpectralCurve(s_values=s_values, points=points)

@@ -7,14 +7,13 @@ For a finite-support measure mu on GL(d) and s >= 0, the weighted operator
 acts on functions over the direction grid; interpolation closes the action
 on grid values.  A TransferOperator computes the s-independent part once per
 (ensemble, grid): per atom, the interpolation stencil S_i of g_i.x and
-log|g_i x|.  Any P^s = sum_i w_i diag(|g_i x|^s) S_i (complex s for the
-oscillatory diagnostic) and its derivative in s are then one sparse CSR
-matrix; the adjoint is exactly its transpose, so grid duality
-<P^s f, sigma> = <f, (P^s)* sigma> holds by construction.  Alternating power
-iteration on the pair, started cold or from the eigen-pair of a nearby s,
-produces the dominant eigenvalue k(s), the positive eigenfunction e^s and
-the eigenmeasure nu^s, normalized so that nu^s has mass 1 and
-nu^s(e^s) = 1.  That normalization pins the rank-one projector
+log|g_i x|.  Any P^s = sum_i w_i diag(|g_i x|^s) S_i and its derivative in
+s are then one sparse CSR matrix; the adjoint is exactly its transpose, so
+grid duality <P^s f, sigma> = <f, (P^s)* sigma> holds by construction.
+Alternating power iteration on the pair, started cold or from the eigen-pair
+of a nearby s, produces the dominant eigenvalue k(s), the positive
+eigenfunction e^s and the eigenmeasure nu^s, normalized so that nu^s has
+mass 1 and nu^s(e^s) = 1.  That normalization pins the rank-one projector
 nu^s (x) e^s uniquely.
 
 One KSolver per (ensemble, grid) owns that operator family, the solver of
@@ -44,7 +43,6 @@ from scipy import sparse
 from .ensemble import LinearEnsemble, transpose
 from .projective import (
     PROJECTIVE,
-    SPHERE,
     DirectionGrid,
     GridFunction,
     GridMeasure,
@@ -62,12 +60,8 @@ __all__ = [
     "pairing_p",
     "k_closed_form_1d",
     "k_prime_closed_form_1d",
-    "cross_check_es",
     "tilted_probs",
     "TiltedChain",
-    "sphere_extremal_measures",
-    "ExtremalPair",
-    "complex_radius_ratio",
 ]
 
 DEFAULT_RESOLUTION = 512
@@ -80,6 +74,7 @@ class SpectralPoint:
     e is strictly positive at every node; nu has total mass 1 and
     nu(e) = 1 within 1e-8.  residual_e is the relative sup-norm residual of
     the eigen-equation, residual_nu the relative l1 residual of the adjoint.
+    p and residual_p (see pairing_p) are set by KSolver.point with compute_p.
     """
 
     s: float
@@ -92,6 +87,7 @@ class SpectralPoint:
     residual_nu: float
     mode: str
     converged: bool = True
+    residual_p: float | None = None
 
     @property
     def pi(self) -> np.ndarray:
@@ -128,10 +124,9 @@ class TransferOperator:
         n = self.grid.n_nodes
         return sparse.csr_matrix((data, self._indices, self._indptr), shape=(n, n))
 
-    def matrix(self, s: complex) -> sparse.csr_matrix:
-        """P^s as an (N, N) CSR matrix; .T is its exact adjoint.  A complex
-        s = sigma + it gives the oscillatory operator P^{sigma+it}."""
-        if np.real(s) < 0:
+    def matrix(self, s: float) -> sparse.csr_matrix:
+        """P^s as an (N, N) CSR matrix; .T is its exact adjoint."""
+        if s < 0:
             raise ValueError("negative exponents are not supported")
         return self._csr(self._weights * np.exp(s * self._lognorms))
 
@@ -197,8 +192,8 @@ class KSolver:
         return float(sp.nu.masses @ (self.op.derivative(s) @ sp.e.values))
 
     def point(self, s: float, compute_p: bool = False) -> SpectralPoint:
-        """The solved eigen-problem at s; with compute_p, also p(s) against
-        the transposed ensemble's eigenmeasure at s."""
+        """The solved eigen-problem at s; with compute_p, also p(s) and its
+        residual against the transposed ensemble's eigenmeasure at s."""
         key = float(s)
         sp = self._points.get(key)
         if sp is None:
@@ -207,7 +202,7 @@ class KSolver:
                                start=self._points.get(nearest))
             self._points[key] = sp
         if compute_p and sp.p is None:
-            sp.p = pairing_p(sp, self.star.point(key))
+            sp.p, sp.residual_p = pairing_p(sp, self.star.point(key))
         return sp
 
 
@@ -291,28 +286,20 @@ def power_iterate(
     )
 
 
-def pairing_p(sp: SpectralPoint, sp_star: SpectralPoint) -> float:
-    """p(s) = sum_{x,y} |<x,y>|^s nu^s(x) *nu^s(y) on the grid."""
+def pairing_p(sp: SpectralPoint, sp_star: SpectralPoint) -> tuple[float, float]:
+    """p(s) = sum_{x,y} |<x,y>|^s nu^s(x) *nu^s(y) on the grid, and the
+    residual of the identity p(s) e^s(x) = integral |<x,y>|^s d *nu^s(y) in
+    sup norm relative to max e^s, which checks e^s independently of the
+    power iteration that produced it.  Both points share the grid and s.
+    """
     dots = np.abs(sp.nu.grid.nodes @ sp_star.nu.grid.nodes.T)
     if sp.s == 0.0:
         kernel = np.ones_like(dots)
     else:
         kernel = dots**sp.s
-    return float(sp.nu.masses @ kernel @ sp_star.nu.masses)
-
-
-def cross_check_es(sp: SpectralPoint, sp_star: SpectralPoint) -> float:
-    """Structural residual of the integral identity
-    p(s) e^s(x) = integral |<x,y>|^s d *nu^s(y), in sup norm relative to
-    max e^s.  Independent of the power-iteration path that produced e^s.
-    """
-    if sp.s != sp_star.s:
-        raise ValueError("both spectral points must share the same exponent s")
-    p = sp.p if sp.p is not None else pairing_p(sp, sp_star)
-    dots = np.abs(sp.e.grid.nodes @ sp_star.nu.grid.nodes.T)
-    kernel = np.ones_like(dots) if sp.s == 0.0 else dots**sp.s
+    p = float(sp.nu.masses @ kernel @ sp_star.nu.masses)
     rhs = kernel @ sp_star.nu.masses
-    return float(np.max(np.abs(p * sp.e.values - rhs)) / np.max(sp.e.values))
+    return p, float(np.max(np.abs(p * sp.e.values - rhs)) / np.max(sp.e.values))
 
 
 def tilted_probs(
@@ -409,178 +396,3 @@ class TiltedChain:
         against the simulated chain."""
         return (self._log_e_x0[rows] - np.log(self.e_x[rows])
                 - self.sp.s * self.logmag[rows] + self.lognorm[rows])
-
-
-@dataclass
-class ExtremalPair:
-    """Case-II sphere objects: the two extremal stationary pairs.
-
-    point_plus / point_minus package each side as a SpectralPoint with mode
-    "sphere-cone-restricted"; their k must agree with the projective one.
-    """
-
-    pi_plus: GridMeasure
-    pi_minus: GridMeasure
-    nu_plus: GridMeasure
-    nu_minus: GridMeasure
-    e_plus: GridFunction
-    e_minus: GridFunction
-    point_plus: SpectralPoint | None = None
-    point_minus: SpectralPoint | None = None
-
-
-def _antipode_map(grid: DirectionGrid) -> np.ndarray:
-    """Index map sending each node to the node nearest to its antipode."""
-    dots = (-grid.nodes) @ grid.nodes.T
-    return np.argmax(dots, axis=1)
-
-
-def sphere_extremal_measures(
-    e: LinearEnsemble,
-    s: float,
-    grid: DirectionGrid,
-    attractor_points: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 20000,
-) -> ExtremalPair:
-    """Extremal stationary pairs on the sphere when a proper convex cone is
-    preserved (cone case II).
-
-    The eigenmeasure nu_+^s comes from adjoint iteration masked to the grid
-    nodes on the attractor side (images leak across only through
-    interpolation and are zeroed); pi_- is the exact antipodal reflection of
-    pi_+.  e_+^s is recovered from the transposed-ensemble cone eigenmeasure
-    through the half-space pairing p(s) e_+^s(u) = integral <u,u'>_+^s
-    d *nu_+^s(u'), and e_+ + e_- should reproduce the projective
-    eigenfunction lifted to the sphere.
-    """
-    if grid.mode != SPHERE:
-        raise ValueError("extremal measures live on a sphere-mode grid")
-    attractor_points = np.atleast_2d(attractor_points)
-    if attractor_points.size == 0:
-        raise ValueError("attractor cone not identified: no points supplied")
-    plus_mask = _attractor_side(grid.nodes, attractor_points)
-    if not plus_mask.any() or plus_mask.all():
-        raise ValueError("attractor cone does not separate the grid")
-    ks = KSolver(e, grid, tol, max_iter)
-    nu_plus, k_est, res_nu, iters = _cone_eigenmeasure(ks.op, s, plus_mask, tol,
-                                                       max_iter)
-    amap = _antipode_map(grid)
-    nu_minus = np.bincount(amap, weights=nu_plus, minlength=grid.n_nodes)
-
-    # transposed-ensemble cone data for the e_+ transform
-    star_attr = _cone_attractor(ks.star.ensemble, attractor_points, seed=0)
-    star_mask = _attractor_side(grid.nodes, star_attr)
-    # e_+ is built from tau, so tau's residual is the one of e_+
-    tau, _, res_e, _ = _cone_eigenmeasure(ks.star.op, s, star_mask, tol, max_iter)
-    # p(s) from the projective eigen-problem (pairing normalization)
-    proj_grid = build_grid(grid.dimension, grid.n_nodes // 2 or 1, PROJECTIVE)
-    p_s = KSolver(e, proj_grid, tol=tol).point(s, compute_p=True).p or 1.0
-
-    dots = grid.nodes @ grid.nodes.T
-    plus_kernel = np.maximum(dots, 0.0) ** s if s > 0 else (dots > 0).astype(float)
-    e_plus_vals = (plus_kernel @ tau) / p_s
-    tau_minus = np.bincount(amap, weights=tau, minlength=grid.n_nodes)
-    e_minus_vals = (plus_kernel @ tau_minus) / p_s
-
-    pi_plus = nu_plus * np.maximum(e_plus_vals, 0.0)
-    pi_minus = nu_minus * np.maximum(e_minus_vals, 0.0)
-    mode = "sphere-cone-restricted"
-
-    def _restricted_point(e_vals, nu_masses):
-        return SpectralPoint(
-            s=float(s), k=float(k_est),
-            e=GridFunction(grid, np.maximum(e_vals, 0.0)),
-            nu=GridMeasure(grid, nu_masses), p=p_s,
-            iterations=iters, residual_e=float(res_e), residual_nu=float(res_nu),
-            mode=mode, converged=bool(res_e < tol and res_nu < tol),
-        )
-
-    return ExtremalPair(
-        pi_plus=GridMeasure(grid, pi_plus / max(pi_plus.sum(), 1e-300)),
-        pi_minus=GridMeasure(grid, pi_minus / max(pi_minus.sum(), 1e-300)),
-        nu_plus=GridMeasure(grid, nu_plus),
-        nu_minus=GridMeasure(grid, nu_minus),
-        e_plus=GridFunction(grid, e_plus_vals),
-        e_minus=GridFunction(grid, e_minus_vals),
-        point_plus=_restricted_point(e_plus_vals, nu_plus),
-        point_minus=_restricted_point(e_minus_vals, nu_minus),
-    )
-
-
-def _cone_eigenmeasure(
-    op: TransferOperator, s: float, mask: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, float, float, int]:
-    """Adjoint power iteration of P^s with the mass off mask zeroed after
-    every push: (eigenmeasure, eigenvalue, l1 residual, iterations)."""
-    PT = op.matrix(s).T
-    sigma = np.where(mask, op.grid.quadrature_weights, 0.0)
-    sigma /= sigma.sum()
-    k_est = 1.0
-    res = np.inf
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        sig_new = PT @ sigma
-        sig_new[~mask] = 0.0
-        mass = sig_new.sum()
-        k_est = mass / sigma.sum()
-        res = np.sum(np.abs(sig_new - k_est * sigma)) / mass
-        sigma = sig_new / mass
-        if res < tol:
-            break
-    return sigma, k_est, res, iters
-
-
-def _min_chord(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    dots = nodes @ points.T
-    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots.max(axis=1)))
-
-
-def _attractor_side(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Mask of the nodes closer to the points than to their antipodes."""
-    return _min_chord(nodes, points) < _min_chord(nodes, -points)
-
-
-def _cone_attractor(e: LinearEnsemble, hint: np.ndarray, seed: int) -> np.ndarray:
-    """Late-time sphere directions of the e-chain, sign-aligned to a hint."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((32, e.dimension))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    for _ in range(200):
-        idx = rng.integers(0, e.n_atoms, size=x.shape[0])
-        x = np.einsum("nij,nj->ni", e.matrices[idx], x)
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-    center = hint.mean(axis=0)
-    sign = np.where(x @ center >= 0, 1.0, -1.0)
-    return x * sign[:, None]
-
-
-def complex_radius_ratio(
-    e: LinearEnsemble,
-    s: float,
-    t: float,
-    grid: DirectionGrid,
-    n_iter: int = 300,
-    seed: int = 0,
-) -> float:
-    """Diagnostic estimate of r(P^{s+it}) / k(s) via normalized iteration.
-
-    The oscillatory operator P^z f(x) = sum_i w_i |g_i x|^s e^{i t log|g_i x|}
-    f(g_i.x) has spectral radius strictly below k(s) when t != 0 (for
-    ensembles with the standing hypotheses); no complex eigen-pair is
-    extracted, only the growth-rate ratio.
-    """
-    ks = KSolver(e, grid, tol=1e-10)
-    Pz = ks.op.matrix(s + 1j * t)
-    rng = np.random.default_rng(seed)
-    f = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
-    growths = []
-    for it in range(n_iter):
-        out = Pz @ f
-        norm = np.abs(out).max()
-        if norm < 1e-300:
-            return 0.0
-        growths.append(np.log(norm))
-        f = out / norm
-    tail = growths[n_iter // 2:]
-    return float(np.exp(np.mean(tail)) / ks.k(s))

@@ -107,11 +107,16 @@ BAD_OPTIONS = [
     ("spectrum", ip_2d, {"grid_resolution": 1}, "resolution must be >= 2 for d = 2"),
     ("cramer", affine_3d, {"grid_resolution": 3}, "resolution must be >= 4 for d = 3"),
     ("spectrum", ip_2d, {"options": {"rho_eps": 0}}, "rho_eps must lie in (0, 1]"),
+    ("dualwalk", kesten_affine_1d, {"options": {"p0": 0}}, "p0 must be nonzero"),
+    ("cramer", kesten_1d, {"options": {"t_grid": {"min": 0, "max": 100, "count": 3}}},
+     "t_grid needs min, max > 0"),
+    ("renewal", kesten_1d, {"options": {"n_windows": 0}}, "n_windows must be >= 1"),
 ]
 
 
 @pytest.mark.parametrize("command,ensemble,extra,message", BAD_OPTIONS,
-                         ids=["resolution-d2", "resolution-d3", "rho_eps"])
+                         ids=["resolution-d2", "resolution-d3", "rho_eps", "p0",
+                              "t_grid", "n_windows"])
 def test_bad_numeric_option_is_invalid_input(tmp_path, capsys, command,
                                              ensemble, extra, message):
     cfg = write_config(tmp_path, ensemble(), **extra)
@@ -287,6 +292,19 @@ class TestD2Spectrum:
         blk = (out / "spectral_point_scalars.csv").read_text().splitlines()
         assert blk[0].startswith("s,k,p,residual_e,residual_nu")
         assert len(blk) == 4  # header + 3 exponents
+
+    def test_pairing_residual_column(self, tmp_path):
+        # on the default 512-node grid the pairing identity holds to a few
+        # 1e-4 on ip_2d; the error grows as the grid coarsens
+        cfg = write_config(tmp_path, ip_2d(),
+                           s_grid={"min": 0.0, "max": 1.5, "count": 3},
+                           mc={"samples": 1000, "steps": 100, "paths": 1000})
+        assert main(["spectrum", "--config", str(cfg)]) == EXIT_OK
+        blk = (tmp_path / "out" / "spectral_point_scalars.csv").read_text().splitlines()
+        assert blk[0].endswith(",residual_p")
+        residuals = np.array([float(row.split(",")[-1]) for row in blk[1:]])
+        assert len(residuals) == 3
+        assert np.all(np.isfinite(residuals)) and np.all(residuals < 1e-3)
 
 
 # Every command in d = 1, 2, 3, less the pairs a test above already runs to

@@ -6,7 +6,6 @@ from matspec.ensembles import diag_only_2d, rotations_2d
 from matspec.projective import build_grid
 from matspec.spectrum import (
     KSolver,
-    backward_direction,
     compute_curve,
     contraction_rate,
     k_mc_oracle,
@@ -205,27 +204,6 @@ class TestPathDiagnostics:
             contraction_rate(ip, 0.5, eps=0.9, solver=ip_solver)
 
 
-class TestBackwardDirection:
-    def test_single_diag_atom(self):
-        bd = backward_direction(diag_only_2d(), 0.0, n=60, seed=2,
-                                n_repeats=32, n_probes=12)
-        z = np.abs(bd["z_star"])
-        assert np.allclose(z, [1.0, 0.0], atol=1e-9)
-        assert bd["max_probe_residual"] < 1e-9
-
-    def test_orthogonal_flagged(self):
-        bd = backward_direction(rotations_2d(), 0.0, n=40, seed=3,
-                                n_repeats=32)
-        assert bd["flag_no_contraction"]
-
-    def test_ip_law_and_residual(self, ip, ip_solver, ip_alpha):
-        bd = backward_direction(ip, ip_alpha, n=200, seed=6, n_repeats=400,
-                                solver=ip_solver)
-        assert bd["max_probe_residual"] < 1e-3
-        assert bd["law_tv_distance"] < 0.2
-        assert not bd["flag_no_contraction"]
-
-
 def test_warm_solver_hides_no_solve(ip, monkeypatch):
     # every diagnostic given a solver takes its points (and the transposed
     # ones) from it: no operator is built and nothing is solved again
@@ -249,7 +227,6 @@ def test_warm_solver_hides_no_solve(ip, monkeypatch):
     monkeypatch.setattr(transfer, "power_iterate", counting_solve)
     lyapunov_gap(ip, s, n=5, n_pairs=2, n_paths=4, seed=1, solver=ks)
     contraction_rate(ip, s, eps=0.5, n=5, n_pairs=2, n_paths=4, seed=2, solver=ks)
-    backward_direction(ip, s, n=10, seed=3, n_probes=4, n_repeats=8, solver=ks)
     assert calls == []
     # the counters do count: a fresh solver builds and solves
     KSolver(ip, ks.grid).point(s)

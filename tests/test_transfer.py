@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from matspec.ensemble import LinearEnsemble, classify_cone_case, transpose
-from matspec.ensembles import affine_3d, ip_2d, positive_2d, rotation, rotations_2d
+from matspec.ensemble import LinearEnsemble, transpose
+from matspec.ensembles import affine_3d, ip_2d, rotations_2d
 from matspec.projective import (
     GridFunction,
     GridMeasure,
@@ -15,11 +15,8 @@ from matspec.transfer import (
     KSolver,
     TiltedChain,
     TransferOperator,
-    complex_radius_ratio,
-    cross_check_es,
     k_closed_form_1d,
     power_iterate,
-    sphere_extremal_measures,
     tilted_probs,
 )
 
@@ -152,24 +149,21 @@ class TestPowerIterate:
 class TestCrossCheck:
     def test_s0_both_sides_one(self, ip, grid128):
         sp = KSolver(ip, grid128, tol=1e-10).point(0.0, compute_p=True)
-        sp_star = KSolver(transpose(ip), grid128, tol=1e-10).point(0.0)
         # p(0) = 1 and e^0 = 1: residual is pure quadrature error
         assert abs(sp.p - 1.0) < 1e-10
-        assert cross_check_es(sp, sp_star) < 1e-8
+        assert sp.residual_p < 1e-8
 
     def test_similarity_by_symmetry(self, similarity):
         grid = build_grid(2, 512, "projective")
-        sp = KSolver(similarity, grid, tol=1e-10).point(1.0)
-        sp_star = KSolver(transpose(similarity), grid, tol=1e-10).point(1.0)
-        assert cross_check_es(sp, sp_star) < 1e-3
+        sp = KSolver(similarity, grid, tol=1e-10).point(1.0, compute_p=True)
+        assert sp.residual_p < 1e-3
 
     def test_ip_two_resolution_consistency(self, ip, ip_alpha):
         res = {}
         for n in (256, 512):
             grid = build_grid(2, n, "projective")
-            sp = KSolver(ip, grid, tol=1e-11).point(ip_alpha)
-            sp_star = KSolver(transpose(ip), grid, tol=1e-11).point(ip_alpha)
-            res[n] = cross_check_es(sp, sp_star)
+            res[n] = KSolver(ip, grid, tol=1e-11).point(
+                ip_alpha, compute_p=True).residual_p
         assert res[512] < res[256]
         assert res[256] < 2e-3
 
@@ -292,64 +286,6 @@ class TestTiltedChain:
         assert np.array_equal(chain.log_lr(others), lr_before[others])
 
 
-class TestExtremalMeasures:
-    def test_positive_cone_support_and_reflection(self):
-        e = positive_2d()
-        _, ev = classify_cone_case(e, seed=0)
-        pts = np.array(ev["attractor_points"])
-        grid = build_grid(2, 256, "sphere")
-        pair = sphere_extremal_measures(e, 0.8, grid, pts)
-        support = pair.pi_plus.masses > 1e-12
-        assert np.all(grid.nodes[support] @ np.array([1.0, 1.0]) > 0)
-        # reflected copy matches through the antipode node map exactly
-        amap = np.argmax((-grid.nodes) @ grid.nodes.T, axis=1)
-        reflected = np.zeros_like(pair.pi_plus.masses)
-        np.add.at(reflected, amap, pair.pi_plus.masses)
-        assert np.allclose(reflected, pair.pi_minus.masses, atol=1e-12)
-
-    def test_decomposition_matches_projective(self):
-        e = positive_2d()
-        _, ev = classify_cone_case(e, seed=0)
-        pts = np.array(ev["attractor_points"])
-        s = 0.8
-        grid = build_grid(2, 256, "sphere")
-        pair = sphere_extremal_measures(e, s, grid, pts)
-        proj = KSolver(e, build_grid(2, 128, "projective"), tol=1e-10).point(s)
-        lifted = np.array([interpolate(proj.e, x) for x in grid.nodes])
-        total = pair.e_plus.values + pair.e_minus.values
-        # e_+ + e_- reproduces the projective eigenfunction up to the
-        # normalization of nu(e)=1 on each grid; compare shapes
-        ratio = total / lifted
-        assert ratio.std() / ratio.mean() < 0.02
-
-    def test_restricted_points_report_both_residuals(self):
-        # nu_+ and tau, the transposed cone measure behind e_+, are separate
-        # iterations: each side reports both residuals, converged needs both
-        e = positive_2d()
-        _, ev = classify_cone_case(e, seed=0)
-        pair = sphere_extremal_measures(e, 0.5, build_grid(2, 256, "sphere"),
-                                        np.array(ev["attractor_points"]))
-        for point in (pair.point_plus, pair.point_minus):
-            assert point.residual_nu == pytest.approx(8.07e-11, rel=1e-2)
-            assert point.residual_e == pytest.approx(7.03e-11, rel=1e-2)
-            assert point.converged
-
-    def test_missing_attractor_rejected(self):
-        grid = build_grid(2, 64, "sphere")
-        with pytest.raises(ValueError, match="attractor"):
-            sphere_extremal_measures(positive_2d(), 0.5, grid, np.empty((0, 2)))
-
-
-class TestComplexDiagnostic:
-    def test_oscillatory_radius_below_k(self, ip, grid128):
-        ratio = complex_radius_ratio(ip, 0.8, t=1.0, grid=grid128, n_iter=150)
-        assert ratio < 0.98
-
-    def test_zero_frequency_reproduces_k(self, ip, grid128):
-        ratio = complex_radius_ratio(ip, 0.8, t=0.0, grid=grid128, n_iter=200)
-        assert abs(ratio - 1.0) < 1e-2
-
-
 class TestOtherDimensions:
     def test_d3_similarity_closed_form(self):
         # block rotation keeps |g x| direction-independent in d=3
@@ -385,15 +321,3 @@ class TestOtherDimensions:
         sp = KSolver(e, grid, tol=1e-10).point(1.0)
         assert abs(sp.k - 1.0) < 1e-12  # |a| enters, not the sign
 
-
-def test_extremal_points_match_projective_k():
-    e = positive_2d()
-    _, ev = classify_cone_case(e, seed=0)
-    pts = np.array(ev["attractor_points"])
-    s = 0.8
-    # a 256-node sphere grid has the same angular spacing as a 128-node
-    # projective grid, so the cone-restricted eigenvalue matches it closely
-    pair = sphere_extremal_measures(e, s, build_grid(2, 256, "sphere"), pts)
-    proj = KSolver(e, build_grid(2, 128, "projective"), tol=1e-10).point(s)
-    assert pair.point_plus.mode == "sphere-cone-restricted"
-    assert abs(pair.point_plus.k - proj.k) < 1e-8
