@@ -6,6 +6,7 @@ __version__ = "0.1.2"
 from .ensemble import (  # noqa: F401
     AffineEnsemble,
     EnsembleError,
+    HypothesisError,
     LinearEnsemble,
     ValidationReport,
     load_ensemble,

@@ -22,6 +22,7 @@ __all__ = [
     "AffineEnsemble",
     "ValidationReport",
     "EnsembleError",
+    "HypothesisError",
     "operator_norm",
     "validate_linear",
     "transpose",
@@ -41,6 +42,11 @@ ANGULAR_TOL = 1e-3  # cone attractor symmetry margin, radians
 
 class EnsembleError(ValueError):
     """Structural defect in an ensemble definition."""
+
+
+class HypothesisError(ValueError):
+    """The inputs are well formed but a standing hypothesis of the theory
+    fails for them (no tail root, a non-contracting walk)."""
 
 
 def operator_norm(g: np.ndarray) -> float:
@@ -266,9 +272,7 @@ def _canonical_directions(vs: np.ndarray, tol: float) -> np.ndarray:
     return np.array(out) if out else np.zeros((0, vs.shape[1]))
 
 
-def check_strong_irreducibility(
-    e: LinearEnsemble, n_iterations: int = 40
-) -> tuple[str, dict]:
+def check_strong_irreducibility(e: LinearEnsemble) -> tuple[str, dict]:
     """Orbit-closure heuristic for strong irreducibility.
 
     Candidate invariant lines are seeded from atom eigenvectors and closed
@@ -281,6 +285,7 @@ def check_strong_irreducibility(
         return "pass", {"note": "d=1: vacuously strongly irreducible"}
     tol = 1e-8
     cap = 64
+    n_iterations = 40
     seeds: list[np.ndarray] = []
     for g in e.matrices:
         vals, vecs = np.linalg.eig(g)
@@ -311,12 +316,7 @@ def check_strong_irreducibility(
     return "inconclusive", {"orbit_cardinality": int(dirs.shape[0])}
 
 
-def classify_cone_case(
-    e: LinearEnsemble,
-    n_trajectories: int = 64,
-    n_steps: int = 300,
-    seed: int = 0,
-) -> tuple[str, dict]:
+def classify_cone_case(e: LinearEnsemble, seed: int = 0) -> tuple[str, dict]:
     """Classify the sphere dynamics: "II" when a proper convex cone is
     preserved (attractor disjoint from its antipode), "I" when the late-time
     attractor is symmetric, "unknown" otherwise.
@@ -333,6 +333,7 @@ def classify_cone_case(
                 "attractor_center": [1.0],
             }
         return "I", {"note": "sign changes force a symmetric attractor"}
+    n_trajectories, n_steps = 64, 300
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_trajectories, d))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -387,10 +388,10 @@ def classify_cone_case(
     }
 
 
-def check_nonarithmetic_1d(e: LinearEnsemble, max_denominator: int = 10**6) -> tuple[str, dict]:
+def check_nonarithmetic_1d(e: LinearEnsemble) -> tuple[str, dict]:
     """d=1 only: "fail" when all pairwise ratios log|a_i|/log|a_j| are rational
-    with denominator <= max_denominator (the group generated by log|a_i| is
-    then a lattice), else "pass".
+    with denominator <= 10^6 (the group generated by log|a_i| is then a
+    lattice), else "pass".
     """
     if e.dimension != 1:
         raise EnsembleError("check_nonarithmetic_1d requires d = 1")
@@ -402,7 +403,7 @@ def check_nonarithmetic_1d(e: LinearEnsemble, max_denominator: int = 10**6) -> t
     ratios = []
     for x in nontrivial[1:]:
         r = x / base
-        frac = Fraction(r).limit_denominator(max_denominator)
+        frac = Fraction(r).limit_denominator(10**6)
         ratios.append((float(r), frac.numerator, frac.denominator,
                        abs(r - frac.numerator / frac.denominator)))
     # an exactly rational ratio survives the float logs at ulp level (~1e-16
@@ -440,13 +441,18 @@ def load_ensemble(path: str | Path) -> LinearEnsemble | AffineEnsemble:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise EnsembleError(f"cannot read ensemble file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise EnsembleError(f"not valid JSON: {exc}") from exc
     try:
-        d = int(doc["dimension"])
-        atoms = doc["atoms"]
+        d, atoms = doc["dimension"], doc["atoms"]
     except (KeyError, TypeError) as exc:
         raise EnsembleError(f"missing required key: {exc}") from exc
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise EnsembleError(f"dimension must be an integer, got {d!r}")
+    if not (isinstance(atoms, list) and all(isinstance(a, dict) for a in atoms)):
+        raise EnsembleError("atoms must be a list of objects")
     label = str(doc.get("label", ""))
     mats, trans, weights = [], [], []
     has_translation = any("translation" in a for a in atoms)

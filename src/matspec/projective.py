@@ -90,14 +90,6 @@ class GridMeasure:
             raise ValueError("negative mass in GridMeasure")
         self.masses = m
 
-    @property
-    def total(self) -> float:
-        return float(self.masses.sum())
-
-    def pair(self, f: GridFunction | np.ndarray) -> float:
-        vals = f.values if isinstance(f, GridFunction) else np.asarray(f)
-        return float(np.sum(vals * self.masses))
-
 
 def build_grid(d: int, resolution: int, mode: str = PROJECTIVE) -> DirectionGrid:
     """Construct a grid: two points (d=1 sphere), uniform circle angles
@@ -219,17 +211,3 @@ def interpolate(f: GridFunction, x: np.ndarray) -> float | np.ndarray:
         out = out + terms[:, j]
     return out[0] if single else out
 
-
-def export_grid_csv(grid: DirectionGrid, path) -> None:
-    """Grid export: node_index, coordinates..., quadrature_weight."""
-    cols = ["node_index"] + [f"x{i}" for i in range(grid.dimension)]
-    cols.append("quadrature_weight")
-    lines = [",".join(cols)]
-    for j in range(grid.n_nodes):
-        parts = [str(j)]
-        parts += [f"{v:.17g}" for v in grid.nodes[j]]
-        parts.append(f"{grid.quadrature_weights[j]:.17g}")
-        lines.append(",".join(parts))
-    from pathlib import Path
-
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -14,7 +14,7 @@ exactly critical: E A = 1); medians are reported alongside for that reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .transfer import SpectralPoint
 
 __all__ = [
     "TailSampleBank",
-    "TailReport",
     "sample_stationary",
     "hill_estimator",
     "hill_stability",
@@ -77,20 +76,6 @@ class TailSampleBank:
         if self.samples.ndim == 1:
             return self.samples * float(np.asarray(u).reshape(-1)[0])
         return self.samples @ np.asarray(u, dtype=float)
-
-
-@dataclass
-class TailReport:
-    """Summary of the heavy-tail diagnostics for one bank."""
-
-    alpha_spectral: float
-    alpha_hill: float
-    alpha_hill_ci: tuple[float, float]
-    hill_k: int
-    directional_constants: dict = field(default_factory=dict)
-    proportionality_cv: float | None = None
-    case_label: str = "unknown"
-    mellin_constants: dict = field(default_factory=dict)
 
 
 def _sample_chunk(
@@ -160,7 +145,6 @@ def sample_stationary(
     n_steps: int,
     n_samples: int,
     seed: int,
-    trunc_cutoff: float = 1e-8,
     chunk: int = 1 << 17,
     lyapunov_negative: bool | None = None,
     n_workers: int = 1,
@@ -175,6 +159,7 @@ def sample_stationary(
     upstream; None leaves a runtime check: a sampled product whose median
     norm fails to decay aborts the run.  Chunks carry independent streams
     and are merged in index order, so n_workers never changes the result.
+    A bank whose truncation diagnostic exceeds 1e-8 is under-converged.
     """
     if n_steps < 1 or n_samples < 1:
         raise ValueError("n_steps and n_samples must be positive")
@@ -205,7 +190,7 @@ def sample_stationary(
         seed=seed,
         truncation_diag=max(ratios),
         remainder_bound=float(remainder),
-        under_converged=bool(max(ratios) > trunc_cutoff),
+        under_converged=bool(max(ratios) > 1e-8),
         row_steps=sum(row_steps),
         last_step=max(last_steps),
     )
@@ -252,9 +237,9 @@ def hill_estimator(
 def hill_stability(
     bank: TailSampleBank | np.ndarray,
     statistic="norm",
-    k_grid: np.ndarray | None = None,
 ) -> dict:
-    """Hill estimates across a k-scan with a plateau flag.
+    """Hill estimates across 12 geometric k from max(10, n/1000) to
+    max(20, n/10), with a plateau flag.
 
     No stabilization across the scan (max/min ratio above 2) is reported as
     "no power tail": bounded data drives the estimate upward as k shrinks.
@@ -265,10 +250,9 @@ def hill_stability(
         data = np.asarray(bank, dtype=float)
         data = data[data > 0]
     n = data.size
-    if k_grid is None:
-        k_grid = np.unique(
-            np.geomspace(max(10, n // 1000), max(20, n // 10), 12).astype(int)
-        )
+    k_grid = np.unique(
+        np.geomspace(max(10, n // 1000), max(20, n // 10), 12).astype(int)
+    )
     rows = []
     for k in k_grid:
         if k >= n / 2:
@@ -288,29 +272,25 @@ def empirical_tail(
     bank: TailSampleBank,
     u: np.ndarray,
     alpha: float,
-    t_grid: np.ndarray | None = None,
-    min_exceedances: int = 100,
-    n_boot: int = 200,
-    boot_seed: int = 12345,
 ) -> dict:
     """Table of t^alpha P{<R,u> > t} with a plateau estimate of C(u).
 
-    The plateau is the exceedance-weighted mean over the largest decade of t
-    still holding >= min_exceedances samples; its CI is a multinomial
-    bootstrap over the layer counts of that decade.
+    t runs over 48 geometric thresholds from the median of the positive part
+    to half its maximum.  The plateau is the exceedance-weighted mean over
+    the largest decade of t still holding >= 100 samples; its CI is a
+    multinomial bootstrap (200 draws) over the layer counts of that decade.
     """
+    min_exceedances = 100
     vals = bank.directional(np.asarray(u, dtype=float))
     pos = vals[vals > 0]
     n = bank.n_samples
     if pos.size < min_exceedances:
         raise ValueError("insufficient exceedances at every threshold")
-    if t_grid is None:
-        t_lo = float(np.quantile(pos, 0.5))
-        t_hi = float(pos.max()) * 0.5
-        if t_lo <= 0 or t_hi <= t_lo:
-            raise ValueError("degenerate positive part; cannot build a t grid")
-        t_grid = np.geomspace(t_lo, t_hi, 48)
-    t_grid = np.asarray(sorted(t_grid))
+    t_lo = float(np.quantile(pos, 0.5))
+    t_hi = float(pos.max()) * 0.5
+    if t_lo <= 0 or t_hi <= t_lo:
+        raise ValueError("degenerate positive part; cannot build a t grid")
+    t_grid = np.geomspace(t_lo, t_hi, 48)
     counts = np.array([(pos > t).sum() for t in t_grid])
     y = t_grid**alpha * counts / n
     ok = counts >= min_exceedances
@@ -328,8 +308,8 @@ def empirical_tail(
     layers[1:-1] = cw[:-1] - cw[1:]
     layers[-1] = cw[-1]
     probs = layers / n
-    rng = _rng(boot_seed)
-    draws = rng.multinomial(n, probs, size=n_boot)
+    rng = _rng(12345)
+    draws = rng.multinomial(n, probs, size=200)
     boot_counts = draws[:, ::-1].cumsum(axis=1)[:, ::-1][:, 1:]  # exceed counts
     boot_y = tw**alpha * boot_counts / n
     bw = boot_counts.astype(float)
@@ -352,7 +332,6 @@ def directional_profile(
     sp_star_alpha: SpectralPoint,
     directions: np.ndarray,
     alpha: float,
-    min_exceedances: int = 100,
 ) -> dict:
     """Ratios C_hat(u) / *e^alpha(u) across directions and their coefficient
     of variation; direction-independent in the no-invariant-cone case.
@@ -364,7 +343,7 @@ def directional_profile(
     constants = {}
     for u, ev in zip(directions, e_values):
         try:
-            res = empirical_tail(bank, u, alpha, min_exceedances=min_exceedances)
+            res = empirical_tail(bank, u, alpha)
         except ValueError:
             continue
         constants[tuple(np.round(u, 6))] = (res["plateau"], res["ci"])
@@ -381,7 +360,6 @@ def mellin_profile(
     u: np.ndarray,
     alpha: float,
     s_grid: np.ndarray | None = None,
-    n_batches: int = 25,
 ) -> dict:
     """Pole-route estimate of C(u): extrapolate (alpha - s) E<R,u>_+^s
     linearly to s = alpha and divide by alpha.
@@ -401,6 +379,7 @@ def mellin_profile(
     vals = bank.directional(np.asarray(u, dtype=float))
     pos = vals[vals > 0]
     n = bank.n_samples
+    n_batches = 25
     nb = pos.size // n_batches
     if nb < 2:
         raise ValueError("too few positive values for a batch-weighted fit")
@@ -444,7 +423,6 @@ def moment_check(
     bank: TailSampleBank,
     beta_grid: np.ndarray,
     k_values: dict[float, float] | None = None,
-    n_batches: int = 10,
 ) -> list[dict]:
     """Empirical E|R|^beta with batch stability and divergence flags.
 
@@ -453,6 +431,7 @@ def moment_check(
     """
     norms = bank.norms()
     n = norms.size
+    n_batches = 10
     batch = n // n_batches
     rows = []
     for beta in np.asarray(beta_grid, dtype=float):
@@ -485,19 +464,16 @@ def classify_tail_case(
     ae: AffineEnsemble,
     cone_case: str,
     attractor_center: np.ndarray | None = None,
-    n_paths: int = 4096,
-    n_steps: int = 400,
     seed: int = 0,
-    top_quantile: float = 0.995,
-    min_hits: int = 5,
 ) -> str:
     """Trichotomy of the stationary tail: "I" without an invariant cone;
     with one, "II'" when large forward states charge both antipodal
     attractor sides and "II''" when only one side is charged.
 
-    A side counts as charged when at least min_hits census states above the
-    top-quantile magnitude cut lie on it; the minority constant can be tiny,
-    so the decision is count-based, with the cut required to clear the
+    The census runs 4096 forward paths for 400 steps.  A side counts as
+    charged when at least 5 census states above the 0.995-quantile
+    magnitude cut lie on it; the minority constant can be tiny, so the
+    decision is count-based, with the cut required to clear the
     additive scale (else the census cannot see the tail and reports
     unknown).
     """
@@ -505,6 +481,7 @@ def classify_tail_case(
         return "I"
     if cone_case != "II" or attractor_center is None:
         return "unknown"
+    n_paths, n_steps, top_quantile, min_hits = 4096, 400, 0.995, 5
     center = np.asarray(attractor_center, dtype=float)
     rng = _rng(seed, 777)
     d = ae.dimension

@@ -82,9 +82,7 @@ def potential_profile_expanding(
     test_functions: list[AnnulusFunction],
     L: float,
     n_paths: int = 4096,
-    max_steps: int = 2000,
     seed: int = 0,
-    v0_scale: float = 2.0**-30,
     nu=None,
     arithmetic_caveat: bool = False,
 ) -> RenewalReport:
@@ -92,15 +90,17 @@ def potential_profile_expanding(
     renewal prediction (log_hi - log_lo) * nu(probe) / L.
 
     L must be the s=0 Lyapunov exponent, estimated positive upstream; paths
-    that fail to climb past every window within max_steps are flagged.
+    start at magnitude 2^-30, and those that fail to climb past every window
+    within 2000 steps are flagged.
     """
+    max_steps = 2000
     if L <= 0:
         raise ValueError("expanding profile requires a positive Lyapunov exponent")
     rng = _rng(seed, 550)
     d = e.dimension
     x = rng.standard_normal((n_paths, d))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    logmag = np.full(n_paths, np.log(v0_scale))
+    logmag = np.full(n_paths, np.log(2.0**-30))
     top = max(f.log_hi for f in test_functions)
     counts = np.zeros((len(test_functions), n_paths))
     active = np.ones(n_paths, dtype=bool)
@@ -158,21 +158,20 @@ def cramer_constant(
     seed: int,
     method: str = "tilted",
     sp: SpectralPoint | None = None,
-    max_steps: int = 4000,
-    drop_nats: float = 60.0,
-    min_hits: int = 25,
 ) -> list[dict]:
     """Table of A_hat(u, t) = t^alpha P{sup_n |S_n u| > t} per threshold.
 
     naive: direct path counting under the untilted walk; a path retires once
-    its log magnitude falls drop_nats below its running maximum (the sup can
+    its log magnitude falls 60 nats below its running maximum (the sup can
     then no longer move at the thresholds of interest).  Rows with fewer
-    than min_hits exceedances are flagged starved.
+    than 25 exceedances are flagged starved.
 
     tilted: sequential importance sampling under the alpha-tilted chain with
     the exact likelihood ratio at first crossing; every path crosses every
-    level since the tilted drift is positive.
+    level since the tilted drift is positive.  Either way a path runs at most
+    4000 steps.
     """
+    max_steps, drop_nats, min_hits = 4000, 60.0, 25
     u = np.asarray(u, dtype=float)
     u = u / np.linalg.norm(u)
     log_ts = np.log(np.asarray(sorted(t_grid)))
@@ -372,8 +371,6 @@ def dual_walk_simulate(
     n_starts: int = 1024,
     n_steps: int = 400,
     seed: int = 0,
-    eps: float = 0.1,
-    n_batches: int = 10,
 ) -> DualWalkRecord:
     """Simulate the dual chain u_{n+1} = A*.u_n,
     p_{n+1} = (p_n + <B, u_n>) / |A* u_n| with atoms drawn from the
@@ -405,10 +402,10 @@ def dual_walk_simulate(
     gap_sum = np.zeros(n_starts)
     sign_ok = True
     zero_hits = 0
-    # |p|^eps after burn-in: per-start totals and the sums of n_batches
-    # equal blocks of steps (a remainder of fewer than nb steps is left out)
+    # |p|^eps after burn-in: per-start totals and the sums of nb equal
+    # blocks of steps (a remainder of fewer than nb steps is left out)
+    eps, nb = 0.1, 10
     burn = max(50, n_steps // 10)
-    nb = max(2, n_batches)
     block_len = max(n_steps - burn, 0) // nb
     eps_total = np.zeros(n_starts)
     block_sums = np.zeros(nb)

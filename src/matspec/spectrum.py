@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import LinearEnsemble
+from .ensemble import HypothesisError, LinearEnsemble
 from .rng import draw_atoms, stream as _rng
 from .projective import DirectionGrid
 from .transfer import (
@@ -137,11 +137,12 @@ def solve_alpha(
 
     The user bracket is verified (k(lo) < 1 < k(hi)) and expanded
     geometrically when it fails, up to s_cap.  No sign change within the cap
-    raises: that happens exactly when every product keeps spectral radius
-    <= 1 or the walk is not contracting at s = 0.  Newton starts at hi, where
+    raises HypothesisError: that happens exactly when every product keeps
+    spectral radius <= 1 or the walk is not contracting at s = 0.  Newton starts at hi, where
     the convexity of log k makes its steps fall monotonically to the root;
     a step that leaves the bracket, which shrinks with every evaluation, is
-    replaced by bisection.
+    replaced by bisection.  A refinement that stalls above tol is a
+    numerical failure and raises RuntimeError.
     """
     ks = solver or KSolver(e, grid)
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -156,7 +157,7 @@ def solve_alpha(
         hi = min(2.0 * hi, s_cap)
         tries += 1
     if not (ks.k(lo) < 1.0 < ks.k(hi)):
-        raise ValueError(
+        raise HypothesisError(
             "no root: k(s) - 1 has no sign change on the expanded bracket; "
             "a root needs a contracting walk (Lyapunov exponent < 0 at s=0) "
             "and some atom product with spectral radius > 1"
@@ -176,7 +177,7 @@ def solve_alpha(
             break
         alpha = nxt
     if abs(ks.k(alpha) - 1.0) > tol:
-        raise ValueError(
+        raise RuntimeError(
             f"root refinement stalled: |k(alpha)-1| = {abs(ks.k(alpha)-1.0):.3e} > {tol}"
         )
     return float(alpha)
@@ -195,7 +196,6 @@ def lyapunov(
     s: float,
     method: str = "finite_diff",
     solver: KSolver | None = None,
-    h: float = 1e-3,
     n_chains: int = 64,
     n_steps: int = 4000,
     seed: int = 0,
@@ -219,6 +219,7 @@ def lyapunov(
     if method == "finite_diff":
         if d == 1:
             return k_prime_closed_form_1d(e, s) / k_closed_form_1d(e, s), None
+        h = 1e-3
         hh = min(h, s / 2) if s > 0 else h
 
         def central(step: float) -> float:
@@ -439,6 +440,6 @@ def compute_curve(
         try:
             curve.alpha = solve_alpha(e, solver=ks)
             curve.k_prime_alpha = ks.k_prime(curve.alpha)
-        except ValueError:
+        except HypothesisError:
             curve.alpha = None
     return curve

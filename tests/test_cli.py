@@ -58,6 +58,15 @@ class TestValidateCommand:
             "ensemble": "bad.json", "seed": 1, "out": str(tmp_path / "o")}))
         assert main(["validate", "--config", str(tmp_path / "cfg.json")]) == EXIT_INVALID
 
+    @pytest.mark.parametrize("extra", [
+        {"s_grid": {"min": 0.0}}, {"mc": {"paths": "many"}}, {"options": [1]},
+    ], ids=["s_grid-key", "mc-value", "options-type"])
+    def test_malformed_config_value_exits_two(self, tmp_path, capsys, extra):
+        # caught while parsing, before the config names an output directory
+        cfg = write_config(tmp_path, kesten_1d(), **extra)
+        assert main(["validate", "--config", str(cfg)]) == EXIT_INVALID
+        assert "malformed config value" in capsys.readouterr().err
+
     def test_missing_seed_exits_two(self, tmp_path):
         save_ensemble(kesten_1d(), tmp_path / "e.json")
         (tmp_path / "cfg.json").write_text(json.dumps({
@@ -93,6 +102,7 @@ class TestValidateCommand:
             {"s_grid": {"min": -0.5, "max": 1.0, "count": 3}},
             {"s_grid": {"min": 0.0, "max": 1.0, "count": 1}},
             {"mc": {"paths": 0, "steps": 300, "samples": 50_000}},
+            {"s_grid": {"min": 1.0, "max": 1.0, "count": 3}},
         ]
         for extra in bad_values:
             cfg = write_config(tmp_path, kesten_1d(), **extra)
@@ -111,12 +121,22 @@ BAD_OPTIONS = [
     ("cramer", kesten_1d, {"options": {"t_grid": {"min": 0, "max": 100, "count": 3}}},
      "t_grid needs min, max > 0"),
     ("renewal", kesten_1d, {"options": {"n_windows": 0}}, "n_windows must be >= 1"),
+    ("tails", kesten_affine_1d,
+     {"mc": {"samples": 2000, "steps": 300, "paths": 4000}, "options": {"hill_k": 5000}},
+     "hill_k must lie in [1, mc.samples / 2)"),
+    ("cramer", kesten_1d, {"options": {"directions": -1}}, "directions must be >= 1"),
+    ("tails", kesten_affine_1d, {"options": {"moment_betas": [-1]}},
+     "moment_betas must be >= 0"),
+    ("renewal", kesten_1d, {"options": {"annulus_width": -1}},
+     "annulus_width must be > 0"),
+    ("renewal", kesten_1d, {"options": {"t_start": 0}}, "t_start must be > 0"),
 ]
 
 
 @pytest.mark.parametrize("command,ensemble,extra,message", BAD_OPTIONS,
                          ids=["resolution-d2", "resolution-d3", "rho_eps", "p0",
-                              "t_grid", "n_windows"])
+                              "t_grid", "n_windows", "hill_k", "directions",
+                              "moment_betas", "annulus_width", "t_start"])
 def test_bad_numeric_option_is_invalid_input(tmp_path, capsys, command,
                                              ensemble, extra, message):
     cfg = write_config(tmp_path, ensemble(), **extra)
@@ -124,6 +144,42 @@ def test_bad_numeric_option_is_invalid_input(tmp_path, capsys, command,
     assert message in capsys.readouterr().err
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "invalid-input"
+
+
+MALFORMED_ENSEMBLES = {
+    "missing-file": None,
+    "dimension-not-integer": {"dimension": "abc",
+                              "atoms": [{"matrix": [0.5], "weight": 1.0}]},
+    "dimension-fractional": {"dimension": 1.7,
+                             "atoms": [{"matrix": [0.5], "weight": 1.0}]},
+    "atoms-not-a-list": {"dimension": 1, "atoms": 5},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_ENSEMBLES.values(),
+                         ids=MALFORMED_ENSEMBLES.keys())
+def test_malformed_ensemble_file_is_invalid_input(tmp_path, doc):
+    if doc is not None:
+        (tmp_path / "ens.json").write_text(json.dumps(doc))
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "ensemble": "ens.json", "seed": 1, "out": str(tmp_path / "o")}))
+    assert main(["validate", "--config", str(tmp_path / "cfg.json")]) == EXIT_INVALID
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["status"] == "invalid-input"
+
+
+def test_unexpected_value_error_is_not_a_hypothesis_violation(tmp_path, monkeypatch):
+    # only the library's typed hypothesis errors exit 3; anything else
+    # surfaces as itself, and the manifest records the failure
+    def broken(*args, **kwargs):
+        raise ValueError("a programming error")
+
+    monkeypatch.setattr("matspec.cli.compute_curve", broken)
+    cfg = write_config(tmp_path, kesten_1d())
+    with pytest.raises(ValueError, match="a programming error"):
+        main(["spectrum", "--config", str(cfg)])
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
 
 
 class TestSpectrumCommand:

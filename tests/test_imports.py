@@ -1,6 +1,7 @@
 """No module of the package imports another module's private names, only
-KSolver builds transfer operators and runs power iteration, and every public
-routine has a caller inside the package."""
+KSolver builds transfer operators and runs power iteration, only the CLI's
+runner opens and finishes manifests, and every public routine has a caller
+inside the package."""
 
 import ast
 from pathlib import Path
@@ -46,8 +47,13 @@ def test_no_cross_module_private_imports():
 SOLVER_ONLY = {"TransferOperator": "KSolver.op", "power_iterate": "KSolver.point"}
 
 
-def solver_bypasses(source: str) -> list[str]:
-    """Calls of a SOLVER_ONLY name outside its place, as "scope: name"."""
+# the one run lifecycle: the CLI's runner opens a run's manifest and writes
+# it out, whatever happens in the command
+RUNNER_ONLY = {"Manifest": "_run", "finish": "_run"}
+
+
+def misplaced_calls(source: str, places: dict[str, str]) -> list[str]:
+    """Calls of a name of places outside its place, as "scope: name"."""
     found = []
 
     def visit(node, scope):
@@ -59,7 +65,7 @@ def solver_bypasses(source: str) -> list[str]:
                 f = child.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 where = ".".join(scope) or "<module>"
-                if name in SOLVER_ONLY and where != SOLVER_ONLY[name]:
+                if name in places and where != places[name]:
                     found.append(f"{where}: {name}")
             visit(child, scope)
 
@@ -80,7 +86,7 @@ class KSolver:
 def rebuild(e, grid, s):
     return transfer.power_iterate(TransferOperator(e, grid), s, 1e-10, 100)
 """
-    assert solver_bypasses(source) == ["rebuild: power_iterate",
+    assert misplaced_calls(source, SOLVER_ONLY) == ["rebuild: power_iterate",
                                        "rebuild: TransferOperator"]
 
 
@@ -88,7 +94,25 @@ def test_only_ksolver_builds_operators_and_solves():
     offenders = {
         path.name: sites
         for path in sorted(PACKAGE.glob("*.py"))
-        if (sites := solver_bypasses(path.read_text(encoding="utf-8")))
+        if (sites := misplaced_calls(path.read_text(encoding="utf-8"), SOLVER_ONLY))
+    }
+    assert offenders == {}
+
+
+def test_only_run_opens_and_finishes_manifests():
+    source = """
+def _run(args):
+    man = Manifest(args.command, cfg)
+    man.finish("ok")
+
+def _tails(cfg, ensemble, ks, man):
+    man.finish("failed")
+"""
+    assert misplaced_calls(source, RUNNER_ONLY) == ["_tails: finish"]
+    offenders = {
+        path.name: sites
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (sites := misplaced_calls(path.read_text(encoding="utf-8"), RUNNER_ONLY))
     }
     assert offenders == {}
 
@@ -101,9 +125,10 @@ FIXTURE_MODULES = {"ensembles"}
 
 
 def unreferenced(sources: dict[str, str]) -> list[str]:
-    """Public top-level functions and classes, and public methods of public
-    classes, that no code in sources references outside their own body, by
-    name, attribute or imported name; as "module.name"."""
+    """Public top-level functions and classes that no code in sources
+    references outside their own body, by name, attribute or imported name,
+    and public methods of public classes that nothing references as an
+    attribute outside their own body; as "module.name"."""
     defs, refs = [], []
 
     def visit(node, owners, label):
@@ -112,28 +137,30 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
                 method = (len(owners) == 1 and isinstance(owners[0], ast.ClassDef)
                           and not owners[0].name.startswith("_"))
                 if (not owners or method) and not child.name.startswith("_"):
-                    defs.append((f"{label}.{child.name}", child))
+                    defs.append((f"{label}.{child.name}", child, method))
                 visit(child, owners + [child], f"{label}.{child.name}")
                 continue
             if isinstance(child, ast.Name):
-                refs.append((child.id, owners))
+                refs.append((child.id, owners, False))
             elif isinstance(child, ast.Attribute):
-                refs.append((child.attr, owners))
+                refs.append((child.attr, owners, True))
             elif isinstance(child, ast.alias):
-                refs.append((child.name, owners))
+                refs.append((child.name, owners, False))
             visit(child, owners, label)
 
     for module, source in sources.items():
         visit(ast.parse(source), [], module)
-    return [label for label, node in defs
+    return [label for label, node, method in defs
             if not any(name == node.name and node not in owners
-                       for name, owners in refs)]
+                       and (attribute or not method)
+                       for name, owners, attribute in refs)]
 
 
 def test_checker_flags_unreferenced_routines():
     sources = {"a": """
 def used(x):
-    return helper(x)
+    total = helper(x)
+    return total
 
 def helper(x):
     return x
@@ -147,8 +174,11 @@ class Box:
 
     def unused(self):
         return None
+
+    def total(self):
+        return self.value
 """, "b": "from .a import used as run\nBox().get()\n"}
-    assert unreferenced(sources) == ["a.lonely", "a.Box.unused"]
+    assert unreferenced(sources) == ["a.lonely", "a.Box.unused", "a.Box.total"]
 
 
 def test_every_public_routine_has_a_caller_in_the_package():

@@ -56,6 +56,17 @@ class TestSolveAlpha:
         with pytest.raises(ValueError, match="no root"):
             solve_alpha(e, s_cap=32.0)
 
+    def test_stalled_refinement_is_numerical(self, kesten):
+        class Jump:  # k jumps over 1 at s = 1, so no iterate gets within tol
+            def k(self, s):
+                return 0.5 if s < 1.0 else 2.0
+
+            def k_prime(self, s):
+                return 1.0
+
+        with pytest.raises(RuntimeError, match="stalled"):
+            solve_alpha(kesten, solver=Jump())
+
     def test_bracket_expansion(self, kesten):
         alpha = solve_alpha(kesten, bracket=(0.01, 0.02))
         assert abs(alpha - 1.0) < 1e-10

@@ -96,8 +96,8 @@ class TestPowerIterate:
         sp = ip_solver.point(ip_alpha)
         assert np.all(sp.e.values > 0)
         assert np.all(sp.nu.masses >= 0)
-        assert abs(sp.nu.total - 1.0) < 1e-12
-        assert abs(sp.nu.pair(sp.e) - 1.0) < 1e-8
+        assert abs(sp.nu.masses.sum() - 1.0) < 1e-12
+        assert abs(np.sum(sp.e.values * sp.nu.masses) - 1.0) < 1e-8
 
     def test_residual_contract(self, ip, ip_solver, ip_alpha):
         sp = ip_solver.point(ip_alpha)
