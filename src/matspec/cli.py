@@ -111,6 +111,8 @@ class RunConfig:
             doc = json.loads(p.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {p}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"malformed config value: {p} holds no JSON object")
         merged = dict(doc)
         merged.update({k: v for k, v in overrides.items() if v is not None})
         if "seed" not in merged:
@@ -450,6 +452,14 @@ def _probe_directions(d: int, n: int, mode: str) -> np.ndarray:
 
 
 def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
+    # check() bounds a given Hill order; the default one is bounded here,
+    # before any work, as the bank has mc.samples values
+    hill_k = int(cfg.options.get("hill_k", max(10, cfg.mc_samples // 100)))
+    if not hill_k < cfg.mc_samples / 2:
+        raise ConfigError(
+            f"mc.samples = {cfg.mc_samples} is too small for the default Hill "
+            f"order {hill_k}, which needs mc.samples > {2 * hill_k}; set "
+            "options.hill_k in [1, mc.samples / 2)")
     lin = ks.ensemble
     L0 = _require_contracting(lin, ks)
     t0 = time.perf_counter()
@@ -464,7 +474,6 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     if bank.under_converged:
         man.warn("bank under-converged: truncation diagnostic above cutoff")
     t0 = time.perf_counter()
-    hill_k = int(cfg.options.get("hill_k", max(10, bank.n_samples // 100)))
     a_hat, ci = hill_estimator(bank, "norm", hill_k)
     stab = hill_stability(bank, "norm")
     d = lin.dimension
@@ -682,7 +691,8 @@ def _run(args) -> int:
     """One run of args.command: parse and check the config, load the
     ensemble, build the solver, run the body.  The manifest is written
     whatever happens: "invalid-input" when the config or the ensemble is
-    rejected, "failed" when anything else raises, else the body's status."""
+    rejected, here or by a body that can only judge it at run time,
+    "failed" when anything else raises, else the body's status."""
     body, _, need_affine, need_grid = COMMANDS[args.command]
     overrides = {
         "seed": args.seed,
@@ -706,10 +716,10 @@ def _run(args) -> int:
                     "solves on direction grids, which cover d in {1, 2, 3}"
                 )
             ks = _solver(cfg, _linear_part(ensemble)) if need_grid else None
+            status = body(cfg, ensemble, ks, man)
         except (ConfigError, EnsembleError):
             status = "invalid-input"
             raise
-        status = body(cfg, ensemble, ks, man)
     finally:
         man.finish(status)
     return EXIT_OK if status == "ok" else EXIT_NONCONVERGED

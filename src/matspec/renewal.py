@@ -241,7 +241,7 @@ def cramer_constant(
     active = np.ones(n_paths, dtype=bool)
     while active.any() and steps < max_steps:
         sel = np.flatnonzero(active)
-        chain.step(rng, sel)
+        chain.step(rng.random(len(sel)), sel)
         logmag = chain.logmag[sel]
         reach = np.searchsorted(log_ts, logmag)  # thresholds below logmag
         new = reach > nxt[sel]
@@ -309,7 +309,7 @@ def tilted_potential_profile(
     steps = 0
     while active.any() and steps < max_steps:
         sel = np.flatnonzero(active)
-        chain.step(rng, sel)
+        chain.step(rng.random(len(sel)), sel)
         logmag = chain.logmag[sel]
         logw = chain.log_lr(sel)
         for j, (f, (lo, hi)) in enumerate(zip(test_functions, windows)):
@@ -411,7 +411,7 @@ def dual_walk_simulate(
     block_sums = np.zeros(nb)
     for step in range(1, n_steps + 1):
         u = chain.x.copy()
-        choice, ln = chain.step(rng)
+        choice, ln = chain.step(rng.random(n_starts))
         # <B, u>, adding the d terms in order as numpy's short-axis sum does
         bu = b_cols[0].take(choice) * u[:, 0]
         for j in range(1, d):

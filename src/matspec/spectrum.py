@@ -21,7 +21,12 @@ safeguarded by a verified bracket.
 Tilted sampling realizes the s-tilted path measure through its Markov-chain
 disintegration (the paths of transfer.TiltedChain) rather than by
 importance weights on the untilted law, whose weights degenerate
-exponentially in the path length.
+exponentially in the path length.  The walks are batched: compute_curve's
+tilted Monte Carlo runs the paths of every s in one chain over the stack of
+their points, and lyapunov_gap and each stage of contraction_rate run all
+their probe pairs in one chain.  Each s and each pair still draws its start
+rows and uniforms from the stream and in the order it would alone, so the
+batched numbers equal those of one chain per s or per pair bit for bit.
 """
 
 from __future__ import annotations
@@ -236,25 +241,50 @@ def lyapunov(
     if method == "quadrature":
         return ks.k_prime(s) / ks.k(s), None
     if method == "tilted_mc":
-        rng = _rng(seed, 101)
-        burn = max(100, n_steps // 10)
-        if d == 1:
-            a = np.abs(e.matrices[:, 0, 0])
+        return _tilted_mc(e, ks, [s], seed, n_chains, n_steps)[0]
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _tilted_mc(
+    e: LinearEnsemble,
+    ks: KSolver,
+    s_values,
+    seed: int,
+    n_chains: int = 64,
+    n_steps: int = 4000,
+) -> list[tuple[float, float]]:
+    """(L, stderr) of the tilted_mc route at each s of s_values.
+
+    Every s draws from its own stream _rng(seed, 101): its start directions
+    from pi^s, then one uniform per chain and step.  In d >= 2 one
+    TiltedChain carries the n_chains paths of every s, s after s; d = 1
+    draws i.i.d. atoms from the closed-form tilted weights.
+    """
+    burn = max(100, n_steps // 10)
+    rngs = [_rng(seed, 101) for _ in s_values]
+    if e.dimension == 1:
+        a = np.abs(e.matrices[:, 0, 0])
+        out = []
+        for s, rng in zip(s_values, rngs):
             q = e.weights * a**s / k_closed_form_1d(e, s)
             q = q / q.sum()
             draws = draw_atoms(rng, q, (n_chains, n_steps))
             vals = np.log(a)[draws].mean(axis=1)
-            return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_chains))
-        sp = ks.point(s)
-        chain = TiltedChain(e, sp, _sample_pi_nodes(sp, n_chains, rng))
-        sums = np.zeros(n_chains)
-        for step in range(n_steps):
-            _, ln = chain.step(rng)
-            if step >= burn:
-                sums += ln
-        means = sums / (n_steps - burn)
-        return float(means.mean()), float(means.std(ddof=1) / np.sqrt(n_chains))
-    raise ValueError(f"unknown method {method!r}")
+            out.append((float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_chains))))
+        return out
+    points = [ks.point(s) for s in s_values]
+    chain = TiltedChain(e, points, [_sample_pi_nodes(sp, n_chains, rng)
+                                    for sp, rng in zip(points, rngs)])
+    u = np.empty((len(points), n_chains))
+    sums = np.zeros((len(points), n_chains))
+    for step in range(n_steps):
+        for rng, block in zip(rngs, u):
+            rng.random(out=block)
+        _, ln = chain.step(u.reshape(-1))
+        if step >= burn:
+            sums += ln.reshape(sums.shape)
+    means = sums / (n_steps - burn)
+    return [(float(m.mean()), float(m.std(ddof=1) / np.sqrt(n_chains))) for m in means]
 
 
 def _wedge_operators(e: LinearEnsemble) -> np.ndarray:
@@ -275,15 +305,15 @@ def _pair_contraction_logs(
     x0: np.ndarray,
     v: np.ndarray,
     w: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
+    u: np.ndarray,
 ) -> np.ndarray:
     """log of the sine-distance ratio after n tilted steps, per path.
 
     Works in log space through the wedge cocycle
     log sin(angle(S v, S w)) = log|S (v^w)| - log|S v| - log|S w|,
     so arbitrarily strong contraction never underflows.  x0, v, w are
-    (M, d) rows; the chain is driven from x0 (same atoms act on v and w).
+    (M, d) rows; the chain is driven from x0 (same atoms act on v and w),
+    and row t of u (n, M) holds the uniforms of step t.
     """
     d = e.dimension
     wedge_ops = _wedge_operators(e)
@@ -302,8 +332,8 @@ def _pair_contraction_logs(
         wedge_log = np.log(nrm)
         wedge_dir = cr / nrm[:, None]
     sin0 = wedge_log.copy()  # v, w are unit: log sin = wedge log
-    for _ in range(n):
-        choice, _ = chain.step(rng)
+    for u_step in u:
+        choice, _ = chain.step(u_step)
         g = e.matrices[choice]
         gv = np.einsum("nij,nj->ni", g, v_dir)
         gw = np.einsum("nij,nj->ni", g, w_dir)
@@ -329,6 +359,31 @@ def _random_unit(rng: np.random.Generator, size: int, d: int) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def _run_pairs(
+    e: LinearEnsemble,
+    sp: SpectralPoint,
+    rng: np.random.Generator,
+    n: int,
+    paths: int,
+    starts: list,
+) -> tuple[np.ndarray, list]:
+    """Log contraction (pairs, paths) of probe pairs, all in one chain.
+
+    Each entry of starts is a pair's (x0, v, w) as (1, d) unit rows, or None
+    to draw them.  Pair after pair, the stream serves the start rows a pair
+    draws and then its n steps of paths uniforms.  Returns the logs and the
+    (x0, v, w) of every pair.
+    """
+    d = e.dimension
+    pairs, blocks = [], []
+    for start in starts:
+        pairs.append(start or tuple(_random_unit(rng, 1, d) for _ in range(3)))
+        blocks.append(rng.random((n, paths)))
+    x0, v, w = (np.repeat(np.concatenate(rows), paths, axis=0) for rows in zip(*pairs))
+    logs = _pair_contraction_logs(e, sp, x0, v, w, np.concatenate(blocks, axis=1))
+    return logs.reshape(len(pairs), paths), pairs
+
+
 def lyapunov_gap(
     e: LinearEnsemble,
     s: float,
@@ -346,14 +401,11 @@ def lyapunov_gap(
     if e.dimension < 2:
         raise ValueError("the pair-contraction gap needs d >= 2")
     sp = (solver or KSolver(e)).point(s)
-    rng = _rng(seed, 202)
+    logs, _ = _run_pairs(e, sp, _rng(seed, 202), n, n_paths, [None] * n_pairs)
     best = -np.inf
     best_se = np.nan
-    for pair in range(n_pairs):
-        x0 = np.repeat(_random_unit(rng, 1, e.dimension), n_paths, axis=0)
-        v = np.repeat(_random_unit(rng, 1, e.dimension), n_paths, axis=0)
-        w = np.repeat(_random_unit(rng, 1, e.dimension), n_paths, axis=0)
-        ratios = _pair_contraction_logs(e, sp, x0, v, w, n, rng) / n
+    for pair_logs in logs:
+        ratios = pair_logs / n
         m = float(ratios.mean())
         se = float(ratios.std(ddof=1) / np.sqrt(n_paths))
         if m > best:
@@ -387,24 +439,14 @@ def contraction_rate(
     sp = (solver or KSolver(e)).point(s)
     rng = _rng(seed, 303)
 
-    def run_pairs(k_pairs: int, paths: int, pre: list | None = None):
-        results = []
-        for j in range(k_pairs):
-            if pre is None:
-                x0 = np.repeat(_random_unit(rng, 1, e.dimension), paths, axis=0)
-                v = np.repeat(_random_unit(rng, 1, e.dimension), paths, axis=0)
-                w = np.repeat(_random_unit(rng, 1, e.dimension), paths, axis=0)
-            else:
-                x0, v, w = (np.repeat(arr[:1], paths, axis=0) for arr in pre[j])
-            logs = _pair_contraction_logs(e, sp, x0, v, w, n, rng)
-            results.append((float(np.mean(np.exp(eps * logs))), (x0, v, w)))
-        return results
+    def ratios(paths: int, starts: list) -> tuple[list[float], list]:
+        logs, starts = _run_pairs(e, sp, rng, n, paths, starts)
+        return [float(np.mean(np.exp(eps * pair_logs))) for pair_logs in logs], starts
 
-    coarse = run_pairs(n_pairs, max(8, n_paths // 4))
-    coarse.sort(key=lambda t: -t[0])
-    worst = [t[1] for t in coarse[:8]]
-    refined = run_pairs(len(worst), n_paths, pre=worst)
-    sup_ratio = max(max(r for r, _ in coarse), max(r for r, _ in refined))
+    coarse, starts = ratios(max(8, n_paths // 4), [None] * n_pairs)
+    worst = sorted(range(n_pairs), key=lambda j: -coarse[j])[:8]
+    refined, _ = ratios(n_paths, [starts[j] for j in worst])
+    sup_ratio = max(max(coarse), max(refined))
     return float(sup_ratio ** (1.0 / n))
 
 
@@ -431,10 +473,10 @@ def compute_curve(
     for s in s_values:
         table["finite_diff"].append(lyapunov(e, s, "finite_diff", solver=ks)[0])
         table["quadrature"].append(lyapunov(e, s, "quadrature", solver=ks)[0])
-        if mc_check:
-            L, se = lyapunov(e, s, "tilted_mc", solver=ks, seed=seed)
+    if mc_check:
+        for L, se in _tilted_mc(e, ks, s_values, seed):
             table["tilted_mc"].append(L)
-            table["tilted_mc_se"].append(se if se is not None else np.nan)
+            table["tilted_mc_se"].append(se)
     curve.lyapunov_table = table
     if solve_root:
         try:

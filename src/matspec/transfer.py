@@ -28,13 +28,19 @@ The one-step tilted Markov kernel
 with c(x) its exact normalizer (k(s) up to discretization), is the sampling
 device of every rare-event and Lyapunov routine downstream; TiltedChain
 runs it on many paths at once and keeps the likelihood ratio of each path
-against the untilted walk.  A tilted step forms every atom's image of every
-path in one matrix product and interpolates e^s at all of them in one
-stencil call.
+against the untilted walk.  A chain holds one SpectralPoint or a stack of
+points on one grid: each row keeps its point, reads e^s from that point's
+block of one stacked table and tilts by that point's s, so walks at many
+exponents share every kernel call.  A tilted step forms every atom's image
+of every path in one matrix product and interpolates e^s at all of them in
+one stencil call; tilted_probs, the kernel, runs only inside
+TiltedChain.step, which takes its uniforms from the caller so that each
+row keeps the random stream it was drawn from.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,16 +309,23 @@ def pairing_p(sp: SpectralPoint, sp_star: SpectralPoint) -> tuple[float, float]:
 
 
 def tilted_probs(
-    e: LinearEnsemble, sp: SpectralPoint, xs: np.ndarray, e_xs: np.ndarray
+    e: LinearEnsemble,
+    sp: SpectralPoint | _StackRows,
+    xs: np.ndarray,
+    e_xs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized one-step tilted kernel at unit rows xs (M, d), where
     e_xs (M,) holds e^s at xs.
 
-    Returns (probs (M, m), normalizer (M,), images (M, m, d),
-    lognorms (M, m), e^s at the images (M, m)); probs rows are normalized,
-    and normalizer / k(s) ~ 1 up to discretization.  Every atom's image
-    comes from one product and e^s at all m images from one stencil call.
+    sp is a SpectralPoint, or the row view of a stack of points that
+    TiltedChain.step passes: every row then has its own exponent and reads
+    e^s from its own point.  Returns (probs (M, m), normalizer (M,),
+    images (M, m, d), lognorms (M, m), e^s at the images (M, m)); probs
+    rows are normalized, and normalizer / k(s) ~ 1 up to discretization.
+    Every atom's image comes from one product and e^s at all m images from
+    one stencil call.
     """
+    rows = sp if isinstance(sp, _StackRows) else _StackRows.of(sp)
     m = e.n_atoms
     M, d = xs.shape
     # column block i of [g_0^T ... g_{m-1}^T] maps xs to xs @ g_i^T
@@ -323,9 +336,9 @@ def tilted_probs(
     images = gx
     images /= norms[:, :, None]
     lognorms = np.log(norms)
-    e_img = interpolate(sp.e, images.reshape(M * m, d)).reshape(M, m)
+    e_img = rows.e_at(images)
     # w_i e^{s log|g_i x|} e^s(g_i.x) / e^s(x), one operation at a time in place
-    probs = np.multiply(lognorms, sp.s)
+    probs = np.multiply(lognorms, rows.s if rows.offset is None else rows.s[:, None])
     np.exp(probs, out=probs)
     probs *= e.weights
     probs *= e_img
@@ -333,6 +346,36 @@ def tilted_probs(
     normalizer = _sum_last(probs)
     probs /= normalizer[:, None]
     return probs, normalizer, images, lognorms, e_img
+
+
+@dataclass
+class _StackRows:
+    """The tilted kernels of a block of rows over a stack of points on one
+    grid: values holds e^s of every point, point after point, so that row r
+    reads its point's e^s at node j from values[offset[r] + j].  A stack of
+    one point has a scalar s and no offset."""
+
+    grid: DirectionGrid
+    values: np.ndarray
+    s: float | np.ndarray  # scalar, or each row's exponent (M,)
+    offset: np.ndarray | None
+
+    @classmethod
+    def of(cls, sp: SpectralPoint) -> "_StackRows":
+        return cls(sp.e.grid, sp.e.values, sp.s, None)
+
+    def e_at(self, images: np.ndarray) -> np.ndarray:
+        """e^s at the unit images (M, m, d), row r's from row r's point, as
+        (M, m); bit for bit projective.interpolate on that point's e^s."""
+        M, m, d = images.shape
+        idx, w = interp_stencil(self.grid, images.reshape(M * m, d))
+        if self.offset is not None:
+            idx += np.repeat(self.offset, m)[:, None]
+        terms = self.values.take(idx) * w
+        out = terms[:, 0]
+        for j in range(1, idx.shape[1]):  # numpy's in-order sum of a short row
+            out = out + terms[:, j]
+        return out.reshape(M, m)
 
 
 def _sum_last(a: np.ndarray) -> np.ndarray:
@@ -348,33 +391,60 @@ def _sum_last(a: np.ndarray) -> np.ndarray:
 
 
 class TiltedChain:
-    """M paths of the s-tilted chain, each carrying its state.
+    """Paths of the tilted chain at a stack of exponents on one grid, each
+    path carrying its state.
 
-    Started at the unit rows x0 (M, d), a path holds its direction x, e^s at
-    x (e_x), logmag = log|S_n x0| and lognorm, the sum of the log one-step
-    normalizers of the kernel it was drawn from.  Each step draws one
-    uniform per path and inverts the cumulative kernel row; e^s at the new
-    direction is the image value the kernel already interpolated.
+    sp is one SpectralPoint and x0 the unit start rows (M, d) of its paths,
+    or sp is a sequence of S points on one grid and x0 a sequence of S row
+    blocks, block p starting the paths of point p; the chain's rows are the
+    blocks in order, and each row keeps its point.  A path holds its
+    direction x, e^s at x (e_x), logmag = log|S_n x0| and lognorm, the sum of
+    the log one-step normalizers of the kernel it was drawn from.  Each step
+    inverts each selected path's cumulative kernel row at one given uniform;
+    e^s at the new direction is the image value the kernel already
+    interpolated.  Rows of every point share one kernel call per step.
     """
 
-    def __init__(self, e: LinearEnsemble, sp: SpectralPoint, x0: np.ndarray):
+    def __init__(self, e: LinearEnsemble, sp: SpectralPoint | Sequence[SpectralPoint],
+                 x0: np.ndarray | Sequence[np.ndarray]):
         self.ensemble = e
-        self.sp = sp
-        self.x = np.array(x0, dtype=float, ndmin=2)
-        self.e_x = interpolate(sp.e, self.x)
+        if isinstance(sp, SpectralPoint):
+            points, blocks = [sp], [x0]
+        else:
+            points, blocks = list(sp), list(x0)
+        grid = points[0].e.grid
+        if len(points) != len(blocks) or any(p.e.grid is not grid for p in points):
+            raise ValueError("a stack needs one row block per point, all on one grid")
+        blocks = [np.array(b, dtype=float, ndmin=2) for b in blocks]
+        self.x = np.concatenate(blocks)
+        self.e_x = np.concatenate([interpolate(p.e, b) for p, b in zip(points, blocks)])
+        if len(points) == 1:
+            self._rows = _StackRows.of(points[0])
+        else:
+            counts = [len(b) for b in blocks]
+            self._rows = _StackRows(
+                grid, np.concatenate([p.e.values for p in points]),
+                np.repeat([p.s for p in points], counts),
+                np.repeat(np.arange(len(points)) * grid.n_nodes, counts))
         self._log_e_x0 = np.log(self.e_x)
         self.logmag = np.zeros(len(self.x))
         self.lognorm = np.zeros(len(self.x))
 
-    def step(self, rng: np.random.Generator,
-             rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Advance the selected paths one step; returns (atom, log|g x|)."""
+    def _select(self, rows) -> _StackRows:
+        """The kernels of the selected rows."""
+        k = self._rows
+        if k.offset is None:
+            return k
+        return _StackRows(k.grid, k.values, k.s[rows], k.offset[rows])
+
+    def step(self, u: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Advance the selected paths one step, path i of the selection at
+        the uniform u[i]; returns (atom, log|g x|)."""
         # take gathers index rows far faster than fancy indexing does
         x = self.x[rows] if isinstance(rows, slice) else self.x.take(rows, axis=0)
         probs, normalizer, images, lognorms, e_img = tilted_probs(
-            self.ensemble, self.sp, x, self.e_x[rows])
+            self.ensemble, self._select(rows), x, self.e_x[rows])
         n, m = lognorms.shape
-        u = rng.random(n)
         # the atom is the count of running sums below u; the sums rise, so
         # counting the first m - 1 caps it at the last atom
         atom = np.zeros(n, dtype=np.intp)
@@ -395,4 +465,4 @@ class TiltedChain:
         normalizers: the exact log likelihood ratio of the untilted path
         against the simulated chain."""
         return (self._log_e_x0[rows] - np.log(self.e_x[rows])
-                - self.sp.s * self.logmag[rows] + self.lognorm[rows])
+                - self._select(rows).s * self.logmag[rows] + self.lognorm[rows])

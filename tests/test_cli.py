@@ -59,11 +59,15 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(tmp_path / "cfg.json")]) == EXIT_INVALID
 
     @pytest.mark.parametrize("extra", [
-        {"s_grid": {"min": 0.0}}, {"mc": {"paths": "many"}}, {"options": [1]},
-    ], ids=["s_grid-key", "mc-value", "options-type"])
+        {"s_grid": {"min": 0.0}}, {"mc": {"paths": "many"}}, {"options": [1]}, [1, 2],
+    ], ids=["s_grid-key", "mc-value", "options-type", "not-an-object"])
     def test_malformed_config_value_exits_two(self, tmp_path, capsys, extra):
         # caught while parsing, before the config names an output directory
-        cfg = write_config(tmp_path, kesten_1d(), **extra)
+        if isinstance(extra, dict):
+            cfg = write_config(tmp_path, kesten_1d(), **extra)
+        else:  # the whole document
+            cfg = write_config(tmp_path, kesten_1d())
+            cfg.write_text(json.dumps(extra))
         assert main(["validate", "--config", str(cfg)]) == EXIT_INVALID
         assert "malformed config value" in capsys.readouterr().err
 
@@ -130,13 +134,16 @@ BAD_OPTIONS = [
     ("renewal", kesten_1d, {"options": {"annulus_width": -1}},
      "annulus_width must be > 0"),
     ("renewal", kesten_1d, {"options": {"t_start": 0}}, "t_start must be > 0"),
+    ("tails", kesten_affine_1d, {"mc": {"samples": 15, "steps": 300, "paths": 4000}},
+     "too small for the default Hill order 10"),
 ]
 
 
 @pytest.mark.parametrize("command,ensemble,extra,message", BAD_OPTIONS,
                          ids=["resolution-d2", "resolution-d3", "rho_eps", "p0",
                               "t_grid", "n_windows", "hill_k", "directions",
-                              "moment_betas", "annulus_width", "t_start"])
+                              "moment_betas", "annulus_width", "t_start",
+                              "default-hill_k"])
 def test_bad_numeric_option_is_invalid_input(tmp_path, capsys, command,
                                              ensemble, extra, message):
     cfg = write_config(tmp_path, ensemble(), **extra)

@@ -1,7 +1,8 @@
 """No module of the package imports another module's private names, only
-KSolver builds transfer operators and runs power iteration, only the CLI's
-runner opens and finishes manifests, and every public routine has a caller
-inside the package."""
+KSolver builds transfer operators and runs power iteration, only
+TiltedChain.step runs the tilted kernel, only the CLI's runner opens and
+finishes manifests, and every public routine has a caller inside the
+package."""
 
 import ast
 from pathlib import Path
@@ -45,6 +46,11 @@ def test_no_cross_module_private_imports():
 # the one place each may appear: the operator family and the eigen-solves of
 # an (ensemble, grid) pair belong to its KSolver
 SOLVER_ONLY = {"TransferOperator": "KSolver.op", "power_iterate": "KSolver.point"}
+
+
+# the one tilted chain: every tilted walk, at one exponent or a stack of
+# them, steps through TiltedChain, whose step alone calls the kernel
+CHAIN_ONLY = {"tilted_probs": "TiltedChain.step"}
 
 
 # the one run lifecycle: the CLI's runner opens a run's manifest and writes
@@ -95,6 +101,28 @@ def test_only_ksolver_builds_operators_and_solves():
         path.name: sites
         for path in sorted(PACKAGE.glob("*.py"))
         if (sites := misplaced_calls(path.read_text(encoding="utf-8"), SOLVER_ONLY))
+    }
+    assert offenders == {}
+
+
+def test_only_tilted_chain_step_runs_the_kernel():
+    source = """
+class TiltedChain:
+    def step(self, u, rows=slice(None)):
+        probs = tilted_probs(self.ensemble, self._select(rows), x, e_x)[0]
+
+    def peek(self):
+        return transfer.tilted_probs(self.ensemble, sp, self.x, self.e_x)
+
+def lyapunov_loop(e, sp, xs, e_xs):
+    return tilted_probs(e, sp, xs, e_xs)
+"""
+    assert misplaced_calls(source, CHAIN_ONLY) == ["TiltedChain.peek: tilted_probs",
+                                                   "lyapunov_loop: tilted_probs"]
+    offenders = {
+        path.name: sites
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (sites := misplaced_calls(path.read_text(encoding="utf-8"), CHAIN_ONLY))
     }
     assert offenders == {}
 

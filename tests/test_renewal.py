@@ -160,7 +160,7 @@ def crossing_matrix_cramer(e, alpha, u, t_grid, n_paths, seed, method, sp=None,
     most = 0
     while active.any() and steps < max_steps:
         sel = np.flatnonzero(active)
-        chain.step(rng, sel)
+        chain.step(rng.random(len(sel)), sel)
         logmag = chain.logmag[sel]
         logw = chain.log_lr(sel)
         per_path = np.zeros(sel.size, dtype=int)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from matspec.ensemble import LinearEnsemble
-from matspec.ensembles import diag_only_2d, rotations_2d
+from matspec.ensembles import affine_3d, diag_only_2d, ip_2d, rotations_2d
 from matspec.projective import build_grid
 from matspec.spectrum import (
     KSolver,
@@ -13,7 +13,8 @@ from matspec.spectrum import (
     lyapunov_gap,
     solve_alpha,
 )
-from matspec import transfer
+from matspec import spectrum, transfer
+from matspec.rng import draw_atoms, stream
 from matspec.transfer import TiltedChain, TransferOperator, tilted_probs
 
 L0_KESTEN = 0.4 * np.log(2.0) - 0.6 * np.log(3.0)
@@ -158,7 +159,7 @@ class TestPathDiagnostics:
         x0 = ip.matrices[0][:, 0] / np.linalg.norm(ip.matrices[0][:, 0])
         chain = TiltedChain(ip, sp, x0)
         rng = np.random.default_rng(21)
-        atoms = [int(chain.step(rng)[0][0]) for _ in range(50)]
+        atoms = [int(chain.step(rng.random(1))[0][0]) for _ in range(50)]
         direct = x0
         for a in atoms:
             direct = ip.matrices[a] @ direct
@@ -305,3 +306,144 @@ class TestOracleInvariantAllShipped:
             k_hat, se = k_mc_oracle(similarity, s, n=30, n_samples=40_000,
                                     seed=4)
             assert abs(ks.k(s) - k_hat) <= 2 * (se + 0.02 * ks.k(s))
+
+
+# Reference Monte Carlo: every s and every probe pair in a chain of its own,
+# as the routines ran before one chain carried them all.
+
+def per_s_tilted_mc(e, ks, s_values, seed, n_chains, n_steps):
+    """(L, stderr) per s, each s on its own stream and chain."""
+    out = []
+    burn = max(100, n_steps // 10)
+    for s in s_values:
+        rng = stream(seed, 101)
+        sp = ks.point(s)
+        chain = TiltedChain(e, sp, sp.e.grid.nodes[draw_atoms(rng, sp.pi, n_chains)])
+        sums = np.zeros(n_chains)
+        for step in range(n_steps):
+            _, ln = chain.step(rng.random(n_chains))
+            if step >= burn:
+                sums += ln
+        means = sums / (n_steps - burn)
+        out.append((float(means.mean()), float(means.std(ddof=1) / np.sqrt(n_chains))))
+    return out
+
+
+def unit(rng, d):
+    x = rng.standard_normal((1, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def pair_logs(e, sp, x0, v, w, n, rng):
+    """Log sine-distance ratio after n tilted steps of one pair's paths."""
+    d = e.dimension
+    if d == 2:
+        wedge_ops = np.linalg.det(e.matrices)
+    else:
+        wedge_ops = (np.linalg.det(e.matrices)[:, None, None]
+                     * np.transpose(np.linalg.inv(e.matrices), (0, 2, 1)))
+    chain = TiltedChain(e, sp, x0)
+    v_dir, w_dir = v.copy(), w.copy()
+    v_log, w_log = np.zeros(len(v)), np.zeros(len(v))
+    if d == 2:
+        wedge_log = np.log(np.abs(v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]))
+    else:
+        cr = np.cross(v, w)
+        nrm = np.linalg.norm(cr, axis=1)
+        wedge_log = np.log(nrm)
+        wedge_dir = cr / nrm[:, None]
+    sin0 = wedge_log.copy()
+    for _ in range(n):
+        choice, _ = chain.step(rng.random(len(x0)))
+        g = e.matrices[choice]
+        gv = np.einsum("nij,nj->ni", g, v_dir)
+        gw = np.einsum("nij,nj->ni", g, w_dir)
+        nv, nw = np.linalg.norm(gv, axis=1), np.linalg.norm(gw, axis=1)
+        v_dir, w_dir = gv / nv[:, None], gw / nw[:, None]
+        v_log += np.log(nv)
+        w_log += np.log(nw)
+        if d == 2:
+            wedge_log += np.log(np.abs(wedge_ops[choice]))
+        else:
+            y = np.einsum("nij,nj->ni", wedge_ops[choice], wedge_dir)
+            ny = np.linalg.norm(y, axis=1)
+            wedge_dir = y / ny[:, None]
+            wedge_log += np.log(ny)
+    return wedge_log - v_log - w_log - sin0
+
+
+def per_pair_gap(e, sp, n, n_pairs, n_paths, seed):
+    rng = stream(seed, 202)
+    best, best_se = -np.inf, np.nan
+    for _ in range(n_pairs):
+        x0, v, w = (np.repeat(unit(rng, e.dimension), n_paths, axis=0) for _ in range(3))
+        ratios = pair_logs(e, sp, x0, v, w, n, rng) / n
+        m, se = float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(n_paths))
+        if m > best:
+            best, best_se = m, se
+    return best, best_se
+
+
+def per_pair_rho(e, sp, eps, n, n_pairs, n_paths, seed):
+    rng = stream(seed, 303)
+
+    def run_pairs(k_pairs, paths, pre=None):
+        results = []
+        for j in range(k_pairs):
+            if pre is None:
+                x0, v, w = (np.repeat(unit(rng, e.dimension), paths, axis=0)
+                            for _ in range(3))
+            else:
+                x0, v, w = (np.repeat(arr[:1], paths, axis=0) for arr in pre[j])
+            logs = pair_logs(e, sp, x0, v, w, n, rng)
+            results.append((float(np.mean(np.exp(eps * logs))), (x0, v, w)))
+        return results
+
+    coarse = run_pairs(n_pairs, max(8, n_paths // 4))
+    coarse.sort(key=lambda t: -t[0])
+    worst = [t[1] for t in coarse[:8]]
+    refined = run_pairs(len(worst), n_paths, pre=worst)
+    sup_ratio = max(max(r for r, _ in coarse), max(r for r, _ in refined))
+    return float(sup_ratio ** (1.0 / n))
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["ip_2d", "affine_3d"])
+def small_solver(request):
+    if request.param == 2:
+        return KSolver(ip_2d(), build_grid(2, 128, "projective"))
+    return KSolver(affine_3d().linear_part, build_grid(3, 64, "projective"))
+
+
+class TestOneChainEqualsPerRunReference:
+    """One chain over every s or every probe pair gives the numbers of one
+    chain per s or per pair, bit for bit."""
+
+    def test_tilted_mc_over_s(self, small_solver):
+        e, ks = small_solver.ensemble, small_solver
+        s_values = [0.0, 0.7, 1.4]
+        want = per_s_tilted_mc(e, ks, s_values, 5, 16, 300)
+        assert spectrum._tilted_mc(e, ks, s_values, 5, 16, 300) == want
+        assert lyapunov(e, 0.7, "tilted_mc", solver=ks, seed=5,
+                        n_chains=16, n_steps=300) == want[1]
+
+    def test_curve_tilted_mc_column(self, ip):
+        ks = KSolver(ip, build_grid(2, 64, "projective"))
+        s_values = [0.0, 1.0, 2.0]
+        curve = compute_curve(ip, s_values, solve_root=False, seed=3,
+                              mc_check=True, solver=ks)
+        want = per_s_tilted_mc(ip, ks, s_values, 3, 64, 4000)
+        assert curve.lyapunov_table["tilted_mc"] == [L for L, _ in want]
+        assert curve.lyapunov_table["tilted_mc_se"] == [se for _, se in want]
+
+    def test_gap_over_pairs(self, small_solver):
+        e, ks = small_solver.ensemble, small_solver
+        want = per_pair_gap(e, ks.point(0.8), 12, 5, 8, 9)
+        assert lyapunov_gap(e, 0.8, n=12, n_pairs=5, n_paths=8, seed=9,
+                            solver=ks) == want
+
+    @pytest.mark.parametrize("n_pairs", [5, 11])  # fewer and more than 8 worst
+    def test_rho_over_pairs(self, small_solver, n_pairs):
+        e, ks = small_solver.ensemble, small_solver
+        want = per_pair_rho(e, ks.point(0.8), 0.5, 10, n_pairs, 16, 4)
+        assert contraction_rate(e, 0.8, eps=0.5, n=10, n_pairs=n_pairs,
+                                n_paths=16, seed=4, solver=ks) == want

@@ -245,40 +245,92 @@ def chain_case(request):
     return e, ks.point(solve_alpha(e, solver=ks))
 
 
+def assert_log_lr_is_direct(e, points, sizes, stacked):
+    """sum log w_i - sum log q_k over the chosen atoms is the likelihood
+    ratio of the untilted walk against the simulated chain; the kernel of
+    each block of rows is that of its own point."""
+    rng = np.random.default_rng(5)
+    blocks = []
+    for size in sizes:
+        x0 = rng.standard_normal((size, e.dimension))
+        blocks.append(x0 / np.linalg.norm(x0, axis=1, keepdims=True))
+    if stacked:
+        chain = TiltedChain(e, points, blocks)
+    else:
+        chain = TiltedChain(e, points[0], blocks[0])
+    ends = np.cumsum(sizes)
+    rows = np.arange(ends[-1])
+    direct = np.zeros(ends[-1])
+    for _ in range(30):
+        probs = np.concatenate([
+            tilted_probs(e, sp, chain.x[end - size:end], chain.e_x[end - size:end])[0]
+            for sp, size, end in zip(points, sizes, ends)])
+        atom, _ = chain.step(rng.random(ends[-1]))
+        direct += np.log(e.weights[atom]) - np.log(probs[rows, atom])
+    assert np.max(np.abs(chain.log_lr() - direct)) < 1e-12
+
+
 class TestTiltedChain:
     def test_log_lr_is_direct_likelihood_ratio(self, chain_case):
-        # sum log w_i - sum log q_k over the chosen atoms is the likelihood
-        # ratio of the untilted walk against the simulated chain
         e, sp = chain_case
-        rng = np.random.default_rng(5)
-        x0 = rng.standard_normal((40, e.dimension))
-        chain = TiltedChain(e, sp, x0 / np.linalg.norm(x0, axis=1, keepdims=True))
-        direct = np.zeros(40)
-        for _ in range(30):
-            probs = tilted_probs(e, sp, chain.x, chain.e_x)[0]
-            atom, _ = chain.step(rng)
-            direct += np.log(e.weights[atom]) - np.log(probs[np.arange(40), atom])
-        assert np.max(np.abs(chain.log_lr() - direct)) < 1e-12
+        assert_log_lr_is_direct(e, [sp], [40], stacked=False)
+
+    def test_stack_log_lr_is_direct_likelihood_ratio(self, chain_case):
+        e, sp = chain_case
+        assert_log_lr_is_direct(e, [sp], [40], stacked=True)
+        other = KSolver(e, sp.e.grid).point(0.5 * sp.s)
+        assert_log_lr_is_direct(e, [sp, other, sp], [7, 20, 13], stacked=True)
+
+    def test_stack_rows_equal_single_point_chains(self, chain_case):
+        # a stack steps each block as a chain of its own point would
+        e, sp = chain_case
+        points = [sp, KSolver(e, sp.e.grid).point(0.5 * sp.s)]
+        rng = np.random.default_rng(8)
+        blocks = [np.tile(np.eye(e.dimension)[i], (n, 1)) for i, n in ((0, 6), (1, 9))]
+        stack = TiltedChain(e, points, blocks)
+        singles = [TiltedChain(e, p, b) for p, b in zip(points, blocks)]
+        for _ in range(15):
+            u = rng.random(15)
+            got, _ = stack.step(u)
+            want = [c.step(part)[0] for c, part in zip(singles, (u[:6], u[6:]))]
+            assert np.array_equal(got, np.concatenate(want))
+            # and a row selection across both blocks
+            u = rng.random(4)
+            got, _ = stack.step(u, np.array([1, 4, 7, 12]))
+            want = [singles[0].step(u[:2], np.array([1, 4]))[0],
+                    singles[1].step(u[2:], np.array([1, 6]))[0]]
+            assert np.array_equal(got, np.concatenate(want))
+        for name in ("x", "e_x", "logmag", "lognorm"):
+            assert np.array_equal(getattr(stack, name), np.concatenate(
+                [getattr(c, name) for c in singles]))
+        assert np.array_equal(stack.log_lr(),
+                              np.concatenate([c.log_lr() for c in singles]))
+
+    def test_stack_needs_one_grid(self, chain_case):
+        e, sp = chain_case
+        coarse = KSolver(e, build_grid(e.dimension, 32, "projective")).point(sp.s)
+        with pytest.raises(ValueError, match="one grid"):
+            TiltedChain(e, [sp, coarse], [np.eye(e.dimension)[:1]] * 2)
 
     def test_carried_e_is_interpolated_e(self, chain_case):
         e, sp = chain_case
         rng = np.random.default_rng(6)
         chain = TiltedChain(e, sp, np.tile(np.eye(e.dimension)[0], (25, 1)))
         for _ in range(20):
-            chain.step(rng)
+            chain.step(rng.random(25))
             assert np.all(chain.e_x == interpolate(sp.e, chain.x))
 
     def test_row_step_leaves_other_rows(self, chain_case):
         e, sp = chain_case
         rng = np.random.default_rng(7)
         chain = TiltedChain(e, sp, np.tile(np.eye(e.dimension)[0], (10, 1)))
-        chain.step(rng)
+        chain.step(rng.random(10))
         rows = np.array([1, 4, 8])
         others = np.setdiff1d(np.arange(10), rows)
         before = [a.copy() for a in (chain.x, chain.e_x, chain.logmag, chain.lognorm)]
         lr_before = chain.log_lr()
         for _ in range(5):
-            chain.step(rng, rows)
+            chain.step(rng.random(len(rows)), rows)
         after = (chain.x, chain.e_x, chain.logmag, chain.lognorm)
         for b, a in zip(before, after):
             assert np.array_equal(b[others], a[others])
