@@ -174,7 +174,9 @@ class RunConfig:
             n_windows = int(opts["n_windows"])
             width = float(opts["annulus_width"])
             t_start = float(opts["t_start"])
-            # the run-dependent defaults of the last three are valid
+            # a given hill_k is bounded here and its default, which depends
+            # on mc.samples, in _tails; the defaults of the last two are
+            # valid
             hill_k = int(opts.get("hill_k", 1))
             directions = int(opts.get("directions", 1))
             betas = [float(b) for b in opts.get("moment_betas", [])]

@@ -29,6 +29,7 @@ __all__ = [
     "act_many",
     "interpolate",
     "interp_stencil",
+    "stencil_sum",
 ]
 
 SPHERE = "sphere"
@@ -204,10 +205,16 @@ def interpolate(f: GridFunction, x: np.ndarray) -> float | np.ndarray:
     """Evaluate a grid function at unit vector(s) x; exact at grid nodes."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    idx, w = interp_stencil(f.grid, x)
-    terms = f.values.take(idx) * w
-    out = terms[:, 0]
-    for j in range(1, idx.shape[1]):  # numpy's in-order sum of a short row
-        out = out + terms[:, j]
+    out = stencil_sum(f.values, *interp_stencil(f.grid, x))
     return out[0] if single else out
+
+
+def stencil_sum(values: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w[:, j] * values[idx[:, j]], adding the short rows in order as
+    numpy does, so that every caller reads the same bits."""
+    terms = values.take(idx) * w
+    out = terms[:, 0]
+    for j in range(1, idx.shape[1]):
+        out = out + terms[:, j]
+    return out
 

@@ -230,7 +230,7 @@ def cramer_constant(
         raise ValueError(f"unknown method {method!r}")
     if sp is None:
         raise ValueError("tilted method needs the spectral point at alpha")
-    chain = TiltedChain(e, sp, np.tile(u, (n_paths, 1)))
+    chain = TiltedChain(e, [sp], [np.tile(u, (n_paths, 1))])
     # per threshold: accumulated weight sums at first crossing.  A path has
     # crossed exactly the thresholds below its first uncrossed one, nxt.
     weight_sum = np.zeros(len(log_ts))
@@ -300,7 +300,7 @@ def tilted_potential_profile(
     u = np.asarray(u, dtype=float)
     u = u / np.linalg.norm(u)
     rng = _rng(seed, 770)
-    chain = TiltedChain(e, sp, np.tile(u, (n_paths, 1)))
+    chain = TiltedChain(e, [sp], [np.tile(u, (n_paths, 1))])
     e_at_u = float(chain.e_x[0])
     acc = np.zeros((len(test_functions), n_paths))
     windows = [(f.log_lo - np.log(t), f.log_hi - np.log(t)) for f in test_functions]
@@ -391,7 +391,7 @@ def dual_walk_simulate(
         u /= np.linalg.norm(u, axis=1, keepdims=True)
     else:
         u = np.tile(np.asarray(u0, dtype=float) / np.linalg.norm(u0), (n_starts, 1))
-    chain = TiltedChain(lin_star, sp_star_alpha, u)
+    chain = TiltedChain(lin_star, [sp_star_alpha], [u])
     b_cols = ae.translations.T.copy()  # row j: every atom's B_j
     p = np.full(n_starts, float(p0))
     log_record = np.zeros(n_starts)  # record of log(p^{-1} p_n |S'_n u|), start 0

@@ -57,6 +57,10 @@ __all__ = [
     "compute_curve",
 ]
 
+# paths per s and steps per path of the tilted_mc route
+_MC_CHAINS = 64
+_MC_STEPS = 4000
+
 
 @dataclass
 class SpectralCurve:
@@ -201,8 +205,8 @@ def lyapunov(
     s: float,
     method: str = "finite_diff",
     solver: KSolver | None = None,
-    n_chains: int = 64,
-    n_steps: int = 4000,
+    n_chains: int = _MC_CHAINS,
+    n_steps: int = _MC_STEPS,
     seed: int = 0,
 ) -> tuple[float, float | None]:
     """Lyapunov exponent of the s-tilted walk, equal to k'(s)/k(s).
@@ -250,8 +254,8 @@ def _tilted_mc(
     ks: KSolver,
     s_values,
     seed: int,
-    n_chains: int = 64,
-    n_steps: int = 4000,
+    n_chains: int,
+    n_steps: int,
 ) -> list[tuple[float, float]]:
     """(L, stderr) of the tilted_mc route at each s of s_values.
 
@@ -317,7 +321,7 @@ def _pair_contraction_logs(
     """
     d = e.dimension
     wedge_ops = _wedge_operators(e)
-    chain = TiltedChain(e, sp, x0)
+    chain = TiltedChain(e, [sp], [x0])
     v_dir = v.copy()
     w_dir = w.copy()
     v_log = np.zeros(len(v))
@@ -474,7 +478,7 @@ def compute_curve(
         table["finite_diff"].append(lyapunov(e, s, "finite_diff", solver=ks)[0])
         table["quadrature"].append(lyapunov(e, s, "quadrature", solver=ks)[0])
     if mc_check:
-        for L, se in _tilted_mc(e, ks, s_values, seed):
+        for L, se in _tilted_mc(e, ks, s_values, seed, _MC_CHAINS, _MC_STEPS):
             table["tilted_mc"].append(L)
             table["tilted_mc_se"].append(se)
     curve.lyapunov_table = table

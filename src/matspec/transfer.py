@@ -28,12 +28,12 @@ The one-step tilted Markov kernel
 with c(x) its exact normalizer (k(s) up to discretization), is the sampling
 device of every rare-event and Lyapunov routine downstream; TiltedChain
 runs it on many paths at once and keeps the likelihood ratio of each path
-against the untilted walk.  A chain holds one SpectralPoint or a stack of
-points on one grid: each row keeps its point, reads e^s from that point's
-block of one stacked table and tilts by that point's s, so walks at many
-exponents share every kernel call.  A tilted step forms every atom's image
-of every path in one matrix product and interpolates e^s at all of them in
-one stencil call; tilted_probs, the kernel, runs only inside
+against the untilted walk.  A chain holds a stack of points on one grid,
+one point being a stack of one: each row keeps its point, reads e^s from
+that point's block of one stacked table and tilts by that point's s, so
+walks at many exponents share every kernel call.  A tilted step forms every
+atom's image of every path in one matrix product and interpolates e^s at
+all of them in one stencil call; tilted_probs, the kernel, runs only inside
 TiltedChain.step, which takes its uniforms from the caller so that each
 row keeps the random stream it was drawn from.
 """
@@ -56,6 +56,7 @@ from .projective import (
     build_grid,
     interp_stencil,
     interpolate,
+    stencil_sum,
 )
 
 __all__ = [
@@ -325,9 +326,9 @@ def tilted_probs(
     Every atom's image comes from one product and e^s at all m images from
     one stencil call.
     """
-    rows = sp if isinstance(sp, _StackRows) else _StackRows.of(sp)
-    m = e.n_atoms
     M, d = xs.shape
+    rows = sp if isinstance(sp, _StackRows) else _StackRows.stack([sp], [M])
+    m = e.n_atoms
     # column block i of [g_0^T ... g_{m-1}^T] maps xs to xs @ g_i^T
     gx = (xs @ e.matrices.transpose(2, 0, 1).reshape(d, m * d)).reshape(M, m, d)
     norms = np.sqrt(_sum_last(gx * gx))
@@ -338,7 +339,9 @@ def tilted_probs(
     lognorms = np.log(norms)
     e_img = rows.e_at(images)
     # w_i e^{s log|g_i x|} e^s(g_i.x) / e^s(x), one operation at a time in place
-    probs = np.multiply(lognorms, rows.s if rows.offset is None else rows.s[:, None])
+    probs = np.empty_like(lognorms)
+    for j in range(m):  # column by column: a broadcast over short rows is slow
+        np.multiply(lognorms[:, j], rows.s, out=probs[:, j])
     np.exp(probs, out=probs)
     probs *= e.weights
     probs *= e_img
@@ -352,30 +355,36 @@ def tilted_probs(
 class _StackRows:
     """The tilted kernels of a block of rows over a stack of points on one
     grid: values holds e^s of every point, point after point, so that row r
-    reads its point's e^s at node j from values[offset[r] + j].  A stack of
-    one point has a scalar s and no offset."""
+    reads its point's e^s at node j from values[offset[r] + j] and tilts by
+    s[r]."""
 
     grid: DirectionGrid
     values: np.ndarray
-    s: float | np.ndarray  # scalar, or each row's exponent (M,)
-    offset: np.ndarray | None
+    s: np.ndarray  # each row's exponent (M,)
+    offset: np.ndarray  # each row's first index into values (M,)
 
     @classmethod
-    def of(cls, sp: SpectralPoint) -> "_StackRows":
-        return cls(sp.e.grid, sp.e.values, sp.s, None)
+    def stack(cls, points: Sequence[SpectralPoint], counts: Sequence[int]) -> "_StackRows":
+        """counts[p] rows of point p, point after point."""
+        grid = points[0].e.grid
+        if any(p.e.grid is not grid for p in points):
+            raise ValueError("a stack needs one row block per point, all on one grid")
+        return cls(grid, np.concatenate([p.e.values for p in points]),
+                   np.repeat([float(p.s) for p in points], counts),
+                   np.repeat(np.arange(len(points)) * grid.n_nodes, counts))
+
+    def __getitem__(self, rows) -> "_StackRows":
+        return _StackRows(self.grid, self.values, self.s[rows], self.offset[rows])
 
     def e_at(self, images: np.ndarray) -> np.ndarray:
         """e^s at the unit images (M, m, d), row r's from row r's point, as
         (M, m); bit for bit projective.interpolate on that point's e^s."""
         M, m, d = images.shape
         idx, w = interp_stencil(self.grid, images.reshape(M * m, d))
-        if self.offset is not None:
-            idx += np.repeat(self.offset, m)[:, None]
-        terms = self.values.take(idx) * w
-        out = terms[:, 0]
-        for j in range(1, idx.shape[1]):  # numpy's in-order sum of a short row
-            out = out + terms[:, j]
-        return out.reshape(M, m)
+        offset = np.repeat(self.offset, m)
+        for j in range(idx.shape[1]):  # column by column, as in tilted_probs
+            idx[:, j] += offset
+        return stencil_sum(self.values, idx, w).reshape(M, m)
 
 
 def _sum_last(a: np.ndarray) -> np.ndarray:
@@ -394,10 +403,10 @@ class TiltedChain:
     """Paths of the tilted chain at a stack of exponents on one grid, each
     path carrying its state.
 
-    sp is one SpectralPoint and x0 the unit start rows (M, d) of its paths,
-    or sp is a sequence of S points on one grid and x0 a sequence of S row
-    blocks, block p starting the paths of point p; the chain's rows are the
-    blocks in order, and each row keeps its point.  A path holds its
+    points is a sequence of S points on one grid and x0 a sequence of S
+    blocks of unit start rows, block p (M_p, d) starting the paths of point
+    p; the chain's rows are the blocks in order, and each row keeps its
+    point.  A chain at one exponent is a stack of one.  A path holds its
     direction x, e^s at x (e_x), logmag = log|S_n x0| and lognorm, the sum of
     the log one-step normalizers of the kernel it was drawn from.  Each step
     inverts each selected path's cumulative kernel row at one given uniform;
@@ -405,37 +414,18 @@ class TiltedChain:
     interpolated.  Rows of every point share one kernel call per step.
     """
 
-    def __init__(self, e: LinearEnsemble, sp: SpectralPoint | Sequence[SpectralPoint],
-                 x0: np.ndarray | Sequence[np.ndarray]):
+    def __init__(self, e: LinearEnsemble, points: Sequence[SpectralPoint],
+                 x0: Sequence[np.ndarray]):
         self.ensemble = e
-        if isinstance(sp, SpectralPoint):
-            points, blocks = [sp], [x0]
-        else:
-            points, blocks = list(sp), list(x0)
-        grid = points[0].e.grid
-        if len(points) != len(blocks) or any(p.e.grid is not grid for p in points):
+        if len(points) != len(x0):
             raise ValueError("a stack needs one row block per point, all on one grid")
-        blocks = [np.array(b, dtype=float, ndmin=2) for b in blocks]
+        blocks = [np.array(b, dtype=float, ndmin=2) for b in x0]
+        self._rows = _StackRows.stack(points, [len(b) for b in blocks])
         self.x = np.concatenate(blocks)
         self.e_x = np.concatenate([interpolate(p.e, b) for p, b in zip(points, blocks)])
-        if len(points) == 1:
-            self._rows = _StackRows.of(points[0])
-        else:
-            counts = [len(b) for b in blocks]
-            self._rows = _StackRows(
-                grid, np.concatenate([p.e.values for p in points]),
-                np.repeat([p.s for p in points], counts),
-                np.repeat(np.arange(len(points)) * grid.n_nodes, counts))
         self._log_e_x0 = np.log(self.e_x)
         self.logmag = np.zeros(len(self.x))
         self.lognorm = np.zeros(len(self.x))
-
-    def _select(self, rows) -> _StackRows:
-        """The kernels of the selected rows."""
-        k = self._rows
-        if k.offset is None:
-            return k
-        return _StackRows(k.grid, k.values, k.s[rows], k.offset[rows])
 
     def step(self, u: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Advance the selected paths one step, path i of the selection at
@@ -443,7 +433,7 @@ class TiltedChain:
         # take gathers index rows far faster than fancy indexing does
         x = self.x[rows] if isinstance(rows, slice) else self.x.take(rows, axis=0)
         probs, normalizer, images, lognorms, e_img = tilted_probs(
-            self.ensemble, self._select(rows), x, self.e_x[rows])
+            self.ensemble, self._rows[rows], x, self.e_x[rows])
         n, m = lognorms.shape
         # the atom is the count of running sums below u; the sums rise, so
         # counting the first m - 1 caps it at the last atom
@@ -465,4 +455,4 @@ class TiltedChain:
         normalizers: the exact log likelihood ratio of the untilted path
         against the simulated chain."""
         return (self._log_e_x0[rows] - np.log(self.e_x[rows])
-                - self._select(rows).s * self.logmag[rows] + self.lognorm[rows])
+                - self._rows.s[rows] * self.logmag[rows] + self.lognorm[rows])

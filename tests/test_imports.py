@@ -109,7 +109,7 @@ def test_only_tilted_chain_step_runs_the_kernel():
     source = """
 class TiltedChain:
     def step(self, u, rows=slice(None)):
-        probs = tilted_probs(self.ensemble, self._select(rows), x, e_x)[0]
+        probs = tilted_probs(self.ensemble, self._rows[rows], x, e_x)[0]
 
     def peek(self):
         return transfer.tilted_probs(self.ensemble, sp, self.x, self.e_x)

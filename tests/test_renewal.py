@@ -153,7 +153,7 @@ def crossing_matrix_cramer(e, alpha, u, t_grid, n_paths, seed, method, sp=None,
                          "stderr": float(t**alpha * se), "hits": hits,
                          "flag": "starved" if hits < min_hits else ""})
         return rows, 0
-    chain = TiltedChain(e, sp, np.tile(u, (n_paths, 1)))
+    chain = TiltedChain(e, [sp], [np.tile(u, (n_paths, 1))])
     weight_sum = np.zeros(len(log_ts))
     weight_sq = np.zeros(len(log_ts))
     crossed = np.zeros((n_paths, len(log_ts)), dtype=bool)

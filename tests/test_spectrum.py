@@ -157,7 +157,7 @@ class TestPathDiagnostics:
     def test_incremental_lognorm_matches_direct(self, ip, ip_solver, ip_alpha):
         sp = ip_solver.point(ip_alpha)
         x0 = ip.matrices[0][:, 0] / np.linalg.norm(ip.matrices[0][:, 0])
-        chain = TiltedChain(ip, sp, x0)
+        chain = TiltedChain(ip, [sp], [x0])
         rng = np.random.default_rng(21)
         atoms = [int(chain.step(rng.random(1))[0][0]) for _ in range(50)]
         direct = x0
@@ -318,7 +318,7 @@ def per_s_tilted_mc(e, ks, s_values, seed, n_chains, n_steps):
     for s in s_values:
         rng = stream(seed, 101)
         sp = ks.point(s)
-        chain = TiltedChain(e, sp, sp.e.grid.nodes[draw_atoms(rng, sp.pi, n_chains)])
+        chain = TiltedChain(e, [sp], [sp.e.grid.nodes[draw_atoms(rng, sp.pi, n_chains)]])
         sums = np.zeros(n_chains)
         for step in range(n_steps):
             _, ln = chain.step(rng.random(n_chains))
@@ -342,7 +342,7 @@ def pair_logs(e, sp, x0, v, w, n, rng):
     else:
         wedge_ops = (np.linalg.det(e.matrices)[:, None, None]
                      * np.transpose(np.linalg.inv(e.matrices), (0, 2, 1)))
-    chain = TiltedChain(e, sp, x0)
+    chain = TiltedChain(e, [sp], [x0])
     v_dir, w_dir = v.copy(), w.copy()
     v_log, w_log = np.zeros(len(v)), np.zeros(len(v))
     if d == 2:

@@ -245,7 +245,7 @@ def chain_case(request):
     return e, ks.point(solve_alpha(e, solver=ks))
 
 
-def assert_log_lr_is_direct(e, points, sizes, stacked):
+def assert_log_lr_is_direct(e, points, sizes):
     """sum log w_i - sum log q_k over the chosen atoms is the likelihood
     ratio of the untilted walk against the simulated chain; the kernel of
     each block of rows is that of its own point."""
@@ -254,10 +254,7 @@ def assert_log_lr_is_direct(e, points, sizes, stacked):
     for size in sizes:
         x0 = rng.standard_normal((size, e.dimension))
         blocks.append(x0 / np.linalg.norm(x0, axis=1, keepdims=True))
-    if stacked:
-        chain = TiltedChain(e, points, blocks)
-    else:
-        chain = TiltedChain(e, points[0], blocks[0])
+    chain = TiltedChain(e, points, blocks)
     ends = np.cumsum(sizes)
     rows = np.arange(ends[-1])
     direct = np.zeros(ends[-1])
@@ -273,13 +270,12 @@ def assert_log_lr_is_direct(e, points, sizes, stacked):
 class TestTiltedChain:
     def test_log_lr_is_direct_likelihood_ratio(self, chain_case):
         e, sp = chain_case
-        assert_log_lr_is_direct(e, [sp], [40], stacked=False)
+        assert_log_lr_is_direct(e, [sp], [40])
 
     def test_stack_log_lr_is_direct_likelihood_ratio(self, chain_case):
         e, sp = chain_case
-        assert_log_lr_is_direct(e, [sp], [40], stacked=True)
         other = KSolver(e, sp.e.grid).point(0.5 * sp.s)
-        assert_log_lr_is_direct(e, [sp, other, sp], [7, 20, 13], stacked=True)
+        assert_log_lr_is_direct(e, [sp, other, sp], [7, 20, 13])
 
     def test_stack_rows_equal_single_point_chains(self, chain_case):
         # a stack steps each block as a chain of its own point would
@@ -288,7 +284,7 @@ class TestTiltedChain:
         rng = np.random.default_rng(8)
         blocks = [np.tile(np.eye(e.dimension)[i], (n, 1)) for i, n in ((0, 6), (1, 9))]
         stack = TiltedChain(e, points, blocks)
-        singles = [TiltedChain(e, p, b) for p, b in zip(points, blocks)]
+        singles = [TiltedChain(e, [p], [b]) for p, b in zip(points, blocks)]
         for _ in range(15):
             u = rng.random(15)
             got, _ = stack.step(u)
@@ -315,7 +311,7 @@ class TestTiltedChain:
     def test_carried_e_is_interpolated_e(self, chain_case):
         e, sp = chain_case
         rng = np.random.default_rng(6)
-        chain = TiltedChain(e, sp, np.tile(np.eye(e.dimension)[0], (25, 1)))
+        chain = TiltedChain(e, [sp], [np.tile(np.eye(e.dimension)[0], (25, 1))])
         for _ in range(20):
             chain.step(rng.random(25))
             assert np.all(chain.e_x == interpolate(sp.e, chain.x))
@@ -323,7 +319,7 @@ class TestTiltedChain:
     def test_row_step_leaves_other_rows(self, chain_case):
         e, sp = chain_case
         rng = np.random.default_rng(7)
-        chain = TiltedChain(e, sp, np.tile(np.eye(e.dimension)[0], (10, 1)))
+        chain = TiltedChain(e, [sp], [np.tile(np.eye(e.dimension)[0], (10, 1))])
         chain.step(rng.random(10))
         rows = np.array([1, 4, 8])
         others = np.setdiff1d(np.arange(10), rows)
