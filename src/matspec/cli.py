@@ -1,11 +1,12 @@
 """Command-line driver: validate ensembles and run the analysis pipelines.
 
-Every invocation writes a manifest (config echo, ensemble hash, tool
-version, output list, wall-clock timings) into the output directory, even
-on partial failure, and every stochastic output is a pure function of
-(config bytes, seed, tool version): repeated runs with the same seed
-produce byte-identical CSV bodies.  One runner, ``_run``, owns that
-lifecycle for every command: inputs, manifest, outputs and exit status.
+Every invocation writes a manifest (config echo, ensemble hash, tool,
+python and numpy versions, output list, wall-clock timings) into the
+output directory, even on partial failure, and every stochastic output is
+a pure function of (config bytes, seed, tool version): repeated runs with
+the same seed produce byte-identical CSV bodies.  One runner, ``_run``,
+owns that lifecycle for every command: inputs, manifest, outputs and exit
+status.
 
 Exit codes: 0 success (possibly with warnings), 1 numerical
 non-convergence, 2 invalid input, 3 hypothesis violation (e.g. a tails run
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import time
 from dataclasses import dataclass, field
@@ -235,6 +237,7 @@ class Manifest:
             "timings_s": {},
             "warnings": [],
             "status": "running",
+            "versions": {"python": platform.python_version(), "numpy": np.__version__},
         }
         self.out_dir = cfg.out_dir
 

@@ -181,7 +181,8 @@ def positive_affine_2d(mixed_signs: bool = False) -> AffineEnsemble:
 def affine_3d() -> AffineEnsemble:
     """Contracting d=3 affine ensemble: 0.59 R diag(2, 1, 1/2) R^T for three
     rotations R (rotation vectors below), equal weights, generic
-    translations; alpha is about 2.7."""
+    translations; alpha is about 2.7.  The one routine of the package that
+    needs scipy (the ``test`` extra), for its rotations."""
     from scipy.spatial.transform import Rotation
 
     rots = Rotation.from_rotvec([[0.0, 0.0, 0.0], [1.1, 0.4, -0.3],

@@ -9,9 +9,11 @@ exact at nodes.  The eigenfunctions this package interpolates are Holder
 continuous, so low-order interpolation suffices; it is the dominant but
 controlled discretization error source.
 
-A d = 3 grid carries a KD-tree over its nodes, and over their antipodes too
-when projective; a stencil lists each node once, nearest first, with equal
-distances broken towards the lower node index.
+A d = 3 grid carries a cube-map bucket index over its nodes, and over their
+antipodes too when projective: each cell of the cube map lists every point
+that can be among the 4 nearest of a query in the cell, so a query measures
+its distance to a dozen points or so.  A stencil lists its nodes nearest
+first, with equal distances broken towards the lower node index.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "DirectionGrid",
@@ -41,7 +42,7 @@ class DirectionGrid:
     """Node set on S^{d-1} (mode "sphere") or P^{d-1} (mode "projective").
 
     quadrature_weights approximate the rotation-invariant measure and sum
-    to 1; tree is the d = 3 nearest-node index (None for d < 3), whose
+    to 1; index is the d = 3 nearest-node index (None for d < 3), whose
     point p is node p mod N.
     """
 
@@ -49,7 +50,7 @@ class DirectionGrid:
     mode: str
     nodes: np.ndarray            # (N, d), unit rows
     quadrature_weights: np.ndarray  # (N,), positive, sums to 1
-    tree: cKDTree | None = field(default=None, repr=False, compare=False)
+    index: _CubeIndex | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -133,8 +134,8 @@ def build_grid(d: int, resolution: int, mode: str = PROJECTIVE) -> DirectionGrid
         nodes = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
         nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
         weights = np.full(n, 1.0 / n)
-        tree = cKDTree(np.vstack([nodes, -nodes]) if mode == PROJECTIVE else nodes)
-        return DirectionGrid(d, mode, nodes, weights, tree)
+        points = np.vstack([nodes, -nodes]) if mode == PROJECTIVE else nodes
+        return DirectionGrid(d, mode, nodes, weights, _CubeIndex(points, n))
     raise ValueError(f"unsupported dimension {d}; grid path covers d in {{1,2,3}}")
 
 
@@ -182,23 +183,167 @@ def interp_stencil(grid: DirectionGrid, xs: np.ndarray) -> tuple[np.ndarray, np.
         np.subtract(pos, fl, out=w[:, 1])
         np.subtract(1.0, w[:, 1], out=w[:, 0])
         return idx, w
-    # d = 3: inverse-distance weights over the 3 nearest nodes.  A projective
-    # tree holds node x and -x, at distances d <= sqrt(2) <= sqrt(4 - d^2)
-    # from the query; with at least 4 nodes both copies can only be among
-    # the 3 nearest points when 3 nodes are orthogonal to the query, so the
-    # stencil's nodes are distinct.  The 4th point exposes a tie at the 3rd
-    # place, and the tree orders equal distances arbitrarily: re-sorting by
-    # (distance, node index) orders ties by node index.
+    # d = 3: inverse-distance weights over the 3 nearest nodes, ordered by
+    # (distance, node).  A projective index holds node x and -x, at
+    # distances d <= sqrt(2) <= sqrt(4 - d^2) from the query; with at least
+    # 4 nodes both copies can only be among the 3 nearest points when 3
+    # nodes are orthogonal to the query, so the stencil's nodes are distinct.
     k = 3
-    dist, hit = grid.tree.query(xs, k=k + 1)
-    node = hit % n
-    order = np.lexsort((node, dist), axis=1)
-    idx = np.take_along_axis(node, order, axis=1)[:, :k]
-    dist = np.take_along_axis(dist, order, axis=1)[:, :k]
+    idx, dist = grid.index.nearest(xs, k)
     w = 1.0 / np.maximum(dist, 1e-30)
     w[dist[:, 0] < 1e-12] = np.eye(k)[0]  # a node hit is the nearest node
     # numpy sums a row this short in order; the column adds are that sum
     return idx, w / (w[:, 0] + w[:, 1] + w[:, 2])[:, None]
+
+
+# radians: covers the rounding of the cell lookup, the dot products and the
+# angles of the build, and queries off the unit sphere by a few ulps
+_CAP_MARGIN = 1e-9
+# the padding point of a short cell list, farther from a unit query than any
+# point on the sphere
+_FAR = 4.0
+# the next axis mod 3
+_NEXT = np.array([1, 2, 0])
+
+
+class _CubeIndex:
+    """Nearest points on the unit sphere from a cube-map bucket table.
+
+    The sphere is split like the faces of the cube [-1, 1]^3: a point lies
+    on face 2a + (x_a < 0) of its largest |component| a (the first on ties),
+    at gnomonic coordinates (u, v) = (x_{a+1}, x_{a+2}) / |x_a| (axes mod
+    3).  Each face is cut into R x R cells by equal steps in u and v, so
+    every cell edge is a great-circle arc, and r_c, the largest angle from
+    the cell's centre c to one of its corners, bounds the angle from c to
+    any point of the cell.  If theta_4(c) is the angle from c to its 4th
+    nearest point, a query q in the cell has 4 points within
+    theta_4(c) + r_c, so each of its 4 nearest points, ties included, lies
+    within theta_4(c) + 2 r_c of c.  The cell lists every such point,
+    ordered by (node, point), and pads its list with a far point.
+
+    A query measures its distance to every point of its cell's list as a
+    KD-tree does, sqrt(d0^2 + d1^2 + d2^2) added in that order, and takes
+    the nearest points by (distance, node).
+    """
+
+    def __init__(self, points: np.ndarray, n_nodes: int):
+        n_points = len(points)
+        # point order (node, point): node p mod N, then its copy or -copy
+        order = np.lexsort((np.arange(n_points), np.arange(n_points) % n_nodes))
+        far = np.vstack([points[order], np.full((1, 3), _FAR)])
+        # about one cell per point, so that a cell lists a dozen points; the
+        # cells nest 4 x 4 in those of a coarse table that narrows the build
+        r0 = int(np.ceil(np.sqrt(n_points) / 4))
+        r = self._r = 4 * r0
+        centre0, radius0 = _cube_cells(r0)
+        centre, radius = _cube_cells(r)
+        # the 16 fine cells (face, 4 i0 + di, 4 j0 + dj) of coarse cell (face, i0, j0)
+        child = (np.arange(len(centre)).reshape(6, r0, 4, r0, 4)
+                 .transpose(0, 1, 3, 2, 4).reshape(len(centre0), 16))
+        # a fine cell c inside the coarse cell c0 lies within r_c0 of c0, so
+        # theta_4(c) <= theta_4(c0) + r_c0 and its list lies within
+        # theta_4(c0) + 2 (r_c0 + r_c) of c0
+        grow0 = 2.0 * (radius0 + radius[child].max(axis=1))
+        block = max(1, 2**20 // n_points)  # bounds the coarse dot products
+        near0 = np.concatenate([
+            _within(centre0[lo:lo + block] @ far[:-1].T, grow0[lo:lo + block])
+            for lo in range(0, len(centre0), block)])
+        coarse = _pack(near0, np.arange(n_points)[None], n_points)
+        # every child of a coarse cell measures the coarse cell's list
+        cand = far[coarse]  # (coarse cells, W0, 3)
+        dots = np.matmul(centre[child], cand.transpose(0, 2, 1))
+        dots[np.broadcast_to((coarse == n_points)[:, None], dots.shape)] = -np.inf
+        near = _within(dots.reshape(len(centre), -1), 2.0 * radius[child].ravel())
+        table = _pack(near, np.repeat(coarse, 16, axis=0), n_points)[np.argsort(child.ravel())]
+        self._width = table.shape[1]
+        self._xyz = np.ascontiguousarray(np.moveaxis(far[table], 2, 0))  # (3, cells, width)
+        self._node = np.append(order % n_nodes, 0).take(table).ravel()
+
+    def _cells(self, xs: np.ndarray) -> np.ndarray:
+        """The cell of each row of xs (M, 3)."""
+        a = np.abs(xs).argmax(axis=1)
+        flat = xs.ravel()
+        base = np.arange(len(xs)) * 3
+        xa = flat.take(base + a)
+        b = _NEXT.take(a)
+        m = np.abs(xa)
+        r = self._r
+        # u and v lie in [-1, 1]; 1 belongs to the last cell
+        i = ((flat.take(base + b) / m + 1.0) * (r / 2)).astype(np.intp)
+        j = ((flat.take(base + _NEXT.take(b)) / m + 1.0) * (r / 2)).astype(np.intp)
+        np.minimum(i, r - 1, out=i)
+        np.minimum(j, r - 1, out=j)
+        return ((2 * a + (xa < 0)) * r + i) * r + j
+
+    def nearest(self, xs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes (M, k) of the k <= 4 nearest points to each row of xs
+        (M, 3) and their distances, nearest first, equal distances ordered
+        by node."""
+        cells = self._cells(xs)
+        d = self._xyz.take(cells, axis=1)  # (3, M, width)
+        np.subtract(xs.T[:, :, None], d, out=d)
+        d *= d
+        dist = d[0] + d[1]
+        dist += d[2]
+        np.sqrt(dist, out=dist)
+        rows = np.arange(len(xs)) * self._width
+        slots = cells * self._width
+        node = np.empty((len(xs), k), dtype=np.intp)
+        best = np.empty((len(xs), k))
+        flat = dist.ravel()
+        for col in range(k):
+            # argmin takes the first of equal distances: the lowest node
+            at = dist.argmin(axis=1)
+            best[:, col] = flat.take(rows + at)
+            node[:, col] = self._node.take(slots + at)
+            flat[rows + at] = np.inf
+        return node, best
+
+
+def _cube_cells(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centres (6 r^2, 3) and radii r_c of the cells of an r x r cube map,
+    cell (face, i, j) in row (face r + i) r + j."""
+    edges = np.linspace(-1.0, 1.0, r + 1)
+    centre = _face_points((edges[:-1] + edges[1:]) / 2).reshape(-1, 3)
+    corners = _face_points(edges)
+    radius = np.zeros(len(centre))
+    for di in (0, 1):
+        for dj in (0, 1):
+            corner = corners[:, di:di + r, dj:dj + r].reshape(-1, 3)
+            # the angle, accurate when small
+            angle = np.arctan2(np.linalg.norm(np.cross(centre, corner), axis=1),
+                               np.sum(centre * corner, axis=1))
+            np.maximum(radius, angle, out=radius)
+    return centre, radius
+
+
+def _face_points(t: np.ndarray) -> np.ndarray:
+    """The unit points at u = t[i], v = t[j] of every face, (6, i, j, 3)."""
+    u, v = np.meshgrid(t, t, indexing="ij")
+    out = np.stack([np.roll(np.stack([np.full_like(u, 1.0 - 2.0 * (face % 2)), u, v],
+                                     axis=-1), face // 2, axis=-1)
+                    for face in range(6)])
+    return out / np.linalg.norm(out, axis=-1, keepdims=True)
+
+
+def _within(dots: np.ndarray, grow: np.ndarray) -> np.ndarray:
+    """Which entries of dots (C, W), the dot products of C centres with
+    candidate points, lie within theta_4 + grow of their centre, theta_4
+    being the angle of the row's 4th largest dot (at least 4 are real)."""
+    cos4 = np.partition(dots, -4, axis=1)[:, -4]
+    cap = np.arccos(np.clip(cos4, -1.0, 1.0)) + grow + _CAP_MARGIN
+    return dots >= np.where(cap < np.pi, np.cos(cap), -2.0)[:, None]
+
+
+def _pack(near: np.ndarray, ids: np.ndarray, pad: int) -> np.ndarray:
+    """The ids (C, W), or (1, W) for every row, where near (C, W) holds, as
+    a (C, max count) table, each row's ids in their order padded with pad."""
+    row, col = np.nonzero(near)
+    counts = np.bincount(row, minlength=len(near))
+    table = np.full((len(near), counts.max()), pad)
+    table[row, np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)] = \
+        np.broadcast_to(ids, near.shape)[row, col]
+    return table
 
 
 def interpolate(f: GridFunction, x: np.ndarray) -> float | np.ndarray:

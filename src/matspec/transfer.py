@@ -7,9 +7,11 @@ For a finite-support measure mu on GL(d) and s >= 0, the weighted operator
 acts on functions over the direction grid; interpolation closes the action
 on grid values.  A TransferOperator computes the s-independent part once per
 (ensemble, grid): per atom, the interpolation stencil S_i of g_i.x and
-log|g_i x|.  Any P^s = sum_i w_i diag(|g_i x|^s) S_i and its derivative in
-s are then one sparse CSR matrix; the adjoint is exactly its transpose, so
-grid duality <P^s f, sigma> = <f, (P^s)* sigma> holds by construction.
+log|g_i x|.  Every row of P^s = sum_i w_i diag(|g_i x|^s) S_i and of its
+derivative in s then holds the same number of entries, atoms times stencil
+width, so either is a pair of (N, L) arrays of columns and values with numpy
+mat-vecs; the adjoint is exactly its transpose, so grid duality
+<P^s f, sigma> = <f, (P^s)* sigma> holds by construction.
 Alternating power iteration on the pair, started cold or from the eigen-pair
 of a nearby s, produces the dominant eigenvalue k(s), the positive
 eigenfunction e^s and the eigenmeasure nu^s, normalized so that nu^s has
@@ -44,7 +46,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .ensemble import LinearEnsemble, transpose
 from .projective import (
@@ -107,8 +108,8 @@ class TransferOperator:
     """The s-independent part of P^s on one (ensemble, grid).
 
     Row j of every assembled matrix holds the stencil entries of atom 0 at
-    g_0 . x_j, then those of atom 1, and so on; duplicate columns are summed
-    by the sparse products.
+    g_0 . x_j, then those of atom 1, and so on; a column that repeats within
+    a row adds once per entry.
     """
 
     def __init__(self, e: LinearEnsemble, grid: DirectionGrid):
@@ -121,25 +122,61 @@ class TransferOperator:
             idx.append(i)
             weights.append(wi * w)
             lognorms.append(np.repeat(ln[:, None], w.shape[1], axis=1))
-        row_len = e.n_atoms * idx[0].shape[1]
-        self._indices = np.concatenate(idx, axis=1).ravel()
-        self._indptr = np.arange(0, grid.n_nodes * row_len + 1, row_len)
-        self._weights = np.concatenate(weights, axis=1).ravel()
-        self._lognorms = np.concatenate(lognorms, axis=1).ravel()
+        self._indices = np.concatenate(idx, axis=1)
+        self._indices_t = np.ascontiguousarray(self._indices.T)
+        self._weights = np.concatenate(weights, axis=1)
+        self._lognorms = np.concatenate(lognorms, axis=1)
 
-    def _csr(self, data: np.ndarray) -> sparse.csr_matrix:
-        n = self.grid.n_nodes
-        return sparse.csr_matrix((data, self._indices, self._indptr), shape=(n, n))
-
-    def matrix(self, s: float) -> sparse.csr_matrix:
-        """P^s as an (N, N) CSR matrix; .T is its exact adjoint."""
+    def matrix(self, s: float) -> _RowMatrix:
+        """P^s as an (N, N) operator with ``@``; .T is its exact adjoint."""
         if s < 0:
             raise ValueError("negative exponents are not supported")
-        return self._csr(self._weights * np.exp(s * self._lognorms))
+        return _RowMatrix(self, self._weights * np.exp(s * self._lognorms))
 
-    def derivative(self, s: float) -> sparse.csr_matrix:
+    def derivative(self, s: float) -> _RowMatrix:
         """dP^s/ds = sum_i w_i diag(log|g_i x| |g_i x|^s) S_i."""
-        return self._csr(self._weights * self._lognorms * np.exp(s * self._lognorms))
+        return _RowMatrix(self, self._weights * self._lognorms * np.exp(s * self._lognorms))
+
+
+class _RowMatrix:
+    """An (N, N) matrix of an operator family whose row j holds data[j, l]
+    at column op._indices[j, l], l < L.
+
+    ``@`` adds each row's L terms in order from 0, as scipy's CSR mat-vec
+    does; ``.T @`` adds each entry's term into its column in (row, entry)
+    order from 0, as the mat-vec of the CSC transpose does.  Both products
+    therefore equal the sparse ones bit for bit.
+    """
+
+    def __init__(self, op: TransferOperator, data: np.ndarray):
+        self._op = op
+        self._data = data
+        self._data_t = np.ascontiguousarray(data.T)
+
+    def __matmul__(self, f: np.ndarray) -> np.ndarray:
+        # the (L, N) layout makes each add a contiguous pass over the rows
+        terms = f.take(self._op._indices_t)
+        terms *= self._data_t
+        return np.add.reduce(terms, axis=0, initial=0.0)
+
+    @property
+    def T(self) -> _Adjoint:
+        return _Adjoint(self)
+
+
+class _Adjoint:
+    """The transpose of a _RowMatrix, for ``@`` only."""
+
+    def __init__(self, m: _RowMatrix):
+        self._m = m
+
+    def __matmul__(self, sigma: np.ndarray) -> np.ndarray:
+        m = self._m
+        n, row_len = m._data.shape
+        # bincount adds its weights in order, (row, entry) flattened
+        terms = sigma.repeat(row_len)
+        terms *= m._data.ravel()
+        return np.bincount(m._op._indices.ravel(), terms, n)
 
 
 class KSolver:
@@ -261,16 +298,17 @@ def power_iterate(
     k_est = 1.0
     res_e = res_nu = np.inf
     it = 0
+    # np.max and np.sum without their Python wrappers, which cost about as
+    # much as the reductions themselves on a few hundred nodes
+    amax, total = np.maximum.reduce, np.add.reduce
     for it in range(1, max_iter + 1):
         f_new = P @ f
         sig_new = PT @ sigma
         k_est = float((f_new @ sigma) / (f @ sigma))
-        res_e = float(np.max(np.abs(f_new - k_est * f)) / np.max(np.abs(f)))
-        res_nu = float(
-            np.sum(np.abs(sig_new - k_est * sigma)) / (abs(k_est) * sigma.sum())
-        )
-        f = f_new / f_new.max()
-        sigma = sig_new / sig_new.sum()
+        res_e = float(amax(np.abs(f_new - k_est * f)) / amax(np.abs(f)))
+        res_nu = float(total(np.abs(sig_new - k_est * sigma)) / (abs(k_est) * total(sigma)))
+        f = f_new / amax(f_new)
+        sigma = sig_new / total(sig_new)
         if res_e < tol and res_nu < tol:
             break
     converged = res_e < tol and res_nu < tol

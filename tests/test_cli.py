@@ -1,4 +1,5 @@
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,14 @@ def test_unexpected_value_error_is_not_a_hypothesis_violation(tmp_path, monkeypa
         main(["spectrum", "--config", str(cfg)])
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "failed"
+
+
+def test_manifest_records_versions(tmp_path):
+    cfg = write_config(tmp_path, kesten_1d())
+    assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["versions"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__}
 
 
 class TestSpectrumCommand:

@@ -1,10 +1,13 @@
 """No module of the package imports another module's private names, only
 KSolver builds transfer operators and runs power iteration, only
 TiltedChain.step runs the tilted kernel, only the CLI's runner opens and
-finishes manifests, and every public routine has a caller inside the
-package."""
+finishes manifests, every public routine has a caller inside the package,
+and the CLI imports no scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import matspec
@@ -217,3 +220,12 @@ def test_every_public_routine_has_a_caller_in_the_package():
              if label.split(".")[0] not in FIXTURE_MODULES
              and label.split(".")[-1] not in TEST_ONLY_KEPT]
     assert found == []
+
+
+def test_cli_imports_no_scipy():
+    # a fresh interpreter: this one has scipy loaded by other tests
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    code = "import sys, matspec.cli; print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert out.stdout.strip() == "[]"

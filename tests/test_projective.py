@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from matspec.projective import (
     GridFunction,
@@ -233,6 +234,64 @@ class TestKdTreeStencil:
         mid = g.nodes[2] + g.nodes[3]
         idx, _ = interp_stencil(g, mid / np.linalg.norm(mid))
         assert list(idx[0, :2]) == [2, 3]
+
+
+def kdtree_stencil(grid, xs):
+    """Reference d=3 stencil from a KD-tree over the grid's points (nodes,
+    and their antipodes when projective; point p is node p mod N): the 4
+    nearest points re-sorted by (distance, node), the first 3 kept, with
+    the package's weight arithmetic."""
+    n = grid.n_nodes
+    points = np.vstack([grid.nodes, -grid.nodes]) if grid.mode == "projective" else grid.nodes
+    dist, hit = cKDTree(points).query(xs, k=4)
+    node = hit % n
+    order = np.lexsort((node, dist), axis=1)
+    idx = np.take_along_axis(node, order, axis=1)[:, :3]
+    dist = np.take_along_axis(dist, order, axis=1)[:, :3]
+    w = 1.0 / np.maximum(dist, 1e-30)
+    w[dist[:, 0] < 1e-12] = np.eye(3)[0]
+    return idx, w / (w[:, 0] + w[:, 1] + w[:, 2])[:, None]
+
+
+def cube_edge_queries(rng, count):
+    """Unit queries on the edges and corners of the cube map, where two or
+    three |components| tie, and on the axes and face mid-lines, where some
+    are 0; every order of the components and every sign."""
+    a = rng.uniform(0.05, 1.0, count)
+    b = a * rng.uniform(0.0, 1.0, count)
+    zero = np.zeros(count)
+    shapes = [np.column_stack(c) for c in ((a, a, b), (a, a, a), (a, b, zero),
+                                           (a, zero, zero), (a, a, zero))]
+    out = []
+    for q in shapes:
+        for perm in ([0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1]):
+            for signs in np.array(np.meshgrid([1, -1], [1, -1], [1, -1])).T.reshape(-1, 3):
+                out.append(q[:, perm] * signs)
+    out = np.vstack(out)
+    return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+
+class TestCubeIndexMatchesKdTree:
+    """The d=3 stencil gives the KD-tree's nodes and weights bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["sphere", "projective"])
+    @pytest.mark.parametrize("n", [4, 5, 7, 128, 512])
+    def test_bit_for_bit(self, mode, n):
+        g = build_grid(3, n, mode)
+        rng = np.random.default_rng(n)
+        random = rng.standard_normal((20000, 3))
+        random /= np.linalg.norm(random, axis=1, keepdims=True)
+        edges = cube_edge_queries(rng, 20)
+        # three shapes of five tie the two largest |components| exactly
+        top = np.sort(np.abs(edges), axis=1)
+        assert np.mean(top[:, 2] == top[:, 1]) == pytest.approx(0.6)
+        xs = np.vstack([random, g.nodes, -g.nodes, edges,
+                        random[:2000] * (1 + 1e-15), random[:2000] * (1 - 1e-15),
+                        g.nodes * (1 + 1e-15), -g.nodes * (1 - 1e-15)])
+        idx, w = interp_stencil(g, xs)
+        ref_idx, ref_w = kdtree_stencil(g, xs)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(w.view(np.int64), ref_w.view(np.int64))
 
 
 class TestQuadrature:

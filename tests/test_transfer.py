@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from matspec.ensemble import LinearEnsemble, transpose
 from matspec.ensembles import affine_3d, ip_2d, rotations_2d
@@ -71,6 +72,40 @@ class TestApply:
         lhs = np.sum((P @ f) * sigma)
         rhs = np.sum(f * (P.T @ sigma))
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+
+def repeated_atoms(d):
+    """Two atoms with one projective action, so every row of P^s holds each
+    stencil column twice."""
+    g = rotations_2d().matrices[0] if d == 2 else affine_3d().linear_part.matrices[1]
+    return LinearEnsemble(d, np.array([1.7 * g, 0.4 * g]), np.array([0.3, 0.7]))
+
+
+class TestMatVecMatchesSparse:
+    """P^s @ f, its transpose @ sigma and dP^s/ds @ f equal the products of
+    a scipy CSR matrix on the same arrays, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["ip_2d", "repeated_2d", "affine_3d", "repeated_3d"])
+    def test_bit_for_bit(self, case):
+        e, grid = {
+            "ip_2d": (ip_2d(), build_grid(2, 256, "projective")),
+            "repeated_2d": (repeated_atoms(2), build_grid(2, 64, "projective")),
+            "affine_3d": (affine_3d().linear_part, build_grid(3, 128, "projective")),
+            "repeated_3d": (repeated_atoms(3), build_grid(3, 64, "projective")),
+        }[case]
+        op = TransferOperator(e, grid)
+        n, row_len = op._indices.shape
+        if case.startswith("repeated"):
+            assert all(len(set(row)) < row_len for row in op._indices)
+        indptr = np.arange(0, n * row_len + 1, row_len)
+        rng = np.random.default_rng(5)
+        f, sigma = rng.random(n), rng.random(n)
+        for s in (0.0, 0.7, 1.9):
+            for mine in (op.matrix(s), op.derivative(s)):
+                ref = sparse.csr_matrix((mine._data.ravel(), op._indices.ravel(), indptr),
+                                        shape=(n, n))
+                for got, want in ((mine @ f, ref @ f), (mine.T @ sigma, ref.T @ sigma)):
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestPowerIterate:
