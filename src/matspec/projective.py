@@ -244,17 +244,10 @@ class _CubeIndex:
         # theta_4(c) <= theta_4(c0) + r_c0 and its list lies within
         # theta_4(c0) + 2 (r_c0 + r_c) of c0
         grow0 = 2.0 * (radius0 + radius[child].max(axis=1))
-        block = max(1, 2**20 // n_points)  # bounds the coarse dot products
-        near0 = np.concatenate([
-            _within(centre0[lo:lo + block] @ far[:-1].T, grow0[lo:lo + block])
-            for lo in range(0, len(centre0), block)])
-        coarse = _pack(near0, np.arange(n_points)[None], n_points)
+        coarse = _cap_table(centre0[:, None], grow0[:, None],
+                            np.arange(len(centre0))[:, None], far, np.arange(n_points)[None])
         # every child of a coarse cell measures the coarse cell's list
-        cand = far[coarse]  # (coarse cells, W0, 3)
-        dots = np.matmul(centre[child], cand.transpose(0, 2, 1))
-        dots[np.broadcast_to((coarse == n_points)[:, None], dots.shape)] = -np.inf
-        near = _within(dots.reshape(len(centre), -1), 2.0 * radius[child].ravel())
-        table = _pack(near, np.repeat(coarse, 16, axis=0), n_points)[np.argsort(child.ravel())]
+        table = _cap_table(centre[child], 2.0 * radius[child], child, far, coarse)
         self._width = table.shape[1]
         self._xyz = np.ascontiguousarray(np.moveaxis(far[table], 2, 0))  # (3, cells, width)
         self._node = np.append(order % n_nodes, 0).take(table).ravel()
@@ -326,23 +319,36 @@ def _face_points(t: np.ndarray) -> np.ndarray:
     return out / np.linalg.norm(out, axis=-1, keepdims=True)
 
 
-def _within(dots: np.ndarray, grow: np.ndarray) -> np.ndarray:
-    """Which entries of dots (C, W), the dot products of C centres with
-    candidate points, lie within theta_4 + grow of their centre, theta_4
-    being the angle of the row's 4th largest dot (at least 4 are real)."""
-    cos4 = np.partition(dots, -4, axis=1)[:, -4]
-    cap = np.arccos(np.clip(cos4, -1.0, 1.0)) + grow + _CAP_MARGIN
-    return dots >= np.where(cap < np.pi, np.cos(cap), -2.0)[:, None]
+def _cap_table(centres: np.ndarray, grow: np.ndarray, cells: np.ndarray,
+               points: np.ndarray, lists: np.ndarray) -> np.ndarray:
+    """The ids of every point within theta_4(c) + grow of each centre c, as
+    a table with one row per cell, padded with the far point, the last row
+    of points; theta_4(c) is the angle from c to its 4th nearest point.
 
-
-def _pack(near: np.ndarray, ids: np.ndarray, pad: int) -> np.ndarray:
-    """The ids (C, W), or (1, W) for every row, where near (C, W) holds, as
-    a (C, max count) table, each row's ids in their order padded with pad."""
-    row, col = np.nonzero(near)
-    counts = np.bincount(row, minlength=len(near))
-    table = np.full((len(near), counts.max()), pad)
-    table[row, np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)] = \
-        np.broadcast_to(ids, near.shape)[row, col]
+    centres (G, k, 3), grow and cells (G, k) come in G groups of k; group
+    g measures the candidate ids lists[g], or lists[0] when lists has one
+    row, which must hold its centres' 4 nearest points and ascend, as each
+    table row then does.
+    """
+    pad = len(points) - 1
+    shared = len(lists) == 1
+    block = max(1, 2**18 // lists[0].size // cells.shape[1])  # bounds the dots
+    rows, ids = [], []
+    for lo in range(0, len(cells), block):
+        cand = lists if shared else lists[lo:lo + block]
+        dots = centres[lo:lo + block] @ points[cand].transpose(0, 2, 1)  # (groups, k, W)
+        dots[np.broadcast_to((cand == pad)[:, None], dots.shape)] = -np.inf
+        cos4 = np.partition(dots, -4, axis=2)[:, :, -4]
+        cap = np.arccos(np.clip(cos4, -1.0, 1.0)) + grow[lo:lo + block] + _CAP_MARGIN
+        g, m, col = np.nonzero(dots >= np.where(cap < np.pi, np.cos(cap), -2.0)[:, :, None])
+        rows.append(cells[lo + g, m])
+        ids.append(cand[0 if shared else g, col])
+    rows, ids = np.concatenate(rows), np.concatenate(ids)
+    order = np.argsort(rows, kind="stable")  # by cell, each cell's ids in order
+    rows, ids = rows[order], ids[order]
+    counts = np.bincount(rows, minlength=cells.size)
+    table = np.full((cells.size, counts.max()), pad)
+    table[rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)] = ids
     return table
 
 
