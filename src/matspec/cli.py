@@ -352,7 +352,7 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     man.time("curve", t0)
     nonconverged = any(not p.converged for p in curve.points)
     if nonconverged:
-        man.warn("power iteration did not converge at every s")
+        man.warn("the eigen-solve did not converge at every s")
     # route disagreement is a warning artifact, never a failure
     tab = curve.lyapunov_table
     for i, s in enumerate(curve.s_values):
@@ -416,7 +416,8 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
          "residual_p"],
         [[sp.s, sp.k, sp.p, sp.residual_e, sp.residual_nu, sp.iterations,
           sp.mode, sp.residual_p] for sp in curve.points],
-        "scalar block per solved exponent; residual_p is max|p e^s - K *nu^s| "
+        "scalar block per solved exponent; iterations counts the eigen-solve's "
+        "mat-vecs with P^s and its adjoint; residual_p is max|p e^s - K *nu^s| "
         "/ max e^s, the grid error of the pairing identity behind p(s)",
     )
     if lin.dimension > 1:

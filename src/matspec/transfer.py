@@ -12,16 +12,19 @@ derivative in s then holds the same number of entries, atoms times stencil
 width, so either is a pair of (N, L) arrays of columns and values with numpy
 mat-vecs; the adjoint is exactly its transpose, so grid duality
 <P^s f, sigma> = <f, (P^s)* sigma> holds by construction.
-Alternating power iteration on the pair, started cold or from the eigen-pair
-of a nearby s, produces the dominant eigenvalue k(s), the positive
-eigenfunction e^s and the eigenmeasure nu^s, normalized so that nu^s has
-mass 1 and nu^s(e^s) = 1.  That normalization pins the rank-one projector
-nu^s (x) e^s uniquely.
+Explicitly restarted Arnoldi (Saad, Numerical Methods for Large Eigenvalue
+Problems, ch. 6) on P^s and on its adjoint, started cold or from the
+eigen-pair of a nearby s, produces the dominant eigenvalue k(s), the
+positive eigenfunction e^s and the eigenmeasure nu^s, normalized so that
+nu^s has mass 1 and nu^s(e^s) = 1.  That normalization pins the rank-one
+projector nu^s (x) e^s uniquely.  The spectral gap of P^s makes k(s) simple
+and isolated, which a Krylov solve exploits where power iteration converges
+only at the rate |lambda_2 / k(s)|.
 
 One KSolver per (ensemble, grid) owns that operator family, the solver of
 the transposed ensemble on the same grid, and every solved point of both:
-it is the only place that builds a TransferOperator or runs power
-iteration, and p(s) pairs its eigenmeasure with the transposed one.
+it is the only place that builds a TransferOperator or runs an eigen-solve,
+and p(s) pairs its eigenmeasure with the transposed one.
 
 The one-step tilted Markov kernel
 
@@ -73,6 +76,7 @@ __all__ = [
 ]
 
 DEFAULT_RESOLUTION = 512
+KRYLOV_DIM = 20  # most Arnoldi steps in one cycle of an eigen-solve
 
 
 @dataclass
@@ -81,7 +85,8 @@ class SpectralPoint:
 
     e is strictly positive at every node; nu has total mass 1 and
     nu(e) = 1 within 1e-8.  residual_e is the relative sup-norm residual of
-    the eigen-equation, residual_nu the relative l1 residual of the adjoint.
+    the eigen-equation, residual_nu the relative l1 residual of the adjoint;
+    iterations counts the mat-vecs of the solve, with P^s and its adjoint.
     p and residual_p (see pairing_p) are set by KSolver.point with compute_p.
     """
 
@@ -186,7 +191,8 @@ class KSolver:
     the operator family of the ensemble (``op``) and, through ``star``, the
     solver of the transposed ensemble on the same grid; both are built on
     first use.  Solved points are cached by s, and a new s starts from the
-    cached point nearest to it.
+    cached point nearest to it.  tol bounds both residuals of a solve and
+    max_iter its mat-vecs.
     """
 
     def __init__(
@@ -275,16 +281,22 @@ def power_iterate(
     max_iter: int,
     start: SpectralPoint | None = None,
 ) -> SpectralPoint:
-    """Alternating normalized power iteration for (k(s), e^s, nu^s) of the
-    operator family op; KSolver.point is its one caller in the package.
+    """(k(s), e^s, nu^s) of the operator family op by explicitly restarted
+    Arnoldi on P^s for e^s and on its adjoint for nu^s; KSolver.point is its
+    one caller in the package.
 
-    k is the Rayleigh quotient <P^s e, nu>/<e, nu>; iteration stops when the
+    Each round runs one Arnoldi cycle on each side (_perron_cycle), clips
+    the Ritz vectors' negative entries to 0 and takes one alternating power
+    step, which gives the residuals and the normalization.  k is the
+    Rayleigh quotient <P^s e, nu>/<e, nu> of that step; rounds stop when the
     eigenfunction and eigenmeasure residuals both fall below tol, and
-    ``converged`` records whether they did within max_iter.  start is a
-    solved point of the same family whose (e, nu) seed the iteration in place
-    of (1, quadrature weights).  Without irreducibility + proximality the
-    limit pair need not be unique.  p is left unset: it needs the transposed
-    ensemble's eigenmeasure (KSolver.point with compute_p).
+    ``converged`` records whether they did within max_iter mat-vecs
+    (``iterations`` counts the mat-vecs of both sides).  start is a solved
+    point of the same family whose (e, nu) start the cycles in place of
+    (1, quadrature weights).  Without irreducibility + proximality the
+    dominant pair need not be unique.  p is left unset: it needs the
+    transposed ensemble's eigenmeasure (KSolver.point with compute_p).
+    bench/tracer.py times the solve under this name.
     """
     grid = op.grid
     P = op.matrix(s)
@@ -295,23 +307,28 @@ def power_iterate(
     else:
         f = start.e.values.copy()
         sigma = start.nu.masses.copy()
-    k_est = 1.0
-    res_e = res_nu = np.inf
-    it = 0
+    matvecs = 0
     # np.max and np.sum without their Python wrappers, which cost about as
     # much as the reductions themselves on a few hundred nodes
     amax, total = np.maximum.reduce, np.add.reduce
-    for it in range(1, max_iter + 1):
+    while True:
+        steps = max(1, min(KRYLOV_DIM, (max_iter - matvecs - 2) // 2))
+        f, n_f = _perron_cycle(P, f, tol, steps, np.inf)
+        sigma, n_sigma = _perron_cycle(PT, sigma, tol, steps, 1)
+        # Ritz vectors carry rounding-level negative entries
+        np.maximum(f, 0.0, out=f)
+        np.maximum(sigma, 0.0, out=sigma)
         f_new = P @ f
         sig_new = PT @ sigma
+        matvecs += n_f + n_sigma + 2
         k_est = float((f_new @ sigma) / (f @ sigma))
         res_e = float(amax(np.abs(f_new - k_est * f)) / amax(np.abs(f)))
         res_nu = float(total(np.abs(sig_new - k_est * sigma)) / (abs(k_est) * total(sigma)))
         f = f_new / amax(f_new)
         sigma = sig_new / total(sig_new)
-        if res_e < tol and res_nu < tol:
+        converged = res_e < tol and res_nu < tol
+        if converged or matvecs >= max_iter:
             break
-    converged = res_e < tol and res_nu < tol
     if s == 0.0:
         k_est = 1.0  # P^0 is a Markov operator: dominant eigenvalue is 1
     # normalize: nu total mass 1 (already), nu(e) = 1
@@ -323,7 +340,7 @@ def power_iterate(
         e=GridFunction(grid, f),
         nu=GridMeasure(grid, sigma),
         p=None,
-        iterations=it,
+        iterations=matvecs,
         residual_e=res_e,
         residual_nu=res_nu,
         mode=grid.mode,
@@ -331,19 +348,66 @@ def power_iterate(
     )
 
 
+def _perron_cycle(A, v: np.ndarray, tol: float, steps: int, ord: float) -> tuple[np.ndarray, int]:
+    """One Arnoldi cycle of at most `steps` steps (one mat-vec each) on A
+    from v: the Ritz vector x of the real Ritz value theta of largest real
+    part, the Perron root, signed to a positive sum, and the steps taken.
+
+    The cycle ends early once the residual A x - theta x = H[j+1, j] y_j
+    v_{j+1} (y the Ritz pair's eigenvector of the Hessenberg block) meets
+    the stop rule of power_iterate: in ord = inf, its sup norm over that
+    of x (the e side); in ord = 1, its l1 norm over |theta| times that of x
+    (the nu side), each below tol.  A test is a dense eigen-solve, as dear
+    as a few steps, so the first comes after 2 steps and each later one
+    where the residual, falling geometrically at its last rate, would meet
+    the bound.
+    """
+    V = np.empty((steps + 1, v.size))  # orthonormal basis, one row a vector
+    H = np.zeros((steps + 1, steps))
+    V[0] = v / np.linalg.norm(v)
+    test, last = 2, None
+    for j in range(1, steps + 1):
+        w = A @ V[j - 1]
+        basis = V[:j]
+        h = basis @ w  # classical Gram-Schmidt, applied twice (CGS2)
+        w -= h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        H[:j, j - 1] = h + h2
+        H[j, j - 1] = beta = np.linalg.norm(w)
+        if j >= test or j == steps or beta == 0.0:
+            vals, vecs = np.linalg.eig(H[:j, :j])
+            i = np.where(vals.imag == 0.0, vals.real, -np.inf).argmax()
+            x = vecs[:, i].real @ basis
+            # A x - theta x = y_j w: the Ritz residual in the stop rule's norm
+            est = abs(vecs[-1, i].real) * np.linalg.norm(w, ord) / np.linalg.norm(x, ord)
+            bound = tol * (abs(vals[i]) if ord == 1 else 1.0)
+            if est <= bound or j == steps:
+                break
+            rate = (est / last[1]) ** (1.0 / (j - last[0])) if last else 1.0
+            test = j + (int(np.ceil(np.log(bound / est) / np.log(rate))) if rate < 1.0 else 2)
+            last = (j, est)
+        V[j] = w / beta
+    return (x if x.sum() >= 0.0 else -x), j
+
+
 def pairing_p(sp: SpectralPoint, sp_star: SpectralPoint) -> tuple[float, float]:
     """p(s) = sum_{x,y} |<x,y>|^s nu^s(x) *nu^s(y) on the grid, and the
     residual of the identity p(s) e^s(x) = integral |<x,y>|^s d *nu^s(y) in
     sup norm relative to max e^s, which checks e^s independently of the
-    power iteration that produced it.  Both points share the grid and s.
+    eigen-solve that produced it.  Both points share the grid and s.  The
+    kernel |<x,y>|^s is formed a block of rows at a time, so memory stays
+    bounded in the grid size.
     """
-    dots = np.abs(sp.nu.grid.nodes @ sp_star.nu.grid.nodes.T)
-    if sp.s == 0.0:
-        kernel = np.ones_like(dots)
-    else:
-        kernel = dots**sp.s
-    p = float(sp.nu.masses @ kernel @ sp_star.nu.masses)
-    rhs = kernel @ sp_star.nu.masses
+    nodes = sp.nu.grid.nodes
+    rows = max(1, 2**18 // len(nodes))  # bounds each block of the kernel
+    rhs = np.empty(len(nodes))
+    for lo in range(0, len(nodes), rows):
+        kernel = nodes[lo:lo + rows] @ nodes.T
+        np.abs(kernel, out=kernel)
+        kernel **= sp.s
+        rhs[lo:lo + rows] = kernel @ sp_star.nu.masses
+    p = float(sp.nu.masses @ rhs)
     return p, float(np.max(np.abs(p * sp.e.values - rhs)) / np.max(sp.e.values))
 
 

@@ -1,3 +1,5 @@
+import csv
+import inspect
 import json
 import platform
 from pathlib import Path
@@ -15,6 +17,7 @@ from matspec.ensembles import (
     kesten_1d,
     kesten_affine_1d,
 )
+from matspec.transfer import KSolver
 
 
 def write_config(tmp_path: Path, ensemble, name="ens.json", **extra) -> Path:
@@ -377,6 +380,21 @@ class TestD2Spectrum:
         residuals = np.array([float(row.split(",")[-1]) for row in blk[1:]])
         assert len(residuals) == 3
         assert np.all(np.isfinite(residuals)) and np.all(residuals < 1e-3)
+
+    def test_point_scalars_report_converged_solves(self, tmp_path):
+        cfg = write_config(tmp_path, ip_2d(),
+                           s_grid={"min": 0.0, "max": 2.0, "count": 3},
+                           grid_resolution=128,
+                           mc={"samples": 1000, "steps": 100, "paths": 1000})
+        assert main(["spectrum", "--config", str(cfg)]) == EXIT_OK
+        with open(tmp_path / "out" / "spectral_point_scalars.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        tol = inspect.signature(KSolver).parameters["tol"].default
+        assert [float(r["s"]) for r in rows] == [0.0, 1.0, 2.0]
+        for r in rows:
+            assert float(r["residual_e"]) < tol and float(r["residual_nu"]) < tol
+            assert int(r["iterations"]) > 0
+        assert float(rows[0]["k"]) == 1.0
 
 
 # Every command in d = 1, 2, 3, less the pairs a test above already runs to

@@ -1,11 +1,13 @@
 """No module of the package imports another module's private names, only
-KSolver builds transfer operators and runs power iteration, only
+KSolver builds transfer operators and runs eigen-solves, only
 TiltedChain.step runs the tilted kernel, only the CLI's runner opens and
 finishes manifests, every public routine has a caller inside the package,
-and the CLI imports no scipy."""
+the CLI imports no scipy, and the package and pyproject.toml state one
+version."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -229,3 +231,9 @@ def test_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert declared is not None and declared.group(1) == matspec.__version__

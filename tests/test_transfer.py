@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 from matspec.ensemble import LinearEnsemble, transpose
-from matspec.ensembles import affine_3d, ip_2d, rotations_2d
+from matspec.ensembles import affine_3d, ip_2d, ip_affine_2d, rotations_2d
 from matspec.projective import (
     GridFunction,
     GridMeasure,
@@ -17,6 +17,7 @@ from matspec.transfer import (
     TiltedChain,
     TransferOperator,
     k_closed_form_1d,
+    pairing_p,
     power_iterate,
     tilted_probs,
 )
@@ -181,6 +182,58 @@ class TestPowerIterate:
             KSolver(similarity, grid128, tol=1e-10).point(-0.5)
 
 
+def perron_pair(a):
+    """The real eigenvalue of largest real part of a dense matrix, and its
+    eigenvector signed to a positive sum."""
+    vals, vecs = np.linalg.eig(a)
+    i = np.where(vals.imag == 0.0, vals.real, -np.inf).argmax()
+    v = vecs[:, i].real
+    return vals[i].real, v if v.sum() > 0 else -v
+
+
+class TestDenseReference:
+    """The Arnoldi solve against numpy's dense eigen-decomposition of P^s,
+    assembled column by column from P^s @ I."""
+
+    @pytest.mark.parametrize("case", ["ip_2d", "affine_3d"])
+    @pytest.mark.parametrize("s", [0.0, 1.0, 2.0])
+    def test_matches_dense_eig(self, case, s):
+        e, grid = {
+            "ip_2d": (ip_2d(), build_grid(2, 128, "projective")),
+            "affine_3d": (affine_3d().linear_part, build_grid(3, 64, "projective")),
+        }[case]
+        ks = KSolver(e, grid)
+        sp = ks.point(s)
+        P = ks.op.matrix(s)
+        dense = np.stack([P @ col for col in np.eye(grid.n_nodes)], axis=1)
+        k, e_ref = perron_pair(dense)
+        _, nu_ref = perron_pair(dense.T)
+        assert sp.converged
+        assert abs(sp.k - k) < 1e-11
+        e_ref /= e_ref.max()
+        assert np.max(np.abs(sp.e.values / sp.e.values.max() - e_ref)) < 1e-8
+        assert np.abs(sp.nu.masses - nu_ref / nu_ref.sum()).sum() < 1e-8
+        assert np.all(sp.e.values > 0) and np.all(sp.nu.masses >= 0)
+
+
+def test_eigenmeasure_with_empty_nodes_stays_nonnegative():
+    # the linear part of ip_affine_2d leaves whole arcs of nodes without
+    # eigenmeasure mass; Ritz vectors put rounding-level negative masses
+    # there, which the solve must clip before building its GridMeasure
+    lin = ip_affine_2d().linear_part
+    ks = KSolver(lin, build_grid(2, 512, "projective"))
+    solve_alpha(lin, solver=ks)
+    for s in (0.0, 0.5, 1.0, 2.0):
+        ks.point(s)
+    points = list(ks._points.values())
+    assert len(points) >= 9
+    assert any(np.any(sp.nu.masses == 0.0) for sp in points)
+    for sp in points:
+        assert sp.converged
+        assert sp.residual_e < ks.tol and sp.residual_nu < ks.tol
+        assert np.all(sp.nu.masses >= 0) and np.all(sp.e.values > 0)
+
+
 class TestCrossCheck:
     def test_s0_both_sides_one(self, ip, grid128):
         sp = KSolver(ip, grid128, tol=1e-10).point(0.0, compute_p=True)
@@ -192,6 +245,18 @@ class TestCrossCheck:
         grid = build_grid(2, 512, "projective")
         sp = KSolver(similarity, grid, tol=1e-10).point(1.0, compute_p=True)
         assert sp.residual_p < 1e-3
+
+    def test_pairing_blocks_match_dense_kernel(self, ip):
+        # 1024 nodes: the kernel is formed in four blocks of rows
+        ks = KSolver(ip, build_grid(2, 1024, "projective"))
+        sp, sp_star = ks.point(1.3), ks.star.point(1.3)
+        nodes = sp.nu.grid.nodes
+        kernel = np.abs(nodes @ nodes.T) ** 1.3
+        rhs = kernel @ sp_star.nu.masses
+        p = sp.nu.masses @ rhs
+        got_p, got_res = pairing_p(sp, sp_star)
+        assert abs(got_p - p) <= 4 * np.spacing(p)
+        assert abs(got_res - np.max(np.abs(p * sp.e.values - rhs)) / np.max(sp.e.values)) < 1e-15
 
     def test_ip_two_resolution_consistency(self, ip, ip_alpha):
         res = {}
