@@ -40,7 +40,7 @@ from .ensemble import (
     transpose,
     validate_linear,
 )
-from .projective import PROJECTIVE, SPHERE, build_grid
+from .projective import PROJECTIVE, build_grid
 from .recursion import (
     classify_tail_case,
     directional_profile,
@@ -287,7 +287,8 @@ def _solver(cfg: RunConfig, lin: LinearEnsemble) -> KSolver:
 
 
 def _direction_key(u: np.ndarray) -> str:
-    return ",".join(f"{v:.6g}" for v in u)
+    """A direction's components joined by spaces: one CSV field, unquoted."""
+    return " ".join(f"{v:.6g}" for v in u)
 
 
 # A command body runs on checked inputs: (config, ensemble, the run's solver
@@ -443,18 +444,22 @@ def _require_contracting(lin: LinearEnsemble, ks: KSolver) -> float:
     return L0
 
 
-def _probe_directions(d: int, n: int, mode: str) -> np.ndarray:
-    """n unit probe directions, spread over the sphere (mode SPHERE) or over
-    one half of it (mode PROJECTIVE): +-1 in d=1, equal angles in d=2, the
-    first n nodes of a Fibonacci grid in d=3."""
+def _probe_directions(d: int, n: int, projective: bool) -> np.ndarray:
+    """n unit probe directions, spread over the sphere or, when projective,
+    over one half of it: +-1 in d=1, equal angles in d=2, the first n
+    points of a Fibonacci lattice of max(n, 4) points in d=3."""
     if d == 1:
         return np.array([[1.0], [-1.0]])[:n]
     if d == 2:
-        span = 2 * np.pi if mode == SPHERE else np.pi
+        span = np.pi if projective else 2 * np.pi
         ang = np.linspace(0, span, n, endpoint=False)
         return np.column_stack([np.cos(ang), np.sin(ang)])
-    # a d=3 grid needs at least 4 nodes
-    return build_grid(d, max(n, 4), mode).nodes[:n]
+    k = np.arange(max(n, 4))
+    z = (k + 0.5) / len(k) if projective else 1.0 - (2.0 * k + 1.0) / len(k)
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * k
+    points = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    return (points / np.linalg.norm(points, axis=1, keepdims=True))[:n]
 
 
 def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
@@ -484,7 +489,7 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     stab = hill_stability(bank, "norm")
     d = lin.dimension
     n_dirs = 2 if d == 1 else int(cfg.options.get("directions", 8))
-    dirs = _probe_directions(d, n_dirs, SPHERE)
+    dirs = _probe_directions(d, n_dirs, projective=False)
     sp_star = ks.star.point(alpha)
     tail_tables = {}
     mellins = {}
@@ -620,7 +625,7 @@ def _cramer(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     t_grid = np.geomspace(tg_spec["min"], tg_spec["max"], int(tg_spec["count"]))
     d = lin.dimension
     n_dirs = int(cfg.options.get("directions", 16 if d > 1 else 2))
-    dirs = _probe_directions(d, n_dirs, PROJECTIVE)
+    dirs = _probe_directions(d, n_dirs, projective=True)
     rows_out = []
     t0 = time.perf_counter()
     for j, u in enumerate(dirs):

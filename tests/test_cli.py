@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matspec.cli import EXIT_HYPOTHESIS, EXIT_INVALID, EXIT_OK, main
+from matspec.cli import EXIT_HYPOTHESIS, EXIT_INVALID, EXIT_OK, _probe_directions, main
 from matspec.ensemble import LinearEnsemble, save_ensemble
 from matspec.ensembles import (
     affine_3d,
@@ -351,6 +351,74 @@ class TestCramerDualwalkCommands:
         vals = dict(line.split(",") for line in rows[1:])
         assert vals["tau_finite"] == "1000"
         assert vals["sign_preserved"] == "true"
+
+
+# the d=3 probe directions, and so the direction keys, of the Fibonacci
+# lattice that once was the d=3 grid: (projective, n) -> points
+FIBONACCI_PROBES = {
+    (False, 2): [
+        [0.6614378277661477, 0.0, 0.75],
+        [-0.713954346202245, 0.6540406650499073, 0.25],
+    ],
+    (False, 4): [
+        [0.6614378277661477, 0.0, 0.75],
+        [-0.713954346202245, 0.6540406650499073, 0.25],
+        [0.08464959396472493, -0.9645384628108966, -0.25],
+        [0.402444478534368, 0.5249175570479622, -0.75],
+    ],
+    (False, 8): [
+        [0.4841229182759271, 0.0, 0.875],
+        [-0.5756083959600474, 0.5273044419500952, 0.625],
+        [0.08104581592239497, -0.923475270768781, 0.375],
+        [0.603666717801552, 0.7873763355719433, 0.125],
+        [-0.9769901230486043, -0.17281579634244426, -0.12500000000000003],
+        [0.7821820926083319, -0.497560221483642, -0.375],
+        [-0.20265354556067544, 0.753861088312487, -0.625],
+        [-0.22313565385811115, -0.42963412338560025, -0.875],
+    ],
+    (True, 2): [
+        [0.9921567416492215, 0.0, 0.125],
+        [-0.6835592447544827, 0.6261962622937647, 0.375],
+    ],
+    (True, 4): [
+        [0.9921567416492215, 0.0, 0.125],
+        [-0.6835592447544827, 0.6261962622937647, 0.375],
+        [0.06824668448324298, -0.7776357695329124, 0.625],
+        [0.29455919696956806, 0.3842003116613041, 0.875],
+    ],
+    (True, 8): [
+        [0.9980449639169571, 0.0, 0.06250000000000001],
+        [-0.7242913481750212, 0.6635102056176758, 0.1875],
+        [0.08304724855438057, -0.9462805633148907, 0.3125],
+        [0.5471194255295465, 0.7136204062442574, 0.4375],
+        [-0.8141584358738368, -0.1440131636187035, 0.5625],
+        [0.6127219134530145, -0.38976352673701614, 0.6875000000000001],
+        [-0.15133923472686417, 0.5629744097490463, 0.8125],
+        [-0.16038885667356956, -0.30881898363757554, 0.9375],
+    ],
+}
+
+
+@pytest.mark.parametrize("projective,n", FIBONACCI_PROBES)
+def test_d3_probe_directions_unchanged(projective, n):
+    got = _probe_directions(3, n, projective)
+    assert np.array_equal(got, np.array(FIBONACCI_PROBES[projective, n]))
+
+
+@pytest.mark.parametrize("command,table", [("tails", "tail_tables.csv"),
+                                           ("cramer", "cramer_table.csv")])
+def test_direction_key_is_one_csv_field(tmp_path, command, table):
+    # a d=3 key has three components, joined by spaces in one field
+    cfg = write_config(
+        tmp_path, affine_3d(), grid_resolution=64,
+        mc={"samples": 2000, "steps": 600, "paths": 200},
+        options={"directions": 2, "t_grid": {"min": 10, "max": 100, "count": 2}},
+    )
+    assert main([command, "--config", str(cfg)]) == EXIT_OK
+    with open(tmp_path / "out" / table, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert rows and all(len(r) == len(header) for r in rows)
+    assert all(len(r[0].split(" ")) == 3 for r in rows)
 
 
 class TestD2Spectrum:

@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
+from scipy.spatial.transform import Rotation
 
+from matspec.ensemble import LinearEnsemble
+from matspec.ensembles import affine_3d
 from matspec.projective import (
     GridFunction,
     act_many,
     build_grid,
     interp_stencil,
     interpolate,
+    stencil_sum,
 )
+from matspec.spectrum import solve_alpha
+from matspec.transfer import KSolver
 
 unit_angle = st.floats(0.0, 2 * np.pi - 1e-9)
 
@@ -37,11 +42,11 @@ matrix_entries = st.lists(
 
 
 class TestGrids:
-    def test_d2_sphere_uniform_angles(self):
-        g = build_grid(2, 8, "sphere")
+    def test_d2_projective_uniform_angles(self):
+        g = build_grid(2, 8, "projective")
         assert g.n_nodes == 8
-        expected = 2 * np.pi * np.arange(8) / 8
-        got = np.arctan2(g.nodes[:, 1], g.nodes[:, 0]) % (2 * np.pi)
+        expected = np.pi * np.arange(8) / 8
+        got = np.arctan2(g.nodes[:, 1], g.nodes[:, 0])
         assert np.allclose(got, expected, atol=1e-12)
         assert np.allclose(np.linalg.norm(g.nodes, axis=1), 1.0, atol=1e-12)
 
@@ -49,22 +54,35 @@ class TestGrids:
         g = build_grid(1, 5, "projective")
         assert g.n_nodes == 1
 
-    def test_d3_fibonacci_unit_norm(self):
-        g = build_grid(3, 1000, "sphere")
-        assert g.n_nodes == 1000
+    def test_d3_cube_unit_norm(self):
+        g = build_grid(3, 1000, "projective")
+        assert g.n_nodes == 3 * 20**2 + 1
         assert np.allclose(np.linalg.norm(g.nodes, axis=1), 1.0, atol=1e-12)
+        assert np.all(g.quadrature_weights > 0)
         assert abs(g.quadrature_weights.sum() - 1.0) < 1e-12
 
     def test_projective_one_rep_per_pair(self):
+        # a cube node is keyed by the smaller of its lattice key and its
+        # antipode's, so its first nonzero component is negative
         g = build_grid(3, 200, "projective")
-        assert np.all(g.nodes[:, 2] > 0)  # upper hemisphere convention
+        first = g.nodes[np.arange(g.n_nodes), (np.abs(g.nodes) > 1e-12).argmax(axis=1)]
+        assert np.all(first < 0)
+        dots = np.abs(g.nodes @ g.nodes.T)
+        np.fill_diagonal(dots, 0.0)
+        assert dots.max() < 1.0 - 1e-6  # no node twice, nor with its antipode
         g2 = build_grid(2, 16, "projective")
         ang = np.arctan2(g2.nodes[:, 1], g2.nodes[:, 0]) % np.pi
         assert len(np.unique(np.round(ang, 12))) == 16
 
+    @pytest.mark.parametrize("resolution,nodes", [(4, 13), (13, 13), (14, 49), (128, 193),
+                                                  (512, 589)])
+    def test_d3_resolution_rule(self, resolution, nodes):
+        # the smallest even R with 3 R^2 + 1 >= resolution
+        assert build_grid(3, resolution, "projective").n_nodes == nodes
+
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError, match="unsupported"):
-            build_grid(4, 100, "sphere")
+            build_grid(4, 100, "projective")
 
 
 class TestAction:
@@ -122,15 +140,17 @@ class TestInterpolation:
         assert abs(interpolate(f, g.nodes[node]) - f.values[node]) < 1e-12
 
     def test_exact_at_nodes_d3(self):
+        # 300 asks for R = 10, which has 301 nodes
         g = build_grid(3, 300, "projective")
+        assert g.n_nodes == 301
         rng = np.random.default_rng(5)
-        f = GridFunction(g, rng.standard_normal(300))
-        for j in (0, 101, 299):
+        f = GridFunction(g, rng.standard_normal(g.n_nodes))
+        for j in (0, 101, 300):
             assert abs(interpolate(f, g.nodes[j]) - f.values[j]) < 1e-12
 
     def test_constant_reproduced_anywhere(self):
         for d, res in ((2, 64), (3, 500)):
-            g = build_grid(d, res, "sphere")
+            g = build_grid(d, res, "projective")
             f = GridFunction(g, np.full(g.n_nodes, 2.5))
             rng = np.random.default_rng(1)
             xs = rng.standard_normal((50, d))
@@ -138,16 +158,16 @@ class TestInterpolation:
             assert np.allclose(interpolate(f, xs), 2.5, atol=1e-12)
 
     def test_midpoint_linear(self):
-        g = build_grid(2, 8, "sphere")
+        g = build_grid(2, 8, "projective")
         vals = np.zeros(8)
         vals[1] = 1.0
         f = GridFunction(g, vals)
-        mid = unit2(2 * np.pi * 0.5 / 8)  # halfway between node 0 and node 1
+        mid = unit2(np.pi * 0.5 / 8)  # halfway between node 0 and node 1
         assert abs(interpolate(f, mid) - 0.5) < 1e-12
 
     def test_stencil_partition_of_unity(self):
-        for d, res, mode in ((2, 32, "projective"), (3, 200, "sphere")):
-            g = build_grid(d, res, mode)
+        for d, res in ((2, 32), (3, 200)):
+            g = build_grid(d, res, "projective")
             rng = np.random.default_rng(2)
             xs = rng.standard_normal((40, d))
             xs /= np.linalg.norm(xs, axis=1, keepdims=True)
@@ -156,9 +176,9 @@ class TestInterpolation:
 
 
 def modulo_stencil_2d(grid, xs):
-    """Reference d=2 stencil: the angle reduced with theta % span."""
-    span, n = grid.angle_span, grid.n_nodes
-    pos = (np.arctan2(xs[:, 1], xs[:, 0]) % span) / (span / n)
+    """Reference d=2 stencil: the angle reduced with theta % pi."""
+    n = grid.n_nodes
+    pos = (np.arctan2(xs[:, 1], xs[:, 0]) % np.pi) / (np.pi / n)
     j = np.floor(pos).astype(np.intp) % n
     t = pos - np.floor(pos)
     return np.column_stack([j, (j + 1) % n]), np.column_stack([1.0 - t, t])
@@ -170,7 +190,7 @@ EDGE_ROWS_2D = [[-1.0, 0.0], [-1.0, -0.0], [1.0, -0.0], [1.0, 0.0],
 
 
 # 25 nodes: pi / (pi / 25) != 25, so the angle pi does not land on node 25
-@pytest.mark.parametrize("mode", ["projective", "sphere"])
+@pytest.mark.parametrize("mode", ["projective"])
 @pytest.mark.parametrize("n", [2, 7, 25, 512])
 def test_d2_stencil_equals_modulo_reference(mode, n):
     g = build_grid(2, n, mode)
@@ -182,75 +202,6 @@ def test_d2_stencil_equals_modulo_reference(mode, n):
     ref_idx, ref_w = modulo_stencil_2d(g, xs)
     assert np.array_equal(idx, ref_idx)
     assert np.array_equal(w, ref_w)
-
-
-def brute_force_stencil(grid, xs):
-    """Reference d=3 stencil from every node distance: the 3 nearest nodes
-    by (chordal distance, node index), inverse-distance weighted, exact at
-    nodes."""
-    dist = np.linalg.norm(xs[:, None, :] - grid.nodes[None, :, :], axis=2)
-    if grid.mode == "projective":
-        dist = np.minimum(
-            dist, np.linalg.norm(xs[:, None, :] + grid.nodes[None, :, :], axis=2))
-    index = np.broadcast_to(np.arange(grid.n_nodes), dist.shape)
-    idx = np.lexsort((index, dist), axis=1)[:, :3]
-    d3 = np.take_along_axis(dist, idx, axis=1)
-    exact = d3 < 1e-12
-    w = np.where(exact.any(axis=1, keepdims=True), exact.astype(float),
-                 1.0 / np.maximum(d3, 1e-30))
-    return idx, w / w.sum(axis=1, keepdims=True)
-
-
-class TestKdTreeStencil:
-    # 5 projective nodes: the 4th candidate is often a far copy
-    @pytest.mark.parametrize("mode,n", [("projective", 257), ("sphere", 257),
-                                        ("projective", 5)])
-    def test_matches_brute_force(self, mode, n):
-        g = build_grid(3, n, mode)
-        rng = np.random.default_rng(8)
-        xs = rng.standard_normal((5000, 3))
-        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-        xs = np.vstack([xs, g.nodes, -g.nodes])
-        idx, w = interp_stencil(g, xs)
-        ref_idx, ref_w = brute_force_stencil(g, xs)
-        assert np.all(np.sort(idx, axis=1)[:, 1:] != np.sort(idx, axis=1)[:, :-1])
-        mine, ref = np.argsort(idx, axis=1), np.argsort(ref_idx, axis=1)
-        assert np.array_equal(np.take_along_axis(idx, mine, axis=1),
-                              np.take_along_axis(ref_idx, ref, axis=1))
-        assert np.max(np.abs(np.take_along_axis(w, mine, axis=1)
-                             - np.take_along_axis(ref_w, ref, axis=1))) < 1e-10
-
-    def test_node_hits_and_ties(self):
-        # on a 4-node projective grid a query orthogonal to a node is as far
-        # from it as from its antipode: the node still appears once
-        g = build_grid(3, 4, "projective")
-        xs = np.vstack([g.nodes, np.cross(g.nodes[0], g.nodes[1])])
-        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-        idx, w = interp_stencil(g, xs)
-        assert np.array_equal(idx[:4, 0], np.arange(4))
-        assert np.array_equal(w[:4], np.tile([1.0, 0.0, 0.0], (4, 1)))
-        assert all(len(set(row)) == 3 for row in idx)
-        # a query equidistant from two nodes lists the lower index first
-        mid = g.nodes[2] + g.nodes[3]
-        idx, _ = interp_stencil(g, mid / np.linalg.norm(mid))
-        assert list(idx[0, :2]) == [2, 3]
-
-
-def kdtree_stencil(grid, xs):
-    """Reference d=3 stencil from a KD-tree over the grid's points (nodes,
-    and their antipodes when projective; point p is node p mod N): the 4
-    nearest points re-sorted by (distance, node), the first 3 kept, with
-    the package's weight arithmetic."""
-    n = grid.n_nodes
-    points = np.vstack([grid.nodes, -grid.nodes]) if grid.mode == "projective" else grid.nodes
-    dist, hit = cKDTree(points).query(xs, k=4)
-    node = hit % n
-    order = np.lexsort((node, dist), axis=1)
-    idx = np.take_along_axis(node, order, axis=1)[:, :3]
-    dist = np.take_along_axis(dist, order, axis=1)[:, :3]
-    w = 1.0 / np.maximum(dist, 1e-30)
-    w[dist[:, 0] < 1e-12] = np.eye(3)[0]
-    return idx, w / (w[:, 0] + w[:, 1] + w[:, 2])[:, None]
 
 
 def cube_edge_queries(rng, count):
@@ -271,37 +222,115 @@ def cube_edge_queries(rng, count):
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
-class TestCubeIndexMatchesKdTree:
-    """The d=3 stencil gives the KD-tree's nodes and weights bit for bit."""
+def reference_cube_weights(grid, xs):
+    """Reference d=3 stencil as a dense (M, N) weight matrix: each query's
+    face from its largest |component|, its face angles from arctan2, and the
+    node of each cell corner found as the node or antipode nearest to the
+    corner's direction."""
+    r = grid.corners.shape[1] - 1
+    out = np.zeros((len(xs), grid.n_nodes))
+    for row, x in enumerate(xs):
+        a = int(np.argmax(np.abs(x)))
+        b, c = (a + 1) % 3, (a + 2) % 3
+        xi = np.array([np.arctan2(x[b], abs(x[a])), np.arctan2(x[c], abs(x[a]))])
+        pos = np.clip((xi / (np.pi / 2) + 0.5) * r, 0.0, r)
+        cell = np.minimum(np.floor(pos), r - 1)
+        s, t = pos - cell
+        for di, dj, w in ((0, 0, (1 - s) * (1 - t)), (0, 1, (1 - s) * t),
+                          (1, 0, s * (1 - t)), (1, 1, s * t)):
+            corner = np.empty(3)
+            corner[a] = np.sign(x[a]) or 1.0
+            corner[b], corner[c] = np.tan((cell + (di, dj)) / r * (np.pi / 2) - np.pi / 4)
+            node = np.argmax(np.abs(grid.nodes @ (corner / np.linalg.norm(corner))))
+            out[row, node] += w
+    return out
 
-    @pytest.mark.parametrize("mode", ["sphere", "projective"])
-    @pytest.mark.parametrize("n", [4, 5, 7, 128, 512])
-    def test_bit_for_bit(self, mode, n):
-        g = build_grid(3, n, mode)
+
+def dense_weights(grid, xs):
+    idx, w = interp_stencil(grid, xs)
+    out = np.zeros((len(xs), grid.n_nodes))
+    np.add.at(out, (np.repeat(np.arange(len(xs)), idx.shape[1]), idx.ravel()), w.ravel())
+    return out
+
+
+def rotated_affine_3d():
+    """The linear part of affine_3d conjugated by a fixed rotation, so that
+    no atom's fixed direction lies on a cube axis; alpha is unchanged."""
+    lin = affine_3d().linear_part
+    q = Rotation.from_rotvec([0.3, -0.7, 0.5]).as_matrix()
+    return LinearEnsemble(3, q @ lin.matrices @ q.T, lin.weights)
+
+
+class TestCubeStencil:
+    """The d=3 stencil: the 4 corners of the query's cube-sphere cell,
+    bilinear in the face angles."""
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 128, 257, 512])
+    def test_matches_reference(self, n):
+        g = build_grid(3, n, "projective")
         rng = np.random.default_rng(n)
-        random = rng.standard_normal((20000, 3))
+        random = rng.standard_normal((300, 3))
         random /= np.linalg.norm(random, axis=1, keepdims=True)
-        edges = cube_edge_queries(rng, 20)
-        # three shapes of five tie the two largest |components| exactly
-        top = np.sort(np.abs(edges), axis=1)
-        assert np.mean(top[:, 2] == top[:, 1]) == pytest.approx(0.6)
-        xs = np.vstack([random, g.nodes, -g.nodes, edges,
-                        random[:2000] * (1 + 1e-15), random[:2000] * (1 - 1e-15),
-                        g.nodes * (1 + 1e-15), -g.nodes * (1 - 1e-15)])
+        xs = np.vstack([random, -random, cube_edge_queries(rng, 2)])
+        assert np.max(np.abs(dense_weights(g, xs) - reference_cube_weights(g, xs))) < 1e-12
+
+    @pytest.mark.parametrize("n", [4, 128, 512, 3073])
+    def test_weights_nonnegative_and_sum_to_one(self, n):
+        g = build_grid(3, n, "projective")
+        rng = np.random.default_rng(n)
+        xs = rng.standard_normal((20000, 3))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        xs = np.vstack([xs, cube_edge_queries(rng, 20), g.nodes, -g.nodes,
+                        xs[:2000] * (1 + 1e-15), xs[:2000] * (1 - 1e-15)])
         idx, w = interp_stencil(g, xs)
-        ref_idx, ref_w = kdtree_stencil(g, xs)
-        assert np.array_equal(idx, ref_idx)
-        assert np.array_equal(w.view(np.int64), ref_w.view(np.int64))
+        assert idx.shape == w.shape == (len(xs), 4)
+        assert np.all(w >= 0.0)
+        total = stencil_sum(np.ones(g.n_nodes), idx, w)  # in the callers' order
+        assert np.max(np.abs(total - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [4, 128, 512])
+    def test_exact_at_nodes_and_antipodes(self, n):
+        g = build_grid(3, n, "projective")
+        f = GridFunction(g, np.random.default_rng(n).standard_normal(g.n_nodes))
+        for xs in (g.nodes, -g.nodes, g.nodes * (1 + 1e-15), -g.nodes * (1 - 1e-15)):
+            assert np.max(np.abs(interpolate(f, xs) - f.values)) < 1e-12
+
+    def test_continuous_across_face_edge_and_corner(self):
+        g = build_grid(3, 128, "projective")
+        f = GridFunction(g, np.random.default_rng(4).standard_normal(g.n_nodes))
+        # points on the edge x0 = x1 and at the cube corner, and a step of
+        # 1e-9 to either face across them
+        along = np.linspace(-0.9, 0.9, 37)
+        points = np.vstack([np.column_stack([np.ones_like(along), np.ones_like(along), along]),
+                            [[1.0, 1.0, 1.0], [1.0, -1.0, 1.0]]])
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        for step in np.eye(3):
+            for sign in (1.0, -1.0):
+                near = points + sign * 1e-9 * step
+                near /= np.linalg.norm(near, axis=1, keepdims=True)
+                assert np.max(np.abs(interpolate(f, near) - interpolate(f, points))) < 1e-6
+        # both faces of the edge give the same value, to rounding
+        side0 = interpolate(f, points[:37] * [1.0, 1.0 - 1e-15, 1.0])
+        side1 = interpolate(f, points[:37] * [1.0 - 1e-15, 1.0, 1.0])
+        assert np.max(np.abs(side0 - side1)) < 1e-12
+
+    def test_alpha_second_order_in_r(self):
+        # R = 8, 16, 32: each doubling cuts the change of alpha by about 4
+        e = rotated_affine_3d()
+        alphas = [solve_alpha(e, solver=KSolver(e, build_grid(3, 3 * r * r + 1, "projective")))
+                  for r in (8, 16, 32)]
+        ratio = (alphas[0] - alphas[1]) / (alphas[1] - alphas[2])
+        assert 3.0 <= ratio <= 5.0
 
 
 class TestQuadrature:
     def test_circle_harmonic_convergence_rate(self):
         # quadrature of smooth harmonics converges ~ O(R^-2) or better
         def err(res):
-            g = build_grid(2, res, "sphere")
+            g = build_grid(2, res, "projective")
             theta = np.arctan2(g.nodes[:, 1], g.nodes[:, 0])
             f1 = np.cos(theta) ** 2  # average 1/2
-            f2 = np.sin(3 * theta) + 1.0  # average 1
+            f2 = np.sin(2 * theta) + 1.0  # average 1
             e1 = abs(np.sum(f1 * g.quadrature_weights) - 0.5)
             e2 = abs(np.sum(f2 * g.quadrature_weights) - 1.0)
             return max(e1, e2)

@@ -311,8 +311,7 @@ def atomwise_tilted_probs(e, sp, xs, e_xs):
     return raw / normalizer[:, None], normalizer, images, lognorms, e_img
 
 
-@pytest.mark.parametrize("case", ["ip_2d", "sphere", "odd_n", "affine_3d",
-                                  "nine_atoms"])
+@pytest.mark.parametrize("case", ["ip_2d", "odd_n", "affine_3d", "nine_atoms"])
 def test_tilted_probs_equals_atomwise_reference(case):
     e = affine_3d().linear_part if case == "affine_3d" else ip_2d()
     if case == "nine_atoms":  # numpy sums 8 or more terms pairwise
@@ -320,7 +319,6 @@ def test_tilted_probs_equals_atomwise_reference(case):
         e = LinearEnsemble(2, 0.8 * rng.standard_normal((9, 2, 2)),
                            np.full(9, 1.0 / 9.0))
     grid = {"ip_2d": build_grid(2, 512, "projective"),
-            "sphere": build_grid(2, 256, "sphere"),
             "odd_n": build_grid(2, 101, "projective"),
             "affine_3d": build_grid(3, 128, "projective"),
             "nine_atoms": build_grid(2, 64, "projective")}[case]
@@ -454,18 +452,18 @@ class TestOtherDimensions:
             assert abs(sp.k - exact) < 1e-8
             assert sp.e.values.std() < 1e-6
 
-    def test_d1_sphere_mode(self, kesten):
-        grid = build_grid(1, 2, "sphere")
+    def test_d1_single_node(self, kesten):
+        grid = build_grid(1, 2, "projective")
         sp = KSolver(kesten, grid, tol=1e-10).point(0.5)
         exact = 0.4 * np.sqrt(2.0) + 0.6 / np.sqrt(3.0)
         assert abs(sp.k - exact) < 1e-10
-        # positive scalars never mix the two poles; masses stay symmetric
-        assert np.allclose(sp.nu.masses, 0.5, atol=1e-12)
+        # one node, so the eigenmeasure is its unit mass
+        assert np.array_equal(sp.nu.masses, [1.0])
 
-    def test_d1_sphere_mode_sign_flip(self):
+    def test_d1_sign_flip(self):
         e = LinearEnsemble(1, np.array([[[-2.0]], [[1 / 3]]]),
                            np.array([0.4, 0.6]))
-        grid = build_grid(1, 2, "sphere")
+        grid = build_grid(1, 2, "projective")
         sp = KSolver(e, grid, tol=1e-10).point(1.0)
         assert abs(sp.k - 1.0) < 1e-12  # |a| enters, not the sign
 
