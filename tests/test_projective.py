@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from matspec.ensemble import LinearEnsemble
@@ -189,15 +190,25 @@ EDGE_ROWS_2D = [[-1.0, 0.0], [-1.0, -0.0], [1.0, -0.0], [1.0, 0.0],
                 [-1.0, 1e-17], [-1.0, -1e-17], [1.0, -1e-17], [0.0, -1.0]]
 
 
+def fold_queries(xs, flip):
+    """The queries with the rows where flip holds negated."""
+    return np.where(flip[:, None], -xs, xs)
+
+
+# the query modes: "sphere" queries lie anywhere on the sphere, and
+# "projective" ones are folded to the grid's own representatives first
+
 # 25 nodes: pi / (pi / 25) != 25, so the angle pi does not land on node 25
-@pytest.mark.parametrize("mode", ["projective"])
+@pytest.mark.parametrize("mode", ["projective", "sphere"])
 @pytest.mark.parametrize("n", [2, 7, 25, 512])
 def test_d2_stencil_equals_modulo_reference(mode, n):
-    g = build_grid(2, n, mode)
+    g = build_grid(2, n, "projective")
     rng = np.random.default_rng(n)
     xs = rng.standard_normal((4000, 2))
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
     xs = np.vstack([xs, EDGE_ROWS_2D, g.nodes, -g.nodes])
+    if mode == "projective":  # d=2 nodes lie at y > 0, or at y = 0 and x > 0
+        xs = fold_queries(xs, (xs[:, 1] < 0) | ((xs[:, 1] == 0) & (xs[:, 0] < 0)))
     idx, w = interp_stencil(g, xs)
     ref_idx, ref_w = modulo_stencil_2d(g, xs)
     assert np.array_equal(idx, ref_idx)
@@ -220,6 +231,59 @@ def cube_edge_queries(rng, count):
                 out.append(q[:, perm] * signs)
     out = np.vstack(out)
     return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+
+def kdtree_cube_stencil(grid, xs):
+    """Reference d=3 stencil: the face, cell and bilinear weights with the
+    package's arithmetic, and the node of each cell corner found by a
+    KD-tree over the nodes and their antipodes (point p is node p mod N)."""
+    r = grid.corners.shape[1] - 1
+    rows = np.arange(len(xs))
+    a = np.abs(xs).argmax(axis=1)
+    b, c = (a + 1) % 3, (a + 2) % 3
+    xa = xs[rows, a]
+    pos = np.arctan(np.stack([xs[rows, b], xs[rows, c]]) / np.abs(xa))
+    pos = np.clip(pos * (2 * r / np.pi) + r / 2, 0.0, r)
+    cell = np.minimum(np.floor(pos), r - 1)
+    s, t = pos - cell
+    tree = cKDTree(np.vstack([grid.nodes, -grid.nodes]))
+    idx = np.empty((len(xs), 4), dtype=np.intp)
+    for k, (di, dj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        corner = np.empty((len(xs), 3))
+        corner[rows, a] = np.where(xa < 0, -1.0, 1.0)
+        corner[rows, b] = np.tan((cell[0] + di) / r * (np.pi / 2) - np.pi / 4)
+        corner[rows, c] = np.tan((cell[1] + dj) / r * (np.pi / 2) - np.pi / 4)
+        _, hit = tree.query(corner / np.linalg.norm(corner, axis=1, keepdims=True))
+        idx[:, k] = hit % grid.n_nodes
+    w = np.column_stack([(1.0 - s) * (1.0 - t), (1.0 - s) * t, s * (1.0 - t), s * t])
+    return idx, w
+
+
+class TestCubeIndexMatchesKdTree:
+    """The cube-sphere cell lookup gives a KD-tree reference's nodes and
+    weights bit for bit, for queries in either mode."""
+
+    @pytest.mark.parametrize("mode", ["sphere", "projective"])
+    @pytest.mark.parametrize("n", [4, 5, 7, 128, 512])
+    def test_bit_for_bit(self, mode, n):
+        g = build_grid(3, n, "projective")
+        rng = np.random.default_rng(n)
+        random = rng.standard_normal((20000, 3))
+        random /= np.linalg.norm(random, axis=1, keepdims=True)
+        edges = cube_edge_queries(rng, 20)
+        # three shapes of five tie the two largest |components| exactly
+        top = np.sort(np.abs(edges), axis=1)
+        assert np.mean(top[:, 2] == top[:, 1]) == pytest.approx(0.6)
+        xs = np.vstack([random, g.nodes, -g.nodes, edges,
+                        random[:2000] * (1 + 1e-15), random[:2000] * (1 - 1e-15),
+                        g.nodes * (1 + 1e-15), -g.nodes * (1 - 1e-15)])
+        if mode == "projective":  # d=3 nodes have a negative first nonzero component
+            first = xs[np.arange(len(xs)), (xs != 0).argmax(axis=1)]
+            xs = fold_queries(xs, first > 0)
+        idx, w = interp_stencil(g, xs)
+        ref_idx, ref_w = kdtree_cube_stencil(g, xs)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(w.view(np.int64), ref_w.view(np.int64))
 
 
 def reference_cube_weights(grid, xs):
