@@ -20,8 +20,8 @@ import numpy as np
 
 from .rng import draw_atoms, stream as _rng
 
-from .ensemble import AffineEnsemble, ensemble_hash
-from .projective import interp_stencil
+from .ensemble import AffineEnsemble, apply_atoms, ensemble_hash
+from .projective import interpolate
 from .transfer import SpectralPoint
 
 __all__ = [
@@ -250,9 +250,8 @@ def hill_stability(
         data = np.asarray(bank, dtype=float)
         data = data[data > 0]
     n = data.size
-    k_grid = np.unique(
-        np.geomspace(max(10, n // 1000), max(20, n // 10), 12).astype(int)
-    )
+    k_grid = np.geomspace(max(10, n // 1000), max(20, n // 10), 12).astype(int)
+    k_grid = k_grid[np.diff(k_grid, prepend=0) > 0]  # sorted: drop the repeats
     rows = []
     for k in k_grid:
         if k >= n / 2:
@@ -337,8 +336,7 @@ def directional_profile(
     of variation; direction-independent in the no-invariant-cone case.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    idx, w = interp_stencil(sp_star_alpha.e.grid, directions)
-    e_values = np.sum(sp_star_alpha.e.values[idx] * w, axis=1)
+    e_values = interpolate(sp_star_alpha.e, directions)
     ratios = []
     constants = {}
     for u, ev in zip(directions, e_values):
@@ -484,24 +482,21 @@ def classify_tail_case(
     n_paths, n_steps, top_quantile, min_hits = 4096, 400, 0.995, 5
     center = np.asarray(attractor_center, dtype=float)
     rng = _rng(seed, 777)
-    d = ae.dimension
-    x = rng.standard_normal((n_paths, d)) * 0.1
-    dirs: list[np.ndarray] = []
-    norm_cut: list[np.ndarray] = []
+    x = (rng.standard_normal((n_paths, ae.dimension)) * 0.1).T  # rows last
+    census = np.empty((ae.dimension, n_steps - n_steps // 2, n_paths))  # rows last
     for k in range(n_steps):
-        idx = draw_atoms(rng, ae.weights, n_paths)
-        x = np.einsum("nij,nj->ni", ae.matrices[idx], x) + ae.translations[idx]
+        x = apply_atoms(ae.matrices, draw_atoms(rng, ae.weights, n_paths), x,
+                        ae.translations)
         if k >= n_steps // 2:
-            nx = np.linalg.norm(x, axis=1)
-            dirs.append((x / np.maximum(nx, 1e-300)[:, None]).copy())
-            norm_cut.append(nx.copy())
-    directions = np.vstack(dirs)
-    magnitudes = np.concatenate(norm_cut)
+            census[:, k - n_steps // 2] = x
+    directions = census.reshape(ae.dimension, -1)  # states until normalized
+    magnitudes = np.linalg.norm(directions, axis=0)
+    directions /= np.maximum(magnitudes, 1e-300)
     cut = np.quantile(magnitudes, top_quantile)
     scale_b = float(np.linalg.norm(ae.translations, axis=1).max())
     if cut < 10.0 * scale_b:
         return "unknown"
-    big = directions[magnitudes >= cut]
+    big = directions.T[magnitudes >= cut]
     if big.size == 0:
         return "unknown"
     side = big @ center

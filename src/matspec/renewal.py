@@ -3,7 +3,8 @@
 Expanding regime (Lyapunov exponent > 0): the mean number of visits of
 S_n v to a log-annulus of width h around direction probes converges, as the
 start v -> 0, to h * nu(probe) / L; measured visit counts are compared with
-that prediction, never fitted to it.
+that prediction, never fitted to it.  This walk and the naive Cramer walk
+draw untilted atoms and apply them through ensemble.apply_atoms.
 
 Contracting regime with tail index alpha: level-crossing probabilities
 P{sup_n |S_n u| > t} decay like t^{-alpha} A e^alpha(u); naive counting
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import AffineEnsemble, LinearEnsemble, transpose
+from .ensemble import AffineEnsemble, LinearEnsemble, apply_atoms, transpose
 from .rng import draw_atoms, stream as _rng
 from .transfer import SpectralPoint, TiltedChain
 
@@ -114,11 +115,9 @@ def potential_profile_expanding(
                 sel = inside & f.direction_mask(dirs)
                 idxs = np.flatnonzero(active)[sel]
                 counts[j, idxs] += 1.0
-        idx = draw_atoms(rng, e.weights, int(active.sum()))
-        g = e.matrices[idx]
-        y = np.einsum("nij,nj->ni", g, dirs)
-        norms = np.linalg.norm(y, axis=1)
-        x[active] = y / norms[:, None]
+        y = apply_atoms(e.matrices, draw_atoms(rng, e.weights, int(active.sum())), dirs.T)
+        norms = np.linalg.norm(y, axis=0)
+        x[active] = (y / norms).T
         logmag[active] = mags + np.log(norms)
         active[active] = logmag[active, None][:, 0] <= top + 10.0
         steps += 1
@@ -178,11 +177,7 @@ def cramer_constant(
     t_arr = np.exp(log_ts)
     rng = _rng(seed, 660)
     if method == "naive":
-        # the live paths, in their original order, are compacted as they
-        # retire; x holds one row per coordinate and a step applies the drawn
-        # atoms entry by entry (entries row i*d + j holds every atom's g_ij)
-        d = e.dimension
-        entries = e.matrices.reshape(e.n_atoms, d * d).T.copy()
+        # retired paths are compacted out, the live ones keep their order
         x = np.repeat(u[:, None], n_paths, axis=1)
         logmag = np.zeros(n_paths)
         running_max = np.zeros(n_paths)
@@ -190,16 +185,8 @@ def cramer_constant(
         peak = np.zeros(n_paths)  # running max of each path at its retirement
         steps = 0
         while live.size and steps < max_steps:
-            g = entries.take(draw_atoms(rng, e.weights, live.size), axis=1)
-            y = np.empty_like(x)
-            for i in range(d):
-                y[i] = g[i * d] * x[0]
-                for j in range(1, d):
-                    y[i] += g[i * d + j] * x[j]
-            sq = y[0] * y[0]
-            for i in range(1, d):
-                sq += y[i] * y[i]
-            norms = np.sqrt(sq)
+            y = apply_atoms(e.matrices, draw_atoms(rng, e.weights, live.size), x)
+            norms = np.linalg.norm(y, axis=0)
             x = y / norms
             logmag += np.log(norms)
             np.maximum(running_max, logmag, out=running_max)

@@ -24,9 +24,10 @@ importance weights on the untilted law, whose weights degenerate
 exponentially in the path length.  The walks are batched: compute_curve's
 tilted Monte Carlo runs the paths of every s in one chain over the stack of
 their points, and lyapunov_gap and each stage of contraction_rate run all
-their probe pairs in one chain.  Each s and each pair still draws its start
-rows and uniforms from the stream and in the order it would alone, so the
-batched numbers equal those of one chain per s or per pair bit for bit.
+their probe pairs in one chain, whose drawn atoms act on the pairs'
+vectors through ensemble.apply_atoms.  Each s and each pair still draws its
+start rows and uniforms from the stream and in the order it would alone, so
+the batched numbers equal those of one chain per s or per pair bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import HypothesisError, LinearEnsemble
+from .ensemble import HypothesisError, LinearEnsemble, apply_atoms
 from .rng import draw_atoms, stream as _rng
 from .projective import DirectionGrid
 from .transfer import (
@@ -292,14 +293,13 @@ def _tilted_mc(
 
 
 def _wedge_operators(e: LinearEnsemble) -> np.ndarray:
-    """Per-atom action on 2-vectors: det (d=2) or cofactor matrix (d=3)."""
-    d = e.dimension
-    if d == 2:
-        return np.linalg.det(e.matrices)  # scalar multipliers
-    if d == 3:
-        dets = np.linalg.det(e.matrices)
-        invT = np.transpose(np.linalg.inv(e.matrices), (0, 2, 1))
-        return dets[:, None, None] * invT
+    """Per-atom action on 2-vectors, as a stack of matrices: the 1 x 1 det
+    (d=2) or the cofactor matrix (d=3)."""
+    dets = np.linalg.det(e.matrices)[:, None, None]
+    if e.dimension == 2:
+        return dets
+    if e.dimension == 3:
+        return dets * np.transpose(np.linalg.inv(e.matrices), (0, 2, 1))
     raise ValueError("pair contraction diagnostics cover d in {2, 3}")
 
 
@@ -316,45 +316,33 @@ def _pair_contraction_logs(
     Works in log space through the wedge cocycle
     log sin(angle(S v, S w)) = log|S (v^w)| - log|S v| - log|S w|,
     so arbitrarily strong contraction never underflows.  x0, v, w are
-    (M, d) rows; the chain is driven from x0 (same atoms act on v and w),
-    and row t of u (n, M) holds the uniforms of step t.
+    (M, d) rows; the chain is driven from x0, and row t of u (n, M) holds
+    the uniforms of step t.  The drawn atoms act on v and w, rows last, in
+    one apply_atoms call, and on v^w through _wedge_operators; in d=2 v^w is
+    a 1-vector of sign +-1 whose norm grows by exactly |det g| a step.
     """
-    d = e.dimension
     wedge_ops = _wedge_operators(e)
     chain = TiltedChain(e, [sp], [x0])
-    v_dir = v.copy()
-    w_dir = w.copy()
-    v_log = np.zeros(len(v))
-    w_log = np.zeros(len(v))
-    if d == 2:
-        cross0 = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
-        wedge_log = np.log(np.abs(cross0))
-        wedge_dir = None
+    vw_dir = np.ascontiguousarray(np.stack([v.T, w.T], axis=1))  # (d, 2, M)
+    vw_log = np.zeros((2, len(v)))
+    if e.dimension == 2:
+        cr = (v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0])[:, None]
     else:
         cr = np.cross(v, w)
-        nrm = np.linalg.norm(cr, axis=1)
-        wedge_log = np.log(nrm)
-        wedge_dir = cr / nrm[:, None]
+    nrm = np.linalg.norm(cr, axis=1)
+    wedge_dir, wedge_log = (cr / nrm[:, None]).T, np.log(nrm)
     sin0 = wedge_log.copy()  # v, w are unit: log sin = wedge log
     for u_step in u:
         choice, _ = chain.step(u_step)
-        g = e.matrices[choice]
-        gv = np.einsum("nij,nj->ni", g, v_dir)
-        gw = np.einsum("nij,nj->ni", g, w_dir)
-        nv = np.linalg.norm(gv, axis=1)
-        nw = np.linalg.norm(gw, axis=1)
-        v_dir = gv / nv[:, None]
-        w_dir = gw / nw[:, None]
-        v_log += np.log(nv)
-        w_log += np.log(nw)
-        if d == 2:
-            wedge_log += np.log(np.abs(wedge_ops[choice]))
-        else:
-            y = np.einsum("nij,nj->ni", wedge_ops[choice], wedge_dir)
-            ny = np.linalg.norm(y, axis=1)
-            wedge_dir = y / ny[:, None]
-            wedge_log += np.log(ny)
-    sin_n = wedge_log - v_log - w_log
+        y = apply_atoms(e.matrices, choice, vw_dir)
+        ny = np.linalg.norm(y, axis=0)
+        vw_dir = y / ny
+        vw_log += np.log(ny)
+        y = apply_atoms(wedge_ops, choice, wedge_dir)
+        ny = np.linalg.norm(y, axis=0)
+        wedge_dir = y / ny
+        wedge_log += np.log(ny)
+    sin_n = wedge_log - vw_log[0] - vw_log[1]
     return sin_n - sin0
 
 

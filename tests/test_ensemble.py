@@ -8,6 +8,7 @@ from matspec.ensemble import (
     AffineEnsemble,
     EnsembleError,
     LinearEnsemble,
+    apply_atoms,
     check_nonarithmetic_1d,
     check_proximality,
     check_strong_irreducibility,
@@ -126,6 +127,30 @@ def test_cone_case_ip_is_II(ip):
     verdict, ev = classify_cone_case(ip, seed=0)
     assert verdict == "II"
     assert "attractor_center" in ev
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes (so -0.0 and 0.0 differ)."""
+    return a.shape == b.shape and (np.ascontiguousarray(a).tobytes()
+                                   == np.ascontiguousarray(b).tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 64, 4096])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_apply_atoms_equals_gathered_einsum(d, n):
+    rng = np.random.default_rng(10 * d + n)
+    mats, shift = rng.standard_normal((5, d, d)), rng.standard_normal((5, d))
+    idx = rng.integers(0, 5, n)
+    v, w = rng.standard_normal((2, n, d))
+    gv = np.einsum("nij,nj->ni", mats[idx], v)
+    gw = np.einsum("nij,nj->ni", mats[idx], w)
+    assert same_bits(apply_atoms(mats, idx, v.T), gv.T)
+    assert same_bits(apply_atoms(mats, idx, v.T, shift), (gv + shift[idx]).T)
+    # v and w of a row in one call, rows last (d, 2, n)
+    vw = np.stack([v.T, w.T], axis=1)
+    assert same_bits(apply_atoms(mats, idx, vw), np.stack([gv.T, gw.T], axis=1))
+    assert same_bits(apply_atoms(mats, idx, vw, shift),
+                     np.stack([(gv + shift[idx]).T, (gw + shift[idx]).T], axis=1))
 
 
 def test_nonarithmetic_cases():

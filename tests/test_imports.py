@@ -1,9 +1,9 @@
 """No module of the package imports another module's private names, only
 KSolver builds transfer operators and runs eigen-solves, only
 TiltedChain.step runs the tilted kernel, only the CLI's runner opens and
-finishes manifests, every public routine has a caller inside the package,
-the CLI imports no scipy, and the package and pyproject.toml state one
-version."""
+finishes manifests, no walk applies a gathered atom stack with einsum,
+every public routine has a caller inside the package, the CLI imports no
+scipy, and the package and pyproject.toml state one version."""
 
 import ast
 import os
@@ -146,6 +146,40 @@ def _tails(cfg, ensemble, ks, man):
         path.name: sites
         for path in sorted(PACKAGE.glob("*.py"))
         if (sites := misplaced_calls(path.read_text(encoding="utf-8"), RUNNER_ONLY))
+    }
+    assert offenders == {}
+
+
+# the one way to apply drawn atoms: ensemble.apply_atoms, rows last and in
+# one add order; an (n, d, d) stack of drawn atoms for einsum is the other way
+GATHERED_SUBSCRIPTS = "nij,nj->ni"
+
+
+def gathered_atom_einsums(source: str) -> list[int]:
+    """Lines of einsum calls whose subscripts, spaces dropped, are
+    GATHERED_SUBSCRIPTS."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum"
+            and node.args and isinstance(node.args[0], ast.Constant)
+            and str(node.args[0].value).replace(" ", "") == GATHERED_SUBSCRIPTS]
+
+
+def test_checker_flags_gathered_atom_einsums():
+    source = """
+y = np.einsum("nij,nj->ni", e.matrices[idx], x)
+images = np.einsum("mij,kj->mki", e.matrices, dirs)
+z = einsum("nij, nj -> ni", g, x)
+w = apply_atoms(e.matrices, idx, x.T)
+"""
+    assert gathered_atom_einsums(source) == [2, 4]
+
+
+def test_no_walk_applies_gathered_atoms_with_einsum():
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := gathered_atom_einsums(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
 

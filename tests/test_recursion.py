@@ -271,7 +271,7 @@ class TestCaseIProfile:
         # engineering budget CV <= 0.25
         from matspec.ensemble import AffineEnsemble, transpose
         from matspec.ensembles import ip_flip_2d
-        from matspec.projective import build_grid
+        from matspec.projective import build_grid, interp_stencil
         from matspec.recursion import directional_profile
         from matspec.transfer import KSolver
 
@@ -286,3 +286,10 @@ class TestCaseIProfile:
         dirs = np.column_stack([np.cos(ths), np.sin(ths)])
         prof = directional_profile(bank, sp_star, dirs, ip_alpha)
         assert prof["cv"] <= 0.25
+        # each ratio divides by *e^alpha(u) summed over the stencil in order
+        idx, w = interp_stencil(grid, dirs)
+        e_values = np.sum(sp_star.e.values[idx] * w, axis=1)
+        keys = [tuple(np.round(u, 6)) for u in dirs]
+        assert prof["ratios"].tolist() == [prof["constants"][k][0] / ev
+                                           for k, ev in zip(keys, e_values)
+                                           if k in prof["constants"]]

@@ -37,6 +37,33 @@ def sp_star_kesten_alpha():
                    tol=1e-10).point(1.0)
 
 
+def einsum_expanding_counts(e, test_functions, n_paths, seed, max_steps=2000):
+    """Reference visit counts of potential_profile_expanding: each step
+    applies the gathered (n, d, d) atoms to the active (n, d) rows with
+    einsum."""
+    rng = stream(seed, 550)
+    x = rng.standard_normal((n_paths, e.dimension))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    logmag = np.full(n_paths, np.log(2.0**-30))
+    top = max(f.log_hi for f in test_functions)
+    counts = np.zeros((len(test_functions), n_paths))
+    active = np.ones(n_paths, dtype=bool)
+    steps = 0
+    while active.any() and steps < max_steps:
+        sel = np.flatnonzero(active)
+        for j, f in enumerate(test_functions):
+            inside = (logmag[sel] >= f.log_lo) & (logmag[sel] < f.log_hi)
+            counts[j, sel[inside & f.direction_mask(x[sel])]] += 1.0
+        g = e.matrices[draw_atoms(rng, e.weights, sel.size)]
+        y = np.einsum("nij,nj->ni", g, x[sel])
+        norms = np.linalg.norm(y, axis=1)
+        x[sel] = y / norms[:, None]
+        logmag[sel] += np.log(norms)
+        active[sel] = logmag[sel] <= top + 10.0
+        steps += 1
+    return counts
+
+
 class TestExpandingProfile:
     def test_deterministic_exactly_one_visit(self):
         e = expanding_1d_deterministic()
@@ -84,6 +111,23 @@ class TestExpandingProfile:
         for row in rep.rows:
             ratio = row["measured"] / row["predicted"]
             assert 0.8 <= ratio <= 1.25
+
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rows_equal_einsum_walk_reference(self, d):
+        from matspec.ensemble import LinearEnsemble
+
+        # inverse atoms of a contracting walk expand
+        lin = ip_2d() if d == 2 else affine_3d().linear_part
+        e = LinearEnsemble(d, np.linalg.inv(lin.matrices), lin.weights.copy())
+        fns = [AnnulusFunction("octave0", 0.0, np.log(2.0)),
+               AnnulusFunction("cap", np.log(2.0), 3 * np.log(2.0),
+                               probe_center=np.eye(d)[0], probe_radius=0.8)]
+        rep = potential_profile_expanding(e, fns, L=0.1, n_paths=1500, seed=12)
+        counts = einsum_expanding_counts(e, fns, 1500, 12)
+        assert [(r["measured"], r["stderr"]) for r in rep.rows] == [
+            (float(c.mean()), float(c.std(ddof=1) / np.sqrt(1500))) for c in counts]
+        assert counts.sum(axis=1).min() > 0 and not rep.caveats
 
 
 class TestCramer:
@@ -200,10 +244,8 @@ def test_cramer_rows_equal_crossing_matrix_reference(d):
     want, most = crossing_matrix_cramer(*args, "tilted", sp=ks.point(alpha))
     assert most >= 2
     assert cramer_constant(*args, method="tilted", sp=ks.point(alpha)) == want
-    if d == 2:
-        # in d=3 the entry-wise atom product and einsum may sum in other orders
-        want, _ = crossing_matrix_cramer(*args, "naive")
-        assert cramer_constant(*args, method="naive") == want
+    want, _ = crossing_matrix_cramer(*args, "naive")
+    assert cramer_constant(*args, method="naive") == want
 
 
 class TestTiltedPotential:
