@@ -375,7 +375,7 @@ def classify_cone_case(e: LinearEnsemble, seed: int = 0) -> tuple[str, dict]:
         x = apply_atoms(e.matrices, idx_all[k], x)
         x /= np.linalg.norm(x, axis=0)
         if k >= keep_from:
-            tail.append(x.T.copy())
+            tail.append(x.T.copy())  # C-ordered rows, as np.stack keeps layout
     # Per-trajectory decision: with an invariant cone an orbit settles on one
     # side and its tail set never touches its own antipodal image; without
     # one a single orbit must approach its own antipode.  The union over
