@@ -346,10 +346,7 @@ def _validate(cfg: RunConfig, ensemble, ks, man: Manifest) -> str:
 def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     lin = ks.ensemble
     t0 = time.perf_counter()
-    curve = compute_curve(
-        lin, cfg.s_values(), solve_root=True,
-        seed=cfg.seed, mc_check=True, solver=ks,
-    )
+    curve = compute_curve(lin, cfg.s_values(), seed=cfg.seed, solver=ks)
     man.time("curve", t0)
     nonconverged = any(not p.converged for p in curve.points)
     if nonconverged:
@@ -512,7 +509,8 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     prof = None
     if case == "I" and len(dirs) > 1:
         try:
-            prof = directional_profile(bank, sp_star, dirs, alpha)
+            prof = directional_profile(
+                [tail_tables.get(_direction_key(u)) for u in dirs], sp_star, dirs)
         except ValueError as exc:
             man.warn(f"profile: {exc}")
     betas = cfg.options.get("moment_betas", [0.0, alpha / 2, alpha * 1.2])

@@ -129,9 +129,7 @@ class AffineEnsemble:
             raise EnsembleError(
                 f"translations must have shape (m, {self.dimension}), got {trans.shape}"
             )
-        resid = self._common_fixed_point_residual()
-        object.__setattr__(self, "fixed_point_residual", resid)
-        if resid <= 1e-9 and not self.allow_fixed_point:
+        if self._common_fixed_point_residual() <= 1e-9 and not self.allow_fixed_point:
             raise EnsembleError(
                 "supp lambda has a fixed point: the system (I - A_i) x = B_i "
                 "is simultaneously solvable"

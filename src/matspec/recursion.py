@@ -52,7 +52,6 @@ class TailSampleBank:
     last_step is the step at which the last row stopped.
     """
 
-    ensemble_label: str
     ensemble_sha: str
     samples: np.ndarray
     n_steps: int
@@ -183,7 +182,6 @@ def sample_stationary(
     remainder = max(prod_max) * max_b / max(1.0 - decay, 1e-12) if decay < 1 else np.inf
     samples = np.concatenate(parts)
     return TailSampleBank(
-        ensemble_label=ae.label,
         ensemble_sha=ensemble_hash(ae),
         samples=samples[:, 0] if ae.dimension == 1 else samples,
         n_steps=n_steps,
@@ -327,22 +325,22 @@ def empirical_tail(
 
 
 def directional_profile(
-    bank: TailSampleBank,
+    tables: list[dict | None],
     sp_star_alpha: SpectralPoint,
     directions: np.ndarray,
-    alpha: float,
 ) -> dict:
     """Ratios C_hat(u) / *e^alpha(u) across directions and their coefficient
     of variation; direction-independent in the no-invariant-cone case.
+
+    tables[i] is the empirical_tail table of directions[i], or None where
+    that direction had too few exceedances.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     e_values = interpolate(sp_star_alpha.e, directions)
     ratios = []
     constants = {}
-    for u, ev in zip(directions, e_values):
-        try:
-            res = empirical_tail(bank, u, alpha)
-        except ValueError:
+    for u, ev, res in zip(directions, e_values, tables):
+        if res is None:
             continue
         constants[tuple(np.round(u, 6))] = (res["plateau"], res["ci"])
         ratios.append(res["plateau"] / ev)

@@ -15,6 +15,11 @@ first crossing.  The dual ladder walk (u_n, p_n) drives the positivity of
 directional tail constants: its ladder epochs are the record times of
 p^{-1} p_n |S'_n u| and the mean inter-record gap ties the ladder height
 growth rate to L(alpha).
+
+Every level walk retires finished paths by compaction: the untilted walks
+drop their rows from their own arrays and the tilted ones through
+TiltedChain.keep, the live rows keep their order, and an array of path
+numbers (TiltedChain.ids) indexes the per-path tallies.
 """
 
 from __future__ import annotations
@@ -102,47 +107,65 @@ def potential_profile_expanding(
     x = rng.standard_normal((n_paths, d))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     logmag = np.full(n_paths, np.log(2.0**-30))
-    top = max(f.log_hi for f in test_functions)
+    windows = [(f.log_lo, f.log_hi) for f in test_functions]
+    top = max(hi for _, hi in windows)
     counts = np.zeros((len(test_functions), n_paths))
-    active = np.ones(n_paths, dtype=bool)
+    ids = np.arange(n_paths)
     steps = 0
-    while active.any() and steps < max_steps:
-        dirs = x[active]
-        mags = logmag[active]
-        for j, f in enumerate(test_functions):
-            inside = (mags >= f.log_lo) & (mags < f.log_hi)
-            if inside.any():
-                sel = inside & f.direction_mask(dirs)
-                idxs = np.flatnonzero(active)[sel]
-                counts[j, idxs] += 1.0
-        y = apply_atoms(e.matrices, draw_atoms(rng, e.weights, int(active.sum())), dirs.T)
+    while ids.size and steps < max_steps:
+        _add_visits(counts, test_functions, windows, logmag, x, ids, np.ones(ids.size))
+        y = apply_atoms(e.matrices, draw_atoms(rng, e.weights, ids.size), x.T)
         norms = np.linalg.norm(y, axis=0)
-        x[active] = (y / norms).T
-        logmag[active] = mags + np.log(norms)
-        active[active] = logmag[active, None][:, 0] <= top + 10.0
+        logmag = logmag + np.log(norms)
+        live = logmag <= top + 10.0
+        # rows first and C-contiguous: direction_mask's product adds in
+        # another order over a strided array
+        x = np.ascontiguousarray((y / norms).T[live])
+        logmag, ids = logmag[live], ids[live]
         steps += 1
-    stuck = int(active.sum())
-    report = RenewalReport(regime="expanding")
+    stuck = ids.size
+    caveats = []
     if arithmetic_caveat:
-        report.caveats.append(
+        caveats.append(
             "arithmetic log-lattice: pointwise renewal limit not guaranteed; "
             "mean-level comparison with wide tolerance only"
         )
     if stuck:
-        report.caveats.append(f"{stuck} paths had not left the window region "
-                              f"after {max_steps} steps")
-    for j, f in enumerate(test_functions):
-        measured = float(counts[j].mean())
-        se = float(counts[j].std(ddof=1) / np.sqrt(n_paths))
+        caveats.append(f"{stuck} paths had not left the window region "
+                       f"after {max_steps} steps")
+    return _report("expanding", test_functions, counts, nu,
+                   lambda f, mass: (f.log_hi - f.log_lo) * mass / L,
+                   "stuck-paths" if stuck else "", caveats)
+
+
+def _add_visits(acc: np.ndarray, test_functions: list[AnnulusFunction],
+                windows: list[tuple[float, float]], logmag: np.ndarray,
+                x: np.ndarray, ids: np.ndarray, weights: np.ndarray) -> None:
+    """Add weights[r] to acc[j, ids[r]] for each live row r whose log
+    magnitude lies in window j and whose direction x[r] (rows first) lies
+    in test function j's probe cap."""
+    for j, (f, (lo, hi)) in enumerate(zip(test_functions, windows)):
+        inside = (logmag >= lo) & (logmag < hi)
+        if inside.any():
+            sel = inside & f.direction_mask(x)
+            acc[j, ids[sel]] += weights[sel]
+
+
+def _report(regime: str, test_functions: list[AnnulusFunction], acc: np.ndarray,
+            nu, predict, flag: str = "", caveats: list[str] | None = None) -> RenewalReport:
+    """One row per test function: the mean and standard error over paths
+    of its row of acc (paths last), against predict(f, nu-mass of f's
+    probe), the mass taken as 1 without nu."""
+    report = RenewalReport(regime=regime, caveats=caveats or [])
+    for f, vals in zip(test_functions, acc):
         mass = f.probe_mass(nu) if nu is not None else 1.0
-        predicted = (f.log_hi - f.log_lo) * mass / L
         report.rows.append(
             {
                 "name": f.name,
-                "measured": measured,
-                "predicted": float(predicted),
-                "stderr": se,
-                "flag": "stuck-paths" if stuck else "",
+                "measured": float(vals.mean()),
+                "predicted": float(predict(f, mass)),
+                "stderr": float(vals.std(ddof=1) / np.sqrt(vals.size)),
+                "flag": flag,
             }
         )
     return report
@@ -225,27 +248,24 @@ def cramer_constant(
     nxt = np.zeros(n_paths, dtype=np.intp)
     steps = 0
     top = log_ts[-1]
-    active = np.ones(n_paths, dtype=bool)
-    while active.any() and steps < max_steps:
-        sel = np.flatnonzero(active)
-        chain.step(rng.random(len(sel)), sel)
-        logmag = chain.logmag[sel]
-        reach = np.searchsorted(log_ts, logmag)  # thresholds below logmag
-        new = reach > nxt[sel]
+    while chain.ids.size and steps < max_steps:
+        chain.step(rng.random(chain.ids.size))
+        reach = np.searchsorted(log_ts, chain.logmag)  # thresholds below logmag
+        new = reach > nxt[chain.ids]
         if new.any():
-            crossing = sel[new]
+            crossing = chain.ids[new]
             lo, hi = nxt[crossing], reach[new]
             # the simulated kernel normalizes by the grid normalizer
             # (= k(alpha) up to discretization); the likelihood ratio folds
             # in the actual normalizers, which keeps the estimator exactly
             # unbiased for the chain that was simulated
-            wvals = np.exp(chain.log_lr(crossing))
+            wvals = np.exp(chain.log_lr()[new])
             for j in range(lo.min(), hi.max()):  # one step may cross several
                 wj = wvals[(lo <= j) & (hi > j)]
                 weight_sum[j] += wj.sum()
                 weight_sq[j] += (wj**2).sum()
             nxt[crossing] = hi
-        active[sel] = logmag <= top
+        chain.keep(chain.logmag <= top)
         steps += 1
     rows = []
     for j, (lt, t) in enumerate(zip(log_ts, t_arr)):
@@ -292,38 +312,16 @@ def tilted_potential_profile(
     acc = np.zeros((len(test_functions), n_paths))
     windows = [(f.log_lo - np.log(t), f.log_hi - np.log(t)) for f in test_functions]
     top = max(hi for _, hi in windows)
-    active = np.ones(n_paths, dtype=bool)
     steps = 0
-    while active.any() and steps < max_steps:
-        sel = np.flatnonzero(active)
-        chain.step(rng.random(len(sel)), sel)
-        logmag = chain.logmag[sel]
-        logw = chain.log_lr(sel)
-        for j, (f, (lo, hi)) in enumerate(zip(test_functions, windows)):
-            inside = (logmag >= lo) & (logmag < hi)
-            if inside.any():
-                sel_in = inside & f.direction_mask(chain.x[sel])
-                acc[j, sel[sel_in]] += np.exp(logw[sel_in])
-        active[sel] = logmag <= top + 5.0
+    while chain.ids.size and steps < max_steps:
+        chain.step(rng.random(chain.ids.size))
+        _add_visits(acc, test_functions, windows, chain.logmag, chain.x, chain.ids,
+                    np.exp(chain.log_lr()))
+        chain.keep(chain.logmag <= top + 5.0)
         steps += 1
-    report = RenewalReport(regime="contracting-tilted")
-    for j, f in enumerate(test_functions):
-        vals = acc[j] * t ** (-alpha)
-        measured = float(vals.mean())
-        se = float(vals.std(ddof=1) / np.sqrt(n_paths))
-        mass = f.probe_mass(nu_alpha) if nu_alpha is not None else 1.0
-        c1, c2 = np.exp(f.log_lo), np.exp(f.log_hi)
-        predicted = e_at_u / L_alpha * mass * (c1**-alpha - c2**-alpha) / alpha
-        report.rows.append(
-            {
-                "name": f.name,
-                "measured": measured,
-                "predicted": float(predicted),
-                "stderr": se,
-                "flag": "",
-            }
-        )
-    return report
+    return _report("contracting-tilted", test_functions, acc * t ** (-alpha), nu_alpha,
+                   lambda f, mass: e_at_u / L_alpha * mass
+                   * (np.exp(f.log_lo)**-alpha - np.exp(f.log_hi)**-alpha) / alpha)
 
 
 @dataclass
@@ -338,7 +336,6 @@ class DualWalkRecord:
     n_starts: int
     n_steps: int
     first_tau: np.ndarray
-    n_epochs: np.ndarray
     mean_gap: float
     gamma_tau: float
     height_rate: float
@@ -397,7 +394,7 @@ def dual_walk_simulate(
     eps_total = np.zeros(n_starts)
     block_sums = np.zeros(nb)
     for step in range(1, n_steps + 1):
-        u = chain.x.copy()
+        u = chain.x  # step rebinds chain.x, so u keeps the pre-step rows
         choice, ln = chain.step(rng.random(n_starts))
         # <B, u>, adding the d terms in order as numpy's short-axis sum does
         bu = b_cols[0].take(choice) * u[:, 0]
@@ -454,7 +451,6 @@ def dual_walk_simulate(
         n_starts=n_starts,
         n_steps=n_steps,
         first_tau=first_tau,
-        n_epochs=n_epochs,
         mean_gap=mean_gap,
         gamma_tau=float(L_alpha * mean_gap),
         height_rate=height_rate,

@@ -445,35 +445,28 @@ def contraction_rate(
 def compute_curve(
     e: LinearEnsemble,
     s_values: np.ndarray,
-    solve_root: bool = True,
     seed: int = 0,
-    mc_check: bool = False,
     solver: KSolver | None = None,
 ) -> SpectralCurve:
     """Solve the eigen-problem along an s-grid and attach alpha, k'(alpha)
-    and the Lyapunov table (finite_diff and quadrature routes; tilted_mc
-    when mc_check is set).  A given solver keeps every point solved here for
-    its later callers."""
+    and the Lyapunov table (finite_diff, quadrature and tilted_mc routes).
+    A given solver keeps every point solved here for its later callers."""
     ks = solver or KSolver(e)
     s_values = np.asarray(sorted(float(s) for s in s_values))
     points = [ks.point(s, compute_p=True) for s in s_values]
     curve = SpectralCurve(s_values=s_values, points=points)
-    table: dict[str, list[float]] = {"finite_diff": [], "quadrature": []}
-    if mc_check:
-        table["tilted_mc"] = []
-        table["tilted_mc_se"] = []
+    table: dict[str, list[float]] = {"finite_diff": [], "quadrature": [],
+                                     "tilted_mc": [], "tilted_mc_se": []}
     for s in s_values:
         table["finite_diff"].append(lyapunov(e, s, "finite_diff", solver=ks)[0])
         table["quadrature"].append(lyapunov(e, s, "quadrature", solver=ks)[0])
-    if mc_check:
-        for L, se in _tilted_mc(e, ks, s_values, seed, _MC_CHAINS, _MC_STEPS):
-            table["tilted_mc"].append(L)
-            table["tilted_mc_se"].append(se)
+    for L, se in _tilted_mc(e, ks, s_values, seed, _MC_CHAINS, _MC_STEPS):
+        table["tilted_mc"].append(L)
+        table["tilted_mc_se"].append(se)
     curve.lyapunov_table = table
-    if solve_root:
-        try:
-            curve.alpha = solve_alpha(e, solver=ks)
-            curve.k_prime_alpha = ks.k_prime(curve.alpha)
-        except HypothesisError:
-            curve.alpha = None
+    try:
+        curve.alpha = solve_alpha(e, solver=ks)
+        curve.k_prime_alpha = ks.k_prime(curve.alpha)
+    except HypothesisError:
+        curve.alpha = None
     return curve

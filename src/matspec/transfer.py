@@ -40,7 +40,9 @@ walks at many exponents share every kernel call.  A tilted step forms every
 atom's image of every path in one matrix product and interpolates e^s at
 all of them in one stencil call; tilted_probs, the kernel, runs only inside
 TiltedChain.step, which takes its uniforms from the caller so that each
-row keeps the random stream it was drawn from.
+row keeps the random stream it was drawn from.  A chain holds only live
+rows: a walk retires finished paths with TiltedChain.keep, which compacts
+them out, and reads each kept row's number in the chain as built from ids.
 """
 
 from __future__ import annotations
@@ -511,9 +513,11 @@ class TiltedChain:
     point.  A chain at one exponent is a stack of one.  A path holds its
     direction x, e^s at x (e_x), logmag = log|S_n x0| and lognorm, the sum of
     the log one-step normalizers of the kernel it was drawn from.  Each step
-    inverts each selected path's cumulative kernel row at one given uniform;
-    e^s at the new direction is the image value the kernel already
-    interpolated.  Rows of every point share one kernel call per step.
+    inverts each path's cumulative kernel row at one given uniform; e^s at
+    the new direction is the image value the kernel already interpolated.
+    Rows of every point share one kernel call per step.  keep retires paths
+    by dropping their rows, and ids holds each remaining row's number in
+    the chain as built.
     """
 
     def __init__(self, e: LinearEnsemble, points: Sequence[SpectralPoint],
@@ -528,14 +532,13 @@ class TiltedChain:
         self._log_e_x0 = np.log(self.e_x)
         self.logmag = np.zeros(len(self.x))
         self.lognorm = np.zeros(len(self.x))
+        self.ids = np.arange(len(self.x))
 
-    def step(self, u: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Advance the selected paths one step, path i of the selection at
-        the uniform u[i]; returns (atom, log|g x|)."""
-        # take gathers index rows far faster than fancy indexing does
-        x = self.x[rows] if isinstance(rows, slice) else self.x.take(rows, axis=0)
+    def step(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Advance every path one step, path i at the uniform u[i]; returns
+        (atom, log|g x|)."""
         probs, normalizer, images, lognorms, e_img = tilted_probs(
-            self.ensemble, self._rows[rows], x, self.e_x[rows])
+            self.ensemble, self._rows, self.x, self.e_x)
         n, m = lognorms.shape
         # the atom is the count of running sums below u; the sums rise, so
         # counting the first m - 1 caps it at the last atom
@@ -546,15 +549,23 @@ class TiltedChain:
             atom += u > cdf
         drawn = np.arange(n) * m + atom  # each row's atom, (row, atom) flattened
         ln = lognorms.take(drawn)
-        self.x[rows] = images.reshape(n * m, -1).take(drawn, axis=0)
-        self.e_x[rows] = e_img.take(drawn)
-        self.logmag[rows] += ln
-        self.lognorm[rows] += np.log(normalizer)
+        self.x = images.reshape(n * m, -1).take(drawn, axis=0)
+        self.e_x = e_img.take(drawn)
+        self.logmag += ln
+        self.lognorm += np.log(normalizer)
         return atom, ln
 
-    def log_lr(self, rows=slice(None)) -> np.ndarray:
+    def keep(self, live: np.ndarray) -> None:
+        """Drop the rows where the boolean live is False; the kept rows keep
+        their order."""
+        if live.all():
+            return
+        for name in ("x", "e_x", "_log_e_x0", "logmag", "lognorm", "ids", "_rows"):
+            setattr(self, name, getattr(self, name)[live])
+
+    def log_lr(self) -> np.ndarray:
         """log e^s(x0) - log e^s(x_n) - s log|S_n x0| + sum of log
         normalizers: the exact log likelihood ratio of the untilted path
         against the simulated chain."""
-        return (self._log_e_x0[rows] - np.log(self.e_x[rows])
-                - self._rows.s[rows] * self.logmag[rows] + self.lognorm[rows])
+        return (self._log_e_x0 - np.log(self.e_x)
+                - self._rows.s * self.logmag + self.lognorm)

@@ -39,7 +39,7 @@ def untruncated_sum(ae, n_steps, n, seed):
 def pareto_bank(n, alpha=1.0, seed=0):
     rng = np.random.default_rng(seed)
     samples = rng.random(n) ** (-1.0 / alpha)  # P(X > t) = t^-alpha, t >= 1
-    return TailSampleBank("pareto", "synthetic", samples, 0, seed, 0.0, 0.0, False)
+    return TailSampleBank("synthetic", samples, 0, seed, 0.0, 0.0, False)
 
 
 class TestSampling:
@@ -148,8 +148,7 @@ class TestHill:
                            kesten_bank_small.n_samples)
 
     def test_directional_statistic_needs_positives(self):
-        bank = TailSampleBank("neg", "synthetic", -np.ones(100), 0, 0, 0.0,
-                              0.0, False)
+        bank = TailSampleBank("synthetic", -np.ones(100), 0, 0, 0.0, 0.0, False)
         with pytest.raises(ValueError, match="positive"):
             hill_estimator(bank, np.array([1.0]), k_order=10)
 
@@ -167,8 +166,7 @@ class TestEmpiricalTail:
         assert res["plateau"] > 0.0
 
     def test_insufficient_exceedances(self):
-        bank = TailSampleBank("tiny", "synthetic", np.full(50, 2.0), 0, 0,
-                              0.0, 0.0, False)
+        bank = TailSampleBank("synthetic", np.full(50, 2.0), 0, 0, 0.0, 0.0, False)
         with pytest.raises(ValueError, match="exceedances|degenerate"):
             empirical_tail(bank, np.array([1.0]), alpha=1.0)
 
@@ -189,8 +187,8 @@ class TestMellin:
         assert abs(res["c_estimate"] - 1.0) < 0.15
 
     def test_zero_samples_give_zero(self):
-        bank = TailSampleBank("zeros", "synthetic", np.zeros(10_000), 0, 0,
-                              0.0, 0.0, False)
+        bank = TailSampleBank("synthetic", np.zeros(10_000), 0, 0, 0.0, 0.0,
+                              False)
         with pytest.raises(ValueError, match="batch-weighted|positive"):
             mellin_profile(bank, np.array([1.0]), alpha=1.0)
 
@@ -284,7 +282,13 @@ class TestCaseIProfile:
         bank = sample_stationary(ae, 1000, 600_000, seed=321, n_workers=2)
         ths = np.linspace(0, 2 * np.pi, 16, endpoint=False)
         dirs = np.column_stack([np.cos(ths), np.sin(ths)])
-        prof = directional_profile(bank, sp_star, dirs, ip_alpha)
+        tables = []
+        for u in dirs:
+            try:
+                tables.append(empirical_tail(bank, u, ip_alpha))
+            except ValueError:  # too few exceedances: the profile skips u
+                tables.append(None)
+        prof = directional_profile(tables, sp_star, dirs)
         assert prof["cv"] <= 0.25
         # each ratio divides by *e^alpha(u) summed over the stencil in order
         idx, w = interp_stencil(grid, dirs)

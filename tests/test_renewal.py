@@ -202,22 +202,20 @@ def crossing_matrix_cramer(e, alpha, u, t_grid, n_paths, seed, method, sp=None,
     weight_sq = np.zeros(len(log_ts))
     crossed = np.zeros((n_paths, len(log_ts)), dtype=bool)
     most = 0
-    while active.any() and steps < max_steps:
-        sel = np.flatnonzero(active)
-        chain.step(rng.random(len(sel)), sel)
-        logmag = chain.logmag[sel]
-        logw = chain.log_lr(sel)
-        per_path = np.zeros(sel.size, dtype=int)
+    while chain.ids.size and steps < max_steps:
+        chain.step(rng.random(chain.ids.size))
+        logmag, logw, ids = chain.logmag, chain.log_lr(), chain.ids
+        per_path = np.zeros(ids.size, dtype=int)
         for j, lt in enumerate(log_ts):
-            newly = (logmag > lt) & (~crossed[sel, j])
+            newly = (logmag > lt) & (~crossed[ids, j])
             if newly.any():
                 wvals = np.exp(logw[newly])
                 weight_sum[j] += wvals.sum()
                 weight_sq[j] += (wvals**2).sum()
-                crossed[sel[newly], j] = True
+                crossed[ids[newly], j] = True
                 per_path += newly
         most = max(most, int(per_path.max()))
-        active[sel] = logmag <= log_ts[-1]
+        chain.keep(logmag <= log_ts[-1])
         steps += 1
     for j, t in enumerate(t_arr):
         n_cross = int(crossed[:, j].sum())

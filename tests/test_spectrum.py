@@ -247,8 +247,7 @@ def test_warm_solver_hides_no_solve(ip, monkeypatch):
 
 class TestCurve:
     def test_curve_assembles(self, kesten):
-        curve = compute_curve(kesten, [0.0, 0.5, 1.0, 1.5], seed=1,
-                              mc_check=True)
+        curve = compute_curve(kesten, [0.0, 0.5, 1.0, 1.5], seed=1)
         assert abs(curve.alpha - 1.0) < 1e-9
         assert abs(curve.k_prime_alpha - KP1_KESTEN) < 1e-9
         assert len(curve.lyapunov_table["tilted_mc"]) == 4
@@ -340,8 +339,10 @@ def pair_logs(e, sp, x0, v, w, n, rng):
     if d == 2:
         wedge_ops = np.linalg.det(e.matrices)
     else:
-        wedge_ops = (np.linalg.det(e.matrices)[:, None, None]
-                     * np.transpose(np.linalg.inv(e.matrices), (0, 2, 1)))
+        # C-contiguous, so that einsum over the gathered cofactor stack adds
+        # in apply_atoms' order: over a strided stack it adds in order
+        wedge_ops = np.ascontiguousarray(np.linalg.det(e.matrices)[:, None, None]
+                                         * np.transpose(np.linalg.inv(e.matrices), (0, 2, 1)))
     chain = TiltedChain(e, [sp], [x0])
     v_dir, w_dir = v.copy(), w.copy()
     v_log, w_log = np.zeros(len(v)), np.zeros(len(v))
@@ -429,17 +430,18 @@ class TestOneChainEqualsPerRunReference:
     def test_curve_tilted_mc_column(self, ip):
         ks = KSolver(ip, build_grid(2, 64, "projective"))
         s_values = [0.0, 1.0, 2.0]
-        curve = compute_curve(ip, s_values, solve_root=False, seed=3,
-                              mc_check=True, solver=ks)
+        curve = compute_curve(ip, s_values, seed=3, solver=ks)
         want = per_s_tilted_mc(ip, ks, s_values, 3, 64, 4000)
         assert curve.lyapunov_table["tilted_mc"] == [L for L, _ in want]
         assert curve.lyapunov_table["tilted_mc_se"] == [se for _, se in want]
 
     def test_gap_over_pairs(self, small_solver):
         e, ks = small_solver.ensemble, small_solver
-        want = per_pair_gap(e, ks.point(0.8), 12, 5, 8, 9)
-        assert lyapunov_gap(e, 0.8, n=12, n_pairs=5, n_paths=8, seed=9,
-                            solver=ks) == want
+        # at seed 3 an in-order d=3 wedge walk moves the stderr by 1 ulp
+        for seed in (9, 3):
+            want = per_pair_gap(e, ks.point(0.8), 12, 5, 8, seed)
+            assert lyapunov_gap(e, 0.8, n=12, n_pairs=5, n_paths=8, seed=seed,
+                                solver=ks) == want
 
     @pytest.mark.parametrize("n_pairs", [5, 11])  # fewer and more than 8 worst
     def test_rho_over_pairs(self, small_solver, n_pairs):

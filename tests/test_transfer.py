@@ -388,12 +388,6 @@ class TestTiltedChain:
             got, _ = stack.step(u)
             want = [c.step(part)[0] for c, part in zip(singles, (u[:6], u[6:]))]
             assert np.array_equal(got, np.concatenate(want))
-            # and a row selection across both blocks
-            u = rng.random(4)
-            got, _ = stack.step(u, np.array([1, 4, 7, 12]))
-            want = [singles[0].step(u[:2], np.array([1, 4]))[0],
-                    singles[1].step(u[2:], np.array([1, 6]))[0]]
-            assert np.array_equal(got, np.concatenate(want))
         for name in ("x", "e_x", "logmag", "lognorm"):
             assert np.array_equal(getattr(stack, name), np.concatenate(
                 [getattr(c, name) for c in singles]))
@@ -414,22 +408,29 @@ class TestTiltedChain:
             chain.step(rng.random(25))
             assert np.all(chain.e_x == interpolate(sp.e, chain.x))
 
-    def test_row_step_leaves_other_rows(self, chain_case):
+    def test_kept_rows_equal_rows_of_full_chain(self, chain_case):
+        # rows dropped across both blocks of a stack leave the kept rows
+        # stepping, tilting and weighing as in a chain that drops none
         e, sp = chain_case
+        points = [sp, KSolver(e, sp.e.grid).point(0.5 * sp.s)]
         rng = np.random.default_rng(7)
-        chain = TiltedChain(e, [sp], [np.tile(np.eye(e.dimension)[0], (10, 1))])
-        chain.step(rng.random(10))
-        rows = np.array([1, 4, 8])
-        others = np.setdiff1d(np.arange(10), rows)
-        before = [a.copy() for a in (chain.x, chain.e_x, chain.logmag, chain.lognorm)]
-        lr_before = chain.log_lr()
-        for _ in range(5):
-            chain.step(rng.random(len(rows)), rows)
-        after = (chain.x, chain.e_x, chain.logmag, chain.lognorm)
-        for b, a in zip(before, after):
-            assert np.array_equal(b[others], a[others])
-            assert not np.array_equal(b[rows], a[rows])
-        assert np.array_equal(chain.log_lr(others), lr_before[others])
+        blocks = [rng.standard_normal((n, e.dimension)) for n in (6, 9)]
+        blocks = [b / np.linalg.norm(b, axis=1, keepdims=True) for b in blocks]
+        full, kept = TiltedChain(e, points, blocks), TiltedChain(e, points, blocks)
+        drops = {1: [1, 12], 4: [4], 6: [7, 8, 14], 9: [0]}  # rows by first number
+        ids = np.arange(15)
+        for step in range(12):
+            u = rng.random(15)
+            full_atom, _ = full.step(u)
+            atom, _ = kept.step(u[kept.ids])
+            assert np.array_equal(atom, full_atom[ids])
+            live = ~np.isin(ids, drops.get(step, []))
+            kept.keep(live)
+            ids = ids[live]
+            assert np.array_equal(kept.ids, ids)
+            for name in ("x", "e_x", "logmag", "lognorm"):
+                assert np.array_equal(getattr(kept, name), getattr(full, name)[ids])
+            assert np.array_equal(kept.log_lr(), full.log_lr()[ids])
 
 
 class TestOtherDimensions:
