@@ -63,6 +63,11 @@ class DirectionGrid:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
+    @property
+    def stencil_width(self) -> int:
+        """The number of nodes k in each query's interp_stencil."""
+        return 4 if self.dimension == 3 else self.dimension
+
 
 @dataclass
 class GridFunction:
@@ -170,19 +175,29 @@ def act_many(g: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _NEXT = np.array([1, 2, 0])
 
 
-def interp_stencil(grid: DirectionGrid, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def interp_stencil(grid: DirectionGrid, xs: np.ndarray,
+                   out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Interpolation stencil for unit queries xs (M, d).
 
-    Returns (idx, w) of shape (M, k) so that interpolate(f, xs) equals
-    sum_j w[:, j] * f.values[idx[:, j]].  Weights are nonnegative, sum to 1
-    and reproduce node values exactly.
+    Returns (idx, w) of shape (k, M), queries last (k the grid's
+    stencil_width), so that interpolate(f, xs) equals
+    sum_j w[j] * f.values[idx[j]].  Weights are nonnegative, sum to 1 and
+    reproduce node values exactly.  xs may be the transposed view of
+    queries stored last, (d, M); each component is then read as one
+    contiguous row.  out, a C-contiguous (k, M) intp array and float array,
+    receives the stencil in place of new arrays.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     d = grid.dimension
     n = grid.n_nodes
+    if out is None:
+        out = (np.empty((grid.stencil_width, len(xs)), dtype=np.intp),
+               np.empty((grid.stencil_width, len(xs))))
+    idx, w = out
     if d == 1:
-        idx = np.zeros((xs.shape[0], 1), dtype=np.intp)
-        return idx, np.ones_like(idx, dtype=float)
+        idx.fill(0)
+        w.fill(1.0)
+        return idx, w
     if d == 2:
         # theta % pi without the slow float fmod: arctan2 lies in [-pi, pi],
         # so pi itself wraps to +0 and every other angle wraps only when
@@ -192,26 +207,25 @@ def interp_stencil(grid: DirectionGrid, xs: np.ndarray) -> tuple[np.ndarray, np.
         pos = np.where(theta < 0, theta + np.pi, theta)
         pos /= np.pi / n
         fl = np.floor(pos)
-        idx = np.empty((len(pos), 2), dtype=np.intp)
-        idx[:, 0] = fl
-        idx[:, 1] = idx[:, 0] + 1
+        idx[0] = fl
+        np.add(idx[0], 1, out=idx[1])
         idx[idx >= n] -= n  # pos lies in [0, n]: node n is node 0
-        w = np.empty((len(pos), 2))
-        np.subtract(pos, fl, out=w[:, 1])
-        np.subtract(1.0, w[:, 1], out=w[:, 0])
+        np.subtract(pos, fl, out=w[1])
+        np.subtract(1.0, w[1], out=w[0])
         return idx, w
     # d = 3: corners (i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1) of the
     # query's cell (face, i, j), bilinear in the face angles
     r = grid.corners.shape[1] - 1
-    m = len(xs)
-    a = np.abs(xs).argmax(axis=1)
-    flat = xs.ravel()
-    base = np.arange(m) * 3
-    xa = flat.take(base + a)
+    xt = xs.T
+    m = xt.shape[1]
+    a = np.abs(xt).argmax(axis=0)
+    flat = xt.ravel()  # component c of query q at c * m + q
+    base = np.arange(m)
+    xa = flat.take(a * m + base)
     b = _NEXT.take(a)
     pos = np.empty((2, m))
-    pos[0] = flat.take(base + b)
-    pos[1] = flat.take(base + _NEXT.take(b))
+    pos[0] = flat.take(b * m + base)
+    pos[1] = flat.take(_NEXT.take(b) * m + base)
     pos /= np.abs(xa)
     # the cell coordinate (arctan + pi/4) r / (pi/2) lies in [0, r] up to
     # rounding, which the clip removes; r belongs to the last cell
@@ -223,15 +237,14 @@ def interp_stencil(grid: DirectionGrid, xs: np.ndarray) -> tuple[np.ndarray, np.
     np.minimum(cell, r - 1, out=cell)
     pos -= cell  # the fractions s (along i) and t (along j), in [0, 1]
     first = ((2 * a + (xa < 0)) * (r + 1) + cell[0]) * (r + 1) + cell[1]
-    idx = grid.corners.take(first[:, None] + np.array([0, 1, r + 1, r + 2]))
+    grid.corners.take(np.array([[0], [1], [r + 1], [r + 2]]) + first, out=idx)
     s, t = pos
-    w = np.empty((4, m))
     np.subtract(1.0, pos, out=w[2:])  # 1 - s, 1 - t
     np.multiply(w[2], w[3], out=w[0])
     np.multiply(w[2], t, out=w[1])
     np.multiply(s, w[3], out=w[2])
     np.multiply(s, t, out=w[3])
-    return idx, w.T
+    return idx, w
 
 
 def interpolate(f: GridFunction, x: np.ndarray) -> float | np.ndarray:
@@ -243,10 +256,12 @@ def interpolate(f: GridFunction, x: np.ndarray) -> float | np.ndarray:
 
 
 def stencil_sum(values: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_j w[:, j] * values[idx[:, j]], adding the short rows in order as
-    numpy does, so that every caller reads the same bits."""
-    terms = values.take(idx) * w
-    out = terms[:, 0]
-    for j in range(1, idx.shape[1]):
-        out = out + terms[:, j]
+    """sum_j w[j] * values[idx[j]] over a stencil (k, M), adding the k terms
+    in order as numpy's sum over a short axis does, so that every caller
+    reads the same bits."""
+    terms = values.take(idx)
+    terms *= w
+    out = terms[0]
+    for j in range(1, len(terms)):
+        out += terms[j]
     return out

@@ -61,7 +61,8 @@ class AnnulusFunction:
         if self.probe_center is None:
             return np.ones(dirs.shape[0], dtype=bool)
         c = np.asarray(self.probe_center, dtype=float)
-        dots = np.abs(dirs @ c)
+        # over a strided array the product adds in another order in d=3
+        dots = np.abs(np.ascontiguousarray(dirs) @ c)
         dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.clip(dots, -1.0, 1.0)))
         return dist < self.probe_radius
 
@@ -118,9 +119,7 @@ def potential_profile_expanding(
         norms = np.linalg.norm(y, axis=0)
         logmag = logmag + np.log(norms)
         live = logmag <= top + 10.0
-        # rows first and C-contiguous: direction_mask's product adds in
-        # another order over a strided array
-        x = np.ascontiguousarray((y / norms).T[live])
+        x = (y / norms).T[live]
         logmag, ids = logmag[live], ids[live]
         steps += 1
     stuck = ids.size

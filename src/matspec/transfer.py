@@ -43,10 +43,22 @@ TiltedChain.step, which takes its uniforms from the caller so that each
 row keeps the random stream it was drawn from.  A chain holds only live
 rows: a walk retires finished paths with TiltedChain.keep, which compacts
 them out, and reads each kept row's number in the chain as built from ids.
+
+The kernel stores rows last: the images of M rows under m atoms are
+(d, m, M), their probabilities, log norms and e^s values (m, M), and the
+stencil of the images (k, m M), so every elementwise operation runs along
+one contiguous axis of rows.  Each sum over components, atoms or stencil
+nodes adds in the order of numpy's sum over a short last axis, so the
+numbers are bit for bit those of the same kernel stored rows first.  The
+kernel's arrays live in work buffers that a chain allocates on its first
+step and reuses on every later one, its rows only ever shrinking; x, e_x
+and logmag are new arrays after every step, so a caller may hold them
+across steps.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -126,9 +138,9 @@ class TransferOperator:
         for g, wi in zip(e.matrices, e.weights):
             images, ln = act_many(g, grid.nodes)
             i, w = interp_stencil(grid, images)
-            idx.append(i)
-            weights.append(wi * w)
-            lognorms.append(np.repeat(ln[:, None], w.shape[1], axis=1))
+            idx.append(i.T)
+            weights.append(wi * w.T)
+            lognorms.append(np.repeat(ln[:, None], len(w), axis=1))
         self._indices = np.concatenate(idx, axis=1)
         self._indices_t = np.ascontiguousarray(self._indices.T)
         self._weights = np.concatenate(weights, axis=1)
@@ -418,40 +430,50 @@ def tilted_probs(
     sp: SpectralPoint | _StackRows,
     xs: np.ndarray,
     e_xs: np.ndarray,
+    work: _Work | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized one-step tilted kernel at unit rows xs (M, d), where
     e_xs (M,) holds e^s at xs.
 
     sp is a SpectralPoint, or the row view of a stack of points that
     TiltedChain.step passes: every row then has its own exponent and reads
-    e^s from its own point.  Returns (probs (M, m), normalizer (M,),
-    images (M, m, d), lognorms (M, m), e^s at the images (M, m)); probs
-    rows are normalized, and normalizer / k(s) ~ 1 up to discretization.
-    Every atom's image comes from one product and e^s at all m images from
-    one stencil call.
+    e^s from its own point.  Returns, rows last, (probs (m, M), normalizer
+    (M,), images (d, m, M), lognorms (m, M), e^s at the images (m, M));
+    each column of probs is normalized, and normalizer / k(s) ~ 1 up to
+    discretization.  Every atom's image comes from one product and e^s at
+    all m images from one stencil call.  Each sum over components or atoms
+    adds in order, as numpy sums a short last axis (from 8 atoms on,
+    pairwise as numpy does), so the numbers are those of the rows-first
+    kernel.  xs may be the transposed view of rows stored last, (d, M).
+    work holds the stacked atoms and the kernel's work arrays; TiltedChain
+    keeps one across steps, and every array returned but normalizer lives
+    in it until its next call.
     """
     M, d = xs.shape
     rows = sp if isinstance(sp, _StackRows) else _StackRows.stack([sp], [M])
+    work = work or _Work(e)
     m = e.n_atoms
-    # column block i of [g_0^T ... g_{m-1}^T] maps xs to xs @ g_i^T
-    gx = (xs @ e.matrices.transpose(2, 0, 1).reshape(d, m * d)).reshape(M, m, d)
-    norms = np.sqrt(_sum_last(gx * gx))
+    images = np.matmul(work.g, xs.T, out=work.array("images", (d * m, M))).reshape(d, m, M)
+    norms = work.array("lognorms", (m, M))
+    probs = work.array("probs", (m, M))
+    np.multiply(images[0], images[0], out=norms)
+    for c in range(1, d):
+        norms += np.multiply(images[c], images[c], out=probs)
+    np.sqrt(norms, out=norms)
     if np.any(norms < 1e-300):
         raise FloatingPointError("`|gx|` underflow: numerically degenerate atom")
-    images = gx
-    images /= norms[:, :, None]
-    lognorms = np.log(norms)
-    e_img = rows.e_at(images)
+    images /= norms
+    lognorms = np.log(norms, out=norms)
+    e_img = rows.e_at(images, work)
     # w_i e^{s log|g_i x|} e^s(g_i.x) / e^s(x), one operation at a time in place
-    probs = np.empty_like(lognorms)
-    for j in range(m):  # column by column: a broadcast over short rows is slow
-        np.multiply(lognorms[:, j], rows.s, out=probs[:, j])
+    np.multiply(lognorms, rows.s, out=probs)
     np.exp(probs, out=probs)
-    probs *= e.weights
+    probs *= work.weights
     probs *= e_img
-    probs /= e_xs[:, None]
-    normalizer = _sum_last(probs)
-    probs /= normalizer[:, None]
+    probs /= e_xs
+    # numpy adds 8 or more terms of a contiguous row pairwise
+    normalizer = probs.sum(axis=0) if m < 8 else np.ascontiguousarray(probs.T).sum(axis=1)
+    probs /= normalizer
     return probs, normalizer, images, lognorms, e_img
 
 
@@ -480,27 +502,45 @@ class _StackRows:
     def __getitem__(self, rows) -> "_StackRows":
         return _StackRows(self.grid, self.values, self.s[rows], self.offset[rows])
 
-    def e_at(self, images: np.ndarray) -> np.ndarray:
-        """e^s at the unit images (M, m, d), row r's from row r's point, as
-        (M, m); bit for bit projective.interpolate on that point's e^s."""
-        M, m, d = images.shape
-        idx, w = interp_stencil(self.grid, images.reshape(M * m, d))
-        offset = np.repeat(self.offset, m)
-        for j in range(idx.shape[1]):  # column by column, as in tilted_probs
-            idx[:, j] += offset
-        return stencil_sum(self.values, idx, w).reshape(M, m)
+    def e_at(self, images: np.ndarray, work: _Work) -> np.ndarray:
+        """e^s at the unit images (d, m, M), row r's from row r's point, as
+        (m, M); bit for bit projective.interpolate on that point's e^s.  The
+        stencil lives in work."""
+        d, m, M = images.shape
+        k = self.grid.stencil_width
+        idx, w = interp_stencil(self.grid, images.reshape(d, m * M).T,
+                                out=(work.array("idx", (k, m * M), np.intp),
+                                     work.array("w", (k, m * M))))
+        idx.reshape(k, m, M)[...] += self.offset
+        return stencil_sum(self.values, idx, w).reshape(m, M)
 
 
-def _sum_last(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=-1), bit for bit.  numpy adds fewer than 8 terms in order
-    (pairwise beyond that), and adding the slices in that order avoids its
-    slow short-axis reduction."""
-    if a.shape[-1] >= 8:
-        return a.sum(axis=-1)
-    out = a[..., 0].copy()
-    for j in range(1, a.shape[-1]):
-        out += a[..., j]
-    return out
+class _Work:
+    """The tilted kernel's operands that stay fixed along a chain, and its
+    work arrays.
+
+    g stacks the atoms' rows, row (c, i) holding row c of atom i, so that
+    g @ x puts component c of every image in block c.  array hands out a
+    prefix of a flat buffer, allocated at the first, largest request: a
+    chain's rows only shrink, so one buffer serves every later step and
+    every view of it is C-contiguous.  Allocated afresh on every step,
+    arrays of this size are faulted in again whenever the allocator has
+    returned the top of the heap to the system, which depends on what else
+    the process holds.
+    """
+
+    def __init__(self, e: LinearEnsemble):
+        m, d = e.n_atoms, e.dimension
+        self.g = e.matrices.transpose(1, 0, 2).reshape(d * m, d)
+        self.weights = e.weights[:, None]
+        self._flat: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._flat.get(name)
+        if buf is None or buf.size < size:
+            buf = self._flat[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 class TiltedChain:
@@ -518,6 +558,11 @@ class TiltedChain:
     Rows of every point share one kernel call per step.  keep retires paths
     by dropping their rows, and ids holds each remaining row's number in
     the chain as built.
+
+    The chain stores its directions rows last, (d, rows), and x is the
+    transposed view.  step binds new arrays to x, e_x and logmag, so a
+    caller may hold the arrays it read before a step; lognorm is updated
+    in place, and the kernel's work arrays are reused on every step.
     """
 
     def __init__(self, e: LinearEnsemble, points: Sequence[SpectralPoint],
@@ -527,31 +572,38 @@ class TiltedChain:
             raise ValueError("a stack needs one row block per point, all on one grid")
         blocks = [np.array(b, dtype=float, ndmin=2) for b in x0]
         self._rows = _StackRows.stack(points, [len(b) for b in blocks])
-        self.x = np.concatenate(blocks)
+        self._xt = np.concatenate(blocks).T.copy()  # (d, rows): rows last
         self.e_x = np.concatenate([interpolate(p.e, b) for p, b in zip(points, blocks)])
         self._log_e_x0 = np.log(self.e_x)
-        self.logmag = np.zeros(len(self.x))
-        self.lognorm = np.zeros(len(self.x))
-        self.ids = np.arange(len(self.x))
+        self.logmag = np.zeros(len(self.e_x))
+        self.lognorm = np.zeros(len(self.e_x))
+        self.ids = np.arange(len(self.e_x))
+        self._work = _Work(e)
+
+    @property
+    def x(self) -> np.ndarray:
+        """Each path's direction, (rows, d): the transposed view of the
+        rows-last array the chain holds."""
+        return self._xt.T
 
     def step(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Advance every path one step, path i at the uniform u[i]; returns
         (atom, log|g x|)."""
         probs, normalizer, images, lognorms, e_img = tilted_probs(
-            self.ensemble, self._rows, self.x, self.e_x)
-        n, m = lognorms.shape
+            self.ensemble, self._rows, self.x, self.e_x, self._work)
+        m, n = lognorms.shape
         # the atom is the count of running sums below u; the sums rise, so
         # counting the first m - 1 caps it at the last atom
         atom = np.zeros(n, dtype=np.intp)
         cdf = np.zeros(n)
         for j in range(m - 1):
-            cdf += probs[:, j]
+            cdf += probs[j]
             atom += u > cdf
-        drawn = np.arange(n) * m + atom  # each row's atom, (row, atom) flattened
+        drawn = atom * n + np.arange(n)  # each row's atom, (atom, row) flattened
         ln = lognorms.take(drawn)
-        self.x = images.reshape(n * m, -1).take(drawn, axis=0)
+        self._xt = images.reshape(len(images), -1).take(drawn, axis=1)
         self.e_x = e_img.take(drawn)
-        self.logmag += ln
+        self.logmag = self.logmag + ln
         self.lognorm += np.log(normalizer)
         return atom, ln
 
@@ -560,7 +612,8 @@ class TiltedChain:
         their order."""
         if live.all():
             return
-        for name in ("x", "e_x", "_log_e_x0", "logmag", "lognorm", "ids", "_rows"):
+        self._xt = self._xt[:, live]
+        for name in ("e_x", "_log_e_x0", "logmag", "lognorm", "ids", "_rows"):
             setattr(self, name, getattr(self, name)[live])
 
     def log_lr(self) -> np.ndarray:

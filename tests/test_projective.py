@@ -173,7 +173,7 @@ class TestInterpolation:
             xs = rng.standard_normal((40, d))
             xs /= np.linalg.norm(xs, axis=1, keepdims=True)
             _, w = interp_stencil(g, xs)
-            assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
+            assert np.allclose(w.sum(axis=0), 1.0, atol=1e-12)
 
 
 def modulo_stencil_2d(grid, xs):
@@ -182,7 +182,7 @@ def modulo_stencil_2d(grid, xs):
     pos = (np.arctan2(xs[:, 1], xs[:, 0]) % np.pi) / (np.pi / n)
     j = np.floor(pos).astype(np.intp) % n
     t = pos - np.floor(pos)
-    return np.column_stack([j, (j + 1) % n]), np.column_stack([1.0 - t, t])
+    return np.stack([j, (j + 1) % n]), np.stack([1.0 - t, t])
 
 
 # pi and -pi, signed zeros, and angles a hair off pi and off 0
@@ -247,15 +247,15 @@ def kdtree_cube_stencil(grid, xs):
     cell = np.minimum(np.floor(pos), r - 1)
     s, t = pos - cell
     tree = cKDTree(np.vstack([grid.nodes, -grid.nodes]))
-    idx = np.empty((len(xs), 4), dtype=np.intp)
+    idx = np.empty((4, len(xs)), dtype=np.intp)
     for k, (di, dj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         corner = np.empty((len(xs), 3))
         corner[rows, a] = np.where(xa < 0, -1.0, 1.0)
         corner[rows, b] = np.tan((cell[0] + di) / r * (np.pi / 2) - np.pi / 4)
         corner[rows, c] = np.tan((cell[1] + dj) / r * (np.pi / 2) - np.pi / 4)
         _, hit = tree.query(corner / np.linalg.norm(corner, axis=1, keepdims=True))
-        idx[:, k] = hit % grid.n_nodes
-    w = np.column_stack([(1.0 - s) * (1.0 - t), (1.0 - s) * t, s * (1.0 - t), s * t])
+        idx[k] = hit % grid.n_nodes
+    w = np.stack([(1.0 - s) * (1.0 - t), (1.0 - s) * t, s * (1.0 - t), s * t])
     return idx, w
 
 
@@ -313,7 +313,7 @@ def reference_cube_weights(grid, xs):
 def dense_weights(grid, xs):
     idx, w = interp_stencil(grid, xs)
     out = np.zeros((len(xs), grid.n_nodes))
-    np.add.at(out, (np.repeat(np.arange(len(xs)), idx.shape[1]), idx.ravel()), w.ravel())
+    np.add.at(out, (np.tile(np.arange(len(xs)), len(idx)), idx.ravel()), w.ravel())
     return out
 
 
@@ -347,7 +347,7 @@ class TestCubeStencil:
         xs = np.vstack([xs, cube_edge_queries(rng, 20), g.nodes, -g.nodes,
                         xs[:2000] * (1 + 1e-15), xs[:2000] * (1 - 1e-15)])
         idx, w = interp_stencil(g, xs)
-        assert idx.shape == w.shape == (len(xs), 4)
+        assert idx.shape == w.shape == (4, len(xs))
         assert np.all(w >= 0.0)
         total = stencil_sum(np.ones(g.n_nodes), idx, w)  # in the callers' order
         assert np.max(np.abs(total - 1.0)) <= 1e-15

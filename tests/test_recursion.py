@@ -292,7 +292,7 @@ class TestCaseIProfile:
         assert prof["cv"] <= 0.25
         # each ratio divides by *e^alpha(u) summed over the stencil in order
         idx, w = interp_stencil(grid, dirs)
-        e_values = np.sum(sp_star.e.values[idx] * w, axis=1)
+        e_values = np.sum(sp_star.e.values[idx] * w, axis=0)
         keys = [tuple(np.round(u, 6)) for u in dirs]
         assert prof["ratios"].tolist() == [prof["constants"][k][0] / ev
                                            for k, ev in zip(keys, e_values)

@@ -100,7 +100,7 @@ class TestLyapunov:
             sp = ip_solver.point(s)
             probs, _, _, lognorms, _ = tilted_probs(ip, sp, sp.e.grid.nodes,
                                                     sp.e.values)
-            node_average = float(sp.pi @ np.sum(probs * lognorms, axis=1))
+            node_average = float(sp.pi @ np.sum(probs * lognorms, axis=0))
             Lq, _ = lyapunov(ip, s, "quadrature", solver=ip_solver)
             Lfd, _ = lyapunov(ip, s, "finite_diff", solver=ip_solver)
             assert abs(node_average - Lq) < 1e-9
@@ -446,6 +446,8 @@ class TestOneChainEqualsPerRunReference:
     @pytest.mark.parametrize("n_pairs", [5, 11])  # fewer and more than 8 worst
     def test_rho_over_pairs(self, small_solver, n_pairs):
         e, ks = small_solver.ensemble, small_solver
-        want = per_pair_rho(e, ks.point(0.8), 0.5, 10, n_pairs, 16, 4)
-        assert contraction_rate(e, 0.8, eps=0.5, n=10, n_pairs=n_pairs,
-                                n_paths=16, seed=4, solver=ks) == want
+        # at seed 2 an in-order d=3 wedge walk moves rho by 1 ulp
+        for seed in (4, 2):
+            want = per_pair_rho(e, ks.point(0.8), 0.5, 10, n_pairs, 16, seed)
+            assert contraction_rate(e, 0.8, eps=0.5, n=10, n_pairs=n_pairs,
+                                    n_paths=16, seed=seed, solver=ks) == want

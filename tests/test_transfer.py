@@ -9,6 +9,7 @@ from matspec.projective import (
     GridMeasure,
     act_many,
     build_grid,
+    interp_stencil,
     interpolate,
 )
 from matspec.spectrum import solve_alpha
@@ -272,7 +273,7 @@ def kernel_at(e, sp, x):
     """The tilted kernel (probabilities, normalizer) at one direction x."""
     xs = np.atleast_2d(x)
     probs, norm, _, _, _ = tilted_probs(e, sp, xs, interpolate(sp.e, xs))
-    return probs[0], norm[0]
+    return probs[:, 0], norm[0]
 
 
 class TestTiltedKernel:
@@ -327,9 +328,9 @@ def test_tilted_probs_equals_atomwise_reference(case):
     xs = rng.standard_normal((3000, e.dimension))
     xs = np.vstack([xs / np.linalg.norm(xs, axis=1, keepdims=True), grid.nodes])
     e_xs = interpolate(sp.e, xs)
-    fused = tilted_probs(e, sp, xs, e_xs)
+    fused = tilted_probs(e, sp, xs, e_xs)  # rows last: each reference array transposed
     for got, want in zip(fused, atomwise_tilted_probs(e, sp, xs, e_xs)):
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want.T)
 
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["ip_2d", "affine_3d"])
@@ -359,9 +360,9 @@ def assert_log_lr_is_direct(e, points, sizes):
     for _ in range(30):
         probs = np.concatenate([
             tilted_probs(e, sp, chain.x[end - size:end], chain.e_x[end - size:end])[0]
-            for sp, size, end in zip(points, sizes, ends)])
+            for sp, size, end in zip(points, sizes, ends)], axis=1)
         atom, _ = chain.step(rng.random(ends[-1]))
-        direct += np.log(e.weights[atom]) - np.log(probs[rows, atom])
+        direct += np.log(e.weights[atom]) - np.log(probs[atom, rows])
     assert np.max(np.abs(chain.log_lr() - direct)) < 1e-12
 
 
@@ -431,6 +432,113 @@ class TestTiltedChain:
             for name in ("x", "e_x", "logmag", "lognorm"):
                 assert np.array_equal(getattr(kept, name), getattr(full, name)[ids])
             assert np.array_equal(kept.log_lr(), full.log_lr()[ids])
+
+    def test_rows_last_chain_equals_rows_first_reference(self, chain_case):
+        # the chain keeps its rows last and its work arrays across steps;
+        # the rows-first chain it replaced reads the same bits, also after
+        # compaction below half the first row count
+        e, sp = chain_case
+        points = [sp, KSolver(e, sp.e.grid).point(0.5 * sp.s)]
+        rng = np.random.default_rng(12)
+        blocks = [rng.standard_normal((n, e.dimension)) for n in (40, 60)]
+        blocks = [b / np.linalg.norm(b, axis=1, keepdims=True) for b in blocks]
+        chain, ref = TiltedChain(e, points, blocks), RowsFirstChain(e, points, blocks)
+        for step in range(64):
+            u = rng.random(len(ref.ids))
+            atom, ln = chain.step(u)
+            ref_atom, ref_ln = ref.step(u)
+            assert np.array_equal(atom, ref_atom) and np.array_equal(ln, ref_ln)
+            if step in (8, 16, 24, 32):
+                live = rng.random(len(ref.ids)) >= 0.3
+                chain.keep(live)
+                ref.keep(live)
+            for name in ("x", "e_x", "logmag", "lognorm", "ids"):
+                assert np.array_equal(getattr(chain, name), getattr(ref, name)), name
+            assert np.array_equal(chain.log_lr(), ref.log_lr())
+        assert len(ref.ids) < 50
+
+    def test_held_arrays_keep_their_values(self, chain_case):
+        # step binds new arrays to x, e_x and logmag, so arrays read before
+        # a step (dual_walk_simulate's u = chain.x) outlive it unchanged
+        e, sp = chain_case
+        rng = np.random.default_rng(13)
+        x0 = rng.standard_normal((30, e.dimension))
+        chain = TiltedChain(e, [sp], [x0 / np.linalg.norm(x0, axis=1, keepdims=True)])
+        chain.step(rng.random(30))
+        held = [chain.x, chain.e_x, chain.logmag]
+        copies = [a.copy() for a in held]
+        for _ in range(2):
+            chain.step(rng.random(30))
+            assert not np.array_equal(chain.x, copies[0])
+            for a, c in zip(held, copies):
+                assert np.array_equal(a, c)
+
+
+def sum_last(a):
+    """a.sum(axis=-1) with numpy's order: fewer than 8 terms in order,
+    pairwise beyond that."""
+    if a.shape[-1] >= 8:
+        return a.sum(axis=-1)
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
+
+
+class RowsFirstChain:
+    """Reference: the tilted chain with its rows first, as it stood before
+    the rows-last layout.  Rows are (M, d), the kernel's arrays (M, m) and
+    the stencil of the images (M * m, k); every array is new on each step."""
+
+    def __init__(self, e, points, x0):
+        counts = [len(b) for b in x0]
+        self.e, self.grid = e, points[0].e.grid
+        self.values = np.concatenate([p.e.values for p in points])
+        self.s = np.repeat([p.s for p in points], counts)
+        self.offset = np.repeat(np.arange(len(points)) * self.grid.n_nodes, counts)
+        self.x = np.concatenate(x0)
+        self.e_x = np.concatenate([interpolate(p.e, b) for p, b in zip(points, x0)])
+        self.log_e_x0 = np.log(self.e_x)
+        self.logmag = np.zeros(len(self.x))
+        self.lognorm = np.zeros(len(self.x))
+        self.ids = np.arange(len(self.x))
+
+    def kernel(self):
+        e, xs = self.e, self.x
+        (M, d), m = xs.shape, e.n_atoms
+        gx = (xs @ e.matrices.transpose(2, 0, 1).reshape(d, m * d)).reshape(M, m, d)
+        norms = np.sqrt(sum_last(gx * gx))
+        images = gx / norms[:, :, None]
+        lognorms = np.log(norms)
+        idx, w = (a.T for a in interp_stencil(self.grid, images.reshape(M * m, d)))
+        terms = self.values.take(idx + np.repeat(self.offset, m)[:, None]) * w
+        e_img = sum_last(terms).reshape(M, m)
+        probs = np.exp(lognorms * self.s[:, None]) * e.weights * e_img / self.e_x[:, None]
+        normalizer = sum_last(probs)
+        return probs / normalizer[:, None], normalizer, images, lognorms, e_img
+
+    def step(self, u):
+        probs, normalizer, images, lognorms, e_img = self.kernel()
+        n, m = lognorms.shape
+        atom = np.zeros(n, dtype=np.intp)
+        cdf = np.zeros(n)
+        for j in range(m - 1):
+            cdf += probs[:, j]
+            atom += u > cdf
+        drawn = np.arange(n) * m + atom
+        ln = lognorms.take(drawn)
+        self.x = images.reshape(n * m, -1).take(drawn, axis=0)
+        self.e_x = e_img.take(drawn)
+        self.logmag = self.logmag + ln
+        self.lognorm = self.lognorm + np.log(normalizer)
+        return atom, ln
+
+    def keep(self, live):
+        for name in ("x", "e_x", "log_e_x0", "logmag", "lognorm", "ids", "s", "offset"):
+            setattr(self, name, getattr(self, name)[live])
+
+    def log_lr(self):
+        return self.log_e_x0 - np.log(self.e_x) - self.s * self.logmag + self.lognorm
 
 
 class TestOtherDimensions:
