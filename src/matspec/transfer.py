@@ -44,16 +44,12 @@ row keeps the random stream it was drawn from.  A chain holds only live
 rows: a walk retires finished paths with TiltedChain.keep, which compacts
 them out, and reads each kept row's number in the chain as built from ids.
 
-The kernel stores rows last: the images of M rows under m atoms are
-(d, m, M), their probabilities, log norms and e^s values (m, M), and the
-stencil of the images (k, m M), so every elementwise operation runs along
-one contiguous axis of rows.  Each sum over components, atoms or stencil
-nodes adds in the order of numpy's sum over a short last axis, so the
-numbers are bit for bit those of the same kernel stored rows first.  The
-kernel's arrays live in work buffers that a chain allocates on its first
-step and reuses on every later one, its rows only ever shrinking; x, e_x
-and logmag are new arrays after every step, so a caller may hold them
-across steps.
+The kernel stores rows last, images (d, m, M) and probabilities (m, M)
+for M rows and m atoms, so every elementwise operation runs along one
+contiguous axis; its sums add in the order of numpy's sum over a short last
+axis, which keeps the numbers of the rows-first kernel bit for bit.  Its
+arrays live in work buffers a chain reuses on every step, while x, e_x and
+logmag are new arrays after each step, so a caller may hold them across one.
 """
 
 from __future__ import annotations
@@ -441,13 +437,10 @@ def tilted_probs(
     (M,), images (d, m, M), lognorms (m, M), e^s at the images (m, M));
     each column of probs is normalized, and normalizer / k(s) ~ 1 up to
     discretization.  Every atom's image comes from one product and e^s at
-    all m images from one stencil call.  Each sum over components or atoms
-    adds in order, as numpy sums a short last axis (from 8 atoms on,
-    pairwise as numpy does), so the numbers are those of the rows-first
-    kernel.  xs may be the transposed view of rows stored last, (d, M).
-    work holds the stacked atoms and the kernel's work arrays; TiltedChain
-    keeps one across steps, and every array returned but normalizer lives
-    in it until its next call.
+    all m images from one stencil call.  xs may be the transposed view of
+    rows stored last.  work holds the kernel's operands and arrays;
+    TiltedChain keeps one across steps, and the probs, images and lognorms
+    returned live in it until its next call.
     """
     M, d = xs.shape
     rows = sp if isinstance(sp, _StackRows) else _StackRows.stack([sp], [M])
@@ -516,17 +509,14 @@ class _StackRows:
 
 
 class _Work:
-    """The tilted kernel's operands that stay fixed along a chain, and its
-    work arrays.
+    """The tilted kernel's fixed operands and its work arrays.
 
-    g stacks the atoms' rows, row (c, i) holding row c of atom i, so that
-    g @ x puts component c of every image in block c.  array hands out a
-    prefix of a flat buffer, allocated at the first, largest request: a
-    chain's rows only shrink, so one buffer serves every later step and
-    every view of it is C-contiguous.  Allocated afresh on every step,
-    arrays of this size are faulted in again whenever the allocator has
-    returned the top of the heap to the system, which depends on what else
-    the process holds.
+    Row (c, i) of g is row c of atom i, so g @ x puts component c of every
+    image in block c.  array hands out a C-contiguous prefix of a flat
+    buffer allocated at the first, largest request; a chain's rows only
+    shrink, so it serves every later step.  Arrays this size allocated
+    afresh each step are faulted in again whenever the allocator has
+    returned the heap top to the system, which depends on the heap layout.
     """
 
     def __init__(self, e: LinearEnsemble):
@@ -582,8 +572,7 @@ class TiltedChain:
 
     @property
     def x(self) -> np.ndarray:
-        """Each path's direction, (rows, d): the transposed view of the
-        rows-last array the chain holds."""
+        """Each path's direction (rows, d), a view of the rows-last store."""
         return self._xt.T
 
     def step(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
