@@ -275,10 +275,8 @@ def _linear_part(ensemble) -> LinearEnsemble:
 
 def _solver(cfg: RunConfig, lin: LinearEnsemble) -> KSolver:
     """The one solver of a run: lin on the projective grid of
-    cfg.grid_resolution nodes (the single node in d=1).  A resolution below
-    the grid's minimum is invalid input."""
-    if lin.dimension == 1:
-        return KSolver(lin)
+    cfg.grid_resolution nodes (the single node in d=1, whatever the
+    resolution).  A resolution below the grid's minimum is invalid input."""
     try:
         grid = build_grid(lin.dimension, cfg.grid_resolution, PROJECTIVE)
     except ValueError as exc:
@@ -390,15 +388,13 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
                    ["s", "k", "log_k", "L_finite_diff", "L_tilted_mc",
                     "L_quadrature", "gap", "rho_eps"], rows,
                    "k(s) curve with Lyapunov routes and contraction diagnostics")
-    L0 = tab["finite_diff"][0] if curve.s_values[0] == 0.0 else (
-        lyapunov(lin, 0.0, "finite_diff", solver=ks)[0])
     scal_rows = [["alpha", curve.alpha if curve.alpha is not None else float("nan")],
                  ["k_prime_alpha",
                   curve.k_prime_alpha if curve.k_prime_alpha is not None else float("nan")],
-                 ["L_mu_0", L0]]
+                 ["L_mu_0", lyapunov(lin, 0.0, "quadrature", solver=ks)[0]]]
     if curve.alpha is not None:
         scal_rows.append(["L_mu_alpha",
-                          lyapunov(lin, curve.alpha, "finite_diff", solver=ks)[0]])
+                          lyapunov(lin, curve.alpha, "quadrature", solver=ks)[0]])
     man.output_csv("spectral_scalars.csv", ["name", "value"], scal_rows,
                    "alpha, k'(alpha), Lyapunov exponents")
     # per-point exports
@@ -432,7 +428,7 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
 
 
 def _require_contracting(lin: LinearEnsemble, ks: KSolver) -> float:
-    L0 = lyapunov(lin, 0.0, "finite_diff", solver=ks)[0]
+    L0 = lyapunov(lin, 0.0, "quadrature", solver=ks)[0]
     if L0 >= 0:
         raise HypothesisError(
             f"Lyapunov exponent at s=0 is {L0:.4f} >= 0: "
@@ -563,7 +559,7 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
 
 def _renewal(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     lin = ks.ensemble
-    L0 = lyapunov(lin, 0.0, "finite_diff", solver=ks)[0]
+    L0 = lyapunov(lin, 0.0, "quadrature", solver=ks)[0]
     if L0 == 0:
         raise HypothesisError("critical walk (L = 0): renewal limits diverge")
     width = float(cfg.options["annulus_width"])
@@ -574,23 +570,21 @@ def _renewal(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
         arith = check_nonarithmetic_1d(lin)[0] == "fail"
     t0 = time.perf_counter()
     if L0 > 0:
-        nu0 = ks.point(0.0).nu if lin.dimension > 1 else None
         rep = potential_profile_expanding(
             lin, fns, L=L0, n_paths=cfg.mc_paths, seed=cfg.seed,
-            nu=nu0, arithmetic_caveat=arith,
+            nu=ks.point(0.0).nu, arithmetic_caveat=arith,
         )
     else:
         # contracting regime: alpha-tilted potential against the
         # t^{-alpha}-scaled renewal prediction
         alpha = solve_alpha(lin, solver=ks)
         sp = ks.point(alpha)
-        L_alpha = lyapunov(lin, alpha, "finite_diff", solver=ks)[0]
+        L_alpha = lyapunov(lin, alpha, "quadrature", solver=ks)[0]
         t_small = float(cfg.options["t_start"])
-        nu_a = sp.nu if lin.dimension > 1 else None
         rep = tilted_potential_profile(
             lin, alpha, _default_direction(lin), t_small, fns,
             n_paths=cfg.mc_paths, seed=cfg.seed, sp=sp, L_alpha=L_alpha,
-            nu_alpha=nu_a,
+            nu_alpha=sp.nu,
         )
         if arith:
             rep.caveats.append(
@@ -650,7 +644,7 @@ def _dualwalk(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     lin = ks.ensemble
     _require_contracting(lin, ks)
     alpha = solve_alpha(lin, solver=ks)
-    L_alpha = lyapunov(lin, alpha, "finite_diff", solver=ks)[0]
+    L_alpha = lyapunov(lin, alpha, "quadrature", solver=ks)[0]
     sp_star = ks.star.point(alpha)
     # ladder positivity is guaranteed on the charged attractor side: start
     # there when the transposed semigroup preserves a cone

@@ -258,18 +258,21 @@ def check_proximality(
 
 
 def _canonical_directions(vs: np.ndarray, tol: float) -> np.ndarray:
-    """Deduplicate unit vectors up to sign and angular tolerance."""
-    out: list[np.ndarray] = []
+    """Deduplicate the rows of vs (n, d), normalized, up to sign and angular
+    tolerance; each candidate is tested against every kept row at once."""
+    out = np.empty_like(vs, dtype=float)
+    n = 0
     for v in vs:
         nv = np.linalg.norm(v)
         if nv < 1e-12:
             continue
         v = v / nv
-        if not any(
-            min(np.linalg.norm(v - u), np.linalg.norm(v + u)) < tol for u in out
-        ):
-            out.append(v)
-    return np.array(out) if out else np.zeros((0, vs.shape[1]))
+        kept = out[:n]
+        if not np.any(np.minimum(np.linalg.norm(kept - v, axis=1),
+                                 np.linalg.norm(kept + v, axis=1)) < tol):
+            out[n] = v
+            n += 1
+    return out[:n]
 
 
 def check_strong_irreducibility(e: LinearEnsemble) -> tuple[str, dict]:
@@ -293,7 +296,8 @@ def check_strong_irreducibility(e: LinearEnsemble) -> tuple[str, dict]:
             v = vecs[:, j]
             if np.abs(v.imag).max() <= 1e-9 * np.abs(v).max():
                 seeds.append(v.real)
-    dirs = _canonical_directions(np.array(seeds), tol)
+    # (0, d) when no atom has a real eigenvector
+    dirs = _canonical_directions(np.array(seeds).reshape(-1, e.dimension), tol)
     if dirs.shape[0] == 0:
         return "inconclusive", {"note": "no real eigenvectors to seed from"}
     for it in range(n_iterations):

@@ -9,7 +9,11 @@ tilted Monte Carlo, grid quadrature) that must agree.  Only tilted Monte
 Carlo is independent of the grid eigen-problem: the quadrature route is the
 discrete Hellmann-Feynman derivative nu^s(P'^s e^s)/k(s) of the same
 discretized k, so on the grid it matches finite differences to their
-truncation error and says nothing about the discretization error.
+truncation error and says nothing about the discretization error.  It
+needs no solve beyond the one at s, so every run path takes L(0) and
+L(alpha) from it; finite differences remain a check.  In d=1 the grid is
+one node, k(s) is the Mellin sum sum_i w_i |a_i|^s, and all three routes
+run on it as in every other dimension.
 
 Every routine here takes its eigen-objects from one transfer.KSolver (the
 ``solver`` argument, or a fresh one on the default grid; solve_alpha also
@@ -39,13 +43,7 @@ import numpy as np
 from .ensemble import HypothesisError, LinearEnsemble, apply_atoms
 from .rng import draw_atoms, stream as _rng
 from .projective import DirectionGrid
-from .transfer import (
-    KSolver,
-    SpectralPoint,
-    TiltedChain,
-    k_closed_form_1d,
-    k_prime_closed_form_1d,
-)
+from .transfer import KSolver, SpectralPoint, TiltedChain
 
 __all__ = [
     "SpectralCurve",
@@ -107,21 +105,16 @@ def k_mc_oracle(
     while done < n_samples:
         size = min(chunk, n_samples - done)
         rng = _rng(seed, chunk_idx)
-        if d == 1:
-            a = np.abs(e.matrices[:, 0, 0])
-            idx = draw_atoms(rng, e.weights, (size, n))
-            lognorm = np.log(a)[idx].sum(axis=1)
-        else:
-            mats = np.broadcast_to(np.eye(d), (size, d, d)).copy()
-            logs = np.zeros(size)
-            for _ in range(n):
-                idx = draw_atoms(rng, e.weights, size)
-                mats = np.matmul(e.matrices[idx], mats)
-                fro = np.linalg.norm(mats, axis=(1, 2))
-                mats /= fro[:, None, None]
-                logs += np.log(fro)
-            sv1 = np.linalg.svd(mats, compute_uv=False)[:, 0]
-            lognorm = logs + np.log(sv1)
+        mats = np.broadcast_to(np.eye(d), (size, d, d)).copy()
+        logs = np.zeros(size)
+        for _ in range(n):
+            idx = draw_atoms(rng, e.weights, size)
+            mats = np.matmul(e.matrices[idx], mats)
+            fro = np.linalg.norm(mats, axis=(1, 2))
+            mats /= fro[:, None, None]
+            logs += np.log(fro)
+        sv1 = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        lognorm = logs + np.log(sv1)
         w = np.exp(s * lognorm)
         total += w.sum()
         total_sq += (w * w).sum()
@@ -213,22 +206,23 @@ def lyapunov(
     """Lyapunov exponent of the s-tilted walk, equal to k'(s)/k(s).
 
     finite_diff: Richardson-extrapolated central differences of log k, or
-    one-sided differences at s = 0 (analytic Mellin-sum derivative in d=1,
-    where it is exact).
+    one-sided differences at s = 0.  On a one-node grid (d=1) k is the
+    Mellin sum itself, and the route returns its exact derivative
+    KSolver.k_prime(s)/k(s) in place of a difference.
     tilted_mc: long-run average of log|g x| along the tilted chain, stderr
     from independent chains; burn-in is 10% of the path, at least 100 steps.
     quadrature: the pi^s-average of the tilted kernel's mean log|g x|.  On
     the grid that average is nu^s(P'^s e^s)/k(s) up to the eigen-solve
-    tolerance, and it is computed as KSolver.k_prime(s)/k(s) (the closed
-    forms in d=1).
+    tolerance, and it is computed as KSolver.k_prime(s)/k(s).  It costs no
+    solve beyond the one at s, so the CLI reports L by this route and keeps
+    finite_diff as a check.
     """
     if s < 0:
         raise ValueError("negative exponents are not supported")
-    d = e.dimension
     ks = solver or KSolver(e)
+    if method == "quadrature" or (method == "finite_diff" and ks.grid.n_nodes == 1):
+        return ks.k_prime(s) / ks.k(s), None
     if method == "finite_diff":
-        if d == 1:
-            return k_prime_closed_form_1d(e, s) / k_closed_form_1d(e, s), None
         h = 1e-3
         hh = min(h, s / 2) if s > 0 else h
 
@@ -243,8 +237,6 @@ def lyapunov(
             # one-sided differences: the leading error is O(h), not O(h^2)
             return float(2.0 * c2 - c1), None
         return float((4.0 * c2 - c1) / 3.0), None
-    if method == "quadrature":
-        return ks.k_prime(s) / ks.k(s), None
     if method == "tilted_mc":
         return _tilted_mc(e, ks, [s], seed, n_chains, n_steps)[0]
     raise ValueError(f"unknown method {method!r}")
@@ -261,22 +253,11 @@ def _tilted_mc(
     """(L, stderr) of the tilted_mc route at each s of s_values.
 
     Every s draws from its own stream _rng(seed, 101): its start directions
-    from pi^s, then one uniform per chain and step.  In d >= 2 one
-    TiltedChain carries the n_chains paths of every s, s after s; d = 1
-    draws i.i.d. atoms from the closed-form tilted weights.
+    from pi^s, then one uniform per chain and step.  One TiltedChain
+    carries the n_chains paths of every s, s after s, in every dimension.
     """
     burn = max(100, n_steps // 10)
     rngs = [_rng(seed, 101) for _ in s_values]
-    if e.dimension == 1:
-        a = np.abs(e.matrices[:, 0, 0])
-        out = []
-        for s, rng in zip(s_values, rngs):
-            q = e.weights * a**s / k_closed_form_1d(e, s)
-            q = q / q.sum()
-            draws = draw_atoms(rng, q, (n_chains, n_steps))
-            vals = np.log(a)[draws].mean(axis=1)
-            out.append((float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_chains))))
-        return out
     points = [ks.point(s) for s in s_values]
     chain = TiltedChain(e, points, [_sample_pi_nodes(sp, n_chains, rng)
                                     for sp, rng in zip(points, rngs)])

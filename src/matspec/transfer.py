@@ -24,7 +24,9 @@ only at the rate |lambda_2 / k(s)|.
 One KSolver per (ensemble, grid) owns that operator family, the solver of
 the transposed ensemble on the same grid, and every solved point of both:
 it is the only place that builds a TransferOperator or runs an eigen-solve,
-and p(s) pairs its eigenmeasure with the transposed one.
+in every dimension, and p(s) pairs its eigenmeasure with the transposed one.
+The d=1 grid is a single node, where P^s is the 1 x 1 Mellin sum
+sum_i w_i |a_i|^s and the solve returns it as k(s).
 
 The one-step tilted Markov kernel
 
@@ -79,8 +81,6 @@ __all__ = [
     "KSolver",
     "power_iterate",
     "pairing_p",
-    "k_closed_form_1d",
-    "k_prime_closed_form_1d",
     "tilted_probs",
     "TiltedChain",
 ]
@@ -197,7 +197,8 @@ class _Adjoint:
 class KSolver:
     """Every k(s) evaluation and eigen-solve of one ensemble on one grid.
 
-    k is in closed form in d=1 and from the grid elsewhere.  The solver owns
+    k and k' come from the grid in every dimension; on the single node of
+    d=1, k(s) is the Mellin sum sum_i w_i |a_i|^s itself.  The solver owns
     the operator family of the ensemble (``op``) and, through ``star``, the
     solver of the transposed ensemble on the same grid; both are built on
     first use.  Solved points are cached by s, and a new s starts from the
@@ -215,10 +216,7 @@ class KSolver:
         self.ensemble = e
         self.tol = tol
         self.max_iter = max_iter
-        if e.dimension == 1:
-            self.grid = grid or build_grid(1, 1, PROJECTIVE)
-        else:
-            self.grid = grid or build_grid(e.dimension, DEFAULT_RESOLUTION, PROJECTIVE)
+        self.grid = grid or build_grid(e.dimension, DEFAULT_RESOLUTION, PROJECTIVE)
         self._op: TransferOperator | None = None
         self._star: KSolver | None = None
         self._points: dict[float, SpectralPoint] = {}
@@ -240,14 +238,11 @@ class KSolver:
     def k(self, s: float) -> float:
         if s < 0:
             raise ValueError("negative exponents are not supported")
-        if self.ensemble.dimension == 1:
-            return k_closed_form_1d(self.ensemble, s)
         return self.point(s).k
 
     def k_prime(self, s: float) -> float:
-        """k'(s) = nu^s(P'^s e^s) (nu^s(e^s) = 1); closed form in d=1."""
-        if self.ensemble.dimension == 1:
-            return k_prime_closed_form_1d(self.ensemble, s)
+        """k'(s) = nu^s(P'^s e^s) (nu^s(e^s) = 1), the Hellmann-Feynman
+        derivative of the discretized k."""
         sp = self.point(s)
         return float(sp.nu.masses @ (self.op.derivative(s) @ sp.e.values))
 
@@ -264,24 +259,6 @@ class KSolver:
         if compute_p and sp.p is None:
             sp.p, sp.residual_p = pairing_p(sp, self.star.point(key))
         return sp
-
-
-def k_closed_form_1d(e: LinearEnsemble, s: float) -> float:
-    """d=1 bypass: k(s) = sum_i w_i |a_i|^s (exactly 1 at s=0)."""
-    if e.dimension != 1:
-        raise ValueError("closed form requires d = 1")
-    if s == 0.0:
-        return 1.0
-    a = np.abs(e.matrices[:, 0, 0])
-    return float(np.sum(e.weights * a**s))
-
-
-def k_prime_closed_form_1d(e: LinearEnsemble, s: float) -> float:
-    """d=1 derivative: k'(s) = sum_i w_i |a_i|^s log|a_i|."""
-    if e.dimension != 1:
-        raise ValueError("closed form requires d = 1")
-    a = np.abs(e.matrices[:, 0, 0])
-    return float(np.sum(e.weights * a**s * np.log(a)))
 
 
 def power_iterate(

@@ -9,6 +9,7 @@ import pytest
 
 from matspec.cli import EXIT_HYPOTHESIS, EXIT_INVALID, EXIT_OK, _probe_directions, main
 from matspec.ensemble import LinearEnsemble, save_ensemble
+from matspec import cli, transfer
 from matspec.ensembles import (
     affine_3d,
     expanding_1d_deterministic,
@@ -16,6 +17,8 @@ from matspec.ensembles import (
     ip_affine_2d,
     kesten_1d,
     kesten_affine_1d,
+    rotations_2d,
+    similarity_2d,
 )
 from matspec.transfer import KSolver
 
@@ -82,10 +85,17 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(tmp_path / "cfg.json")]) == EXIT_INVALID
 
     def test_nonarithmetic_verdict_only_in_d1(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, ip_2d())
-        assert main(["validate", "--config", str(cfg)]) == EXIT_OK
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert not any("nonarithmetic" in w for w in manifest["warnings"])
+        # no atom of similarity_2d or rotations_2d has a real eigenvector to
+        # seed the irreducibility check from
+        for ensemble, irreducibility in [(ip_2d, "pass"), (similarity_2d, "inconclusive"),
+                                         (rotations_2d, "inconclusive")]:
+            cfg = write_config(tmp_path, ensemble())
+            assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+            manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+            assert manifest["status"] == "ok"
+            assert not any("nonarithmetic" in w for w in manifest["warnings"])
+            report = json.loads((tmp_path / "out" / "validation_report.json").read_text())
+            assert report["irreducibility"] == irreducibility
         lattice = LinearEnsemble(1, np.array([[[2.0]], [[0.5]]]), np.array([0.5, 0.5]))
         cfg = write_config(tmp_path, lattice)
         assert main(["validate", "--config", str(cfg)]) == EXIT_OK
@@ -419,6 +429,48 @@ def test_direction_key_is_one_csv_field(tmp_path, command, table):
         header, *rows = list(csv.reader(fh))
     assert rows and all(len(r) == len(header) for r in rows)
     assert all(len(r[0].split(" ")) == 3 for r in rows)
+
+
+@pytest.mark.parametrize("command", ["renewal", "cramer", "dualwalk"])
+def test_run_paths_solve_no_finite_difference_exponents(tmp_path, monkeypatch, command):
+    # L(0) and L(alpha) come from k'(s)/k(s) at the solved points: no
+    # difference step of log k near 0 is ever solved
+    solved = []
+    solve = transfer.power_iterate
+
+    def recording_solve(op, s, *args, **kwargs):
+        solved.append(s)
+        return solve(op, s, *args, **kwargs)
+
+    monkeypatch.setattr(transfer, "power_iterate", recording_solve)
+    cfg = write_config(
+        tmp_path, ip_affine_2d(), grid_resolution=64,
+        mc={"samples": 2000, "steps": 100, "paths": 200},
+        options={"directions": 1, "t_grid": {"min": 10, "max": 100, "count": 2}},
+    )
+    assert main([command, "--config", str(cfg)]) == EXIT_OK
+    assert 0.0 in solved
+    assert not [s for s in solved if 0.0 < s < 0.002]
+
+
+def test_spectrum_scalars_are_the_solver_exponents(tmp_path, monkeypatch):
+    runs = []
+    make = cli._solver
+
+    def recording_solver(*args):
+        runs.append(make(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "_solver", recording_solver)
+    cfg = write_config(tmp_path, ip_2d(), grid_resolution=96,
+                       s_grid={"min": 0.0, "max": 1.5, "count": 3})
+    assert main(["spectrum", "--config", str(cfg)]) == EXIT_OK
+    rows = (tmp_path / "out" / "spectral_scalars.csv").read_text().splitlines()
+    scalars = {name: float(value) for name, value in (r.split(",") for r in rows[1:])}
+    (ks,) = runs
+    alpha = scalars["alpha"]
+    assert scalars["L_mu_0"] == ks.k_prime(0.0) / ks.k(0.0)
+    assert scalars["L_mu_alpha"] == ks.k_prime(alpha) / ks.k(alpha)
 
 
 class TestD2Spectrum:

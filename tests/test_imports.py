@@ -2,7 +2,8 @@
 KSolver builds transfer operators and runs eigen-solves, only
 TiltedChain.step runs the tilted kernel, only the CLI's runner opens and
 finishes manifests, no walk applies a gathered atom stack with einsum,
-every public routine has a caller inside the package, the CLI imports no
+atoms are drawn only from an ensemble's weights or a point's pi, every
+public routine has a caller inside the package, the CLI imports no
 scipy, and the package and pyproject.toml state one version."""
 
 import ast
@@ -180,6 +181,48 @@ def test_no_walk_applies_gathered_atoms_with_einsum():
         path.name: lines
         for path in sorted(PACKAGE.glob("*.py"))
         if (lines := gathered_atom_einsums(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+# the one untilted atom law and the one start law: draw_atoms takes an
+# ensemble's weights or a point's stationary pi^s; any other weights would be
+# a second tilted sampler beside TiltedChain
+DRAW_WEIGHTS = {"weights", "pi"}
+
+
+def foreign_draws(source: str) -> list[int]:
+    """Lines of draw_atoms calls whose weights argument is not an attribute
+    named in DRAW_WEIGHTS."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "draw_atoms"):
+            continue
+        given = node.args[1:2] + [k.value for k in node.keywords if k.arg == "weights"]
+        if not (given and isinstance(given[0], ast.Attribute)
+                and given[0].attr in DRAW_WEIGHTS):
+            found.append(node.lineno)
+    return found
+
+
+def test_checker_flags_foreign_draws():
+    source = """
+idx = draw_atoms(rng, e.weights, size)
+start = draw_atoms(rng, sp.pi, n)
+q = e.weights * a**s / k
+draws = draw_atoms(rng, q, (n, m))
+more = rng_module.draw_atoms(rng, weights=tilted.probs, size=3)
+last = draw_atoms(rng, weights=ae.weights, size=3)
+"""
+    assert foreign_draws(source) == [5, 6]
+
+
+def test_atoms_are_drawn_only_from_ensemble_weights_or_pi():
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := foreign_draws(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
 

@@ -20,7 +20,7 @@ from matspec.recursion import (
     sample_stationary,
 )
 from matspec.rng import stream
-from matspec.transfer import k_closed_form_1d
+from matspec.transfer import KSolver
 
 
 def untruncated_sum(ae, n_steps, n, seed):
@@ -212,14 +212,14 @@ class TestMoments:
 
     def test_subcritical_stable(self, kesten_bank_small, kesten):
         rows = moment_check(kesten_bank_small, [0.5],
-                            {0.5: k_closed_form_1d(kesten, 0.5)})
+                            {0.5: KSolver(kesten).k(0.5)})
         assert rows[0]["k_beta"] < 1
         assert rows[0]["batch_rel_spread"] <= 0.10
         assert not rows[0]["empirically_unstable"]
 
     def test_supercritical_flagged(self, kesten_bank_small, kesten):
         rows = moment_check(kesten_bank_small, [1.2],
-                            {1.2: k_closed_form_1d(kesten, 1.2)})
+                            {1.2: KSolver(kesten).k(1.2)})
         assert rows[0]["expected_divergent"]
         assert rows[0]["empirically_unstable"]
 

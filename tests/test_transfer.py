@@ -17,7 +17,6 @@ from matspec.transfer import (
     KSolver,
     TiltedChain,
     TransferOperator,
-    k_closed_form_1d,
     pairing_p,
     power_iterate,
     tilted_probs,
@@ -155,10 +154,22 @@ class TestPowerIterate:
             assert abs(k1 - k2) < 2e-8
 
     def test_transpose_same_k_closed_form_1d(self, kesten):
+        # in d=1 transposing changes no atom, so the Mellin sums are one sum
         for s in (0.3, 1.0, 2.2):
-            assert k_closed_form_1d(kesten, s) == k_closed_form_1d(
-                transpose(kesten), s
-            )
+            assert KSolver(kesten).k(s) == KSolver(transpose(kesten)).k(s)
+
+    def test_d1_grid_route_is_the_mellin_sum(self, kesten):
+        # the single node of d=1 carries k(s) = 0.4 2^s + 0.6 3^-s and its
+        # Hellmann-Feynman derivative, with no closed form beside the solver;
+        # k' cancels near the minimum of k, so its error is relative to k,
+        # the scale of L = k'/k
+        ks = KSolver(kesten)
+        for s in (0.0, 0.5, 1.0, 1.5, 2.0):
+            k = 0.4 * 2.0**s + 0.6 * 3.0**-s
+            k_prime = 0.4 * 2.0**s * np.log(2.0) - 0.6 * 3.0**-s * np.log(3.0)
+            assert abs(ks.k(s) - k) <= 4e-16 * k
+            assert abs(ks.k_prime(s) - k_prime) <= 4e-16 * k
+        assert ks.k(0.0) == 1.0
 
     def test_grid_refinement_budget(self, ip):
         k_coarse = KSolver(ip, build_grid(2, 128, "projective"), tol=1e-10).point(1.0).k
