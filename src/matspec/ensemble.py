@@ -225,13 +225,14 @@ def check_proximality(
 
     Returns ("pass", witness) when some word g in the semigroup has a real
     top eigenvalue exceeding the second modulus by a relative gap > 1e-6,
-    else ("inconclusive", diagnostics).  Absence of a witness is not
-    disproof, so "fail" is never returned.
+    else ("inconclusive", diagnostics), whose best_gap and best_word are
+    None when no word has a real simple top eigenvalue.  Absence of a
+    witness is not disproof, so "fail" is never returned.
     """
     if e.dimension < 2:
         return "pass", {"witness_word": [], "note": "d=1: scalars are proximal"}
     rng = np.random.default_rng(seed)
-    best = {"gap": -np.inf, "word": None}
+    best = {"gap": None, "word": None}
     # exhaustive short words first, then random longer ones
     words: list[tuple[int, ...]] = [(i,) for i in range(e.n_atoms)]
     if e.n_atoms >= 2:
@@ -247,7 +248,7 @@ def check_proximality(
             if norm > 1e100:
                 g = g / norm  # eigenvalue gap is scale invariant
         gap, real_simple = _proximality_gap(g)
-        if real_simple and gap > best["gap"]:
+        if real_simple and (best["gap"] is None or gap > best["gap"]):
             best = {"gap": gap, "word": list(map(int, word))}
         if real_simple and gap > 1e-6:
             return "pass", {

@@ -102,6 +102,19 @@ class TestValidateCommand:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert "nonarithmetic: fail (log-lattice ensemble)" in manifest["warnings"]
 
+    def test_report_is_strict_json_without_proximal_word(self, tmp_path):
+        # no word of these ensembles has a real simple top eigenvalue
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        for ensemble in (similarity_2d, rotations_2d):
+            cfg = write_config(tmp_path, ensemble())
+            assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+            text = (tmp_path / "out" / "validation_report.json").read_text()
+            report = json.loads(text, parse_constant=reject)
+            assert report["proximality"] == "inconclusive"
+            assert report["evidence"]["proximality"]["best_gap"] is None
+
     def test_unsupported_dimension_exits_two(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         e4 = LinearEnsemble(4, 0.5 * rng.standard_normal((2, 4, 4)),

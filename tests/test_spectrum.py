@@ -252,6 +252,23 @@ class TestCurve:
         assert abs(curve.k_prime_alpha - KP1_KESTEN) < 1e-9
         assert len(curve.lyapunov_table["tilted_mc"]) == 4
 
+    def test_default_shape_keeps_path_steps(self):
+        # kept path-steps per s of the old 64 x 4000 shape: fewer would
+        # widen the tilted_mc stderr
+        T = spectrum._MC_STEPS
+        assert spectrum._MC_CHAINS * (T - max(100, T // 10)) >= 230_400
+
+    def test_default_shape_similarity_closed_form(self, similarity):
+        # L(s) = k'(s)/k(s) with k(s) = 0.4 2^s + 0.6 3^-s on every grid
+        ks = KSolver(similarity, build_grid(2, 64, "projective"))
+        s = np.array([0.0, 1.0, 2.0])
+        k = 0.4 * 2.0**s + 0.6 * 3.0**-s
+        exact = (0.4 * 2.0**s * np.log(2.0) - 0.6 * 3.0**-s * np.log(3.0)) / k
+        table = compute_curve(similarity, s, seed=0, solver=ks).lyapunov_table
+        se = np.array(table["tilted_mc_se"])
+        assert np.all(np.isfinite(se)) and np.all(se > 0)
+        assert np.all(np.abs(np.array(table["tilted_mc"]) - exact) < 4 * se)
+
     def test_strictly_increasing_s_required(self, kesten):
         from matspec.spectrum import SpectralCurve
 
@@ -431,7 +448,8 @@ class TestOneChainEqualsPerRunReference:
         ks = KSolver(ip, build_grid(2, 64, "projective"))
         s_values = [0.0, 1.0, 2.0]
         curve = compute_curve(ip, s_values, seed=3, solver=ks)
-        want = per_s_tilted_mc(ip, ks, s_values, 3, 64, 4000)
+        want = per_s_tilted_mc(ip, ks, s_values, 3,
+                               spectrum._MC_CHAINS, spectrum._MC_STEPS)
         assert curve.lyapunov_table["tilted_mc"] == [L for L, _ in want]
         assert curve.lyapunov_table["tilted_mc_se"] == [se for _, se in want]
 
