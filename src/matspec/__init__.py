@@ -8,7 +8,6 @@ from .ensemble import (  # noqa: F401
     EnsembleError,
     HypothesisError,
     LinearEnsemble,
-    ValidationReport,
     load_ensemble,
     save_ensemble,
     transpose,

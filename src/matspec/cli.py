@@ -6,7 +6,11 @@ output directory, even on partial failure, and every stochastic output is
 a pure function of (config bytes, seed, tool version): repeated runs with
 the same seed produce byte-identical CSV bodies.  One runner, ``_run``,
 owns that lifecycle for every command: inputs, manifest, outputs and exit
-status.
+status.  A config is read once, into typed ``RunConfig`` fields: ``load``
+reads what the manifest needs (seed, ensemble, out), and ``check`` reads
+every other value, by the same rule, int() or float() of its JSON value,
+and rejects what no command can run with, so every rejected value leaves an
+"invalid-input" manifest.  Command bodies only read fields.
 
 Exit codes: 0 success (possibly with warnings), 1 numerical
 non-convergence, 2 invalid input, 3 hypothesis violation (e.g. a tails run
@@ -20,7 +24,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,29 +77,38 @@ EXIT_INVALID = 2
 EXIT_HYPOTHESIS = 3
 
 
-# options whose defaults do not depend on the run; load merges them under
-# the config's own options (t_grid: cramer's thresholds)
-OPTION_DEFAULTS = {
-    "rho_eps": 0.25,
-    "p0": 1.0,
-    "t_grid": {"min": 10.0, "max": 10000.0, "count": 13},
-    "n_windows": 3,
-    "annulus_width": float(np.log(2.0)),
-    "t_start": 1e-4,
-}
-
-
 class ConfigError(ValueError):
     pass
 
 
+def _span(v) -> tuple[float, float, int]:
+    return float(v["min"]), float(v["max"]), int(v["count"])
+
+
+def _floats(v) -> tuple[float, ...]:
+    return tuple(float(b) for b in v)
+
+
+# config key, in the section "mc" or "options" when dotted -> the reader of
+# its JSON value; its RunConfig field is the key less "options.", "." as "_"
+_READERS = {
+    "threads": int, "grid_resolution": int, "s_grid": _span, "s_max_bound": float,
+    "mc.paths": int, "mc.steps": int, "mc.samples": int,
+    "options.rho_eps": float, "options.p0": float, "options.t_grid": _span,
+    "options.n_windows": int, "options.annulus_width": float, "options.t_start": float,
+    "options.hill_k": int, "options.directions": int, "options.moment_betas": _floats,
+}
+
+
 @dataclass
 class RunConfig:
-    """Parsed run configuration; see README for the JSON schema."""
+    """Parsed run configuration; see README for the JSON schema.  None
+    marks a default that depends on the command or the run."""
 
     ensemble_path: Path
     seed: int
     out_dir: Path
+    raw: dict  # the config as given, overrides applied: the manifest's echo
     threads: int = 1
     grid_resolution: int = 512
     s_grid: tuple[float, float, int] = (0.0, 2.0, 9)
@@ -103,11 +116,19 @@ class RunConfig:
     mc_paths: int = 100_000
     mc_steps: int = 400
     mc_samples: int = 1_000_000
-    options: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    rho_eps: float = 0.25  # spectrum's contraction exponent
+    p0: float = 1.0  # dualwalk's start value of p
+    t_grid: tuple[float, float, int] = (10.0, 10000.0, 13)  # cramer's thresholds
+    n_windows: int = 3  # renewal's annuli, each annulus_width wide
+    annulus_width: float = float(np.log(2.0))
+    t_start: float = 1e-4  # renewal's tilted start
+    hill_k: int | None = None  # tails: max(10, mc_samples // 100)
+    directions: int | None = None  # tails 8, cramer 16; 2 in d=1
+    moment_betas: tuple[float, ...] | None = None  # tails: 0, alpha/2, 1.2 alpha
 
     @classmethod
     def load(cls, path: str | Path, overrides: dict) -> "RunConfig":
+        """Read what the manifest needs: seed, ensemble and out."""
         p = Path(path)
         try:
             doc = json.loads(p.read_text(encoding="utf-8"))
@@ -115,38 +136,34 @@ class RunConfig:
             raise ConfigError(f"cannot read config {p}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"malformed config value: {p} holds no JSON object")
-        merged = dict(doc)
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-        if "seed" not in merged:
+        raw = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
+        if "seed" not in raw:
             raise ConfigError("seed is mandatory for every stochastic command")
-        if "ensemble" not in merged:
+        if "ensemble" not in raw:
             raise ConfigError("config must name an ensemble file")
-        ens = Path(merged["ensemble"])
-        if not ens.is_absolute():
-            ens = p.parent / ens
-        sg = merged.get("s_grid", {"min": 0.0, "max": 2.0, "count": 9})
-        mc = merged.get("mc", {})
         try:
-            return cls(
-                ensemble_path=ens,
-                seed=int(merged["seed"]),
-                out_dir=Path(merged.get("out", "matspec-out")),
-                threads=max(1, int(merged.get("threads", 1))),
-                grid_resolution=int(merged.get("grid_resolution", 512)),
-                s_grid=(float(sg["min"]), float(sg["max"]), int(sg["count"])),
-                s_max_bound=float(merged.get("s_max_bound", 64.0)),
-                mc_paths=int(mc.get("paths", 100_000)),
-                mc_steps=int(mc.get("steps", 400)),
-                mc_samples=int(mc.get("samples", 1_000_000)),
-                options={**OPTION_DEFAULTS, **merged.get("options", {})},
-                raw=merged,
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # an absolute ensemble path stays itself
+            return cls(p.parent / raw["ensemble"], int(raw["seed"]),
+                       Path(raw.get("out", "matspec-out")), raw)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value: {exc!r}") from exc
 
     def check(self) -> None:
-        """Reject values no command can run with; load parses without it,
-        so that a rejected config still knows its output directory."""
+        """Read every other value given, by load's rule (int() or float() of
+        the JSON value), and reject values no command can run with; a run
+        rejected here still knows its output directory."""
+        try:
+            for key, read in _READERS.items():
+                *section, leaf = key.split(".")
+                doc = self.raw.get(section[0], {}) if section else self.raw
+                if not isinstance(doc, dict):
+                    raise TypeError(f"{section[0]} is no JSON object")
+                if leaf in doc:
+                    name = key.removeprefix("options.").replace(".", "_")
+                    setattr(self, name, read(doc[leaf]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config value: {exc!r}") from exc
+        self.threads = max(1, self.threads)
         lo, hi, count = self.s_grid
         if hi > self.s_max_bound:
             raise ConfigError(
@@ -158,47 +175,28 @@ class RunConfig:
             raise ConfigError("s_grid count must be >= 2")
         if hi <= lo:
             raise ConfigError("s_grid max must exceed its min")
-        for name, val in (
-            ("mc.paths", self.mc_paths),
-            ("mc.steps", self.mc_steps),
-            ("mc.samples", self.mc_samples),
-        ):
-            if val <= 0:
-                raise ConfigError(f"{name} must be positive")
-        opts = self.options
-        rho_eps = opts["rho_eps"]
-        if not isinstance(rho_eps, (int, float)) or not 0.0 < rho_eps <= 1.0:
-            raise ConfigError(f"options.rho_eps must lie in (0, 1], got {rho_eps!r}")
-        try:
-            p0 = float(opts["p0"])
-            tg = opts["t_grid"]
-            t_lo, t_hi, t_count = float(tg["min"]), float(tg["max"]), int(tg["count"])
-            n_windows = int(opts["n_windows"])
-            width = float(opts["annulus_width"])
-            t_start = float(opts["t_start"])
-            # a given hill_k is bounded here and its default, which depends
-            # on mc.samples, in _tails; the defaults of the last two are
-            # valid
-            hill_k = int(opts.get("hill_k", 1))
-            directions = int(opts.get("directions", 1))
-            betas = [float(b) for b in opts.get("moment_betas", [])]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed option value: {exc!r}") from exc
-        if p0 == 0.0:
+        for name in ("mc_paths", "mc_steps", "mc_samples"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name.replace('_', '.')} must be positive")
+        if not 0.0 < self.rho_eps <= 1.0:
+            raise ConfigError(f"options.rho_eps must lie in (0, 1], got {self.rho_eps!r}")
+        if self.p0 == 0.0:
             raise ConfigError("options.p0 must be nonzero")
+        t_lo, t_hi, t_count = self.t_grid
         if not (t_lo > 0 and t_hi > 0 and t_count >= 1):
             raise ConfigError("options.t_grid needs min, max > 0 and count >= 1")
-        if n_windows < 1:
+        if self.n_windows < 1:
             raise ConfigError("options.n_windows must be >= 1")
-        if not width > 0:
+        if not self.annulus_width > 0:
             raise ConfigError("options.annulus_width must be > 0")
-        if not t_start > 0:
+        if not self.t_start > 0:
             raise ConfigError("options.t_start must be > 0")
-        if "hill_k" in opts and not 1 <= hill_k < self.mc_samples / 2:
+        # the default Hill order is bounded in _tails, the one command using it
+        if self.hill_k is not None and not 1 <= self.hill_k < self.mc_samples / 2:
             raise ConfigError("options.hill_k must lie in [1, mc.samples / 2)")
-        if directions < 1:
+        if self.directions is not None and self.directions < 1:
             raise ConfigError("options.directions must be >= 1")
-        if any(b < 0 for b in betas):
+        if any(b < 0 for b in self.moment_betas or ()):
             raise ConfigError("options.moment_betas must be >= 0")
 
     def s_values(self) -> np.ndarray:
@@ -295,49 +293,32 @@ def _direction_key(u: np.ndarray) -> str:
 # codes.
 
 
+# what a failed verdict means, for its warning; proximality never fails
+FAILURE_NOTES = {"irreducibility": "invariant union of subspaces found",
+                 "nonarithmetic": "log-lattice ensemble"}
+
+
 def _validate(cfg: RunConfig, ensemble, ks, man: Manifest) -> str:
     t0 = time.perf_counter()
     lin = _linear_part(ensemble)
-    report = validate_linear(lin)
-    if lin.dimension >= 2:
-        v, ev = check_proximality(lin, seed=cfg.seed)
-        report.proximality_verdict = v
-        report.evidence["proximality"] = ev
-        v, ev = check_strong_irreducibility(lin)
-        report.irreducibility_verdict = v
-        report.evidence["irreducibility"] = ev
-        v, ev = classify_cone_case(lin, seed=cfg.seed)
-        report.cone_case = v
-        report.evidence["cone"] = ev
-    else:
-        v, ev = check_proximality(lin)
-        report.proximality_verdict = v
-        report.evidence["proximality"] = ev
-        v, ev = check_nonarithmetic_1d(lin)
-        report.nonarithmetic_verdict = v
-        report.evidence["nonarithmetic"] = ev
-        report.cone_case, _ = classify_cone_case(lin)
-    man.time("checks", t0)
-    doc = {
-        "irreducibility": report.irreducibility_verdict,
-        "proximality": report.proximality_verdict,
-        "cone_case": report.cone_case,
-        "nonarithmetic": report.nonarithmetic_verdict,
-        "evidence": report.evidence,
-    }
-    man.output_json("validation_report.json", doc,
-                    "verdicts and witnesses for the standing hypotheses", default=str)
-    verdicts = [("proximality", report.proximality_verdict),
-                ("irreducibility", report.irreducibility_verdict)]
+    evidence = validate_linear(lin)
+    report = {"nonarithmetic": "inconclusive", "evidence": evidence}
+    # each check answers d=1 itself; only non-arithmeticity is d=1 alone
+    report["proximality"], evidence["proximality"] = check_proximality(lin, seed=cfg.seed)
+    report["irreducibility"], evidence["irreducibility"] = check_strong_irreducibility(lin)
+    report["cone_case"], evidence["cone"] = classify_cone_case(lin, seed=cfg.seed)
+    warned = ["proximality", "irreducibility"]
     if lin.dimension == 1:
-        verdicts.append(("nonarithmetic", report.nonarithmetic_verdict))
-    for name, verdict in verdicts:
-        if verdict == "inconclusive":
+        report["nonarithmetic"], evidence["nonarithmetic"] = check_nonarithmetic_1d(lin)
+        warned.append("nonarithmetic")
+    man.time("checks", t0)
+    man.output_json("validation_report.json", report,
+                    "verdicts and witnesses for the standing hypotheses", default=str)
+    for name in warned:
+        if report[name] == "inconclusive":
             man.warn(f"{name}: inconclusive (no witness found)")
-        if verdict == "fail" and name == "nonarithmetic":
-            man.warn("nonarithmetic: fail (log-lattice ensemble)")
-        if verdict == "fail" and name == "irreducibility":
-            man.warn("irreducibility: fail (invariant union of subspaces found)")
+        elif report[name] == "fail":
+            man.warn(f"{name}: fail ({FAILURE_NOTES[name]})")
     return "ok"
 
 
@@ -363,7 +344,7 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
                 )
     t0 = time.perf_counter()
     gap_col, rho_col = [], []
-    eps = cfg.options["rho_eps"]
+    eps = cfg.rho_eps
     for s in curve.s_values:
         if lin.dimension == 1:
             gap_col.append(float("nan"))
@@ -458,7 +439,7 @@ def _probe_directions(d: int, n: int, projective: bool) -> np.ndarray:
 def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     # check() bounds a given Hill order; the default one is bounded here,
     # before any work, as the bank has mc.samples values
-    hill_k = int(cfg.options.get("hill_k", max(10, cfg.mc_samples // 100)))
+    hill_k = max(10, cfg.mc_samples // 100) if cfg.hill_k is None else cfg.hill_k
     if not hill_k < cfg.mc_samples / 2:
         raise ConfigError(
             f"mc.samples = {cfg.mc_samples} is too small for the default Hill "
@@ -481,7 +462,7 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     a_hat, ci = hill_estimator(bank, "norm", hill_k)
     stab = hill_stability(bank, "norm")
     d = lin.dimension
-    n_dirs = 2 if d == 1 else int(cfg.options.get("directions", 8))
+    n_dirs = 2 if d == 1 else 8 if cfg.directions is None else cfg.directions
     dirs = _probe_directions(d, n_dirs, projective=False)
     sp_star = ks.star.point(alpha)
     tail_tables = {}
@@ -509,8 +490,8 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
                 [tail_tables.get(_direction_key(u)) for u in dirs], sp_star, dirs)
         except ValueError as exc:
             man.warn(f"profile: {exc}")
-    betas = cfg.options.get("moment_betas", [0.0, alpha / 2, alpha * 1.2])
-    kvals = {float(b): ks.k(float(b)) for b in betas}
+    betas = [0.0, alpha / 2, alpha * 1.2] if cfg.moment_betas is None else cfg.moment_betas
+    kvals = {b: ks.k(b) for b in betas}
     moments = moment_check(bank, betas, kvals)
     man.time("estimators", t0)
 
@@ -562,9 +543,9 @@ def _renewal(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     L0 = lyapunov(lin, 0.0, "quadrature", solver=ks)[0]
     if L0 == 0:
         raise HypothesisError("critical walk (L = 0): renewal limits diverge")
-    width = float(cfg.options["annulus_width"])
+    width = cfg.annulus_width
     fns = [AnnulusFunction(f"annulus{j}", j * width, (j + 1) * width)
-           for j in range(int(cfg.options["n_windows"]))]
+           for j in range(cfg.n_windows)]
     arith = False
     if lin.dimension == 1:
         arith = check_nonarithmetic_1d(lin)[0] == "fail"
@@ -580,9 +561,8 @@ def _renewal(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
         alpha = solve_alpha(lin, solver=ks)
         sp = ks.point(alpha)
         L_alpha = lyapunov(lin, alpha, "quadrature", solver=ks)[0]
-        t_small = float(cfg.options["t_start"])
         rep = tilted_potential_profile(
-            lin, alpha, _default_direction(lin), t_small, fns,
+            lin, alpha, _default_direction(lin), cfg.t_start, fns,
             n_paths=cfg.mc_paths, seed=cfg.seed, sp=sp, L_alpha=L_alpha,
             nu_alpha=sp.nu,
         )
@@ -613,10 +593,9 @@ def _cramer(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     _require_contracting(lin, ks)
     alpha = solve_alpha(lin, solver=ks)
     sp = ks.point(alpha)
-    tg_spec = cfg.options["t_grid"]
-    t_grid = np.geomspace(tg_spec["min"], tg_spec["max"], int(tg_spec["count"]))
+    t_grid = np.geomspace(*cfg.t_grid)
     d = lin.dimension
-    n_dirs = int(cfg.options.get("directions", 16 if d > 1 else 2))
+    n_dirs = (16 if d > 1 else 2) if cfg.directions is None else cfg.directions
     dirs = _probe_directions(d, n_dirs, projective=True)
     rows_out = []
     t0 = time.perf_counter()
@@ -655,7 +634,7 @@ def _dualwalk(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     t0 = time.perf_counter()
     rec = dual_walk_simulate(
         ensemble, sp_star, L_alpha,
-        p0=float(cfg.options["p0"]),
+        p0=cfg.p0,
         u0=u0,
         n_starts=cfg.mc_paths, n_steps=cfg.mc_steps, seed=cfg.seed,
     )

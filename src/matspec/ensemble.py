@@ -12,7 +12,7 @@ walk of the package applies its drawn atoms: rows last, in one add order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "LinearEnsemble",
     "AffineEnsemble",
-    "ValidationReport",
     "EnsembleError",
     "HypothesisError",
     "operator_norm",
@@ -158,38 +157,20 @@ class AffineEnsemble:
         return self._linear  # type: ignore[attr-defined]
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of the structural and hypothesis checks.
-
-    Verdicts are "pass" / "fail" / "inconclusive"; a verdict is never "pass"
-    without a concrete witness recorded in ``evidence``.
-    """
-
-    irreducibility_verdict: str = "inconclusive"
-    proximality_verdict: str = "inconclusive"
-    cone_case: str = "unknown"
-    nonarithmetic_verdict: str = "inconclusive"  # meaningful for d=1 only
-    evidence: dict = field(default_factory=dict)
-
-
-def validate_linear(e: LinearEnsemble) -> ValidationReport:
-    """Structural validation: re-checks invariants, records per-atom norms.
+def validate_linear(e: LinearEnsemble) -> dict:
+    """Structural evidence: per-atom norms, inverse norms and gammas.
 
     Deterministic and side-effect free; invalid input raises EnsembleError
     at construction, so an existing LinearEnsemble always passes here.
     """
-    report = ValidationReport()
     norms = np.array([operator_norm(g) for g in e.matrices])
     inv_norms = np.array([operator_norm(np.linalg.inv(g)) for g in e.matrices])
-    report.evidence["structural"] = True
-    report.evidence["atom_norms"] = norms.tolist()
-    report.evidence["atom_inverse_norms"] = inv_norms.tolist()
-    report.evidence["atom_gammas"] = np.maximum(norms, inv_norms).tolist()
-    if e.dimension == 1:
-        report.irreducibility_verdict = "pass"
-        report.evidence["irreducibility"] = "d=1: no proper nonzero subspaces"
-    return report
+    return {
+        "structural": True,
+        "atom_norms": norms.tolist(),
+        "atom_inverse_norms": inv_norms.tolist(),
+        "atom_gammas": np.maximum(norms, inv_norms).tolist(),
+    }
 
 
 def transpose(e: LinearEnsemble) -> LinearEnsemble:

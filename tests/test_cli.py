@@ -69,7 +69,9 @@ class TestValidateCommand:
         {"s_grid": {"min": 0.0}}, {"mc": {"paths": "many"}}, {"options": [1]}, [1, 2],
     ], ids=["s_grid-key", "mc-value", "options-type", "not-an-object"])
     def test_malformed_config_value_exits_two(self, tmp_path, capsys, extra):
-        # caught while parsing, before the config names an output directory
+        # a value is caught when check() reads it, once load has read the
+        # output directory, so the run leaves a manifest; a document that is
+        # no object names no output directory, and leaves none
         if isinstance(extra, dict):
             cfg = write_config(tmp_path, kesten_1d(), **extra)
         else:  # the whole document
@@ -77,6 +79,11 @@ class TestValidateCommand:
             cfg.write_text(json.dumps(extra))
         assert main(["validate", "--config", str(cfg)]) == EXIT_INVALID
         assert "malformed config value" in capsys.readouterr().err
+        manifest_path = tmp_path / "out" / "manifest.json"
+        if isinstance(extra, dict):
+            assert json.loads(manifest_path.read_text())["status"] == "invalid-input"
+        else:
+            assert not manifest_path.exists()
 
     def test_missing_seed_exits_two(self, tmp_path):
         save_ensemble(kesten_1d(), tmp_path / "e.json")
@@ -134,6 +141,7 @@ class TestValidateCommand:
             {"s_grid": {"min": 0.0, "max": 1.0, "count": 1}},
             {"mc": {"paths": 0, "steps": 300, "samples": 50_000}},
             {"s_grid": {"min": 1.0, "max": 1.0, "count": 3}},
+            {"grid_resolution": "abc"},
         ]
         for extra in bad_values:
             cfg = write_config(tmp_path, kesten_1d(), **extra)
@@ -178,6 +186,53 @@ def test_bad_numeric_option_is_invalid_input(tmp_path, capsys, command,
     assert message in capsys.readouterr().err
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "invalid-input"
+
+
+# every value is read by one rule, int() or float() of its JSON value, so a
+# numeric string runs as its number: (command, ensemble, config with numbers,
+# the same config with numeric strings)
+SMALL_MC = {"mc": {"samples": 2000, "steps": 300, "paths": 300}}
+NUMERIC_STRINGS = {
+    "rho_eps": ("spectrum", ip_2d, {"grid_resolution": 32, "options": {"rho_eps": 0.5}},
+                {"grid_resolution": 32, "options": {"rho_eps": "0.5"}}),
+    "p0": ("dualwalk", kesten_affine_1d, {"options": {"p0": 1}}, {"options": {"p0": "1"}}),
+    "t_grid": ("cramer", kesten_1d,
+               {"options": {"t_grid": {"min": 10, "max": 100, "count": 3}, "directions": 1}},
+               {"options": {"t_grid": {"min": "10", "max": "100", "count": 3},
+                            "directions": 1}}),
+    "n_windows": ("renewal", kesten_1d, {"options": {"n_windows": 2}},
+                  {"options": {"n_windows": "2"}}),
+    "annulus_width": ("renewal", kesten_1d, {"options": {"annulus_width": 0.5}},
+                      {"options": {"annulus_width": "0.5"}}),
+    "t_start": ("renewal", kesten_1d, {"options": {"t_start": 0.001}},
+                {"options": {"t_start": "0.001"}}),
+    "hill_k": ("tails", kesten_affine_1d, {"options": {"hill_k": 50}},
+               {"options": {"hill_k": "50"}}),
+    "directions": ("cramer", kesten_1d, {"options": {"directions": 1}},
+                   {"options": {"directions": "1"}}),
+    "moment_betas": ("tails", kesten_affine_1d, {"options": {"moment_betas": [0.5, 1]}},
+                     {"options": {"moment_betas": ["0.5", "1"]}}),
+    "grid_resolution": ("spectrum", ip_2d, {"grid_resolution": 32},
+                        {"grid_resolution": "32"}),
+    "mc.paths": ("renewal", kesten_1d, {"mc": {"samples": 2000, "steps": 300, "paths": 300}},
+                 {"mc": {"samples": 2000, "steps": 300, "paths": "300"}}),
+}
+
+
+@pytest.mark.parametrize("command,ensemble,numbers,strings", NUMERIC_STRINGS.values(),
+                         ids=NUMERIC_STRINGS.keys())
+def test_numeric_string_option_reads_as_its_number(tmp_path, command, ensemble,
+                                                   numbers, strings):
+    outputs = []
+    for extra in (numbers, strings):
+        cfg = write_config(tmp_path, ensemble(), **{**SMALL_MC, **extra})
+        assert main([command, "--config", str(cfg)]) == EXIT_OK
+        out = tmp_path / "out"
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                        if p.name != "manifest.json"})
+        for p in out.iterdir():
+            p.unlink()
+    assert outputs[0] == outputs[1] and outputs[0]
 
 
 MALFORMED_ENSEMBLES = {

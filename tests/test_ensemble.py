@@ -30,17 +30,17 @@ from matspec.ensembles import (
 
 
 def test_validate_kesten_gammas(kesten):
-    report = validate_linear(kesten)
-    assert report.evidence["structural"]
+    evidence = validate_linear(kesten)
+    assert evidence["structural"]
     # gamma = max(|a|, 1/|a|) evaluated directly
-    assert report.evidence["atom_gammas"] == [2.0, 3.0]
+    assert evidence["atom_gammas"] == [2.0, 3.0]
 
 
 def test_identity_only_ensemble():
     e = LinearEnsemble(2, np.array([np.eye(2)]), np.array([1.0]))
-    report = validate_linear(e)
-    assert report.evidence["structural"]
-    assert report.evidence["atom_gammas"] == [1.0]
+    evidence = validate_linear(e)
+    assert evidence["structural"]
+    assert evidence["atom_gammas"] == [1.0]
 
 
 def test_weights_must_sum_to_one():
@@ -209,6 +209,4 @@ def test_malformed_matrix_row_names_atom(tmp_path):
 
 
 def test_validate_is_deterministic(kesten):
-    a = validate_linear(kesten).evidence
-    b = validate_linear(kesten).evidence
-    assert a == b
+    assert validate_linear(kesten) == validate_linear(kesten)
