@@ -631,6 +631,9 @@ def _dualwalk(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     u0 = None
     if cone_star == "II" and ev_star.get("attractor_center") is not None:
         u0 = np.asarray(ev_star["attractor_center"], dtype=float)
+        # the centre's sign falls to the cone walk's draws: take the side
+        # where the mean translation keeps <B, u> and the ladder positive
+        u0 *= np.sign(ensemble.weights @ ensemble.translations @ u0) or 1.0
     t0 = time.perf_counter()
     rec = dual_walk_simulate(
         ensemble, sp_star, L_alpha,

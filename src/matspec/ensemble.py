@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .rng import draw_atoms, stream as _rng
+
 __all__ = [
     "LinearEnsemble",
     "AffineEnsemble",
@@ -212,7 +214,7 @@ def check_proximality(
     """
     if e.dimension < 2:
         return "pass", {"witness_word": [], "note": "d=1: scalars are proximal"}
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed, 404)  # a search, not a walk: its random words are uniform
     best = {"gap": None, "word": None}
     # exhaustive short words first, then random longer ones
     words: list[tuple[int, ...]] = [(i,) for i in range(e.n_atoms)]
@@ -336,9 +338,9 @@ def classify_cone_case(e: LinearEnsemble, seed: int = 0) -> tuple[str, dict]:
     preserved (attractor disjoint from its antipode), "I" when the late-time
     attractor is symmetric, "unknown" otherwise.
 
-    Simulates x -> g.x on the unit sphere from many starts and compares the
-    cluster of late-time directions with its antipodal image using margin
-    ANGULAR_TOL.
+    Simulates x -> g.x on the unit sphere from many starts, g drawn from
+    the ensemble's weights, and compares the cluster of late-time directions
+    with its antipodal image using margin ANGULAR_TOL.
     """
     d = e.dimension
     if d == 1:
@@ -349,10 +351,10 @@ def classify_cone_case(e: LinearEnsemble, seed: int = 0) -> tuple[str, dict]:
             }
         return "I", {"note": "sign changes force a symmetric attractor"}
     n_trajectories, n_steps = 64, 300
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed, 505)
     x = rng.standard_normal((n_trajectories, d)).T  # rows last
     x /= np.linalg.norm(x, axis=0)
-    idx_all = rng.integers(0, e.n_atoms, size=(n_steps, n_trajectories))
+    idx_all = draw_atoms(rng, e.weights, (n_steps, n_trajectories))
     tail: list[np.ndarray] = []
     keep_from = n_steps - max(100, n_steps // 3)
     for k in range(n_steps):

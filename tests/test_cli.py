@@ -431,6 +431,26 @@ class TestCramerDualwalkCommands:
         assert vals["sign_preserved"] == "true"
 
 
+def test_dualwalk_start_side_ignores_the_centre_sign(tmp_path, monkeypatch):
+    # the cone walk's draws fix the sign of the transposed attractor's
+    # centre; the dual walk starts on the side the translations charge
+    # either way, where every start reaches a ladder epoch
+    cfg = write_config(tmp_path, ip_affine_2d(), grid_resolution=64,
+                       mc={"samples": 1000, "steps": 100, "paths": 200})
+    classify = cli.classify_cone_case
+    reports = []
+    for sign in (1.0, -1.0):
+        def signed(e, seed=0, sign=sign):
+            case, ev = classify(e, seed=seed)
+            return case, {**ev, "attractor_center": [sign * c for c in ev["attractor_center"]]}
+
+        monkeypatch.setattr(cli, "classify_cone_case", signed)
+        assert main(["dualwalk", "--config", str(cfg)]) == EXIT_OK
+        reports.append((tmp_path / "out" / "dualwalk_report.csv").read_text())
+    assert reports[0] == reports[1]
+    assert "tau_finite,200\n" in reports[0]
+
+
 # the d=3 probe directions, and so the direction keys, of the Fibonacci
 # lattice that once was the d=3 grid: (projective, n) -> points
 FIBONACCI_PROBES = {

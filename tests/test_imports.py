@@ -2,9 +2,10 @@
 KSolver builds transfer operators and runs eigen-solves, only
 TiltedChain.step runs the tilted kernel, only the CLI's runner opens and
 finishes manifests, no walk applies a gathered atom stack with einsum,
-atoms are drawn only from an ensemble's weights or a point's pi, every
-public routine has a caller inside the package, the CLI imports no
-scipy, and the package and pyproject.toml state one version."""
+atoms are drawn only from an ensemble's weights or a point's pi, only
+rng.py builds random generators, every public routine has a caller inside
+the package, the CLI imports no scipy, and the package and pyproject.toml
+state one version."""
 
 import ast
 import os
@@ -223,6 +224,38 @@ def test_atoms_are_drawn_only_from_ensemble_weights_or_pi():
         path.name: lines
         for path in sorted(PACKAGE.glob("*.py"))
         if (lines := foreign_draws(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+# the one source of generators: every stochastic routine takes its stream
+# from rng.stream(seed, *path), so consumers never share or re-seed one
+GENERATOR_MODULE = "rng.py"
+
+
+def generator_calls(source: str) -> list[int]:
+    """Lines of default_rng calls, by name or attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "default_rng"]
+
+
+def test_checker_flags_generator_calls():
+    source = """
+rng = np.random.default_rng(seed)
+other = default_rng([seed, 3])
+mine = _rng(seed, 404)
+gen = np.random.Generator(np.random.PCG64(seed))
+"""
+    assert generator_calls(source) == [2, 3]
+
+
+def test_only_rng_module_builds_generators():
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != GENERATOR_MODULE
+        and (lines := generator_calls(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
 
