@@ -261,12 +261,13 @@ def _tilted_mc(
 ) -> list[tuple[float, float]]:
     """(L, stderr) of the tilted_mc route at each s of s_values.
 
-    Every s draws from its own stream _rng(seed, 101): its start directions
-    from pi^s, then one uniform per chain and step.  One TiltedChain
-    carries the n_chains paths of every s, s after s, in every dimension.
+    The i-th s of s_values draws from its own stream _rng(seed, 101, i):
+    its start directions from pi^s, then one uniform per chain and step.
+    One TiltedChain carries the n_chains paths of every s, s after s, in
+    every dimension.
     """
     burn = max(100, n_steps // 10)
-    rngs = [_rng(seed, 101) for _ in s_values]
+    rngs = [_rng(seed, 101, i) for i in range(len(s_values))]
     points = [ks.point(s) for s in s_values]
     chain = TiltedChain(e, points, [_sample_pi_nodes(sp, n_chains, rng)
                                     for sp, rng in zip(points, rngs)])

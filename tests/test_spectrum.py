@@ -328,11 +328,12 @@ class TestOracleInvariantAllShipped:
 # as the routines ran before one chain carried them all.
 
 def per_s_tilted_mc(e, ks, s_values, seed, n_chains, n_steps):
-    """(L, stderr) per s, each s on its own stream and chain."""
+    """(L, stderr) per s, the i-th s on its own stream (seed, 101, i) and
+    chain."""
     out = []
     burn = max(100, n_steps // 10)
-    for s in s_values:
-        rng = stream(seed, 101)
+    for i, s in enumerate(s_values):
+        rng = stream(seed, 101, i)
         sp = ks.point(s)
         chain = TiltedChain(e, [sp], [sp.e.grid.nodes[draw_atoms(rng, sp.pi, n_chains)]])
         sums = np.zeros(n_chains)
@@ -441,8 +442,14 @@ class TestOneChainEqualsPerRunReference:
         s_values = [0.0, 0.7, 1.4]
         want = per_s_tilted_mc(e, ks, s_values, 5, 16, 300)
         assert spectrum._tilted_mc(e, ks, s_values, 5, 16, 300) == want
-        assert lyapunov(e, 0.7, "tilted_mc", solver=ks, seed=5,
-                        n_chains=16, n_steps=300) == want[1]
+        assert lyapunov(e, 0.7, "tilted_mc", solver=ks, seed=5, n_chains=16,
+                        n_steps=300) == per_s_tilted_mc(e, ks, [0.7], 5, 16, 300)[0]
+
+    def test_exponents_draw_from_their_own_streams(self, small_solver):
+        # one s twice: on a shared stream both would walk the same paths
+        e, ks = small_solver.ensemble, small_solver
+        first, second = spectrum._tilted_mc(e, ks, [0.7, 0.7], 5, 16, 300)
+        assert first != second
 
     def test_curve_tilted_mc_column(self, ip):
         ks = KSolver(ip, build_grid(2, 64, "projective"))
