@@ -6,11 +6,9 @@ output directory, even on partial failure, and every stochastic output is
 a pure function of (config bytes, seed, tool version): repeated runs with
 the same seed produce byte-identical CSV bodies.  One runner, ``_run``,
 owns that lifecycle for every command: inputs, manifest, outputs and exit
-status.  A config is read once, into typed ``RunConfig`` fields: ``load``
-reads what the manifest needs (seed, ensemble, out), and ``check`` reads
-every other value, by the same rule, int() or float() of its JSON value,
-and rejects what no command can run with, so every rejected value leaves an
-"invalid-input" manifest.  Command bodies only read fields.
+status.  ``RunConfig.load`` reads what the manifest needs (seed, ensemble,
+out) and ``check`` every other value, each once and by one rule, into typed
+fields, so any other rejected value leaves an "invalid-input" manifest.
 
 Exit codes: 0 success (possibly with warnings), 1 numerical
 non-convergence, 2 invalid input, 3 hypothesis violation (e.g. a tails run
@@ -199,10 +197,6 @@ class RunConfig:
         if any(b < 0 for b in self.moment_betas or ()):
             raise ConfigError("options.moment_betas must be >= 0")
 
-    def s_values(self) -> np.ndarray:
-        lo, hi, count = self.s_grid
-        return np.linspace(lo, hi, count)
-
 
 def _fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
@@ -325,7 +319,7 @@ def _validate(cfg: RunConfig, ensemble, ks, man: Manifest) -> str:
 def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     lin = ks.ensemble
     t0 = time.perf_counter()
-    curve = compute_curve(lin, cfg.s_values(), seed=cfg.seed, solver=ks)
+    curve = compute_curve(lin, np.linspace(*cfg.s_grid), seed=cfg.seed, solver=ks)
     man.time("curve", t0)
     nonconverged = any(not p.converged for p in curve.points)
     if nonconverged:

@@ -235,6 +235,14 @@ def test_numeric_string_option_reads_as_its_number(tmp_path, command, ensemble,
     assert outputs[0] == outputs[1] and outputs[0]
 
 
+def test_empty_moment_betas_checks_no_moments(tmp_path):
+    # None marks the default orders; an explicit empty list is no orders
+    cfg = write_config(tmp_path, kesten_affine_1d(), **SMALL_MC,
+                       options={"moment_betas": []})
+    assert main(["tails", "--config", str(cfg)]) == EXIT_OK
+    assert json.loads((tmp_path / "out" / "tail_report.json").read_text())["moments"] == []
+
+
 MALFORMED_ENSEMBLES = {
     "missing-file": None,
     "dimension-not-integer": {"dimension": "abc",
