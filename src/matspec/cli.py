@@ -281,15 +281,15 @@ def _direction_key(u: np.ndarray) -> str:
     return " ".join(f"{v:.6g}" for v in u)
 
 
+# what a failed verdict means, for its warning; proximality never fails
+FAILURE_NOTES = {"irreducibility": "invariant union of subspaces found",
+                 "nonarithmetic": "log-lattice ensemble"}
+
+
 # A command body runs on checked inputs: (config, ensemble, the run's solver
 # or None for a command without a grid, manifest) -> "ok" or
 # "non-converged".  Errors surface as exceptions, which main maps to exit
 # codes.
-
-
-# what a failed verdict means, for its warning; proximality never fails
-FAILURE_NOTES = {"irreducibility": "invariant union of subspaces found",
-                 "nonarithmetic": "log-lattice ensemble"}
 
 
 def _validate(cfg: RunConfig, ensemble, ks, man: Manifest) -> str:
@@ -625,8 +625,8 @@ def _dualwalk(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     u0 = None
     if cone_star == "II" and ev_star.get("attractor_center") is not None:
         u0 = np.asarray(ev_star["attractor_center"], dtype=float)
-        # the centre's sign falls to the cone walk's draws: take the side
-        # where the mean translation keeps <B, u> and the ladder positive
+        # the centre's sign falls to the cone walk's draws: take the charged
+        # side, where the weighted mean of <B, u> is positive
         u0 *= np.sign(ensemble.weights @ ensemble.translations @ u0) or 1.0
     t0 = time.perf_counter()
     rec = dual_walk_simulate(
