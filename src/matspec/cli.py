@@ -208,7 +208,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+_CSV_BLOCK = 4096  # rows formatted at once by the float-array path
+
+
+def write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> None:
+    """rows is a list of rows of mixed values, or a 2-D float array, written
+    a block of rows per format call: the same bytes as its rows by _fmt."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for i in range(0, rows.shape[0], _CSV_BLOCK):
+                block = rows[i : i + _CSV_BLOCK]
+                fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+        return
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -233,7 +246,7 @@ class Manifest:
         }
         self.out_dir = cfg.out_dir
 
-    def output_csv(self, name: str, header: list[str], rows: list[list],
+    def output_csv(self, name: str, header: list[str], rows: list[list] | np.ndarray,
                    meaning: str) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(self.out_dir / name, header, rows)
@@ -277,8 +290,9 @@ def _solver(cfg: RunConfig, lin: LinearEnsemble) -> KSolver:
 
 
 def _direction_key(u: np.ndarray) -> str:
-    """A direction's components joined by spaces: one CSV field, unquoted."""
-    return " ".join(f"{v:.6g}" for v in u)
+    """A direction's components joined by spaces: one CSV field, unquoted.
+    A component below 1e-12 in magnitude is round-off and reads 0."""
+    return " ".join("0" if abs(v) < 1e-12 else f"{v:.6g}" for v in u)
 
 
 # what a failed verdict means, for its warning; proximality never fails
@@ -490,8 +504,7 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     man.time("estimators", t0)
 
     cols = [f"x{i}" for i in range(d)] if d > 1 else ["x0"]
-    samples = bank.samples.reshape(bank.n_samples, -1)
-    man.output_csv("bank.csv", cols, samples.tolist(),
+    man.output_csv("bank.csv", cols, bank.samples.reshape(bank.n_samples, -1),
                    "stationary samples of the recursion")
     man.output_json("bank_meta.json", {
         "ensemble_sha256": bank.ensemble_sha,

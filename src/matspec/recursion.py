@@ -85,8 +85,9 @@ def _sample_chunk(
     Rows last: product entry (i, j) is prod[i*d + j], a vector over the live
     rows.  Rows whose product entries are all below _RETIRE stop, and are
     written out and dropped once they are 1/8 of the live rows; all stop at
-    n_steps.  The index is drawn full-size every step, so a row's atoms
-    never depend on when the other rows stop.
+    n_steps.  The uniforms are drawn full-size every step, so a row's atoms
+    never depend on when the other rows stop; only the live rows' are
+    looked up.
 
     Returns (samples (size, d), worst last-term ratio, worst product norm at
     a stop, median over rows of log|prod| / steps, row-steps, last stop)."""
@@ -103,7 +104,7 @@ def _sample_chunk(
     row_steps = 0
     for k in range(1, n_steps + 1):
         n = rows.size
-        idx = draw_atoms(rng, ae.weights, size)[rows]
+        idx = draw_atoms(rng, ae.weights, size, rows)
         ak, bk = a.take(idx, axis=1), b.take(idx, axis=1)
         for i in range(d):
             p_i = prod[i * d : (i + 1) * d]
@@ -466,8 +467,9 @@ def classify_tail_case(
     with one, "II'" when large forward states charge both antipodal
     attractor sides and "II''" when only one side is charged.
 
-    The census runs 4096 forward paths for 400 steps.  A side counts as
-    charged when at least 5 census states above the 0.995-quantile
+    The census runs 4096 forward paths for 400 steps and keeps the states
+    of the last 200, with their magnitudes taken as it goes.  A side counts
+    as charged when at least 5 census states above the 0.995-quantile
     magnitude cut lie on it; the minority constant can be tiny, so the
     decision is count-based, with the cut required to clear the
     additive scale (else the census cannot see the tail and reports
@@ -481,22 +483,26 @@ def classify_tail_case(
     center = np.asarray(attractor_center, dtype=float)
     rng = _rng(seed, 777)
     x = (rng.standard_normal((n_paths, ae.dimension)) * 0.1).T  # rows last
-    census = np.empty((ae.dimension, n_steps - n_steps // 2, n_paths))  # rows last
+    kept = n_steps - n_steps // 2
+    census = np.empty((ae.dimension, kept, n_paths))  # rows last
+    magnitudes = np.empty((kept, n_paths))
     for k in range(n_steps):
         x = apply_atoms(ae.matrices, draw_atoms(rng, ae.weights, n_paths), x,
                         ae.translations)
-        if k >= n_steps // 2:
-            census[:, k - n_steps // 2] = x
-    directions = census.reshape(ae.dimension, -1)  # states until normalized
-    magnitudes = np.linalg.norm(directions, axis=0)
-    directions /= np.maximum(magnitudes, 1e-300)
+        j = k - (n_steps - kept)
+        if j >= 0:
+            census[:, j] = x
+            magnitudes[j] = np.linalg.norm(x, axis=0)
     cut = np.quantile(magnitudes, top_quantile)
     scale_b = float(np.linalg.norm(ae.translations, axis=1).max())
     if cut < 10.0 * scale_b:
         return "unknown"
-    big = directions.T[magnitudes >= cut]
-    if big.size == 0:
+    top = magnitudes >= cut
+    if not top.any():
         return "unknown"
+    # only the states above the cut are normalized, as (rows, d) directions
+    big = np.ascontiguousarray(census[:, top].T)
+    big /= np.maximum(magnitudes[top], 1e-300)[:, None]
     side = big @ center
     hits_plus = int((side > 0).sum())
     hits_minus = int((side < 0).sum())

@@ -17,12 +17,18 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, *path])
 
 
-def draw_atoms(rng: np.random.Generator, weights, size) -> np.ndarray:
+def draw_atoms(rng: np.random.Generator, weights, size, rows=None) -> np.ndarray:
     """Atom indices by inverse CDF, bit for bit rng.choice(len(weights), size,
-    p=weights) without its validation of p on every call."""
+    p=weights) without its validation of p on every call.
+
+    With rows, all size uniforms are still drawn, but only u[rows] are
+    looked up: bit for bit draw_atoms(rng, weights, size)[rows], with the
+    generator left in the same state."""
     cdf = np.cumsum(weights, dtype=float)
     cdf /= cdf[-1]
     u = rng.random(size)
+    if rows is not None:
+        u = u[rows]
     if cdf.size > 8:
         return cdf.searchsorted(u, side="right")
     # the count of cdf values <= u, as searchsorted(side="right"); faster for few atoms

@@ -511,6 +511,33 @@ def test_d3_probe_directions_unchanged(projective, n):
     assert np.array_equal(got, np.array(FIBONACCI_PROBES[projective, n]))
 
 
+def test_direction_keys_carry_no_round_off():
+    keys = [cli._direction_key(u) for u in _probe_directions(2, 8, projective=False)]
+    assert keys == ["1 0", "0.707107 0.707107", "0 1", "-0.707107 0.707107",
+                    "-1 0", "-0.707107 -0.707107", "0 -1", "0.707107 -0.707107"]
+    assert cli._direction_key(np.array([-0.0, -1e-17, 1e-12])) == "0 0 1e-12"
+    projective = [cli._direction_key(u) for u in _probe_directions(2, 16, projective=True)]
+    assert "0 1" in projective and not [k for k in projective if "e-" in k]
+
+
+# every float the bank can hold, as the row path formats them
+CSV_SPECIALS = [0.0, -0.0, 5e-324, 1e-300, 1e300, np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3])
+def test_write_csv_array_path_matches_row_path(tmp_path, cols):
+    rng = np.random.default_rng(cols)
+    n = 2 * cli._CSV_BLOCK + 37  # a partial last block
+    values = rng.standard_cauchy(n * cols) * 10.0 ** rng.integers(-290, 290, n * cols)
+    values[: len(CSV_SPECIALS)] = CSV_SPECIALS
+    values[-len(CSV_SPECIALS) :] = CSV_SPECIALS
+    rows = values.reshape(n, cols)
+    header = [f"x{i}" for i in range(cols)]
+    cli.write_csv(tmp_path / "array.csv", header, rows)
+    cli.write_csv(tmp_path / "rows.csv", header, rows.tolist())
+    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 @pytest.mark.parametrize("command,table", [("tails", "tail_tables.csv"),
                                            ("cramer", "cramer_table.csv")])
 def test_direction_key_is_one_csv_field(tmp_path, command, table):

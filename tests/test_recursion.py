@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,21 @@ class TestTailCase:
     def test_unknown_without_center(self):
         ae = positive_affine_2d()
         assert classify_tail_case(ae, "II", None) == "unknown"
+
+    def test_census_memory_is_bounded(self):
+        # the default census (d=2, 4096 paths x 200 kept steps) holds its
+        # states, one magnitude per state, and normalizes only the top ones
+        ae = ip_affine_2d()
+        center = np.array([0.7061558948570595, 0.7080563905217051])
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            label = classify_tail_case(ae, "II", center, seed=2301)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert label == "II''"
+        assert peak < 28e6
 
 
 class TestD2Bank:

@@ -21,3 +21,15 @@ def test_draw_atoms_is_choice(weights, size):
                           r2.choice(len(w), size=size, p=w))
     assert r1.random() == r2.random()  # the same uniforms were consumed
 
+
+
+@pytest.mark.parametrize("weights", WEIGHTS, ids=lambda w: f"m{len(w)}")
+def test_draw_atoms_rows_looks_up_only_those_rows(weights):
+    # both branches: a comparison per atom (m <= 8) and searchsorted (m > 8)
+    w = np.asarray(weights)
+    size = 10_000
+    rows = np.flatnonzero(stream(9).random(size) < 0.43)
+    r1, r2 = stream(5), stream(5)
+    assert np.array_equal(draw_atoms(r1, w, size, rows),
+                          draw_atoms(r2, w, size)[rows])
+    assert r1.random() == r2.random()  # all size uniforms were consumed
