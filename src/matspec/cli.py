@@ -212,8 +212,8 @@ _CSV_BLOCK = 4096  # rows formatted at once by the float-array path
 
 
 def write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> None:
-    """rows is a list of rows of mixed values, or a 2-D float array, written
-    a block of rows per format call: the same bytes as its rows by _fmt."""
+    """rows is a list of rows of mixed values, each formatted by _fmt, or a
+    2-D float array, formatted a block of rows per call to the same bytes."""
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
         line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
         with path.open("w", encoding="utf-8") as fh:

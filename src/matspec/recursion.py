@@ -468,12 +468,12 @@ def classify_tail_case(
     attractor sides and "II''" when only one side is charged.
 
     The census runs 4096 forward paths for 400 steps and keeps the states
-    of the last 200, with their magnitudes taken as it goes.  A side counts
-    as charged when at least 5 census states above the 0.995-quantile
-    magnitude cut lie on it; the minority constant can be tiny, so the
-    decision is count-based, with the cut required to clear the
-    additive scale (else the census cannot see the tail and reports
-    unknown).
+    of the last 200, with their magnitudes taken as it goes; only the
+    states above the cut are normalized.  A side counts as charged when
+    at least 5 census states above the 0.995-quantile magnitude cut lie on
+    it; the minority constant can be tiny, so the decision is count-based,
+    with the cut required to clear the additive scale (else the census
+    cannot see the tail and reports unknown).
     """
     if cone_case == "I":
         return "I"
@@ -500,7 +500,6 @@ def classify_tail_case(
     top = magnitudes >= cut
     if not top.any():
         return "unknown"
-    # only the states above the cut are normalized, as (rows, d) directions
     big = np.ascontiguousarray(census[:, top].T)
     big /= np.maximum(magnitudes[top], 1e-300)[:, None]
     side = big @ center
