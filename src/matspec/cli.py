@@ -386,13 +386,13 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
                           lyapunov(lin, curve.alpha, "quadrature", solver=ks)[0]])
     man.output_csv("spectral_scalars.csv", ["name", "value"], scal_rows,
                    "alpha, k'(alpha), Lyapunov exponents")
-    # per-point exports
-    sp_rows = []
-    for s, sp in zip(curve.s_values, curve.points):
-        for j in range(sp.e.grid.n_nodes):
-            sp_rows.append([s, j, sp.e.values[j], sp.nu.masses[j]])
+    # per-point exports, as float arrays: %.17g prints a node index as an int
+    grid, n = ks.grid, ks.grid.n_nodes
     man.output_csv("spectral_points.csv", ["s", "node_index", "e_value", "nu_mass"],
-                   sp_rows, "eigenfunction and eigenmeasure per node")
+                   np.vstack([np.column_stack([np.full(n, s), np.arange(n), sp.e.values,
+                                               sp.nu.masses])
+                              for s, sp in zip(curve.s_values, curve.points)]),
+                   "eigenfunction and eigenmeasure per node")
     man.output_csv(
         "spectral_point_scalars.csv",
         ["s", "k", "p", "residual_e", "residual_nu", "iterations", "mode",
@@ -404,13 +404,11 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
         "/ max e^s, the grid error of the pairing identity behind p(s)",
     )
     if lin.dimension > 1:
-        grid = ks.grid
         man.output_csv(
             "grid.csv",
             ["node_index", *(f"x{i}" for i in range(grid.dimension)),
              "quadrature_weight"],
-            [[j, *grid.nodes[j], grid.quadrature_weights[j]]
-             for j in range(grid.n_nodes)],
+            np.column_stack([np.arange(n), grid.nodes, grid.quadrature_weights]),
             "direction grid nodes and weights",
         )
     return "non-converged" if nonconverged else "ok"
@@ -467,8 +465,9 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     if bank.under_converged:
         man.warn("bank under-converged: truncation diagnostic above cutoff")
     t0 = time.perf_counter()
-    a_hat, ci = hill_estimator(bank, "norm", hill_k)
-    stab = hill_stability(bank, "norm")
+    norms = bank.norms()
+    a_hat, ci = hill_estimator(norms, hill_k)
+    stab = hill_stability(norms)
     d = lin.dimension
     n_dirs = 2 if d == 1 else 8 if cfg.directions is None else cfg.directions
     dirs = _probe_directions(d, n_dirs, projective=False)
@@ -503,8 +502,8 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     moments = moment_check(bank, betas, kvals)
     man.time("estimators", t0)
 
-    cols = [f"x{i}" for i in range(d)] if d > 1 else ["x0"]
-    man.output_csv("bank.csv", cols, bank.samples.reshape(bank.n_samples, -1),
+    man.output_csv("bank.csv", [f"x{i}" for i in range(d)],
+                   bank.samples.reshape(bank.n_samples, -1),
                    "stationary samples of the recursion")
     man.output_json("bank_meta.json", {
         "ensemble_sha256": bank.ensemble_sha,
@@ -560,7 +559,7 @@ def _renewal(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     if L0 > 0:
         rep = potential_profile_expanding(
             lin, fns, L=L0, n_paths=cfg.mc_paths, seed=cfg.seed,
-            nu=ks.point(0.0).nu, arithmetic_caveat=arith,
+            nu=ks.point(0.0).nu,
         )
     else:
         # contracting regime: alpha-tilted potential against the
@@ -573,11 +572,9 @@ def _renewal(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
             n_paths=cfg.mc_paths, seed=cfg.seed, sp=sp, L_alpha=L_alpha,
             nu_alpha=sp.nu,
         )
-        if arith:
-            rep.caveats.append(
-                "arithmetic log-lattice: pointwise renewal limit not "
-                "guaranteed; mean-level comparison only"
-            )
+    if arith:
+        rep.caveats.append("arithmetic log-lattice: pointwise renewal limit not "
+                           "guaranteed; mean-level comparison only")
     man.time("profile", t0)
     for c in rep.caveats:
         man.warn(c)

@@ -195,35 +195,20 @@ def sample_stationary(
     )
 
 
-def _statistic_values(bank: TailSampleBank, statistic) -> np.ndarray:
-    if isinstance(statistic, str):
-        if statistic != "norm":
-            raise ValueError("statistic must be 'norm' or a direction vector")
-        return bank.norms()
-    vals = bank.directional(np.asarray(statistic, dtype=float))
-    return vals[vals > 0]
-
-
-def hill_estimator(
-    bank: TailSampleBank | np.ndarray,
-    statistic="norm",
-    k_order: int = 1000,
-) -> tuple[float, tuple[float, float]]:
-    """Hill estimate of the tail index from the top k_order order statistics.
+def hill_estimator(values: np.ndarray, k_order: int = 1000) -> tuple[float, tuple[float, float]]:
+    """Hill estimate of the tail index of the positive entries of values
+    (a bank's norms(), or its directional(u)) from the top k_order order
+    statistics.
 
     alpha_hat = k / sum log(X_(i) / X_(k+1)); the CI is the asymptotic
-    normal band alpha_hat (1 +- 1.96/sqrt(k)).
+    normal band alpha_hat (1 +- 1.96/sqrt(k)).  k_order must stay below half
+    the number of positive entries.
     """
-    if isinstance(bank, TailSampleBank):
-        data = _statistic_values(bank, statistic)
-    else:
-        data = np.asarray(bank, dtype=float)
-        data = data[data > 0]
+    data = np.asarray(values, dtype=float)
+    data = data[data > 0]
     n = data.size
     if k_order >= n / 2:
         raise ValueError(f"k_order = {k_order} too large for {n} positive values")
-    if n == 0:
-        raise ValueError("no positive values for the requested statistic")
     top = np.partition(data, n - k_order - 1)[n - k_order - 1 :]
     top.sort()
     x_ref = top[0]
@@ -233,21 +218,16 @@ def hill_estimator(
     return float(alpha_hat), (float(alpha_hat * (1 - half)), float(alpha_hat * (1 + half)))
 
 
-def hill_stability(
-    bank: TailSampleBank | np.ndarray,
-    statistic="norm",
-) -> dict:
-    """Hill estimates across 12 geometric k from max(10, n/1000) to
-    max(20, n/10), with a plateau flag.
+def hill_stability(values: np.ndarray) -> dict:
+    """Hill estimates of the positive entries of values across 12 geometric
+    k from max(10, n/1000) to max(20, n/10), n the number of positive
+    entries, with a plateau flag.
 
     No stabilization across the scan (max/min ratio above 2) is reported as
     "no power tail": bounded data drives the estimate upward as k shrinks.
     """
-    if isinstance(bank, TailSampleBank):
-        data = _statistic_values(bank, statistic)
-    else:
-        data = np.asarray(bank, dtype=float)
-        data = data[data > 0]
+    data = np.asarray(values, dtype=float)
+    data = data[data > 0]
     n = data.size
     k_grid = np.geomspace(max(10, n // 1000), max(20, n // 10), 12).astype(int)
     k_grid = k_grid[np.diff(k_grid, prepend=0) > 0]  # sorted: drop the repeats
@@ -467,13 +447,13 @@ def classify_tail_case(
     with one, "II'" when large forward states charge both antipodal
     attractor sides and "II''" when only one side is charged.
 
-    The census runs 4096 forward paths for 400 steps and keeps the states
-    of the last 200, with their magnitudes taken as it goes; only the
-    states above the cut are normalized.  A side counts as charged when
-    at least 5 census states above the 0.995-quantile magnitude cut lie on
-    it; the minority constant can be tiny, so the decision is count-based,
-    with the cut required to clear the additive scale (else the census
-    cannot see the tail and reports unknown).
+    The census runs 4096 forward paths for 400 steps and keeps, for each
+    state of the last 200, its magnitude and its side <x, center>: two
+    (200, 4096) arrays, not the states.  A side counts as charged when at
+    least 5 census states at or above the 0.995-quantile magnitude cut lie
+    on it; the minority constant can be tiny, so the decision is
+    count-based, with the cut required to clear the additive scale (else
+    the census cannot see the tail and reports unknown).
     """
     if cone_case == "I":
         return "I"
@@ -484,27 +464,21 @@ def classify_tail_case(
     rng = _rng(seed, 777)
     x = (rng.standard_normal((n_paths, ae.dimension)) * 0.1).T  # rows last
     kept = n_steps - n_steps // 2
-    census = np.empty((ae.dimension, kept, n_paths))  # rows last
-    magnitudes = np.empty((kept, n_paths))
+    magnitudes, sides = np.empty((kept, n_paths)), np.empty((kept, n_paths))
     for k in range(n_steps):
         x = apply_atoms(ae.matrices, draw_atoms(rng, ae.weights, n_paths), x,
                         ae.translations)
         j = k - (n_steps - kept)
         if j >= 0:
-            census[:, j] = x
             magnitudes[j] = np.linalg.norm(x, axis=0)
+            sides[j] = center @ x
     cut = np.quantile(magnitudes, top_quantile)
     scale_b = float(np.linalg.norm(ae.translations, axis=1).max())
     if cut < 10.0 * scale_b:
         return "unknown"
-    top = magnitudes >= cut
-    if not top.any():
+    side = sides[magnitudes >= cut]
+    if not side.size:
         return "unknown"
-    big = np.ascontiguousarray(census[:, top].T)
-    big /= np.maximum(magnitudes[top], 1e-300)[:, None]
-    side = big @ center
-    hits_plus = int((side > 0).sum())
-    hits_minus = int((side < 0).sum())
-    if hits_plus >= min_hits and hits_minus >= min_hits:
+    if (side > 0).sum() >= min_hits and (side < 0).sum() >= min_hits:
         return "II'"
     return "II''"

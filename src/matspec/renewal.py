@@ -91,7 +91,6 @@ def potential_profile_expanding(
     n_paths: int = 4096,
     seed: int = 0,
     nu=None,
-    arithmetic_caveat: bool = False,
 ) -> RenewalReport:
     """Visit counts of the expanding walk to annulus functions versus the
     renewal prediction (log_hi - log_lo) * nu(probe) / L.
@@ -123,15 +122,8 @@ def potential_profile_expanding(
         logmag, ids = logmag[live], ids[live]
         steps += 1
     stuck = ids.size
-    caveats = []
-    if arithmetic_caveat:
-        caveats.append(
-            "arithmetic log-lattice: pointwise renewal limit not guaranteed; "
-            "mean-level comparison with wide tolerance only"
-        )
-    if stuck:
-        caveats.append(f"{stuck} paths had not left the window region "
-                       f"after {max_steps} steps")
+    caveats = [f"{stuck} paths had not left the window region "
+               f"after {max_steps} steps"] if stuck else []
     return _report("expanding", test_functions, counts, nu,
                    lambda f, mass: (f.log_hi - f.log_lo) * mass / L,
                    "stuck-paths" if stuck else "", caveats)
@@ -220,21 +212,10 @@ def cramer_constant(
                 running_max, live = running_max[keep], live[keep]
             steps += 1
         peak[live] = running_max
-        rows = []
-        for lt, t in zip(log_ts, t_arr):
-            hits = int((peak > lt).sum())
-            p_hat = hits / n_paths
-            se = np.sqrt(max(p_hat * (1 - p_hat), 0.0) / n_paths)
-            rows.append(
-                {
-                    "t": float(t),
-                    "estimate": float(t**alpha * p_hat),
-                    "stderr": float(t**alpha * se),
-                    "hits": hits,
-                    "flag": "starved" if hits < min_hits else "",
-                }
-            )
-        return rows
+        hits = [int((peak > lt).sum()) for lt in log_ts]
+        p_hats = [h / n_paths for h in hits]
+        return _crossing_rows(t_arr, alpha, n_paths, p_hats, [p * (1 - p) for p in p_hats],
+                              hits, lambda h: "starved" if h < min_hits else "")
     if method != "tilted":
         raise ValueError(f"unknown method {method!r}")
     if sp is None:
@@ -266,22 +247,23 @@ def cramer_constant(
             nxt[crossing] = hi
         chain.keep(chain.logmag <= top)
         steps += 1
-    rows = []
-    for j, (lt, t) in enumerate(zip(log_ts, t_arr)):
-        n_cross = int((nxt > j).sum())
-        p_hat = weight_sum[j] / n_paths
-        var = max(weight_sq[j] / n_paths - p_hat**2, 0.0)
-        se = np.sqrt(var / n_paths)
-        rows.append(
-            {
-                "t": float(t),
-                "estimate": float(t**alpha * p_hat),
-                "stderr": float(t**alpha * se),
-                "hits": n_cross,
-                "flag": "" if n_cross == n_paths else "incomplete-crossings",
-            }
-        )
-    return rows
+    p_hats = [w / n_paths for w in weight_sum]
+    return _crossing_rows(t_arr, alpha, n_paths, p_hats,
+                          [q / n_paths - p**2 for p, q in zip(p_hats, weight_sq)],
+                          [int((nxt > j).sum()) for j in range(len(log_ts))],
+                          lambda h: "" if h == n_paths else "incomplete-crossings")
+
+
+def _crossing_rows(t_arr, alpha, n_paths, p_hats, variances, hits, flag) -> list[dict]:
+    """cramer_constant's table, a row per threshold t, in scalars: t^alpha
+    p_hat with stderr t^alpha sqrt(var / n_paths), var the variance of one
+    path's term (0 when round-off makes it negative); flag(hits) marks it."""
+    return [{"t": float(t),
+             "estimate": float(t**alpha * p),
+             "stderr": float(t**alpha * np.sqrt(max(v, 0.0) / n_paths)),
+             "hits": h,
+             "flag": flag(h)}
+            for t, p, v, h in zip(t_arr, p_hats, variances, hits)]
 
 
 def tilted_potential_profile(
@@ -328,8 +310,9 @@ class DualWalkRecord:
     """Batch summary of the alpha-tilted dual walk (u_n, p_n).
 
     first_tau < 0 marks starts whose first ladder epoch was not reached
-    within the step budget; sign_preserved records that p^{-1} p_tau > 0 at
-    every recorded epoch (a construction invariant, asserted not assumed).
+    within the step budget; sign_preserved reports that p^{-1} p_tau > 0 at
+    every recorded epoch, which holds by construction: only steps with
+    p^{-1} p_n > 0 are taken as records.
     """
 
     n_starts: int
@@ -378,7 +361,6 @@ def dual_walk_simulate(
     b_cols = ae.translations.T.copy()  # row j: every atom's B_j
     p = np.full(n_starts, float(p0))
     log_record = np.zeros(n_starts)  # record of log(p^{-1} p_n |S'_n u|), start 0
-    has_record = np.zeros(n_starts, dtype=bool)
     first_tau = np.full(n_starts, -1, dtype=int)
     n_epochs = np.zeros(n_starts, dtype=int)
     last_epoch = np.zeros(n_starts, dtype=int)
@@ -411,21 +393,16 @@ def dual_walk_simulate(
         # strict increase with a 1e-9 nat margin: absorbs the measure-zero
         # boundary v_n == record (e.g. the B = 0 walk where v_n is exactly 1)
         # without touching genuine ladder heights, which are O(L(alpha))
-        is_record = positive & (
-            np.where(has_record, logv > log_record + 1e-9, logv > 1e-9)
-        )
+        is_record = positive & (logv > log_record + 1e-9)
         if is_record.any():
             if not np.all(ratio[is_record] > 0):
                 sign_ok = False
             newly_first = is_record & (first_tau < 0)
             first_tau[newly_first] = step
-            gap_sum[is_record] += step - np.where(
-                n_epochs[is_record] > 0, last_epoch[is_record], 0
-            )
+            gap_sum[is_record] += step - last_epoch[is_record]
             n_epochs[is_record] += 1
             last_epoch[is_record] = step
             log_record[is_record] = logv[is_record]
-            has_record[is_record] = True
         if step > burn:
             eps_p = np.abs(p) ** eps
             eps_total += eps_p

@@ -137,7 +137,7 @@ def test_criterion_3_ip_oracle_and_lyapunov(ip512):
 
 def test_criterion_4_affine_d1_tails(big_bank):
     t0 = time.perf_counter()
-    a_hat, ci = hill_estimator(big_bank, "norm", k_order=10_000)
+    a_hat, ci = hill_estimator(big_bank.norms(), k_order=10_000)
     hill_ok = 0.85 <= ci[0] and ci[1] <= 1.15 and ci[0] <= 1.0 <= ci[1]
     et = empirical_tail(big_bank, np.array([1.0]), alpha=1.0)
     plateau_ok = et["ci"][0] > 0.0

@@ -12,6 +12,7 @@ from matspec.ensemble import LinearEnsemble, save_ensemble
 from matspec import cli, transfer
 from matspec.ensembles import (
     affine_3d,
+    expanding_1d_arithmetic,
     expanding_1d_deterministic,
     ip_2d,
     ip_affine_2d,
@@ -391,6 +392,22 @@ class TestRenewalCommand:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["regime"] == "contracting-tilted"
 
+    @pytest.mark.parametrize("ensemble,regime", [
+        (expanding_1d_arithmetic(), "expanding"),
+        # atoms 2 and 1/4 on the lattice 2^Z: L < 0, and k(alpha) = 1 at
+        # 2^alpha = the golden ratio
+        (LinearEnsemble(1, np.array([[[2.0]], [[0.25]]]), np.array([0.5, 0.5])),
+         "contracting-tilted"),
+    ], ids=["expanding", "contracting"])
+    def test_arithmetic_walk_warns(self, tmp_path, ensemble, regime):
+        cfg = write_config(tmp_path, ensemble, grid_resolution=8,
+                           mc={"samples": 1000, "steps": 300, "paths": 2000})
+        assert main(["renewal", "--config", str(cfg)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["regime"] == regime
+        assert ("arithmetic log-lattice: pointwise renewal limit not guaranteed; "
+                "mean-level comparison only") in manifest["warnings"]
+
     def test_no_tail_root_is_hypothesis_violation(self, tmp_path):
         from matspec.ensemble import LinearEnsemble
 
@@ -536,6 +553,32 @@ def test_write_csv_array_path_matches_row_path(tmp_path, cols):
     cli.write_csv(tmp_path / "array.csv", header, rows)
     cli.write_csv(tmp_path / "rows.csv", header, rows.tolist())
     assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("ensemble,resolution", [(ip_2d, 64), (affine_3d, 32)],
+                         ids=["d2", "d3"])
+def test_spectrum_tables_match_row_path(tmp_path, monkeypatch, ensemble, resolution):
+    # spectral_points.csv and grid.csv go out as float arrays; written by the
+    # row path, with node_index as int, the same values give the same bytes
+    written = {}
+    write_csv = cli.write_csv
+
+    def record(path, header, rows):
+        written[path.name] = (header, rows)
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "write_csv", record)
+    cfg = write_config(tmp_path, ensemble(), grid_resolution=resolution,
+                       s_grid={"min": 0.0, "max": 1.0, "count": 2},
+                       mc={"samples": 1000, "steps": 100, "paths": 100})
+    assert main(["spectrum", "--config", str(cfg)]) == EXIT_OK
+    for name, index_col in (("spectral_points.csv", 1), ("grid.csv", 0)):
+        header, rows = written[name]
+        assert isinstance(rows, np.ndarray) and rows.dtype.kind == "f"
+        as_rows = [[int(v) if i == index_col else v for i, v in enumerate(row)]
+                   for row in rows.tolist()]
+        write_csv(tmp_path / "rows.csv", header, as_rows)
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command,table", [("tails", "tail_tables.csv"),

@@ -121,12 +121,12 @@ class TestHill:
     def test_pareto_calibration(self):
         # fixed seed: a 95% CI misses 5% of the time by construction
         bank = pareto_bank(100_000, alpha=1.0, seed=2)
-        a_hat, ci = hill_estimator(bank, "norm", k_order=1000)
+        a_hat, ci = hill_estimator(bank.norms(), k_order=1000)
         assert ci[0] <= 1.0 <= ci[1]
 
     def test_pareto_alpha_2(self):
         bank = pareto_bank(100_000, alpha=2.0, seed=4)
-        a_hat, ci = hill_estimator(bank, "norm", k_order=1000)
+        a_hat, ci = hill_estimator(bank.norms(), k_order=1000)
         assert ci[0] <= 2.0 <= ci[1]
 
     def test_bounded_input_flagged(self):
@@ -136,23 +136,22 @@ class TestHill:
 
     def test_pareto_stability_ok(self):
         bank = pareto_bank(100_000, seed=6)
-        assert hill_stability(bank)["power_tail"]
+        assert hill_stability(bank.norms())["power_tail"]
 
     def test_kesten_hill_near_one(self, kesten_bank_small):
-        a_hat, ci = hill_estimator(kesten_bank_small, "norm", k_order=2000)
+        a_hat, ci = hill_estimator(kesten_bank_small.norms(), k_order=2000)
         assert ci[0] <= 1.0 <= ci[1]
         # spectral truth is alpha = 1; CI must meet [0.9, 1.1]
         assert ci[0] < 1.1 and ci[1] > 0.9
 
     def test_k_order_too_large(self, kesten_bank_small):
         with pytest.raises(ValueError, match="k_order"):
-            hill_estimator(kesten_bank_small, "norm",
-                           kesten_bank_small.n_samples)
+            hill_estimator(kesten_bank_small.norms(), kesten_bank_small.n_samples)
 
     def test_directional_statistic_needs_positives(self):
         bank = TailSampleBank("synthetic", -np.ones(100), 0, 0, 0.0, 0.0, False)
         with pytest.raises(ValueError, match="positive"):
-            hill_estimator(bank, np.array([1.0]), k_order=10)
+            hill_estimator(bank.directional(np.array([1.0])), k_order=10)
 
 
 class TestEmpiricalTail:
@@ -249,10 +248,13 @@ class TestTailCase:
         assert classify_tail_case(ae, "II", None) == "unknown"
 
     def test_census_memory_is_bounded(self):
-        # the default census (d=2, 4096 paths x 200 kept steps) holds its
-        # states, one magnitude per state, and normalizes only the top ones
+        # the default census (d=2, 4096 paths x 200 kept steps) holds one
+        # magnitude and one side per state, 6.6 MB each, not the states
         ae = ip_affine_2d()
         center = np.array([0.7061558948570595, 0.7080563905217051])
+        # a process's first np.quantile imports numpy.ma; keep that out of
+        # the traced window, so the bound holds whatever ran before
+        np.quantile(np.arange(3.0), 0.5)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -261,14 +263,14 @@ class TestTailCase:
         finally:
             tracemalloc.stop()
         assert label == "II''"
-        assert peak < 28e6
+        assert peak < 22e6
 
 
 class TestD2Bank:
     def test_hill_ci_meets_spectral_window(self, ip_alpha):
         # shipped d=2 heavy-tail example: hill CI must meet [0.9a, 1.1a]
         bank = sample_stationary(ip_affine_2d(), 900, 120_000, seed=99)
-        _, ci = hill_estimator(bank, "norm", k_order=1200)
+        _, ci = hill_estimator(bank.norms(), k_order=1200)
         lo, hi = 0.9 * ip_alpha, 1.1 * ip_alpha
         assert ci[0] <= hi and ci[1] >= lo
 

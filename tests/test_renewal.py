@@ -79,9 +79,7 @@ class TestExpandingProfile:
         e = expanding_1d_arithmetic()
         L = 0.2 * np.log(2.0)
         f = AnnulusFunction("one-octave", 0.0, np.log(2.0))
-        rep = potential_profile_expanding(e, [f], L=L, n_paths=6000, seed=2,
-                                          arithmetic_caveat=True)
-        assert rep.caveats  # arithmetic warning surfaced
+        rep = potential_profile_expanding(e, [f], L=L, n_paths=6000, seed=2)
         row = rep.rows[0]
         assert row["predicted"] == pytest.approx(5.0, abs=1e-12)
         assert abs(row["measured"] - 5.0) < max(4 * row["stderr"], 0.15)
