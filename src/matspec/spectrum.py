@@ -4,16 +4,14 @@ k(s) is the dominant eigenvalue of the s-weighted transfer operator,
 equivalently lim (E|S_n|^s)^{1/n} for the product S_n of n i.i.d. atoms;
 log k is convex, k(0) = 1, and the tail index alpha is the positive root
 of k(alpha) = 1.  The Lyapunov exponent of the s-tilted path measure is
-k'(s)/k(s) and is computed by three routes (finite differences of log k,
-tilted Monte Carlo, grid quadrature) that must agree.  Only tilted Monte
-Carlo is independent of the grid eigen-problem: the quadrature route is the
-discrete Hellmann-Feynman derivative nu^s(P'^s e^s)/k(s) of the same
-discretized k, so on the grid it matches finite differences to their
-truncation error and says nothing about the discretization error.  It
-needs no solve beyond the one at s, so every run path takes L(0) and
-L(alpha) from it; finite differences remain a check.  In d=1 the grid is
-one node, k(s) is the Mellin sum sum_i w_i |a_i|^s, and all three routes
-run on it as in every other dimension.
+k'(s)/k(s) and is computed by two routes that must agree: grid quadrature
+and tilted Monte Carlo.  Quadrature is the discrete Hellmann-Feynman
+derivative nu^s(P'^s e^s)/k(s) of the discretized k; it needs no solve
+beyond the one at s, so every run path takes L(0) and L(alpha) from it.
+Tilted Monte Carlo is independent of the grid eigen-problem, so it is the
+check on the discretization.  In d=1 the grid is one node, k(s) is the
+Mellin sum sum_i w_i |a_i|^s, and both routes run on it as in every other
+dimension.
 
 Every routine here takes its eigen-objects from one transfer.KSolver (the
 ``solver`` argument, or a fresh one on the default grid; solve_alpha also
@@ -206,7 +204,7 @@ def _sample_pi_nodes(
 def lyapunov(
     e: LinearEnsemble,
     s: float,
-    method: str = "finite_diff",
+    method: str,
     solver: KSolver | None = None,
     n_chains: int = _MC_CHAINS,
     n_steps: int = _MC_STEPS,
@@ -214,38 +212,18 @@ def lyapunov(
 ) -> tuple[float, float | None]:
     """Lyapunov exponent of the s-tilted walk, equal to k'(s)/k(s).
 
-    finite_diff: Richardson-extrapolated central differences of log k, or
-    one-sided differences at s = 0.  On a one-node grid (d=1) k is the
-    Mellin sum itself, and the route returns its exact derivative
-    KSolver.k_prime(s)/k(s) in place of a difference.
-    tilted_mc: long-run average of log|g x| along the tilted chain, stderr
-    from independent chains; burn-in is 10% of the path, at least 100 steps.
     quadrature: the pi^s-average of the tilted kernel's mean log|g x|.  On
     the grid that average is nu^s(P'^s e^s)/k(s) up to the eigen-solve
-    tolerance, and it is computed as KSolver.k_prime(s)/k(s).  It costs no
-    solve beyond the one at s, so the CLI reports L by this route and keeps
-    finite_diff as a check.
+    tolerance, and it is computed as KSolver.k_prime(s)/k(s), at no solve
+    beyond the one at s; in d=1 it is the exact derivative of the Mellin sum.
+    tilted_mc: long-run average of log|g x| along the tilted chain, stderr
+    from independent chains; burn-in is 10% of the path, at least 100 steps.
     """
     if s < 0:
         raise ValueError("negative exponents are not supported")
     ks = solver or KSolver(e)
-    if method == "quadrature" or (method == "finite_diff" and ks.grid.n_nodes == 1):
+    if method == "quadrature":
         return ks.k_prime(s) / ks.k(s), None
-    if method == "finite_diff":
-        h = 1e-3
-        hh = min(h, s / 2) if s > 0 else h
-
-        def central(step: float) -> float:
-            if s - step < 0:
-                return (np.log(ks.k(s + step)) - np.log(ks.k(s))) / step
-            return (np.log(ks.k(s + step)) - np.log(ks.k(s - step))) / (2 * step)
-
-        c1 = central(hh)
-        c2 = central(hh / 2)
-        if s == 0.0:
-            # one-sided differences: the leading error is O(h), not O(h^2)
-            return float(2.0 * c2 - c1), None
-        return float((4.0 * c2 - c1) / 3.0), None
     if method == "tilted_mc":
         return _tilted_mc(e, ks, [s], seed, n_chains, n_steps)[0]
     raise ValueError(f"unknown method {method!r}")
@@ -440,16 +418,15 @@ def compute_curve(
     solver: KSolver | None = None,
 ) -> SpectralCurve:
     """Solve the eigen-problem along an s-grid and attach alpha, k'(alpha)
-    and the Lyapunov table (finite_diff, quadrature and tilted_mc routes).
+    and the Lyapunov table (quadrature and tilted_mc routes).
     A given solver keeps every point solved here for its later callers."""
     ks = solver or KSolver(e)
     s_values = np.asarray(sorted(float(s) for s in s_values))
     points = [ks.point(s, compute_p=True) for s in s_values]
     curve = SpectralCurve(s_values=s_values, points=points)
-    table: dict[str, list[float]] = {"finite_diff": [], "quadrature": [],
-                                     "tilted_mc": [], "tilted_mc_se": []}
+    table: dict[str, list[float]] = {"quadrature": [], "tilted_mc": [],
+                                     "tilted_mc_se": []}
     for s in s_values:
-        table["finite_diff"].append(lyapunov(e, s, "finite_diff", solver=ks)[0])
         table["quadrature"].append(lyapunov(e, s, "quadrature", solver=ks)[0])
     for L, se in _tilted_mc(e, ks, s_values, seed, _MC_CHAINS, _MC_STEPS):
         table["tilted_mc"].append(L)

@@ -1,8 +1,28 @@
+import numpy as np
 import pytest
 
 from matspec.ensembles import ip_2d, kesten_1d, kesten_affine_1d, similarity_2d
 from matspec.projective import PROJECTIVE, build_grid
 from matspec.spectrum import KSolver, solve_alpha
+
+
+def finite_diff_L(ks: KSolver, s: float) -> float:
+    """Reference L(s) = (log k)'(s) from differences of the solver's k:
+    Richardson-extrapolated central differences, or one-sided differences
+    at s = 0, whose leading error is O(h), not O(h^2)."""
+    h = 1e-3
+    hh = min(h, s / 2) if s > 0 else h
+
+    def central(step: float) -> float:
+        if s - step < 0:
+            return (np.log(ks.k(s + step)) - np.log(ks.k(s))) / step
+        return (np.log(ks.k(s + step)) - np.log(ks.k(s - step))) / (2 * step)
+
+    c1 = central(hh)
+    c2 = central(hh / 2)
+    if s == 0.0:
+        return float(2.0 * c2 - c1)
+    return float((4.0 * c2 - c1) / 3.0)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import finite_diff_L
 from matspec.ensemble import transpose
 from matspec.ensembles import (
     expanding_1d_deterministic,
@@ -66,8 +67,8 @@ def test_criterion_1_d1_reference_closed_form():
     t0 = time.perf_counter()
     e = kesten_1d()
     alpha = solve_alpha(e, tol=1e-12)
-    L0, _ = lyapunov(e, 0.0, "finite_diff")
-    La, _ = lyapunov(e, alpha, "finite_diff")
+    L0, _ = lyapunov(e, 0.0, "quadrature")
+    La, _ = lyapunov(e, alpha, "quadrature")
     k_alpha = 0.4 * 2.0**alpha + 0.6 * 3.0**-alpha
     elapsed = time.perf_counter() - t0
     ok_alpha = abs(alpha - 1.0) <= 1e-8
@@ -112,7 +113,7 @@ def test_criterion_3_ip_oracle_and_lyapunov(ip512):
         budget = 2.0 * (se + 0.02 * k_grid)
         oracle_ok &= abs(k_grid - k_hat) <= budget
         details.append(f"s={s:.3f}: |dk|={abs(k_grid - k_hat):.4f}<={budget:.4f}")
-    Lfd, _ = lyapunov(e, alpha, "finite_diff", solver=solver)
+    Lfd = finite_diff_L(solver, alpha)
     Lq, _ = lyapunov(e, alpha, "quadrature", solver=solver)
     Lmc, se_mc = lyapunov(e, alpha, "tilted_mc", solver=solver, seed=778,
                           n_chains=64, n_steps=4000)

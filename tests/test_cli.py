@@ -9,7 +9,7 @@ import pytest
 
 from matspec.cli import EXIT_HYPOTHESIS, EXIT_INVALID, EXIT_OK, _probe_directions, main
 from matspec.ensemble import LinearEnsemble, save_ensemble
-from matspec import cli, transfer
+from matspec import cli, spectrum, transfer
 from matspec.ensembles import (
     affine_3d,
     expanding_1d_arithmetic,
@@ -37,6 +37,9 @@ def write_config(tmp_path: Path, ensemble, name="ens.json", **extra) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+SPECTRAL_CURVE_HEADER = "s,k,log_k,L_tilted_mc,L_quadrature,gap,rho_eps"
 
 
 class TestValidateCommand:
@@ -300,6 +303,24 @@ class TestSpectrumCommand:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "ok"
         assert any(o["file"] == "spectral_curve.csv" for o in manifest["outputs"])
+        curve = (tmp_path / "out" / "spectral_curve.csv").read_text().splitlines()
+        assert curve[0] == SPECTRAL_CURVE_HEADER
+
+    def test_one_warning_per_route_gap(self, tmp_path, monkeypatch):
+        # shift every tilted_mc exponent far outside its 3 sigma band: each
+        # s then has one gap between the two routes, warned once
+        tilted_mc = spectrum._tilted_mc
+
+        def shifted(*args):
+            return [(L + 1.0, se) for L, se in tilted_mc(*args)]
+
+        monkeypatch.setattr(spectrum, "_tilted_mc", shifted)
+        cfg = write_config(tmp_path, kesten_1d())
+        assert main(["spectrum", "--config", str(cfg)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        gaps = [w for w in manifest["warnings"] if "Lyapunov routes disagree" in w]
+        assert gaps == [f"Lyapunov routes disagree beyond 3 sigma at s={s:g} "
+                        "(tilted_mc vs quadrature)" for s in (0.0, 0.5, 1.0, 1.5)]
 
     def test_s_grid_beyond_bound_rejected(self, tmp_path):
         cfg = write_config(tmp_path, kesten_1d(),
@@ -597,10 +618,10 @@ def test_direction_key_is_one_csv_field(tmp_path, command, table):
     assert all(len(r[0].split(" ")) == 3 for r in rows)
 
 
-@pytest.mark.parametrize("command", ["renewal", "cramer", "dualwalk"])
+@pytest.mark.parametrize("command", ["spectrum", "renewal", "cramer", "dualwalk"])
 def test_run_paths_solve_no_finite_difference_exponents(tmp_path, monkeypatch, command):
-    # L(0) and L(alpha) come from k'(s)/k(s) at the solved points: no
-    # difference step of log k near 0 is ever solved
+    # L comes from k'(s)/k(s) at the solved points: no difference step of
+    # log k is ever solved, near 0 or next to a point of the s-grid
     solved = []
     solve = transfer.power_iterate
 
@@ -617,6 +638,8 @@ def test_run_paths_solve_no_finite_difference_exponents(tmp_path, monkeypatch, c
     assert main([command, "--config", str(cfg)]) == EXIT_OK
     assert 0.0 in solved
     assert not [s for s in solved if 0.0 < s < 0.002]
+    s_grid = np.linspace(0.0, 1.5, 4)[1:]  # write_config's s-grid
+    assert not [s for s in solved if 0.0 < np.min(np.abs(s_grid - s)) < 2e-3]
 
 
 def test_spectrum_scalars_are_the_solver_exponents(tmp_path, monkeypatch):
@@ -653,6 +676,9 @@ class TestD2Spectrum:
         blk = (out / "spectral_point_scalars.csv").read_text().splitlines()
         assert blk[0].startswith("s,k,p,residual_e,residual_nu")
         assert len(blk) == 4  # header + 3 exponents
+        curve = (out / "spectral_curve.csv").read_text().splitlines()
+        assert curve[0] == SPECTRAL_CURVE_HEADER
+        assert len(curve) == 4
 
     def test_pairing_residual_column(self, tmp_path):
         # on the default 512-node grid the pairing identity holds to a few
@@ -711,3 +737,6 @@ def test_command_matrix(tmp_path, command, d):
     assert main([command, "--config", str(cfg)]) == EXIT_OK
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "ok"
+    if command == "spectrum":
+        curve = (tmp_path / "out" / "spectral_curve.csv").read_text().splitlines()
+        assert curve[0] == SPECTRAL_CURVE_HEADER

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import finite_diff_L
 from matspec.ensemble import AffineEnsemble
 from matspec.ensembles import (
     affine_3d,
@@ -18,7 +19,7 @@ from matspec.renewal import (
     tilted_potential_profile,
 )
 from matspec.rng import draw_atoms, stream
-from matspec.spectrum import lyapunov, solve_alpha
+from matspec.spectrum import solve_alpha
 from matspec.transfer import KSolver, TiltedChain, transpose
 
 L_ALPHA_KESTEN = 0.4 * 2.0 * np.log(2.0) - 0.2 * np.log(3.0)
@@ -99,7 +100,7 @@ class TestExpandingProfile:
         from matspec.spectrum import KSolver
 
         ks = KSolver(e, grid)
-        L = lyapunov(e, 0.0, "finite_diff", solver=ks)[0]
+        L = finite_diff_L(ks, 0.0)
         assert L > 0
         nu0 = ks.point(0.0).nu
         fns = [AnnulusFunction("octave0", 0.0, np.log(2.0)),
@@ -311,8 +312,7 @@ class TestDualWalk:
         ae = ip_affine_2d()
         star = transpose(ae.linear_part)
         sp_star = KSolver(star, ip_solver.grid, tol=1e-10).point(ip_alpha)
-        L_a = lyapunov(ae.linear_part, ip_alpha, "finite_diff",
-                       solver=ip_solver)[0]
+        L_a = finite_diff_L(ip_solver, ip_alpha)
         # ladder finiteness is guaranteed on the charged attractor side of
         # the transposed semigroup; start there
         _, ev = classify_cone_case(star, seed=0)
@@ -345,7 +345,7 @@ class TestDirectionalTiltedPotential:
         # measured visit masses for two directional probes must reproduce
         # the ratio of their eigenmeasure cap masses (25% budget)
         sp = ip_solver.point(ip_alpha)
-        L_a = lyapunov(ip, ip_alpha, "finite_diff", solver=ip_solver)[0]
+        L_a = finite_diff_L(ip_solver, ip_alpha)
         nodes = sp.nu.grid.nodes
         masses = sp.nu.masses
 

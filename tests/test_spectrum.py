@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import finite_diff_L
 from matspec.ensemble import LinearEnsemble
 from matspec.ensembles import affine_3d, diag_only_2d, ip_2d, rotations_2d
 from matspec.projective import build_grid
@@ -84,14 +85,18 @@ class TestSolveAlpha:
 
 class TestLyapunov:
     def test_kesten_L0_closed_form(self, kesten):
-        L, _ = lyapunov(kesten, 0.0, "finite_diff")
+        L, _ = lyapunov(kesten, 0.0, "quadrature")
         assert abs(L - L0_KESTEN) < 1e-12
 
     def test_similarity_L0_one_sided(self, similarity):
-        # k(s) = 0.4 2^s + 0.6 3^-s on every grid, so L(0) is exact
+        # k(s) = 0.4 2^s + 0.6 3^-s on every grid, so L(0) is exact: the
+        # quadrature route to round-off, the one-sided differences of the
+        # test reference to their O(h) truncation error
         ks = KSolver(similarity, build_grid(2, 512, "projective"))
-        L, _ = lyapunov(similarity, 0.0, "finite_diff", solver=ks)
-        assert abs(L - (0.4 * np.log(2.0) - 0.6 * np.log(3.0))) < 1e-6
+        exact = 0.4 * np.log(2.0) - 0.6 * np.log(3.0)
+        L, _ = lyapunov(similarity, 0.0, "quadrature", solver=ks)
+        assert abs(L - exact) < 1e-12
+        assert abs(finite_diff_L(ks, 0.0) - exact) < 1e-6
 
     def test_quadrature_is_tilted_kernel_average(self, ip, ip_solver):
         # the quadrature route is the pi^s-average over nodes of the tilted
@@ -102,12 +107,12 @@ class TestLyapunov:
                                                     sp.e.values)
             node_average = float(sp.pi @ np.sum(probs * lognorms, axis=0))
             Lq, _ = lyapunov(ip, s, "quadrature", solver=ip_solver)
-            Lfd, _ = lyapunov(ip, s, "finite_diff", solver=ip_solver)
+            Lfd = finite_diff_L(ip_solver, s)
             assert abs(node_average - Lq) < 1e-9
             assert abs(Lq - Lfd) < 1e-8
 
     def test_kesten_L_at_alpha(self, kesten):
-        L, _ = lyapunov(kesten, 1.0, "finite_diff")
+        L, _ = lyapunov(kesten, 1.0, "quadrature")
         assert abs(L - KP1_KESTEN) < 1e-10  # k(1) = 1 so L = k'(1)
 
     def test_quadrature_matches_closed_form_1d(self, kesten):
@@ -127,7 +132,7 @@ class TestLyapunov:
         exact = (
             0.4 * 2.0**s * np.log(2.0) - 0.6 * 3.0**-s * np.log(3.0)
         ) / (0.4 * 2.0**s + 0.6 * 3.0**-s)
-        Lfd, _ = lyapunov(similarity, s, "finite_diff", solver=ks)
+        Lfd = finite_diff_L(ks, s)
         Lq, _ = lyapunov(similarity, s, "quadrature", solver=ks)
         Lmc, se = lyapunov(similarity, s, "tilted_mc", solver=ks, seed=11,
                            n_chains=48, n_steps=1500)
@@ -136,7 +141,7 @@ class TestLyapunov:
         assert abs(Lmc - exact) < 4 * se
 
     def test_ip_routes_pairwise(self, ip, ip_solver, ip_alpha):
-        Lfd, _ = lyapunov(ip, ip_alpha, "finite_diff", solver=ip_solver)
+        Lfd = finite_diff_L(ip_solver, ip_alpha)
         Lq, _ = lyapunov(ip, ip_alpha, "quadrature", solver=ip_solver)
         Lmc, se = lyapunov(ip, ip_alpha, "tilted_mc", solver=ip_solver,
                            seed=13, n_chains=64, n_steps=3000)
@@ -147,8 +152,8 @@ class TestLyapunov:
 
     def test_alpha_positive_derivative(self, ip, ip_solver, ip_alpha):
         # contracting at 0 forces expanding tilt at alpha
-        L0, _ = lyapunov(ip, 0.0, "finite_diff", solver=ip_solver)
-        La, _ = lyapunov(ip, ip_alpha, "finite_diff", solver=ip_solver)
+        L0 = finite_diff_L(ip_solver, 0.0)
+        La = finite_diff_L(ip_solver, ip_alpha)
         assert L0 < 0
         assert La > 0
 
