@@ -332,7 +332,7 @@ def _validate(cfg: RunConfig, ensemble, ks, man: Manifest) -> str:
 def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     lin = ks.ensemble
     t0 = time.perf_counter()
-    curve = compute_curve(lin, np.linspace(*cfg.s_grid), seed=cfg.seed, solver=ks)
+    curve = compute_curve(ks, np.linspace(*cfg.s_grid), seed=cfg.seed)
     man.time("curve", t0)
     nonconverged = any(not p.converged for p in curve.points)
     if nonconverged:
@@ -354,12 +354,11 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
             gap_col.append(float("nan"))
             rho_col.append(float("nan"))
             continue
-        g, _ = lyapunov_gap(lin, s, seed=cfg.seed, solver=ks,
-                            n_pairs=8, n_paths=32)
+        g, _ = lyapunov_gap(ks, s, seed=cfg.seed, n_pairs=8, n_paths=32)
         gap_col.append(g)
         rho_col.append(
-            contraction_rate(lin, s, eps=min(eps, max(s, 1e-6)) if s > 0 else eps,
-                             seed=cfg.seed, solver=ks, n_pairs=16, n_paths=32)
+            contraction_rate(ks, s, eps=min(eps, max(s, 1e-6)) if s > 0 else eps,
+                             seed=cfg.seed, n_pairs=16, n_paths=32)
         )
     man.time("diagnostics", t0)
     rows = []
@@ -376,10 +375,10 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     scal_rows = [["alpha", curve.alpha if curve.alpha is not None else float("nan")],
                  ["k_prime_alpha",
                   curve.k_prime_alpha if curve.k_prime_alpha is not None else float("nan")],
-                 ["L_mu_0", lyapunov(lin, 0.0, "quadrature", solver=ks)[0]]]
+                 ["L_mu_0", lyapunov(ks, 0.0, "quadrature")[0]]]
     if curve.alpha is not None:
         scal_rows.append(["L_mu_alpha",
-                          lyapunov(lin, curve.alpha, "quadrature", solver=ks)[0]])
+                          lyapunov(ks, curve.alpha, "quadrature")[0]])
     man.output_csv("spectral_scalars.csv", ["name", "value"], scal_rows,
                    "alpha, k'(alpha), Lyapunov exponents")
     # per-point exports, as float arrays: %.17g prints a node index as an int
@@ -410,8 +409,8 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     return "non-converged" if nonconverged else "ok"
 
 
-def _require_contracting(lin: LinearEnsemble, ks: KSolver) -> float:
-    L0 = lyapunov(lin, 0.0, "quadrature", solver=ks)[0]
+def _require_contracting(ks: KSolver) -> float:
+    L0 = lyapunov(ks, 0.0, "quadrature")[0]
     if L0 >= 0:
         raise HypothesisError(
             f"Lyapunov exponent at s=0 is {L0:.4f} >= 0: "
@@ -448,7 +447,7 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
             f"order {hill_k}, which needs mc.samples > {2 * hill_k}; set "
             "options.hill_k in [1, mc.samples / 2)")
     lin = ks.ensemble
-    L0 = _require_contracting(lin, ks)
+    L0 = _require_contracting(ks)
     t0 = time.perf_counter()
     alpha = solve_alpha(lin, solver=ks)
     man.time("alpha", t0)
@@ -499,7 +498,7 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     man.time("estimators", t0)
 
     man.output_csv("bank.csv", [f"x{i}" for i in range(d)],
-                   bank.samples.reshape(bank.n_samples, -1),
+                   bank.samples,
                    "stationary samples of the recursion")
     man.output_json("bank_meta.json", {
         "ensemble_sha256": bank.ensemble_sha,
@@ -542,7 +541,7 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
 
 def _renewal(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     lin = ks.ensemble
-    L0 = lyapunov(lin, 0.0, "quadrature", solver=ks)[0]
+    L0 = lyapunov(ks, 0.0, "quadrature")[0]
     if L0 == 0:
         raise HypothesisError("critical walk (L = 0): renewal limits diverge")
     width = cfg.annulus_width
@@ -561,12 +560,10 @@ def _renewal(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
         # contracting regime: alpha-tilted potential against the
         # t^{-alpha}-scaled renewal prediction
         alpha = solve_alpha(lin, solver=ks)
-        sp = ks.point(alpha)
-        L_alpha = lyapunov(lin, alpha, "quadrature", solver=ks)[0]
+        L_alpha = lyapunov(ks, alpha, "quadrature")[0]
         rep = tilted_potential_profile(
-            lin, alpha, _default_direction(lin), cfg.t_start, fns,
-            n_paths=cfg.mc_paths, seed=cfg.seed, sp=sp, L_alpha=L_alpha,
-            nu_alpha=sp.nu,
+            lin, _default_direction(lin), cfg.t_start, fns, n_paths=cfg.mc_paths,
+            seed=cfg.seed, sp=ks.point(alpha), L_alpha=L_alpha,
         )
     if arith:
         rep.caveats.append("arithmetic log-lattice: pointwise renewal limit not "
@@ -590,7 +587,7 @@ def _default_direction(lin: LinearEnsemble) -> np.ndarray:
 
 def _cramer(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     lin = ks.ensemble
-    _require_contracting(lin, ks)
+    _require_contracting(ks)
     alpha = solve_alpha(lin, solver=ks)
     sp = ks.point(alpha)
     t_grid = np.geomspace(*cfg.t_grid)
@@ -621,9 +618,9 @@ def _cramer(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
 
 def _dualwalk(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     lin = ks.ensemble
-    _require_contracting(lin, ks)
+    _require_contracting(ks)
     alpha = solve_alpha(lin, solver=ks)
-    L_alpha = lyapunov(lin, alpha, "quadrature", solver=ks)[0]
+    L_alpha = lyapunov(ks, alpha, "quadrature")[0]
     sp_star = ks.star.point(alpha)
     # ladder positivity is guaranteed on the charged attractor side: start
     # there when the transposed semigroup preserves a cone

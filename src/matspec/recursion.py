@@ -41,7 +41,8 @@ _RETIRE = 1e-18  # a backward row stops once every product entry is below this
 
 @dataclass
 class TailSampleBank:
-    """Independent stationary draws of R with truncation diagnostics.
+    """Independent stationary draws of R, an (n, d) array in every
+    dimension, with truncation diagnostics.
 
     Each row stops on its own, so the diagnostics are per row:
     truncation_diag is the worst |last backward term| / |R|; remainder_bound
@@ -67,13 +68,9 @@ class TailSampleBank:
         return self.samples.shape[0]
 
     def norms(self) -> np.ndarray:
-        if self.samples.ndim == 1:
-            return np.abs(self.samples)
         return np.linalg.norm(self.samples, axis=1)
 
     def directional(self, u: np.ndarray) -> np.ndarray:
-        if self.samples.ndim == 1:
-            return self.samples * float(np.asarray(u).reshape(-1)[0])
         return self.samples @ np.asarray(u, dtype=float)
 
 
@@ -181,10 +178,9 @@ def sample_stationary(
     decay = float(np.exp(np.mean(decay_logs)))
     max_b = float(np.linalg.norm(ae.translations, axis=1).max())
     remainder = max(prod_max) * max_b / max(1.0 - decay, 1e-12) if decay < 1 else np.inf
-    samples = np.concatenate(parts)
     return TailSampleBank(
         ensemble_sha=ensemble_hash(ae),
-        samples=samples[:, 0] if ae.dimension == 1 else samples,
+        samples=np.concatenate(parts),
         n_steps=n_steps,
         seed=seed,
         truncation_diag=max(ratios),

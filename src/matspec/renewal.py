@@ -268,7 +268,6 @@ def _crossing_rows(t_arr, alpha, n_paths, p_hats, variances, hits, flag) -> list
 
 def tilted_potential_profile(
     e: LinearEnsemble,
-    alpha: float,
     u: np.ndarray,
     t: float,
     test_functions: list[AnnulusFunction],
@@ -276,15 +275,16 @@ def tilted_potential_profile(
     seed: int,
     sp: SpectralPoint,
     L_alpha: float,
-    nu_alpha=None,
     max_steps: int = 4000,
 ) -> RenewalReport:
     """t^{-alpha} sum_k E[f(S_k(t u))] for annulus functions f, against the
-    prediction e^alpha(u)/L(alpha) * nu^alpha(probe) * (c1^-a - c2^-a)/a.
+    prediction e^alpha(u)/L(alpha) * nu^alpha(probe) * (c1^-a - c2^-a)/a,
+    where sp is the solved point at alpha: alpha = sp.s, nu^alpha = sp.nu.
 
     Every step contributes through its own likelihood ratio, so the sum is
     an exact reweighting of the untilted potential.
     """
+    alpha = sp.s
     u = np.asarray(u, dtype=float)
     u = u / np.linalg.norm(u)
     rng = _rng(seed, 770)
@@ -300,7 +300,7 @@ def tilted_potential_profile(
                     np.exp(chain.log_lr()))
         chain.keep(chain.logmag <= top + 5.0)
         steps += 1
-    return _report("contracting-tilted", test_functions, acc * t ** (-alpha), nu_alpha,
+    return _report("contracting-tilted", test_functions, acc * t ** (-alpha), sp.nu,
                    lambda f, mass: e_at_u / L_alpha * mass
                    * (np.exp(f.log_lo)**-alpha - np.exp(f.log_hi)**-alpha) / alpha)
 

@@ -13,12 +13,12 @@ check on the discretization.  In d=1 the grid is one node, k(s) is the
 Mellin sum sum_i w_i |a_i|^s, and both routes run on it as in every other
 dimension.
 
-Every routine here takes its eigen-objects from one transfer.KSolver (the
-``solver`` argument, or a fresh one on the default grid; solve_alpha also
-takes a ``grid`` for it), which holds every solve of
-an (ensemble, grid) pair and of its transpose, each warm-started from the
-nearest solved exponent; solve_alpha runs Newton on log k with that k'(s),
-safeguarded by a verified bracket.
+Every routine here takes the run's transfer.KSolver and reads its
+ensemble from it; only solve_alpha also accepts an ensemble and a grid in
+its place.  The solver holds every solve of an (ensemble, grid) pair and of
+its transpose, each warm-started from the nearest solved exponent;
+solve_alpha runs Newton on log k with that k'(s), safeguarded by a verified
+bracket.
 
 Tilted sampling realizes the s-tilted path measure through its Markov-chain
 disintegration (the paths of transfer.TiltedChain) rather than by
@@ -202,10 +202,9 @@ def _sample_pi_nodes(
 
 
 def lyapunov(
-    e: LinearEnsemble,
+    ks: KSolver,
     s: float,
     method: str,
-    solver: KSolver | None = None,
     n_chains: int = _MC_CHAINS,
     n_steps: int = _MC_STEPS,
     seed: int = 0,
@@ -221,16 +220,14 @@ def lyapunov(
     """
     if s < 0:
         raise ValueError("negative exponents are not supported")
-    ks = solver or KSolver(e)
     if method == "quadrature":
         return ks.k_prime(s) / ks.k(s), None
     if method == "tilted_mc":
-        return _tilted_mc(e, ks, [s], seed, n_chains, n_steps)[0]
+        return _tilted_mc(ks, [s], seed, n_chains, n_steps)[0]
     raise ValueError(f"unknown method {method!r}")
 
 
 def _tilted_mc(
-    e: LinearEnsemble,
     ks: KSolver,
     s_values,
     seed: int,
@@ -247,8 +244,8 @@ def _tilted_mc(
     burn = max(100, n_steps // 10)
     rngs = [_rng(seed, 101, i) for i in range(len(s_values))]
     points = [ks.point(s) for s in s_values]
-    chain = TiltedChain(e, points, [_sample_pi_nodes(sp, n_chains, rng)
-                                    for sp, rng in zip(points, rngs)])
+    starts = [_sample_pi_nodes(sp, n_chains, rng) for sp, rng in zip(points, rngs)]
+    chain = TiltedChain(ks.ensemble, points, starts)
     u = np.empty((len(points), n_chains))
     sums = np.zeros((len(points), n_chains))
     for step in range(n_steps):
@@ -346,23 +343,22 @@ def _run_pairs(
 
 
 def lyapunov_gap(
-    e: LinearEnsemble,
+    ks: KSolver,
     s: float,
     n: int = 40,
     n_pairs: int = 24,
     n_paths: int = 64,
     seed: int = 0,
-    solver: KSolver | None = None,
 ) -> tuple[float, float]:
     """Estimated difference of the two leading Lyapunov exponents: the
     per-step tilted-mean log contraction of direction pairs, maximized over
     sampled (x, v, v'); strictly negative when the dominant exponent is
     simple.  Returns (gap estimate, stderr of the maximizing pair).
     """
+    e = ks.ensemble
     if e.dimension < 2:
         raise ValueError("the pair-contraction gap needs d >= 2")
-    sp = (solver or KSolver(e)).point(s)
-    logs, _ = _run_pairs(e, sp, _rng(seed, 202), n, n_paths, [None] * n_pairs)
+    logs, _ = _run_pairs(e, ks.point(s), _rng(seed, 202), n, n_paths, [None] * n_pairs)
     best = -np.inf
     best_se = np.nan
     for pair_logs in logs:
@@ -375,14 +371,13 @@ def lyapunov_gap(
 
 
 def contraction_rate(
-    e: LinearEnsemble,
+    ks: KSolver,
     s: float,
     eps: float,
     n: int = 30,
     seed: int = 0,
     n_pairs: int = 64,
     n_paths: int = 128,
-    solver: KSolver | None = None,
 ) -> float:
     """n-th root of sup over probe pairs of the tilted mean of
     (distance ratio)^eps; below 1 in the Doeblin-Fortet regime.
@@ -395,9 +390,10 @@ def contraction_rate(
     eps_max = 1.0 if s == 0.0 else min(1.0, s)
     if not 0.0 < eps <= eps_max:
         raise ValueError("eps must lie in (0, min(1, s)] (Holder range)")
+    e = ks.ensemble
     if e.dimension < 2:
         raise ValueError("contraction diagnostics need d >= 2")
-    sp = (solver or KSolver(e)).point(s)
+    sp = ks.point(s)
     rng = _rng(seed, 303)
 
     def ratios(paths: int, starts: list) -> tuple[list[float], list]:
@@ -412,28 +408,26 @@ def contraction_rate(
 
 
 def compute_curve(
-    e: LinearEnsemble,
+    ks: KSolver,
     s_values: np.ndarray,
     seed: int = 0,
-    solver: KSolver | None = None,
 ) -> SpectralCurve:
     """Solve the eigen-problem along an s-grid and attach alpha, k'(alpha)
     and the Lyapunov table (quadrature and tilted_mc routes).
-    A given solver keeps every point solved here for its later callers."""
-    ks = solver or KSolver(e)
+    The solver keeps every point solved here for its later callers."""
     s_values = np.asarray(sorted(float(s) for s in s_values))
     points = [ks.point(s, compute_p=True) for s in s_values]
     curve = SpectralCurve(s_values=s_values, points=points)
     table: dict[str, list[float]] = {"quadrature": [], "tilted_mc": [],
                                      "tilted_mc_se": []}
     for s in s_values:
-        table["quadrature"].append(lyapunov(e, s, "quadrature", solver=ks)[0])
-    for L, se in _tilted_mc(e, ks, s_values, seed, _MC_CHAINS, _MC_STEPS):
+        table["quadrature"].append(lyapunov(ks, s, "quadrature")[0])
+    for L, se in _tilted_mc(ks, s_values, seed, _MC_CHAINS, _MC_STEPS):
         table["tilted_mc"].append(L)
         table["tilted_mc_se"].append(se)
     curve.lyapunov_table = table
     try:
-        curve.alpha = solve_alpha(e, solver=ks)
+        curve.alpha = solve_alpha(ks.ensemble, solver=ks)
         curve.k_prime_alpha = ks.k_prime(curve.alpha)
     except HypothesisError:
         curve.alpha = None

@@ -200,8 +200,8 @@ class KSolver:
     k and k' come from the grid in every dimension; on the single node of
     d=1, k(s) is the Mellin sum sum_i w_i |a_i|^s itself.  The solver owns
     the operator family of the ensemble (``op``) and, through ``star``, the
-    solver of the transposed ensemble on the same grid; both are built on
-    first use.  Solved points are cached by s, and a new s starts from the
+    solver of the transposed ensemble on the same grid (itself in d=1);
+    both are built on first use.  Solved points are cached by s, and a new s starts from the
     cached point nearest to it.  tol bounds both residuals of a solve and
     max_iter its mat-vecs.
     """
@@ -229,7 +229,10 @@ class KSolver:
 
     @property
     def star(self) -> "KSolver":
-        """The solver of the transposed ensemble on the same grid."""
+        """The solver of the transposed ensemble on the same grid; in d=1,
+        where a 1 x 1 atom is its own transpose, the solver itself."""
+        if self.ensemble.dimension == 1:
+            return self
         if self._star is None:
             self._star = KSolver(transpose(self.ensemble), self.grid,
                                  tol=self.tol, max_iter=self.max_iter)

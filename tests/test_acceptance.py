@@ -67,8 +67,8 @@ def test_criterion_1_d1_reference_closed_form():
     t0 = time.perf_counter()
     e = kesten_1d()
     alpha = solve_alpha(e, tol=1e-12)
-    L0, _ = lyapunov(e, 0.0, "quadrature")
-    La, _ = lyapunov(e, alpha, "quadrature")
+    L0, _ = lyapunov(KSolver(e), 0.0, "quadrature")
+    La, _ = lyapunov(KSolver(e), alpha, "quadrature")
     k_alpha = 0.4 * 2.0**alpha + 0.6 * 3.0**-alpha
     elapsed = time.perf_counter() - t0
     ok_alpha = abs(alpha - 1.0) <= 1e-8
@@ -114,17 +114,17 @@ def test_criterion_3_ip_oracle_and_lyapunov(ip512):
         oracle_ok &= abs(k_grid - k_hat) <= budget
         details.append(f"s={s:.3f}: |dk|={abs(k_grid - k_hat):.4f}<={budget:.4f}")
     Lfd = finite_diff_L(solver, alpha)
-    Lq, _ = lyapunov(e, alpha, "quadrature", solver=solver)
-    Lmc, se_mc = lyapunov(e, alpha, "tilted_mc", solver=solver, seed=778,
-                          n_chains=64, n_steps=4000)
+    Lq, _ = lyapunov(solver, alpha, "quadrature")
+    Lmc, se_mc = lyapunov(solver, alpha, "tilted_mc", seed=778, n_chains=64,
+                          n_steps=4000)
     pair_budget = max(0.05 * abs(Lfd), 0.01)
     routes_ok = (
         abs(Lfd - Lq) <= pair_budget
         and abs(Lfd - Lmc) <= pair_budget + 3 * se_mc
         and abs(Lq - Lmc) <= pair_budget + 3 * se_mc
     )
-    gap, gap_se = lyapunov_gap(e, alpha, n=40, n_pairs=24, n_paths=64,
-                               seed=779, solver=solver)
+    gap, gap_se = lyapunov_gap(solver, alpha, n=40, n_pairs=24, n_paths=64,
+                               seed=779)
     gap_ok = gap + 3 * gap_se < 0
     elapsed = time.perf_counter() - t0
     time_ok = elapsed < 300.0

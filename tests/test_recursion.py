@@ -40,7 +40,7 @@ def untruncated_sum(ae, n_steps, n, seed):
 
 def pareto_bank(n, alpha=1.0, seed=0):
     rng = np.random.default_rng(seed)
-    samples = rng.random(n) ** (-1.0 / alpha)  # P(X > t) = t^-alpha, t >= 1
+    samples = rng.random((n, 1)) ** (-1.0 / alpha)  # P(X > t) = t^-alpha, t >= 1
     return TailSampleBank("synthetic", samples, 0, seed, 0.0, 0.0, False)
 
 
@@ -103,7 +103,7 @@ class TestSampling:
         bank = sample_stationary(ae, 200, 100, seed=1, lyapunov_negative=True)
         assert bank.last_step == 200
         assert bank.row_steps == 100 * 200
-        assert np.array_equal(bank.samples, untruncated_sum(ae, 200, 100, 1)[:, 0])
+        assert np.array_equal(bank.samples, untruncated_sum(ae, 200, 100, 1))
 
     @pytest.mark.parametrize("n_steps, n_samples", [(0, 10), (10, 0)])
     def test_empty_bank_rejected(self, kesten_affine, n_steps, n_samples):
@@ -149,7 +149,7 @@ class TestHill:
             hill_estimator(kesten_bank_small.norms(), kesten_bank_small.n_samples)
 
     def test_directional_statistic_needs_positives(self):
-        bank = TailSampleBank("synthetic", -np.ones(100), 0, 0, 0.0, 0.0, False)
+        bank = TailSampleBank("synthetic", -np.ones((100, 1)), 0, 0, 0.0, 0.0, False)
         with pytest.raises(ValueError, match="positive"):
             hill_estimator(bank.directional(np.array([1.0])), k_order=10)
 
@@ -167,7 +167,7 @@ class TestEmpiricalTail:
         assert res["plateau"] > 0.0
 
     def test_insufficient_exceedances(self):
-        bank = TailSampleBank("synthetic", np.full(50, 2.0), 0, 0, 0.0, 0.0, False)
+        bank = TailSampleBank("synthetic", np.full((50, 1), 2.0), 0, 0, 0.0, 0.0, False)
         with pytest.raises(ValueError, match="exceedances|degenerate"):
             empirical_tail(bank, np.array([1.0]), alpha=1.0)
 
@@ -188,7 +188,7 @@ class TestMellin:
         assert abs(res["c_estimate"] - 1.0) < 0.15
 
     def test_zero_samples_give_zero(self):
-        bank = TailSampleBank("synthetic", np.zeros(10_000), 0, 0, 0.0, 0.0,
+        bank = TailSampleBank("synthetic", np.zeros((10_000, 1)), 0, 0, 0.0, 0.0,
                               False)
         with pytest.raises(ValueError, match="batch-weighted|positive"):
             mellin_profile(bank, np.array([1.0]), alpha=1.0)

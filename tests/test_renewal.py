@@ -250,7 +250,7 @@ class TestTiltedPotential:
         lin = kesten_affine_1d().linear_part
         f = AnnulusFunction("unreachable", np.log(1e-9), np.log(2e-9))
         rep = tilted_potential_profile(
-            lin, 1.0, np.array([1.0]), t=1e-3, test_functions=[f],
+            lin, np.array([1.0]), t=1e-3, test_functions=[f],
             n_paths=500, seed=9, sp=sp_kesten_alpha,
             L_alpha=L_ALPHA_KESTEN, max_steps=200,
         )
@@ -260,7 +260,7 @@ class TestTiltedPotential:
         lin = kesten_affine_1d().linear_part
         f = AnnulusFunction("unit-window", 0.0, np.log(2.0))
         rep = tilted_potential_profile(
-            lin, 1.0, np.array([1.0]), t=1e-4, test_functions=[f],
+            lin, np.array([1.0]), t=1e-4, test_functions=[f],
             n_paths=20_000, seed=10, sp=sp_kesten_alpha,
             L_alpha=L_ALPHA_KESTEN,
         )
@@ -362,8 +362,8 @@ class TestDirectionalTiltedPotential:
         fb = AnnulusFunction("light", 0.0, np.log(2.0),
                              probe_center=nodes[i_mid], probe_radius=0.25)
         rep = tilted_potential_profile(
-            ip, ip_alpha, np.array([1.0, 0.0]), 1e-3, [fa, fb],
-            n_paths=60_000, seed=17, sp=sp, L_alpha=L_a, nu_alpha=sp.nu,
+            ip, np.array([1.0, 0.0]), 1e-3, [fa, fb],
+            n_paths=60_000, seed=17, sp=sp, L_alpha=L_a,
         )
         heavy, light = rep.rows
         measured_ratio = heavy["measured"] / light["measured"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_diff_L
-from matspec.ensemble import LinearEnsemble
+from matspec.ensemble import LinearEnsemble, transpose
 from matspec.ensembles import affine_3d, diag_only_2d, ip_2d, rotations_2d
 from matspec.projective import build_grid
 from matspec.spectrum import (
@@ -16,7 +16,7 @@ from matspec.spectrum import (
 )
 from matspec import spectrum, transfer
 from matspec.rng import draw_atoms, stream
-from matspec.transfer import TiltedChain, TransferOperator, tilted_probs
+from matspec.transfer import TiltedChain, TransferOperator, pairing_p, tilted_probs
 
 L0_KESTEN = 0.4 * np.log(2.0) - 0.6 * np.log(3.0)
 KP1_KESTEN = 0.4 * 2.0 * np.log(2.0) - 0.2 * np.log(3.0)
@@ -85,7 +85,7 @@ class TestSolveAlpha:
 
 class TestLyapunov:
     def test_kesten_L0_closed_form(self, kesten):
-        L, _ = lyapunov(kesten, 0.0, "quadrature")
+        L, _ = lyapunov(KSolver(kesten), 0.0, "quadrature")
         assert abs(L - L0_KESTEN) < 1e-12
 
     def test_similarity_L0_one_sided(self, similarity):
@@ -94,7 +94,7 @@ class TestLyapunov:
         # test reference to their O(h) truncation error
         ks = KSolver(similarity, build_grid(2, 512, "projective"))
         exact = 0.4 * np.log(2.0) - 0.6 * np.log(3.0)
-        L, _ = lyapunov(similarity, 0.0, "quadrature", solver=ks)
+        L, _ = lyapunov(ks, 0.0, "quadrature")
         assert abs(L - exact) < 1e-12
         assert abs(finite_diff_L(ks, 0.0) - exact) < 1e-6
 
@@ -106,21 +106,21 @@ class TestLyapunov:
             probs, _, _, lognorms, _ = tilted_probs(ip, sp, sp.e.grid.nodes,
                                                     sp.e.values)
             node_average = float(sp.pi @ np.sum(probs * lognorms, axis=0))
-            Lq, _ = lyapunov(ip, s, "quadrature", solver=ip_solver)
+            Lq, _ = lyapunov(ip_solver, s, "quadrature")
             Lfd = finite_diff_L(ip_solver, s)
             assert abs(node_average - Lq) < 1e-9
             assert abs(Lq - Lfd) < 1e-8
 
     def test_kesten_L_at_alpha(self, kesten):
-        L, _ = lyapunov(kesten, 1.0, "quadrature")
+        L, _ = lyapunov(KSolver(kesten), 1.0, "quadrature")
         assert abs(L - KP1_KESTEN) < 1e-10  # k(1) = 1 so L = k'(1)
 
     def test_quadrature_matches_closed_form_1d(self, kesten):
-        Lq, _ = lyapunov(kesten, 1.0, "quadrature")
+        Lq, _ = lyapunov(KSolver(kesten), 1.0, "quadrature")
         assert abs(Lq - KP1_KESTEN) < 1e-12
 
     def test_tilted_mc_1d(self, kesten):
-        L, se = lyapunov(kesten, 1.0, "tilted_mc", seed=3,
+        L, se = lyapunov(KSolver(kesten), 1.0, "tilted_mc", seed=3,
                          n_chains=64, n_steps=2000)
         assert se is not None
         assert abs(L - KP1_KESTEN) < 4 * se
@@ -133,18 +133,17 @@ class TestLyapunov:
             0.4 * 2.0**s * np.log(2.0) - 0.6 * 3.0**-s * np.log(3.0)
         ) / (0.4 * 2.0**s + 0.6 * 3.0**-s)
         Lfd = finite_diff_L(ks, s)
-        Lq, _ = lyapunov(similarity, s, "quadrature", solver=ks)
-        Lmc, se = lyapunov(similarity, s, "tilted_mc", solver=ks, seed=11,
-                           n_chains=48, n_steps=1500)
+        Lq, _ = lyapunov(ks, s, "quadrature")
+        Lmc, se = lyapunov(ks, s, "tilted_mc", seed=11, n_chains=48, n_steps=1500)
         assert abs(Lfd - exact) < 1e-6
         assert abs(Lq - exact) < 1e-9
         assert abs(Lmc - exact) < 4 * se
 
     def test_ip_routes_pairwise(self, ip, ip_solver, ip_alpha):
         Lfd = finite_diff_L(ip_solver, ip_alpha)
-        Lq, _ = lyapunov(ip, ip_alpha, "quadrature", solver=ip_solver)
-        Lmc, se = lyapunov(ip, ip_alpha, "tilted_mc", solver=ip_solver,
-                           seed=13, n_chains=64, n_steps=3000)
+        Lq, _ = lyapunov(ip_solver, ip_alpha, "quadrature")
+        Lmc, se = lyapunov(ip_solver, ip_alpha, "tilted_mc", seed=13, n_chains=64,
+                           n_steps=3000)
         budget = max(0.05 * abs(Lfd), 0.01)
         assert abs(Lfd - Lq) < budget
         assert abs(Lfd - Lmc) < budget + 3 * se
@@ -189,41 +188,41 @@ class TestPathDiagnostics:
         assert abs(acc - np.log(np.linalg.norm(direct))) < 1e-8
 
     def test_gap_orthogonal_zero(self):
-        gap, se = lyapunov_gap(rotations_2d(), 0.0, n=20, n_pairs=4,
+        gap, se = lyapunov_gap(KSolver(rotations_2d()), 0.0, n=20, n_pairs=4,
                                n_paths=16, seed=1)
         assert abs(gap) < max(3 * se, 1e-10)
 
     def test_gap_diagonal_contraction(self):
-        gap, _ = lyapunov_gap(diag_only_2d(), 0.0, n=120, n_pairs=4,
+        gap, _ = lyapunov_gap(KSolver(diag_only_2d()), 0.0, n=120, n_pairs=4,
                               n_paths=8, seed=2)
         assert abs(gap - (-2.0 * np.log(2.0))) < 0.1
 
     def test_gap_ip_negative(self, ip, ip_solver, ip_alpha):
-        gap, se = lyapunov_gap(ip, ip_alpha, n=40, seed=4, solver=ip_solver)
+        gap, se = lyapunov_gap(ip_solver, ip_alpha, n=40, seed=4)
         assert gap + 3 * se < 0
 
     def test_gap_needs_d2(self, kesten):
         with pytest.raises(ValueError, match="d >= 2"):
-            lyapunov_gap(kesten, 0.0)
+            lyapunov_gap(KSolver(kesten), 0.0)
 
     def test_contraction_orthogonal_is_one(self):
-        rho = contraction_rate(rotations_2d(), 0.0, eps=0.5, n=10,
+        rho = contraction_rate(KSolver(rotations_2d()), 0.0, eps=0.5, n=10,
                                n_pairs=6, n_paths=8, seed=5)
         assert abs(rho - 1.0) < 1e-12
 
     def test_contraction_ip_below_one(self, ip, ip_solver, ip_alpha):
-        rho = contraction_rate(ip, ip_alpha, eps=0.3, n=25, seed=6,
-                               n_pairs=16, n_paths=32, solver=ip_solver)
+        rho = contraction_rate(ip_solver, ip_alpha, eps=0.3, n=25, seed=6,
+                               n_pairs=16, n_paths=32)
         assert rho < 0.97
 
     def test_contraction_eps_range_enforced(self, ip, ip_solver):
         with pytest.raises(ValueError, match="Holder"):
-            contraction_rate(ip, 0.5, eps=0.9, solver=ip_solver)
+            contraction_rate(ip_solver, 0.5, eps=0.9)
 
 
 def test_warm_solver_hides_no_solve(ip, monkeypatch):
-    # every diagnostic given a solver takes its points (and the transposed
-    # ones) from it: no operator is built and nothing is solved again
+    # every diagnostic takes its points (and the transposed ones) from its
+    # solver: no operator is built and nothing is solved again
     ks = KSolver(ip, build_grid(2, 128, "projective"))
     s = 1.0
     ks.point(s)
@@ -242,17 +241,44 @@ def test_warm_solver_hides_no_solve(ip, monkeypatch):
 
     monkeypatch.setattr(TransferOperator, "__init__", counting_build)
     monkeypatch.setattr(transfer, "power_iterate", counting_solve)
-    lyapunov_gap(ip, s, n=5, n_pairs=2, n_paths=4, seed=1, solver=ks)
-    contraction_rate(ip, s, eps=0.5, n=5, n_pairs=2, n_paths=4, seed=2, solver=ks)
+    lyapunov_gap(ks, s, n=5, n_pairs=2, n_paths=4, seed=1)
+    contraction_rate(ks, s, eps=0.5, n=5, n_pairs=2, n_paths=4, seed=2)
     assert calls == []
     # the counters do count: a fresh solver builds and solves
     KSolver(ip, ks.grid).point(s)
     assert calls == ["build", "solve"]
 
 
+def test_d1_transposed_solver_is_the_solver(kesten, ip):
+    # a 1 x 1 atom is its own transpose; a 2 x 2 one is not
+    ks = KSolver(kesten)
+    assert ks.star is ks
+    assert KSolver(ip, build_grid(2, 64, "projective")).star is not ks
+
+
+def test_d1_curve_solves_each_exponent_once(kesten, monkeypatch):
+    # 9 curve exponents and 6 more of the alpha solve: one solve each, where
+    # a separate transposed solver re-solved the 9 curve points for p(s)
+    s_values = np.linspace(0, 2, 9)
+    ks = KSolver(kesten)
+    star = KSolver(transpose(kesten), ks.grid)
+    want = [pairing_p(ks.point(s), star.point(s)) for s in s_values]
+    solve = transfer.power_iterate
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "power_iterate", counting_solve)
+    curve = compute_curve(KSolver(kesten), s_values)
+    assert len(calls) == len(set(calls)) == 15
+    assert [(sp.p, sp.residual_p) for sp in curve.points] == want
+
+
 class TestCurve:
     def test_curve_assembles(self, kesten):
-        curve = compute_curve(kesten, [0.0, 0.5, 1.0, 1.5], seed=1)
+        curve = compute_curve(KSolver(kesten), [0.0, 0.5, 1.0, 1.5], seed=1)
         assert abs(curve.alpha - 1.0) < 1e-9
         assert abs(curve.k_prime_alpha - KP1_KESTEN) < 1e-9
         assert len(curve.lyapunov_table["tilted_mc"]) == 4
@@ -269,7 +295,7 @@ class TestCurve:
         s = np.array([0.0, 1.0, 2.0])
         k = 0.4 * 2.0**s + 0.6 * 3.0**-s
         exact = (0.4 * 2.0**s * np.log(2.0) - 0.6 * 3.0**-s * np.log(3.0)) / k
-        table = compute_curve(similarity, s, seed=0, solver=ks).lyapunov_table
+        table = compute_curve(ks, s, seed=0).lyapunov_table
         se = np.array(table["tilted_mc_se"])
         assert np.all(np.isfinite(se)) and np.all(se > 0)
         assert np.all(np.abs(np.array(table["tilted_mc"]) - exact) < 4 * se)
@@ -287,7 +313,7 @@ class TestD3Diagnostics:
     def test_gap_diag3(self):
         e = LinearEnsemble(3, np.array([np.diag([2.0, 1.0, 0.5])]),
                            np.array([1.0]))
-        gap, _ = lyapunov_gap(e, 0.0, n=150, n_pairs=4, n_paths=8, seed=1)
+        gap, _ = lyapunov_gap(KSolver(e), 0.0, n=150, n_pairs=4, n_paths=8, seed=1)
         # second minus first exponent: 0 - log 2
         assert abs(gap - (-np.log(2.0))) < 0.05
 
@@ -299,15 +325,15 @@ class TestD3Diagnostics:
         flip = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         e = LinearEnsemble(3, np.array([rot3(1.0), flip]),
                            np.array([0.5, 0.5]))
-        gap, se = lyapunov_gap(e, 0.0, n=30, n_pairs=4, n_paths=8, seed=2)
+        gap, se = lyapunov_gap(KSolver(e), 0.0, n=30, n_pairs=4, n_paths=8, seed=2)
         assert abs(gap) < max(3 * se, 1e-12)
-        rho = contraction_rate(e, 0.0, eps=0.5, n=10, n_pairs=6, n_paths=8,
-                               seed=3)
+        rho = contraction_rate(KSolver(e), 0.0, eps=0.5, n=10, n_pairs=6,
+                               n_paths=8, seed=3)
         assert abs(rho - 1.0) < 1e-12
 
     def test_contraction_eps_to_zero_limit(self, ip, ip_solver, ip_alpha):
-        rho = contraction_rate(ip, ip_alpha, eps=1e-9, n=10, n_pairs=4,
-                               n_paths=8, seed=4, solver=ip_solver)
+        rho = contraction_rate(ip_solver, ip_alpha, eps=1e-9, n=10, n_pairs=4,
+                               n_paths=8, seed=4)
         assert abs(rho - 1.0) < 1e-6
 
 
@@ -446,20 +472,19 @@ class TestOneChainEqualsPerRunReference:
         e, ks = small_solver.ensemble, small_solver
         s_values = [0.0, 0.7, 1.4]
         want = per_s_tilted_mc(e, ks, s_values, 5, 16, 300)
-        assert spectrum._tilted_mc(e, ks, s_values, 5, 16, 300) == want
-        assert lyapunov(e, 0.7, "tilted_mc", solver=ks, seed=5, n_chains=16,
+        assert spectrum._tilted_mc(ks, s_values, 5, 16, 300) == want
+        assert lyapunov(ks, 0.7, "tilted_mc", seed=5, n_chains=16,
                         n_steps=300) == per_s_tilted_mc(e, ks, [0.7], 5, 16, 300)[0]
 
     def test_exponents_draw_from_their_own_streams(self, small_solver):
         # one s twice: on a shared stream both would walk the same paths
-        e, ks = small_solver.ensemble, small_solver
-        first, second = spectrum._tilted_mc(e, ks, [0.7, 0.7], 5, 16, 300)
+        first, second = spectrum._tilted_mc(small_solver, [0.7, 0.7], 5, 16, 300)
         assert first != second
 
     def test_curve_tilted_mc_column(self, ip):
         ks = KSolver(ip, build_grid(2, 64, "projective"))
         s_values = [0.0, 1.0, 2.0]
-        curve = compute_curve(ip, s_values, seed=3, solver=ks)
+        curve = compute_curve(ks, s_values, seed=3)
         want = per_s_tilted_mc(ip, ks, s_values, 3,
                                spectrum._MC_CHAINS, spectrum._MC_STEPS)
         assert curve.lyapunov_table["tilted_mc"] == [L for L, _ in want]
@@ -470,8 +495,8 @@ class TestOneChainEqualsPerRunReference:
         # at seed 3 an in-order d=3 wedge walk moves the stderr by 1 ulp
         for seed in (9, 3):
             want = per_pair_gap(e, ks.point(0.8), 12, 5, 8, seed)
-            assert lyapunov_gap(e, 0.8, n=12, n_pairs=5, n_paths=8, seed=seed,
-                                solver=ks) == want
+            assert lyapunov_gap(ks, 0.8, n=12, n_pairs=5, n_paths=8,
+                                seed=seed) == want
 
     @pytest.mark.parametrize("n_pairs", [5, 11])  # fewer and more than 8 worst
     def test_rho_over_pairs(self, small_solver, n_pairs):
@@ -479,5 +504,5 @@ class TestOneChainEqualsPerRunReference:
         # at seed 2 an in-order d=3 wedge walk moves rho by 1 ulp
         for seed in (4, 2):
             want = per_pair_rho(e, ks.point(0.8), 0.5, 10, n_pairs, 16, seed)
-            assert contraction_rate(e, 0.8, eps=0.5, n=10, n_pairs=n_pairs,
-                                    n_paths=16, seed=seed, solver=ks) == want
+            assert contraction_rate(ks, 0.8, eps=0.5, n=10, n_pairs=n_pairs,
+                                    n_paths=16, seed=seed) == want
