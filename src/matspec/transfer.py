@@ -201,9 +201,9 @@ class KSolver:
     d=1, k(s) is the Mellin sum sum_i w_i |a_i|^s itself.  The solver owns
     the operator family of the ensemble (``op``) and, through ``star``, the
     solver of the transposed ensemble on the same grid (itself in d=1);
-    both are built on first use.  Solved points are cached by s, and a new s starts from the
-    cached point nearest to it.  tol bounds both residuals of a solve and
-    max_iter its mat-vecs.
+    both are built on first use.  Solved points are cached by s, and a new
+    s starts from the cached point nearest to it.  tol bounds both
+    residuals of a solve and max_iter its mat-vecs.
     """
 
     def __init__(

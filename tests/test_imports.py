@@ -1,12 +1,12 @@
 """No module of the package imports another module's private names, only
 KSolver builds transfer operators and runs eigen-solves, a KSolver is
 built only for a CLI run, as a transposed solver or by solve_alpha's
-fallback, only TiltedChain.step runs the tilted kernel, only the CLI's runner opens and
-finishes manifests, no walk applies a gathered atom stack with einsum,
-atoms are drawn only from an ensemble's weights or a point's pi, only
-rng.py builds random generators, every public routine has a caller inside
-the package, the CLI imports no scipy, and the package and pyproject.toml
-state one version."""
+fallback, only TiltedChain.step runs the tilted kernel, only the CLI's
+runner opens and finishes manifests, no walk applies a gathered atom
+stack with einsum, atoms are drawn only from an ensemble's weights or a
+point's pi, only rng.py builds random generators, every public routine
+has a caller inside the package, the CLI imports no scipy, and the
+package and pyproject.toml state one version."""
 
 import ast
 import os
