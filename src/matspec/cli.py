@@ -38,7 +38,6 @@ from .ensemble import (
     classify_cone_case,
     ensemble_hash,
     load_ensemble,
-    transpose,
     validate_linear,
 )
 from .projective import PROJECTIVE, build_grid
@@ -466,7 +465,6 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     d = lin.dimension
     n_dirs = 2 if d == 1 else 8 if cfg.directions is None else cfg.directions
     dirs = _probe_directions(d, n_dirs, projective=False)
-    sp_star = ks.star.point(alpha)
     tail_tables = {}
     mellins = {}
     for u in dirs:
@@ -489,7 +487,7 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     if case == "I" and len(dirs) > 1:
         try:
             prof = directional_profile(
-                [tail_tables.get(_direction_key(u)) for u in dirs], sp_star, dirs)
+                [tail_tables.get(_direction_key(u)) for u in dirs], ks, alpha, dirs)
         except ValueError as exc:
             man.warn(f"profile: {exc}")
     betas = [0.0, alpha / 2, alpha * 1.2] if cfg.moment_betas is None else cfg.moment_betas
@@ -560,10 +558,9 @@ def _renewal(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
         # contracting regime: alpha-tilted potential against the
         # t^{-alpha}-scaled renewal prediction
         alpha = solve_alpha(lin, solver=ks)
-        L_alpha = lyapunov(ks, alpha, "quadrature")[0]
         rep = tilted_potential_profile(
-            lin, _default_direction(lin), cfg.t_start, fns, n_paths=cfg.mc_paths,
-            seed=cfg.seed, sp=ks.point(alpha), L_alpha=L_alpha,
+            ks, alpha, np.eye(lin.dimension)[0], cfg.t_start, fns,
+            n_paths=cfg.mc_paths, seed=cfg.seed,
         )
     if arith:
         rep.caveats.append("arithmetic log-lattice: pointwise renewal limit not "
@@ -579,17 +576,10 @@ def _renewal(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     return "ok"
 
 
-def _default_direction(lin: LinearEnsemble) -> np.ndarray:
-    u = np.zeros(lin.dimension)
-    u[0] = 1.0
-    return u
-
-
 def _cramer(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     lin = ks.ensemble
     _require_contracting(ks)
     alpha = solve_alpha(lin, solver=ks)
-    sp = ks.point(alpha)
     t_grid = np.geomspace(*cfg.t_grid)
     d = lin.dimension
     n_dirs = (16 if d > 1 else 2) if cfg.directions is None else cfg.directions
@@ -598,9 +588,9 @@ def _cramer(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     t0 = time.perf_counter()
     for j, u in enumerate(dirs):
         key = _direction_key(u)
-        tilted = cramer_constant(lin, alpha, u, t_grid, cfg.mc_paths,
-                                 seed=cfg.seed + j, method="tilted", sp=sp)
-        naive = cramer_constant(lin, alpha, u, t_grid,
+        tilted = cramer_constant(ks, alpha, u, t_grid, cfg.mc_paths,
+                                 seed=cfg.seed + j, method="tilted")
+        naive = cramer_constant(ks, alpha, u, t_grid,
                                 cfg.mc_paths, seed=cfg.seed + 1000 + j,
                                 method="naive")
         for r in tilted:
@@ -620,11 +610,9 @@ def _dualwalk(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     lin = ks.ensemble
     _require_contracting(ks)
     alpha = solve_alpha(lin, solver=ks)
-    L_alpha = lyapunov(ks, alpha, "quadrature")[0]
-    sp_star = ks.star.point(alpha)
     # ladder positivity is guaranteed on the charged attractor side: start
     # there when the transposed semigroup preserves a cone
-    cone_star, ev_star = classify_cone_case(transpose(lin), seed=cfg.seed)
+    cone_star, ev_star = classify_cone_case(ks.star.ensemble, seed=cfg.seed)
     u0 = None
     if cone_star == "II" and ev_star.get("attractor_center") is not None:
         u0 = np.asarray(ev_star["attractor_center"], dtype=float)
@@ -633,7 +621,7 @@ def _dualwalk(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
         u0 *= np.sign(ensemble.weights @ ensemble.translations @ u0) or 1.0
     t0 = time.perf_counter()
     rec = dual_walk_simulate(
-        ensemble, sp_star, L_alpha,
+        ensemble, ks, alpha,
         p0=cfg.p0,
         u0=u0,
         n_starts=cfg.mc_paths, n_steps=cfg.mc_steps, seed=cfg.seed,

@@ -179,7 +179,7 @@ def transpose(e: LinearEnsemble) -> LinearEnsemble:
     """Push-forward under g -> g^T; weights unchanged."""
     return LinearEnsemble(
         e.dimension,
-        np.transpose(e.matrices, (0, 2, 1)).copy(),
+        e.matrices.swapaxes(1, 2).copy(),
         e.weights.copy(),
         label=(e.label + "*") if e.label else "*",
     )

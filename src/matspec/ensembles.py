@@ -187,7 +187,7 @@ def affine_3d() -> AffineEnsemble:
 
     rots = Rotation.from_rotvec([[0.0, 0.0, 0.0], [1.1, 0.4, -0.3],
                                  [-0.5, 1.3, 0.7]]).as_matrix()
-    mats = 0.59 * rots @ np.diag([2.0, 1.0, 0.5]) @ np.transpose(rots, (0, 2, 1))
+    mats = 0.59 * rots @ np.diag([2.0, 1.0, 0.5]) @ rots.swapaxes(1, 2)
     return AffineEnsemble(
         3,
         mats,

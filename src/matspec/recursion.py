@@ -22,7 +22,7 @@ from .rng import draw_atoms, stream as _rng
 
 from .ensemble import AffineEnsemble, apply_atoms, ensemble_hash
 from .projective import interpolate
-from .transfer import SpectralPoint
+from .transfer import KSolver
 
 __all__ = [
     "TailSampleBank",
@@ -143,7 +143,7 @@ def sample_stationary(
     n_samples: int,
     seed: int,
     chunk: int = 1 << 17,
-    lyapunov_negative: bool | None = None,
+    lyapunov_negative: bool = False,
     n_workers: int = 1,
 ) -> TailSampleBank:
     """Backward-iterate the recursion to produce n_samples stationary draws.
@@ -153,8 +153,8 @@ def sample_stationary(
     product stopped at e can still climb past t e later (for the d=1
     reference, where E A = 1, with probability up to 1/t).  Pass
     lyapunov_negative=True when the contraction hypothesis was verified
-    upstream; None leaves a runtime check: a sampled product whose median
-    norm fails to decay aborts the run.  Chunks carry independent streams
+    upstream; otherwise a runtime check aborts the run when a sampled
+    product's median norm fails to decay.  Chunks carry independent streams
     and are merged in index order, so n_workers never changes the result.
     A bank whose truncation diagnostic exceeds 1e-8 is under-converged.
     """
@@ -170,7 +170,7 @@ def sample_stationary(
     else:
         results = [_sample_chunk(*job) for job in jobs]
     parts, ratios, prod_max, decay_logs, row_steps, last_steps = zip(*results)
-    if lyapunov_negative is None and max(decay_logs) >= 0.0:
+    if not lyapunov_negative and max(decay_logs) >= 0.0:
         raise RuntimeError(
             "backward partial sums are not converging: "
             "Lyapunov exponent >= 0 suspected"
@@ -303,17 +303,19 @@ def empirical_tail(
 
 def directional_profile(
     tables: list[dict | None],
-    sp_star_alpha: SpectralPoint,
+    ks: KSolver,
+    alpha: float,
     directions: np.ndarray,
 ) -> dict:
-    """Ratios C_hat(u) / *e^alpha(u) across directions and their coefficient
-    of variation; direction-independent in the no-invariant-cone case.
+    """Ratios C_hat(u) / *e^alpha(u) across directions, *e^alpha read from
+    ks.star, and their coefficient of variation; direction-independent in
+    the no-invariant-cone case.
 
     tables[i] is the empirical_tail table of directions[i], or None where
     that direction had too few exceedances.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    e_values = interpolate(sp_star_alpha.e, directions)
+    e_values = interpolate(ks.star.point(alpha).e, directions)
     ratios = []
     constants = {}
     for u, ev, res in zip(directions, e_values, tables):

@@ -14,7 +14,9 @@ k(alpha)^n e^alpha(u) / (e^alpha(S_n.u) |S_n u|^alpha) evaluated at the
 first crossing.  The dual ladder walk (u_n, p_n) drives the positivity of
 directional tail constants: its ladder epochs are the record times of
 p^{-1} p_n |S'_n u| and the mean inter-record gap ties the ladder height
-growth rate to L(alpha).
+growth rate to L(alpha).  Each tilted walk takes the run's
+transfer.KSolver and alpha and reads its chain, e^alpha, nu^alpha and
+L(alpha) (by quadrature) from that one solver; the dual walk's from ks.star.
 
 Every level walk retires finished paths by compaction: the untilted walks
 drop their rows from their own arrays and the tilted ones through
@@ -28,9 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import AffineEnsemble, LinearEnsemble, apply_atoms, transpose
+from .ensemble import AffineEnsemble, LinearEnsemble, apply_atoms
 from .rng import draw_atoms, stream as _rng
-from .transfer import SpectralPoint, TiltedChain
+from .spectrum import lyapunov
+from .transfer import KSolver, TiltedChain
 
 __all__ = [
     "RenewalReport",
@@ -163,26 +166,26 @@ def _report(regime: str, test_functions: list[AnnulusFunction], acc: np.ndarray,
 
 
 def cramer_constant(
-    e: LinearEnsemble,
+    ks: KSolver,
     alpha: float,
     u: np.ndarray,
     t_grid: np.ndarray,
     n_paths: int,
     seed: int,
     method: str = "tilted",
-    sp: SpectralPoint | None = None,
 ) -> list[dict]:
     """Table of A_hat(u, t) = t^alpha P{sup_n |S_n u| > t} per threshold.
 
-    naive: direct path counting under the untilted walk; a path retires once
-    its log magnitude falls 60 nats below its running maximum (the sup can
-    then no longer move at the thresholds of interest).  Rows with fewer
-    than 25 exceedances are flagged starved.
+    naive: direct path counting under the untilted walk of ks.ensemble,
+    with no eigen-solve; a path retires once its log magnitude falls 60
+    nats below its running maximum (the sup can then no longer move at the
+    thresholds of interest).  Rows with fewer than 25 exceedances are
+    flagged starved.
 
-    tilted: sequential importance sampling under the alpha-tilted chain with
-    the exact likelihood ratio at first crossing; every path crosses every
-    level since the tilted drift is positive.  Either way a path runs at most
-    4000 steps.
+    tilted: sequential importance sampling under the alpha-tilted chain of
+    ks with the exact likelihood ratio at first crossing; every path
+    crosses every level since the tilted drift is positive.  Either way a
+    path runs at most 4000 steps.
     """
     max_steps, drop_nats, min_hits = 4000, 60.0, 25
     u = np.asarray(u, dtype=float)
@@ -191,6 +194,7 @@ def cramer_constant(
     t_arr = np.exp(log_ts)
     rng = _rng(seed, 660)
     if method == "naive":
+        e = ks.ensemble
         # retired paths are compacted out, the live ones keep their order
         x = np.repeat(u[:, None], n_paths, axis=1)
         logmag = np.zeros(n_paths)
@@ -218,9 +222,7 @@ def cramer_constant(
                               hits, lambda h: "starved" if h < min_hits else "")
     if method != "tilted":
         raise ValueError(f"unknown method {method!r}")
-    if sp is None:
-        raise ValueError("tilted method needs the spectral point at alpha")
-    chain = TiltedChain(e, [sp], [np.tile(u, (n_paths, 1))])
+    chain = TiltedChain(ks, [alpha], [np.tile(u, (n_paths, 1))])
     # per threshold: accumulated weight sums at first crossing.  A path has
     # crossed exactly the thresholds below its first uncrossed one, nxt.
     weight_sum = np.zeros(len(log_ts))
@@ -267,28 +269,28 @@ def _crossing_rows(t_arr, alpha, n_paths, p_hats, variances, hits, flag) -> list
 
 
 def tilted_potential_profile(
-    e: LinearEnsemble,
+    ks: KSolver,
+    alpha: float,
     u: np.ndarray,
     t: float,
     test_functions: list[AnnulusFunction],
     n_paths: int,
     seed: int,
-    sp: SpectralPoint,
-    L_alpha: float,
     max_steps: int = 4000,
 ) -> RenewalReport:
     """t^{-alpha} sum_k E[f(S_k(t u))] for annulus functions f, against the
     prediction e^alpha(u)/L(alpha) * nu^alpha(probe) * (c1^-a - c2^-a)/a,
-    where sp is the solved point at alpha: alpha = sp.s, nu^alpha = sp.nu.
+    with e^alpha and nu^alpha from ks.point(alpha) and L(alpha) from its
+    quadrature route.
 
     Every step contributes through its own likelihood ratio, so the sum is
     an exact reweighting of the untilted potential.
     """
-    alpha = sp.s
+    L_alpha = lyapunov(ks, alpha, "quadrature")[0]
     u = np.asarray(u, dtype=float)
     u = u / np.linalg.norm(u)
     rng = _rng(seed, 770)
-    chain = TiltedChain(e, [sp], [np.tile(u, (n_paths, 1))])
+    chain = TiltedChain(ks, [alpha], [np.tile(u, (n_paths, 1))])
     e_at_u = float(chain.e_x[0])
     acc = np.zeros((len(test_functions), n_paths))
     windows = [(f.log_lo - np.log(t), f.log_hi - np.log(t)) for f in test_functions]
@@ -300,7 +302,8 @@ def tilted_potential_profile(
                     np.exp(chain.log_lr()))
         chain.keep(chain.logmag <= top + 5.0)
         steps += 1
-    return _report("contracting-tilted", test_functions, acc * t ** (-alpha), sp.nu,
+    return _report("contracting-tilted", test_functions, acc * t ** (-alpha),
+                   ks.point(alpha).nu,
                    lambda f, mass: e_at_u / L_alpha * mass
                    * (np.exp(f.log_lo)**-alpha - np.exp(f.log_hi)**-alpha) / alpha)
 
@@ -330,8 +333,8 @@ class DualWalkRecord:
 
 def dual_walk_simulate(
     ae: AffineEnsemble,
-    sp_star_alpha: SpectralPoint,
-    L_alpha: float,
+    ks: KSolver,
+    alpha: float,
     p0: float = 1.0,
     u0: np.ndarray | None = None,
     n_starts: int = 1024,
@@ -340,7 +343,8 @@ def dual_walk_simulate(
 ) -> DualWalkRecord:
     """Simulate the dual chain u_{n+1} = A*.u_n,
     p_{n+1} = (p_n + <B, u_n>) / |A* u_n| with atoms drawn from the
-    alpha-tilted transposed kernel, and record its ladder structure.
+    alpha-tilted chain of ks.star, and record its ladder structure; ks is
+    the solver of ae.linear_part, which also gives L(alpha) by quadrature.
 
     Ladder epochs are the successive record times of p^{-1} p_n |S'_n u|
     (tracked in logs, so growth never overflows); gamma_tau = L(alpha) *
@@ -349,7 +353,11 @@ def dual_walk_simulate(
     """
     if p0 == 0.0:
         raise ValueError("p0 must be nonzero")
-    lin_star = transpose(ae.linear_part)
+    lin = ae.linear_part
+    if not (np.array_equal(ks.ensemble.matrices, lin.matrices)
+            and np.array_equal(ks.ensemble.weights, lin.weights)):
+        raise ValueError("ks must be the solver of the walk's linear part")
+    L_alpha = lyapunov(ks, alpha, "quadrature")[0]
     d = ae.dimension
     rng = _rng(seed, 880)
     if u0 is None:
@@ -357,7 +365,7 @@ def dual_walk_simulate(
         u /= np.linalg.norm(u, axis=1, keepdims=True)
     else:
         u = np.tile(np.asarray(u0, dtype=float) / np.linalg.norm(u0), (n_starts, 1))
-    chain = TiltedChain(lin_star, [sp_star_alpha], [u])
+    chain = TiltedChain(ks.star, [alpha], [u])
     b_cols = ae.translations.T.copy()  # row j: every atom's B_j
     p = np.full(n_starts, float(p0))
     log_record = np.zeros(n_starts)  # record of log(p^{-1} p_n |S'_n u|), start 0

@@ -13,19 +13,19 @@ check on the discretization.  In d=1 the grid is one node, k(s) is the
 Mellin sum sum_i w_i |a_i|^s, and both routes run on it as in every other
 dimension.
 
-Every routine here takes the run's transfer.KSolver and reads its
-ensemble from it; only solve_alpha also accepts an ensemble and a grid in
-its place.  The solver holds every solve of an (ensemble, grid) pair and of
-its transpose, each warm-started from the nearest solved exponent;
-solve_alpha runs Newton on log k with that k'(s), safeguarded by a verified
-bracket.
+Every routine here takes the run's transfer.KSolver, reads its ensemble
+from it and builds each tilted chain from it and the exponents it walks
+at; only solve_alpha also accepts an ensemble and a grid in its place.  The
+solver holds every solve of an (ensemble, grid) pair and of its transpose,
+each warm-started from the nearest solved exponent; solve_alpha runs
+Newton on log k with that k'(s), safeguarded by a verified bracket.
 
 Tilted sampling realizes the s-tilted path measure through its Markov-chain
 disintegration (the paths of transfer.TiltedChain) rather than by
 importance weights on the untilted law, whose weights degenerate
 exponentially in the path length.  The walks are batched: compute_curve's
 tilted Monte Carlo runs the paths of every s in one chain over the stack of
-their points, and lyapunov_gap and each stage of contraction_rate run all
+those exponents, and lyapunov_gap and each stage of contraction_rate run all
 their probe pairs in one chain, whose drawn atoms act on the pairs'
 vectors through ensemble.apply_atoms.  Each s and each pair still draws its
 start rows and uniforms from the stream and in the order it would alone, so
@@ -243,11 +243,10 @@ def _tilted_mc(
     """
     burn = max(100, n_steps // 10)
     rngs = [_rng(seed, 101, i) for i in range(len(s_values))]
-    points = [ks.point(s) for s in s_values]
-    starts = [_sample_pi_nodes(sp, n_chains, rng) for sp, rng in zip(points, rngs)]
-    chain = TiltedChain(ks.ensemble, points, starts)
-    u = np.empty((len(points), n_chains))
-    sums = np.zeros((len(points), n_chains))
+    starts = [_sample_pi_nodes(ks.point(s), n_chains, rng) for s, rng in zip(s_values, rngs)]
+    chain = TiltedChain(ks, s_values, starts)
+    u = np.empty((len(s_values), n_chains))
+    sums = np.zeros((len(s_values), n_chains))
     for step in range(n_steps):
         for rng, block in zip(rngs, u):
             rng.random(out=block)
@@ -265,13 +264,13 @@ def _wedge_operators(e: LinearEnsemble) -> np.ndarray:
     if e.dimension == 2:
         return dets
     if e.dimension == 3:
-        return dets * np.transpose(np.linalg.inv(e.matrices), (0, 2, 1))
+        return dets * np.linalg.inv(e.matrices).swapaxes(1, 2)
     raise ValueError("pair contraction diagnostics cover d in {2, 3}")
 
 
 def _pair_contraction_logs(
-    e: LinearEnsemble,
-    sp: SpectralPoint,
+    ks: KSolver,
+    s: float,
     x0: np.ndarray,
     v: np.ndarray,
     w: np.ndarray,
@@ -282,13 +281,15 @@ def _pair_contraction_logs(
     Works in log space through the wedge cocycle
     log sin(angle(S v, S w)) = log|S (v^w)| - log|S v| - log|S w|,
     so arbitrarily strong contraction never underflows.  x0, v, w are
-    (M, d) rows; the chain is driven from x0, and row t of u (n, M) holds
-    the uniforms of step t.  The drawn atoms act on v and w, rows last, in
-    one apply_atoms call, and on v^w through _wedge_operators; in d=2 v^w is
-    a 1-vector of sign +-1 whose norm grows by exactly |det g| a step.
+    (M, d) rows; the chain of ks at s is driven from x0, and row t of u
+    (n, M) holds the uniforms of step t.  The drawn atoms act on v and w,
+    rows last, in one apply_atoms call, and on v^w through _wedge_operators;
+    in d=2 v^w is a 1-vector of sign +-1 whose norm grows by exactly
+    |det g| a step.
     """
+    e = ks.ensemble
     wedge_ops = _wedge_operators(e)
-    chain = TiltedChain(e, [sp], [x0])
+    chain = TiltedChain(ks, [s], [x0])
     vw_dir = np.ascontiguousarray(np.stack([v.T, w.T], axis=1))  # (d, 2, M)
     vw_log = np.zeros((2, len(v)))
     if e.dimension == 2:
@@ -318,27 +319,28 @@ def _random_unit(rng: np.random.Generator, size: int, d: int) -> np.ndarray:
 
 
 def _run_pairs(
-    e: LinearEnsemble,
-    sp: SpectralPoint,
+    ks: KSolver,
+    s: float,
     rng: np.random.Generator,
     n: int,
     paths: int,
     starts: list,
 ) -> tuple[np.ndarray, list]:
-    """Log contraction (pairs, paths) of probe pairs, all in one chain.
+    """Log contraction (pairs, paths) of probe pairs, all in one chain of
+    ks at s.
 
     Each entry of starts is a pair's (x0, v, w) as (1, d) unit rows, or None
     to draw them.  Pair after pair, the stream serves the start rows a pair
     draws and then its n steps of paths uniforms.  Returns the logs and the
     (x0, v, w) of every pair.
     """
-    d = e.dimension
+    d = ks.ensemble.dimension
     pairs, blocks = [], []
     for start in starts:
         pairs.append(start or tuple(_random_unit(rng, 1, d) for _ in range(3)))
         blocks.append(rng.random((n, paths)))
     x0, v, w = (np.repeat(np.concatenate(rows), paths, axis=0) for rows in zip(*pairs))
-    logs = _pair_contraction_logs(e, sp, x0, v, w, np.concatenate(blocks, axis=1))
+    logs = _pair_contraction_logs(ks, s, x0, v, w, np.concatenate(blocks, axis=1))
     return logs.reshape(len(pairs), paths), pairs
 
 
@@ -355,10 +357,9 @@ def lyapunov_gap(
     sampled (x, v, v'); strictly negative when the dominant exponent is
     simple.  Returns (gap estimate, stderr of the maximizing pair).
     """
-    e = ks.ensemble
-    if e.dimension < 2:
+    if ks.ensemble.dimension < 2:
         raise ValueError("the pair-contraction gap needs d >= 2")
-    logs, _ = _run_pairs(e, ks.point(s), _rng(seed, 202), n, n_paths, [None] * n_pairs)
+    logs, _ = _run_pairs(ks, s, _rng(seed, 202), n, n_paths, [None] * n_pairs)
     best = -np.inf
     best_se = np.nan
     for pair_logs in logs:
@@ -390,14 +391,12 @@ def contraction_rate(
     eps_max = 1.0 if s == 0.0 else min(1.0, s)
     if not 0.0 < eps <= eps_max:
         raise ValueError("eps must lie in (0, min(1, s)] (Holder range)")
-    e = ks.ensemble
-    if e.dimension < 2:
+    if ks.ensemble.dimension < 2:
         raise ValueError("contraction diagnostics need d >= 2")
-    sp = ks.point(s)
     rng = _rng(seed, 303)
 
     def ratios(paths: int, starts: list) -> tuple[list[float], list]:
-        logs, starts = _run_pairs(e, sp, rng, n, paths, starts)
+        logs, starts = _run_pairs(ks, s, rng, n, paths, starts)
         return [float(np.mean(np.exp(eps * pair_logs))) for pair_logs in logs], starts
 
     coarse, starts = ratios(max(8, n_paths // 4), [None] * n_pairs)

@@ -35,10 +35,11 @@ The one-step tilted Markov kernel
 with c(x) its exact normalizer (k(s) up to discretization), is the sampling
 device of every rare-event and Lyapunov routine downstream; TiltedChain
 runs it on many paths at once and keeps the likelihood ratio of each path
-against the untilted walk.  A chain holds a stack of points on one grid,
-one point being a stack of one: each row keeps its point, reads e^s from
-that point's block of one stacked table and tilts by that point's s, so
-walks at many exponents share every kernel call.  A tilted step forms every
+against the untilted walk.  A chain is built from a KSolver and a stack of
+exponents, one exponent being a stack of one, so its kernel and every e^s
+it reads come from one solver: each row keeps its exponent, reads e^s from
+that exponent's block of one stacked table and tilts by that s, so walks
+at many exponents share every kernel call.  A tilted step forms every
 atom's image of every path in one matrix product and interpolates e^s at
 all of them in one stencil call; tilted_probs, the kernel, runs only inside
 TiltedChain.step, which takes its uniforms from the caller so that each
@@ -466,8 +467,6 @@ class _StackRows:
     def stack(cls, points: Sequence[SpectralPoint], counts: Sequence[int]) -> "_StackRows":
         """counts[p] rows of point p, point after point."""
         grid = points[0].e.grid
-        if any(p.e.grid is not grid for p in points):
-            raise ValueError("a stack needs one row block per point, all on one grid")
         return cls(grid, np.concatenate([p.e.values for p in points]),
                    np.repeat([float(p.s) for p in points], counts),
                    np.repeat(np.arange(len(points)) * grid.n_nodes, counts))
@@ -501,7 +500,7 @@ class _Work:
 
     def __init__(self, e: LinearEnsemble):
         m, d = e.n_atoms, e.dimension
-        self.g = e.matrices.transpose(1, 0, 2).reshape(d * m, d)
+        self.g = e.matrices.swapaxes(0, 1).reshape(d * m, d)
         self.weights = e.weights[:, None]
         self._flat: dict[str, np.ndarray] = {}
 
@@ -514,20 +513,20 @@ class _Work:
 
 
 class TiltedChain:
-    """Paths of the tilted chain at a stack of exponents on one grid, each
-    path carrying its state.
+    """Paths of the tilted chain of one KSolver's ensemble at a stack of
+    exponents, each path carrying its state.
 
-    points is a sequence of S points on one grid and x0 a sequence of S
-    blocks of unit start rows, block p (M_p, d) starting the paths of point
-    p; the chain's rows are the blocks in order, and each row keeps its
-    point.  A chain at one exponent is a stack of one.  A path holds its
-    direction x, e^s at x (e_x), logmag = log|S_n x0| and lognorm, the sum of
-    the log one-step normalizers of the kernel it was drawn from.  Each step
-    inverts each path's cumulative kernel row at one given uniform; e^s at
-    the new direction is the image value the kernel already interpolated.
-    Rows of every point share one kernel call per step.  keep retires paths
-    by dropping their rows, and ids holds each remaining row's number in
-    the chain as built.
+    s_values is a sequence of S exponents and x0 a sequence of S blocks of
+    unit start rows, block p (M_p, d) starting the paths at s_values[p];
+    the chain's rows are the blocks in order, and each row keeps its point
+    ks.point(s_values[p]).  A chain at one exponent is a stack of one.  A
+    path holds its direction x, e^s at x (e_x), logmag = log|S_n x0| and
+    lognorm, the sum of the log one-step normalizers of the kernel it was
+    drawn from.  Each step inverts each path's cumulative kernel row at one
+    given uniform; e^s at the new direction is the image value the kernel
+    already interpolated.  Rows of every exponent share one kernel call per
+    step.  keep retires paths by dropping their rows, and ids holds each
+    remaining row's number in the chain as built.
 
     The chain stores its directions rows last, (d, rows), and x is the
     transposed view.  step binds new arrays to x, e_x and logmag, so a
@@ -535,11 +534,11 @@ class TiltedChain:
     in place, and the kernel's work arrays are reused on every step.
     """
 
-    def __init__(self, e: LinearEnsemble, points: Sequence[SpectralPoint],
-                 x0: Sequence[np.ndarray]):
-        self.ensemble = e
-        if len(points) != len(x0):
-            raise ValueError("a stack needs one row block per point, all on one grid")
+    def __init__(self, ks: KSolver, s_values: Sequence[float], x0: Sequence[np.ndarray]):
+        if len(s_values) != len(x0):
+            raise ValueError("a stack needs one row block per exponent")
+        self.ensemble = ks.ensemble
+        points = [ks.point(s) for s in s_values]
         blocks = [np.array(b, dtype=float, ndmin=2) for b in x0]
         self._rows = _StackRows.stack(points, [len(b) for b in blocks])
         self._xt = np.concatenate(blocks).T.copy()  # (d, rows): rows last
@@ -548,7 +547,7 @@ class TiltedChain:
         self.logmag = np.zeros(len(self.e_x))
         self.lognorm = np.zeros(len(self.e_x))
         self.ids = np.arange(len(self.e_x))
-        self._work = _Work(e)
+        self._work = _Work(self.ensemble)
 
     @property
     def x(self) -> np.ndarray:

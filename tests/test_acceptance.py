@@ -160,15 +160,15 @@ def test_criterion_4_affine_d1_tails(big_bank):
 
 def test_criterion_5_cramer_suite(ip512):
     t0 = time.perf_counter()
-    e, solver, alpha = ip512
+    _, solver, alpha = ip512
     sp = solver.point(alpha)
     # naive/tilted agreement on overlapping t (one probe direction)
     u0 = np.array([1.0, 0.0])
     t_small = np.geomspace(10.0, 300.0, 5)
-    naive = cramer_constant(e, alpha, u0, t_small, 200_000, seed=900,
+    naive = cramer_constant(solver, alpha, u0, t_small, 200_000, seed=900,
                             method="naive")
-    tilted_small = cramer_constant(e, alpha, u0, t_small, 40_000, seed=901,
-                                   method="tilted", sp=sp)
+    tilted_small = cramer_constant(solver, alpha, u0, t_small, 40_000, seed=901,
+                                   method="tilted")
     agree_ok = True
     for rn, rt in zip(naive, tilted_small):
         if rn["flag"] == "starved":
@@ -180,8 +180,8 @@ def test_criterion_5_cramer_suite(ip512):
     ratios = []
     for j, th in enumerate(np.linspace(0.0, np.pi, 16, endpoint=False)):
         u = np.array([np.cos(th), np.sin(th)])
-        rows = cramer_constant(e, alpha, u, t_big, 60_000, seed=910 + j,
-                               method="tilted", sp=sp)
+        rows = cramer_constant(solver, alpha, u, t_big, 60_000, seed=910 + j,
+                               method="tilted")
         top = [r for r in rows if r["t"] >= t_big[-1] / 10.0]
         w = np.array([1.0 / r["stderr"] ** 2 for r in top])
         a_u = float(np.sum([r["estimate"] * wi for r, wi in zip(top, w)]) / w.sum())
@@ -269,8 +269,8 @@ def test_criterion_7_property_suites(ip512, big_bank):
     check("case-I-symmetry",
           abs(plus["plateau"] - minus["plateau"]) <= widths)
     # dual-walk ladder sign preservation (exact)
-    sp_star1 = KSolver(transpose(kesten_1d()), grid1, tol=1e-10).point(1.0)
-    rec = dual_walk_simulate(kesten_affine_1d(), sp_star1, KP1_KESTEN,
+    ks1 = KSolver(kesten_1d(), grid1, tol=1e-10)
+    rec = dual_walk_simulate(kesten_affine_1d(), ks1, 1.0,
                              p0=1.0, u0=np.array([1.0]), n_starts=512,
                              n_steps=200, seed=31)
     check("ladder-sign", rec.sign_preserved)
@@ -286,8 +286,8 @@ def test_criterion_7_property_suites(ip512, big_bank):
 
 def test_criterion_8_dual_walk_identity():
     grid1 = build_grid(1, 1, "projective")
-    sp_star = KSolver(transpose(kesten_1d()), grid1, tol=1e-10).point(1.0)
-    rec = dual_walk_simulate(kesten_affine_1d(), sp_star, KP1_KESTEN,
+    ks1 = KSolver(kesten_1d(), grid1, tol=1e-10)
+    rec = dual_walk_simulate(kesten_affine_1d(), ks1, 1.0,
                              p0=1.0, u0=np.array([1.0]), n_starts=10_000,
                              n_steps=300, seed=555)
     finite = int((rec.first_tau > 0).sum())

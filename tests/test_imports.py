@@ -1,12 +1,13 @@
 """No module of the package imports another module's private names, only
 KSolver builds transfer operators and runs eigen-solves, a KSolver is
 built only for a CLI run, as a transposed solver or by solve_alpha's
-fallback, only TiltedChain.step runs the tilted kernel, only the CLI's
-runner opens and finishes manifests, no walk applies a gathered atom
-stack with einsum, atoms are drawn only from an ensemble's weights or a
-point's pi, only rng.py builds random generators, every public routine
-has a caller inside the package, the CLI imports no scipy, and the
-package and pyproject.toml state one version."""
+fallback, only KSolver.star transposes an ensemble, only TiltedChain.step
+runs the tilted kernel, only the CLI's runner opens and finishes
+manifests, no walk applies a gathered atom stack with einsum, atoms are
+drawn only from an ensemble's weights or a point's pi, only rng.py builds
+random generators, every public routine has a caller inside the package,
+the CLI imports no scipy, and the package and pyproject.toml state one
+version."""
 
 import ast
 import os
@@ -57,6 +58,11 @@ def test_no_cross_module_private_imports():
 # solve_alpha, which alone still accepts an ensemble and a grid
 SOLVER_ONLY = {"TransferOperator": "KSolver.op", "power_iterate": "KSolver.point",
                "KSolver": ("_solver", "KSolver.star", "solve_alpha")}
+
+
+# the one transposed solver: a walk or check on the transposed ensemble
+# reads it from KSolver.star, so a run builds that ensemble once
+TRANSPOSE_ONLY = {"transpose": "KSolver.star"}
 
 
 # the one tilted chain: every tilted walk, at one exponent or a stack of
@@ -128,6 +134,29 @@ def test_only_ksolver_builds_operators_and_solves():
         path.name: sites
         for path in sorted(PACKAGE.glob("*.py"))
         if (sites := misplaced_calls(path.read_text(encoding="utf-8"), SOLVER_ONLY))
+    }
+    assert offenders == {}
+
+
+def test_only_ksolver_star_transposes():
+    source = """
+class KSolver:
+    @property
+    def star(self):
+        return KSolver(transpose(self.ensemble), self.grid)
+
+def _dualwalk(cfg, ensemble, ks, man):
+    cone_star, ev_star = classify_cone_case(transpose(ks.ensemble), seed=cfg.seed)
+
+def dual_walk_simulate(ae, ks, alpha):
+    lin_star = ensemble.transpose(ae.linear_part)
+"""
+    assert misplaced_calls(source, TRANSPOSE_ONLY) == ["_dualwalk: transpose",
+                                                       "dual_walk_simulate: transpose"]
+    offenders = {
+        path.name: sites
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (sites := misplaced_calls(path.read_text(encoding="utf-8"), TRANSPOSE_ONLY))
     }
     assert offenders == {}
 

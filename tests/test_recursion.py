@@ -111,10 +111,12 @@ class TestSampling:
             sample_stationary(kesten_affine, n_steps, n_samples, seed=1)
 
     def test_expanding_recursion_aborts(self):
+        # only lyapunov_negative=True, a verified contraction, skips the check
         ae = AffineEnsemble(1, np.array([[[2.0]], [[1.5]]]),
                             np.array([[1.0], [2.0]]), np.array([0.5, 0.5]))
-        with pytest.raises(RuntimeError, match="Lyapunov"):
-            sample_stationary(ae, 200, 100, seed=1)
+        for given in ({}, {"lyapunov_negative": False}):
+            with pytest.raises(RuntimeError, match="Lyapunov"):
+                sample_stationary(ae, 200, 100, seed=1, **given)
 
 
 class TestHill:
@@ -286,7 +288,7 @@ class TestCaseIProfile:
         # sign-flipped twin of the d=2 reference: no invariant cone, two-sided
         # tails; C(u)/*e^alpha(u) must be direction-independent up to the
         # engineering budget CV <= 0.25
-        from matspec.ensemble import AffineEnsemble, transpose
+        from matspec.ensemble import AffineEnsemble
         from matspec.ensembles import ip_flip_2d
         from matspec.projective import build_grid, interp_stencil
         from matspec.recursion import directional_profile
@@ -297,7 +299,7 @@ class TestCaseIProfile:
                             np.array([[1.0, 0.3], [-0.5, 0.8]]),
                             lin.weights.copy())
         grid = build_grid(2, 256, "projective")
-        sp_star = KSolver(transpose(lin), grid, tol=1e-10).point(ip_alpha)
+        ks = KSolver(lin, grid, tol=1e-10)
         bank = sample_stationary(ae, 1000, 600_000, seed=321, n_workers=2)
         ths = np.linspace(0, 2 * np.pi, 16, endpoint=False)
         dirs = np.column_stack([np.cos(ths), np.sin(ths)])
@@ -307,11 +309,11 @@ class TestCaseIProfile:
                 tables.append(empirical_tail(bank, u, ip_alpha))
             except ValueError:  # too few exceedances: the profile skips u
                 tables.append(None)
-        prof = directional_profile(tables, sp_star, dirs)
+        prof = directional_profile(tables, ks, ip_alpha, dirs)
         assert prof["cv"] <= 0.25
         # each ratio divides by *e^alpha(u) summed over the stencil in order
         idx, w = interp_stencil(grid, dirs)
-        e_values = np.sum(sp_star.e.values[idx] * w, axis=0)
+        e_values = np.sum(ks.star.point(ip_alpha).e.values[idx] * w, axis=0)
         keys = [tuple(np.round(u, 6)) for u in dirs]
         assert prof["ratios"].tolist() == [prof["constants"][k][0] / ev
                                            for k, ev in zip(keys, e_values)

@@ -18,24 +18,17 @@ from matspec.renewal import (
     potential_profile_expanding,
     tilted_potential_profile,
 )
+from matspec import transfer
 from matspec.rng import draw_atoms, stream
 from matspec.spectrum import solve_alpha
-from matspec.transfer import KSolver, TiltedChain, transpose
-
-L_ALPHA_KESTEN = 0.4 * 2.0 * np.log(2.0) - 0.2 * np.log(3.0)
+from matspec.transfer import KSolver, TiltedChain
 
 
 @pytest.fixture(scope="module")
-def sp_kesten_alpha():
+def ks_kesten():
+    """The solver of the d=1 Kesten walk, whose tail index is alpha = 1."""
     grid = build_grid(1, 1, "projective")
-    return KSolver(kesten_affine_1d().linear_part, grid, tol=1e-10).point(1.0)
-
-
-@pytest.fixture(scope="module")
-def sp_star_kesten_alpha():
-    grid = build_grid(1, 1, "projective")
-    return KSolver(transpose(kesten_affine_1d().linear_part), grid,
-                   tol=1e-10).point(1.0)
+    return KSolver(kesten_affine_1d().linear_part, grid, tol=1e-10)
 
 
 def einsum_expanding_counts(e, test_functions, n_paths, seed, max_steps=2000):
@@ -130,43 +123,52 @@ class TestExpandingProfile:
 
 
 class TestCramer:
-    def test_small_t_probability_one(self, sp_kesten_alpha):
-        lin = kesten_affine_1d().linear_part
-        rows = cramer_constant(lin, 1.0, np.array([1.0]), [0.5], 2000,
+    def test_small_t_probability_one(self, ks_kesten):
+        rows = cramer_constant(ks_kesten, 1.0, np.array([1.0]), [0.5], 2000,
                                seed=4, method="naive")
         # |S_0 u| = 1 > 0.5 already, so the exceedance probability is 1
         assert rows[0]["estimate"] == pytest.approx(0.5, abs=1e-12)
 
-    def test_naive_tilted_consistency_d1(self, sp_kesten_alpha):
-        lin = kesten_affine_1d().linear_part
+    def test_naive_tilted_consistency_d1(self, ks_kesten):
         tg = np.geomspace(10, 300, 4)
-        naive = cramer_constant(lin, 1.0, np.array([1.0]), tg, 100_000,
+        naive = cramer_constant(ks_kesten, 1.0, np.array([1.0]), tg, 100_000,
                                 seed=5, method="naive")
-        tilted = cramer_constant(lin, 1.0, np.array([1.0]), tg, 20_000,
-                                 seed=6, method="tilted", sp=sp_kesten_alpha)
+        tilted = cramer_constant(ks_kesten, 1.0, np.array([1.0]), tg, 20_000,
+                                 seed=6, method="tilted")
         for rn, rt in zip(naive, tilted):
             combined = 1.96 * (rn["stderr"] + rt["stderr"])
             assert abs(rn["estimate"] - rt["estimate"]) <= combined + 1e-12
 
-    def test_starved_flagging(self):
-        lin = kesten_affine_1d().linear_part
-        rows = cramer_constant(lin, 1.0, np.array([1.0]), [1e6], 500,
+    def test_starved_flagging(self, ks_kesten):
+        rows = cramer_constant(ks_kesten, 1.0, np.array([1.0]), [1e6], 500,
                                seed=7, method="naive")
         assert rows[0]["flag"] == "starved"
 
-    def test_tilted_requires_spectral_point(self):
-        lin = kesten_affine_1d().linear_part
-        with pytest.raises(ValueError, match="spectral point"):
-            cramer_constant(lin, 1.0, np.array([1.0]), [10.0], 100,
-                            seed=8, method="tilted")
+    def test_naive_runs_no_solve(self, ip, monkeypatch):
+        # the naive walk reads only the solver's ensemble
+        calls = []
+        solve = transfer.power_iterate
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, "power_iterate", counting_solve)
+        ks = KSolver(ip, build_grid(2, 64, "projective"))
+        rows = cramer_constant(ks, 1.2, np.array([1.0, 0.0]), [2.0, 20.0], 200,
+                               seed=8, method="naive")
+        assert len(rows) == 2 and calls == []
+        cramer_constant(ks, 1.2, np.array([1.0, 0.0]), [2.0], 20, seed=8)
+        assert calls == [1.2]
 
 
-def crossing_matrix_cramer(e, alpha, u, t_grid, n_paths, seed, method, sp=None,
+def crossing_matrix_cramer(ks, alpha, u, t_grid, n_paths, seed, method,
                            max_steps=4000, drop_nats=60.0, min_hits=25):
     """Reference cramer_constant: the naive walk applies gathered atoms with
     einsum to the active rows in place, the tilted walk tests every threshold
     on every path and step against an (n_paths, T) crossing matrix.  Also
     returns the most thresholds one tilted path crossed in one step."""
+    e = ks.ensemble
     u = np.asarray(u, dtype=float) / np.linalg.norm(u)
     log_ts = np.log(np.asarray(sorted(t_grid)))
     t_arr = np.exp(log_ts)
@@ -196,7 +198,7 @@ def crossing_matrix_cramer(e, alpha, u, t_grid, n_paths, seed, method, sp=None,
                          "stderr": float(t**alpha * se), "hits": hits,
                          "flag": "starved" if hits < min_hits else ""})
         return rows, 0
-    chain = TiltedChain(e, [sp], [np.tile(u, (n_paths, 1))])
+    chain = TiltedChain(ks, [alpha], [np.tile(u, (n_paths, 1))])
     weight_sum = np.zeros(len(log_ts))
     weight_sq = np.zeros(len(log_ts))
     crossed = np.zeros((n_paths, len(log_ts)), dtype=bool)
@@ -237,32 +239,28 @@ def test_cramer_rows_equal_crossing_matrix_reference(d):
     alpha = solve_alpha(e, solver=ks)
     t_grid = np.exp(np.arange(1, 41) * 0.1)
     u = np.eye(d)[0] + 0.3
-    args = (e, alpha, u, t_grid, 600, 17)
-    want, most = crossing_matrix_cramer(*args, "tilted", sp=ks.point(alpha))
+    args = (ks, alpha, u, t_grid, 600, 17)
+    want, most = crossing_matrix_cramer(*args, "tilted")
     assert most >= 2
-    assert cramer_constant(*args, method="tilted", sp=ks.point(alpha)) == want
+    assert cramer_constant(*args, method="tilted") == want
     want, _ = crossing_matrix_cramer(*args, "naive")
     assert cramer_constant(*args, method="naive") == want
 
 
 class TestTiltedPotential:
-    def test_unreachable_window_is_zero(self, sp_kesten_alpha):
-        lin = kesten_affine_1d().linear_part
+    def test_unreachable_window_is_zero(self, ks_kesten):
         f = AnnulusFunction("unreachable", np.log(1e-9), np.log(2e-9))
         rep = tilted_potential_profile(
-            lin, np.array([1.0]), t=1e-3, test_functions=[f],
-            n_paths=500, seed=9, sp=sp_kesten_alpha,
-            L_alpha=L_ALPHA_KESTEN, max_steps=200,
+            ks_kesten, 1.0, np.array([1.0]), t=1e-3, test_functions=[f],
+            n_paths=500, seed=9, max_steps=200,
         )
         assert rep.rows[0]["measured"] == 0.0
 
-    def test_d1_reference_window(self, sp_kesten_alpha):
-        lin = kesten_affine_1d().linear_part
+    def test_d1_reference_window(self, ks_kesten):
         f = AnnulusFunction("unit-window", 0.0, np.log(2.0))
         rep = tilted_potential_profile(
-            lin, np.array([1.0]), t=1e-4, test_functions=[f],
-            n_paths=20_000, seed=10, sp=sp_kesten_alpha,
-            L_alpha=L_ALPHA_KESTEN,
+            ks_kesten, 1.0, np.array([1.0]), t=1e-4, test_functions=[f],
+            n_paths=20_000, seed=10,
         )
         row = rep.rows[0]
         ratio = row["measured"] / row["predicted"]
@@ -270,20 +268,20 @@ class TestTiltedPotential:
 
 
 class TestDualWalk:
-    def test_no_translation_no_ladder(self, sp_star_kesten_alpha):
+    def test_no_translation_no_ladder(self, ks_kesten):
         ae = AffineEnsemble(
             1, np.array([[[2.0]], [[1 / 3]]]), np.array([[0.0], [0.0]]),
             np.array([0.4, 0.6]), allow_fixed_point=True,
         )
-        rec = dual_walk_simulate(ae, sp_star_kesten_alpha, L_ALPHA_KESTEN,
+        rec = dual_walk_simulate(ae, ks_kesten, 1.0,
                                  p0=-1.0, u0=np.array([1.0]), n_starts=64,
                                  n_steps=200, seed=11)
         # B = 0 makes p_n = p0 / |S'_n u| -> 0 with p0 < 0: never a record
         assert int((rec.first_tau > 0).sum()) == 0
 
-    def test_kesten_ladders_finite_and_consistent(self, sp_star_kesten_alpha):
-        rec = dual_walk_simulate(kesten_affine_1d(), sp_star_kesten_alpha,
-                                 L_ALPHA_KESTEN, p0=1.0, u0=np.array([1.0]),
+    def test_kesten_ladders_finite_and_consistent(self, ks_kesten):
+        rec = dual_walk_simulate(kesten_affine_1d(), ks_kesten, 1.0,
+                                 p0=1.0, u0=np.array([1.0]),
                                  n_starts=2000, n_steps=300, seed=12)
         assert int((rec.first_tau > 0).sum()) == 2000
         assert rec.sign_preserved
@@ -291,33 +289,43 @@ class TestDualWalk:
         assert rec.eps_moment_cv <= 0.3
 
     @pytest.mark.parametrize("n_steps", [40, 55])
-    def test_eps_moment_edges(self, sp_star_kesten_alpha, n_steps):
+    def test_eps_moment_edges(self, ks_kesten, n_steps):
         # burn-in is 50 steps: none after it leaves no moment, and fewer
         # than n_batches after it leave the batches empty
-        rec = dual_walk_simulate(kesten_affine_1d(), sp_star_kesten_alpha,
-                                 L_ALPHA_KESTEN, u0=np.array([1.0]),
+        rec = dual_walk_simulate(kesten_affine_1d(), ks_kesten, 1.0,
+                                 u0=np.array([1.0]),
                                  n_starts=64, n_steps=n_steps, seed=13)
         assert np.isnan(rec.eps_moment) == (n_steps == 40)
         assert rec.eps_moment_cv == np.inf
 
-    def test_zero_p0_rejected(self, sp_star_kesten_alpha):
+    def test_zero_p0_rejected(self, ks_kesten):
         with pytest.raises(ValueError, match="nonzero"):
-            dual_walk_simulate(kesten_affine_1d(), sp_star_kesten_alpha,
-                               L_ALPHA_KESTEN, p0=0.0)
+            dual_walk_simulate(kesten_affine_1d(), ks_kesten, 1.0, p0=0.0)
+
+    @pytest.mark.parametrize("part", ["matrices", "weights"])
+    def test_foreign_solver_rejected(self, ks_kesten, part):
+        # the walk's chain, e^alpha and L(alpha) must come from the solver
+        # of its own linear part
+        ae = kesten_affine_1d()
+        mats, weights = ae.matrices.copy(), ae.weights.copy()
+        if part == "matrices":
+            mats[0] *= 1.5
+        else:
+            weights = weights[::-1].copy()
+        other = AffineEnsemble(1, mats, ae.translations.copy(), weights)
+        with pytest.raises(ValueError, match="linear part"):
+            dual_walk_simulate(other, ks_kesten, 1.0)
 
     def test_d2_dual_walk_runs(self, ip_solver, ip_alpha):
         from matspec.ensemble import classify_cone_case
         from matspec.ensembles import ip_affine_2d
 
         ae = ip_affine_2d()
-        star = transpose(ae.linear_part)
-        sp_star = KSolver(star, ip_solver.grid, tol=1e-10).point(ip_alpha)
-        L_a = finite_diff_L(ip_solver, ip_alpha)
         # ladder finiteness is guaranteed on the charged attractor side of
         # the transposed semigroup; start there
-        _, ev = classify_cone_case(star, seed=0)
+        _, ev = classify_cone_case(ip_solver.star.ensemble, seed=0)
         u0 = np.asarray(ev["attractor_center"])
-        rec = dual_walk_simulate(ae, sp_star, L_a, p0=1.0, u0=u0,
+        rec = dual_walk_simulate(ae, ip_solver, ip_alpha, p0=1.0, u0=u0,
                                  n_starts=512, n_steps=400, seed=13)
         frac = (rec.first_tau > 0).mean()
         assert frac > 0.95
@@ -330,12 +338,12 @@ class TestCramerCaseIPositivity:
         # sign-flipped twin: identical |.|-objects, no invariant cone
         from matspec.ensembles import ip_flip_2d
 
-        e = ip_flip_2d()
-        sp = ip_solver.point(ip_alpha)  # projective objects coincide
+        # |g x| is that of ip_2d, so both share the tail index
+        ks = KSolver(ip_flip_2d(), ip_solver.grid)
         for j, th in enumerate(np.linspace(0.0, np.pi, 6, endpoint=False)):
             u = np.array([np.cos(th), np.sin(th)])
-            rows = cramer_constant(e, ip_alpha, u, [200.0], 4000,
-                                   seed=40 + j, method="tilted", sp=sp)
+            rows = cramer_constant(ks, ip_alpha, u, [200.0], 4000,
+                                   seed=40 + j, method="tilted")
             r = rows[0]
             assert r["estimate"] - 1.96 * r["stderr"] > 0.0
 
@@ -345,7 +353,6 @@ class TestDirectionalTiltedPotential:
         # measured visit masses for two directional probes must reproduce
         # the ratio of their eigenmeasure cap masses (25% budget)
         sp = ip_solver.point(ip_alpha)
-        L_a = finite_diff_L(ip_solver, ip_alpha)
         nodes = sp.nu.grid.nodes
         masses = sp.nu.masses
 
@@ -362,8 +369,8 @@ class TestDirectionalTiltedPotential:
         fb = AnnulusFunction("light", 0.0, np.log(2.0),
                              probe_center=nodes[i_mid], probe_radius=0.25)
         rep = tilted_potential_profile(
-            ip, np.array([1.0, 0.0]), 1e-3, [fa, fb],
-            n_paths=60_000, seed=17, sp=sp, L_alpha=L_a,
+            ip_solver, ip_alpha, np.array([1.0, 0.0]), 1e-3, [fa, fb],
+            n_paths=60_000, seed=17,
         )
         heavy, light = rep.rows
         measured_ratio = heavy["measured"] / light["measured"]

@@ -159,9 +159,8 @@ class TestLyapunov:
 
 class TestPathDiagnostics:
     def test_incremental_lognorm_matches_direct(self, ip, ip_solver, ip_alpha):
-        sp = ip_solver.point(ip_alpha)
         x0 = ip.matrices[0][:, 0] / np.linalg.norm(ip.matrices[0][:, 0])
-        chain = TiltedChain(ip, [sp], [x0])
+        chain = TiltedChain(ip_solver, [ip_alpha], [x0])
         rng = np.random.default_rng(21)
         atoms = [int(chain.step(rng.random(1))[0][0]) for _ in range(50)]
         direct = x0
@@ -358,7 +357,7 @@ class TestOracleInvariantAllShipped:
 # Reference Monte Carlo: every s and every probe pair in a chain of its own,
 # as the routines ran before one chain carried them all.
 
-def per_s_tilted_mc(e, ks, s_values, seed, n_chains, n_steps):
+def per_s_tilted_mc(ks, s_values, seed, n_chains, n_steps):
     """(L, stderr) per s, the i-th s on its own stream (seed, 101, i) and
     chain."""
     out = []
@@ -366,7 +365,7 @@ def per_s_tilted_mc(e, ks, s_values, seed, n_chains, n_steps):
     for i, s in enumerate(s_values):
         rng = stream(seed, 101, i)
         sp = ks.point(s)
-        chain = TiltedChain(e, [sp], [sp.e.grid.nodes[draw_atoms(rng, sp.pi, n_chains)]])
+        chain = TiltedChain(ks, [s], [sp.e.grid.nodes[draw_atoms(rng, sp.pi, n_chains)]])
         sums = np.zeros(n_chains)
         for step in range(n_steps):
             _, ln = chain.step(rng.random(n_chains))
@@ -382,8 +381,9 @@ def unit(rng, d):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def pair_logs(e, sp, x0, v, w, n, rng):
+def pair_logs(ks, s, x0, v, w, n, rng):
     """Log sine-distance ratio after n tilted steps of one pair's paths."""
+    e = ks.ensemble
     d = e.dimension
     if d == 2:
         wedge_ops = np.linalg.det(e.matrices)
@@ -392,7 +392,7 @@ def pair_logs(e, sp, x0, v, w, n, rng):
         # in apply_atoms' order: over a strided stack it adds in order
         wedge_ops = np.ascontiguousarray(np.linalg.det(e.matrices)[:, None, None]
                                          * np.transpose(np.linalg.inv(e.matrices), (0, 2, 1)))
-    chain = TiltedChain(e, [sp], [x0])
+    chain = TiltedChain(ks, [s], [x0])
     v_dir, w_dir = v.copy(), w.copy()
     v_log, w_log = np.zeros(len(v)), np.zeros(len(v))
     if d == 2:
@@ -422,30 +422,31 @@ def pair_logs(e, sp, x0, v, w, n, rng):
     return wedge_log - v_log - w_log - sin0
 
 
-def per_pair_gap(e, sp, n, n_pairs, n_paths, seed):
+def per_pair_gap(ks, s, n, n_pairs, n_paths, seed):
     rng = stream(seed, 202)
     best, best_se = -np.inf, np.nan
     for _ in range(n_pairs):
-        x0, v, w = (np.repeat(unit(rng, e.dimension), n_paths, axis=0) for _ in range(3))
-        ratios = pair_logs(e, sp, x0, v, w, n, rng) / n
+        x0, v, w = (np.repeat(unit(rng, ks.ensemble.dimension), n_paths, axis=0)
+                    for _ in range(3))
+        ratios = pair_logs(ks, s, x0, v, w, n, rng) / n
         m, se = float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(n_paths))
         if m > best:
             best, best_se = m, se
     return best, best_se
 
 
-def per_pair_rho(e, sp, eps, n, n_pairs, n_paths, seed):
+def per_pair_rho(ks, s, eps, n, n_pairs, n_paths, seed):
     rng = stream(seed, 303)
 
     def run_pairs(k_pairs, paths, pre=None):
         results = []
         for j in range(k_pairs):
             if pre is None:
-                x0, v, w = (np.repeat(unit(rng, e.dimension), paths, axis=0)
+                x0, v, w = (np.repeat(unit(rng, ks.ensemble.dimension), paths, axis=0)
                             for _ in range(3))
             else:
                 x0, v, w = (np.repeat(arr[:1], paths, axis=0) for arr in pre[j])
-            logs = pair_logs(e, sp, x0, v, w, n, rng)
+            logs = pair_logs(ks, s, x0, v, w, n, rng)
             results.append((float(np.mean(np.exp(eps * logs))), (x0, v, w)))
         return results
 
@@ -469,12 +470,12 @@ class TestOneChainEqualsPerRunReference:
     chain per s or per pair, bit for bit."""
 
     def test_tilted_mc_over_s(self, small_solver):
-        e, ks = small_solver.ensemble, small_solver
+        ks = small_solver
         s_values = [0.0, 0.7, 1.4]
-        want = per_s_tilted_mc(e, ks, s_values, 5, 16, 300)
+        want = per_s_tilted_mc(ks, s_values, 5, 16, 300)
         assert spectrum._tilted_mc(ks, s_values, 5, 16, 300) == want
         assert lyapunov(ks, 0.7, "tilted_mc", seed=5, n_chains=16,
-                        n_steps=300) == per_s_tilted_mc(e, ks, [0.7], 5, 16, 300)[0]
+                        n_steps=300) == per_s_tilted_mc(ks, [0.7], 5, 16, 300)[0]
 
     def test_exponents_draw_from_their_own_streams(self, small_solver):
         # one s twice: on a shared stream both would walk the same paths
@@ -485,24 +486,24 @@ class TestOneChainEqualsPerRunReference:
         ks = KSolver(ip, build_grid(2, 64, "projective"))
         s_values = [0.0, 1.0, 2.0]
         curve = compute_curve(ks, s_values, seed=3)
-        want = per_s_tilted_mc(ip, ks, s_values, 3,
+        want = per_s_tilted_mc(ks, s_values, 3,
                                spectrum._MC_CHAINS, spectrum._MC_STEPS)
         assert curve.lyapunov_table["tilted_mc"] == [L for L, _ in want]
         assert curve.lyapunov_table["tilted_mc_se"] == [se for _, se in want]
 
     def test_gap_over_pairs(self, small_solver):
-        e, ks = small_solver.ensemble, small_solver
+        ks = small_solver
         # at seed 3 an in-order d=3 wedge walk moves the stderr by 1 ulp
         for seed in (9, 3):
-            want = per_pair_gap(e, ks.point(0.8), 12, 5, 8, seed)
+            want = per_pair_gap(ks, 0.8, 12, 5, 8, seed)
             assert lyapunov_gap(ks, 0.8, n=12, n_pairs=5, n_paths=8,
                                 seed=seed) == want
 
     @pytest.mark.parametrize("n_pairs", [5, 11])  # fewer and more than 8 worst
     def test_rho_over_pairs(self, small_solver, n_pairs):
-        e, ks = small_solver.ensemble, small_solver
+        ks = small_solver
         # at seed 2 an in-order d=3 wedge walk moves rho by 1 ulp
         for seed in (4, 2):
-            want = per_pair_rho(e, ks.point(0.8), 0.5, 10, n_pairs, 16, seed)
+            want = per_pair_rho(ks, 0.8, 0.5, 10, n_pairs, 16, seed)
             assert contraction_rate(ks, 0.8, eps=0.5, n=10, n_pairs=n_pairs,
                                     n_paths=16, seed=seed) == want

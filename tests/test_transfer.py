@@ -346,32 +346,34 @@ def test_tilted_probs_equals_atomwise_reference(case):
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["ip_2d", "affine_3d"])
 def chain_case(request):
-    """(ensemble, spectral point at alpha) in d = 2 and d = 3."""
+    """(solver, alpha) in d = 2 and d = 3."""
     if request.param == 2:
         e, grid = ip_2d(), build_grid(2, 128, "projective")
     else:
         e, grid = affine_3d().linear_part, build_grid(3, 64, "projective")
     ks = KSolver(e, grid)
-    return e, ks.point(solve_alpha(e, solver=ks))
+    return ks, solve_alpha(e, solver=ks)
 
 
-def assert_log_lr_is_direct(e, points, sizes):
+def assert_log_lr_is_direct(ks, s_values, sizes):
     """sum log w_i - sum log q_k over the chosen atoms is the likelihood
     ratio of the untilted walk against the simulated chain; the kernel of
-    each block of rows is that of its own point."""
+    each block of rows is that of its own exponent."""
+    e = ks.ensemble
     rng = np.random.default_rng(5)
     blocks = []
     for size in sizes:
         x0 = rng.standard_normal((size, e.dimension))
         blocks.append(x0 / np.linalg.norm(x0, axis=1, keepdims=True))
-    chain = TiltedChain(e, points, blocks)
+    chain = TiltedChain(ks, s_values, blocks)
     ends = np.cumsum(sizes)
     rows = np.arange(ends[-1])
     direct = np.zeros(ends[-1])
     for _ in range(30):
         probs = np.concatenate([
-            tilted_probs(e, sp, chain.x[end - size:end], chain.e_x[end - size:end])[0]
-            for sp, size, end in zip(points, sizes, ends)], axis=1)
+            tilted_probs(e, ks.point(s), chain.x[end - size:end],
+                         chain.e_x[end - size:end])[0]
+            for s, size, end in zip(s_values, sizes, ends)], axis=1)
         atom, _ = chain.step(rng.random(ends[-1]))
         direct += np.log(e.weights[atom]) - np.log(probs[atom, rows])
     assert np.max(np.abs(chain.log_lr() - direct)) < 1e-12
@@ -379,22 +381,22 @@ def assert_log_lr_is_direct(e, points, sizes):
 
 class TestTiltedChain:
     def test_log_lr_is_direct_likelihood_ratio(self, chain_case):
-        e, sp = chain_case
-        assert_log_lr_is_direct(e, [sp], [40])
+        ks, alpha = chain_case
+        assert_log_lr_is_direct(ks, [alpha], [40])
 
     def test_stack_log_lr_is_direct_likelihood_ratio(self, chain_case):
-        e, sp = chain_case
-        other = KSolver(e, sp.e.grid).point(0.5 * sp.s)
-        assert_log_lr_is_direct(e, [sp, other, sp], [7, 20, 13])
+        ks, alpha = chain_case
+        assert_log_lr_is_direct(ks, [alpha, 0.5 * alpha, alpha], [7, 20, 13])
 
     def test_stack_rows_equal_single_point_chains(self, chain_case):
-        # a stack steps each block as a chain of its own point would
-        e, sp = chain_case
-        points = [sp, KSolver(e, sp.e.grid).point(0.5 * sp.s)]
+        # a stack steps each block as a chain at its own exponent would
+        ks, alpha = chain_case
+        s_values = [alpha, 0.5 * alpha]
         rng = np.random.default_rng(8)
-        blocks = [np.tile(np.eye(e.dimension)[i], (n, 1)) for i, n in ((0, 6), (1, 9))]
-        stack = TiltedChain(e, points, blocks)
-        singles = [TiltedChain(e, [p], [b]) for p, b in zip(points, blocks)]
+        blocks = [np.tile(np.eye(ks.ensemble.dimension)[i], (n, 1))
+                  for i, n in ((0, 6), (1, 9))]
+        stack = TiltedChain(ks, s_values, blocks)
+        singles = [TiltedChain(ks, [s], [b]) for s, b in zip(s_values, blocks)]
         for _ in range(15):
             u = rng.random(15)
             got, _ = stack.step(u)
@@ -406,29 +408,23 @@ class TestTiltedChain:
         assert np.array_equal(stack.log_lr(),
                               np.concatenate([c.log_lr() for c in singles]))
 
-    def test_stack_needs_one_grid(self, chain_case):
-        e, sp = chain_case
-        coarse = KSolver(e, build_grid(e.dimension, 32, "projective")).point(sp.s)
-        with pytest.raises(ValueError, match="one grid"):
-            TiltedChain(e, [sp, coarse], [np.eye(e.dimension)[:1]] * 2)
-
     def test_carried_e_is_interpolated_e(self, chain_case):
-        e, sp = chain_case
+        ks, alpha = chain_case
         rng = np.random.default_rng(6)
-        chain = TiltedChain(e, [sp], [np.tile(np.eye(e.dimension)[0], (25, 1))])
+        chain = TiltedChain(ks, [alpha], [np.tile(np.eye(ks.ensemble.dimension)[0], (25, 1))])
         for _ in range(20):
             chain.step(rng.random(25))
-            assert np.all(chain.e_x == interpolate(sp.e, chain.x))
+            assert np.all(chain.e_x == interpolate(ks.point(alpha).e, chain.x))
 
     def test_kept_rows_equal_rows_of_full_chain(self, chain_case):
         # rows dropped across both blocks of a stack leave the kept rows
         # stepping, tilting and weighing as in a chain that drops none
-        e, sp = chain_case
-        points = [sp, KSolver(e, sp.e.grid).point(0.5 * sp.s)]
+        ks, alpha = chain_case
+        s_values = [alpha, 0.5 * alpha]
         rng = np.random.default_rng(7)
-        blocks = [rng.standard_normal((n, e.dimension)) for n in (6, 9)]
+        blocks = [rng.standard_normal((n, ks.ensemble.dimension)) for n in (6, 9)]
         blocks = [b / np.linalg.norm(b, axis=1, keepdims=True) for b in blocks]
-        full, kept = TiltedChain(e, points, blocks), TiltedChain(e, points, blocks)
+        full, kept = TiltedChain(ks, s_values, blocks), TiltedChain(ks, s_values, blocks)
         drops = {1: [1, 12], 4: [4], 6: [7, 8, 14], 9: [0]}  # rows by first number
         ids = np.arange(15)
         for step in range(12):
@@ -448,12 +444,13 @@ class TestTiltedChain:
         # the chain keeps its rows last and its work arrays across steps;
         # the rows-first chain it replaced reads the same bits, also after
         # compaction below half the first row count
-        e, sp = chain_case
-        points = [sp, KSolver(e, sp.e.grid).point(0.5 * sp.s)]
+        ks, alpha = chain_case
+        s_values = [alpha, 0.5 * alpha]
         rng = np.random.default_rng(12)
-        blocks = [rng.standard_normal((n, e.dimension)) for n in (40, 60)]
+        blocks = [rng.standard_normal((n, ks.ensemble.dimension)) for n in (40, 60)]
         blocks = [b / np.linalg.norm(b, axis=1, keepdims=True) for b in blocks]
-        chain, ref = TiltedChain(e, points, blocks), RowsFirstChain(e, points, blocks)
+        chain = TiltedChain(ks, s_values, blocks)
+        ref = RowsFirstChain(ks.ensemble, [ks.point(s) for s in s_values], blocks)
         for step in range(64):
             u = rng.random(len(ref.ids))
             atom, ln = chain.step(u)
@@ -471,10 +468,10 @@ class TestTiltedChain:
     def test_held_arrays_keep_their_values(self, chain_case):
         # step binds new arrays to x, e_x and logmag, so arrays read before
         # a step (dual_walk_simulate's u = chain.x) outlive it unchanged
-        e, sp = chain_case
+        ks, alpha = chain_case
         rng = np.random.default_rng(13)
-        x0 = rng.standard_normal((30, e.dimension))
-        chain = TiltedChain(e, [sp], [x0 / np.linalg.norm(x0, axis=1, keepdims=True)])
+        x0 = rng.standard_normal((30, ks.ensemble.dimension))
+        chain = TiltedChain(ks, [alpha], [x0 / np.linalg.norm(x0, axis=1, keepdims=True)])
         chain.step(rng.random(30))
         held = [chain.x, chain.e_x, chain.logmag]
         copies = [a.copy() for a in held]
