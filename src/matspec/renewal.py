@@ -21,7 +21,10 @@ L(alpha) (by quadrature) from that one solver; the dual walk's from ks.star.
 Every level walk retires finished paths by compaction: the untilted walks
 drop their rows from their own arrays and the tilted ones through
 TiltedChain.keep, the live rows keep their order, and an array of path
-numbers (TiltedChain.ids) indexes the per-path tallies.
+numbers (TiltedChain.ids) indexes the per-path tallies.  The naive Cramer
+walk retires a path by the tail bound, once it sits log(n_paths 1e4) /
+alpha nats (at most 60) below its next threshold, and draws for all
+n_paths each step, so its draws do not depend on which paths retired.
 """
 
 from __future__ import annotations
@@ -174,13 +177,18 @@ def cramer_constant(
     seed: int,
     method: str = "tilted",
 ) -> list[dict]:
-    """Table of A_hat(u, t) = t^alpha P{sup_n |S_n u| > t} per threshold.
+    """Table of A_hat(u, t) = t^alpha P{sup_n |S_n u| > t} per threshold;
+    alpha must be finite and positive.
 
     naive: direct path counting under the untilted walk of ks.ensemble,
-    with no eigen-solve; a path retires once its log magnitude falls 60
-    nats below its running maximum (the sup can then no longer move at the
-    thresholds of interest).  Rows with fewer than 25 exceedances are
-    flagged starved.
+    with no eigen-solve.  Each step draws n_paths uniforms and looks up
+    those of the live paths, so a path's draws depend only on its number.
+    A path retires once it has crossed every threshold, or once it sits
+    more than climb = min(60, log(n_paths 1e4) / alpha) nats below the
+    smallest one it has not crossed: by the Cramer-type estimate it climbs
+    that far again with probability about C e^{-alpha climb}, so the
+    retired paths would change about C 1e-4 hits in all.  Rows with fewer
+    than 25 exceedances are flagged starved.
 
     tilted: sequential importance sampling under the alpha-tilted chain of
     ks with the exact likelihood ratio at first crossing; every path
@@ -188,6 +196,8 @@ def cramer_constant(
     path runs at most 4000 steps.
     """
     max_steps, drop_nats, min_hits = 4000, 60.0, 25
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     u = np.asarray(u, dtype=float)
     u = u / np.linalg.norm(u)
     log_ts = np.log(np.asarray(sorted(t_grid)))
@@ -195,6 +205,11 @@ def cramer_constant(
     rng = _rng(seed, 660)
     if method == "naive":
         e = ks.ensemble
+        climb = min(drop_nats, np.log(n_paths * 1e4) / alpha)
+        # levels[searchsorted(log_ts, m)] is the smallest threshold >= m, the
+        # first one a path with running max m has not crossed (hits count
+        # peak > t), and inf once m is past the top one
+        levels = np.append(log_ts, np.inf)
         # retired paths are compacted out, the live ones keep their order
         x = np.repeat(u[:, None], n_paths, axis=1)
         logmag = np.zeros(n_paths)
@@ -203,12 +218,12 @@ def cramer_constant(
         peak = np.zeros(n_paths)  # running max of each path at its retirement
         steps = 0
         while live.size and steps < max_steps:
-            y = apply_atoms(e.matrices, draw_atoms(rng, e.weights, live.size), x)
+            y = apply_atoms(e.matrices, draw_atoms(rng, e.weights, n_paths, rows=live), x)
             norms = np.linalg.norm(y, axis=0)
             x = y / norms
             logmag += np.log(norms)
             np.maximum(running_max, logmag, out=running_max)
-            done = logmag < running_max - drop_nats
+            done = levels[np.searchsorted(log_ts, running_max)] - logmag > climb
             if done.any():
                 peak[live[done]] = running_max[done]
                 keep = ~done

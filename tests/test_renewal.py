@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import finite_diff_L
+from matspec.cli import _probe_directions
 from matspec.ensemble import AffineEnsemble
 from matspec.ensembles import (
     affine_3d,
     expanding_1d_arithmetic,
     expanding_1d_deterministic,
     ip_2d,
+    ip_affine_2d,
     kesten_affine_1d,
 )
 from matspec.projective import build_grid
@@ -18,7 +20,7 @@ from matspec.renewal import (
     potential_profile_expanding,
     tilted_potential_profile,
 )
-from matspec import transfer
+from matspec import renewal, transfer
 from matspec.rng import draw_atoms, stream
 from matspec.spectrum import solve_alpha
 from matspec.transfer import KSolver, TiltedChain
@@ -144,6 +146,16 @@ class TestCramer:
                                seed=7, method="naive")
         assert rows[0]["flag"] == "starved"
 
+    @pytest.mark.parametrize("method, alpha", [
+        ("naive", 0.0), ("naive", -1.0), ("naive", np.nan), ("tilted", 0.0),
+        ("tilted", np.inf)])
+    def test_alpha_must_be_finite_and_positive(self, ks_kesten, method, alpha):
+        # the naive walk's retirement reads alpha: at alpha <= 0 it would
+        # retire every path at its first step
+        with pytest.raises(ValueError, match="alpha"):
+            cramer_constant(ks_kesten, alpha, np.array([1.0]), [10.0], 100,
+                            seed=4, method=method)
+
     def test_naive_runs_no_solve(self, ip, monkeypatch):
         # the naive walk reads only the solver's ensemble
         calls = []
@@ -162,42 +174,69 @@ class TestCramer:
         assert calls == [1.2]
 
 
+def einsum_naive_hits(e, u, log_ts, n_paths, seed, retired, max_steps=4000):
+    """Reference naive Cramer hits: each step draws all n_paths atoms and
+    applies those of the active paths with einsum, in place;
+    retired(logmag, running_max) marks the active paths that stop."""
+    rng = stream(seed, 660)
+    x = np.tile(np.asarray(u, dtype=float) / np.linalg.norm(u), (n_paths, 1))
+    logmag = np.zeros(n_paths)
+    running_max = np.zeros(n_paths)
+    active = np.ones(n_paths, dtype=bool)
+    steps = 0
+    while active.any() and steps < max_steps:
+        sel = np.flatnonzero(active)
+        g = e.matrices[draw_atoms(rng, e.weights, n_paths)[sel]]
+        y = np.einsum("nij,nj->ni", g, x[sel])
+        norms = np.linalg.norm(y, axis=1)
+        x[sel] = y / norms[:, None]
+        logmag[sel] += np.log(norms)
+        running_max[sel] = np.maximum(running_max[sel], logmag[sel])
+        active[sel[retired(logmag[sel], running_max[sel])]] = False
+        steps += 1
+    return [int((running_max > lt).sum()) for lt in log_ts]
+
+
+def sixty_nat_rule(logmag, running_max):
+    """The naive walk's former rule: 60 nats below the running max."""
+    return logmag < running_max - 60.0
+
+
+def tail_bound_rule(log_ts, alpha, n_paths):
+    """The rule of cramer_constant's naive walk: more than min(60,
+    log(n_paths 1e4) / alpha) nats below the first threshold not crossed,
+    found by comparing with every threshold (inf past the top one)."""
+    climb = min(60.0, np.log(n_paths * 1e4) / alpha)
+
+    def retired(logmag, running_max):
+        nxt = np.where(running_max[:, None] <= log_ts, log_ts, np.inf).min(axis=1)
+        return nxt - logmag > climb
+    return retired
+
+
 def crossing_matrix_cramer(ks, alpha, u, t_grid, n_paths, seed, method,
-                           max_steps=4000, drop_nats=60.0, min_hits=25):
-    """Reference cramer_constant: the naive walk applies gathered atoms with
-    einsum to the active rows in place, the tilted walk tests every threshold
-    on every path and step against an (n_paths, T) crossing matrix.  Also
-    returns the most thresholds one tilted path crossed in one step."""
-    e = ks.ensemble
+                           max_steps=4000, min_hits=25):
+    """Reference cramer_constant: the naive walk is einsum_naive_hits under
+    the tail-bound rule, the tilted walk tests every threshold on every path
+    and step against an (n_paths, T) crossing matrix.  Also returns the most
+    thresholds one tilted path crossed in one step."""
     u = np.asarray(u, dtype=float) / np.linalg.norm(u)
     log_ts = np.log(np.asarray(sorted(t_grid)))
     t_arr = np.exp(log_ts)
-    rng = stream(seed, 660)
-    active = np.ones(n_paths, dtype=bool)
-    steps = 0
     rows = []
     if method == "naive":
-        x = np.tile(u, (n_paths, 1))
-        logmag = np.zeros(n_paths)
-        running_max = np.zeros(n_paths)
-        while active.any() and steps < max_steps:
-            sel = np.flatnonzero(active)
-            g = e.matrices[draw_atoms(rng, e.weights, sel.size)]
-            y = np.einsum("nij,nj->ni", g, x[sel])
-            norms = np.linalg.norm(y, axis=1)
-            x[sel] = y / norms[:, None]
-            logmag[sel] += np.log(norms)
-            running_max[sel] = np.maximum(running_max[sel], logmag[sel])
-            active[sel[logmag[sel] < running_max[sel] - drop_nats]] = False
-            steps += 1
-        for lt, t in zip(log_ts, t_arr):
-            hits = int((running_max > lt).sum())
+        all_hits = einsum_naive_hits(ks.ensemble, u, log_ts, n_paths, seed,
+                                     tail_bound_rule(log_ts, alpha, n_paths),
+                                     max_steps)
+        for hits, t in zip(all_hits, t_arr):
             p_hat = hits / n_paths
             se = np.sqrt(max(p_hat * (1 - p_hat), 0.0) / n_paths)
             rows.append({"t": float(t), "estimate": float(t**alpha * p_hat),
                          "stderr": float(t**alpha * se), "hits": hits,
                          "flag": "starved" if hits < min_hits else ""})
         return rows, 0
+    rng = stream(seed, 660)
+    steps = 0
     chain = TiltedChain(ks, [alpha], [np.tile(u, (n_paths, 1))])
     weight_sum = np.zeros(len(log_ts))
     weight_sq = np.zeros(len(log_ts))
@@ -245,6 +284,52 @@ def test_cramer_rows_equal_crossing_matrix_reference(d):
     assert cramer_constant(*args, method="tilted") == want
     want, _ = crossing_matrix_cramer(*args, "naive")
     assert cramer_constant(*args, method="naive") == want
+
+
+T_CRAMER = np.geomspace(10.0, 1e4, 13)  # cramer's default thresholds
+
+
+@pytest.fixture(scope="module")
+def ks_bench():
+    """The rare-event bench's Cramer solver, ip_affine_2d's linear part on
+    512 nodes, and its alpha."""
+    ks = KSolver(ip_affine_2d().linear_part, build_grid(2, 512, "projective"))
+    return ks, solve_alpha(ks.ensemble, solver=ks)
+
+
+@pytest.fixture(scope="module")
+def ks_affine_3d():
+    ks = KSolver(affine_3d().linear_part, build_grid(3, 128, "projective"))
+    return ks, solve_alpha(ks.ensemble, solver=ks)
+
+
+@pytest.mark.parametrize("seed", [2301, 17])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_naive_hits_equal_sixty_nat_rule(d, seed, ks_kesten, ks_bench, ks_affine_3d):
+    # retiring by the tail bound changes no hit of the 60-nat rule under the
+    # same draws, at cramer's directions, paths, thresholds and naive seeds
+    ks, alpha = {1: (ks_kesten, 1.0), 2: ks_bench, 3: ks_affine_3d}[d]
+    for j, u in enumerate(_probe_directions(d, 4, projective=True)):
+        rows = cramer_constant(ks, alpha, u, T_CRAMER, 5000, seed + 1000 + j,
+                               method="naive")
+        assert [r["hits"] for r in rows] == einsum_naive_hits(
+            ks.ensemble, u, np.log(T_CRAMER), 5000, seed + 1000 + j, sixty_nat_rule)
+
+
+def test_naive_row_steps_on_bench_config(ks_bench, monkeypatch):
+    # the 60-nat rule walked 11.9M row-steps here
+    columns = []
+    apply = renewal.apply_atoms
+
+    def counting_apply(matrices, idx, x, *args):
+        columns.append(x.shape[-1])
+        return apply(matrices, idx, x, *args)
+
+    monkeypatch.setattr(renewal, "apply_atoms", counting_apply)
+    ks, alpha = ks_bench
+    for j, u in enumerate(_probe_directions(2, 4, projective=True)):
+        cramer_constant(ks, alpha, u, T_CRAMER, 5000, 3301 + j, method="naive")
+    assert sum(columns) < 3_000_000
 
 
 class TestTiltedPotential:
