@@ -356,7 +356,7 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
         g, _ = lyapunov_gap(ks, s, seed=cfg.seed, n_pairs=8, n_paths=32)
         gap_col.append(g)
         rho_col.append(
-            contraction_rate(ks, s, eps=min(eps, max(s, 1e-6)) if s > 0 else eps,
+            contraction_rate(ks, s, eps=min(eps, s) if s > 0 else eps,
                              seed=cfg.seed, n_pairs=16, n_paths=32)
         )
     man.time("diagnostics", t0)
@@ -391,8 +391,8 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
         "spectral_point_scalars.csv",
         ["s", "k", "p", "residual_e", "residual_nu", "iterations", "mode",
          "residual_p"],
-        [[sp.s, sp.k, sp.p, sp.residual_e, sp.residual_nu, sp.iterations,
-          sp.mode, sp.residual_p] for sp in curve.points],
+        [[sp.s, sp.k, p, sp.residual_e, sp.residual_nu, sp.iterations, sp.mode, res_p]
+         for sp, (p, res_p) in zip(curve.points, curve.pairings)],
         "scalar block per solved exponent; iterations counts the eigen-solve's "
         "mat-vecs with P^s and its adjoint; residual_p is max|p e^s - K *nu^s| "
         "/ max e^s, the grid error of the pairing identity behind p(s)",
@@ -445,10 +445,9 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
             f"mc.samples = {cfg.mc_samples} is too small for the default Hill "
             f"order {hill_k}, which needs mc.samples > {2 * hill_k}; set "
             "options.hill_k in [1, mc.samples / 2)")
-    lin = ks.ensemble
     L0 = _require_contracting(ks)
     t0 = time.perf_counter()
-    alpha = solve_alpha(lin, solver=ks)
+    alpha = solve_alpha(ks)
     man.time("alpha", t0)
     t0 = time.perf_counter()
     bank = sample_stationary(
@@ -462,7 +461,7 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     norms = bank.norms()
     a_hat, ci = hill_estimator(norms, hill_k)
     stab = hill_stability(norms)
-    d = lin.dimension
+    d = ks.ensemble.dimension
     n_dirs = 2 if d == 1 else 8 if cfg.directions is None else cfg.directions
     dirs = _probe_directions(d, n_dirs, projective=False)
     tail_tables = {}
@@ -477,12 +476,7 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
             mellins[key] = mellin_profile(bank, u, alpha)
         except ValueError as exc:
             man.warn(f"direction {key} (pole route): {exc}")
-    cone, cone_ev = classify_cone_case(lin, seed=cfg.seed)
-    center = cone_ev.get("attractor_center")
-    case = classify_tail_case(
-        ensemble, cone, np.asarray(center) if center is not None else None,
-        seed=cfg.seed,
-    )
+    case = classify_tail_case(ensemble, seed=cfg.seed)
     prof = None
     if case == "I" and len(dirs) > 1:
         try:
@@ -491,8 +485,7 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
         except ValueError as exc:
             man.warn(f"profile: {exc}")
     betas = [0.0, alpha / 2, alpha * 1.2] if cfg.moment_betas is None else cfg.moment_betas
-    kvals = {b: ks.k(b) for b in betas}
-    moments = moment_check(bank, betas, kvals)
+    moments = moment_check(bank, betas, ks)
     man.time("estimators", t0)
 
     man.output_csv("bank.csv", [f"x{i}" for i in range(d)],
@@ -550,14 +543,11 @@ def _renewal(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
         arith = check_nonarithmetic_1d(lin)[0] == "fail"
     t0 = time.perf_counter()
     if L0 > 0:
-        rep = potential_profile_expanding(
-            lin, fns, L=L0, n_paths=cfg.mc_paths, seed=cfg.seed,
-            nu=ks.point(0.0).nu,
-        )
+        rep = potential_profile_expanding(ks, fns, n_paths=cfg.mc_paths, seed=cfg.seed)
     else:
         # contracting regime: alpha-tilted potential against the
         # t^{-alpha}-scaled renewal prediction
-        alpha = solve_alpha(lin, solver=ks)
+        alpha = solve_alpha(ks)
         rep = tilted_potential_profile(
             ks, alpha, np.eye(lin.dimension)[0], cfg.t_start, fns,
             n_paths=cfg.mc_paths, seed=cfg.seed,
@@ -577,11 +567,10 @@ def _renewal(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
 
 
 def _cramer(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
-    lin = ks.ensemble
     _require_contracting(ks)
-    alpha = solve_alpha(lin, solver=ks)
+    alpha = solve_alpha(ks)
     t_grid = np.geomspace(*cfg.t_grid)
-    d = lin.dimension
+    d = ks.ensemble.dimension
     n_dirs = (16 if d > 1 else 2) if cfg.directions is None else cfg.directions
     dirs = _probe_directions(d, n_dirs, projective=True)
     rows_out = []
@@ -593,12 +582,9 @@ def _cramer(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
         naive = cramer_constant(ks, alpha, u, t_grid,
                                 cfg.mc_paths, seed=cfg.seed + 1000 + j,
                                 method="naive")
-        for r in tilted:
-            rows_out.append([key, r["t"], "tilted", r["estimate"], r["stderr"],
-                             r["hits"], r["flag"]])
-        for r in naive:
-            rows_out.append([key, r["t"], "naive", r["estimate"], r["stderr"],
-                             r["hits"], r["flag"]])
+        for method, rows in (("tilted", tilted), ("naive", naive)):
+            rows_out += [[key, r["t"], method, r["estimate"], r["stderr"], r["hits"],
+                          r["flag"]] for r in rows]
     man.time("cramer", t0)
     man.output_csv("cramer_table.csv", ["direction", "t", "method", "estimate", "stderr",
                                         "hits", "flag"], rows_out,
@@ -607,9 +593,8 @@ def _cramer(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
 
 
 def _dualwalk(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
-    lin = ks.ensemble
     _require_contracting(ks)
-    alpha = solve_alpha(lin, solver=ks)
+    alpha = solve_alpha(ks)
     # ladder positivity is guaranteed on the charged attractor side: start
     # there when the transposed semigroup preserves a cone
     cone_star, ev_star = classify_cone_case(ks.star.ensemble, seed=cfg.seed)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .rng import draw_atoms, stream as _rng
 
-from .ensemble import AffineEnsemble, apply_atoms, ensemble_hash
+from .ensemble import AffineEnsemble, apply_atoms, classify_cone_case, ensemble_hash
 from .projective import interpolate
 from .transfer import KSolver
 
@@ -397,12 +397,14 @@ def mellin_profile(
 def moment_check(
     bank: TailSampleBank,
     beta_grid: np.ndarray,
-    k_values: dict[float, float] | None = None,
+    ks: KSolver,
 ) -> list[dict]:
-    """Empirical E|R|^beta with batch stability and divergence flags.
+    """Empirical E|R|^beta with batch stability and divergence flags, k(beta)
+    read from ks, the solver of the recursion's linear part.
 
-    Finite exactly when k(beta) < 1; at beta >= alpha the empirical moment
-    is dominated by extremes (large max_share) and grows with the sample.
+    For beta > 0 the moment is finite exactly when k(beta) < 1; at
+    beta >= alpha the empirical moment is dominated by extremes (large
+    max_share) and grows with the sample.  E|R|^0 = 1 although k(0) = 1.
     """
     norms = bank.norms()
     n = norms.size
@@ -417,8 +419,7 @@ def moment_check(
         max_share = float(powed.max() / powed.sum()) if powed.sum() > 0 else 0.0
         prefix = float(powed[: max(1, n // 10)].mean())
         growth = mean / prefix if prefix > 0 else np.inf
-        k_beta = None if k_values is None else k_values.get(float(beta))
-        expected_divergent = bool(k_beta is not None and k_beta >= 1.0)
+        k_beta = ks.k(float(beta))
         rows.append(
             {
                 "beta": float(beta),
@@ -428,22 +429,19 @@ def moment_check(
                 "batch_rel_spread": spread,
                 "max_share": max_share,
                 "growth_vs_prefix": float(growth),
-                "expected_divergent": expected_divergent,
+                "expected_divergent": bool(beta > 0 and k_beta >= 1.0),
                 "empirically_unstable": bool(max_share > 0.02),
             }
         )
     return rows
 
 
-def classify_tail_case(
-    ae: AffineEnsemble,
-    cone_case: str,
-    attractor_center: np.ndarray | None = None,
-    seed: int = 0,
-) -> str:
+def classify_tail_case(ae: AffineEnsemble, seed: int = 0) -> str:
     """Trichotomy of the stationary tail: "I" without an invariant cone;
     with one, "II'" when large forward states charge both antipodal
-    attractor sides and "II''" when only one side is charged.
+    attractor sides and "II''" when only one side is charged.  The cone and
+    its attractor centre come from classify_cone_case(ae.linear_part, seed),
+    whose "unknown" is reported as is.
 
     The census runs 4096 forward paths for 400 steps and keeps, for each
     state of the last 200, its magnitude and its side <x, center>: two
@@ -453,12 +451,11 @@ def classify_tail_case(
     count-based, with the cut required to clear the additive scale (else
     the census cannot see the tail and reports unknown).
     """
-    if cone_case == "I":
-        return "I"
-    if cone_case != "II" or attractor_center is None:
-        return "unknown"
+    cone_case, evidence = classify_cone_case(ae.linear_part, seed)
+    if cone_case != "II":
+        return cone_case
     n_paths, n_steps, top_quantile, min_hits = 4096, 400, 0.995, 5
-    center = np.asarray(attractor_center, dtype=float)
+    center = np.asarray(evidence["attractor_center"], dtype=float)
     rng = _rng(seed, 777)
     x = (rng.standard_normal((n_paths, ae.dimension)) * 0.1).T  # rows last
     kept = n_steps - n_steps // 2

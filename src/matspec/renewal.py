@@ -2,8 +2,9 @@
 
 Expanding regime (Lyapunov exponent > 0): the mean number of visits of
 S_n v to a log-annulus of width h around direction probes converges, as the
-start v -> 0, to h * nu(probe) / L; measured visit counts are compared with
-that prediction, never fitted to it.  This walk and the naive Cramer walk
+start v -> 0, to h * nu(probe) / L, with nu = nu^0 and L = L(0) read from
+the run's KSolver; measured visit counts are compared with that
+prediction, never fitted to it.  This walk and the naive Cramer walk
 draw untilted atoms and apply them through ensemble.apply_atoms.
 
 Contracting regime with tail index alpha: level-crossing probabilities
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import AffineEnsemble, LinearEnsemble, apply_atoms
+from .ensemble import AffineEnsemble, apply_atoms
 from .rng import draw_atoms, stream as _rng
 from .spectrum import lyapunov
 from .transfer import KSolver, TiltedChain
@@ -91,23 +92,23 @@ class RenewalReport:
 
 
 def potential_profile_expanding(
-    e: LinearEnsemble,
+    ks: KSolver,
     test_functions: list[AnnulusFunction],
-    L: float,
     n_paths: int = 4096,
     seed: int = 0,
-    nu=None,
 ) -> RenewalReport:
-    """Visit counts of the expanding walk to annulus functions versus the
-    renewal prediction (log_hi - log_lo) * nu(probe) / L.
+    """Visit counts of the expanding walk of ks.ensemble to annulus
+    functions versus the renewal prediction (log_hi - log_lo) * nu(probe) / L,
+    with nu = nu^0 from ks.point(0) and L = L(0) from its quadrature route.
 
-    L must be the s=0 Lyapunov exponent, estimated positive upstream; paths
-    start at magnitude 2^-30, and those that fail to climb past every window
-    within 2000 steps are flagged.
+    L must be positive; paths start at magnitude 2^-30, and those that fail
+    to climb past every window within 2000 steps are flagged.
     """
     max_steps = 2000
+    L = lyapunov(ks, 0.0, "quadrature")[0]
     if L <= 0:
         raise ValueError("expanding profile requires a positive Lyapunov exponent")
+    e = ks.ensemble
     rng = _rng(seed, 550)
     d = e.dimension
     x = rng.standard_normal((n_paths, d))
@@ -130,7 +131,7 @@ def potential_profile_expanding(
     stuck = ids.size
     caveats = [f"{stuck} paths had not left the window region "
                f"after {max_steps} steps"] if stuck else []
-    return _report("expanding", test_functions, counts, nu,
+    return _report("expanding", test_functions, counts, ks.point(0.0).nu,
                    lambda f, mass: (f.log_hi - f.log_lo) * mass / L,
                    "stuck-paths" if stuck else "", caveats)
 
@@ -152,15 +153,14 @@ def _report(regime: str, test_functions: list[AnnulusFunction], acc: np.ndarray,
             nu, predict, flag: str = "", caveats: list[str] | None = None) -> RenewalReport:
     """One row per test function: the mean and standard error over paths
     of its row of acc (paths last), against predict(f, nu-mass of f's
-    probe), the mass taken as 1 without nu."""
+    probe)."""
     report = RenewalReport(regime=regime, caveats=caveats or [])
     for f, vals in zip(test_functions, acc):
-        mass = f.probe_mass(nu) if nu is not None else 1.0
         report.rows.append(
             {
                 "name": f.name,
                 "measured": float(vals.mean()),
-                "predicted": float(predict(f, mass)),
+                "predicted": float(predict(f, f.probe_mass(nu))),
                 "stderr": float(vals.std(ddof=1) / np.sqrt(vals.size)),
                 "flag": flag,
             }

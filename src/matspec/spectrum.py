@@ -15,10 +15,12 @@ dimension.
 
 Every routine here takes the run's transfer.KSolver, reads its ensemble
 from it and builds each tilted chain from it and the exponents it walks
-at; only solve_alpha also accepts an ensemble and a grid in its place.  The
-solver holds every solve of an (ensemble, grid) pair and of its transpose,
-each warm-started from the nearest solved exponent; solve_alpha runs
-Newton on log k with that k'(s), safeguarded by a verified bracket.
+at; solve_alpha also takes an ensemble, which it solves on a new KSolver of
+the given grid.  compute_curve pairs each of its points with the point of
+ks.star at the same s into p(s) (transfer.pairing_p).  The solver holds
+every solve of an (ensemble, grid) pair and of its transpose, each
+warm-started from the nearest solved exponent; solve_alpha runs Newton on
+log k with that k'(s), safeguarded by a verified bracket.
 
 Tilted sampling realizes the s-tilted path measure through its Markov-chain
 disintegration (the paths of transfer.TiltedChain) rather than by
@@ -47,7 +49,7 @@ import numpy as np
 from .ensemble import HypothesisError, LinearEnsemble, apply_atoms
 from .rng import draw_atoms, stream as _rng
 from .projective import DirectionGrid
-from .transfer import KSolver, SpectralPoint, TiltedChain
+from .transfer import KSolver, SpectralPoint, TiltedChain, pairing_p
 
 __all__ = [
     "SpectralCurve",
@@ -70,10 +72,12 @@ _MC_STEPS = 550
 
 @dataclass
 class SpectralCurve:
-    """Sampled k(s) curve with the derived scalars."""
+    """Sampled k(s) curve with the derived scalars; pairings holds each
+    point's (p(s), residual) from transfer.pairing_p."""
 
     s_values: np.ndarray
     points: list[SpectralPoint]
+    pairings: list[tuple[float, float]] = field(default_factory=list)
     alpha: float | None = None
     k_prime_alpha: float | None = None
     lyapunov_table: dict = field(default_factory=dict)
@@ -136,14 +140,15 @@ def k_mc_oracle(
 
 
 def solve_alpha(
-    e: LinearEnsemble,
+    ks: KSolver | LinearEnsemble,
     grid: DirectionGrid | None = None,
     bracket: tuple[float, float] = (0.1, 2.0),
     tol: float = 1e-10,
     s_cap: float = 64.0,
-    solver: KSolver | None = None,
 ) -> float:
-    """Positive root of k(alpha) = 1 by safeguarded Newton on log k.
+    """Positive root of k(alpha) = 1 by safeguarded Newton on log k, with
+    k and k' from the solver ks, or from a new KSolver of the ensemble ks
+    on grid (the default grid without one).
 
     The user bracket is verified (k(lo) < 1 < k(hi)) and expanded
     geometrically when it fails, up to s_cap.  No sign change within the cap
@@ -154,7 +159,10 @@ def solve_alpha(
     replaced by bisection.  A refinement that stalls above tol is a
     numerical failure and raises RuntimeError.
     """
-    ks = solver or KSolver(e, grid)
+    if isinstance(ks, LinearEnsemble):
+        ks = KSolver(ks, grid)
+    elif grid is not None:
+        raise ValueError("a grid goes with an ensemble; a solver has its own")
     lo, hi = float(bracket[0]), float(bracket[1])
     if lo <= 0:
         lo = 1e-3
@@ -218,8 +226,6 @@ def lyapunov(
     tilted_mc: long-run average of log|g x| along the tilted chain, stderr
     from independent chains; burn-in is 10% of the path, at least 100 steps.
     """
-    if s < 0:
-        raise ValueError("negative exponents are not supported")
     if method == "quadrature":
         return ks.k_prime(s) / ks.k(s), None
     if method == "tilted_mc":
@@ -383,10 +389,12 @@ def contraction_rate(
     """n-th root of sup over probe pairs of the tilted mean of
     (distance ratio)^eps; below 1 in the Doeblin-Fortet regime.
 
-    The sup is approximated on 64 quasi-random pairs plus the 8 worst pairs
-    of a coarse pre-scan, re-run with a 4x path budget.  The sine distance
-    stands in for the chordal one: identical exponential rate, bounded
-    multiplicative deviation that the n-th root washes out.
+    The sup is approximated on n_pairs probe pairs (the spectrum command
+    scans 16), each a pseudo-random normal draw made unit, run on
+    max(8, n_paths // 4) paths, and on the 8 worst of them re-run on
+    n_paths paths.  The sine distance stands in for the chordal one:
+    identical exponential rate, bounded multiplicative deviation that the
+    n-th root washes out.
     """
     eps_max = 1.0 if s == 0.0 else min(1.0, s)
     if not 0.0 < eps <= eps_max:
@@ -411,12 +419,15 @@ def compute_curve(
     s_values: np.ndarray,
     seed: int = 0,
 ) -> SpectralCurve:
-    """Solve the eigen-problem along an s-grid and attach alpha, k'(alpha)
-    and the Lyapunov table (quadrature and tilted_mc routes).
-    The solver keeps every point solved here for its later callers."""
+    """Solve the eigen-problem along an s-grid, each point and then its
+    pairing with ks.star, and attach alpha, k'(alpha) and the Lyapunov table
+    (quadrature and tilted_mc routes).  The solver keeps every point solved
+    here for its later callers."""
     s_values = np.asarray(sorted(float(s) for s in s_values))
-    points = [ks.point(s, compute_p=True) for s in s_values]
-    curve = SpectralCurve(s_values=s_values, points=points)
+    curve = SpectralCurve(s_values=s_values, points=[])
+    for s in s_values:
+        curve.points.append(ks.point(s))
+        curve.pairings.append(pairing_p(curve.points[-1], ks.star.point(s)))
     table: dict[str, list[float]] = {"quadrature": [], "tilted_mc": [],
                                      "tilted_mc_se": []}
     for s in s_values:
@@ -426,7 +437,7 @@ def compute_curve(
         table["tilted_mc_se"].append(se)
     curve.lyapunov_table = table
     try:
-        curve.alpha = solve_alpha(ks.ensemble, solver=ks)
+        curve.alpha = solve_alpha(ks)
         curve.k_prime_alpha = ks.k_prime(curve.alpha)
     except HypothesisError:
         curve.alpha = None

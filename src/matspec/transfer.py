@@ -24,7 +24,8 @@ only at the rate |lambda_2 / k(s)|.
 One KSolver per (ensemble, grid) owns that operator family, the solver of
 the transposed ensemble on the same grid, and every solved point of both:
 it is the only place that builds a TransferOperator or runs an eigen-solve,
-in every dimension, and p(s) pairs its eigenmeasure with the transposed one.
+in every dimension; pairing_p pairs its point at s with the point of star
+at s into p(s).
 The d=1 grid is a single node, where P^s is the 1 x 1 Mellin sum
 sum_i w_i |a_i|^s and the solve returns it as k(s).
 
@@ -98,20 +99,17 @@ class SpectralPoint:
     nu(e) = 1 within 1e-8.  residual_e is the relative sup-norm residual of
     the eigen-equation, residual_nu the relative l1 residual of the adjoint;
     iterations counts the mat-vecs of the solve, with P^s and its adjoint.
-    p and residual_p (see pairing_p) are set by KSolver.point with compute_p.
     """
 
     s: float
     k: float
     e: GridFunction
     nu: GridMeasure
-    p: float | None
     iterations: int
     residual_e: float
     residual_nu: float
     mode: str
     converged: bool = True
-    residual_p: float | None = None
 
     @property
     def pi(self) -> np.ndarray:
@@ -144,7 +142,8 @@ class TransferOperator:
         self._lognorms = np.concatenate(lognorms, axis=1)
 
     def matrix(self, s: float) -> _RowMatrix:
-        """P^s as an (N, N) operator with ``@``; .T is its exact adjoint."""
+        """P^s as an (N, N) operator with ``@``; .T is its exact adjoint.
+        Every eigen-solve builds P^s here, so this alone rejects s < 0."""
         if s < 0:
             raise ValueError("negative exponents are not supported")
         return _RowMatrix(self, self._weights * np.exp(s * self._lognorms))
@@ -240,8 +239,6 @@ class KSolver:
         return self._star
 
     def k(self, s: float) -> float:
-        if s < 0:
-            raise ValueError("negative exponents are not supported")
         return self.point(s).k
 
     def k_prime(self, s: float) -> float:
@@ -250,9 +247,8 @@ class KSolver:
         sp = self.point(s)
         return float(sp.nu.masses @ (self.op.derivative(s) @ sp.e.values))
 
-    def point(self, s: float, compute_p: bool = False) -> SpectralPoint:
-        """The solved eigen-problem at s; with compute_p, also p(s) and its
-        residual against the transposed ensemble's eigenmeasure at s."""
+    def point(self, s: float) -> SpectralPoint:
+        """The solved eigen-problem at s."""
         key = float(s)
         sp = self._points.get(key)
         if sp is None:
@@ -260,8 +256,6 @@ class KSolver:
             sp = power_iterate(self.op, key, self.tol, self.max_iter,
                                start=self._points.get(nearest))
             self._points[key] = sp
-        if compute_p and sp.p is None:
-            sp.p, sp.residual_p = pairing_p(sp, self.star.point(key))
         return sp
 
 
@@ -285,9 +279,8 @@ def power_iterate(
     (``iterations`` counts the mat-vecs of both sides).  start is a solved
     point of the same family whose (e, nu) start the cycles in place of
     (1, quadrature weights).  Without irreducibility + proximality the
-    dominant pair need not be unique.  p is left unset: it needs the
-    transposed ensemble's eigenmeasure (KSolver.point with compute_p).
-    bench/tracer.py times the solve under this name.
+    dominant pair need not be unique.  bench/tracer.py times the solve
+    under this name.
     """
     grid = op.grid
     P = op.matrix(s)
@@ -330,7 +323,6 @@ def power_iterate(
         k=k_est,
         e=GridFunction(grid, f),
         nu=GridMeasure(grid, sigma),
-        p=None,
         iterations=matvecs,
         residual_e=res_e,
         residual_nu=res_nu,

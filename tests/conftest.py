@@ -52,8 +52,8 @@ def ip_solver(ip):
 
 
 @pytest.fixture(scope="session")
-def ip_alpha(ip, ip_solver):
-    return solve_alpha(ip, solver=ip_solver)
+def ip_alpha(ip_solver):
+    return solve_alpha(ip_solver)
 
 
 @pytest.fixture(scope="session")

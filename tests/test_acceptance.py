@@ -53,7 +53,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 def ip512():
     e = ip_2d()
     solver = KSolver(e, build_grid(2, 512, "projective"), tol=1e-11)
-    alpha = solve_alpha(e, solver=solver)
+    alpha = solve_alpha(solver)
     return e, solver, alpha
 
 
@@ -201,10 +201,9 @@ def test_criterion_5_cramer_suite(ip512):
 
 
 def test_criterion_6_expanding_renewal_exact():
-    e = expanding_1d_deterministic()
+    ks = KSolver(expanding_1d_deterministic())
     f = AnnulusFunction("one-octave", 0.0, np.log(2.0))
-    rep = potential_profile_expanding(e, [f], L=np.log(2.0), n_paths=512,
-                                      seed=42)
+    rep = potential_profile_expanding(ks, [f], n_paths=512, seed=42)
     row = rep.rows[0]
     exact = (
         row["measured"] == 1.0

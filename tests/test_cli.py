@@ -328,6 +328,17 @@ class TestSpectrumCommand:
                            s_max_bound=2.0)
         assert main(["spectrum", "--config", str(cfg)]) == EXIT_INVALID
 
+    def test_tiny_positive_exponents_run(self, tmp_path):
+        # the contraction exponent is min(rho_eps, s) at s > 0: a clamp at
+        # 1e-6 exceeded s = 5e-7 and left the Holder range (0, s]
+        cfg = write_config(tmp_path, ip_2d(), grid_resolution=64,
+                           s_grid={"min": 0.0, "max": 1e-6, "count": 3})
+        assert main(["spectrum", "--config", str(cfg)]) == EXIT_OK
+        with (tmp_path / "out" / "spectral_curve.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["s"]) for r in rows] == [0.0, 5e-7, 1e-6]
+        assert all(np.isfinite(float(r[c])) for r in rows for c in ("gap", "rho_eps"))
+
 
 class TestTailsCommand:
     def test_zero_translation_rejected(self, tmp_path):

@@ -1,13 +1,13 @@
 """No module of the package imports another module's private names, only
 KSolver builds transfer operators and runs eigen-solves, a KSolver is
-built only for a CLI run, as a transposed solver or by solve_alpha's
-fallback, only KSolver.star transposes an ensemble, only TiltedChain.step
-runs the tilted kernel, only the CLI's runner opens and finishes
-manifests, no walk applies a gathered atom stack with einsum, atoms are
-drawn only from an ensemble's weights or a point's pi, only rng.py builds
-random generators, every public routine has a caller inside the package,
-the CLI imports no scipy, and the package and pyproject.toml state one
-version."""
+built only for a CLI run, as a transposed solver or by solve_alpha for an
+ensemble it is given in place of a solver, only KSolver.star transposes an
+ensemble, only TiltedChain.step runs the tilted kernel, only the CLI's
+runner opens and finishes manifests, no walk applies a gathered atom
+stack with einsum, atoms are drawn only from an ensemble's weights or a
+point's pi, only rng.py builds random generators, every public routine has
+a caller inside the package, the CLI imports no scipy, and the package and
+pyproject.toml state one version."""
 
 import ast
 import os
@@ -55,7 +55,7 @@ def test_no_cross_module_private_imports():
 # the places each may appear: the operator family and the eigen-solves of
 # an (ensemble, grid) pair belong to its KSolver, and a solver is built once
 # per run (cli._solver), for the transposed ensemble (KSolver.star), or by
-# solve_alpha, which alone still accepts an ensemble and a grid
+# solve_alpha when it is given an ensemble and a grid in place of a solver
 SOLVER_ONLY = {"TransferOperator": "KSolver.op", "power_iterate": "KSolver.point",
                "KSolver": ("_solver", "KSolver.star", "solve_alpha")}
 
@@ -118,8 +118,9 @@ def rebuild(e, grid, s):
 def _solver(cfg, lin):
     return KSolver(lin, build_grid(lin.dimension, cfg.grid_resolution))
 
-def solve_alpha(e, grid=None, solver=None):
-    ks = solver or KSolver(e, grid)
+def solve_alpha(ks, grid=None):
+    if isinstance(ks, LinearEnsemble):
+        ks = KSolver(ks, grid)
 
 def lyapunov(e, s, method, solver=None):
     ks = solver or spectrum.KSolver(e)

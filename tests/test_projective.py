@@ -381,7 +381,7 @@ class TestCubeStencil:
     def test_alpha_second_order_in_r(self):
         # R = 8, 16, 32: each doubling cuts the change of alpha by about 4
         e = rotated_affine_3d()
-        alphas = [solve_alpha(e, solver=KSolver(e, build_grid(3, 3 * r * r + 1, "projective")))
+        alphas = [solve_alpha(KSolver(e, build_grid(3, 3 * r * r + 1, "projective")))
                   for r in (8, 16, 32)]
         ratio = (alphas[0] - alphas[1]) / (alphas[1] - alphas[2])
         assert 3.0 <= ratio <= 5.0

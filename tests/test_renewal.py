@@ -62,28 +62,26 @@ def einsum_expanding_counts(e, test_functions, n_paths, seed, max_steps=2000):
 
 class TestExpandingProfile:
     def test_deterministic_exactly_one_visit(self):
-        e = expanding_1d_deterministic()
+        ks = KSolver(expanding_1d_deterministic())
         f = AnnulusFunction("one-octave", 0.0, np.log(2.0))
-        rep = potential_profile_expanding(e, [f], L=np.log(2.0), n_paths=100,
-                                          seed=1)
+        rep = potential_profile_expanding(ks, [f], n_paths=100, seed=1)
         row = rep.rows[0]
         assert row["measured"] == 1.0
         assert row["predicted"] == 1.0
         assert row["stderr"] == 0.0
 
     def test_arithmetic_mean_check(self):
-        e = expanding_1d_arithmetic()
-        L = 0.2 * np.log(2.0)
+        # L(0) = 0.2 log 2 by quadrature on the single d=1 node
+        ks = KSolver(expanding_1d_arithmetic())
         f = AnnulusFunction("one-octave", 0.0, np.log(2.0))
-        rep = potential_profile_expanding(e, [f], L=L, n_paths=6000, seed=2)
+        rep = potential_profile_expanding(ks, [f], n_paths=6000, seed=2)
         row = rep.rows[0]
         assert row["predicted"] == pytest.approx(5.0, abs=1e-12)
         assert abs(row["measured"] - 5.0) < max(4 * row["stderr"], 0.15)
 
-    def test_contracting_rejected(self):
+    def test_contracting_rejected(self, ks_kesten):
         with pytest.raises(ValueError, match="positive"):
-            potential_profile_expanding(
-                expanding_1d_deterministic(), [], L=-0.1)
+            potential_profile_expanding(ks_kesten, [])
 
     def test_d2_expanding_within_budget(self, ip):
         # invert the contracting reference: inverse atoms expand
@@ -91,17 +89,11 @@ class TestExpandingProfile:
         from matspec.ensemble import LinearEnsemble
 
         e = LinearEnsemble(2, mats, ip.weights.copy())
-        grid = build_grid(2, 128, "projective")
-        from matspec.spectrum import KSolver
-
-        ks = KSolver(e, grid)
-        L = finite_diff_L(ks, 0.0)
-        assert L > 0
-        nu0 = ks.point(0.0).nu
+        ks = KSolver(e, build_grid(2, 128, "projective"))
+        assert finite_diff_L(ks, 0.0) > 0
         fns = [AnnulusFunction("octave0", 0.0, np.log(2.0)),
                AnnulusFunction("octave1", np.log(2.0), 2 * np.log(2.0))]
-        rep = potential_profile_expanding(e, fns, L=L, n_paths=4000, seed=3,
-                                          nu=nu0)
+        rep = potential_profile_expanding(ks, fns, n_paths=4000, seed=3)
         for row in rep.rows:
             ratio = row["measured"] / row["predicted"]
             assert 0.8 <= ratio <= 1.25
@@ -117,7 +109,8 @@ class TestExpandingProfile:
         fns = [AnnulusFunction("octave0", 0.0, np.log(2.0)),
                AnnulusFunction("cap", np.log(2.0), 3 * np.log(2.0),
                                probe_center=np.eye(d)[0], probe_radius=0.8)]
-        rep = potential_profile_expanding(e, fns, L=0.1, n_paths=1500, seed=12)
+        ks = KSolver(e, build_grid(d, 64, "projective"))
+        rep = potential_profile_expanding(ks, fns, n_paths=1500, seed=12)
         counts = einsum_expanding_counts(e, fns, 1500, 12)
         assert [(r["measured"], r["stderr"]) for r in rep.rows] == [
             (float(c.mean()), float(c.std(ddof=1) / np.sqrt(1500))) for c in counts]
@@ -275,7 +268,7 @@ def test_cramer_rows_equal_crossing_matrix_reference(d):
     else:
         e, grid = affine_3d().linear_part, build_grid(3, 64, "projective")
     ks = KSolver(e, grid)
-    alpha = solve_alpha(e, solver=ks)
+    alpha = solve_alpha(ks)
     t_grid = np.exp(np.arange(1, 41) * 0.1)
     u = np.eye(d)[0] + 0.3
     args = (ks, alpha, u, t_grid, 600, 17)
@@ -294,13 +287,13 @@ def ks_bench():
     """The rare-event bench's Cramer solver, ip_affine_2d's linear part on
     512 nodes, and its alpha."""
     ks = KSolver(ip_affine_2d().linear_part, build_grid(2, 512, "projective"))
-    return ks, solve_alpha(ks.ensemble, solver=ks)
+    return ks, solve_alpha(ks)
 
 
 @pytest.fixture(scope="module")
 def ks_affine_3d():
     ks = KSolver(affine_3d().linear_part, build_grid(3, 128, "projective"))
-    return ks, solve_alpha(ks.ensemble, solver=ks)
+    return ks, solve_alpha(ks)
 
 
 @pytest.mark.parametrize("seed", [2301, 17])

@@ -58,7 +58,7 @@ class TestSolveAlpha:
         with pytest.raises(ValueError, match="no root"):
             solve_alpha(e, s_cap=32.0)
 
-    def test_stalled_refinement_is_numerical(self, kesten):
+    def test_stalled_refinement_is_numerical(self):
         class Jump:  # k jumps over 1 at s = 1, so no iterate gets within tol
             def k(self, s):
                 return 0.5 if s < 1.0 else 2.0
@@ -67,7 +67,19 @@ class TestSolveAlpha:
                 return 1.0
 
         with pytest.raises(RuntimeError, match="stalled"):
-            solve_alpha(kesten, solver=Jump())
+            solve_alpha(Jump())
+
+    @pytest.mark.parametrize("case", ["ip_2d-512", "kesten_1d"])
+    def test_solver_equals_ensemble_on_its_grid(self, case, ip, kesten):
+        # a fresh solver and the one solve_alpha builds from (ensemble, grid)
+        # solve the same exponents from the same starts
+        ks = (KSolver(ip, build_grid(2, 512, "projective")) if case == "ip_2d-512"
+              else KSolver(kesten))
+        assert solve_alpha(ks) == solve_alpha(ks.ensemble, ks.grid)
+
+    def test_solver_takes_no_grid(self, ip_solver):
+        with pytest.raises(ValueError, match="grid"):
+            solve_alpha(ip_solver, grid=ip_solver.grid)
 
     def test_bracket_expansion(self, kesten):
         alpha = solve_alpha(kesten, bracket=(0.01, 0.02))
@@ -75,7 +87,7 @@ class TestSolveAlpha:
 
     def test_newton_matches_bisection(self, ip):
         ks = KSolver(ip, build_grid(2, 128, "projective"))
-        alpha = solve_alpha(ip, solver=ks)
+        alpha = solve_alpha(ks)
         lo, hi = 0.1, 2.0
         while hi - lo > 1e-13:
             mid = 0.5 * (lo + hi)
@@ -272,7 +284,7 @@ def test_d1_curve_solves_each_exponent_once(kesten, monkeypatch):
     monkeypatch.setattr(transfer, "power_iterate", counting_solve)
     curve = compute_curve(KSolver(kesten), s_values)
     assert len(calls) == len(set(calls)) == 15
-    assert [(sp.p, sp.residual_p) for sp in curve.points] == want
+    assert curve.pairings == want
 
 
 class TestCurve:
@@ -339,7 +351,7 @@ class TestD3Diagnostics:
 class TestOracleInvariantAllShipped:
     def test_kesten_oracle_window(self, kesten):
         ks = KSolver(kesten)
-        alpha = solve_alpha(kesten, solver=ks)
+        alpha = solve_alpha(ks)
         for s in (0.0, alpha / 2, alpha):
             k_hat, se = k_mc_oracle(kesten, s, n=30, n_samples=40_000, seed=3)
             assert abs(ks.k(s) - k_hat) <= 2 * (se + 0.02 * ks.k(s))
@@ -347,7 +359,7 @@ class TestOracleInvariantAllShipped:
     def test_similarity_oracle_window(self, similarity):
         grid = build_grid(2, 128, "projective")
         ks = KSolver(similarity, grid)
-        alpha = solve_alpha(similarity, solver=ks)
+        alpha = solve_alpha(ks)
         for s in (0.0, alpha / 2, alpha):
             k_hat, se = k_mc_oracle(similarity, s, n=30, n_samples=40_000,
                                     seed=4)

@@ -12,7 +12,7 @@ from matspec.projective import (
     interp_stencil,
     interpolate,
 )
-from matspec.spectrum import solve_alpha
+from matspec.spectrum import lyapunov, solve_alpha
 from matspec.transfer import (
     KSolver,
     TiltedChain,
@@ -190,8 +190,14 @@ class TestPowerIterate:
         assert warm.iterations < cold.iterations
 
     def test_negative_exponent_rejected(self, similarity, grid128):
-        with pytest.raises(ValueError, match="negative"):
-            KSolver(similarity, grid128, tol=1e-10).point(-0.5)
+        # one check, where every solve builds its P^s, serves every route
+        ks = KSolver(similarity, grid128, tol=1e-10)
+        for call in (ks.point, ks.k, ks.k_prime,
+                     lambda s: lyapunov(ks, s, "quadrature"),
+                     lambda s: lyapunov(ks, s, "tilted_mc")):
+            with pytest.raises(ValueError, match="negative"):
+                call(-0.5)
+        assert not ks._points
 
 
 def perron_pair(a):
@@ -234,7 +240,7 @@ def test_eigenmeasure_with_empty_nodes_stays_nonnegative():
     # there, which the solve must clip before building its GridMeasure
     lin = ip_affine_2d().linear_part
     ks = KSolver(lin, build_grid(2, 512, "projective"))
-    solve_alpha(lin, solver=ks)
+    solve_alpha(ks)
     for s in (0.0, 0.5, 1.0, 2.0):
         ks.point(s)
     points = list(ks._points.values())
@@ -248,15 +254,15 @@ def test_eigenmeasure_with_empty_nodes_stays_nonnegative():
 
 class TestCrossCheck:
     def test_s0_both_sides_one(self, ip, grid128):
-        sp = KSolver(ip, grid128, tol=1e-10).point(0.0, compute_p=True)
+        ks = KSolver(ip, grid128, tol=1e-10)
+        p, residual_p = pairing_p(ks.point(0.0), ks.star.point(0.0))
         # p(0) = 1 and e^0 = 1: residual is pure quadrature error
-        assert abs(sp.p - 1.0) < 1e-10
-        assert sp.residual_p < 1e-8
+        assert abs(p - 1.0) < 1e-10
+        assert residual_p < 1e-8
 
     def test_similarity_by_symmetry(self, similarity):
-        grid = build_grid(2, 512, "projective")
-        sp = KSolver(similarity, grid, tol=1e-10).point(1.0, compute_p=True)
-        assert sp.residual_p < 1e-3
+        ks = KSolver(similarity, build_grid(2, 512, "projective"), tol=1e-10)
+        assert pairing_p(ks.point(1.0), ks.star.point(1.0))[1] < 1e-3
 
     def test_pairing_blocks_match_dense_kernel(self, ip):
         # 1024 nodes: the kernel is formed in four blocks of rows
@@ -274,8 +280,8 @@ class TestCrossCheck:
         res = {}
         for n in (256, 512):
             grid = build_grid(2, n, "projective")
-            res[n] = KSolver(ip, grid, tol=1e-11).point(
-                ip_alpha, compute_p=True).residual_p
+            ks = KSolver(ip, grid, tol=1e-11)
+            res[n] = pairing_p(ks.point(ip_alpha), ks.star.point(ip_alpha))[1]
         assert res[512] < res[256]
         assert res[256] < 2e-3
 
@@ -352,7 +358,7 @@ def chain_case(request):
     else:
         e, grid = affine_3d().linear_part, build_grid(3, 64, "projective")
     ks = KSolver(e, grid)
-    return ks, solve_alpha(e, solver=ks)
+    return ks, solve_alpha(ks)
 
 
 def assert_log_lr_is_direct(ks, s_values, sizes):
