@@ -333,9 +333,6 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     t0 = time.perf_counter()
     curve = compute_curve(ks, np.linspace(*cfg.s_grid), seed=cfg.seed)
     man.time("curve", t0)
-    nonconverged = any(not p.converged for p in curve.points)
-    if nonconverged:
-        man.warn("the eigen-solve did not converge at every s")
     # route disagreement is a warning artifact, never a failure
     tab = curve.lyapunov_table
     for i, s in enumerate(curve.s_values):
@@ -391,7 +388,7 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
         "spectral_point_scalars.csv",
         ["s", "k", "p", "residual_e", "residual_nu", "iterations", "mode",
          "residual_p"],
-        [[sp.s, sp.k, p, sp.residual_e, sp.residual_nu, sp.iterations, sp.mode, res_p]
+        [[sp.s, sp.k, p, sp.residual_e, sp.residual_nu, sp.iterations, grid.mode, res_p]
          for sp, (p, res_p) in zip(curve.points, curve.pairings)],
         "scalar block per solved exponent; iterations counts the eigen-solve's "
         "mat-vecs with P^s and its adjoint; residual_p is max|p e^s - K *nu^s| "
@@ -405,7 +402,7 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
             np.column_stack([np.arange(n), grid.nodes, grid.quadrature_weights]),
             "direction grid nodes and weights",
         )
-    return "non-converged" if nonconverged else "ok"
+    return "ok"
 
 
 def _require_contracting(ks: KSolver) -> float:
@@ -647,7 +644,9 @@ def _run(args) -> int:
     ensemble, build the solver, run the body.  The manifest is written
     whatever happens: "invalid-input" when the config or the ensemble is
     rejected, here or by a body that can only judge it at run time,
-    "failed" when anything else raises, else the body's status."""
+    "failed" when anything else raises, "non-converged" when any eigen-solve
+    of the run's solver or of its transposed solver did not converge, else
+    the body's status."""
     body, _, need_affine, need_grid = COMMANDS[args.command]
     overrides = {
         "seed": args.seed,
@@ -672,6 +671,11 @@ def _run(args) -> int:
                 )
             ks = _solver(cfg, _linear_part(ensemble)) if need_grid else None
             status = body(cfg, ensemble, ks, man)
+            unconverged = [sp.s for sp in (ks.solved() if ks else ()) if not sp.converged]
+            if unconverged:
+                man.warn("the eigen-solve did not converge at s = "
+                         + ", ".join(f"{s:g}" for s in sorted(set(unconverged))))
+                status = "non-converged"
         except (ConfigError, EnsembleError):
             status = "invalid-input"
             raise

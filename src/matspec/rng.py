@@ -14,6 +14,12 @@ __all__ = ["stream", "draw_atoms"]
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
+    """The generator of (seed, *path).  SeedSequence splits each entry into
+    32-bit words and pads the entropy with zero words, so a path that only
+    adds trailing zeros names the same stream, stream(s, p) is stream(s, p,
+    0), and a seed of 2**32 + a is the words (a, 1): stream(2**32 + a, b)
+    is stream(a, 1, b).  Distinct consumers need paths that differ in more
+    than trailing zeros."""
     return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, *path])
 
 

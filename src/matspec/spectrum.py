@@ -54,7 +54,6 @@ from .transfer import KSolver, SpectralPoint, TiltedChain, pairing_p
 __all__ = [
     "SpectralCurve",
     "KSolver",
-    "k_mc_oracle",
     "solve_alpha",
     "lyapunov",
     "lyapunov_gap",
@@ -87,56 +86,6 @@ class SpectralCurve:
         if np.any(np.diff(s) <= 0):
             raise ValueError("s values must be strictly increasing")
         self.s_values = s
-
-
-def k_mc_oracle(
-    e: LinearEnsemble,
-    s: float,
-    n: int,
-    n_samples: int,
-    seed: int,
-    chunk: int = 1 << 15,
-) -> tuple[float, float]:
-    """Independent Monte Carlo oracle for k(s): (mean |S_n|^s)^{1/n} over
-    n_samples products of n i.i.d. atoms, with a delta-method stderr.
-
-    The running product is renormalized (Frobenius) every step with a log
-    accumulator; the exact operator 2-norm enters once at the end, so there
-    is no overflow for any n.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if s == 0.0:
-        return 1.0, 0.0
-    d = e.dimension
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_idx = 0
-    while done < n_samples:
-        size = min(chunk, n_samples - done)
-        rng = _rng(seed, chunk_idx)
-        mats = np.broadcast_to(np.eye(d), (size, d, d)).copy()
-        logs = np.zeros(size)
-        for _ in range(n):
-            idx = draw_atoms(rng, e.weights, size)
-            mats = np.matmul(e.matrices[idx], mats)
-            fro = np.linalg.norm(mats, axis=(1, 2))
-            mats /= fro[:, None, None]
-            logs += np.log(fro)
-        sv1 = np.linalg.svd(mats, compute_uv=False)[:, 0]
-        lognorm = logs + np.log(sv1)
-        w = np.exp(s * lognorm)
-        total += w.sum()
-        total_sq += (w * w).sum()
-        done += size
-        chunk_idx += 1
-    m1 = total / n_samples
-    var = max(total_sq / n_samples - m1 * m1, 0.0)
-    se_m1 = np.sqrt(var / n_samples)
-    k_hat = m1 ** (1.0 / n)
-    se_k = k_hat * se_m1 / (n * m1)
-    return float(k_hat), float(se_k)
 
 
 def solve_alpha(

@@ -40,13 +40,17 @@ against the untilted walk.  A chain is built from a KSolver and a stack of
 exponents, one exponent being a stack of one, so its kernel and every e^s
 it reads come from one solver: each row keeps its exponent, reads e^s from
 that exponent's block of one stacked table and tilts by that s, so walks
-at many exponents share every kernel call.  A tilted step forms every
+at many exponents share every kernel call.  The chain is also the
+kernel's one state object: each row's exponent and offset into that
+table, the table, the atoms' operands and the work buffers.  tilted_probs,
+the kernel, reads them all from the chain, and runs only inside
+TiltedChain.step, which passes the chain itself.  A tilted step forms every
 atom's image of every path in one matrix product and interpolates e^s at
-all of them in one stencil call; tilted_probs, the kernel, runs only inside
-TiltedChain.step, which takes its uniforms from the caller so that each
-row keeps the random stream it was drawn from.  A chain holds only live
-rows: a walk retires finished paths with TiltedChain.keep, which compacts
-them out, and reads each kept row's number in the chain as built from ids.
+all of them in one stencil call; step takes its uniforms from the caller
+so that each row keeps the random stream it was drawn from.  A chain holds
+only live rows: a walk retires finished paths with TiltedChain.keep, which
+compacts them out, and reads each kept row's number in the chain as built
+from ids.
 
 The kernel stores rows last, images (d, m, M) and probabilities (m, M)
 for M rows and m atoms, so every elementwise operation runs along one
@@ -89,6 +93,7 @@ __all__ = [
 
 DEFAULT_RESOLUTION = 512
 KRYLOV_DIM = 20  # most Arnoldi steps in one cycle of an eigen-solve
+MAX_ITER = 20000  # most mat-vecs of one eigen-solve
 
 
 @dataclass
@@ -108,7 +113,6 @@ class SpectralPoint:
     iterations: int
     residual_e: float
     residual_nu: float
-    mode: str
     converged: bool = True
 
     @property
@@ -203,7 +207,7 @@ class KSolver:
     solver of the transposed ensemble on the same grid (itself in d=1);
     both are built on first use.  Solved points are cached by s, and a new
     s starts from the cached point nearest to it.  tol bounds both
-    residuals of a solve and max_iter its mat-vecs.
+    residuals of a solve and MAX_ITER its mat-vecs.
     """
 
     def __init__(
@@ -211,11 +215,9 @@ class KSolver:
         e: LinearEnsemble,
         grid: DirectionGrid | None = None,
         tol: float = 1e-11,
-        max_iter: int = 20000,
     ):
         self.ensemble = e
         self.tol = tol
-        self.max_iter = max_iter
         self.grid = grid or build_grid(e.dimension, DEFAULT_RESOLUTION, PROJECTIVE)
         self._op: TransferOperator | None = None
         self._star: KSolver | None = None
@@ -234,12 +236,16 @@ class KSolver:
         if self.ensemble.dimension == 1:
             return self
         if self._star is None:
-            self._star = KSolver(transpose(self.ensemble), self.grid,
-                                 tol=self.tol, max_iter=self.max_iter)
+            self._star = KSolver(transpose(self.ensemble), self.grid, tol=self.tol)
         return self._star
 
     def k(self, s: float) -> float:
         return self.point(s).k
+
+    def solved(self) -> list[SpectralPoint]:
+        """Every point solved so far, and those of star if it was built."""
+        star = self._star._points.values() if self._star else ()
+        return [*self._points.values(), *star]
 
     def k_prime(self, s: float) -> float:
         """k'(s) = nu^s(P'^s e^s) (nu^s(e^s) = 1), the Hellmann-Feynman
@@ -253,7 +259,7 @@ class KSolver:
         sp = self._points.get(key)
         if sp is None:
             nearest = min(self._points, key=lambda t: abs(t - key), default=None)
-            sp = power_iterate(self.op, key, self.tol, self.max_iter,
+            sp = power_iterate(self.op, key, self.tol, MAX_ITER,
                                start=self._points.get(nearest))
             self._points[key] = sp
         return sp
@@ -326,7 +332,6 @@ def power_iterate(
         iterations=matvecs,
         residual_e=res_e,
         residual_nu=res_nu,
-        mode=grid.mode,
         converged=converged,
     )
 
@@ -396,32 +401,29 @@ def pairing_p(sp: SpectralPoint, sp_star: SpectralPoint) -> tuple[float, float]:
 
 def tilted_probs(
     e: LinearEnsemble,
-    sp: SpectralPoint | _StackRows,
+    chain: TiltedChain,
     xs: np.ndarray,
     e_xs: np.ndarray,
-    work: _Work | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized one-step tilted kernel at unit rows xs (M, d), where
-    e_xs (M,) holds e^s at xs.
+    """Vectorized one-step tilted kernel of chain's rows at unit rows xs
+    (M, d), where e_xs (M,) holds e^s at xs.
 
-    sp is a SpectralPoint, or the row view of a stack of points that
-    TiltedChain.step passes: every row then has its own exponent and reads
-    e^s from its own point.  Returns, rows last, (probs (m, M), normalizer
-    (M,), images (d, m, M), lognorms (m, M), e^s at the images (m, M));
-    each column of probs is normalized, and normalizer / k(s) ~ 1 up to
+    Row r tilts by chain.s[r] and reads e^s at node j from
+    chain.values[chain.offset[r] + j], bit for bit projective.interpolate
+    on its point's e^s; the atoms' operands and the work arrays are the
+    chain's too.  Returns, rows last, (probs (m, M), normalizer (M,),
+    images (d, m, M), lognorms (m, M), e^s at the images (m, M)); each
+    column of probs is normalized, and normalizer / k(s) ~ 1 up to
     discretization.  Every atom's image comes from one product and e^s at
     all m images from one stencil call.  xs may be the transposed view of
-    rows stored last.  work holds the kernel's operands and arrays;
-    TiltedChain keeps one across steps, and the probs, images and lognorms
-    returned live in it until its next call.
+    rows stored last.  The probs, images and lognorms returned live in the
+    chain's buffers until its next call.
     """
     M, d = xs.shape
-    rows = sp if isinstance(sp, _StackRows) else _StackRows.stack([sp], [M])
-    work = work or _Work(e)
     m = e.n_atoms
-    images = np.matmul(work.g, xs.T, out=work.array("images", (d * m, M))).reshape(d, m, M)
-    norms = work.array("lognorms", (m, M))
-    probs = work.array("probs", (m, M))
+    images = np.matmul(chain._g, xs.T, out=chain._buffer("images", (d * m, M))).reshape(d, m, M)
+    norms = chain._buffer("lognorms", (m, M))
+    probs = chain._buffer("probs", (m, M))
     np.multiply(images[0], images[0], out=norms)
     for c in range(1, d):
         norms += np.multiply(images[c], images[c], out=probs)
@@ -430,78 +432,22 @@ def tilted_probs(
         raise FloatingPointError("`|gx|` underflow: numerically degenerate atom")
     images /= norms
     lognorms = np.log(norms, out=norms)
-    e_img = rows.e_at(images, work)
+    k = chain.grid.stencil_width
+    idx, w = interp_stencil(chain.grid, images.reshape(d, m * M).T,
+                            out=(chain._buffer("idx", (k, m * M), np.intp),
+                                 chain._buffer("w", (k, m * M))))
+    idx.reshape(k, m, M)[...] += chain.offset
+    e_img = stencil_sum(chain.values, idx, w).reshape(m, M)
     # w_i e^{s log|g_i x|} e^s(g_i.x) / e^s(x), one operation at a time in place
-    np.multiply(lognorms, rows.s, out=probs)
+    np.multiply(lognorms, chain.s, out=probs)
     np.exp(probs, out=probs)
-    probs *= work.weights
+    probs *= chain._weights
     probs *= e_img
     probs /= e_xs
     # numpy adds 8 or more terms of a contiguous row pairwise
     normalizer = probs.sum(axis=0) if m < 8 else np.ascontiguousarray(probs.T).sum(axis=1)
     probs /= normalizer
     return probs, normalizer, images, lognorms, e_img
-
-
-@dataclass
-class _StackRows:
-    """The tilted kernels of a block of rows over a stack of points on one
-    grid: values holds e^s of every point, point after point, so that row r
-    reads its point's e^s at node j from values[offset[r] + j] and tilts by
-    s[r]."""
-
-    grid: DirectionGrid
-    values: np.ndarray
-    s: np.ndarray  # each row's exponent (M,)
-    offset: np.ndarray  # each row's first index into values (M,)
-
-    @classmethod
-    def stack(cls, points: Sequence[SpectralPoint], counts: Sequence[int]) -> "_StackRows":
-        """counts[p] rows of point p, point after point."""
-        grid = points[0].e.grid
-        return cls(grid, np.concatenate([p.e.values for p in points]),
-                   np.repeat([float(p.s) for p in points], counts),
-                   np.repeat(np.arange(len(points)) * grid.n_nodes, counts))
-
-    def __getitem__(self, rows) -> "_StackRows":
-        return _StackRows(self.grid, self.values, self.s[rows], self.offset[rows])
-
-    def e_at(self, images: np.ndarray, work: _Work) -> np.ndarray:
-        """e^s at the unit images (d, m, M), row r's from row r's point, as
-        (m, M); bit for bit projective.interpolate on that point's e^s.  The
-        stencil lives in work."""
-        d, m, M = images.shape
-        k = self.grid.stencil_width
-        idx, w = interp_stencil(self.grid, images.reshape(d, m * M).T,
-                                out=(work.array("idx", (k, m * M), np.intp),
-                                     work.array("w", (k, m * M))))
-        idx.reshape(k, m, M)[...] += self.offset
-        return stencil_sum(self.values, idx, w).reshape(m, M)
-
-
-class _Work:
-    """The tilted kernel's fixed operands and its work arrays.
-
-    Row (c, i) of g is row c of atom i, so g @ x puts component c of every
-    image in block c.  array hands out a C-contiguous prefix of a flat
-    buffer allocated at the first, largest request; a chain's rows only
-    shrink, so it serves every later step.  Arrays this size allocated
-    afresh each step are faulted in again whenever the allocator has
-    returned the heap top to the system, which depends on the heap layout.
-    """
-
-    def __init__(self, e: LinearEnsemble):
-        m, d = e.n_atoms, e.dimension
-        self.g = e.matrices.swapaxes(0, 1).reshape(d * m, d)
-        self.weights = e.weights[:, None]
-        self._flat: dict[str, np.ndarray] = {}
-
-    def array(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._flat.get(name)
-        if buf is None or buf.size < size:
-            buf = self._flat[name] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
 
 
 class TiltedChain:
@@ -520,37 +466,60 @@ class TiltedChain:
     step.  keep retires paths by dropping their rows, and ids holds each
     remaining row's number in the chain as built.
 
-    The chain stores its directions rows last, (d, rows), and x is the
-    transposed view.  step binds new arrays to x, e_x and logmag, so a
-    caller may hold the arrays it read before a step; lognorm is updated
-    in place, and the kernel's work arrays are reused on every step.
+    The chain is the kernel's one state: each row's exponent s and its
+    offset, the first index of its point's e^s in values, which stacks e^s
+    of every point on grid, point after point; the atoms' operands, where
+    row (c, i) of _g is row c of atom i, so that _g @ x puts component c of
+    every image in block c; and the kernel's work buffers.  The chain
+    stores its directions rows last, (d, rows), and x is the transposed
+    view.  step binds new arrays to x, e_x and logmag, so a caller may hold
+    the arrays it read before a step; lognorm is updated in place, and the
+    work buffers are reused on every step.
     """
 
     def __init__(self, ks: KSolver, s_values: Sequence[float], x0: Sequence[np.ndarray]):
         if len(s_values) != len(x0):
             raise ValueError("a stack needs one row block per exponent")
-        self.ensemble = ks.ensemble
+        e = self.ensemble = ks.ensemble
+        self.grid = ks.grid
         points = [ks.point(s) for s in s_values]
         blocks = [np.array(b, dtype=float, ndmin=2) for b in x0]
-        self._rows = _StackRows.stack(points, [len(b) for b in blocks])
+        counts = [len(b) for b in blocks]
+        self.values = np.concatenate([p.e.values for p in points])
+        self.s = np.repeat([p.s for p in points], counts)
+        self.offset = np.repeat(np.arange(len(points)) * self.grid.n_nodes, counts)
+        self._g = e.matrices.swapaxes(0, 1).reshape(e.dimension * e.n_atoms, e.dimension)
+        self._weights = e.weights[:, None]
+        self._flat: dict[str, np.ndarray] = {}
         self._xt = np.concatenate(blocks).T.copy()  # (d, rows): rows last
         self.e_x = np.concatenate([interpolate(p.e, b) for p, b in zip(points, blocks)])
         self._log_e_x0 = np.log(self.e_x)
         self.logmag = np.zeros(len(self.e_x))
         self.lognorm = np.zeros(len(self.e_x))
         self.ids = np.arange(len(self.e_x))
-        self._work = _Work(self.ensemble)
 
     @property
     def x(self) -> np.ndarray:
         """Each path's direction (rows, d), a view of the rows-last store."""
         return self._xt.T
 
+    def _buffer(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        """A C-contiguous prefix of the flat work buffer name, allocated at
+        the first, largest request; a chain's rows only shrink, so it serves
+        every later step.  Arrays this size allocated afresh each step are
+        faulted in again whenever the allocator has returned the heap top to
+        the system, which depends on the heap layout."""
+        size = math.prod(shape)
+        buf = self._flat.get(name)
+        if buf is None or buf.size < size:
+            buf = self._flat[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
     def step(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Advance every path one step, path i at the uniform u[i]; returns
         (atom, log|g x|)."""
         probs, normalizer, images, lognorms, e_img = tilted_probs(
-            self.ensemble, self._rows, self.x, self.e_x, self._work)
+            self.ensemble, self, self.x, self.e_x)
         m, n = lognorms.shape
         # the atom is the count of running sums below u; the sums rise, so
         # counting the first m - 1 caps it at the last atom
@@ -573,7 +542,7 @@ class TiltedChain:
         if live.all():
             return
         self._xt = self._xt[:, live]
-        for name in ("e_x", "_log_e_x0", "logmag", "lognorm", "ids", "_rows"):
+        for name in ("e_x", "_log_e_x0", "logmag", "lognorm", "ids", "s", "offset"):
             setattr(self, name, getattr(self, name)[live])
 
     def log_lr(self) -> np.ndarray:
@@ -581,4 +550,4 @@ class TiltedChain:
         normalizers: the exact log likelihood ratio of the untilted path
         against the simulated chain."""
         return (self._log_e_x0 - np.log(self.e_x)
-                - self._rows.s * self.logmag + self.lognorm)
+                - self.s * self.logmag + self.lognorm)

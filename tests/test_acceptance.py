@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import finite_diff_L
+from conftest import finite_diff_L, k_mc_oracle
 from matspec.ensemble import transpose
 from matspec.ensembles import (
     expanding_1d_deterministic,
@@ -34,7 +34,6 @@ from matspec.renewal import (
 )
 from matspec.spectrum import (
     KSolver,
-    k_mc_oracle,
     lyapunov,
     lyapunov_gap,
     solve_alpha,

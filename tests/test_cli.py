@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import json
 import platform
@@ -7,7 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matspec.cli import EXIT_HYPOTHESIS, EXIT_INVALID, EXIT_OK, _probe_directions, main
+from matspec.cli import (
+    EXIT_HYPOTHESIS,
+    EXIT_INVALID,
+    EXIT_NONCONVERGED,
+    EXIT_OK,
+    _probe_directions,
+    main,
+)
 from matspec.ensemble import LinearEnsemble, save_ensemble
 from matspec import cli, spectrum, transfer
 from matspec.ensembles import (
@@ -651,6 +659,28 @@ def test_run_paths_solve_no_finite_difference_exponents(tmp_path, monkeypatch, c
     assert not [s for s in solved if 0.0 < s < 0.002]
     s_grid = np.linspace(0.0, 1.5, 4)[1:]  # write_config's s-grid
     assert not [s for s in solved if 0.0 < np.min(np.abs(s_grid - s)) < 2e-3]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "cramer", "dualwalk"])
+def test_unconverged_solve_exits_one(tmp_path, monkeypatch, command):
+    # any eigen-solve of the run, not only a spectrum curve point, makes
+    # the run non-converged: here the first solve is marked so
+    solve = transfer.power_iterate
+    solved = []
+
+    def first_unconverged(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return dataclasses.replace(solved[-1], converged=len(solved) > 1)
+
+    monkeypatch.setattr(transfer, "power_iterate", first_unconverged)
+    cfg = write_config(tmp_path, kesten_affine_1d(),
+                       mc={"samples": 1000, "steps": 200, "paths": 500},
+                       options={"t_grid": {"min": 10, "max": 100, "count": 2}})
+    assert main([command, "--config", str(cfg)]) == EXIT_NONCONVERGED
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "non-converged"
+    assert [w for w in manifest["warnings"] if "did not converge" in w] == [
+        f"the eigen-solve did not converge at s = {solved[0].s:g}"]
 
 
 def test_spectrum_scalars_are_the_solver_exponents(tmp_path, monkeypatch):

@@ -2,7 +2,8 @@
 KSolver builds transfer operators and runs eigen-solves, a KSolver is
 built only for a CLI run, as a transposed solver or by solve_alpha for an
 ensemble it is given in place of a solver, only KSolver.star transposes an
-ensemble, only TiltedChain.step runs the tilted kernel, only the CLI's
+ensemble, only TiltedChain.step runs the tilted kernel, and passes it
+the chain itself as the kernel's state, only the CLI's
 runner opens and finishes manifests, no walk applies a gathered atom
 stack with einsum, atoms are drawn only from an ensemble's weights or a
 point's pi, only rng.py builds random generators, every public routine has
@@ -66,8 +67,10 @@ TRANSPOSE_ONLY = {"transpose": "KSolver.star"}
 
 
 # the one tilted chain: every tilted walk, at one exponent or a stack of
-# them, steps through TiltedChain, whose step alone calls the kernel
+# them, steps through TiltedChain, whose step alone calls the kernel, with
+# the chain itself (self) as the kernel's state
 CHAIN_ONLY = {"tilted_probs": "TiltedChain.step"}
+KERNEL_STATE = "self"
 
 
 # the one run lifecycle: the CLI's runner opens a run's manifest and writes
@@ -106,7 +109,7 @@ class KSolver:
         return TransferOperator(self.ensemble, self.grid)
 
     def point(self, s):
-        return power_iterate(self.op, s, self.tol, self.max_iter)
+        return power_iterate(self.op, s, self.tol, MAX_ITER)
 
     @property
     def star(self):
@@ -180,6 +183,43 @@ def lyapunov_loop(e, sp, xs, e_xs):
         path.name: sites
         for path in sorted(PACKAGE.glob("*.py"))
         if (sites := misplaced_calls(path.read_text(encoding="utf-8"), CHAIN_ONLY))
+    }
+    assert offenders == {}
+
+
+def foreign_kernel_states(source: str) -> list[int]:
+    """Lines of tilted_probs calls whose chain, the second argument, is not
+    the name KERNEL_STATE."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "tilted_probs"):
+            continue
+        given = node.args[1:2] + [k.value for k in node.keywords if k.arg == "chain"]
+        if not (given and isinstance(given[0], ast.Name) and given[0].id == KERNEL_STATE):
+            found.append(node.lineno)
+    return found
+
+
+def test_checker_flags_foreign_kernel_states():
+    source = """
+class TiltedChain:
+    def step(self, u):
+        probs = tilted_probs(self.ensemble, self, self.x, self.e_x)[0]
+        rows = tilted_probs(self.ensemble, self._rows[live], x, e_x)
+        point = transfer.tilted_probs(self.ensemble, ks.point(s), self.x, self.e_x)
+        named = tilted_probs(self.ensemble, chain=self, xs=self.x, e_xs=self.e_x)
+        other = tilted_probs(self.ensemble, chain=stack, xs=self.x, e_xs=self.e_x)
+        bare = tilted_probs(self.ensemble)
+"""
+    assert foreign_kernel_states(source) == [5, 6, 8, 9]
+
+
+def test_the_kernel_reads_its_state_from_the_chain():
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := foreign_kernel_states(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
 
@@ -310,10 +350,9 @@ def test_only_rng_module_builds_generators():
     assert offenders == {}
 
 
-# reached only from tests and documentation, and kept: the Monte Carlo k(s)
-# oracle of acceptance criterion 3 and the documented writer of ensemble
-# files; the ensembles module is the library of test fixtures
-TEST_ONLY_KEPT = {"k_mc_oracle", "save_ensemble"}
+# reached only from tests and documentation, and kept: the documented writer
+# of ensemble files; the ensembles module is the library of test fixtures
+TEST_ONLY_KEPT = {"save_ensemble"}
 FIXTURE_MODULES = {"ensembles"}
 
 

@@ -33,3 +33,16 @@ def test_draw_atoms_rows_looks_up_only_those_rows(weights):
     assert np.array_equal(draw_atoms(r1, w, size, rows),
                           draw_atoms(r2, w, size)[rows])
     assert r1.random() == r2.random()  # all size uniforms were consumed
+
+
+def test_stream_pads_its_entropy_with_zero_words():
+    # SeedSequence reads (seed, *path) as 32-bit words padded with zeros:
+    # trailing zeros and a seed's high word name streams that look distinct
+    def same(a, b):
+        return np.array_equal(a.random(8), b.random(8))
+
+    assert same(stream(12345), stream(12345, 0))
+    assert same(stream(7, 3), stream(7, 3, 0))
+    assert same(stream(2**32 + 5, 9), stream(5, 1, 9))
+    assert not same(stream(7, 3), stream(7, 3, 1))
+    assert not same(stream(7, 0, 3), stream(7, 3))

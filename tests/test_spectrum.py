@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import finite_diff_L
+from conftest import finite_diff_L, k_mc_oracle
 from matspec.ensemble import LinearEnsemble, transpose
 from matspec.ensembles import affine_3d, diag_only_2d, ip_2d, rotations_2d
 from matspec.projective import build_grid
@@ -9,7 +9,6 @@ from matspec.spectrum import (
     KSolver,
     compute_curve,
     contraction_rate,
-    k_mc_oracle,
     lyapunov,
     lyapunov_gap,
     solve_alpha,
@@ -115,7 +114,8 @@ class TestLyapunov:
         # kernel's mean log|g x|, which the solver evaluates as nu^s(P'^s e^s)/k
         for s in (0.5, 1.5):
             sp = ip_solver.point(s)
-            probs, _, _, lognorms, _ = tilted_probs(ip, sp, sp.e.grid.nodes,
+            chain = TiltedChain(ip_solver, [s], [sp.e.grid.nodes])
+            probs, _, _, lognorms, _ = tilted_probs(ip, chain, sp.e.grid.nodes,
                                                     sp.e.values)
             node_average = float(sp.pi @ np.sum(probs * lognorms, axis=0))
             Lq, _ = lyapunov(ip_solver, s, "quadrature")

@@ -199,6 +199,16 @@ class TestPowerIterate:
                 call(-0.5)
         assert not ks._points
 
+    def test_solved_reads_star_only_once_built(self, ip, grid128):
+        # the CLI checks every solve of a run through solved(), which must
+        # not build the transposed solver of a run that never used it
+        ks = KSolver(ip, grid128)
+        sp = ks.point(1.0)
+        assert [p is sp for p in ks.solved()] == [True] and ks._star is None
+        sp_star = ks.star.point(0.5)
+        assert [p is q for p, q in zip(ks.solved(), (sp, sp_star))] == [True, True]
+        assert len(ks.solved()) == 2
+
 
 def perron_pair(a):
     """The real eigenvalue of largest real part of a dense matrix, and its
@@ -286,22 +296,24 @@ class TestCrossCheck:
         assert res[256] < 2e-3
 
 
-def kernel_at(e, sp, x):
-    """The tilted kernel (probabilities, normalizer) at one direction x."""
+def kernel_at(ks, s, x):
+    """The tilted kernel (probabilities, normalizer) at one direction x, of
+    a one-point chain of ks at s."""
     xs = np.atleast_2d(x)
-    probs, norm, _, _, _ = tilted_probs(e, sp, xs, interpolate(sp.e, xs))
+    chain = TiltedChain(ks, [s], [xs])
+    probs, norm, _, _, _ = tilted_probs(ks.ensemble, chain, xs, interpolate(ks.point(s).e, xs))
     return probs[:, 0], norm[0]
 
 
 class TestTiltedKernel:
     def test_s0_gives_weights(self, ip, grid128):
-        sp = KSolver(ip, grid128, tol=1e-10).point(0.0)
-        probs, _ = kernel_at(ip, sp, grid128.nodes[3])
+        ks = KSolver(ip, grid128, tol=1e-10)
+        probs, _ = kernel_at(ks, 0.0, grid128.nodes[3])
         assert np.allclose(probs, ip.weights, atol=1e-10)
 
     def test_similarity_tilt(self, similarity, grid128):
-        sp = KSolver(similarity, grid128, tol=1e-10).point(1.0)
-        probs, norm = kernel_at(similarity, sp, grid128.nodes[10])
+        ks = KSolver(similarity, grid128, tol=1e-10)
+        probs, norm = kernel_at(ks, 1.0, grid128.nodes[10])
         expected = np.array([0.4 * 2.0, 0.6 / 3.0]) / similarity_k(1.0)
         assert np.allclose(probs, expected, atol=1e-8)
         assert abs(norm - similarity_k(1.0)) < 1e-8
@@ -312,7 +324,7 @@ class TestTiltedKernel:
         for _ in range(16):
             x = rng.standard_normal(2)
             x /= np.linalg.norm(x)
-            _, norm = kernel_at(ip, sp, x)
+            _, norm = kernel_at(ip_solver, ip_alpha, x)
             assert abs(norm / sp.k - 1.0) < 10 * 1e-3  # interpolation budget
 
 
@@ -340,12 +352,14 @@ def test_tilted_probs_equals_atomwise_reference(case):
             "odd_n": build_grid(2, 101, "projective"),
             "affine_3d": build_grid(3, 128, "projective"),
             "nine_atoms": build_grid(2, 64, "projective")}[case]
-    sp = KSolver(e, grid).point(0.9)
+    ks = KSolver(e, grid)
+    sp = ks.point(0.9)
     rng = np.random.default_rng(11)
     xs = rng.standard_normal((3000, e.dimension))
     xs = np.vstack([xs / np.linalg.norm(xs, axis=1, keepdims=True), grid.nodes])
     e_xs = interpolate(sp.e, xs)
-    fused = tilted_probs(e, sp, xs, e_xs)  # rows last: each reference array transposed
+    chain = TiltedChain(ks, [0.9], [xs])
+    fused = tilted_probs(e, chain, xs, e_xs)  # rows last: each reference array transposed
     for got, want in zip(fused, atomwise_tilted_probs(e, sp, xs, e_xs)):
         assert np.array_equal(got, want.T)
 
@@ -376,9 +390,10 @@ def assert_log_lr_is_direct(ks, s_values, sizes):
     rows = np.arange(ends[-1])
     direct = np.zeros(ends[-1])
     for _ in range(30):
+        # each block's kernel from a one-point chain at the block's rows
         probs = np.concatenate([
-            tilted_probs(e, ks.point(s), chain.x[end - size:end],
-                         chain.e_x[end - size:end])[0]
+            tilted_probs(e, TiltedChain(ks, [s], [chain.x[end - size:end]]),
+                         chain.x[end - size:end], chain.e_x[end - size:end])[0]
             for s, size, end in zip(s_values, sizes, ends)], axis=1)
         atom, _ = chain.step(rng.random(ends[-1]))
         direct += np.log(e.weights[atom]) - np.log(probs[atom, rows])
