@@ -66,6 +66,7 @@ from .spectrum import (
     lyapunov_gap,
     solve_alpha,
 )
+from .transfer import DEFAULT_RESOLUTION
 
 EXIT_OK = 0
 EXIT_NONCONVERGED = 1
@@ -106,7 +107,7 @@ class RunConfig:
     out_dir: Path
     raw: dict  # the config as given, overrides applied: the manifest's echo
     threads: int = 1
-    grid_resolution: int = 512
+    grid_resolution: int = DEFAULT_RESOLUTION
     s_grid: tuple[float, float, int] = (0.0, 2.0, 9)
     s_max_bound: float = 64.0
     mc_paths: int = 100_000
@@ -352,10 +353,8 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
             continue
         g, _ = lyapunov_gap(ks, s, seed=cfg.seed, n_pairs=8, n_paths=32)
         gap_col.append(g)
-        rho_col.append(
-            contraction_rate(ks, s, eps=min(eps, s) if s > 0 else eps,
-                             seed=cfg.seed, n_pairs=16, n_paths=32)
-        )
+        rho_col.append(contraction_rate(ks, s, eps=min(eps, s) if s > 0 else eps,
+                                        seed=cfg.seed))
     man.time("diagnostics", t0)
     rows = []
     for i, s in enumerate(curve.s_values):

@@ -18,6 +18,7 @@ __all__ = [
     "ip_2d",
     "ip_flip_2d",
     "ip_affine_2d",
+    "ip_shear_2d",
     "expanding_1d_deterministic",
     "expanding_1d_arithmetic",
     "rotations_2d",
@@ -119,6 +120,21 @@ def ip_affine_2d() -> AffineEnsemble:
         np.array([[1.0, 0.3], [-0.5, 0.8]]),
         lin.weights.copy(),
         label="ip-affine-2d",
+    )
+
+
+def ip_shear_2d() -> LinearEnsemble:
+    """ip_2d with a sheared first atom, c*[[a, 0.3], [0, 1/a]]: no atom is
+    symmetric, so ks.star differs from ks and p(s) pairs e^s with the
+    transposed eigenmeasure *nu^s, not nu^s.  L(0) ~ -0.111 and
+    alpha ~ 1.0694 at resolution 512; sphere case I."""
+    h = IP_2D_C * np.array([[IP_2D_A, 0.3], [0.0, 1.0 / IP_2D_A]])
+    r = rotation(IP_2D_THETA)
+    return LinearEnsemble(
+        2,
+        np.array([h, r @ h @ r.T]),
+        np.array([0.5, 0.5]),
+        label="ip-shear-2d",
     )
 
 

@@ -27,9 +27,9 @@ disintegration (the paths of transfer.TiltedChain) rather than by
 importance weights on the untilted law, whose weights degenerate
 exponentially in the path length.  The walks are batched: compute_curve's
 tilted Monte Carlo runs the paths of every s in one chain over the stack of
-those exponents, and lyapunov_gap and each stage of contraction_rate run all
-their probe pairs in one chain, whose drawn atoms act on the pairs'
-vectors through ensemble.apply_atoms.  Each s and each pair still draws its
+those exponents, and lyapunov_gap and contraction_rate each run all their
+probe pairs in one chain, whose drawn atoms act on the pairs' vectors
+through ensemble.apply_atoms.  Each s and each pair still draws its
 start rows and uniforms from the stream and in the order it would alone, so
 the batched numbers equal those of one chain per s or per pair bit for bit.
 
@@ -119,10 +119,8 @@ def solve_alpha(
     while ks.k(lo) >= 1.0 and tries < 60:
         lo /= 2.0
         tries += 1
-    tries = 0
     while ks.k(hi) <= 1.0 and hi < s_cap:
         hi = min(2.0 * hi, s_cap)
-        tries += 1
     if not (ks.k(lo) < 1.0 < ks.k(hi)):
         raise HypothesisError(
             "no root: k(s) - 1 has no sign change on the expanded bracket; "
@@ -223,26 +221,33 @@ def _wedge_operators(e: LinearEnsemble) -> np.ndarray:
     raise ValueError("pair contraction diagnostics cover d in {2, 3}")
 
 
-def _pair_contraction_logs(
+def _pair_logs(
     ks: KSolver,
     s: float,
-    x0: np.ndarray,
-    v: np.ndarray,
-    w: np.ndarray,
-    u: np.ndarray,
+    rng: np.random.Generator,
+    n: int,
+    n_pairs: int,
+    paths: int,
 ) -> np.ndarray:
-    """log of the sine-distance ratio after n tilted steps, per path.
+    """log of the sine-distance ratio after n tilted steps, (n_pairs, paths),
+    of probe pairs all run in one chain of ks at s.
 
-    Works in log space through the wedge cocycle
+    Pair after pair, the stream serves three normal start rows made unit
+    (x0, v, w) and then its (n, paths) uniforms, row t for step t.  Works
+    in log space through the wedge cocycle
     log sin(angle(S v, S w)) = log|S (v^w)| - log|S v| - log|S w|,
-    so arbitrarily strong contraction never underflows.  x0, v, w are
-    (M, d) rows; the chain of ks at s is driven from x0, and row t of u
-    (n, M) holds the uniforms of step t.  The drawn atoms act on v and w,
-    rows last, in one apply_atoms call, and on v^w through _wedge_operators;
-    in d=2 v^w is a 1-vector of sign +-1 whose norm grows by exactly
-    |det g| a step.
+    so arbitrarily strong contraction never underflows.  The drawn atoms
+    act on v and w, rows last, in one apply_atoms call, and on v^w through
+    _wedge_operators; in d=2 v^w is a 1-vector of sign +-1 whose norm grows
+    by exactly |det g| a step.
     """
     e = ks.ensemble
+    starts, blocks = [], []
+    for _ in range(n_pairs):
+        x = rng.standard_normal((3, e.dimension))
+        starts.append(x / np.linalg.norm(x, axis=1, keepdims=True))
+        blocks.append(rng.random((n, paths)))
+    x0, v, w = np.repeat(np.stack(starts, axis=1), paths, axis=1)
     wedge_ops = _wedge_operators(e)
     chain = TiltedChain(ks, [s], [x0])
     vw_dir = np.ascontiguousarray(np.stack([v.T, w.T], axis=1))  # (d, 2, M)
@@ -254,7 +259,7 @@ def _pair_contraction_logs(
     nrm = np.linalg.norm(cr, axis=1)
     wedge_dir, wedge_log = (cr / nrm[:, None]).T, np.log(nrm)
     sin0 = wedge_log.copy()  # v, w are unit: log sin = wedge log
-    for u_step in u:
+    for u_step in np.concatenate(blocks, axis=1):
         choice, _ = chain.step(u_step)
         y = apply_atoms(e.matrices, choice, vw_dir)
         ny = np.linalg.norm(y, axis=0)
@@ -265,38 +270,7 @@ def _pair_contraction_logs(
         wedge_dir = y / ny
         wedge_log += np.log(ny)
     sin_n = wedge_log - vw_log[0] - vw_log[1]
-    return sin_n - sin0
-
-
-def _random_unit(rng: np.random.Generator, size: int, d: int) -> np.ndarray:
-    x = rng.standard_normal((size, d))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-
-def _run_pairs(
-    ks: KSolver,
-    s: float,
-    rng: np.random.Generator,
-    n: int,
-    paths: int,
-    starts: list,
-) -> tuple[np.ndarray, list]:
-    """Log contraction (pairs, paths) of probe pairs, all in one chain of
-    ks at s.
-
-    Each entry of starts is a pair's (x0, v, w) as (1, d) unit rows, or None
-    to draw them.  Pair after pair, the stream serves the start rows a pair
-    draws and then its n steps of paths uniforms.  Returns the logs and the
-    (x0, v, w) of every pair.
-    """
-    d = ks.ensemble.dimension
-    pairs, blocks = [], []
-    for start in starts:
-        pairs.append(start or tuple(_random_unit(rng, 1, d) for _ in range(3)))
-        blocks.append(rng.random((n, paths)))
-    x0, v, w = (np.repeat(np.concatenate(rows), paths, axis=0) for rows in zip(*pairs))
-    logs = _pair_contraction_logs(ks, s, x0, v, w, np.concatenate(blocks, axis=1))
-    return logs.reshape(len(pairs), paths), pairs
+    return (sin_n - sin0).reshape(n_pairs, paths)
 
 
 def lyapunov_gap(
@@ -314,10 +288,9 @@ def lyapunov_gap(
     """
     if ks.ensemble.dimension < 2:
         raise ValueError("the pair-contraction gap needs d >= 2")
-    logs, _ = _run_pairs(ks, s, _rng(seed, 202), n, n_paths, [None] * n_pairs)
     best = -np.inf
     best_se = np.nan
-    for pair_logs in logs:
+    for pair_logs in _pair_logs(ks, s, _rng(seed, 202), n, n_pairs, n_paths):
         ratios = pair_logs / n
         m = float(ratios.mean())
         se = float(ratios.std(ddof=1) / np.sqrt(n_paths))
@@ -332,34 +305,24 @@ def contraction_rate(
     eps: float,
     n: int = 30,
     seed: int = 0,
-    n_pairs: int = 64,
-    n_paths: int = 128,
+    n_pairs: int = 16,
+    n_paths: int = 32,
 ) -> float:
     """n-th root of sup over probe pairs of the tilted mean of
     (distance ratio)^eps; below 1 in the Doeblin-Fortet regime.
 
-    The sup is approximated on n_pairs probe pairs (the spectrum command
-    scans 16), each a pseudo-random normal draw made unit, run on
-    max(8, n_paths // 4) paths, and on the 8 worst of them re-run on
-    n_paths paths.  The sine distance stands in for the chordal one:
-    identical exponential rate, bounded multiplicative deviation that the
-    n-th root washes out.
+    The sup is approximated by the largest mean over n_pairs probe pairs,
+    each a pseudo-random normal draw made unit and run on n_paths paths.
+    The sine distance stands in for the chordal one: identical exponential
+    rate, bounded multiplicative deviation that the n-th root washes out.
     """
     eps_max = 1.0 if s == 0.0 else min(1.0, s)
     if not 0.0 < eps <= eps_max:
         raise ValueError("eps must lie in (0, min(1, s)] (Holder range)")
     if ks.ensemble.dimension < 2:
         raise ValueError("contraction diagnostics need d >= 2")
-    rng = _rng(seed, 303)
-
-    def ratios(paths: int, starts: list) -> tuple[list[float], list]:
-        logs, starts = _run_pairs(ks, s, rng, n, paths, starts)
-        return [float(np.mean(np.exp(eps * pair_logs))) for pair_logs in logs], starts
-
-    coarse, starts = ratios(max(8, n_paths // 4), [None] * n_pairs)
-    worst = sorted(range(n_pairs), key=lambda j: -coarse[j])[:8]
-    refined, _ = ratios(n_paths, [starts[j] for j in worst])
-    sup_ratio = max(max(coarse), max(refined))
+    logs = _pair_logs(ks, s, _rng(seed, 303), n, n_pairs, n_paths)
+    sup_ratio = max(float(np.mean(np.exp(eps * pair_logs))) for pair_logs in logs)
     return float(sup_ratio ** (1.0 / n))
 
 

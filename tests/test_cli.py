@@ -17,6 +17,7 @@ from matspec.cli import (
     main,
 )
 from matspec.ensemble import LinearEnsemble, save_ensemble
+from matspec.projective import PROJECTIVE, build_grid
 from matspec import cli, spectrum, transfer
 from matspec.ensembles import (
     affine_3d,
@@ -748,6 +749,23 @@ class TestD2Spectrum:
             assert float(r["residual_e"]) < tol and float(r["residual_nu"]) < tol
             assert int(r["iterations"]) > 0
         assert float(rows[0]["k"]) == 1.0
+
+    def test_diagnostic_columns_are_the_library_calls(self, tmp_path):
+        cfg = write_config(tmp_path, ip_2d(), grid_resolution=64,
+                           s_grid={"min": 0.0, "max": 1.5, "count": 3},
+                           options={"rho_eps": 0.5})
+        assert main(["spectrum", "--config", str(cfg)]) == EXIT_OK
+        with open(tmp_path / "out" / "spectral_curve.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        # the run solves the curve's points in s order, as these calls do, so
+        # each e^s comes from the same warm start
+        ks = KSolver(ip_2d(), build_grid(2, 64, PROJECTIVE))
+        for r in rows:
+            s = float(r["s"])
+            gap, _ = spectrum.lyapunov_gap(ks, s, seed=99, n_pairs=8, n_paths=32)
+            rho = spectrum.contraction_rate(ks, s, eps=min(0.5, s) if s > 0 else 0.5,
+                                            seed=99)
+            assert (r["gap"], r["rho_eps"]) == ("%.17g" % gap, "%.17g" % rho)
 
 
 # Every command in d = 1, 2, 3, less the pairs a test above already runs to

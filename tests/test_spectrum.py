@@ -3,7 +3,7 @@ import pytest
 
 from conftest import finite_diff_L, k_mc_oracle
 from matspec.ensemble import LinearEnsemble, transpose
-from matspec.ensembles import affine_3d, diag_only_2d, ip_2d, rotations_2d
+from matspec.ensembles import affine_3d, diag_only_2d, ip_2d, ip_shear_2d, rotations_2d
 from matspec.projective import build_grid
 from matspec.spectrum import (
     KSolver,
@@ -287,6 +287,17 @@ def test_d1_curve_solves_each_exponent_once(kesten, monkeypatch):
     assert curve.pairings == want
 
 
+def test_pairing_reads_the_transposed_solver():
+    # no atom of ip_shear_2d is symmetric, so *nu^s is not nu^s: the pairing
+    # identity holds with ks.star's measure and fails with ks's own
+    ks = KSolver(ip_shear_2d())
+    alpha = solve_alpha(ks)
+    curve = compute_curve(ks, [alpha], seed=1)
+    assert curve.pairings[0][1] < 1e-3
+    sp = ks.point(alpha)
+    assert pairing_p(sp, sp)[1] > 0.1
+
+
 class TestCurve:
     def test_curve_assembles(self, kesten):
         curve = compute_curve(KSolver(kesten), [0.0, 0.5, 1.0, 1.5], seed=1)
@@ -449,24 +460,12 @@ def per_pair_gap(ks, s, n, n_pairs, n_paths, seed):
 
 def per_pair_rho(ks, s, eps, n, n_pairs, n_paths, seed):
     rng = stream(seed, 303)
-
-    def run_pairs(k_pairs, paths, pre=None):
-        results = []
-        for j in range(k_pairs):
-            if pre is None:
-                x0, v, w = (np.repeat(unit(rng, ks.ensemble.dimension), paths, axis=0)
-                            for _ in range(3))
-            else:
-                x0, v, w = (np.repeat(arr[:1], paths, axis=0) for arr in pre[j])
-            logs = pair_logs(ks, s, x0, v, w, n, rng)
-            results.append((float(np.mean(np.exp(eps * logs))), (x0, v, w)))
-        return results
-
-    coarse = run_pairs(n_pairs, max(8, n_paths // 4))
-    coarse.sort(key=lambda t: -t[0])
-    worst = [t[1] for t in coarse[:8]]
-    refined = run_pairs(len(worst), n_paths, pre=worst)
-    sup_ratio = max(max(r for r, _ in coarse), max(r for r, _ in refined))
+    sup_ratio = -np.inf
+    for _ in range(n_pairs):
+        x0, v, w = (np.repeat(unit(rng, ks.ensemble.dimension), n_paths, axis=0)
+                    for _ in range(3))
+        logs = pair_logs(ks, s, x0, v, w, n, rng)
+        sup_ratio = max(sup_ratio, float(np.mean(np.exp(eps * logs))))
     return float(sup_ratio ** (1.0 / n))
 
 
@@ -511,7 +510,7 @@ class TestOneChainEqualsPerRunReference:
             assert lyapunov_gap(ks, 0.8, n=12, n_pairs=5, n_paths=8,
                                 seed=seed) == want
 
-    @pytest.mark.parametrize("n_pairs", [5, 11])  # fewer and more than 8 worst
+    @pytest.mark.parametrize("n_pairs", [5, 11])  # the one chain splits into any count
     def test_rho_over_pairs(self, small_solver, n_pairs):
         ks = small_solver
         # at seed 2 an in-order d=3 wedge walk moves rho by 1 ulp
@@ -519,3 +518,14 @@ class TestOneChainEqualsPerRunReference:
             want = per_pair_rho(ks, 0.8, 0.5, 10, n_pairs, 16, seed)
             assert contraction_rate(ks, 0.8, eps=0.5, n=10, n_pairs=n_pairs,
                                     n_paths=16, seed=seed) == want
+
+    def test_rho_walks_one_chain(self, small_solver, monkeypatch):
+        built = []
+
+        def counting_chain(*args):
+            built.append(args[1])
+            return TiltedChain(*args)
+
+        monkeypatch.setattr(spectrum, "TiltedChain", counting_chain)
+        contraction_rate(small_solver, 0.8, eps=0.5, n=5, n_pairs=11, n_paths=4, seed=2)
+        assert built == [[0.8]]
