@@ -19,6 +19,7 @@ __all__ = [
     "ip_flip_2d",
     "ip_affine_2d",
     "ip_shear_2d",
+    "ip_shear_affine_2d",
     "expanding_1d_deterministic",
     "expanding_1d_arithmetic",
     "rotations_2d",
@@ -136,6 +137,14 @@ def ip_shear_2d() -> LinearEnsemble:
         np.array([0.5, 0.5]),
         label="ip-shear-2d",
     )
+
+
+def ip_shear_affine_2d() -> AffineEnsemble:
+    """ip_shear_2d's atoms with ip_affine_2d's translations: an affine walk
+    whose dual walk runs on ks.star, a different operator from ks."""
+    lin = ip_shear_2d()
+    return AffineEnsemble(2, lin.matrices.copy(), ip_affine_2d().translations.copy(),
+                          lin.weights.copy(), label="ip-shear-affine-2d")
 
 
 def expanding_1d_deterministic() -> LinearEnsemble:

@@ -199,12 +199,12 @@ def interp_stencil(grid: DirectionGrid, xs: np.ndarray,
         w.fill(1.0)
         return idx, w
     if d == 2:
-        # theta % pi without the slow float fmod: arctan2 lies in [-pi, pi],
-        # so pi itself wraps to +0 and every other angle wraps only when
-        # negative
+        # theta % pi with neither the slow float fmod nor a branch: arctan2
+        # lies in [-pi, pi], so pi itself wraps to +0, a negative angle adds
+        # pi, and -0.0 turns +0.0 (pos - floor(pos) is +0.0 either way)
         theta = np.arctan2(xs[:, 1], xs[:, 0])
         theta[theta >= np.pi] = 0.0
-        pos = np.where(theta < 0, theta + np.pi, theta)
+        pos = theta + np.pi * (theta < 0)
         pos /= np.pi / n
         fl = np.floor(pos)
         idx[0] = fl

@@ -19,10 +19,10 @@ growth rate to L(alpha).  Each tilted walk takes the run's
 transfer.KSolver and alpha and reads its chain, e^alpha, nu^alpha and
 L(alpha) (by quadrature) from that one solver; the dual walk's from ks.star.
 
-Every level walk retires finished paths by compaction: the untilted walks
-drop their rows from their own arrays and the tilted ones through
-TiltedChain.keep, the live rows keep their order, and an array of path
-numbers (TiltedChain.ids) indexes the per-path tallies.  The naive Cramer
+Every level walk retires finished paths by one gather (flatnonzero, then
+a take per array): the untilted walks from their own arrays and the tilted
+ones through TiltedChain.keep; the live rows keep their order, and path
+numbers (TiltedChain.ids) index the per-path tallies.  The naive Cramer
 walk retires a path by the tail bound, once it sits log(n_paths 1e4) /
 alpha nats (at most 60) below its next threshold, and draws for all
 n_paths each step, so its draws do not depend on which paths retired.
@@ -124,9 +124,9 @@ def potential_profile_expanding(
         y = apply_atoms(e.matrices, draw_atoms(rng, e.weights, ids.size), x.T)
         norms = np.linalg.norm(y, axis=0)
         logmag = logmag + np.log(norms)
-        live = logmag <= top + 10.0
-        x = (y / norms).T[live]
-        logmag, ids = logmag[live], ids[live]
+        live = np.flatnonzero(logmag <= top + 10.0)
+        x = (y / norms).T.take(live, axis=0)
+        logmag, ids = logmag.take(live), ids.take(live)
         steps += 1
     stuck = ids.size
     caveats = [f"{stuck} paths had not left the window region "
@@ -145,7 +145,7 @@ def _add_visits(acc: np.ndarray, test_functions: list[AnnulusFunction],
     for j, (f, (lo, hi)) in enumerate(zip(test_functions, windows)):
         inside = (logmag >= lo) & (logmag < hi)
         if inside.any():
-            sel = inside & f.direction_mask(x)
+            sel = inside if f.probe_center is None else inside & f.direction_mask(x)
             acc[j, ids[sel]] += weights[sel]
 
 
@@ -226,9 +226,9 @@ def cramer_constant(
             done = levels[np.searchsorted(log_ts, running_max)] - logmag > climb
             if done.any():
                 peak[live[done]] = running_max[done]
-                keep = ~done
-                x, logmag = x[:, keep], logmag[keep]
-                running_max, live = running_max[keep], live[keep]
+                rows = np.flatnonzero(~done)
+                x, logmag = x.take(rows, axis=1), logmag.take(rows)
+                running_max, live = running_max.take(rows), live.take(rows)
             steps += 1
         peak[live] = running_max
         hits = [int((peak > lt).sum()) for lt in log_ts]
@@ -248,15 +248,15 @@ def cramer_constant(
     while chain.ids.size and steps < max_steps:
         chain.step(rng.random(chain.ids.size))
         reach = np.searchsorted(log_ts, chain.logmag)  # thresholds below logmag
-        new = reach > nxt[chain.ids]
-        if new.any():
-            crossing = chain.ids[new]
-            lo, hi = nxt[crossing], reach[new]
+        new = np.flatnonzero(reach > nxt.take(chain.ids))  # rows that crossed
+        if new.size:
+            crossing = chain.ids.take(new)
+            lo, hi = nxt.take(crossing), reach.take(new)
             # the simulated kernel normalizes by the grid normalizer
             # (= k(alpha) up to discretization); the likelihood ratio folds
             # in the actual normalizers, which keeps the estimator exactly
             # unbiased for the chain that was simulated
-            wvals = np.exp(chain.log_lr()[new])
+            wvals = np.exp(chain.log_lr().take(new))
             for j in range(lo.min(), hi.max()):  # one step may cross several
                 wj = wvals[(lo <= j) & (hi > j)]
                 weight_sum[j] += wj.sum()
@@ -328,9 +328,10 @@ class DualWalkRecord:
     """Batch summary of the alpha-tilted dual walk (u_n, p_n).
 
     first_tau < 0 marks starts whose first ladder epoch was not reached
-    within the step budget; sign_preserved reports that p^{-1} p_tau > 0 at
-    every recorded epoch, which holds by construction: only steps with
-    p^{-1} p_n > 0 are taken as records.
+    within the step budget; mean_gap is the mean over starts of the last
+    epoch over the epoch count, as the gaps telescope; sign_preserved
+    reports that p^{-1} p_tau > 0 at every recorded epoch, which holds by
+    construction: only steps with p^{-1} p_n > 0 are taken as records.
     """
 
     n_starts: int
@@ -386,8 +387,7 @@ def dual_walk_simulate(
     log_record = np.zeros(n_starts)  # record of log(p^{-1} p_n |S'_n u|), start 0
     first_tau = np.full(n_starts, -1, dtype=int)
     n_epochs = np.zeros(n_starts, dtype=int)
-    last_epoch = np.zeros(n_starts, dtype=int)
-    gap_sum = np.zeros(n_starts)
+    last_epoch = np.zeros(n_starts, dtype=int)  # the gaps telescope to it
     sign_ok = True
     zero_hits = 0
     # |p|^eps after burn-in: per-start totals and the sums of nb equal
@@ -412,20 +412,16 @@ def dual_walk_simulate(
         p = p_new
         ratio = p / p0
         positive = ratio > 0
-        logv = np.where(positive, np.log(np.abs(ratio)) + chain.logmag, -np.inf)
+        logv = np.log(np.abs(ratio)) + chain.logmag  # read only where positive
         # strict increase with a 1e-9 nat margin: absorbs the measure-zero
         # boundary v_n == record (e.g. the B = 0 walk where v_n is exactly 1)
         # without touching genuine ladder heights, which are O(L(alpha))
         is_record = positive & (logv > log_record + 1e-9)
-        if is_record.any():
-            if not np.all(ratio[is_record] > 0):
-                sign_ok = False
-            newly_first = is_record & (first_tau < 0)
-            first_tau[newly_first] = step
-            gap_sum[is_record] += step - last_epoch[is_record]
-            n_epochs[is_record] += 1
-            last_epoch[is_record] = step
-            log_record[is_record] = logv[is_record]
+        sign_ok &= bool((is_record <= positive).all())  # ratio > 0 at every record
+        np.putmask(first_tau, is_record & (first_tau < 0), step)
+        n_epochs += is_record
+        np.putmask(last_epoch, is_record, step)
+        np.putmask(log_record, is_record, logv)
         if step > burn:
             eps_p = np.abs(p) ** eps
             eps_total += eps_p
@@ -440,7 +436,7 @@ def dual_walk_simulate(
             eps_cv = float(batches.std(ddof=1) / batches.mean())
     with_epochs = n_epochs > 0
     if with_epochs.any():
-        mean_gap = float((gap_sum[with_epochs] / n_epochs[with_epochs]).mean())
+        mean_gap = float((last_epoch[with_epochs] / n_epochs[with_epochs]).mean())
         rates = (log_record[with_epochs]) / n_epochs[with_epochs]
         height_rate = float(rates.mean())
         height_se = float(rates.std(ddof=1) / np.sqrt(max(with_epochs.sum(), 2)))

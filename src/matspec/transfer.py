@@ -537,13 +537,14 @@ class TiltedChain:
         return atom, ln
 
     def keep(self, live: np.ndarray) -> None:
-        """Drop the rows where the boolean live is False; the kept rows keep
-        their order."""
+        """Drop the rows where the boolean live is False, by one gather; the
+        kept rows keep their order and the store stays rows last."""
         if live.all():
             return
-        self._xt = self._xt[:, live]
+        rows = np.flatnonzero(live)
+        self._xt = self._xt.take(rows, axis=1)
         for name in ("e_x", "_log_e_x0", "logmag", "lognorm", "ids", "s", "offset"):
-            setattr(self, name, getattr(self, name)[live])
+            setattr(self, name, getattr(self, name).take(rows))
 
     def log_lr(self) -> np.ndarray:
         """log e^s(x0) - log e^s(x_n) - s log|S_n x0| + sum of log

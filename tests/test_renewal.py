@@ -10,6 +10,7 @@ from matspec.ensembles import (
     expanding_1d_deterministic,
     ip_2d,
     ip_affine_2d,
+    ip_shear_affine_2d,
     kesten_affine_1d,
 )
 from matspec.projective import build_grid
@@ -393,6 +394,68 @@ class TestDualWalk:
         other = AffineEnsemble(1, mats, ae.translations.copy(), weights)
         with pytest.raises(ValueError, match="linear part"):
             dual_walk_simulate(other, ks_kesten, 1.0)
+
+    # every scalar of the record, as repr, and first_tau.sum(), pinned bit
+    # for bit so that a rewrite of the walk's bookkeeping shows any drift
+    PINNED = {
+        "kesten p0=+1": (
+            {"mean_gap": "1.0", "gamma_tau": "0.3347952867143343",
+             "height_rate": "0.34243970472445234", "height_rate_se": "0.0019327208467589704",
+             "eps_moment": "1.160168517018214", "eps_moment_cv": "0.0029680620061663205",
+             "sign_preserved": "True", "zero_hits": "522"}, -44),
+        "kesten p0=-1": (
+            {"mean_gap": "1.0", "gamma_tau": "0.3347952867143343",
+             "height_rate": "0.3387868198378128", "height_rate_se": "0.0018041491265947695",
+             "eps_moment": "1.1613293870853376", "eps_moment_cv": "0.0042754717337524185",
+             "sign_preserved": "True", "zero_hits": "493"}, 14),
+        "ip_affine_2d": (
+            {"mean_gap": "1.289951719435701", "gamma_tau": "0.1800760622357503",
+             "height_rate": "0.2007971038861986", "height_rate_se": "0.005453849118418906",
+             "eps_moment": "1.2181335787397525", "eps_moment_cv": "0.0035721123904974648",
+             "sign_preserved": "True", "zero_hits": "0"}, 110),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_record_is_pinned(self, ks_kesten, case):
+        if case == "ip_affine_2d":
+            ks = KSolver(ip_affine_2d().linear_part, build_grid(2, 128, "projective"))
+            args = (ip_affine_2d(), ks, solve_alpha(ks))
+            kw = dict(p0=1.0, n_starts=256, n_steps=200, seed=23)
+        else:
+            p0 = 1.0 if case.endswith("+1") else -1.0
+            args = (kesten_affine_1d(), ks_kesten, 1.0)
+            kw = dict(p0=p0, n_starts=1000, n_steps=300, seed=21 if p0 > 0 else 22)
+        rec = dual_walk_simulate(*args, **kw)
+        scalars, tau_sum = self.PINNED[case]
+        assert (rec.n_starts, rec.n_steps) == (kw["n_starts"], kw["n_steps"])
+        assert {name: repr(getattr(rec, name)) for name in scalars} == scalars
+        assert int(rec.first_tau.sum()) == tau_sum
+
+    def test_walk_builds_its_chain_from_star(self, monkeypatch):
+        # on ip_shear_affine_2d no atom is symmetric, so the chain of ks and
+        # that of ks.star differ in their atoms and in e^alpha, and the walk
+        # must draw from the tilted chain of the transposed ensemble
+        built = []
+
+        class RecordingChain(TiltedChain):
+            def __init__(self, ks, s_values, x0):
+                super().__init__(ks, s_values, x0)
+                built.append((ks, self))
+
+        ae = ip_shear_affine_2d()
+        ks = KSolver(ae.linear_part, build_grid(2, 128, "projective"))
+        alpha = solve_alpha(ks)
+        monkeypatch.setattr(renewal, "TiltedChain", RecordingChain)
+        rec = dual_walk_simulate(ae, ks, alpha, n_starts=64, n_steps=50, seed=5)
+        assert np.isfinite(rec.mean_gap)
+        [(solver, chain)] = built
+        assert solver is ks.star
+        assert np.array_equal(chain.ensemble.matrices, ae.linear_part.matrices.swapaxes(1, 2))
+        assert np.array_equal(chain.values, ks.star.point(alpha).e.values)
+        # the fixture tells the two apart: e^alpha and *e^alpha differ by
+        # more than 0.3 somewhere after scaling
+        e, e_star = ks.point(alpha).e.values, chain.values
+        assert np.max(np.abs(e / e.mean() - e_star / e_star.mean())) > 0.3
 
     def test_d2_dual_walk_runs(self, ip_solver, ip_alpha):
         from matspec.ensemble import classify_cone_case

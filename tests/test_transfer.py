@@ -461,6 +461,32 @@ class TestTiltedChain:
                 assert np.array_equal(getattr(kept, name), getattr(full, name)[ids])
             assert np.array_equal(kept.log_lr(), full.log_lr()[ids])
 
+    def test_keep_equals_boolean_indexing(self, chain_case):
+        # every row array after keep(mask) is the boolean-indexed one, for a
+        # mixed, an all-True and an all-False mask, and the store stays
+        # rows last
+        ks, alpha = chain_case
+        d = ks.ensemble.dimension
+        rng = np.random.default_rng(14)
+        blocks = [rng.standard_normal((n, d)) for n in (11, 17)]
+        blocks = [b / np.linalg.norm(b, axis=1, keepdims=True) for b in blocks]
+        chain = TiltedChain(ks, [alpha, 0.5 * alpha], blocks)
+        names = ("x", "e_x", "logmag", "lognorm", "ids", "s", "offset")
+        for step in range(3):
+            chain.step(rng.random(len(chain.ids)))
+            n = len(chain.ids)
+            mask = (rng.random(n) < 0.5, np.ones(n, bool), np.zeros(n, bool))[step]
+            want = {name: getattr(chain, name)[mask] for name in names}
+            want_lr = chain.log_lr()[mask]
+            chain.keep(mask)
+            for name in names:
+                assert np.array_equal(getattr(chain, name), want[name]), name
+                assert getattr(chain, name).dtype == want[name].dtype, name
+            assert np.array_equal(chain.log_lr(), want_lr)
+            assert np.all(np.diff(chain.ids) > 0)
+            assert chain.x.shape == (mask.sum(), d) and chain.x.T.flags.c_contiguous
+        assert chain.ids.size == 0
+
     def test_rows_last_chain_equals_rows_first_reference(self, chain_case):
         # the chain keeps its rows last and its work arrays across steps;
         # the rows-first chain it replaced reads the same bits, also after
