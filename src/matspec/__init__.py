@@ -1,7 +1,7 @@
 """matspec: spectral objects of random matrix products and heavy-tail
 diagnostics for affine stochastic recursions X_{n+1} = A X_n + B."""
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .ensemble import (  # noqa: F401
     AffineEnsemble,

@@ -59,6 +59,7 @@ from .renewal import (
     tilted_potential_profile,
 )
 from .spectrum import (
+    S_CAP,
     KSolver,
     compute_curve,
     contraction_rate,
@@ -89,7 +90,7 @@ def _floats(v) -> tuple[float, ...]:
 # config key, in the section "mc" or "options" when dotted -> the reader of
 # its JSON value; its RunConfig field is the key less "options.", "." as "_"
 _READERS = {
-    "threads": int, "grid_resolution": int, "s_grid": _span, "s_max_bound": float,
+    "threads": int, "grid_resolution": int, "s_grid": _span,
     "mc.paths": int, "mc.steps": int, "mc.samples": int,
     "options.rho_eps": float, "options.p0": float, "options.t_grid": _span,
     "options.n_windows": int, "options.annulus_width": float, "options.t_start": float,
@@ -109,7 +110,6 @@ class RunConfig:
     threads: int = 1
     grid_resolution: int = DEFAULT_RESOLUTION
     s_grid: tuple[float, float, int] = (0.0, 2.0, 9)
-    s_max_bound: float = 64.0
     mc_paths: int = 100_000
     mc_steps: int = 400
     mc_samples: int = 1_000_000
@@ -162,10 +162,8 @@ class RunConfig:
             raise ConfigError(f"malformed config value: {exc!r}") from exc
         self.threads = max(1, self.threads)
         lo, hi, count = self.s_grid
-        if hi > self.s_max_bound:
-            raise ConfigError(
-                f"s_grid max {hi} exceeds the declared bound {self.s_max_bound}"
-            )
+        if hi > S_CAP:
+            raise ConfigError(f"s_grid max {hi} exceeds the cap {S_CAP:g}")
         if lo < 0:
             raise ConfigError("negative exponents are not supported")
         if count < 2:
@@ -624,6 +622,8 @@ def _dualwalk(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     ], "ladder epochs, height rate, and p-moment")
     if not rec.sign_preserved:
         man.warn("ladder sign preservation violated")
+    if finite == 0:
+        man.warn(f"no start reached a ladder epoch within {rec.n_steps} steps")
     return "ok"
 
 

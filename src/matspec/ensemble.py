@@ -41,6 +41,8 @@ __all__ = [
 WEIGHT_TOL = 1e-12
 DET_TOL = 1e-12
 ANGULAR_TOL = 1e-3  # cone attractor symmetry margin, radians
+PROXIMAL_WORD_LENGTH = 8  # most atoms of a random word in check_proximality
+PROXIMAL_RANDOM_WORDS = 200  # random words check_proximality tries
 
 
 class EnsembleError(ValueError):
@@ -198,13 +200,10 @@ def _proximality_gap(g: np.ndarray) -> tuple[float, bool]:
     return float(gap), bool(real_simple)
 
 
-def check_proximality(
-    e: LinearEnsemble,
-    max_word_length: int = 8,
-    n_random_words: int = 200,
-    seed: int = 0,
-) -> tuple[str, dict]:
-    """Search products of atoms for one with a simple dominant real eigenvalue.
+def check_proximality(e: LinearEnsemble, seed: int = 0) -> tuple[str, dict]:
+    """Search products of atoms for one with a simple dominant real eigenvalue:
+    every word of one or two atoms, then PROXIMAL_RANDOM_WORDS random words
+    of 1 to PROXIMAL_WORD_LENGTH atoms.
 
     Returns ("pass", witness) when some word g in the semigroup has a real
     top eigenvalue exceeding the second modulus by a relative gap > 1e-6,
@@ -220,8 +219,8 @@ def check_proximality(
     words: list[tuple[int, ...]] = [(i,) for i in range(e.n_atoms)]
     if e.n_atoms >= 2:
         words += [(i, j) for i in range(e.n_atoms) for j in range(e.n_atoms)]
-    for _ in range(n_random_words):
-        length = int(rng.integers(1, max_word_length + 1))
+    for _ in range(PROXIMAL_RANDOM_WORDS):
+        length = int(rng.integers(1, PROXIMAL_WORD_LENGTH + 1))
         words.append(tuple(rng.integers(0, e.n_atoms, size=length)))
     for word in words:
         g = np.eye(e.dimension)

@@ -330,27 +330,20 @@ def directional_profile(
     return {"constants": constants, "ratios": ratios, "cv": cv}
 
 
-def mellin_profile(
-    bank: TailSampleBank,
-    u: np.ndarray,
-    alpha: float,
-    s_grid: np.ndarray | None = None,
-) -> dict:
+def mellin_profile(bank: TailSampleBank, u: np.ndarray, alpha: float) -> dict:
     """Pole-route estimate of C(u): extrapolate (alpha - s) E<R,u>_+^s
-    linearly to s = alpha and divide by alpha.
+    linearly to s = alpha from 8 equally spaced s in [alpha/2, 0.9 alpha],
+    and divide by alpha.
 
     The fit weights each s by an inverse batch-means variance, which keeps
     the noisy near-pole moments from dominating.  s values whose empirical
     moment overflows are dropped (adaptive clip).  At desk-scale sample
     sizes the empirical moment misses the tail mass above the observed
-    maximum, so the estimate runs systematically a little low; the
+    maximum, so the estimate runs low.  On 1e6 samples it read 19% below
+    the exact constant 1/k'(1) on kesten_affine_1d and 5.6% below Goldie's
+    implicit-renewal estimate on kesten_symmetric_affine_1d; the
     cross-check budget against the plateau route absorbs that.
     """
-    if s_grid is None:
-        s_grid = np.linspace(0.5 * alpha, 0.9 * alpha, 8)
-    s_grid = np.asarray(sorted(s_grid))
-    if s_grid.max() < 0.9 * alpha:
-        raise ValueError("s grid must approach alpha (max >= 0.9 alpha)")
     vals = bank.directional(np.asarray(u, dtype=float))
     pos = vals[vals > 0]
     n = bank.n_samples
@@ -360,9 +353,7 @@ def mellin_profile(
         raise ValueError("too few positive values for a batch-weighted fit")
     scale = pos.size / n  # batch means cover the positive part only
     rows = []
-    for s in s_grid:
-        if s <= 0 or s >= alpha:
-            continue
+    for s in np.linspace(0.5 * alpha, 0.9 * alpha, 8):
         with np.errstate(over="ignore"):
             powed = pos**s
             m = (alpha - s) * float(powed.sum()) / n

@@ -49,6 +49,8 @@ __all__ = [
     "dual_walk_simulate",
 ]
 
+_MAX_STEPS = 4000  # most steps of one Cramer or tilted potential path
+
 
 @dataclass(frozen=True)
 class AnnulusFunction:
@@ -195,7 +197,7 @@ def cramer_constant(
     crosses every level since the tilted drift is positive.  Either way a
     path runs at most 4000 steps.
     """
-    max_steps, drop_nats, min_hits = 4000, 60.0, 25
+    drop_nats, min_hits = 60.0, 25
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     u = np.asarray(u, dtype=float)
@@ -217,7 +219,7 @@ def cramer_constant(
         live = np.arange(n_paths)
         peak = np.zeros(n_paths)  # running max of each path at its retirement
         steps = 0
-        while live.size and steps < max_steps:
+        while live.size and steps < _MAX_STEPS:
             y = apply_atoms(e.matrices, draw_atoms(rng, e.weights, n_paths, rows=live), x)
             norms = np.linalg.norm(y, axis=0)
             x = y / norms
@@ -245,7 +247,7 @@ def cramer_constant(
     nxt = np.zeros(n_paths, dtype=np.intp)
     steps = 0
     top = log_ts[-1]
-    while chain.ids.size and steps < max_steps:
+    while chain.ids.size and steps < _MAX_STEPS:
         chain.step(rng.random(chain.ids.size))
         reach = np.searchsorted(log_ts, chain.logmag)  # thresholds below logmag
         new = np.flatnonzero(reach > nxt.take(chain.ids))  # rows that crossed
@@ -291,7 +293,6 @@ def tilted_potential_profile(
     test_functions: list[AnnulusFunction],
     n_paths: int,
     seed: int,
-    max_steps: int = 4000,
 ) -> RenewalReport:
     """t^{-alpha} sum_k E[f(S_k(t u))] for annulus functions f, against the
     prediction e^alpha(u)/L(alpha) * nu^alpha(probe) * (c1^-a - c2^-a)/a,
@@ -299,7 +300,8 @@ def tilted_potential_profile(
     quadrature route.
 
     Every step contributes through its own likelihood ratio, so the sum is
-    an exact reweighting of the untilted potential.
+    an exact reweighting of the untilted potential.  A path runs until it
+    climbs 5 nats past the top window, or for at most 4000 steps.
     """
     L_alpha = lyapunov(ks, alpha, "quadrature")[0]
     u = np.asarray(u, dtype=float)
@@ -311,7 +313,7 @@ def tilted_potential_profile(
     windows = [(f.log_lo - np.log(t), f.log_hi - np.log(t)) for f in test_functions]
     top = max(hi for _, hi in windows)
     steps = 0
-    while chain.ids.size and steps < max_steps:
+    while chain.ids.size and steps < _MAX_STEPS:
         chain.step(rng.random(chain.ids.size))
         _add_visits(acc, test_functions, windows, chain.logmag, chain.x, chain.ids,
                     np.exp(chain.log_lr()))

@@ -68,6 +68,12 @@ __all__ = [
 _MC_CHAINS = 512
 _MC_STEPS = 550
 
+# solve_alpha's start bracket, its bound on |k(alpha) - 1| and the largest
+# exponent its bracket expands to, which also bounds every run's s-grid
+_BRACKET = (0.1, 2.0)
+_ALPHA_TOL = 1e-10
+S_CAP = 64.0
+
 
 @dataclass
 class SpectralCurve:
@@ -88,39 +94,33 @@ class SpectralCurve:
         self.s_values = s
 
 
-def solve_alpha(
-    ks: KSolver | LinearEnsemble,
-    grid: DirectionGrid | None = None,
-    bracket: tuple[float, float] = (0.1, 2.0),
-    tol: float = 1e-10,
-    s_cap: float = 64.0,
-) -> float:
+def solve_alpha(ks: KSolver | LinearEnsemble, grid: DirectionGrid | None = None) -> float:
     """Positive root of k(alpha) = 1 by safeguarded Newton on log k, with
     k and k' from the solver ks, or from a new KSolver of the ensemble ks
     on grid (the default grid without one).
 
-    The user bracket is verified (k(lo) < 1 < k(hi)) and expanded
-    geometrically when it fails, up to s_cap.  No sign change within the cap
-    raises HypothesisError: that happens exactly when every product keeps
-    spectral radius <= 1 or the walk is not contracting at s = 0.  Newton starts at hi, where
-    the convexity of log k makes its steps fall monotonically to the root;
-    a step that leaves the bracket, which shrinks with every evaluation, is
-    replaced by bisection.  A refinement that stalls above tol is a
-    numerical failure and raises RuntimeError.
+    The bracket (0.1, 2) is verified (k(lo) < 1 < k(hi)) and expanded
+    geometrically where it fails: lo halves, at most 60 times, and hi
+    doubles up to S_CAP.  No sign change within those bounds raises
+    HypothesisError: that happens exactly when every product keeps spectral
+    radius <= 1 or the walk is not contracting at s = 0.  Newton starts at
+    hi, where the convexity of log k makes its steps fall monotonically to
+    the root; a step that leaves the bracket, which shrinks with every
+    evaluation, is replaced by bisection.  A refinement that stalls with
+    |k(alpha) - 1| above 1e-10 is a numerical failure and raises
+    RuntimeError.
     """
     if isinstance(ks, LinearEnsemble):
         ks = KSolver(ks, grid)
     elif grid is not None:
         raise ValueError("a grid goes with an ensemble; a solver has its own")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if lo <= 0:
-        lo = 1e-3
+    lo, hi = _BRACKET
     tries = 0
     while ks.k(lo) >= 1.0 and tries < 60:
         lo /= 2.0
         tries += 1
-    while ks.k(hi) <= 1.0 and hi < s_cap:
-        hi = min(2.0 * hi, s_cap)
+    while ks.k(hi) <= 1.0 and hi < S_CAP:
+        hi = min(2.0 * hi, S_CAP)
     if not (ks.k(lo) < 1.0 < ks.k(hi)):
         raise HypothesisError(
             "no root: k(s) - 1 has no sign change on the expanded bracket; "
@@ -141,9 +141,9 @@ def solve_alpha(
         if abs(nxt - alpha) <= 1e-13 + 4e-16 * alpha:
             break
         alpha = nxt
-    if abs(ks.k(alpha) - 1.0) > tol:
+    if abs(ks.k(alpha) - 1.0) > _ALPHA_TOL:
         raise RuntimeError(
-            f"root refinement stalled: |k(alpha)-1| = {abs(ks.k(alpha)-1.0):.3e} > {tol}"
+            f"root refinement stalled: |k(alpha)-1| = {abs(ks.k(alpha)-1.0):.3e} > {_ALPHA_TOL}"
         )
     return float(alpha)
 

@@ -94,6 +94,7 @@ __all__ = [
 DEFAULT_RESOLUTION = 512
 KRYLOV_DIM = 20  # most Arnoldi steps in one cycle of an eigen-solve
 MAX_ITER = 20000  # most mat-vecs of one eigen-solve
+TOL = 1e-11  # bound on both residuals of a converged eigen-solve
 
 
 @dataclass
@@ -206,18 +207,12 @@ class KSolver:
     the operator family of the ensemble (``op``) and, through ``star``, the
     solver of the transposed ensemble on the same grid (itself in d=1);
     both are built on first use.  Solved points are cached by s, and a new
-    s starts from the cached point nearest to it.  tol bounds both
-    residuals of a solve and MAX_ITER its mat-vecs.
+    s starts from the cached point nearest to it.  Every solve runs
+    power_iterate, to TOL in both residuals within MAX_ITER mat-vecs.
     """
 
-    def __init__(
-        self,
-        e: LinearEnsemble,
-        grid: DirectionGrid | None = None,
-        tol: float = 1e-11,
-    ):
+    def __init__(self, e: LinearEnsemble, grid: DirectionGrid | None = None):
         self.ensemble = e
-        self.tol = tol
         self.grid = grid or build_grid(e.dimension, DEFAULT_RESOLUTION, PROJECTIVE)
         self._op: TransferOperator | None = None
         self._star: KSolver | None = None
@@ -236,7 +231,7 @@ class KSolver:
         if self.ensemble.dimension == 1:
             return self
         if self._star is None:
-            self._star = KSolver(transpose(self.ensemble), self.grid, tol=self.tol)
+            self._star = KSolver(transpose(self.ensemble), self.grid)
         return self._star
 
     def k(self, s: float) -> float:
@@ -259,18 +254,13 @@ class KSolver:
         sp = self._points.get(key)
         if sp is None:
             nearest = min(self._points, key=lambda t: abs(t - key), default=None)
-            sp = power_iterate(self.op, key, self.tol, MAX_ITER,
-                               start=self._points.get(nearest))
+            sp = power_iterate(self.op, key, start=self._points.get(nearest))
             self._points[key] = sp
         return sp
 
 
 def power_iterate(
-    op: TransferOperator,
-    s: float,
-    tol: float,
-    max_iter: int,
-    start: SpectralPoint | None = None,
+    op: TransferOperator, s: float, start: SpectralPoint | None = None
 ) -> SpectralPoint:
     """(k(s), e^s, nu^s) of the operator family op by explicitly restarted
     Arnoldi on P^s for e^s and on its adjoint for nu^s; KSolver.point is its
@@ -280,8 +270,8 @@ def power_iterate(
     the Ritz vectors' negative entries to 0 and takes one alternating power
     step, which gives the residuals and the normalization.  k is the
     Rayleigh quotient <P^s e, nu>/<e, nu> of that step; rounds stop when the
-    eigenfunction and eigenmeasure residuals both fall below tol, and
-    ``converged`` records whether they did within max_iter mat-vecs
+    eigenfunction and eigenmeasure residuals both fall below TOL, and
+    ``converged`` records whether they did within MAX_ITER mat-vecs
     (``iterations`` counts the mat-vecs of both sides).  start is a solved
     point of the same family whose (e, nu) start the cycles in place of
     (1, quadrature weights).  Without irreducibility + proximality the
@@ -302,9 +292,9 @@ def power_iterate(
     # much as the reductions themselves on a few hundred nodes
     amax, total = np.maximum.reduce, np.add.reduce
     while True:
-        steps = max(1, min(KRYLOV_DIM, (max_iter - matvecs - 2) // 2))
-        f, n_f = _perron_cycle(P, f, tol, steps, np.inf)
-        sigma, n_sigma = _perron_cycle(PT, sigma, tol, steps, 1)
+        steps = max(1, min(KRYLOV_DIM, (MAX_ITER - matvecs - 2) // 2))
+        f, n_f = _perron_cycle(P, f, steps, np.inf)
+        sigma, n_sigma = _perron_cycle(PT, sigma, steps, 1)
         # Ritz vectors carry rounding-level negative entries
         np.maximum(f, 0.0, out=f)
         np.maximum(sigma, 0.0, out=sigma)
@@ -316,8 +306,8 @@ def power_iterate(
         res_nu = float(total(np.abs(sig_new - k_est * sigma)) / (abs(k_est) * total(sigma)))
         f = f_new / amax(f_new)
         sigma = sig_new / total(sig_new)
-        converged = res_e < tol and res_nu < tol
-        if converged or matvecs >= max_iter:
+        converged = res_e < TOL and res_nu < TOL
+        if converged or matvecs >= MAX_ITER:
             break
     if s == 0.0:
         k_est = 1.0  # P^0 is a Markov operator: dominant eigenvalue is 1
@@ -336,7 +326,7 @@ def power_iterate(
     )
 
 
-def _perron_cycle(A, v: np.ndarray, tol: float, steps: int, ord: float) -> tuple[np.ndarray, int]:
+def _perron_cycle(A, v: np.ndarray, steps: int, ord: float) -> tuple[np.ndarray, int]:
     """One Arnoldi cycle of at most `steps` steps (one mat-vec each) on A
     from v: the Ritz vector x of the real Ritz value theta of largest real
     part, the Perron root, signed to a positive sum, and the steps taken.
@@ -345,7 +335,7 @@ def _perron_cycle(A, v: np.ndarray, tol: float, steps: int, ord: float) -> tuple
     v_{j+1} (y the Ritz pair's eigenvector of the Hessenberg block) meets
     the stop rule of power_iterate: in ord = inf, its sup norm over that
     of x (the e side); in ord = 1, its l1 norm over |theta| times that of x
-    (the nu side), each below tol.  A test is a dense eigen-solve, as dear
+    (the nu side), each below TOL.  A test is a dense eigen-solve, as dear
     as a few steps, so the first comes after 2 steps and each later one
     where the residual, falling geometrically at its last rate, would meet
     the bound.
@@ -369,7 +359,7 @@ def _perron_cycle(A, v: np.ndarray, tol: float, steps: int, ord: float) -> tuple
             x = vecs[:, i].real @ basis
             # A x - theta x = y_j w: the Ritz residual in the stop rule's norm
             est = abs(vecs[-1, i].real) * np.linalg.norm(w, ord) / np.linalg.norm(x, ord)
-            bound = tol * (abs(vals[i]) if ord == 1 else 1.0)
+            bound = TOL * (abs(vals[i]) if ord == 1 else 1.0)
             if est <= bound or j == steps:
                 break
             rate = (est / last[1]) ** (1.0 / (j - last[0])) if last else 1.0

@@ -38,7 +38,7 @@ from matspec.spectrum import (
     lyapunov_gap,
     solve_alpha,
 )
-from matspec.transfer import TransferOperator
+from matspec.transfer import TOL, TransferOperator
 
 L0_KESTEN = 0.4 * np.log(2.0) - 0.6 * np.log(3.0)
 KP1_KESTEN = 0.4 * 2.0 * np.log(2.0) - 0.2 * np.log(3.0)
@@ -51,7 +51,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def ip512():
     e = ip_2d()
-    solver = KSolver(e, build_grid(2, 512, "projective"), tol=1e-11)
+    solver = KSolver(e, build_grid(2, 512, "projective"))
     alpha = solve_alpha(solver)
     return e, solver, alpha
 
@@ -65,12 +65,12 @@ def big_bank():
 def test_criterion_1_d1_reference_closed_form():
     t0 = time.perf_counter()
     e = kesten_1d()
-    alpha = solve_alpha(e, tol=1e-12)
+    alpha = solve_alpha(e)
     L0, _ = lyapunov(KSolver(e), 0.0, "quadrature")
     La, _ = lyapunov(KSolver(e), alpha, "quadrature")
     k_alpha = 0.4 * 2.0**alpha + 0.6 * 3.0**-alpha
     elapsed = time.perf_counter() - t0
-    ok_alpha = abs(alpha - 1.0) <= 1e-8
+    ok_alpha = abs(alpha - 1.0) <= 1e-8 and abs(k_alpha - 1.0) <= 1e-12
     ok_L0 = abs(L0 - L0_KESTEN) <= 1e-12
     ok_La = abs(La * k_alpha - KP1_KESTEN) <= 1e-10
     ok_value = abs(KP1_KESTEN - 0.3348) < 5e-5
@@ -89,7 +89,7 @@ def test_criterion_2_similarity_grid_matches_mellin():
     worst_k = 0.0
     worst_e = 0.0
     for s in (0.0, 0.5, 1.0, 1.5, 2.0):
-        sp = KSolver(e, grid, tol=1e-11).point(s)
+        sp = KSolver(e, grid).point(s)
         exact = 0.4 * 2.0**s + 0.6 * (1.0 / 3.0) ** s
         worst_k = max(worst_k, abs(sp.k - exact) / exact)
         span = (sp.e.values.max() - sp.e.values.min()) / sp.e.values.mean()
@@ -224,11 +224,11 @@ def test_criterion_7_property_suites(ip512, big_bank):
 
     # k(0) = 1 for every shipped ensemble
     grid1 = build_grid(1, 1, "projective")
-    check("k0-kesten", KSolver(kesten_1d(), grid1, tol=1e-10).point(0.0).k == 1.0)
+    check("k0-kesten", KSolver(kesten_1d(), grid1).point(0.0).k == 1.0)
     check("k0-ip", solver.k(0.0) == 1.0)
     grid128 = build_grid(2, 128, "projective")
     check("k0-similarity",
-          KSolver(similarity_2d(), grid128, tol=1e-10).point(0.0).k == 1.0)
+          KSolver(similarity_2d(), grid128).point(0.0).k == 1.0)
     # discrete log-convexity of k
     s_vals = np.linspace(0.1, 2.0, 14)
     logk = np.log([solver.k(s) for s in s_vals])
@@ -236,7 +236,7 @@ def test_criterion_7_property_suites(ip512, big_bank):
     # k(mu) = k(mu*)
     for s in (0.5, alpha):
         k1 = solver.k(s)
-        k2 = KSolver(transpose(e), solver.grid, tol=solver.tol).point(s).k
+        k2 = KSolver(transpose(e), solver.grid).point(s).k
         check(f"transpose-k-{s:.2f}", abs(k1 - k2) <= 2e-8)
     # cocycle additivity at 1e-10 on random triples
     rng = np.random.default_rng(5)
@@ -256,7 +256,7 @@ def test_criterion_7_property_suites(ip512, big_bank):
     sp = solver.point(alpha)
     P = TransferOperator(e, sp.e.grid).matrix(alpha)
     resid = np.max(np.abs(P @ sp.e.values - sp.k * sp.e.values))
-    check("eigen-residual", resid <= 10 * solver.tol * sp.e.values.max())
+    check("eigen-residual", resid <= 10 * TOL * sp.e.values.max())
     check("nu-e-normalization", abs(np.sum(sp.e.values * sp.nu.masses) - 1.0) < 1e-8)
     # case-I tail symmetry
     sym_bank = sample_stationary(kesten_symmetric_affine_1d(), 400, 400_000,
@@ -267,7 +267,7 @@ def test_criterion_7_property_suites(ip512, big_bank):
     check("case-I-symmetry",
           abs(plus["plateau"] - minus["plateau"]) <= widths)
     # dual-walk ladder sign preservation (exact)
-    ks1 = KSolver(kesten_1d(), grid1, tol=1e-10)
+    ks1 = KSolver(kesten_1d(), grid1)
     rec = dual_walk_simulate(kesten_affine_1d(), ks1, 1.0,
                              p0=1.0, u0=np.array([1.0]), n_starts=512,
                              n_steps=200, seed=31)
@@ -284,7 +284,7 @@ def test_criterion_7_property_suites(ip512, big_bank):
 
 def test_criterion_8_dual_walk_identity():
     grid1 = build_grid(1, 1, "projective")
-    ks1 = KSolver(kesten_1d(), grid1, tol=1e-10)
+    ks1 = KSolver(kesten_1d(), grid1)
     rec = dual_walk_simulate(kesten_affine_1d(), ks1, 1.0,
                              p0=1.0, u0=np.array([1.0]), n_starts=10_000,
                              n_steps=300, seed=555)

@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import inspect
 import json
 import platform
 from pathlib import Path
@@ -30,7 +29,7 @@ from matspec.ensembles import (
     rotations_2d,
     similarity_2d,
 )
-from matspec.transfer import KSolver
+from matspec.transfer import TOL, KSolver
 
 
 def write_config(tmp_path: Path, ensemble, name="ens.json", **extra) -> Path:
@@ -333,8 +332,7 @@ class TestSpectrumCommand:
 
     def test_s_grid_beyond_bound_rejected(self, tmp_path):
         cfg = write_config(tmp_path, kesten_1d(),
-                           s_grid={"min": 0.0, "max": 3.0, "count": 3},
-                           s_max_bound=2.0)
+                           s_grid={"min": 0.0, "max": 65.0, "count": 3})
         assert main(["spectrum", "--config", str(cfg)]) == EXIT_INVALID
 
     def test_tiny_positive_exponents_run(self, tmp_path):
@@ -495,6 +493,22 @@ class TestCramerDualwalkCommands:
         vals = dict(line.split(",") for line in rows[1:])
         assert vals["tau_finite"] == "1000"
         assert vals["sign_preserved"] == "true"
+
+    @pytest.mark.parametrize("p0", [1.0, -1.0])
+    def test_dualwalk_warns_without_ladder_epochs(self, tmp_path, p0):
+        # from p0 = -1 no start reaches a ladder epoch: the ladder rows are
+        # nan, and the run says so
+        cfg = write_config(
+            tmp_path, kesten_affine_1d(), seed=2301,
+            mc={"samples": 1000, "steps": 200, "paths": 1000},
+            options={"p0": p0},
+        )
+        assert main(["dualwalk", "--config", str(cfg)]) == EXIT_OK
+        rows = (tmp_path / "out" / "dualwalk_report.csv").read_text().splitlines()
+        vals = dict(line.split(",") for line in rows[1:])
+        warnings = json.loads((tmp_path / "out" / "manifest.json").read_text())["warnings"]
+        warned = "no start reached a ladder epoch within 200 steps" in warnings
+        assert warned == (p0 < 0) == (vals["tau_finite"] == "0")
 
 
 def test_dualwalk_start_side_ignores_the_centre_sign(tmp_path, monkeypatch):
@@ -743,10 +757,9 @@ class TestD2Spectrum:
         assert main(["spectrum", "--config", str(cfg)]) == EXIT_OK
         with open(tmp_path / "out" / "spectral_point_scalars.csv") as fh:
             rows = list(csv.DictReader(fh))
-        tol = inspect.signature(KSolver).parameters["tol"].default
         assert [float(r["s"]) for r in rows] == [0.0, 1.0, 2.0]
         for r in rows:
-            assert float(r["residual_e"]) < tol and float(r["residual_nu"]) < tol
+            assert float(r["residual_e"]) < TOL and float(r["residual_nu"]) < TOL
             assert int(r["iterations"]) > 0
         assert float(rows[0]["k"]) == 1.0
 

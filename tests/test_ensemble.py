@@ -78,8 +78,7 @@ def test_proximality_diag_witness():
 
 
 def test_proximality_rotations_inconclusive():
-    verdict, _ = check_proximality(rotations_2d(), max_word_length=6,
-                                   n_random_words=100)
+    verdict, _ = check_proximality(rotations_2d())
     assert verdict == "inconclusive"
 
 

@@ -109,14 +109,14 @@ class KSolver:
         return TransferOperator(self.ensemble, self.grid)
 
     def point(self, s):
-        return power_iterate(self.op, s, self.tol, MAX_ITER)
+        return power_iterate(self.op, s)
 
     @property
     def star(self):
         return KSolver(transpose(self.ensemble), self.grid)
 
 def rebuild(e, grid, s):
-    return transfer.power_iterate(TransferOperator(e, grid), s, 1e-10, 100)
+    return transfer.power_iterate(TransferOperator(e, grid), s)
 
 def _solver(cfg, lin):
     return KSolver(lin, build_grid(lin.dimension, cfg.grid_resolution))

@@ -195,11 +195,6 @@ class TestMellin:
         with pytest.raises(ValueError, match="batch-weighted|positive"):
             mellin_profile(bank, np.array([1.0]), alpha=1.0)
 
-    def test_grid_must_approach_alpha(self, kesten_bank_small):
-        with pytest.raises(ValueError, match="0.9"):
-            mellin_profile(kesten_bank_small, np.array([1.0]), alpha=1.0,
-                           s_grid=np.linspace(0.1, 0.5, 5))
-
     def test_kesten_consistent_with_plateau(self, kesten_bank_small):
         et = empirical_tail(kesten_bank_small, np.array([1.0]), alpha=1.0)
         mp = mellin_profile(kesten_bank_small, np.array([1.0]), alpha=1.0)
@@ -298,7 +293,7 @@ class TestCaseIProfile:
                             np.array([[1.0, 0.3], [-0.5, 0.8]]),
                             lin.weights.copy())
         grid = build_grid(2, 256, "projective")
-        ks = KSolver(lin, grid, tol=1e-10)
+        ks = KSolver(lin, grid)
         bank = sample_stationary(ae, 1000, 600_000, seed=321, n_workers=2)
         ths = np.linspace(0, 2 * np.pi, 16, endpoint=False)
         dirs = np.column_stack([np.cos(ths), np.sin(ths)])

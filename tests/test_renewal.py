@@ -31,7 +31,7 @@ from matspec.transfer import KSolver, TiltedChain
 def ks_kesten():
     """The solver of the d=1 Kesten walk, whose tail index is alpha = 1."""
     grid = build_grid(1, 1, "projective")
-    return KSolver(kesten_affine_1d().linear_part, grid, tol=1e-10)
+    return KSolver(kesten_affine_1d().linear_part, grid)
 
 
 def einsum_expanding_counts(e, test_functions, n_paths, seed, max_steps=2000):
@@ -331,7 +331,7 @@ class TestTiltedPotential:
         f = AnnulusFunction("unreachable", np.log(1e-9), np.log(2e-9))
         rep = tilted_potential_profile(
             ks_kesten, 1.0, np.array([1.0]), t=1e-3, test_functions=[f],
-            n_paths=500, seed=9, max_steps=200,
+            n_paths=500, seed=9,
         )
         assert rep.rows[0]["measured"] == 0.0
 

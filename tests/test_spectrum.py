@@ -42,8 +42,9 @@ class TestMcOracle:
 
 class TestSolveAlpha:
     def test_kesten_alpha_is_one(self, kesten):
-        alpha = solve_alpha(kesten, tol=1e-12)
+        alpha = solve_alpha(kesten)
         assert abs(alpha - 1.0) < 1e-10
+        assert abs(KSolver(kesten).k(alpha) - 1.0) <= 1e-12
 
     def test_similarity_alpha_grid_path(self, similarity):
         grid = build_grid(2, 256, "projective")
@@ -55,7 +56,7 @@ class TestSolveAlpha:
             1, np.array([[[0.9]], [[0.5]]]), np.array([0.5, 0.5])
         )
         with pytest.raises(ValueError, match="no root"):
-            solve_alpha(e, s_cap=32.0)
+            solve_alpha(e)
 
     def test_stalled_refinement_is_numerical(self):
         class Jump:  # k jumps over 1 at s = 1, so no iterate gets within tol
@@ -80,9 +81,21 @@ class TestSolveAlpha:
         with pytest.raises(ValueError, match="grid"):
             solve_alpha(ip_solver, grid=ip_solver.grid)
 
-    def test_bracket_expansion(self, kesten):
-        alpha = solve_alpha(kesten, bracket=(0.01, 0.02))
-        assert abs(alpha - 1.0) < 1e-10
+    # k(s) = w 2^s + (1 - w) 2^-s on atoms {2, 1/2}: the root is
+    # alpha = log2((1 - w) / w), and L0 = (2w - 1) log 2 < 0 for w < 1/2
+    @staticmethod
+    def two_halves(w):
+        return LinearEnsemble(1, np.array([[[2.0]], [[0.5]]]), np.array([w, 1.0 - w]))
+
+    def test_bracket_expansion(self):
+        # alpha = log2 9 lies above the bracket's upper end 2, which doubles
+        alpha = solve_alpha(self.two_halves(0.1))
+        assert abs(alpha - np.log2(9.0)) < 1e-10
+
+    def test_bracket_lower_end_halves(self):
+        # alpha = log2(51/49) ~ 0.0577 lies below the bracket's lower end 0.1
+        alpha = solve_alpha(self.two_halves(0.49))
+        assert abs(alpha - np.log2(51.0 / 49.0)) < 1e-10
 
     def test_newton_matches_bisection(self, ip):
         ks = KSolver(ip, build_grid(2, 128, "projective"))

@@ -14,6 +14,7 @@ from matspec.projective import (
 )
 from matspec.spectrum import lyapunov, solve_alpha
 from matspec.transfer import (
+    TOL,
     KSolver,
     TiltedChain,
     TransferOperator,
@@ -112,18 +113,18 @@ class TestMatVecMatchesSparse:
 class TestPowerIterate:
     def test_k0_is_one_exactly(self, kesten, similarity, ip, grid128):
         grid1 = build_grid(1, 1, "projective")
-        assert KSolver(kesten, grid1, tol=1e-10).point(0.0).k == 1.0
-        assert KSolver(similarity, grid128, tol=1e-10).point(0.0).k == 1.0
-        assert KSolver(ip, grid128, tol=1e-10).point(0.0).k == 1.0
+        assert KSolver(kesten, grid1).point(0.0).k == 1.0
+        assert KSolver(similarity, grid128).point(0.0).k == 1.0
+        assert KSolver(ip, grid128).point(0.0).k == 1.0
 
     def test_similarity_eigenfunction_constant(self, similarity, grid128):
-        sp = KSolver(similarity, grid128, tol=1e-10).point(1.0)
+        sp = KSolver(similarity, grid128).point(1.0)
         assert abs(sp.k - 1.0) < 1e-10  # k(1) = 0.4*2 + 0.6/3 = 1
         assert sp.e.values.max() - sp.e.values.min() < 1e-6
 
     def test_kesten_half_exponent(self, kesten):
         grid1 = build_grid(1, 1, "projective")
-        sp = KSolver(kesten, grid1, tol=1e-10).point(0.5)
+        sp = KSolver(kesten, grid1).point(0.5)
         exact = 0.4 * np.sqrt(2.0) + 0.6 / np.sqrt(3.0)
         assert abs(sp.k - exact) < 1e-12
         assert abs(exact - 0.9121) < 1e-4  # 0.4*sqrt(2) + 0.6/sqrt(3)
@@ -139,7 +140,7 @@ class TestPowerIterate:
         sp = ip_solver.point(ip_alpha)
         P = TransferOperator(ip, sp.e.grid).matrix(ip_alpha)
         resid = np.max(np.abs(P @ sp.e.values - sp.k * sp.e.values))
-        assert resid <= 10 * ip_solver.tol * np.max(sp.e.values)
+        assert resid <= 10 * TOL * np.max(sp.e.values)
 
     def test_log_convexity_discrete(self, ip, ip_solver):
         s_vals = np.linspace(0.1, 2.0, 12)
@@ -149,8 +150,8 @@ class TestPowerIterate:
 
     def test_transpose_same_k(self, ip, grid128):
         for s in (0.4, 1.0, 1.6):
-            k1 = KSolver(ip, grid128, tol=1e-11).point(s).k
-            k2 = KSolver(transpose(ip), grid128, tol=1e-11).point(s).k
+            k1 = KSolver(ip, grid128).point(s).k
+            k2 = KSolver(transpose(ip), grid128).point(s).k
             assert abs(k1 - k2) < 2e-8
 
     def test_transpose_same_k_closed_form_1d(self, kesten):
@@ -172,18 +173,18 @@ class TestPowerIterate:
         assert ks.k(0.0) == 1.0
 
     def test_grid_refinement_budget(self, ip):
-        k_coarse = KSolver(ip, build_grid(2, 128, "projective"), tol=1e-10).point(1.0).k
-        k_mid = KSolver(ip, build_grid(2, 256, "projective"), tol=1e-10).point(1.0).k
-        k_fine = KSolver(ip, build_grid(2, 512, "projective"), tol=1e-10).point(1.0).k
+        k_coarse = KSolver(ip, build_grid(2, 128, "projective")).point(1.0).k
+        k_mid = KSolver(ip, build_grid(2, 256, "projective")).point(1.0).k
+        k_fine = KSolver(ip, build_grid(2, 512, "projective")).point(1.0).k
         # refinement differences must shrink (factor ~4 for linear interp)
         assert abs(k_fine - k_mid) < abs(k_mid - k_coarse)
         assert abs(k_fine - k_mid) < 1e-4
 
     def test_warm_start_matches_cold(self, ip, grid128):
         op = TransferOperator(ip, grid128)
-        near = power_iterate(op, 1.0, 1e-11, 20000)
-        cold = power_iterate(op, 1.05, 1e-11, 20000)
-        warm = power_iterate(op, 1.05, 1e-11, 20000, start=near)
+        near = power_iterate(op, 1.0)
+        cold = power_iterate(op, 1.05)
+        warm = power_iterate(op, 1.05, start=near)
         assert warm.converged and cold.converged
         assert abs(warm.k - cold.k) < 1e-10
         assert np.max(np.abs(warm.e.values - cold.e.values)) < 1e-8
@@ -191,7 +192,7 @@ class TestPowerIterate:
 
     def test_negative_exponent_rejected(self, similarity, grid128):
         # one check, where every solve builds its P^s, serves every route
-        ks = KSolver(similarity, grid128, tol=1e-10)
+        ks = KSolver(similarity, grid128)
         for call in (ks.point, ks.k, ks.k_prime,
                      lambda s: lyapunov(ks, s, "quadrature"),
                      lambda s: lyapunov(ks, s, "tilted_mc")):
@@ -258,20 +259,20 @@ def test_eigenmeasure_with_empty_nodes_stays_nonnegative():
     assert any(np.any(sp.nu.masses == 0.0) for sp in points)
     for sp in points:
         assert sp.converged
-        assert sp.residual_e < ks.tol and sp.residual_nu < ks.tol
+        assert sp.residual_e < TOL and sp.residual_nu < TOL
         assert np.all(sp.nu.masses >= 0) and np.all(sp.e.values > 0)
 
 
 class TestCrossCheck:
     def test_s0_both_sides_one(self, ip, grid128):
-        ks = KSolver(ip, grid128, tol=1e-10)
+        ks = KSolver(ip, grid128)
         p, residual_p = pairing_p(ks.point(0.0), ks.star.point(0.0))
         # p(0) = 1 and e^0 = 1: residual is pure quadrature error
         assert abs(p - 1.0) < 1e-10
         assert residual_p < 1e-8
 
     def test_similarity_by_symmetry(self, similarity):
-        ks = KSolver(similarity, build_grid(2, 512, "projective"), tol=1e-10)
+        ks = KSolver(similarity, build_grid(2, 512, "projective"))
         assert pairing_p(ks.point(1.0), ks.star.point(1.0))[1] < 1e-3
 
     def test_pairing_blocks_match_dense_kernel(self, ip):
@@ -290,7 +291,7 @@ class TestCrossCheck:
         res = {}
         for n in (256, 512):
             grid = build_grid(2, n, "projective")
-            ks = KSolver(ip, grid, tol=1e-11)
+            ks = KSolver(ip, grid)
             res[n] = pairing_p(ks.point(ip_alpha), ks.star.point(ip_alpha))[1]
         assert res[512] < res[256]
         assert res[256] < 2e-3
@@ -307,12 +308,12 @@ def kernel_at(ks, s, x):
 
 class TestTiltedKernel:
     def test_s0_gives_weights(self, ip, grid128):
-        ks = KSolver(ip, grid128, tol=1e-10)
+        ks = KSolver(ip, grid128)
         probs, _ = kernel_at(ks, 0.0, grid128.nodes[3])
         assert np.allclose(probs, ip.weights, atol=1e-10)
 
     def test_similarity_tilt(self, similarity, grid128):
-        ks = KSolver(similarity, grid128, tol=1e-10)
+        ks = KSolver(similarity, grid128)
         probs, norm = kernel_at(ks, 1.0, grid128.nodes[10])
         expected = np.array([0.4 * 2.0, 0.6 / 3.0]) / similarity_k(1.0)
         assert np.allclose(probs, expected, atol=1e-8)
@@ -611,14 +612,14 @@ class TestOtherDimensions:
         )
         grid = build_grid(3, 600, "projective")
         for s in (0.0, 1.0):
-            sp = KSolver(e, grid, tol=1e-9).point(s)
+            sp = KSolver(e, grid).point(s)
             exact = 0.4 * 2.0**s + 0.6 / 3.0**s
             assert abs(sp.k - exact) < 1e-8
             assert sp.e.values.std() < 1e-6
 
     def test_d1_single_node(self, kesten):
         grid = build_grid(1, 2, "projective")
-        sp = KSolver(kesten, grid, tol=1e-10).point(0.5)
+        sp = KSolver(kesten, grid).point(0.5)
         exact = 0.4 * np.sqrt(2.0) + 0.6 / np.sqrt(3.0)
         assert abs(sp.k - exact) < 1e-10
         # one node, so the eigenmeasure is its unit mass
@@ -628,6 +629,6 @@ class TestOtherDimensions:
         e = LinearEnsemble(1, np.array([[[-2.0]], [[1 / 3]]]),
                            np.array([0.4, 0.6]))
         grid = build_grid(1, 2, "projective")
-        sp = KSolver(e, grid, tol=1e-10).point(1.0)
+        sp = KSolver(e, grid).point(1.0)
         assert abs(sp.k - 1.0) < 1e-12  # |a| enters, not the sign
 
