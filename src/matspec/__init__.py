@@ -1,17 +1,8 @@
 """matspec: spectral objects of random matrix products and heavy-tail
-diagnostics for affine stochastic recursions X_{n+1} = A X_n + B."""
+diagnostics for affine stochastic recursions X_{n+1} = A X_n + B.
 
-__version__ = "0.13.0"
+The package exports only ``__version__``; import each routine from its
+module (``matspec.ensemble``, ``matspec.spectrum``, ...), so that a run
+loads only the modules it uses."""
 
-from .ensemble import (  # noqa: F401
-    AffineEnsemble,
-    EnsembleError,
-    HypothesisError,
-    LinearEnsemble,
-    load_ensemble,
-    save_ensemble,
-    transpose,
-    validate_linear,
-)
-from .projective import DirectionGrid, GridFunction, GridMeasure, build_grid  # noqa: F401
-from .transfer import KSolver, SpectralPoint  # noqa: F401
+__version__ = "0.14.0"

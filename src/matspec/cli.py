@@ -9,6 +9,8 @@ owns that lifecycle for every command: inputs, manifest, outputs and exit
 status.  ``RunConfig.load`` reads what the manifest needs (seed, ensemble,
 out) and ``check`` every other value, each once and by one rule, into typed
 fields, so any other rejected value leaves an "invalid-input" manifest.
+The modules behind the commands are bound lazily, so a run executes only
+those its command calls.
 
 Exit codes: 0 success (possibly with warnings), 1 numerical
 non-convergence, 2 invalid input, 3 hypothesis violation (e.g. a tails run
@@ -18,6 +20,7 @@ on a non-contracting ensemble).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 import time
@@ -40,34 +43,27 @@ from .ensemble import (
     load_ensemble,
     validate_linear,
 )
-from .projective import PROJECTIVE, build_grid
-from .recursion import (
-    classify_tail_case,
-    directional_profile,
-    empirical_tail,
-    hill_estimator,
-    hill_stability,
-    mellin_profile,
-    moment_check,
-    sample_stationary,
-)
-from .renewal import (
-    AnnulusFunction,
-    cramer_constant,
-    dual_walk_simulate,
-    potential_profile_expanding,
-    tilted_potential_profile,
-)
-from .spectrum import (
-    S_CAP,
-    KSolver,
-    compute_curve,
-    contraction_rate,
-    lyapunov,
-    lyapunov_gap,
-    solve_alpha,
-)
-from .transfer import DEFAULT_RESOLUTION
+
+
+def _lazy(name: str):
+    """The package's module name, executed at its first attribute access
+    (an imported one as it is): a command executes only the modules it
+    reaches.  The module object enters sys.modules now, so a tool that wraps
+    the package's routines after import matspec.cli, as bench/tracer.py
+    does, finds every module there."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+projective, transfer, spectrum, recursion, renewal = (
+    _lazy(name) for name in ("projective", "transfer", "spectrum", "recursion", "renewal"))
 
 EXIT_OK = 0
 EXIT_NONCONVERGED = 1
@@ -96,6 +92,9 @@ _READERS = {
     "options.n_windows": int, "options.annulus_width": float, "options.t_start": float,
     "options.hill_k": int, "options.directions": int, "options.moment_betas": _floats,
 }
+# the keys load reads, and the sections whose keys are dotted
+_LOADED = ("ensemble", "seed", "out")
+_SECTIONS = ("mc", "options")
 
 
 @dataclass
@@ -108,7 +107,7 @@ class RunConfig:
     out_dir: Path
     raw: dict  # the config as given, overrides applied: the manifest's echo
     threads: int = 1
-    grid_resolution: int = DEFAULT_RESOLUTION
+    grid_resolution: int | None = None  # transfer.DEFAULT_RESOLUTION
     s_grid: tuple[float, float, int] = (0.0, 2.0, 9)
     mc_paths: int = 100_000
     mc_steps: int = 400
@@ -145,10 +144,12 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value: {exc!r}") from exc
 
-    def check(self) -> None:
+    def check(self) -> list[str]:
         """Read every other value given, by load's rule (int() or float() of
         the JSON value), and reject values no command can run with; a run
-        rejected here still knows its output directory."""
+        rejected here still knows its output directory.  Returns the keys
+        given that nothing reads, dotted within their section, in the
+        config's order."""
         try:
             for key, read in _READERS.items():
                 *section, leaf = key.split(".")
@@ -162,8 +163,9 @@ class RunConfig:
             raise ConfigError(f"malformed config value: {exc!r}") from exc
         self.threads = max(1, self.threads)
         lo, hi, count = self.s_grid
-        if hi > S_CAP:
-            raise ConfigError(f"s_grid max {hi} exceeds the cap {S_CAP:g}")
+        # the default grid lies under the cap
+        if "s_grid" in self.raw and hi > spectrum.S_CAP:
+            raise ConfigError(f"s_grid max {hi} exceeds the cap {spectrum.S_CAP:g}")
         if lo < 0:
             raise ConfigError("negative exponents are not supported")
         if count < 2:
@@ -193,6 +195,10 @@ class RunConfig:
             raise ConfigError("options.directions must be >= 1")
         if any(b < 0 for b in self.moment_betas or ()):
             raise ConfigError("options.moment_betas must be >= 0")
+        given = []
+        for key, value in self.raw.items():
+            given += [f"{key}.{leaf}" for leaf in value] if key in _SECTIONS else [key]
+        return [key for key in given if key not in _READERS and key not in _LOADED]
 
 
 def _fmt(x) -> str:
@@ -275,15 +281,17 @@ def _linear_part(ensemble) -> LinearEnsemble:
     return ensemble.linear_part if isinstance(ensemble, AffineEnsemble) else ensemble
 
 
-def _solver(cfg: RunConfig, lin: LinearEnsemble) -> KSolver:
+def _solver(cfg: RunConfig, lin: LinearEnsemble) -> transfer.KSolver:
     """The one solver of a run: lin on the projective grid of
-    cfg.grid_resolution nodes (the single node in d=1, whatever the
-    resolution).  A resolution below the grid's minimum is invalid input."""
+    cfg.grid_resolution nodes, DEFAULT_RESOLUTION when not given (the single
+    node in d=1, whatever the resolution).  A resolution below the grid's
+    minimum is invalid input."""
+    n = transfer.DEFAULT_RESOLUTION if cfg.grid_resolution is None else cfg.grid_resolution
     try:
-        grid = build_grid(lin.dimension, cfg.grid_resolution, PROJECTIVE)
+        grid = projective.build_grid(lin.dimension, n, projective.PROJECTIVE)
     except ValueError as exc:
         raise ConfigError(f"grid_resolution: {exc}") from exc
-    return KSolver(lin, grid)
+    return transfer.KSolver(lin, grid)
 
 
 def _direction_key(u: np.ndarray) -> str:
@@ -327,10 +335,10 @@ def _validate(cfg: RunConfig, ensemble, ks, man: Manifest) -> str:
     return "ok"
 
 
-def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
+def _spectrum(cfg: RunConfig, ensemble, ks: transfer.KSolver, man: Manifest) -> str:
     lin = ks.ensemble
     t0 = time.perf_counter()
-    curve = compute_curve(ks, np.linspace(*cfg.s_grid), seed=cfg.seed)
+    curve = spectrum.compute_curve(ks, np.linspace(*cfg.s_grid), seed=cfg.seed)
     man.time("curve", t0)
     # route disagreement is a warning artifact, never a failure
     tab = curve.lyapunov_table
@@ -349,10 +357,10 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
             gap_col.append(float("nan"))
             rho_col.append(float("nan"))
             continue
-        g, _ = lyapunov_gap(ks, s, seed=cfg.seed, n_pairs=8, n_paths=32)
+        g, _ = spectrum.lyapunov_gap(ks, s, seed=cfg.seed, n_pairs=8, n_paths=32)
         gap_col.append(g)
-        rho_col.append(contraction_rate(ks, s, eps=min(eps, s) if s > 0 else eps,
-                                        seed=cfg.seed))
+        rho_col.append(spectrum.contraction_rate(ks, s, eps=min(eps, s) if s > 0 else eps,
+                                                 seed=cfg.seed))
     man.time("diagnostics", t0)
     rows = []
     for i, s in enumerate(curve.s_values):
@@ -368,10 +376,10 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     scal_rows = [["alpha", curve.alpha if curve.alpha is not None else float("nan")],
                  ["k_prime_alpha",
                   curve.k_prime_alpha if curve.k_prime_alpha is not None else float("nan")],
-                 ["L_mu_0", lyapunov(ks, 0.0, "quadrature")[0]]]
+                 ["L_mu_0", spectrum.lyapunov(ks, 0.0, "quadrature")[0]]]
     if curve.alpha is not None:
         scal_rows.append(["L_mu_alpha",
-                          lyapunov(ks, curve.alpha, "quadrature")[0]])
+                          spectrum.lyapunov(ks, curve.alpha, "quadrature")[0]])
     man.output_csv("spectral_scalars.csv", ["name", "value"], scal_rows,
                    "alpha, k'(alpha), Lyapunov exponents")
     # per-point exports, as float arrays: %.17g prints a node index as an int
@@ -402,8 +410,8 @@ def _spectrum(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     return "ok"
 
 
-def _require_contracting(ks: KSolver) -> float:
-    L0 = lyapunov(ks, 0.0, "quadrature")[0]
+def _require_contracting(ks: transfer.KSolver) -> float:
+    L0 = spectrum.lyapunov(ks, 0.0, "quadrature")[0]
     if L0 >= 0:
         raise HypothesisError(
             f"Lyapunov exponent at s=0 is {L0:.4f} >= 0: "
@@ -430,7 +438,7 @@ def _probe_directions(d: int, n: int, projective: bool) -> np.ndarray:
     return (points / np.linalg.norm(points, axis=1, keepdims=True))[:n]
 
 
-def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
+def _tails(cfg: RunConfig, ensemble, ks: transfer.KSolver, man: Manifest) -> str:
     # check() bounds a given Hill order; the default one is bounded here,
     # before any work, as the bank has mc.samples values
     hill_k = max(10, cfg.mc_samples // 100) if cfg.hill_k is None else cfg.hill_k
@@ -441,10 +449,10 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
             "options.hill_k in [1, mc.samples / 2)")
     L0 = _require_contracting(ks)
     t0 = time.perf_counter()
-    alpha = solve_alpha(ks)
+    alpha = spectrum.solve_alpha(ks)
     man.time("alpha", t0)
     t0 = time.perf_counter()
-    bank = sample_stationary(
+    bank = recursion.sample_stationary(
         ensemble, cfg.mc_steps, cfg.mc_samples, cfg.seed,
         lyapunov_negative=True, n_workers=cfg.threads,
     )
@@ -453,8 +461,8 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
         man.warn("bank under-converged: truncation diagnostic above cutoff")
     t0 = time.perf_counter()
     norms = bank.norms()
-    a_hat, ci = hill_estimator(norms, hill_k)
-    stab = hill_stability(norms)
+    a_hat, ci = recursion.hill_estimator(norms, hill_k)
+    stab = recursion.hill_stability(norms)
     d = ks.ensemble.dimension
     n_dirs = 2 if d == 1 else 8 if cfg.directions is None else cfg.directions
     dirs = _probe_directions(d, n_dirs, projective=False)
@@ -463,23 +471,23 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     for u in dirs:
         key = _direction_key(u)
         try:
-            tail_tables[key] = empirical_tail(bank, u, alpha)
+            tail_tables[key] = recursion.empirical_tail(bank, u, alpha)
         except ValueError as exc:
             man.warn(f"direction {key}: {exc}")
         try:
-            mellins[key] = mellin_profile(bank, u, alpha)
+            mellins[key] = recursion.mellin_profile(bank, u, alpha)
         except ValueError as exc:
             man.warn(f"direction {key} (pole route): {exc}")
-    case = classify_tail_case(ensemble, seed=cfg.seed)
+    case = recursion.classify_tail_case(ensemble, seed=cfg.seed)
     prof = None
     if case == "I" and len(dirs) > 1:
         try:
-            prof = directional_profile(
+            prof = recursion.directional_profile(
                 [tail_tables.get(_direction_key(u)) for u in dirs], ks, alpha, dirs)
         except ValueError as exc:
             man.warn(f"profile: {exc}")
     betas = [0.0, alpha / 2, alpha * 1.2] if cfg.moment_betas is None else cfg.moment_betas
-    moments = moment_check(bank, betas, ks)
+    moments = recursion.moment_check(bank, betas, ks)
     man.time("estimators", t0)
 
     man.output_csv("bank.csv", [f"x{i}" for i in range(d)],
@@ -524,25 +532,25 @@ def _tails(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     return "non-converged" if bank.under_converged else "ok"
 
 
-def _renewal(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
+def _renewal(cfg: RunConfig, ensemble, ks: transfer.KSolver, man: Manifest) -> str:
     lin = ks.ensemble
-    L0 = lyapunov(ks, 0.0, "quadrature")[0]
+    L0 = spectrum.lyapunov(ks, 0.0, "quadrature")[0]
     if L0 == 0:
         raise HypothesisError("critical walk (L = 0): renewal limits diverge")
     width = cfg.annulus_width
-    fns = [AnnulusFunction(f"annulus{j}", j * width, (j + 1) * width)
+    fns = [renewal.AnnulusFunction(f"annulus{j}", j * width, (j + 1) * width)
            for j in range(cfg.n_windows)]
     arith = False
     if lin.dimension == 1:
         arith = check_nonarithmetic_1d(lin)[0] == "fail"
     t0 = time.perf_counter()
     if L0 > 0:
-        rep = potential_profile_expanding(ks, fns, n_paths=cfg.mc_paths, seed=cfg.seed)
+        rep = renewal.potential_profile_expanding(ks, fns, n_paths=cfg.mc_paths, seed=cfg.seed)
     else:
         # contracting regime: alpha-tilted potential against the
         # t^{-alpha}-scaled renewal prediction
-        alpha = solve_alpha(ks)
-        rep = tilted_potential_profile(
+        alpha = spectrum.solve_alpha(ks)
+        rep = renewal.tilted_potential_profile(
             ks, alpha, np.eye(lin.dimension)[0], cfg.t_start, fns,
             n_paths=cfg.mc_paths, seed=cfg.seed,
         )
@@ -560,9 +568,9 @@ def _renewal(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     return "ok"
 
 
-def _cramer(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
+def _cramer(cfg: RunConfig, ensemble, ks: transfer.KSolver, man: Manifest) -> str:
     _require_contracting(ks)
-    alpha = solve_alpha(ks)
+    alpha = spectrum.solve_alpha(ks)
     t_grid = np.geomspace(*cfg.t_grid)
     d = ks.ensemble.dimension
     n_dirs = (16 if d > 1 else 2) if cfg.directions is None else cfg.directions
@@ -571,11 +579,11 @@ def _cramer(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     t0 = time.perf_counter()
     for j, u in enumerate(dirs):
         key = _direction_key(u)
-        tilted = cramer_constant(ks, alpha, u, t_grid, cfg.mc_paths,
-                                 seed=cfg.seed + j, method="tilted")
-        naive = cramer_constant(ks, alpha, u, t_grid,
-                                cfg.mc_paths, seed=cfg.seed + 1000 + j,
-                                method="naive")
+        tilted = renewal.cramer_constant(ks, alpha, u, t_grid, cfg.mc_paths,
+                                         seed=cfg.seed + j, method="tilted")
+        naive = renewal.cramer_constant(ks, alpha, u, t_grid,
+                                        cfg.mc_paths, seed=cfg.seed + 1000 + j,
+                                        method="naive")
         for method, rows in (("tilted", tilted), ("naive", naive)):
             rows_out += [[key, r["t"], method, r["estimate"], r["stderr"], r["hits"],
                           r["flag"]] for r in rows]
@@ -586,9 +594,9 @@ def _cramer(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
     return "ok"
 
 
-def _dualwalk(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
+def _dualwalk(cfg: RunConfig, ensemble, ks: transfer.KSolver, man: Manifest) -> str:
     _require_contracting(ks)
-    alpha = solve_alpha(ks)
+    alpha = spectrum.solve_alpha(ks)
     # ladder positivity is guaranteed on the charged attractor side: start
     # there when the transposed semigroup preserves a cone
     cone_star, ev_star = classify_cone_case(ks.star.ensemble, seed=cfg.seed)
@@ -599,7 +607,7 @@ def _dualwalk(cfg: RunConfig, ensemble, ks: KSolver, man: Manifest) -> str:
         # side, where the weighted mean of <B, u> is positive
         u0 *= np.sign(ensemble.weights @ ensemble.translations @ u0) or 1.0
     t0 = time.perf_counter()
-    rec = dual_walk_simulate(
+    rec = renewal.dual_walk_simulate(
         ensemble, ks, alpha,
         p0=cfg.p0,
         u0=u0,
@@ -658,7 +666,9 @@ def _run(args) -> int:
     status = "failed"
     try:
         try:
-            cfg.check()
+            unknown = cfg.check()
+            if unknown:
+                man.warn("config keys that nothing reads, ignored: " + ", ".join(unknown))
             ensemble = load_ensemble(cfg.ensemble_path)
             man.doc["ensemble_sha256"] = ensemble_hash(ensemble)
             if need_affine and not isinstance(ensemble, AffineEnsemble):

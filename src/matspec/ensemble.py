@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +35,8 @@ __all__ = [
     "load_ensemble",
     "save_ensemble",
     "ensemble_hash",
+    "quantile",
+    "median",
 ]
 
 WEIGHT_TOL = 1e-12
@@ -57,6 +58,42 @@ class HypothesisError(ValueError):
 def operator_norm(g: np.ndarray) -> float:
     """Euclidean operator norm (largest singular value)."""
     return float(np.linalg.svd(g, compute_uv=False)[0])
+
+
+# np.quantile and np.median import numpy.ma on a process's first call, which
+# costs a run more than the arithmetic; these two repeat their partition,
+# lerp and mean on the flattened values, so they return the same bits
+
+
+def quantile(values: np.ndarray, q):
+    """np.quantile(values, q) by its default (linear) method: a float for a
+    scalar q, an array for a 1-d q.  A NaN among the values is every
+    quantile."""
+    a = np.asarray(values, dtype=float).ravel()
+    q = np.asarray(q, dtype=float)
+    virtual = (a.size - 1) * q
+    top = virtual >= a.size - 1
+    lo = np.where(top, -1, np.floor(virtual)).astype(np.intp)
+    hi = np.where(top, -1, lo + 1)
+    # np.quantile's sorted distinct kth; np.unique would import numpy.ma too
+    part = np.partition(a, sorted({0, -1, *lo.ravel().tolist(), *hi.ravel().tolist()}))
+    if np.isnan(part[-1]):
+        return np.full(q.shape, part[-1])[()]
+    below, above = part[lo], part[hi]
+    t = virtual - lo
+    diff = above - below
+    return np.where(t >= 0.5, above - diff * (1 - t), below + diff * t)[()]
+
+
+def median(values: np.ndarray) -> float:
+    """np.median(values): the mean of the middle one or two values."""
+    a = np.asarray(values, dtype=float).ravel()
+    half = a.size // 2
+    odd = a.size % 2
+    part = np.partition(a, [half, -1] if odd else [half - 1, half, -1])
+    if np.isnan(part[-1]):
+        return part[-1]
+    return part[half - 1 + odd : half + 1].mean()
 
 
 @dataclass(frozen=True)
@@ -377,7 +414,7 @@ def classify_cone_case(e: LinearEnsemble, seed: int = 0) -> tuple[str, dict]:
         self_gap = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots.max(axis=1)))
         # a fractal orbit only resolves antipodal contact down to its own
         # covering scale, so the contact margin adapts to the sampled gaps
-        margins[t] = max(ANGULAR_TOL, 3.0 * float(np.quantile(self_gap, 0.9)))
+        margins[t] = max(ANGULAR_TOL, 3.0 * float(quantile(self_gap, 0.9)))
     if np.all(separations > margins):
         # sign-align the pooled tail points to get one side of the attractor
         pooled = tails.reshape(-1, d)
@@ -408,6 +445,8 @@ def check_nonarithmetic_1d(e: LinearEnsemble) -> tuple[str, dict]:
     with denominator <= 10^6 (the group generated by log|a_i| is then a
     lattice), else "pass".
     """
+    from fractions import Fraction
+
     if e.dimension != 1:
         raise EnsembleError("check_nonarithmetic_1d requires d = 1")
     logs = np.log(np.abs(e.matrices[:, 0, 0]))

@@ -218,7 +218,11 @@ def interp_stencil(grid: DirectionGrid, xs: np.ndarray,
     r = grid.corners.shape[1] - 1
     xt = xs.T
     m = xt.shape[1]
-    a = np.abs(xt).argmax(axis=0)
+    # the face axis: the largest |component|, the first on ties as argmax
+    # picks it, by two comparisons rather than a strided argmax
+    ax = np.abs(xt)
+    a = (ax[1] > ax[0]).astype(np.intp)
+    a[ax[2] > np.maximum(ax[0], ax[1])] = 2
     flat = xt.ravel()  # component c of query q at c * m + q
     base = np.arange(m)
     xa = flat.take(a * m + base)

@@ -20,7 +20,14 @@ import numpy as np
 
 from .rng import draw_atoms, stream as _rng
 
-from .ensemble import AffineEnsemble, apply_atoms, classify_cone_case, ensemble_hash
+from .ensemble import (
+    AffineEnsemble,
+    apply_atoms,
+    classify_cone_case,
+    ensemble_hash,
+    median,
+    quantile,
+)
 from .projective import interpolate
 from .transfer import KSolver
 
@@ -134,7 +141,7 @@ def _sample_chunk(
             break
         new, last, tmp = np.empty_like(prod), np.empty_like(r), np.empty(rows.size)
     return (out, float(ratio.max()), float(prod_norm.max()),
-            float(np.median(rate)), row_steps, k)
+            float(median(rate)), row_steps, k)
 
 
 def sample_stationary(
@@ -260,7 +267,7 @@ def empirical_tail(
     n = bank.n_samples
     if pos.size < min_exceedances:
         raise ValueError("insufficient exceedances at every threshold")
-    t_lo = float(np.quantile(pos, 0.5))
+    t_lo = float(quantile(pos, 0.5))
     t_hi = float(pos.max()) * 0.5
     if t_lo <= 0 or t_hi <= t_lo:
         raise ValueError("degenerate positive part; cannot build a t grid")
@@ -290,7 +297,7 @@ def empirical_tail(
     denom = bw.sum(axis=1)
     denom[denom == 0] = 1.0
     boot_plateau = (bw * boot_y).sum(axis=1) / denom
-    lo, hi = np.quantile(boot_plateau, [0.025, 0.975])
+    lo, hi = quantile(boot_plateau, [0.025, 0.975])
     return {
         "t": t_grid,
         "counts": counts,
@@ -416,7 +423,7 @@ def moment_check(
                 "beta": float(beta),
                 "k_beta": k_beta,
                 "mean": mean,
-                "median": float(np.median(powed)),
+                "median": float(median(powed)),
                 "batch_rel_spread": spread,
                 "max_share": max_share,
                 "growth_vs_prefix": float(growth),
@@ -458,7 +465,7 @@ def classify_tail_case(ae: AffineEnsemble, seed: int = 0) -> str:
         if j >= 0:
             magnitudes[j] = np.linalg.norm(x, axis=0)
             sides[j] = center @ x
-    cut = np.quantile(magnitudes, top_quantile)
+    cut = quantile(magnitudes, top_quantile)
     scale_b = float(np.linalg.norm(ae.translations, axis=1).max())
     if cut < 10.0 * scale_b:
         return "unknown"

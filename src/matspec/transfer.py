@@ -426,7 +426,8 @@ def tilted_probs(
     idx, w = interp_stencil(chain.grid, images.reshape(d, m * M).T,
                             out=(chain._buffer("idx", (k, m * M), np.intp),
                                  chain._buffer("w", (k, m * M))))
-    idx.reshape(k, m, M)[...] += chain.offset
+    if chain.stacked:  # a chain at one exponent reads offset 0 on every row
+        idx.reshape(k, m, M)[...] += chain.offset
     e_img = stencil_sum(chain.values, idx, w).reshape(m, M)
     # w_i e^{s log|g_i x|} e^s(g_i.x) / e^s(x), one operation at a time in place
     np.multiply(lognorms, chain.s, out=probs)
@@ -458,13 +459,14 @@ class TiltedChain:
 
     The chain is the kernel's one state: each row's exponent s and its
     offset, the first index of its point's e^s in values, which stacks e^s
-    of every point on grid, point after point; the atoms' operands, where
-    row (c, i) of _g is row c of atom i, so that _g @ x puts component c of
-    every image in block c; and the kernel's work buffers.  The chain
-    stores its directions rows last, (d, rows), and x is the transposed
-    view.  step binds new arrays to x, e_x and logmag, so a caller may hold
-    the arrays it read before a step; lognorm is updated in place, and the
-    work buffers are reused on every step.
+    of every point on grid, point after point (stacked is False for a chain
+    at one exponent, whose offsets are all 0 and go unread); the atoms'
+    operands, where row (c, i) of _g is row c of atom i, so that _g @ x puts
+    component c of every image in block c; and the kernel's work buffers.
+    The chain stores its directions rows last, (d, rows), and x is the
+    transposed view.  step binds new arrays to x, e_x and logmag, so a
+    caller may hold the arrays it read before a step; lognorm is updated in
+    place, and the work buffers are reused on every step.
     """
 
     def __init__(self, ks: KSolver, s_values: Sequence[float], x0: Sequence[np.ndarray]):
@@ -478,6 +480,7 @@ class TiltedChain:
         self.values = np.concatenate([p.e.values for p in points])
         self.s = np.repeat([p.s for p in points], counts)
         self.offset = np.repeat(np.arange(len(points)) * self.grid.n_nodes, counts)
+        self.stacked = len(points) > 1
         self._g = e.matrices.swapaxes(0, 1).reshape(e.dimension * e.n_atoms, e.dimension)
         self._weights = e.weights[:, None]
         self._flat: dict[str, np.ndarray] = {}

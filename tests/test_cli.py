@@ -68,6 +68,20 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "nonarithmetic" in err
 
+    def test_unread_config_keys_warn_once(self, tmp_path, capsys):
+        # a misspelled or retired key is named in one warning, in the
+        # config's order, dotted within its section; status and exit code
+        # stay those of the run without it
+        cfg = write_config(tmp_path, kesten_1d(), grid_resolutoin=7, s_max_bound=2.0,
+                           mc={"pathz": 3, "steps": 300}, options={"hill_k": 20, "n_window": 2})
+        assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        message = ("config keys that nothing reads, ignored: mc.pathz, grid_resolutoin, "
+                   "s_max_bound, options.n_window")
+        assert manifest["warnings"] == [message]
+        assert capsys.readouterr().err == f"warning: {message}\n"
+
     def test_malformed_matrix_exits_two(self, tmp_path):
         (tmp_path / "bad.json").write_text(json.dumps({
             "dimension": 2,
@@ -283,7 +297,7 @@ def test_unexpected_value_error_is_not_a_hypothesis_violation(tmp_path, monkeypa
     def broken(*args, **kwargs):
         raise ValueError("a programming error")
 
-    monkeypatch.setattr("matspec.cli.compute_curve", broken)
+    monkeypatch.setattr("matspec.spectrum.compute_curve", broken)
     cfg = write_config(tmp_path, kesten_1d())
     with pytest.raises(ValueError, match="a programming error"):
         main(["spectrum", "--config", str(cfg)])

@@ -15,6 +15,8 @@ from matspec.ensemble import (
     classify_cone_case,
     ensemble_hash,
     load_ensemble,
+    median,
+    quantile,
     save_ensemble,
     transpose,
     validate_linear,
@@ -209,3 +211,24 @@ def test_malformed_matrix_row_names_atom(tmp_path):
 
 def test_validate_is_deterministic(kesten):
     assert validate_linear(kesten) == validate_linear(kesten)
+
+
+QUANTILE_CASES = {
+    "n=1": np.array([2.5]),
+    "odd": np.random.default_rng(1).standard_normal(101),
+    "even": np.random.default_rng(2).standard_exponential(64) ** 3,
+    "ties": np.array([3.0, 1.0, 1.0, -0.0, 0.0, 3.0, 1.0, 2.0]),
+    "nan": np.array([1.0, np.nan, 0.5, 2.0, -1.0]),
+    "2-d": np.random.default_rng(3).standard_normal((7, 9)),
+}
+
+
+@pytest.mark.parametrize("values", QUANTILE_CASES.values(), ids=QUANTILE_CASES.keys())
+def test_quantile_and_median_equal_numpy_bit_for_bit(values):
+    def bits(x):
+        x = np.asarray(x)
+        return x.shape, x.dtype, x.tobytes()
+
+    for q in (0.0, 0.5, 0.9, 0.995, 1.0, np.float64(0.3), [0.025, 0.975]):
+        assert bits(quantile(values, q)) == bits(np.quantile(values, q)), q
+    assert bits(median(values)) == bits(np.median(values))

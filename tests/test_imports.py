@@ -7,17 +7,23 @@ the chain itself as the kernel's state, only the CLI's
 runner opens and finishes manifests, no walk applies a gathered atom
 stack with einsum, atoms are drawn only from an ensemble's weights or a
 point's pi, only rng.py builds random generators, every public routine has
-a caller inside the package, the CLI imports no scipy, and the package and
+a caller inside the package, the CLI imports no scipy, a CLI run executes
+only the modules its command runs and never numpy.ma, and the package and
 pyproject.toml state one version."""
 
 import ast
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import matspec
+from matspec.ensemble import save_ensemble
+from matspec.ensembles import ip_2d, ip_affine_2d, kesten_1d
 
 PACKAGE = Path(matspec.__file__).parent
 
@@ -414,9 +420,8 @@ class Box:
 
 
 def test_every_public_routine_has_a_caller_in_the_package():
-    # the package __init__ only re-exports: its imports are not uses
     sources = {path.stem: path.read_text(encoding="utf-8")
-               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+               for path in sorted(PACKAGE.glob("*.py"))}
     found = [label for label in unreferenced(sources)
              if label.split(".")[0] not in FIXTURE_MODULES
              and label.split(".")[-1] not in TEST_ONLY_KEPT]
@@ -430,6 +435,65 @@ def test_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# what import matspec.cli executes of the package; the modules of the
+# commands sit in sys.modules unexecuted until a command reaches them
+CLI_MODULES = ["matspec", "matspec.cli", "matspec.ensemble", "matspec.rng"]
+
+
+def fresh_modules(tmp_path, argv: list[str] = ()) -> list[str]:
+    """The modules a fresh interpreter has executed after import matspec.cli
+    and, given CLI arguments, a run of main on them, which must exit 0; an
+    unexecuted lazy module is of a subclass of ModuleType."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    code = ("import json, sys, types, matspec.cli\n"
+            "code = matspec.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(json.dumps([code, sorted(n for n, m in sys.modules.items()\n"
+            "                               if type(m) is types.ModuleType)]))")
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path, check=True)
+    code, modules = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    return modules
+
+
+def package_modules(modules: list[str]) -> list[str]:
+    return [m for m in modules if m == "matspec" or m.startswith("matspec.")]
+
+
+def test_cli_import_executes_only_the_runner(tmp_path):
+    assert package_modules(fresh_modules(tmp_path)) == CLI_MODULES
+
+
+SMALL_RUN = {"grid_resolution": 32, "mc": {"paths": 200, "steps": 300, "samples": 2000},
+             "s_grid": {"min": 0.0, "max": 1.5, "count": 2},
+             "options": {"t_grid": {"min": 10, "max": 100, "count": 2}, "directions": 1}}
+# command, its ensemble and config, the modules its run must not execute;
+# none executes numpy.ma, which np.quantile and np.median would import
+UNLOADED = {
+    "validate": ("validate", ip_2d, {"grid_resolution": 32},
+                 ["matspec.projective", "matspec.transfer", "matspec.spectrum",
+                  "matspec.recursion", "matspec.renewal", "numpy.ma"]),
+    "spectrum": ("spectrum", kesten_1d, SMALL_RUN, ["matspec.recursion", "numpy.ma"]),
+    "cramer": ("cramer", kesten_1d, SMALL_RUN, ["matspec.recursion", "numpy.ma"]),
+    "tails": ("tails", ip_affine_2d, {**SMALL_RUN, "mc": {"steps": 1000, "samples": 2000}},
+              ["matspec.renewal", "numpy.ma"]),
+    "dualwalk": ("dualwalk", ip_affine_2d, SMALL_RUN, ["matspec.recursion", "numpy.ma"]),
+}
+
+
+@pytest.mark.parametrize("command,ensemble,config,unloaded", UNLOADED.values(),
+                         ids=UNLOADED.keys())
+def test_a_run_executes_only_what_its_command_runs(tmp_path, command, ensemble, config,
+                                                unloaded):
+    save_ensemble(ensemble(), tmp_path / "ens.json")
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"ensemble": "ens.json", "seed": 5, "out": "out", **config}))
+    modules = fresh_modules(tmp_path, [command, "--config", "cfg.json"])
+    assert [m for m in unloaded if m in modules] == []
+    if command == "validate":
+        assert package_modules(modules) == CLI_MODULES
 
 
 def test_version_matches_pyproject():

@@ -403,3 +403,20 @@ class TestQuadrature:
         assert err(16) < 1e-14
         assert err(64) < 1e-14
 
+
+
+@pytest.mark.parametrize("n", [4, 128])
+def test_cube_face_ties_pick_the_first_axis(n):
+    # the face axis is argmax's: on the axes, (1, 1, 0)/sqrt(2) and
+    # (1, 1, 1)/sqrt(3), in every order and sign, the first largest
+    # |component|; a rows-last store gives the same stencil
+    g = build_grid(3, n, "projective")
+    ties = [np.eye(3), np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]]) / np.sqrt(2),
+            np.ones((1, 3)) / np.sqrt(3)]
+    signs = np.array(np.meshgrid([1, -1], [1, -1], [1, -1])).T.reshape(-1, 1, 3)
+    xs = np.vstack([(t * signs).reshape(-1, 3) for t in ties])
+    ref_idx, ref_w = kdtree_cube_stencil(g, xs)
+    for queries in (xs, np.ascontiguousarray(xs.T).T):
+        idx, w = interp_stencil(g, queries)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(w.view(np.int64), ref_w.view(np.int64))
