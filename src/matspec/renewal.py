@@ -22,10 +22,16 @@ L(alpha) (by quadrature) from that one solver; the dual walk's from ks.star.
 Every level walk retires finished paths by one gather (flatnonzero, then
 a take per array): the untilted walks from their own arrays and the tilted
 ones through TiltedChain.keep; the live rows keep their order, and path
-numbers (TiltedChain.ids) index the per-path tallies.  The naive Cramer
-walk retires a path by the tail bound, once it sits log(n_paths 1e4) /
-alpha nats (at most 60) below its next threshold, and draws for all
-n_paths each step, so its draws do not depend on which paths retired.
+numbers (TiltedChain.ids) index the per-path tallies.  Each Cramer walk
+keeps a path's next level, its first threshold not yet crossed (inf past
+the top one); a path crosses when its running max (naive) or logmag
+(tilted) exceeds that level, and only those rows look up their new level.
+The naive Cramer walk retires a path by the tail bound, once it sits
+log(n_paths 1e4) / alpha nats (at most 60) below its next level, and draws
+for all n_paths each step, so its draws do not depend on which paths
+retired.  The tilted walk tallies its weights by crossing event: each
+step's crossing rows expand into the thresholds they passed, and one
+bincount per tally adds them, row after row, to every threshold at once.
 """
 
 from __future__ import annotations
@@ -194,8 +200,11 @@ def cramer_constant(
 
     tilted: sequential importance sampling under the alpha-tilted chain of
     ks with the exact likelihood ratio at first crossing; every path
-    crosses every level since the tilted drift is positive.  Either way a
-    path runs at most 4000 steps.
+    crosses every level since the tilted drift is positive.  A path crosses
+    when its logmag exceeds its next level; one step may pass several
+    thresholds, and each step adds its crossing weights (and their
+    squares) to each threshold in row order from 0.0.  Either way a path
+    runs at most 4000 steps.
     """
     drop_nats, min_hits = 60.0, 25
     if not (np.isfinite(alpha) and alpha > 0):
@@ -204,18 +213,21 @@ def cramer_constant(
     u = u / np.linalg.norm(u)
     log_ts = np.log(np.asarray(sorted(t_grid)))
     t_arr = np.exp(log_ts)
+    # levels[i] is the next level of a path that has crossed the i lowest
+    # thresholds: its first threshold not crossed, and inf past the top one
+    levels = np.append(log_ts, np.inf)
     rng = _rng(seed, 660)
     if method == "naive":
         e = ks.ensemble
         climb = min(drop_nats, np.log(n_paths * 1e4) / alpha)
-        # levels[searchsorted(log_ts, m)] is the smallest threshold >= m, the
-        # first one a path with running max m has not crossed (hits count
-        # peak > t), and inf once m is past the top one
-        levels = np.append(log_ts, np.inf)
-        # retired paths are compacted out, the live ones keep their order
+        # a path with running max m has crossed the thresholds below m (hits
+        # count peak > t), so its level is levels[searchsorted(log_ts, m)],
+        # the smallest threshold >= m; it moves only when m passes it.
+        # Retired paths are compacted out, the live ones keep their order
         x = np.repeat(u[:, None], n_paths, axis=1)
         logmag = np.zeros(n_paths)
         running_max = np.zeros(n_paths)
+        level = np.full(n_paths, levels[np.searchsorted(log_ts, 0.0)])
         live = np.arange(n_paths)
         peak = np.zeros(n_paths)  # running max of each path at its retirement
         steps = 0
@@ -225,12 +237,16 @@ def cramer_constant(
             x = y / norms
             logmag += np.log(norms)
             np.maximum(running_max, logmag, out=running_max)
-            done = levels[np.searchsorted(log_ts, running_max)] - logmag > climb
+            up = np.flatnonzero(running_max > level)
+            if up.size:
+                level[up] = levels[np.searchsorted(log_ts, running_max.take(up))]
+            done = level - logmag > climb
             if done.any():
                 peak[live[done]] = running_max[done]
                 rows = np.flatnonzero(~done)
                 x, logmag = x.take(rows, axis=1), logmag.take(rows)
-                running_max, live = running_max.take(rows), live.take(rows)
+                running_max, level = running_max.take(rows), level.take(rows)
+                live = live.take(rows)
             steps += 1
         peak[live] = running_max
         hits = [int((peak > lt).sum()) for lt in log_ts]
@@ -239,37 +255,44 @@ def cramer_constant(
                               hits, lambda h: "starved" if h < min_hits else "")
     if method != "tilted":
         raise ValueError(f"unknown method {method!r}")
+    n_levels = len(log_ts)
     chain = TiltedChain(ks, [alpha], [np.tile(u, (n_paths, 1))])
     # per threshold: accumulated weight sums at first crossing.  A path has
-    # crossed exactly the thresholds below its first uncrossed one, nxt.
-    weight_sum = np.zeros(len(log_ts))
-    weight_sq = np.zeros(len(log_ts))
+    # crossed exactly the thresholds below its first uncrossed one, nxt,
+    # and crosses again once logmag exceeds its level, levels[nxt]
+    weight_sum = np.zeros(n_levels)
+    weight_sq = np.zeros(n_levels)
     nxt = np.zeros(n_paths, dtype=np.intp)
+    level = np.full(n_paths, levels[0])
     steps = 0
     top = log_ts[-1]
     while chain.ids.size and steps < _MAX_STEPS:
         chain.step(rng.random(chain.ids.size))
-        reach = np.searchsorted(log_ts, chain.logmag)  # thresholds below logmag
-        new = np.flatnonzero(reach > nxt.take(chain.ids))  # rows that crossed
+        new = np.flatnonzero(chain.logmag > level.take(chain.ids))  # rows that crossed
         if new.size:
             crossing = chain.ids.take(new)
-            lo, hi = nxt.take(crossing), reach.take(new)
+            lo = nxt.take(crossing)
+            hi = np.searchsorted(log_ts, chain.logmag.take(new))  # thresholds below
             # the simulated kernel normalizes by the grid normalizer
             # (= k(alpha) up to discretization); the likelihood ratio folds
             # in the actual normalizers, which keeps the estimator exactly
             # unbiased for the chain that was simulated
             wvals = np.exp(chain.log_lr().take(new))
-            for j in range(lo.min(), hi.max()):  # one step may cross several
-                wj = wvals[(lo <= j) & (hi > j)]
-                weight_sum[j] += wj.sum()
-                weight_sq[j] += (wj**2).sum()
+            # one step may cross several thresholds: row r adds to each j in
+            # [lo[r], hi[r]), the rows in order within each threshold
+            n_new = hi - lo
+            js = np.arange(n_new.sum()) - np.repeat(np.cumsum(n_new) - n_new - lo, n_new)
+            w = np.repeat(wvals, n_new)
+            weight_sum += np.bincount(js, w, n_levels)
+            weight_sq += np.bincount(js, w * w, n_levels)
             nxt[crossing] = hi
+            level[crossing] = levels.take(hi)
         chain.keep(chain.logmag <= top)
         steps += 1
     p_hats = [w / n_paths for w in weight_sum]
     return _crossing_rows(t_arr, alpha, n_paths, p_hats,
                           [q / n_paths - p**2 for p, q in zip(p_hats, weight_sq)],
-                          [int((nxt > j).sum()) for j in range(len(log_ts))],
+                          [int((nxt > j).sum()) for j in range(n_levels)],
                           lambda h: "" if h == n_paths else "incomplete-crossings")
 
 

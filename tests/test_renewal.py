@@ -11,6 +11,7 @@ from matspec.ensembles import (
     ip_2d,
     ip_affine_2d,
     ip_shear_affine_2d,
+    kesten_1d,
     kesten_affine_1d,
 )
 from matspec.projective import build_grid
@@ -212,7 +213,8 @@ def crossing_matrix_cramer(ks, alpha, u, t_grid, n_paths, seed, method,
                            max_steps=4000, min_hits=25):
     """Reference cramer_constant: the naive walk is einsum_naive_hits under
     the tail-bound rule, the tilted walk tests every threshold on every path
-    and step against an (n_paths, T) crossing matrix.  Also returns the most
+    and step against an (n_paths, T) crossing matrix and adds each step's
+    weights per threshold in row order from 0.0.  Also returns the most
     thresholds one tilted path crossed in one step."""
     u = np.asarray(u, dtype=float) / np.linalg.norm(u)
     log_ts = np.log(np.asarray(sorted(t_grid)))
@@ -244,8 +246,8 @@ def crossing_matrix_cramer(ks, alpha, u, t_grid, n_paths, seed, method,
             newly = (logmag > lt) & (~crossed[ids, j])
             if newly.any():
                 wvals = np.exp(logw[newly])
-                weight_sum[j] += wvals.sum()
-                weight_sq[j] += (wvals**2).sum()
+                weight_sum[j] += np.cumsum(wvals)[-1]
+                weight_sq[j] += np.cumsum(wvals**2)[-1]
                 crossed[ids[newly], j] = True
                 per_path += newly
         most = max(most, int(per_path.max()))
@@ -261,15 +263,17 @@ def crossing_matrix_cramer(ks, alpha, u, t_grid, n_paths, seed, method,
     return rows, most
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_cramer_rows_equal_crossing_matrix_reference(d):
     # thresholds 0.1 nats apart: one tilted step crosses several at once
-    if d == 2:
+    if d == 1:
+        e, grid = kesten_1d(), build_grid(1, 1, "projective")
+    elif d == 2:
         e, grid = ip_2d(), build_grid(2, 128, "projective")
     else:
         e, grid = affine_3d().linear_part, build_grid(3, 64, "projective")
     ks = KSolver(e, grid)
-    alpha = solve_alpha(ks)
+    alpha = 1.0 if d == 1 else solve_alpha(ks)
     t_grid = np.exp(np.arange(1, 41) * 0.1)
     u = np.eye(d)[0] + 0.3
     args = (ks, alpha, u, t_grid, 600, 17)
