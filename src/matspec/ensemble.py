@@ -65,22 +65,31 @@ def operator_norm(g: np.ndarray) -> float:
 # lerp and mean on the flattened values, so they return the same bits
 
 
-def quantile(values: np.ndarray, q):
+def quantile(values: np.ndarray, q, n: int | None = None):
     """np.quantile(values, q) by its default (linear) method: a float for a
     scalar q, an array for a 1-d q.  A NaN among the values is every
-    quantile."""
+    quantile.
+
+    With n, the values are the largest values.size of n values in sort
+    order (NaN last) and the result is np.quantile of all n; a ValueError
+    when a quantile reads a value below the ones given."""
     a = np.asarray(values, dtype=float).ravel()
     q = np.asarray(q, dtype=float)
-    virtual = (a.size - 1) * q
-    top = virtual >= a.size - 1
+    n = a.size if n is None else n
+    virtual = (n - 1) * q
+    top = virtual >= n - 1
     lo = np.where(top, -1, np.floor(virtual)).astype(np.intp)
+    t = virtual - lo
+    skip = n - a.size
+    if (~top & (lo < skip)).any():
+        raise ValueError(f"the {a.size} largest of {n} values do not reach quantile {q}")
+    lo = np.where(top, -1, lo - skip)  # positions among the values given
     hi = np.where(top, -1, lo + 1)
     # np.quantile's sorted distinct kth; np.unique would import numpy.ma too
     part = np.partition(a, sorted({0, -1, *lo.ravel().tolist(), *hi.ravel().tolist()}))
     if np.isnan(part[-1]):
         return np.full(q.shape, part[-1])[()]
     below, above = part[lo], part[hi]
-    t = virtual - lo
     diff = above - below
     return np.where(t >= 0.5, above - diff * (1 - t), below + diff * t)[()]
 

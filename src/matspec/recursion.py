@@ -104,11 +104,13 @@ def _sample_chunk(
     r = np.zeros((d, size))
     new, last, tmp = np.empty_like(prod), np.empty_like(r), np.empty(size)
     out = np.empty((size, d))
-    ratio, prod_norm, rate = np.zeros(size), np.empty(size), np.empty(size)
+    rate = np.empty(size)
+    # running maxima over the stopped rows; np.maximum keeps a NaN, as max does
+    ratio_max = prod_max = 0.0
     row_steps = 0
     for k in range(1, n_steps + 1):
         n = rows.size
-        idx = draw_atoms(rng, ae.weights, size, rows)
+        idx = draw_atoms(rng, ae.weights, size, None if n == size else rows)
         ak, bk = a.take(idx, axis=1), b.take(idx, axis=1)
         for i in range(d):
             p_i = prod[i * d : (i + 1) * d]
@@ -132,15 +134,17 @@ def _sample_chunk(
         out[gone] = r[:, done].T
         r_norm = np.linalg.norm(r[:, done], axis=0)
         nz = r_norm > 0
-        ratio[gone[nz]] = np.linalg.norm(last[:, done], axis=0)[nz] / r_norm[nz]
-        prod_norm[gone] = np.linalg.norm(prod[:, done], axis=0)
-        rate[gone] = np.log(np.maximum(prod_norm[gone], 1e-300)) / k
+        ratio = np.linalg.norm(last[:, done], axis=0)[nz] / r_norm[nz]
+        ratio_max = np.maximum(ratio_max, ratio.max(initial=0.0))
+        prod_norm = np.linalg.norm(prod[:, done], axis=0)
+        prod_max = np.maximum(prod_max, prod_norm.max())
+        rate[gone] = np.log(np.maximum(prod_norm, 1e-300)) / k
         keep = ~done
         rows, prod, r = rows[keep], prod[:, keep], r[:, keep]
         if rows.size == 0:
             break
         new, last, tmp = np.empty_like(prod), np.empty_like(r), np.empty(rows.size)
-    return (out, float(ratio.max()), float(prod_norm.max()),
+    return (out, float(ratio_max), float(prod_max),
             float(median(rate)), row_steps, k)
 
 
@@ -434,6 +438,25 @@ def moment_check(
     return rows
 
 
+def _largest(pairs, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The largest magnitudes, with their sides, of a stream of (magnitude,
+    side) array pairs: the k largest in sort order (NaN last), every
+    magnitude equal to the k-th and every NaN.  A pair's magnitudes below
+    the running floor are dropped at once; past 2k kept values the floor
+    rises to the k-th largest kept, so the selection holds O(k) values."""
+    floor = -np.inf
+    mags = sides = np.empty(0)
+    for m, side in pairs:
+        rows = np.flatnonzero((m >= floor) | np.isnan(m))
+        mags = np.concatenate((mags, m.take(rows)))
+        sides = np.concatenate((sides, side.take(rows)))
+        if mags.size > 2 * k:
+            floor = np.partition(mags, -k)[-k]
+            rows = np.flatnonzero((mags >= floor) | np.isnan(mags))
+            mags, sides = mags.take(rows), sides.take(rows)
+    return mags, sides
+
+
 def classify_tail_case(ae: AffineEnsemble, seed: int = 0) -> str:
     """Trichotomy of the stationary tail: "I" without an invariant cone;
     with one, "II'" when large forward states charge both antipodal
@@ -441,13 +464,15 @@ def classify_tail_case(ae: AffineEnsemble, seed: int = 0) -> str:
     its attractor centre come from classify_cone_case(ae.linear_part, seed),
     whose "unknown" is reported as is.
 
-    The census runs 4096 forward paths for 400 steps and keeps, for each
-    state of the last 200, its magnitude and its side <x, center>: two
-    (200, 4096) arrays, not the states.  A side counts as charged when at
-    least 5 census states at or above the 0.995-quantile magnitude cut lie
-    on it; the minority constant can be tiny, so the decision is
-    count-based, with the cut required to clear the additive scale (else
-    the census cannot see the tail and reports unknown).
+    The census runs 4096 forward paths for 400 steps and reads, for each
+    state of the last 200, its magnitude and its side <x, center>.  It keeps
+    only the states that can reach the 0.995-quantile magnitude cut of all
+    200 x 4096: the 4097 largest and their ties (_largest), so it holds
+    O(4096) values, not the states or a (200, 4096) array.  A side counts as
+    charged when at least 5 census states at or above the cut lie on it;
+    the minority constant can be tiny, so the decision is count-based, with
+    the cut required to clear the additive scale (else the census cannot
+    see the tail and reports unknown).
     """
     cone_case, evidence = classify_cone_case(ae.linear_part, seed)
     if cone_case != "II":
@@ -455,17 +480,20 @@ def classify_tail_case(ae: AffineEnsemble, seed: int = 0) -> str:
     n_paths, n_steps, top_quantile, min_hits = 4096, 400, 0.995, 5
     center = np.asarray(evidence["attractor_center"], dtype=float)
     rng = _rng(seed, 777)
-    x = (rng.standard_normal((n_paths, ae.dimension)) * 0.1).T  # rows last
     kept = n_steps - n_steps // 2
-    magnitudes, sides = np.empty((kept, n_paths)), np.empty((kept, n_paths))
-    for k in range(n_steps):
-        x = apply_atoms(ae.matrices, draw_atoms(rng, ae.weights, n_paths), x,
-                        ae.translations)
-        j = k - (n_steps - kept)
-        if j >= 0:
-            magnitudes[j] = np.linalg.norm(x, axis=0)
-            sides[j] = center @ x
-    cut = quantile(magnitudes, top_quantile)
+
+    def census():
+        x = (rng.standard_normal((n_paths, ae.dimension)) * 0.1).T  # rows last
+        for k in range(n_steps):
+            x = apply_atoms(ae.matrices, draw_atoms(rng, ae.weights, n_paths), x,
+                            ae.translations)
+            if k >= n_steps - kept:
+                yield np.linalg.norm(x, axis=0), center @ x
+
+    n = kept * n_paths
+    # the cut reads the order statistics from floor((n - 1) q) up
+    magnitudes, sides = _largest(census(), n - int(np.floor((n - 1) * top_quantile)))
+    cut = quantile(magnitudes, top_quantile, n=n)
     scale_b = float(np.linalg.norm(ae.translations, axis=1).max())
     if cut < 10.0 * scale_b:
         return "unknown"

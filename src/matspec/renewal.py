@@ -277,7 +277,7 @@ def cramer_constant(
             # (= k(alpha) up to discretization); the likelihood ratio folds
             # in the actual normalizers, which keeps the estimator exactly
             # unbiased for the chain that was simulated
-            wvals = np.exp(chain.log_lr().take(new))
+            wvals = np.exp(chain.log_lr(new))
             # one step may cross several thresholds: row r adds to each j in
             # [lo[r], hi[r]), the rows in order within each threshold
             n_new = hi - lo

@@ -539,9 +539,13 @@ class TiltedChain:
         for name in ("e_x", "_log_e_x0", "logmag", "lognorm", "ids", "s", "offset"):
             setattr(self, name, getattr(self, name).take(rows))
 
-    def log_lr(self) -> np.ndarray:
+    def log_lr(self, rows: np.ndarray | None = None) -> np.ndarray:
         """log e^s(x0) - log e^s(x_n) - s log|S_n x0| + sum of log
         normalizers: the exact log likelihood ratio of the untilted path
-        against the simulated chain."""
-        return (self._log_e_x0 - np.log(self.e_x)
-                - self.s * self.logmag + self.lognorm)
+        against the simulated chain.  With rows, only at those row indices:
+        elementwise, so bit for bit log_lr()[rows]."""
+        terms = (self._log_e_x0, self.e_x, self.s, self.logmag, self.lognorm)
+        if rows is not None:
+            terms = [a.take(rows) for a in terms]
+        log_e_x0, e_x, s, logmag, lognorm = terms
+        return log_e_x0 - np.log(e_x) - s * logmag + lognorm

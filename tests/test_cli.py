@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import platform
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +414,22 @@ class TestTailsCommand:
         }
         assert first == second
         assert "bank.csv" in first
+
+    def test_run_memory_is_bounded(self, tmp_path):
+        # a d=2 run holds its bank (4000 x 2) and O(1) more: the tail-case
+        # census (200 x 4096 states) keeps only its largest; the first run,
+        # untraced, loads the modules
+        cfg = write_config(tmp_path, ip_affine_2d(), seed=2301, grid_resolution=64,
+                           mc={"samples": 4000, "steps": 1000, "paths": 200})
+        assert main(["tails", "--config", str(cfg)]) == EXIT_OK
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            assert main(["tails", "--config", str(cfg)]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
     def test_d3_fewer_directions_than_grid_minimum(self, tmp_path):
         # a d=3 grid needs 4 nodes; 2 probe directions must still run

@@ -232,3 +232,23 @@ def test_quantile_and_median_equal_numpy_bit_for_bit(values):
     for q in (0.0, 0.5, 0.9, 0.995, 1.0, np.float64(0.3), [0.025, 0.975]):
         assert bits(quantile(values, q)) == bits(np.quantile(values, q)), q
     assert bits(median(values)) == bits(np.median(values))
+
+
+def test_quantile_of_the_largest_values_equals_the_full_quantile():
+    # values given as the largest 8 of 40 (NaN and ties among them) give
+    # the quantiles of all 40 that read only those 8
+    full = np.round(np.random.default_rng(4).standard_exponential(40), 1)
+    full[7] = np.inf
+    for q in (0.9, 0.95, 1.0, [0.9, 1.0]):
+        with np.errstate(invalid="ignore"):  # inf - inf in the lerp, as in numpy
+            got, want = quantile(np.sort(full)[-8:], q, n=40), quantile(full, q)
+        assert got.tobytes() == want.tobytes()
+    full[3] = np.nan
+    assert np.isnan(quantile(np.sort(full)[-8:], 0.9, n=40))
+
+
+@pytest.mark.parametrize("q", [0.5, 0.8, [0.95, 0.5]])
+def test_quantile_rejects_too_few_largest_values(q):
+    # quantile 0.8 of 40 reads order statistics 31 and 32, below the top 8
+    with pytest.raises(ValueError, match="8 largest of 40"):
+        quantile(np.arange(8.0), q, n=40)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from matspec.ensemble import AffineEnsemble
+from matspec.ensemble import AffineEnsemble, quantile
 from matspec.ensembles import (
     affine_3d,
     ip_affine_2d,
@@ -13,6 +13,7 @@ from matspec.ensembles import (
 )
 from matspec.recursion import (
     TailSampleBank,
+    _largest,
     classify_tail_case,
     empirical_tail,
     hill_estimator,
@@ -243,14 +244,15 @@ class TestTailCase:
         ae = positive_affine_2d(mixed_signs=True)
         assert [classify_tail_case(ae, seed=s) for s in self.SEEDS] == ["II'"] * 3
 
+    @pytest.mark.parametrize("seed", [2301, 17])
+    def test_ip_affine_charges_one_side(self, seed):
+        assert classify_tail_case(ip_affine_2d(), seed=seed) == "II''"
+
     def test_census_memory_is_bounded(self):
-        # the default census (d=2, 4096 paths x 200 kept steps) holds one
-        # magnitude and one side per state, 6.6 MB each, not the states;
-        # the cone walk before it holds far less
+        # the default census (d=2, 4096 paths x 200 kept steps) keeps only
+        # the 4097 largest magnitudes and their sides; the cone walk before
+        # it holds less
         ae = ip_affine_2d()
-        # a process's first np.quantile imports numpy.ma; keep that out of
-        # the traced window, so the bound holds whatever ran before
-        np.quantile(np.arange(3.0), 0.5)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -259,7 +261,39 @@ class TestTailCase:
         finally:
             tracemalloc.stop()
         assert label == "II''"
-        assert peak < 22e6
+        assert peak < 2e6
+
+
+# (ties, values dropped into step 7); without ties the last step lies above
+# all others, so the selection ends on a re-selection to k
+SELECTION_CASES = {"ties": (True, ()), "ties-inf": (True, (np.inf,)),
+                   "ties-nan-inf": (True, (np.nan, np.inf)), "distinct": (False, ())}
+
+
+@pytest.mark.parametrize("q", [0.995, 0.9])
+@pytest.mark.parametrize("ties,extra", SELECTION_CASES.values(), ids=SELECTION_CASES.keys())
+def test_largest_then_quantile_equals_full_census(ties, extra, q):
+    # the selection and quantile(..., n=) give the full quantile and the
+    # full >= cut side counts, bit for bit, while holding O(k) values
+    rng = np.random.default_rng(31)
+    n_steps, width = 60, 500
+    mags = rng.standard_exponential((n_steps, width)) * 4
+    if ties:
+        mags = np.round(mags) / 4
+    else:
+        mags[-1] += mags.max()
+    mags[7, :len(extra)] = extra
+    sides = rng.standard_normal((n_steps, width))
+    n = mags.size
+    k = n - int(np.floor((n - 1) * q))
+    m, side = _largest(zip(mags, sides), k)
+    assert k <= m.size < 3 * k + width
+    cut = quantile(m, q, n=n)
+    assert np.asarray(cut).tobytes() == np.asarray(quantile(mags, q)).tobytes()
+    want = sides[mags >= cut]
+    got = side[m >= cut]
+    assert ((got > 0).sum(), (got < 0).sum()) == ((want > 0).sum(), (want < 0).sum())
+    assert np.array_equal(np.sort(got), np.sort(want))
 
 
 class TestD2Bank:

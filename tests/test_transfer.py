@@ -462,6 +462,19 @@ class TestTiltedChain:
                 assert np.array_equal(getattr(kept, name), getattr(full, name)[ids])
             assert np.array_equal(kept.log_lr(), full.log_lr()[ids])
 
+    def test_log_lr_at_rows_is_the_full_log_lr_at_those_rows(self, chain_case):
+        # on a stack of two exponents, rows in any order and repeated
+        ks, alpha = chain_case
+        rng = np.random.default_rng(11)
+        blocks = [rng.standard_normal((n, ks.ensemble.dimension)) for n in (8, 5)]
+        blocks = [b / np.linalg.norm(b, axis=1, keepdims=True) for b in blocks]
+        chain = TiltedChain(ks, [alpha, 0.5 * alpha], blocks)
+        for _ in range(10):
+            chain.step(rng.random(13))
+        for rows in (np.arange(13), np.array([12, 0, 7, 8, 8]), np.array([], dtype=np.intp)):
+            got, want = chain.log_lr(rows), chain.log_lr()[rows]
+            assert got.tobytes() == want.tobytes()
+
     def test_keep_equals_boolean_indexing(self, chain_case):
         # every row array after keep(mask) is the boolean-indexed one, for a
         # mixed, an all-True and an all-False mask, and the store stays
