@@ -5,4 +5,4 @@ The package exports only ``__version__``; import each routine from its
 module (``matspec.ensemble``, ``matspec.spectrum``, ...), so that a run
 loads only the modules it uses."""
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"

@@ -19,19 +19,15 @@ growth rate to L(alpha).  Each tilted walk takes the run's
 transfer.KSolver and alpha and reads its chain, e^alpha, nu^alpha and
 L(alpha) (by quadrature) from that one solver; the dual walk's from ks.star.
 
-Every level walk retires finished paths by one gather (flatnonzero, then
-a take per array): the untilted walks from their own arrays and the tilted
-ones through TiltedChain.keep; the live rows keep their order, and path
-numbers (TiltedChain.ids) index the per-path tallies.  Each Cramer walk
-keeps a path's next level, its first threshold not yet crossed (inf past
-the top one); a path crosses when its running max (naive) or logmag
-(tilted) exceeds that level, and only those rows look up their new level.
-The naive Cramer walk retires a path by the tail bound, once it sits
-log(n_paths 1e4) / alpha nats (at most 60) below its next level, and draws
-for all n_paths each step, so its draws do not depend on which paths
-retired.  The tilted walk tallies its weights by crossing event: each
-step's crossing rows expand into the thresholds they passed, and one
-bincount per tally adds them, row after row, to every threshold at once.
+Every level walk counts its start, and retires finished paths by one
+gather (flatnonzero, then a take per array): the untilted walks from their
+own arrays and the tilted ones through TiltedChain.keep; the live rows keep
+their order, and path numbers (TiltedChain.ids) index the per-path tallies.
+Both Cramer walks keep one crossing state, _Crossings: a path's next level,
+its first threshold not crossed (inf past the top one), where the start
+|S_0 u| = 1 crosses those below 1; only the rows whose logmag exceeds their
+level look it up again.  The naive walk retires a path by the tail bound;
+the tilted walk tallies its weights by crossing event, one bincount a step.
 """
 
 from __future__ import annotations
@@ -176,6 +172,34 @@ def _report(regime: str, test_functions: list[AnnulusFunction], acc: np.ndarray,
     return report
 
 
+class _Crossings:
+    """Per path of a Cramer walk, how many of the sorted log thresholds
+    log_ts it has crossed, its start included (nxt), and the next one
+    (level, inf past the top)."""
+
+    def __init__(self, log_ts: np.ndarray, n_paths: int):
+        self.log_ts = log_ts
+        self.levels = np.append(log_ts, np.inf)
+        self.nxt = np.full(n_paths, np.searchsorted(log_ts, 0.0))
+        self.level = self.levels.take(self.nxt)
+
+    def step(self, logmag: np.ndarray, ids: np.ndarray):
+        """The rows whose logmag exceeds the level of their path (path
+        numbers ids), with the first threshold each crosses now and one past
+        the last; moves those paths past them."""
+        new = np.flatnonzero(logmag > self.level.take(ids))
+        paths = ids.take(new)
+        lo = self.nxt.take(paths)
+        hi = np.searchsorted(self.log_ts, logmag.take(new))
+        self.nxt[paths] = hi
+        self.level[paths] = self.levels.take(hi)
+        return new, lo, hi
+
+    def hits(self) -> list[int]:
+        """Per threshold, the paths that crossed it."""
+        return [int((self.nxt > j).sum()) for j in range(len(self.log_ts))]
+
+
 def cramer_constant(
     ks: KSolver,
     alpha: float,
@@ -185,8 +209,9 @@ def cramer_constant(
     seed: int,
     method: str = "tilted",
 ) -> list[dict]:
-    """Table of A_hat(u, t) = t^alpha P{sup_n |S_n u| > t} per threshold;
-    alpha must be finite and positive.
+    """Table of A_hat(u, t) = t^alpha P{sup_{n>=0} |S_n u| > t} per
+    threshold; alpha must be finite and positive.  Both methods count the
+    start |S_0 u| = 1, so a threshold t < 1 reads t^alpha with stderr 0.
 
     naive: direct path counting under the untilted walk of ks.ensemble,
     with no eigen-solve.  Each step draws n_paths uniforms and looks up
@@ -199,80 +224,55 @@ def cramer_constant(
     than 25 exceedances are flagged starved.
 
     tilted: sequential importance sampling under the alpha-tilted chain of
-    ks with the exact likelihood ratio at first crossing; every path
-    crosses every level since the tilted drift is positive.  A path crosses
-    when its logmag exceeds its next level; one step may pass several
-    thresholds, and each step adds its crossing weights (and their
-    squares) to each threshold in row order from 0.0.  Either way a path
-    runs at most 4000 steps.
+    ks with the exact likelihood ratio at first crossing, 1 at the start;
+    every path crosses every level since the tilted drift is positive.  One
+    step may pass several thresholds, and each step adds its crossing
+    weights (and their squares) to each threshold in row order.  Either
+    way a path runs at most 4000 steps.
     """
     drop_nats, min_hits = 60.0, 25
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
-    u = np.asarray(u, dtype=float)
-    u = u / np.linalg.norm(u)
+    u = np.asarray(u, dtype=float) / np.linalg.norm(u)
     log_ts = np.log(np.asarray(sorted(t_grid)))
     t_arr = np.exp(log_ts)
-    # levels[i] is the next level of a path that has crossed the i lowest
-    # thresholds: its first threshold not crossed, and inf past the top one
-    levels = np.append(log_ts, np.inf)
+    crossings = _Crossings(log_ts, n_paths)
     rng = _rng(seed, 660)
     if method == "naive":
         e = ks.ensemble
         climb = min(drop_nats, np.log(n_paths * 1e4) / alpha)
-        # a path with running max m has crossed the thresholds below m (hits
-        # count peak > t), so its level is levels[searchsorted(log_ts, m)],
-        # the smallest threshold >= m; it moves only when m passes it.
-        # Retired paths are compacted out, the live ones keep their order
+        # retired paths are compacted out, the live ones keep their order
         x = np.repeat(u[:, None], n_paths, axis=1)
         logmag = np.zeros(n_paths)
-        running_max = np.zeros(n_paths)
-        level = np.full(n_paths, levels[np.searchsorted(log_ts, 0.0)])
         live = np.arange(n_paths)
-        peak = np.zeros(n_paths)  # running max of each path at its retirement
         steps = 0
         while live.size and steps < _MAX_STEPS:
             y = apply_atoms(e.matrices, draw_atoms(rng, e.weights, n_paths, rows=live), x)
             norms = np.linalg.norm(y, axis=0)
             x = y / norms
             logmag += np.log(norms)
-            np.maximum(running_max, logmag, out=running_max)
-            up = np.flatnonzero(running_max > level)
-            if up.size:
-                level[up] = levels[np.searchsorted(log_ts, running_max.take(up))]
-            done = level - logmag > climb
+            crossings.step(logmag, live)
+            done = crossings.level.take(live) - logmag > climb
             if done.any():
-                peak[live[done]] = running_max[done]
                 rows = np.flatnonzero(~done)
-                x, logmag = x.take(rows, axis=1), logmag.take(rows)
-                running_max, level = running_max.take(rows), level.take(rows)
-                live = live.take(rows)
+                x, logmag, live = x.take(rows, axis=1), logmag.take(rows), live.take(rows)
             steps += 1
-        peak[live] = running_max
-        hits = [int((peak > lt).sum()) for lt in log_ts]
+        hits = crossings.hits()
         p_hats = [h / n_paths for h in hits]
         return _crossing_rows(t_arr, alpha, n_paths, p_hats, [p * (1 - p) for p in p_hats],
                               hits, lambda h: "starved" if h < min_hits else "")
     if method != "tilted":
         raise ValueError(f"unknown method {method!r}")
-    n_levels = len(log_ts)
     chain = TiltedChain(ks, [alpha], [np.tile(u, (n_paths, 1))])
-    # per threshold: accumulated weight sums at first crossing.  A path has
-    # crossed exactly the thresholds below its first uncrossed one, nxt,
-    # and crosses again once logmag exceeds its level, levels[nxt]
-    weight_sum = np.zeros(n_levels)
-    weight_sq = np.zeros(n_levels)
-    nxt = np.zeros(n_paths, dtype=np.intp)
-    level = np.full(n_paths, levels[0])
+    # per threshold: the weight sums at first crossing, from the start's
+    # crossings on, each of likelihood ratio 1
+    weight_sum = np.array(crossings.hits(), dtype=float)
+    weight_sq = weight_sum.copy()
     steps = 0
-    top = log_ts[-1]
     while chain.ids.size and steps < _MAX_STEPS:
         chain.step(rng.random(chain.ids.size))
-        new = np.flatnonzero(chain.logmag > level.take(chain.ids))  # rows that crossed
+        new, lo, hi = crossings.step(chain.logmag, chain.ids)
         if new.size:
-            crossing = chain.ids.take(new)
-            lo = nxt.take(crossing)
-            hi = np.searchsorted(log_ts, chain.logmag.take(new))  # thresholds below
             # the simulated kernel normalizes by the grid normalizer
             # (= k(alpha) up to discretization); the likelihood ratio folds
             # in the actual normalizers, which keeps the estimator exactly
@@ -283,16 +283,14 @@ def cramer_constant(
             n_new = hi - lo
             js = np.arange(n_new.sum()) - np.repeat(np.cumsum(n_new) - n_new - lo, n_new)
             w = np.repeat(wvals, n_new)
-            weight_sum += np.bincount(js, w, n_levels)
-            weight_sq += np.bincount(js, w * w, n_levels)
-            nxt[crossing] = hi
-            level[crossing] = levels.take(hi)
-        chain.keep(chain.logmag <= top)
+            weight_sum += np.bincount(js, w, len(log_ts))
+            weight_sq += np.bincount(js, w * w, len(log_ts))
+        chain.keep(chain.logmag <= log_ts[-1])
         steps += 1
     p_hats = [w / n_paths for w in weight_sum]
     return _crossing_rows(t_arr, alpha, n_paths, p_hats,
                           [q / n_paths - p**2 for p, q in zip(p_hats, weight_sq)],
-                          [int((nxt > j).sum()) for j in range(n_levels)],
+                          crossings.hits(),
                           lambda h: "" if h == n_paths else "incomplete-crossings")
 
 
@@ -317,7 +315,7 @@ def tilted_potential_profile(
     n_paths: int,
     seed: int,
 ) -> RenewalReport:
-    """t^{-alpha} sum_k E[f(S_k(t u))] for annulus functions f, against the
+    """t^{-alpha} sum_{k>=0} E[f(S_k(t u))] for annulus functions f, against the
     prediction e^alpha(u)/L(alpha) * nu^alpha(probe) * (c1^-a - c2^-a)/a,
     with e^alpha and nu^alpha from ks.point(alpha) and L(alpha) from its
     quadrature route.
@@ -327,14 +325,15 @@ def tilted_potential_profile(
     climbs 5 nats past the top window, or for at most 4000 steps.
     """
     L_alpha = lyapunov(ks, alpha, "quadrature")[0]
-    u = np.asarray(u, dtype=float)
-    u = u / np.linalg.norm(u)
+    u = np.asarray(u, dtype=float) / np.linalg.norm(u)
     rng = _rng(seed, 770)
     chain = TiltedChain(ks, [alpha], [np.tile(u, (n_paths, 1))])
     e_at_u = float(chain.e_x[0])
     acc = np.zeros((len(test_functions), n_paths))
     windows = [(f.log_lo - np.log(t), f.log_hi - np.log(t)) for f in test_functions]
     top = max(hi for _, hi in windows)
+    _add_visits(acc, test_functions, windows, chain.logmag, chain.x, chain.ids,
+                np.ones(n_paths))  # k = 0, at likelihood ratio 1
     steps = 0
     while chain.ids.size and steps < _MAX_STEPS:
         chain.step(rng.random(chain.ids.size))

@@ -151,6 +151,39 @@ class TestCramer:
             cramer_constant(ks_kesten, alpha, np.array([1.0]), [10.0], 100,
                             seed=4, method=method)
 
+    # the t >= 1 rows of test_start_crosses_the_thresholds_below_one, as
+    # repr of estimate and stderr, and hits; the walks gave them before
+    # either counted the start, and a threshold below 1 must not move them
+    START_RULE_ROWS = {
+        ("kesten_1d", "naive"): [("0.542", "0.011140825822173147", 1084),
+                                 ("0.578", "0.020272099052638826", 578)],
+        ("kesten_1d", "tilted"): [("0.548546028137207", "0.002267181555376873", 2000),
+                                  ("0.5829384494423866", "0.002734623451078056", 2000)],
+        ("ip_2d", "naive"): [("0.6375", "0.010749273231246846", 1275),
+                             ("0.8192738008940392", "0.02469333509714805", 710)],
+        ("ip_2d", "tilted"): [("0.6464159416893214", "0.001696316962366154", 2000),
+                              ("0.8238911012451966", "0.0019450515852998127", 2000)],
+    }
+
+    @pytest.mark.parametrize("method", ["naive", "tilted"])
+    @pytest.mark.parametrize("case", ["kesten_1d", "ip_2d"])
+    def test_start_crosses_the_thresholds_below_one(self, ks_kesten, ip_solver, ip_alpha,
+                                                    case, method):
+        # the supremum runs over n >= 0 and |S_0 u| = 1, so below t = 1 both
+        # methods read probability 1 exactly: t^alpha, stderr 0, every path
+        ks, alpha = (ks_kesten, 1.0) if case == "kesten_1d" else (ip_solver, ip_alpha)
+        u = np.eye(ks.ensemble.dimension)[0]
+        rows = cramer_constant(ks, alpha, u, [0.5, 0.9, 1.0, 2.0], 2000, seed=4,
+                               method=method)
+        assert [r["t"] for r in rows] == pytest.approx([0.5, 0.9, 1.0, 2.0])
+        for r in rows[:2]:
+            assert (r["estimate"], r["stderr"], r["hits"], r["flag"]) == (
+                r["t"] ** alpha, 0.0, 2000, "")
+        assert rows[2:] == cramer_constant(ks, alpha, u, [1.0, 2.0], 2000, seed=4,
+                                           method=method)
+        assert [(repr(r["estimate"]), repr(r["stderr"]), r["hits"])
+                for r in rows[2:]] == self.START_RULE_ROWS[case, method]
+
     def test_naive_runs_no_solve(self, ip, monkeypatch):
         # the naive walk reads only the solver's ensemble
         calls = []
@@ -338,6 +371,25 @@ class TestTiltedPotential:
             n_paths=500, seed=9,
         )
         assert rep.rows[0]["measured"] == 0.0
+
+    # measured and stderr of the default annuli at t = 1.5 without the
+    # k = 0 term, as repr: the profile before it counted the start
+    WITHOUT_START = [("0.7052784215521499", "0.023253996970116344"),
+                     ("0.6832814552424565", "0.011924610660795082"),
+                     ("0.3060997860758381", "0.006151317246568904")]
+
+    def test_start_is_the_k_zero_visit(self, ks_kesten):
+        # |S_0 (t u)| = t = 1.5 lies in annulus0 = [1, 2), so the potential
+        # kernel's k = 0 term f(t u) = 1 adds t^-alpha there and nowhere else
+        fns = [AnnulusFunction(f"annulus{j}", j * np.log(2.0), (j + 1) * np.log(2.0))
+               for j in range(3)]
+        rep = tilted_potential_profile(ks_kesten, 1.0, np.array([1.0]), 1.5, fns,
+                                       n_paths=2000, seed=10)
+        (m0, s0), *rest = [(float(m), float(s)) for m, s in self.WITHOUT_START]
+        assert rep.rows[0]["measured"] == pytest.approx(m0 + 1.5**-1.0, rel=1e-12)
+        assert rep.rows[0]["stderr"] == pytest.approx(s0, rel=1e-9)
+        assert [(repr(r["measured"]), repr(r["stderr"]))
+                for r in rep.rows[1:]] == self.WITHOUT_START[1:]
 
     def test_d1_reference_window(self, ks_kesten):
         f = AnnulusFunction("unit-window", 0.0, np.log(2.0))
