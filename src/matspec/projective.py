@@ -241,7 +241,13 @@ def interp_stencil(grid: DirectionGrid, xs: np.ndarray,
     np.minimum(cell, r - 1, out=cell)
     pos -= cell  # the fractions s (along i) and t (along j), in [0, 1]
     first = ((2 * a + (xa < 0)) * (r + 1) + cell[0]) * (r + 1) + cell[1]
-    grid.corners.take(np.array([[0], [1], [r + 1], [r + 2]]) + first, out=idx)
+    # the corner positions sit in w until the weights overwrite them, so no
+    # step allocates a (4, M) array.  They are in range by construction (the
+    # largest is 6r^2 + 12r + 5 of 6(r + 1)^2), so mode="clip" only skips the
+    # buffer that mode="raise" gathers through; a NaN query clips to corner
+    # 0, and its NaN weights keep its value NaN
+    corners = np.add(np.array([[0], [1], [r + 1], [r + 2]]), first, out=w.view(np.int64))
+    grid.corners.take(corners, out=idx, mode="clip")
     s, t = pos
     np.subtract(1.0, pos, out=w[2:])  # 1 - s, 1 - t
     np.multiply(w[2], w[3], out=w[0])

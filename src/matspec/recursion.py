@@ -14,11 +14,12 @@ exactly critical: E A = 1); medians are reported alongside for that reason.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import draw_atoms, stream as _rng
+from .rng import draw_atoms, draw_buffers, stream as _rng
 
 from .ensemble import (
     AffineEnsemble,
@@ -81,6 +82,12 @@ class TailSampleBank:
         return self.samples @ np.asarray(u, dtype=float)
 
 
+def _prefix(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The C-contiguous array of the given shape on the first entries of the
+    contiguous array buf, a view."""
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
 def _sample_chunk(
     ae: AffineEnsemble, n_steps: int, size: int, seed: int, chunk_idx: int
 ) -> tuple[np.ndarray, float, float, float, int, int]:
@@ -93,16 +100,31 @@ def _sample_chunk(
     never depend on when the other rows stop; only the live rows' are
     looked up.
 
+    Every per-step array is the live-size prefix of a buffer allocated once
+    per chunk at chunk size, as TiltedChain._buffer keeps them, so a step
+    allocates nothing of its length: the draw's (draw_buffers), the gathered
+    atoms ak and bk, the product and a spare, which the next step writes and
+    whose first row holds the |entry| scratch, the sum and its last term, a
+    row of scratch, the retirement mask, and the row numbers and a spare.
+    Dropping rows gathers the kept rows of the product, the sum and the row
+    numbers into their spares (the sum's into the last term's), which then
+    swap with them.  With the output, a chunk holds 3 d^2 + 4 d + 4 floats,
+    3 intp and 2 bools per row.
+
     Returns (samples (size, d), worst last-term ratio, worst product norm at
     a stop, median over rows of log|prod| / steps, row-steps, last stop)."""
     d = ae.dimension
+    dd = d * d
     rng = _rng(seed, chunk_idx)
-    a = ae.matrices.reshape(ae.n_atoms, d * d).T.copy()  # a[l*d + j] = A_lj
+    a = ae.matrices.reshape(ae.n_atoms, dd).T.copy()  # a[l*d + j] = A_lj
     b = ae.translations.T.copy()
-    rows = np.arange(size)
-    prod = np.eye(d).reshape(d * d, 1).repeat(size, axis=1)
+    draws = draw_buffers(size)
+    rows, spare_rows = np.arange(size), np.empty(size, np.intp)
+    prod = np.eye(d).reshape(dd, 1).repeat(size, axis=1)
     r = np.zeros((d, size))
-    new, last, tmp = np.empty_like(prod), np.empty_like(r), np.empty(size)
+    new, ak = np.empty_like(prod), np.empty_like(prod)
+    last, bk = np.empty_like(r), np.empty_like(r)
+    tmp, done = np.empty(size), np.empty(size, bool)
     out = np.empty((size, d))
     rate = np.empty(size)
     # running maxima over the stopped rows; np.maximum keeps a NaN, as max does
@@ -110,8 +132,10 @@ def _sample_chunk(
     row_steps = 0
     for k in range(1, n_steps + 1):
         n = rows.size
-        idx = draw_atoms(rng, ae.weights, size, None if n == size else rows)
-        ak, bk = a.take(idx, axis=1), b.take(idx, axis=1)
+        idx = draw_atoms(rng, ae.weights, size, None if n == size else rows, draws)
+        # the atom indices are in range; mode="raise" would buffer the gathers
+        np.take(a, idx, axis=1, out=ak, mode="clip")
+        np.take(b, idx, axis=1, out=bk, mode="clip")
         for i in range(d):
             p_i = prod[i * d : (i + 1) * d]
             np.multiply(p_i[0], bk[0], out=last[i])
@@ -125,10 +149,12 @@ def _sample_chunk(
         prod, new = new, prod
         row_steps += n
         top = np.abs(prod[0], out=tmp)
-        for e in range(1, d * d):
-            np.maximum(top, np.abs(prod[e]), out=top)
-        done = (top < _RETIRE) | (k == n_steps)
-        if k < n_steps and 8 * np.count_nonzero(done) < n:
+        for e in range(1, dd):
+            np.maximum(top, np.abs(prod[e], out=new[0]), out=top)
+        np.less(top, _RETIRE, out=done)
+        if k == n_steps:
+            done.fill(True)
+        elif 8 * np.count_nonzero(done) < n:
             continue
         gone = rows[done]
         out[gone] = r[:, done].T
@@ -139,11 +165,19 @@ def _sample_chunk(
         prod_norm = np.linalg.norm(prod[:, done], axis=0)
         prod_max = np.maximum(prod_max, prod_norm.max())
         rate[gone] = np.log(np.maximum(prod_norm, 1e-300)) / k
-        keep = ~done
-        rows, prod, r = rows[keep], prod[:, keep], r[:, keep]
-        if rows.size == 0:
+        kept = np.flatnonzero(np.logical_not(done, out=done))
+        n = kept.size
+        if n == 0:
             break
-        new, last, tmp = np.empty_like(prod), np.empty_like(r), np.empty(rows.size)
+        # the kept rows, in order, into the spares; the old arrays become the
+        # spares, and every other buffer shrinks to its first n rows
+        rows, spare_rows = np.take(rows, kept, out=_prefix(spare_rows, n), mode="clip"), rows
+        prod, new = (np.take(prod, kept, axis=1, out=_prefix(new, dd, n), mode="clip"),
+                     _prefix(prod, dd, n))
+        r, last = (np.take(r, kept, axis=1, out=_prefix(last, d, n), mode="clip"),
+                   _prefix(r, d, n))
+        ak, bk, tmp, done = (_prefix(ak, dd, n), _prefix(bk, d, n), _prefix(tmp, n),
+                             _prefix(done, n))
     return (out, float(ratio_max), float(prod_max),
             float(median(rate)), row_steps, k)
 

@@ -225,10 +225,11 @@ def cramer_constant(
 
     tilted: sequential importance sampling under the alpha-tilted chain of
     ks with the exact likelihood ratio at first crossing, 1 at the start;
-    every path crosses every level since the tilted drift is positive.  One
-    step may pass several thresholds, and each step adds its crossing
-    weights (and their squares) to each threshold in row order.  Either
-    way a path runs at most 4000 steps.
+    every path crosses every level since the tilted drift is positive, and
+    it retires once it has crossed the top one, before its first step if
+    the start does.  One step may pass several thresholds, and each step
+    adds its crossing weights (and their squares) to each threshold in row
+    order.  Either way a path runs at most 4000 steps.
     """
     drop_nats, min_hits = 60.0, 25
     if not (np.isfinite(alpha) and alpha > 0):
@@ -268,6 +269,9 @@ def cramer_constant(
     # crossings on, each of likelihood ratio 1
     weight_sum = np.array(crossings.hits(), dtype=float)
     weight_sq = weight_sum.copy()
+    # a path walks until its level is inf, past every threshold: from the
+    # start already, or at the step that crosses the top one
+    chain.keep(np.isfinite(crossings.level))
     steps = 0
     while chain.ids.size and steps < _MAX_STEPS:
         chain.step(rng.random(chain.ids.size))
@@ -285,7 +289,11 @@ def cramer_constant(
             w = np.repeat(wvals, n_new)
             weight_sum += np.bincount(js, w, len(log_ts))
             weight_sq += np.bincount(js, w * w, len(log_ts))
-        chain.keep(chain.logmag <= log_ts[-1])
+            topped = new[hi == len(log_ts)]  # their level is now inf
+            if topped.size:
+                live = np.ones(chain.ids.size, dtype=bool)
+                live[topped] = False
+                chain.keep(live)
         steps += 1
     p_hats = [w / n_paths for w in weight_sum]
     return _crossing_rows(t_arr, alpha, n_paths, p_hats,

@@ -6,7 +6,8 @@ ensemble, only TiltedChain.step runs the tilted kernel, and passes it
 the chain itself as the kernel's state, only the CLI's
 runner opens and finishes manifests, no walk applies a gathered atom
 stack with einsum, atoms are drawn only from an ensemble's weights or a
-point's pi, only rng.py builds random generators, every public routine has
+point's pi, every take into a work buffer names an unbuffered mode, only
+rng.py builds random generators, every public routine has
 a caller inside the package, the CLI imports no scipy, a CLI run executes
 only the modules its command runs and never numpy.ma, and the package and
 pyproject.toml state one version."""
@@ -320,6 +321,58 @@ def test_atoms_are_drawn_only_from_ensemble_weights_or_pi():
         path.name: lines
         for path in sorted(PACKAGE.glob("*.py"))
         if (lines := foreign_draws(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+# a gather into a work buffer: numpy's take(..., out=) in its default
+# mode="raise" gathers into a buffer of its own and copies that out, so the
+# work buffer saves neither the allocation nor the copy
+UNBUFFERED_TAKE_MODES = {"clip", "wrap"}
+
+
+def buffered_takes(source: str) -> list[int]:
+    """Lines of take calls that pass out=, by keyword or position, without
+    a mode of UNBUFFERED_TAKE_MODES as a string constant.  np.take(a, ...)
+    and a bare take(a, ...) read out and mode one position later than the
+    method a.take(...)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        f = node.func if isinstance(node, ast.Call) else None
+        if getattr(f, "attr", getattr(f, "id", None)) != "take":
+            continue
+        function = isinstance(f, ast.Name) or (
+            isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy"))
+        given = dict(zip(("out", "mode"), node.args[2 + function:]))
+        given.update((k.arg, k.value) for k in node.keywords)
+        mode = given.get("mode")
+        if "out" in given and not (isinstance(mode, ast.Constant)
+                                   and mode.value in UNBUFFERED_TAKE_MODES):
+            found.append(node.lineno)
+    return found
+
+
+def test_checker_flags_buffered_takes():
+    source = """
+ak = a.take(idx, axis=1, out=ak)
+np.take(a, idx, axis=1, out=ak, mode="clip")
+np.take(a, idx, 1, ak)
+a.take(idx, 1, ak, "wrap")
+a.take(idx, axis=1, out=ak, mode="raise")
+numpy.take(a, idx, 1, ak, mode)
+take(a, idx, 1, ak, "clip")
+grid.corners.take(first, out=idx, mode="clip")
+terms = values.take(idx)
+rows = np.take(rows, kept, mode="clip")
+"""
+    assert buffered_takes(source) == [2, 4, 6, 7]
+
+
+def test_every_take_into_a_buffer_names_an_unbuffered_mode():
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := buffered_takes(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
 

@@ -359,6 +359,22 @@ class TestCubeStencil:
         for xs in (g.nodes, -g.nodes, g.nodes * (1 + 1e-15), -g.nodes * (1 - 1e-15)):
             assert np.max(np.abs(interpolate(f, xs) - f.values)) < 1e-12
 
+    @pytest.mark.parametrize("n", [4, 128])
+    def test_non_finite_query_never_interpolates_to_a_finite_value(self, n):
+        # the corner gather clips its indices, so a NaN query's cell reads
+        # corner 0; its weights are NaN and keep the value NaN.  The queries
+        # hold a NaN or two infinite components, whose ratio is NaN
+        g = build_grid(3, n, "projective")
+        f = GridFunction(g, np.random.default_rng(n).standard_normal(g.n_nodes))
+        nan, inf = np.nan, np.inf
+        xs = np.array([[nan, 0.6, 0.8], [0.6, nan, 0.8], [0.6, 0.8, nan], [0.1, 0.2, nan],
+                       [nan, nan, nan], [nan, inf, 1.0], [inf, inf, 0.0], [inf, -inf, inf],
+                       [0.0, -inf, inf], [-inf, 0.5, -inf]])
+        with np.errstate(invalid="ignore"):
+            values = interpolate(f, xs)
+        assert values.shape == (len(xs),)
+        assert not np.isfinite(values).any()
+
     def test_continuous_across_face_edge_and_corner(self):
         g = build_grid(3, 128, "projective")
         f = GridFunction(g, np.random.default_rng(4).standard_normal(g.n_nodes))

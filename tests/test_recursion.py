@@ -88,8 +88,9 @@ class TestSampling:
         assert rel.max() <= 1e-12
         assert bank.row_steps < 2000 * bank.last_step  # rows did retire early
 
-    def test_d2_bank_reproducible_for_any_worker_count(self):
-        ae = ip_affine_2d()
+    @pytest.mark.parametrize("make", [ip_affine_2d, affine_3d])
+    def test_bank_reproducible_for_any_worker_count(self, make):
+        ae = make()
         b1 = sample_stationary(ae, 1000, 2000, seed=8, chunk=500)
         again = sample_stationary(ae, 1000, 2000, seed=8, chunk=500)
         b4 = sample_stationary(ae, 1000, 2000, seed=8, chunk=500, n_workers=4)

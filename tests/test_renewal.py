@@ -168,7 +168,7 @@ class TestCramer:
     @pytest.mark.parametrize("method", ["naive", "tilted"])
     @pytest.mark.parametrize("case", ["kesten_1d", "ip_2d"])
     def test_start_crosses_the_thresholds_below_one(self, ks_kesten, ip_solver, ip_alpha,
-                                                    case, method):
+                                                    case, method, monkeypatch):
         # the supremum runs over n >= 0 and |S_0 u| = 1, so below t = 1 both
         # methods read probability 1 exactly: t^alpha, stderr 0, every path
         ks, alpha = (ks_kesten, 1.0) if case == "kesten_1d" else (ip_solver, ip_alpha)
@@ -183,6 +183,15 @@ class TestCramer:
                                            method=method)
         assert [(repr(r["estimate"]), repr(r["stderr"]), r["hits"])
                 for r in rows[2:]] == self.START_RULE_ROWS[case, method]
+        if method == "tilted":
+            # the start crosses every threshold of {0.5, 0.9}, so every path
+            # retires before its first step
+            calls = []
+            step = TiltedChain.step
+            monkeypatch.setattr(TiltedChain, "step",
+                                lambda chain, u: calls.append(u.size) or step(chain, u))
+            below = cramer_constant(ks, alpha, u, [0.5, 0.9], 2000, seed=4, method=method)
+            assert calls == [] and below == rows[:2]
 
     def test_naive_runs_no_solve(self, ip, monkeypatch):
         # the naive walk reads only the solver's ensemble
