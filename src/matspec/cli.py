@@ -75,12 +75,21 @@ class ConfigError(ValueError):
     pass
 
 
+def _finite(v) -> float:
+    """float() of a JSON value, which must be finite: json reads NaN,
+    Infinity and an overflowing 1e400 as floats."""
+    x = float(v)
+    if not np.isfinite(x):
+        raise ValueError(f"non-finite value {v!r}")
+    return x
+
+
 def _span(v) -> tuple[float, float, int]:
-    return float(v["min"]), float(v["max"]), int(v["count"])
+    return _finite(v["min"]), _finite(v["max"]), int(v["count"])
 
 
 def _floats(v) -> tuple[float, ...]:
-    return tuple(float(b) for b in v)
+    return tuple(_finite(b) for b in v)
 
 
 # config key, in the section "mc" or "options" when dotted -> the reader of
@@ -88,8 +97,8 @@ def _floats(v) -> tuple[float, ...]:
 _READERS = {
     "threads": int, "grid_resolution": int, "s_grid": _span,
     "mc.paths": int, "mc.steps": int, "mc.samples": int,
-    "options.rho_eps": float, "options.p0": float, "options.t_grid": _span,
-    "options.n_windows": int, "options.annulus_width": float, "options.t_start": float,
+    "options.rho_eps": _finite, "options.p0": _finite, "options.t_grid": _span,
+    "options.n_windows": int, "options.annulus_width": _finite, "options.t_start": _finite,
     "options.hill_k": int, "options.directions": int, "options.moment_betas": _floats,
 }
 # the keys load reads, and the sections whose keys are dotted
@@ -141,12 +150,12 @@ class RunConfig:
             # an absolute ensemble path stays itself
             return cls(p.parent / raw["ensemble"], int(raw["seed"]),
                        Path(raw.get("out", "matspec-out")), raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed config value: {exc!r}") from exc
 
     def check(self) -> list[str]:
-        """Read every other value given, by load's rule (int() or float() of
-        the JSON value), and reject values no command can run with; a run
+        """Read every other value given, by int() or a finite float() of its
+        JSON value, and reject values no command can run with; a run
         rejected here still knows its output directory.  Returns the keys
         given that nothing reads, dotted within their section, in the
         config's order."""
@@ -159,7 +168,7 @@ class RunConfig:
                 if leaf in doc:
                     name = key.removeprefix("options.").replace(".", "_")
                     setattr(self, name, read(doc[leaf]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed config value: {exc!r}") from exc
         self.threads = max(1, self.threads)
         lo, hi, count = self.s_grid
@@ -544,16 +553,10 @@ def _renewal(cfg: RunConfig, ensemble, ks: transfer.KSolver, man: Manifest) -> s
     if lin.dimension == 1:
         arith = check_nonarithmetic_1d(lin)[0] == "fail"
     t0 = time.perf_counter()
-    if L0 > 0:
-        rep = renewal.potential_profile_expanding(ks, fns, n_paths=cfg.mc_paths, seed=cfg.seed)
-    else:
-        # contracting regime: alpha-tilted potential against the
-        # t^{-alpha}-scaled renewal prediction
-        alpha = spectrum.solve_alpha(ks)
-        rep = renewal.tilted_potential_profile(
-            ks, alpha, np.eye(lin.dimension)[0], cfg.t_start, fns,
-            n_paths=cfg.mc_paths, seed=cfg.seed,
-        )
+    # the expanding walk is the profile at exponent 0
+    alpha = 0.0 if L0 > 0 else spectrum.solve_alpha(ks)
+    rep = renewal.tilted_potential_profile(ks, alpha, np.eye(lin.dimension)[0], cfg.t_start,
+                                           fns, n_paths=cfg.mc_paths, seed=cfg.seed)
     if arith:
         rep.caveats.append("arithmetic log-lattice: pointwise renewal limit not "
                            "guaranteed; mean-level comparison only")
@@ -640,7 +643,7 @@ COMMANDS = {
     "validate": (_validate, "structural and hypothesis checks", False, False),
     "spectrum": (_spectrum, "k(s) curve, alpha, Lyapunov exponents", False, True),
     "tails": (_tails, "stationary sampling and tail estimation", True, True),
-    "renewal": (_renewal, "expanding-regime renewal verification", False, True),
+    "renewal": (_renewal, "potential-kernel renewal verification", False, True),
     "cramer": (_cramer, "level-crossing (ruin) asymptotics", False, True),
     "dualwalk": (_dualwalk, "dual ladder walk diagnostics", True, True),
 }

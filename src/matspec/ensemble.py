@@ -105,6 +105,14 @@ def median(values: np.ndarray) -> float:
     return part[half - 1 + odd : half + 1].mean()
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Reject the first atom (leading index) whose entries are not all finite."""
+    bad = ~np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise EnsembleError(f"atom {i}: {what} {values[i].tolist()!r} is not finite")
+
+
 @dataclass(frozen=True)
 class LinearEnsemble:
     """Finite-support probability measure on GL(d, R).
@@ -132,6 +140,8 @@ class LinearEnsemble:
             )
         if w.shape != (mats.shape[0],):
             raise EnsembleError("one weight per matrix required")
+        _require_finite(mats, "matrix")
+        _require_finite(w, "weight")
         if np.any(w <= 0):
             bad = int(np.argmin(w))
             raise EnsembleError(f"atom {bad}: weight {w[bad]} not strictly positive")
@@ -178,6 +188,7 @@ class AffineEnsemble:
             raise EnsembleError(
                 f"translations must have shape (m, {self.dimension}), got {trans.shape}"
             )
+        _require_finite(trans, "translation")
         if self._common_fixed_point_residual() <= 1e-9 and not self.allow_fixed_point:
             raise EnsembleError(
                 "supp lambda has a fixed point: the system (I - A_i) x = B_i "

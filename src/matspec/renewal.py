@@ -1,27 +1,27 @@
 """Renewal asymptotics of the linear walk and the dual ladder walk.
 
-Expanding regime (Lyapunov exponent > 0): the mean number of visits of
-S_n v to a log-annulus of width h around direction probes converges, as the
-start v -> 0, to h * nu(probe) / L, with nu = nu^0 and L = L(0) read from
-the run's KSolver; measured visit counts are compared with that
-prediction, never fitted to it.  This walk and the naive Cramer walk
-draw untilted atoms and apply them through ensemble.apply_atoms.
+Potential kernel, in both regimes by one renewal theorem for the tilted
+walk (Kesten 1974): t^{-alpha} sum_k E f(S_k(t u)), f a log-window [c1, c2)
+times a directional probe, against its limit e^alpha(u) nu^alpha(probe)
+(c1^-alpha - c2^-alpha) / (alpha L(alpha)).  Contracting walks take the
+tail index alpha, expanding ones (L(0) > 0) alpha = 0: e^0 = 1, the tilted
+kernel is the untilted law and the window factor is its limit log(c2/c1).
 
 Contracting regime with tail index alpha: level-crossing probabilities
 P{sup_n |S_n u| > t} decay like t^{-alpha} A e^alpha(u); naive counting
-starves at useful t, so the tilted chain supplies an exact
-importance-sampling estimate with per-path likelihood ratio
-k(alpha)^n e^alpha(u) / (e^alpha(S_n.u) |S_n u|^alpha) evaluated at the
-first crossing.  The dual ladder walk (u_n, p_n) drives the positivity of
-directional tail constants: its ladder epochs are the record times of
-p^{-1} p_n |S'_n u| and the mean inter-record gap ties the ladder height
-growth rate to L(alpha).  Each tilted walk takes the run's
+(untilted atoms through ensemble.apply_atoms) starves at useful t, so the
+tilted chain supplies an exact importance-sampling estimate with per-path
+likelihood ratio k(alpha)^n e^alpha(u) / (e^alpha(S_n.u) |S_n u|^alpha)
+evaluated at the first crossing.  The dual ladder walk (u_n, p_n) drives
+the positivity of directional tail constants: its ladder epochs are the
+record times of p^{-1} p_n |S'_n u| and the mean inter-record gap ties the
+ladder height growth rate to L(alpha).  Each tilted walk takes the run's
 transfer.KSolver and alpha and reads its chain, e^alpha, nu^alpha and
 L(alpha) (by quadrature) from that one solver; the dual walk's from ks.star.
 
 Every level walk counts its start, and retires finished paths by one
-gather (flatnonzero, then a take per array): the untilted walks from their
-own arrays and the tilted ones through TiltedChain.keep; the live rows keep
+gather (flatnonzero, then a take per array): the naive walk from its own
+arrays and the tilted ones through TiltedChain.keep; the live rows keep
 their order, and path numbers (TiltedChain.ids) index the per-path tallies.
 Both Cramer walks keep one crossing state, _Crossings: a path's next level,
 its first threshold not crossed (inf past the top one), where the start
@@ -45,13 +45,12 @@ __all__ = [
     "RenewalReport",
     "DualWalkRecord",
     "AnnulusFunction",
-    "potential_profile_expanding",
     "cramer_constant",
     "tilted_potential_profile",
     "dual_walk_simulate",
 ]
 
-_MAX_STEPS = 4000  # most steps of one Cramer or tilted potential path
+_MAX_STEPS = 4000  # most steps of one Cramer or potential-profile path
 
 
 @dataclass(frozen=True)
@@ -93,51 +92,6 @@ class RenewalReport:
     regime: str
     rows: list[dict] = field(default_factory=list)
     caveats: list[str] = field(default_factory=list)
-
-
-def potential_profile_expanding(
-    ks: KSolver,
-    test_functions: list[AnnulusFunction],
-    n_paths: int = 4096,
-    seed: int = 0,
-) -> RenewalReport:
-    """Visit counts of the expanding walk of ks.ensemble to annulus
-    functions versus the renewal prediction (log_hi - log_lo) * nu(probe) / L,
-    with nu = nu^0 from ks.point(0) and L = L(0) from its quadrature route.
-
-    L must be positive; paths start at magnitude 2^-30, and those that fail
-    to climb past every window within 2000 steps are flagged.
-    """
-    max_steps = 2000
-    L = lyapunov(ks, 0.0, "quadrature")[0]
-    if L <= 0:
-        raise ValueError("expanding profile requires a positive Lyapunov exponent")
-    e = ks.ensemble
-    rng = _rng(seed, 550)
-    d = e.dimension
-    x = rng.standard_normal((n_paths, d))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    logmag = np.full(n_paths, np.log(2.0**-30))
-    windows = [(f.log_lo, f.log_hi) for f in test_functions]
-    top = max(hi for _, hi in windows)
-    counts = np.zeros((len(test_functions), n_paths))
-    ids = np.arange(n_paths)
-    steps = 0
-    while ids.size and steps < max_steps:
-        _add_visits(counts, test_functions, windows, logmag, x, ids, np.ones(ids.size))
-        y = apply_atoms(e.matrices, draw_atoms(rng, e.weights, ids.size), x.T)
-        norms = np.linalg.norm(y, axis=0)
-        logmag = logmag + np.log(norms)
-        live = np.flatnonzero(logmag <= top + 10.0)
-        x = (y / norms).T.take(live, axis=0)
-        logmag, ids = logmag.take(live), ids.take(live)
-        steps += 1
-    stuck = ids.size
-    caveats = [f"{stuck} paths had not left the window region "
-               f"after {max_steps} steps"] if stuck else []
-    return _report("expanding", test_functions, counts, ks.point(0.0).nu,
-                   lambda f, mass: (f.log_hi - f.log_lo) * mass / L,
-                   "stuck-paths" if stuck else "", caveats)
 
 
 def _add_visits(acc: np.ndarray, test_functions: list[AnnulusFunction],
@@ -326,13 +280,18 @@ def tilted_potential_profile(
     """t^{-alpha} sum_{k>=0} E[f(S_k(t u))] for annulus functions f, against the
     prediction e^alpha(u)/L(alpha) * nu^alpha(probe) * (c1^-a - c2^-a)/a,
     with e^alpha and nu^alpha from ks.point(alpha) and L(alpha) from its
-    quadrature route.
+    quadrature route; at alpha = 0, which requires L(0) > 0, the factor is
+    its limit log(c2/c1) and the chain draws from the ensemble's weights.
 
     Every step contributes through its own likelihood ratio, so the sum is
     an exact reweighting of the untilted potential.  A path runs until it
-    climbs 5 nats past the top window, or for at most 4000 steps.
+    climbs 5 nats past the top window (10 at alpha = 0), or for at most
+    4000 steps; paths still running then flag every row stuck-paths.
     """
     L_alpha = lyapunov(ks, alpha, "quadrature")[0]
+    expanding = alpha == 0
+    if expanding and not L_alpha > 0:
+        raise ValueError("the profile at alpha = 0 requires a positive Lyapunov exponent")
     u = np.asarray(u, dtype=float) / np.linalg.norm(u)
     rng = _rng(seed, 770)
     chain = TiltedChain(ks, [alpha], [np.tile(u, (n_paths, 1))])
@@ -347,12 +306,18 @@ def tilted_potential_profile(
         chain.step(rng.random(chain.ids.size))
         _add_visits(acc, test_functions, windows, chain.logmag, chain.x, chain.ids,
                     np.exp(chain.log_lr()))
-        chain.keep(chain.logmag <= top + 5.0)
+        chain.keep(chain.logmag <= top + (10.0 if expanding else 5.0))
         steps += 1
-    return _report("contracting-tilted", test_functions, acc * t ** (-alpha),
-                   ks.point(alpha).nu,
-                   lambda f, mass: e_at_u / L_alpha * mass
-                   * (np.exp(f.log_lo)**-alpha - np.exp(f.log_hi)**-alpha) / alpha)
+    stuck = chain.ids.size
+    caveats = [f"{stuck} paths had not left the window region "
+               f"after {_MAX_STEPS} steps"] if stuck else []
+    return _report("expanding" if expanding else "contracting-tilted", test_functions,
+                   acc * t ** (-alpha), ks.point(alpha).nu,
+                   lambda f, mass: (e_at_u * mass * (f.log_hi - f.log_lo) / L_alpha if expanding
+                                    else e_at_u / L_alpha * mass
+                                    * (np.exp(f.log_lo)**-alpha - np.exp(f.log_hi)**-alpha)
+                                    / alpha),
+                   "stuck-paths" if stuck else "", caveats)
 
 
 @dataclass

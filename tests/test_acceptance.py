@@ -30,7 +30,7 @@ from matspec.renewal import (
     AnnulusFunction,
     cramer_constant,
     dual_walk_simulate,
-    potential_profile_expanding,
+    tilted_potential_profile,
 )
 from matspec.spectrum import (
     KSolver,
@@ -202,7 +202,8 @@ def test_criterion_5_cramer_suite(ip512):
 def test_criterion_6_expanding_renewal_exact():
     ks = KSolver(expanding_1d_deterministic())
     f = AnnulusFunction("one-octave", 0.0, np.log(2.0))
-    rep = potential_profile_expanding(ks, [f], n_paths=512, seed=42)
+    # the expanding walk is the potential profile at exponent 0
+    rep = tilted_potential_profile(ks, 0.0, np.array([1.0]), 1e-4, [f], n_paths=512, seed=42)
     row = rep.rows[0]
     exact = (
         row["measured"] == 1.0

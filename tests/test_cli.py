@@ -179,6 +179,48 @@ class TestValidateCommand:
             assert manifest["status"] == "invalid-input", extra
 
 
+# json reads NaN, Infinity and an overflowing 1e400 as floats: (command,
+# file, path to the value in it, the JSON token put there)
+NON_FINITE_INPUTS = [
+    ("validate", "config", ("seed",), "Infinity"),
+    ("validate", "config", ("seed",), "1e400"),
+    ("renewal", "config", ("mc", "paths"), "Infinity"),
+    ("spectrum", "config", ("s_grid", "max"), "NaN"),
+    ("tails", "config", ("options", "moment_betas"), "[NaN]"),
+    ("dualwalk", "config", ("options", "p0"), "NaN"),
+    ("renewal", "config", ("options", "t_start"), "1e400"),
+    ("spectrum", "ensemble", ("atoms", 0, "weight"), "NaN"),
+    ("validate", "ensemble", ("atoms", 1, "matrix"), "[NaN]"),
+    ("validate", "ensemble", ("atoms", 1, "matrix"), "[Infinity]"),
+    ("tails", "ensemble", ("atoms", 1, "translation"), "[NaN]"),
+]
+
+
+@pytest.mark.parametrize("command,where,key,token", NON_FINITE_INPUTS,
+                         ids=[f"{w}-{'.'.join(map(str, k))}-{t}"
+                              for _, w, k, t in NON_FINITE_INPUTS])
+def test_non_finite_input_is_invalid_input(tmp_path, capsys, command, where, key, token):
+    cfg = write_config(tmp_path, kesten_affine_1d(), options={})  # a section for options
+    path = cfg if where == "config" else tmp_path / "ens.json"
+    doc = json.loads(path.read_text())
+    node = doc
+    for k in key[:-1]:
+        node = node[k]
+    node[key[-1]] = "@"
+    path.write_text(json.dumps(doc).replace('"@"', token))
+    assert main([command, "--config", str(cfg)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    manifest_path = tmp_path / "out" / "manifest.json"
+    if key == ("seed",):  # read before there is a manifest
+        assert "malformed config value" in err and not manifest_path.exists()
+        return
+    assert json.loads(manifest_path.read_text())["status"] == "invalid-input"
+    if where == "ensemble":
+        assert f"atom {key[1]}: {key[2]}" in err and "is not finite" in err
+    else:
+        assert "malformed config value" in err
+
+
 BAD_OPTIONS = [
     ("spectrum", ip_2d, {"grid_resolution": 1}, "resolution must be >= 2 for d = 2"),
     ("cramer", affine_3d, {"grid_resolution": 3}, "resolution must be >= 4 for d = 3"),

@@ -1,8 +1,9 @@
 """Every command's outputs, pinned by digest.
 
 Each case runs one command in-process through ``cli.main`` on one frozen
-ensemble at small sizes and seed 2301, and hashes every CSV and JSON output
-except ``manifest.json`` (timings and versions).  The digests and exit codes
+ensemble at small sizes and seed 2301 (every command on four contracting
+ensembles, renewal on two expanding ones), and hashes every CSV and JSON
+output except ``manifest.json`` (timings and versions).  The digests and exit codes
 must equal those in ``digests.json``, which also records the environment
 they were taken on: Python, numpy and the CPU model.  Round-off may differ
 on another environment, so there every mismatch names the environment's
@@ -33,7 +34,7 @@ import pytest
 
 from matspec import ensembles
 from matspec.cli import main
-from matspec.ensemble import save_ensemble
+from matspec.ensemble import LinearEnsemble, save_ensemble
 
 DIGESTS = Path(__file__).with_name("digests.json")
 SEED = 2301
@@ -46,7 +47,20 @@ CONFIG = {
     "mc": {"paths": 1000, "steps": 300, "samples": 20_000},
     "options": {"directions": 2},
 }
-CASES = [f"{command}-{name}" for name in ENSEMBLES for command in COMMANDS]
+
+def ip_2d_inverse():
+    """The inverse atoms of ip_2d at its weights: an expanding walk."""
+    lin = ensembles.ip_2d()
+    return LinearEnsemble(2, np.linalg.inv(lin.matrices), lin.weights.copy(),
+                          label="ip-2d-inverse")
+
+
+# renewal in the expanding regime, the potential profile at exponent 0
+EXPANDING = {"expanding_1d_arithmetic": ensembles.expanding_1d_arithmetic,
+             "ip_2d_inverse": ip_2d_inverse}
+BUILDERS = {**{name: getattr(ensembles, name) for name in ENSEMBLES}, **EXPANDING}
+CASES = ([f"{command}-{name}" for name in ENSEMBLES for command in COMMANDS]
+         + [f"renewal-{name}" for name in EXPANDING])
 
 
 def environment() -> dict[str, str]:
@@ -62,7 +76,7 @@ def environment() -> dict[str, str]:
 def run_case(case: str, work: Path) -> dict:
     """Run one case in work; its exit code and the sha256 of each output."""
     command, name = case.split("-", 1)
-    save_ensemble(getattr(ensembles, name)(), work / "ensemble.json")
+    save_ensemble(BUILDERS[name](), work / "ensemble.json")
     out = work / "out"
     (work / "config.json").write_text(
         json.dumps({**CONFIG, "ensemble": "ensemble.json", "out": str(out)}))

@@ -24,6 +24,7 @@ from matspec.ensemble import (
 from matspec.ensembles import (
     affine_3d,
     diag_only_2d,
+    ip_affine_2d,
     kesten_1d,
     positive_2d,
     rotation,
@@ -53,6 +54,21 @@ def test_weights_must_sum_to_one():
 def test_weights_must_be_positive():
     with pytest.raises(EnsembleError, match="positive"):
         LinearEnsemble(1, np.array([[[2.0]], [[0.5]]]), np.array([1.1, -0.1]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field,atom", [("matrix", 1), ("weight", 0), ("translation", 1)])
+def test_non_finite_atom_is_named(field, atom, value):
+    # NaN passed the weight checks, and an infinite entry read as singular
+    ae = ip_affine_2d()
+    values = {"matrix": ae.matrices.copy(), "translation": ae.translations.copy(),
+              "weight": ae.weights.copy()}
+    values[field].reshape(ae.n_atoms, -1)[atom, -1] = value
+    with pytest.raises(EnsembleError, match=f"atom {atom}: {field} .* is not finite"):
+        AffineEnsemble(2, values["matrix"], values["translation"], values["weight"])
+    if field != "translation":
+        with pytest.raises(EnsembleError, match=f"atom {atom}: {field} .* is not finite"):
+            LinearEnsemble(2, values["matrix"], values["weight"])
 
 
 def test_singular_matrix_rejected():

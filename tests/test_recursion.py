@@ -347,3 +347,20 @@ class TestCaseIProfile:
         assert prof["ratios"].tolist() == [prof["constants"][k][0] / ev
                                            for k, ev in zip(keys, e_values)
                                            if k in prof["constants"]]
+
+    def test_ratios_divide_by_the_transposed_eigenfunction(self):
+        # ip_shear_2d is not self-transposed: over these directions e^alpha_*
+        # / e^alpha spans a factor of 2.2, so plateaus proportional to
+        # e^alpha_* give equal ratios only when the profile divides by it
+        from matspec.ensembles import ip_shear_2d
+        from matspec.projective import build_grid, interpolate
+        from matspec.recursion import directional_profile
+        from matspec.spectrum import solve_alpha
+
+        ks = KSolver(ip_shear_2d(), build_grid(2, 256, "projective"))
+        alpha = solve_alpha(ks)
+        ths = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        dirs = np.column_stack([np.cos(ths), np.sin(ths)])
+        e_star = interpolate(ks.star.point(alpha).e, dirs)
+        tables = [{"plateau": 0.7 * v, "ci": (0.6 * v, 0.8 * v)} for v in e_star]
+        assert directional_profile(tables, ks, alpha, dirs)["cv"] <= 1e-12

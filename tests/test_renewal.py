@@ -3,13 +3,14 @@ import pytest
 
 from conftest import finite_diff_L
 from matspec.cli import _probe_directions
-from matspec.ensemble import AffineEnsemble
+from matspec.ensemble import AffineEnsemble, LinearEnsemble
 from matspec.ensembles import (
     affine_3d,
     expanding_1d_arithmetic,
     expanding_1d_deterministic,
     ip_2d,
     ip_affine_2d,
+    ip_shear_2d,
     ip_shear_affine_2d,
     kesten_1d,
     kesten_affine_1d,
@@ -19,7 +20,6 @@ from matspec.renewal import (
     AnnulusFunction,
     cramer_constant,
     dual_walk_simulate,
-    potential_profile_expanding,
     tilted_potential_profile,
 )
 from matspec import renewal, transfer
@@ -35,88 +35,81 @@ def ks_kesten():
     return KSolver(kesten_affine_1d().linear_part, grid)
 
 
-def einsum_expanding_counts(e, test_functions, n_paths, seed, max_steps=2000):
-    """Reference visit counts of potential_profile_expanding: each step
-    applies the gathered (n, d, d) atoms to the active (n, d) rows with
-    einsum."""
-    rng = stream(seed, 550)
-    x = rng.standard_normal((n_paths, e.dimension))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    logmag = np.full(n_paths, np.log(2.0**-30))
-    top = max(f.log_hi for f in test_functions)
-    counts = np.zeros((len(test_functions), n_paths))
-    active = np.ones(n_paths, dtype=bool)
-    steps = 0
-    while active.any() and steps < max_steps:
-        sel = np.flatnonzero(active)
-        for j, f in enumerate(test_functions):
-            inside = (logmag[sel] >= f.log_lo) & (logmag[sel] < f.log_hi)
-            counts[j, sel[inside & f.direction_mask(x[sel])]] += 1.0
-        g = e.matrices[draw_atoms(rng, e.weights, sel.size)]
-        y = np.einsum("nij,nj->ni", g, x[sel])
-        norms = np.linalg.norm(y, axis=1)
-        x[sel] = y / norms[:, None]
-        logmag[sel] += np.log(norms)
-        active[sel] = logmag[sel] <= top + 10.0
-        steps += 1
-    return counts
+def inverse_atoms(lin):
+    """lin's atoms inverted, at lin's weights: the inverse of a contracting
+    walk expands."""
+    return LinearEnsemble(lin.dimension, np.linalg.inv(lin.matrices), lin.weights.copy())
 
 
 class TestExpandingProfile:
+    """The expanding regime (L(0) > 0) is the potential profile at alpha = 0."""
+
     def test_deterministic_exactly_one_visit(self):
         ks = KSolver(expanding_1d_deterministic())
         f = AnnulusFunction("one-octave", 0.0, np.log(2.0))
-        rep = potential_profile_expanding(ks, [f], n_paths=100, seed=1)
+        rep = tilted_potential_profile(ks, 0.0, np.array([1.0]), 1e-4, [f], n_paths=100,
+                                       seed=1)
+        assert rep.regime == "expanding" and not rep.caveats
         row = rep.rows[0]
-        assert row["measured"] == 1.0
-        assert row["predicted"] == 1.0
-        assert row["stderr"] == 0.0
+        assert (row["measured"], row["predicted"], row["stderr"], row["flag"]) == (
+            1.0, 1.0, 0.0, "")
 
     def test_arithmetic_mean_check(self):
         # L(0) = 0.2 log 2 by quadrature on the single d=1 node
         ks = KSolver(expanding_1d_arithmetic())
         f = AnnulusFunction("one-octave", 0.0, np.log(2.0))
-        rep = potential_profile_expanding(ks, [f], n_paths=6000, seed=2)
+        rep = tilted_potential_profile(ks, 0.0, np.array([1.0]), 1e-4, [f], n_paths=6000,
+                                       seed=2)
         row = rep.rows[0]
         assert row["predicted"] == pytest.approx(5.0, abs=1e-12)
         assert abs(row["measured"] - 5.0) < max(4 * row["stderr"], 0.15)
 
     def test_contracting_rejected(self, ks_kesten):
+        f = AnnulusFunction("one-octave", 0.0, np.log(2.0))
         with pytest.raises(ValueError, match="positive"):
-            potential_profile_expanding(ks_kesten, [])
+            tilted_potential_profile(ks_kesten, 0.0, np.array([1.0]), 1e-4, [f],
+                                     n_paths=10, seed=0)
 
     def test_d2_expanding_within_budget(self, ip):
-        # invert the contracting reference: inverse atoms expand
-        mats = np.linalg.inv(ip.matrices)
-        from matspec.ensemble import LinearEnsemble
-
-        e = LinearEnsemble(2, mats, ip.weights.copy())
-        ks = KSolver(e, build_grid(2, 128, "projective"))
+        ks = KSolver(inverse_atoms(ip), build_grid(2, 128, "projective"))
         assert finite_diff_L(ks, 0.0) > 0
         fns = [AnnulusFunction("octave0", 0.0, np.log(2.0)),
                AnnulusFunction("octave1", np.log(2.0), 2 * np.log(2.0))]
-        rep = potential_profile_expanding(ks, fns, n_paths=4000, seed=3)
+        rep = tilted_potential_profile(ks, 0.0, np.eye(2)[0], 1e-4, fns, n_paths=4000,
+                                       seed=3)
         for row in rep.rows:
             ratio = row["measured"] / row["predicted"]
             assert 0.8 <= ratio <= 1.25
 
-
     @pytest.mark.parametrize("d", [2, 3])
-    def test_rows_equal_einsum_walk_reference(self, d):
-        from matspec.ensemble import LinearEnsemble
-
-        # inverse atoms of a contracting walk expand
+    def test_exponent_0_is_the_untilted_law(self, d):
+        # at s = 0 every kernel column is the ensemble's weights (e^0 = 1 up
+        # to the eigen-solve tolerance), and every path's likelihood ratio
+        # against the untilted walk is 1
         lin = ip_2d() if d == 2 else affine_3d().linear_part
-        e = LinearEnsemble(d, np.linalg.inv(lin.matrices), lin.weights.copy())
-        fns = [AnnulusFunction("octave0", 0.0, np.log(2.0)),
-               AnnulusFunction("cap", np.log(2.0), 3 * np.log(2.0),
-                               probe_center=np.eye(d)[0], probe_radius=0.8)]
-        ks = KSolver(e, build_grid(d, 64, "projective"))
-        rep = potential_profile_expanding(ks, fns, n_paths=1500, seed=12)
-        counts = einsum_expanding_counts(e, fns, 1500, 12)
-        assert [(r["measured"], r["stderr"]) for r in rep.rows] == [
-            (float(c.mean()), float(c.std(ddof=1) / np.sqrt(1500))) for c in counts]
-        assert counts.sum(axis=1).min() > 0 and not rep.caveats
+        e = inverse_atoms(lin)
+        x0 = stream(12, 0).standard_normal((500, d))
+        x0 /= np.linalg.norm(x0, axis=1, keepdims=True)
+        chain = TiltedChain(KSolver(e, build_grid(d, 64, "projective")), [0.0], [x0])
+        rng = stream(12, 1)
+        for _ in range(20):
+            probs = transfer.tilted_probs(e, chain, chain.x, chain.e_x)[0]
+            assert np.abs(probs - e.weights[:, None]).max() <= 1e-9
+            chain.step(rng.random(chain.ids.size))
+            assert np.abs(np.exp(chain.log_lr()) - 1.0).max() <= 1e-9
+
+    @pytest.mark.parametrize("regime", ["expanding", "contracting-tilted"])
+    def test_paths_past_the_step_cap_are_flagged(self, ks_kesten, regime, monkeypatch):
+        monkeypatch.setattr(renewal, "_MAX_STEPS", 3)
+        ks, alpha = ((KSolver(expanding_1d_arithmetic()), 0.0) if regime == "expanding"
+                     else (ks_kesten, 1.0))
+        fns = [AnnulusFunction("unit-window", 0.0, np.log(2.0)),
+               AnnulusFunction("next-window", np.log(2.0), 2 * np.log(2.0))]
+        rep = tilted_potential_profile(ks, alpha, np.array([1.0]), 1e-4, fns, n_paths=50,
+                                       seed=10)
+        assert rep.regime == regime
+        assert rep.caveats == ["50 paths had not left the window region after 3 steps"]
+        assert [r["flag"] for r in rep.rows] == ["stuck-paths"] * 2
 
 
 class TestCramer:
@@ -409,6 +402,22 @@ class TestTiltedPotential:
         row = rep.rows[0]
         ratio = row["measured"] / row["predicted"]
         assert 0.8 <= ratio <= 1.25
+
+    def test_cap_is_predicted_from_nu_alpha_not_the_transposed_one(self):
+        # ip_shear_2d is not self-transposed, so nu^alpha and *nu^alpha give
+        # the e1 cap different masses: the measured cap potential matches the
+        # first and lies far from the second
+        ks = KSolver(ip_shear_2d(), build_grid(2, 512, "projective"))
+        alpha = solve_alpha(ks)
+        f = AnnulusFunction("e1-cap", 0.0, np.log(2.0), probe_center=np.eye(2)[0],
+                            probe_radius=0.5)
+        rep = tilted_potential_profile(ks, alpha, np.eye(2)[0], 1e-4, [f], n_paths=20_000,
+                                       seed=2301)
+        row = rep.rows[0]
+        assert abs(row["measured"] - row["predicted"]) <= 3 * row["stderr"]
+        from_star = (row["predicted"] * f.probe_mass(ks.star.point(alpha).nu)
+                     / f.probe_mass(ks.point(alpha).nu))
+        assert abs(row["measured"] - from_star) > 10 * row["stderr"]
 
 
 class TestDualWalk:
